@@ -17,6 +17,7 @@ import numpy as np
 
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
+from .errors import GcsError
 from .linops import load_matrix
 
 PAPER_PHASE_M = list(range(40, 441, 20))
@@ -79,7 +80,7 @@ def cmd_train(args) -> int:
     )
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
     training.save_vae(model, args.out)
-    gnn.save_network(model.decoder, args.out.replace(".json", "") + ".decoder.json")
+    gnn.save_network(model.decoder, args.out.removesuffix(".json") + ".decoder.json")
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
     return 0
 
@@ -87,8 +88,7 @@ def cmd_train(args) -> int:
 def cmd_recover(args) -> int:
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
-    sampler = sampling.sample_fixed if args.model == "fixed" else sampling.sample_bernoulli
-    a = sampler(u, args.m, sampling.spawn_seed(args.seed, 0))
+    a = sampling.sampler_for(args.model)(u, args.m, sampling.spawn_seed(args.seed, 0))
     rng = sampling.derive_rng(args.seed, 1)
     z0 = rng.standard_normal(g.code_dim)
     x0 = gnn.forward(g, z0)
@@ -304,7 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GcsError as e:
+        print(f"gcs: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,15 +11,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coherence import network_coherence_heuristic, subspace_coherence
 from .errors import DimensionMismatch, DomainError, Unsupported
 from .gnn import GenerativeNetwork, forward
-from .recovery import SUCCESS_RRE, RecoveryConfig, recover
-from .sampling import apply, derive_rng, sample_bernoulli, sample_fixed, spawn_seed
+# Cells call recover_batch; harness.recover stays bound because
+# perfbench/instrument.py wraps it.
+from .recovery import SUCCESS_RRE, RecoveryConfig, recover, recover_batch  # noqa: F401
+from .sampling import apply, check_m, derive_rng, sampler_for, spawn_seed
+# Not called here; bound because perfbench/instrument.py wraps these names.
+from .sampling import sample_bernoulli, sample_fixed  # noqa: F401
 from .training import VaeModel
 from .transforms import UnitaryOperator
 
@@ -32,6 +36,16 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, range(count)))
+
+
+def check_grid(model: str, m_list, n: int):
+    """The sampler for a sampling model, after checking every grid m against n.
+
+    Checking the whole grid up front fails a run before any cell computes.
+    """
+    for m in m_list:
+        check_m(model, m, n)
+    return sampler_for(model)
 
 
 def geometric_stats(values) -> tuple[float, float, int]:
@@ -79,6 +93,23 @@ def parse_csv(path: str) -> list[dict]:
     return out
 
 
+def _recover_cell(g: GenerativeNetwork, trials: list, recovery: RecoveryConfig) -> list[float]:
+    """Recover a cell's trials, each (operator, x0, solver seed), in one block.
+
+    Returns each trial's rre; inf where it is undefined (x0 = 0).
+    """
+    ops = [a for a, _, _ in trials]
+    x0s = [x0 for _, x0, _ in trials]
+    results = recover_batch(
+        g,
+        ops,
+        [apply(a, x0) for a, x0 in zip(ops, x0s)],
+        [replace(recovery, seed=seed) for _, _, seed in trials],
+        x0s,
+    )
+    return [float("inf") if res.rre is None else res.rre for res in results]
+
+
 # ---------------------------------------------------------------------------
 # Phase portrait (coherence x measurements)
 # ---------------------------------------------------------------------------
@@ -109,51 +140,44 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     """Per (beta, m) cell: interpolate final layers, measure, recover, record.
 
     W_beta := beta * w_high + (1 - beta) * w_low; success is rre < 1e-5.
+    Each cell recovers all of its trials in one recover_batch call.
     Records are ordered by (beta, m, trial) with columns
     beta, coherence_heuristic, m, trial, rre, success, seed.
     """
     u = cfg.d_op
-    sampler = sample_fixed if cfg.model == "fixed" else sample_bernoulli
-    jobs = []
-    nets = {}
-    for bi, beta in enumerate(cfg.betas):
+    sampler = check_grid(cfg.model, cfg.m_list, u.n)
+    nets = []
+    for beta in cfg.betas:
         w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
         net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
-        coh = network_coherence_heuristic(net, u)
-        nets[bi] = (net, coh)
-        for mi, m in enumerate(cfg.m_list):
-            for t in range(cfg.trials):
-                jobs.append((bi, mi, t))
+        nets.append((net, network_coherence_heuristic(net, u)))
+    cells = [(bi, mi) for bi in range(len(cfg.betas)) for mi in range(len(cfg.m_list))]
 
     def one(j):
-        bi, mi, t = jobs[j]
+        bi, mi = cells[j]
         net, coh = nets[bi]
         m = cfg.m_list[mi]
-        trial_seed = spawn_seed(cfg.seed, bi, mi, t)
-        a = sampler(u, m, trial_seed)
-        rng = derive_rng(cfg.seed, bi, mi, t, 1)
-        z0 = rng.standard_normal(net.code_dim)
-        x0 = forward(net, z0)
-        b = apply(a, x0)
-        res = recover(net, a, b, RecoveryConfig(
-            learning_rate=cfg.recovery.learning_rate,
-            max_iters=cfg.recovery.max_iters,
-            grad_tol=cfg.recovery.grad_tol,
-            restarts=cfg.recovery.restarts,
-            seed=spawn_seed(cfg.seed, bi, mi, t, 2),
-        ), x0=x0)
-        err = res.rre if res.rre is not None else float("inf")
-        return {
-            "beta": cfg.betas[bi],
-            "coherence_heuristic": coh,
-            "m": m,
-            "trial": t,
-            "rre": err,
-            "success": err < SUCCESS_RRE,
-            "seed": trial_seed,
-        }
+        trials = []
+        for t in range(cfg.trials):
+            a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
+            rng = derive_rng(cfg.seed, bi, mi, t, 1)
+            x0 = forward(net, rng.standard_normal(net.code_dim))
+            trials.append((a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)))
+        errs = _recover_cell(net, trials, cfg.recovery)
+        return [
+            {
+                "beta": cfg.betas[bi],
+                "coherence_heuristic": coh,
+                "m": m,
+                "trial": t,
+                "rre": err,
+                "success": err < SUCCESS_RRE,
+                "seed": a.seed,
+            }
+            for t, ((a, _, _), err) in enumerate(zip(trials, errs))
+        ]
 
-    return run_indexed(one, len(jobs), cfg.threads)
+    return [r for cell in run_indexed(one, len(cells), cfg.threads) for r in cell]
 
 
 def phase_success_grid(records: list[dict], betas, m_list) -> np.ndarray:
@@ -193,36 +217,29 @@ def run_measurement_sweep(
     Returns (trial records, per-(model, m) geometric summaries).
     """
     u = cfg.d_op
-    sampler = sample_fixed if cfg.model == "fixed" else sample_bernoulli
-    jobs = []
-    for gi, _ in enumerate(models):
-        for mi, _ in enumerate(cfg.m_list):
-            for t in range(cfg.trials):
-                jobs.append((gi, mi, t))
+    sampler = check_grid(cfg.model, cfg.m_list, u.n)
+    cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
 
     def one(j):
-        gi, mi, t = jobs[j]
+        gi, mi = cells[j]
         name, model = models[gi]
         m = cfg.m_list[mi]
-        # Target choice is shared across models: same x_sharp per (m, trial).
-        rng = derive_rng(cfg.seed, mi, t)
-        x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
-        mu, _ = model.encode(x_sharp)
-        x0 = forward(model.decoder, mu)
-        trial_seed = spawn_seed(cfg.seed, mi, t, 1)
-        a = sampler(u, m, trial_seed)
-        b = apply(a, x0)
-        res = recover(model.decoder, a, b, RecoveryConfig(
-            learning_rate=cfg.recovery.learning_rate,
-            max_iters=cfg.recovery.max_iters,
-            grad_tol=cfg.recovery.grad_tol,
-            restarts=cfg.recovery.restarts,
-            seed=spawn_seed(cfg.seed, gi, mi, t, 2),
-        ), x0=x0)
-        err = res.rre if res.rre is not None else float("inf")
-        return {"model": name, "m": m, "trial": t, "rre": err, "seed": trial_seed}
+        trials = []
+        for t in range(cfg.trials):
+            # Target choice is shared across models: same x_sharp per (m, trial).
+            rng = derive_rng(cfg.seed, mi, t)
+            x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
+            mu, _ = model.encode(x_sharp)
+            x0 = forward(model.decoder, mu)
+            a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
+            trials.append((a, x0, spawn_seed(cfg.seed, gi, mi, t, 2)))
+        errs = _recover_cell(model.decoder, trials, cfg.recovery)
+        return [
+            {"model": name, "m": m, "trial": t, "rre": err, "seed": a.seed}
+            for t, ((a, _, _), err) in enumerate(zip(trials, errs))
+        ]
 
-    records = run_indexed(one, len(jobs), cfg.threads)
+    records = [r for cell in run_indexed(one, len(cells), cfg.threads) for r in cell]
     summaries = []
     for name, _ in models:
         for m in cfg.m_list:
@@ -259,7 +276,7 @@ def run_rip_check(
         raise Unsupported("RIP check needs a linear-final network")
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
-    sampler = sample_bernoulli if model == "bernoulli" else sample_fixed
+    sampler = check_grid(model, m_list, u.n)
     jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
     k = g.code_dim
 

@@ -4,6 +4,18 @@ recovery-bound audit.
 The solver follows the experimental protocol: Adam with learning rate 0.1 for
 up to 5000 iterations, stopping early when the gradient norm drops below 1e-7.
 Recovery is declared successful when rre < 1e-5.
+
+One engine solves every problem. `recover_batch` runs Adam in lockstep on a
+latent block Z that stacks one latent vector, a column, per (problem,
+restart) pair; `recover` is a one-problem call of it. Each column keeps its
+own rows U[J], measurement b, early stop and nonfinite-restart accounting,
+and leaves the block when it finishes. Every product is a stacked
+matrix-vector product (`np.matmul(W, Z[:, :, None])`), the same BLAS call as
+a one-vector loop makes, never a matrix-matrix product, whose blocking rounds
+differently. U[J] is gathered unscaled once per block and the sqrt(n/m)
+scale multiplies each product, as in `sampling.apply`. So each column's
+iterates, and every result, are bit for bit those of solving its problem
+alone; tests/test_recovery.py checks this against the one-vector loop.
 """
 
 from __future__ import annotations
@@ -12,11 +24,17 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DimensionMismatch, GcsError, ZeroSignal
-from .gnn import GenerativeNetwork, forward, objective_value_grad
+from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
+# The block engine computes objective_value_grad column by column without
+# calling it; the binding stays because perfbench/instrument.py wraps it.
+from .gnn import GenerativeNetwork, forward, objective_value_grad, relu, sigmoid  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
 
 SUCCESS_RRE = 1e-5
+
+# Cap on the row stack of one block. Problems whose rows exceed it are split
+# over several blocks; columns never interact, so this changes no result.
+BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -61,26 +79,174 @@ def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.linalg.norm(x0 - x_hat)) / denom
 
 
-def _adam_solve(g, a, b, z0, config):
+def _block_value_grad(g, rows, scale, b, z):
+    """Per-column finiteness of 0.5*||scale*rows@G(z) - b||^2 and its gradient.
+
+    Shapes: rows (B, |J|, n); scale (B, 1, 1); b (B, |J|, 1); z (B, k, 1).
+    Returns (finite (B,), grad (B, k, 1)).
+    """
+    d = g.depth
+    h = z
+    pre = []
+    for i, w in enumerate(g.weights):
+        h = np.matmul(w, h)
+        if g.biases is not None:
+            h = h + g.biases[i][:, None]
+        pre.append(h)
+        if i < d - 1:
+            h = relu(h)
+    y = pre[-1]
+    x = sigmoid(y) if g.final_activation == "sigmoid" else y
+    r = scale * np.matmul(rows, x) - b
+    r_conj = r.conj()
+    value = np.real(np.matmul(r_conj.transpose(0, 2, 1), r))[:, 0, 0]
+    # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
+    # flips, without a conjugated copy of the rows.
+    s = np.real(scale * np.matmul(rows.transpose(0, 2, 1), r_conj))
+    if g.final_activation == "sigmoid":
+        s = s * x * (1.0 - x)
+    for i in range(d - 1, -1, -1):
+        s = np.matmul(g.weights[i].T, s)
+        if i > 0:
+            s = s * (pre[i - 1] > 0)
+    finite = np.isfinite(value) & np.all(np.isfinite(s), axis=(1, 2))
+    return finite, s
+
+
+def _adam_block(g, rows, scale, b, z, config):
+    """Adam in lockstep on the columns of z (B, k); column c measures x by
+    scale[c] * rows[c] @ x against b[c].
+
+    Returns per column (z, iterations, termination), or None where the
+    objective went nonfinite. Finished columns are moved out of rows in
+    place, so the block never holds a second copy of it.
+    """
     lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
-    z = z0.copy()
+    out = [None] * len(z)
+    live = np.arange(len(z))
+    z = z[:, :, None]
     m = np.zeros_like(z)
     v = np.zeros_like(z)
-    termination = "max_iters"
-    it = 0
     for it in range(1, config.max_iters + 1):
-        value, grad = objective_value_grad(g, a, b, z)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise FloatingPointError("nonfinite objective")
-        if np.linalg.norm(grad) <= config.grad_tol:
-            termination = "grad_tol"
-            break
+        finite, grad = _block_value_grad(g, rows, scale, b, z)
+        norm = np.sqrt(np.matmul(grad.transpose(0, 2, 1), grad))[:, 0, 0]
+        done = finite & (norm <= config.grad_tol)
+        keep = finite & ~done
+        if not keep.all():
+            for j in np.flatnonzero(done):
+                out[live[j]] = (z[j, :, 0], it, "grad_tol")
+            kept = np.flatnonzero(keep)
+            for dst, src in enumerate(kept):  # ascending, so no source is overwritten
+                if dst != src:
+                    rows[dst] = rows[src]
+            rows = rows[:kept.size]
+            live, z, m, v, grad, scale, b = (a[kept] for a in (live, z, m, v, grad, scale, b))
+            if not live.size:
+                return out
         m = b1 * m + (1 - b1) * grad
         v = b2 * v + (1 - b2) * grad**2
         m_hat = m / (1 - b1**it)
         v_hat = v / (1 - b2**it)
         z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return z, it, termination
+    for j, c in enumerate(live):
+        out[c] = (z[j, :, 0], config.max_iters, "max_iters")
+    return out
+
+
+def _stack_rows(ops, problems) -> np.ndarray:
+    """The unscaled rows U[J] of ops[i] for each i in problems, stacked.
+
+    A problem's restarts are adjacent, so each U[J] is gathered once and
+    copied into its restarts' slots.
+    """
+    first = ops[problems[0]]
+    rows = np.empty((len(problems), first.num_rows, first.base.n), dtype=first.base.matrix.dtype)
+    last = None
+    for j, i in enumerate(problems):
+        if i != last:
+            gathered, last = ops[i].base.matrix[ops[i].indices], i
+        rows[j] = gathered
+    return rows
+
+
+def recover_batch(
+    g: GenerativeNetwork,
+    ops: list[SubsampledIsometry],
+    bs: list[np.ndarray],
+    configs: list[RecoveryConfig],
+    x0s: list[np.ndarray | None] | None = None,
+) -> list[RecoveryResult]:
+    """recover(g, ops[i], bs[i], configs[i], x0s[i]) for every i, in one block.
+
+    The configs may differ in seed and restarts only. Problems with equal |J|
+    (and unitary dtype) share a block, so that their row sets stack; one
+    column per restart, each holding its own copy of U[J]. A block holds at
+    most BLOCK_BYTES of rows (or one column's, if that is more), so a call
+    needs that plus one |J| x n gather on top of its inputs.
+    """
+    if x0s is None:
+        x0s = [None] * len(ops)
+    if not len(ops) == len(bs) == len(configs) == len(x0s):
+        raise DimensionMismatch("need one measurement, config and x0 per operator")
+    bs = [np.asarray(b) for b in bs]
+    for a, b in zip(ops, bs):
+        if a.base.n != g.ambient_dim:
+            raise DimensionMismatch(f"operator dim {a.base.n}, network output dim {g.ambient_dim}")
+        if b.shape[0] != a.num_rows:
+            raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
+    if len({(c.learning_rate, c.max_iters, c.grad_tol) for c in configs}) > 1:
+        raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
+    cols = [(i, r) for i, c in enumerate(configs) for r in range(c.restarts)]
+    by_rows = {}
+    for c, (i, _) in enumerate(cols):
+        by_rows.setdefault((ops[i].num_rows, ops[i].base.matrix.dtype), []).append(c)
+    finals = [None] * len(cols)
+    for (num_rows, dtype), group in by_rows.items():
+        width = max(1, BLOCK_BYTES // max(1, num_rows * g.ambient_dim * dtype.itemsize))
+        for start in range(0, len(group), width):
+            chunk = group[start:start + width]
+            problems = [cols[c][0] for c in chunk]
+            scale = np.array([ops[i].scale for i in problems])[:, None, None]
+            b = np.stack([bs[i] for i in problems])[:, :, None]
+            z0 = np.stack([derive_rng(configs[i].seed, cols[c][1]).standard_normal(g.code_dim)
+                           for c, i in zip(chunk, problems)])
+            # The row stack is not bound here, so it is freed before the next
+            # chunk's is built.
+            block = _adam_block(g, _stack_rows(ops, problems), scale, b, z0, configs[0])
+            for c, final in zip(chunk, block):
+                finals[c] = final
+
+    results = []
+    c = 0
+    for a, b, config, x0 in zip(ops, bs, configs, x0s):
+        best = None
+        failed = 0
+        for final in finals[c:c + config.restarts]:
+            if final is None:
+                failed += 1
+                continue
+            z, iters, termination = final
+            x = forward(g, z)
+            residual = float(np.linalg.norm(apply(a, x) - b))
+            if best is None or residual < best[3]:
+                best = (z, x, iters, residual, termination)
+        c += config.restarts
+        if best is None:
+            raise GcsError(f"all {config.restarts} restarts hit a nonfinite objective")
+        z, x, iters, residual, termination = best
+        err = None
+        if x0 is not None and np.linalg.norm(x0) > 0:
+            err = rre(x0, x)
+        results.append(RecoveryResult(
+            z_hat=z,
+            x_hat=x,
+            rre=err,
+            iterations=iters,
+            termination=termination,
+            residual=residual,
+            failed_restarts=failed,
+        ))
+    return results
 
 
 def recover(
@@ -92,41 +258,11 @@ def recover(
 ) -> RecoveryResult:
     """Solve min_z ||A G(z) - b||_2 by Adam from standard-Gaussian restarts.
 
-    The best restart by (recomputed) residual wins. When the true signal x0 is
-    supplied, the result carries the rre against it (None when ||x0|| = 0).
+    Restart r starts from derive_rng(config.seed, r). The best restart by
+    (recomputed) residual wins. When the true signal x0 is supplied, the
+    result carries the rre against it (None when ||x0|| = 0).
     """
-    b = np.asarray(b)
-    if b.shape[0] != a.num_rows:
-        raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
-    best = None
-    failed = 0
-    for restart in range(config.restarts):
-        rng = derive_rng(config.seed, restart)
-        z0 = rng.standard_normal(g.code_dim)
-        try:
-            z, iters, termination = _adam_solve(g, a, b, z0, config)
-        except FloatingPointError:
-            failed += 1
-            continue
-        x = forward(g, z)
-        residual = float(np.linalg.norm(apply(a, x) - b))
-        if best is None or residual < best[3]:
-            best = (z, x, iters, residual, termination)
-    if best is None:
-        raise GcsError(f"all {config.restarts} restarts hit a nonfinite objective")
-    z, x, iters, residual, termination = best
-    err = None
-    if x0 is not None and np.linalg.norm(x0) > 0:
-        err = rre(x0, x)
-    return RecoveryResult(
-        z_hat=z,
-        x_hat=x,
-        rre=err,
-        iterations=iters,
-        termination=termination,
-        residual=residual,
-        failed_restarts=failed,
-    )
+    return recover_batch(g, [a], [b], [config], [x0])[0]
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,32 @@ class SubsampledIsometry:
         return int(self.indices.size)
 
 
+# The smallest m each sampling model accepts; both need m <= n.
+MIN_M = {"fixed": 1, "bernoulli": 2}
+
+
+def _check_model(model: str) -> None:
+    if model not in MIN_M:
+        raise DomainError(f"unknown sampling model {model!r} (expected fixed or bernoulli)")
+
+
+def check_m(model: str, m: int, n: int) -> None:
+    """Raise InvalidM unless `model` sampling takes m of n rows.
+
+    An unknown model name raises DomainError.
+    """
+    _check_model(model)
+    if not MIN_M[model] <= m <= n:
+        raise InvalidM(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
+
+
 def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
     """Include each row independently with probability m/n; E|J| = m.
 
     Empty realizations are retained (not resampled).
     """
     n = u.n
-    if m < 2 or m > n:
-        raise InvalidM(f"need 2 <= m <= n, got m={m}, n={n}")
+    check_m("bernoulli", m, n)
     rng = derive_rng(seed)
     mask = rng.random(n) < m / n
     indices = np.flatnonzero(mask)
@@ -60,11 +78,20 @@ def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometr
 def sample_fixed(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
     """First m elements of a uniform random permutation of [n]; |J| = m always."""
     n = u.n
-    if m < 1 or m > n:
-        raise InvalidM(f"need 1 <= m <= n, got m={m}, n={n}")
+    check_m("fixed", m, n)
     rng = derive_rng(seed)
     indices = np.sort(rng.permutation(n)[:m])
     return SubsampledIsometry(base=u, model="fixed", m=m, indices=indices, seed=seed)
+
+
+def sampler_for(model: str):
+    """The sampler of a sampling model name: sample_fixed or sample_bernoulli.
+
+    The module attributes are read at call time, so a rebound sampler (a
+    tracing wrapper, say) is the one returned.
+    """
+    _check_model(model)
+    return {"fixed": sample_fixed, "bernoulli": sample_bernoulli}[model]
 
 
 def apply(a: SubsampledIsometry, x: np.ndarray) -> np.ndarray:

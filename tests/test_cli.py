@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -62,3 +63,42 @@ def test_recover_command(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rre"] is not None and out["rre"] >= 0.0
+
+
+def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):
+    out = tmp_path / "a.json.d" / "m.json"
+    out.parent.mkdir()
+    rc = cli.main([
+        "train", "--arch", "2,8,16", "--epochs", "1", "--batch", "32",
+        "--synth-count", "100", "--synth-k", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    assert (out.parent / "m.decoder.json").exists()
+
+
+def test_paper_scale_phase_fails_before_any_cell(monkeypatch, capsys):
+    # The shipped desk weights have n = 64; the paper-scale grid runs to m = 440.
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+    def no_recovery(*args, **kwargs):
+        raise AssertionError("a trial was recovered")
+
+    monkeypatch.setattr(cli.harness, "recover_batch", no_recovery)
+    monkeypatch.setattr(cli.harness, "network_coherence_heuristic", no_recovery)
+    rc = cli.main(["--paper-scale", "phase", "--config", "configs/phase_desk.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "got m=80, n=64" in err
+
+
+def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
+    rng = derive_rng(3)
+    for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
+        save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
+    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
+           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1, "model": "fxied"}
+    with open(tmp_path / "phase.json", "w") as f:
+        json.dump(cfg, f)
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    assert rc == 2
+    assert "unknown sampling model 'fxied'" in capsys.readouterr().err

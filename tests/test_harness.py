@@ -4,12 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from gcs.errors import DomainError, Unsupported
-from gcs.gnn import GenerativeNetwork
+from gcs.errors import DomainError, InvalidM, Unsupported
+from gcs.gnn import GenerativeNetwork, forward
 from gcs.harness import (
     PhaseConfig,
     RRE_FLOOR,
     SweepConfig,
+    check_grid,
     emit_csv,
     emit_svg_heatmap,
     emit_svg_scatter,
@@ -23,8 +24,8 @@ from gcs.harness import (
     run_rip_check,
     run_subspace_rip,
 )
-from gcs.recovery import RecoveryConfig
-from gcs.sampling import derive_rng
+from gcs.recovery import RecoveryConfig, recover
+from gcs.sampling import apply, derive_rng, sample_bernoulli, sample_fixed, spawn_seed
 from gcs.training import TrainConfig, synth_dataset, train_vae
 from gcs.transforms import dct2_operator, dft_operator
 
@@ -114,6 +115,33 @@ def test_phase_portrait_records_and_thread_invariance():
     grid = phase_success_grid(r1, [0.0, 1.0], [4, 8])
     assert grid.shape == (2, 2)
     assert np.all((0.0 <= grid) & (grid <= 1.0))
+
+
+def test_phase_portrait_cells_equal_per_trial_recovery():
+    # Each cell recovers its trials in one batch; every record must be what
+    # recovering that trial alone from its own seed streams gives.
+    cfg = tiny_phase_config()
+    records = run_phase_portrait(cfg)
+    for rec in records:
+        bi, mi, t = cfg.betas.index(rec["beta"]), cfg.m_list.index(rec["m"]), rec["trial"]
+        w_beta = rec["beta"] * cfg.w_high + (1.0 - rec["beta"]) * cfg.w_low
+        net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
+        a = sample_fixed(cfg.d_op, rec["m"], spawn_seed(cfg.seed, bi, mi, t))
+        x0 = forward(net, derive_rng(cfg.seed, bi, mi, t, 1).standard_normal(net.code_dim))
+        config = RecoveryConfig(max_iters=300, seed=spawn_seed(cfg.seed, bi, mi, t, 2))
+        res = recover(net, a, apply(a, x0), config, x0=x0)
+        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+
+
+def test_check_grid():
+    assert check_grid("fixed", [1, 8], 8) is sample_fixed
+    assert check_grid("bernoulli", [2, 8], 8) is sample_bernoulli
+    with pytest.raises(DomainError):
+        check_grid("fxied", [4], 8)
+    with pytest.raises(InvalidM):
+        check_grid("fixed", [4, 9], 8)
+    with pytest.raises(InvalidM):
+        check_grid("bernoulli", [1, 4], 8)
 
 
 def test_phase_config_validation():

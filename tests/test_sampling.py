@@ -10,11 +10,13 @@ from gcs.sampling import (
     apply,
     apply_adjoint,
     bernstein_tail,
+    check_m,
     cramer_chernoff_tail,
     derive_rng,
     isotropy_error,
     sample_bernoulli,
     sample_fixed,
+    sampler_for,
     spawn_seed,
 )
 from gcs.transforms import dct2_operator, dft_operator
@@ -102,6 +104,22 @@ def test_m_validation():
         sample_fixed(u, 0, seed=0)
     with pytest.raises(DimensionMismatch):
         apply(sample_fixed(u, 4, seed=0), np.zeros(7))
+
+
+def test_check_m_and_sampler_for():
+    check_m("fixed", 1, 8)
+    check_m("bernoulli", 2, 8)
+    check_m("bernoulli", 8, 8)
+    for model, m in [("fixed", 0), ("fixed", 9), ("bernoulli", 1), ("bernoulli", 9)]:
+        with pytest.raises(InvalidM):
+            check_m(model, m, 8)
+    assert sampler_for("fixed") is sample_fixed
+    assert sampler_for("bernoulli") is sample_bernoulli
+    # A typo must not select the other sampler.
+    with pytest.raises(DomainError):
+        sampler_for("fxied")
+    with pytest.raises(DomainError):
+        check_m("fxied", 4, 8)
 
 
 def test_isotropy_full_sampling_exact_zero():
