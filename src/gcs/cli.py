@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
-from .errors import GcsError
+from .errors import DomainError, GcsError
 from .linops import load_matrix
 
 PAPER_PHASE_M = list(range(40, 441, 20))
@@ -31,7 +31,7 @@ def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
         return transforms.dct2_operator(n)
     if spec.startswith("file:"):
         return transforms.explicit_operator(load_matrix(spec[len("file:"):]))
-    raise SystemExit(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
+    raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
 
 
 def _ints(s: str) -> list[int]:
@@ -51,8 +51,13 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.data not in ("synth", "mnist") and not args.data.startswith("idx:"):
+        raise DomainError(
+            f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>[,<labels>])"
+        )
+    widths = _ints(args.arch)
+    d_op = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
     if args.data == "synth":
-        widths = _ints(args.arch)
         data = training.synth_dataset(
             widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
         )
@@ -62,13 +67,9 @@ def cmd_train(args) -> int:
             os.path.join(root, "train-images-idx3-ubyte"),
             os.path.join(root, "train-labels-idx1-ubyte"),
         )
-    elif args.data.startswith("idx:"):
+    else:
         paths = args.data[len("idx:"):].split(",")
         data = training.load_idx(*paths)
-    else:
-        raise SystemExit(f"unknown data source {args.data!r}")
-    widths = _ints(args.arch)
-    d_op = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
     config = training.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -110,14 +111,19 @@ def cmd_recover(args) -> int:
     return 0
 
 
+# The solver seed comes from --seed, never from a config.
+RECOVERY_KEYS = ("learning_rate", "max_iters", "grad_tol", "restarts")
+
+
 def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
+    """The config's "recovery" block; keys it leaves out take RecoveryConfig's defaults."""
     rc = cfg_json.get("recovery", {})
-    return recovery.RecoveryConfig(
-        learning_rate=rc.get("learning_rate", 0.1),
-        max_iters=rc.get("max_iters", 5000),
-        grad_tol=rc.get("grad_tol", 1e-7),
-        restarts=rc.get("restarts", 1),
-    )
+    for key in rc:
+        if key not in RECOVERY_KEYS:
+            raise DomainError(
+                f"unknown recovery key {key!r} (expected one of {', '.join(RECOVERY_KEYS)})"
+            )
+    return recovery.RecoveryConfig(**rc)
 
 
 def cmd_phase(args) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     NotOrthonormal,
     Unsupported,
 )
-from .gnn import GenerativeNetwork, forward
+from .gnn import GenerativeNetwork, forward, hidden
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
@@ -70,6 +70,38 @@ def network_coherence_heuristic(
     return two_to_inf_norm(d_op.matrix @ factors.q)
 
 
+class ChordSampler:
+    """Chords G(z1) - G(z2) of range(G), and their images under a unitary U.
+
+    With a linear final layer every chord is W^(d) dh, where dh = h(z1) - h(z2)
+    is the difference of the last hidden layers (the final bias cancels). The
+    sampler then keeps chords in those coordinates: `proj` is U W^(d), and the
+    chord norms come from the Gram matrix W^(d)^T W^(d), which is exact however
+    closely U is unitary. With a sigmoid final layer the chords are explicit
+    and `proj` is U.
+    """
+
+    def __init__(self, g: GenerativeNetwork, u: UnitaryOperator):
+        if g.ambient_dim != u.n:
+            raise DimensionMismatch(f"network output dim {g.ambient_dim} != operator dim {u.n}")
+        self.g = g
+        if g.final_activation == "sigmoid":
+            self.proj, self._gram = u.matrix, None
+        else:
+            w = g.weights[-1]
+            self.proj, self._gram = u.matrix @ w, w.T @ w
+
+    def sample(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, norms) for the chords of the latent columns z1, z2: U chord = proj @ c."""
+        if self._gram is None:
+            c = forward(self.g, z1) - forward(self.g, z2)
+            return c, np.linalg.norm(c, axis=0)
+        c = hidden(self.g, z1) - hidden(self.g, z2)
+        # Rounding can take the form slightly below 0 for c in the null space
+        # of W^(d) (k_{d-1} > n); such a chord is 0 and gets skipped.
+        return c, np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
+
+
 def chord_coherence_mc(
     g: GenerativeNetwork, u: UnitaryOperator, samples: int, seed: int, chunk: int = 8192
 ) -> float:
@@ -79,8 +111,7 @@ def chord_coherence_mc(
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    if g.ambient_dim != u.n:
-        raise DimensionMismatch(f"network output dim {g.ambient_dim} != operator dim {u.n}")
+    chords = ChordSampler(g, u)
     rng = derive_rng(seed)
     k = g.code_dim
     best = 0.0
@@ -90,12 +121,11 @@ def chord_coherence_mc(
         batch = min(chunk, samples - done)
         z1 = rng.standard_normal((k, batch))
         z2 = rng.standard_normal((k, batch))
-        chords = forward(g, z1) - forward(g, z2)
-        norms = np.linalg.norm(chords, axis=0)
+        c, norms = chords.sample(z1, z2)
         ok = norms > 1e-10
         if np.any(ok):
-            unit = chords[:, ok] / norms[ok]
-            vals = np.max(np.abs(u.matrix @ unit), axis=0)
+            unit = c[:, ok] / norms[ok]
+            vals = np.max(np.abs(chords.proj @ unit), axis=0)
             best = max(best, float(np.max(vals)))
             kept += int(np.count_nonzero(ok))
         done += batch

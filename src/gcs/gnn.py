@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoBiases, Unsupported
-from .linops import check_finite, matrix_from_json, matrix_to_json
+from .linops import check_finite, matrix_from_json, matrix_to_json, write_json
 from .sampling import SubsampledIsometry, apply, apply_adjoint
 
 
@@ -81,20 +81,32 @@ class GenerativeNetwork:
         return self.weights[-1].shape[0]
 
 
-def forward(g: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
-    """Evaluate G(z). z may be (k,) or (k, batch)."""
+def _layer(g: GenerativeNetwork, i: int, h: np.ndarray) -> np.ndarray:
+    """W^(i+1) h plus its bias, before any activation."""
+    h = g.weights[i] @ h
+    if g.biases is not None:
+        b = g.biases[i]
+        h = h + (b if h.ndim == 1 else b[:, None])
+    return h
+
+
+def hidden(g: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
+    """The last hidden layer relu(... relu(W^(1) z)), or z itself at depth 1.
+
+    z may be (k,) or (k, batch); G(z) is the final layer applied to this.
+    """
     z = np.asarray(z, dtype=float)
     if z.shape[0] != g.code_dim:
         raise DimensionMismatch(f"code dim {g.code_dim}, got {z.shape[0]}")
     h = z
-    d = g.depth
-    for i, w in enumerate(g.weights):
-        h = w @ h
-        if g.biases is not None:
-            b = g.biases[i]
-            h = h + (b if h.ndim == 1 else b[:, None])
-        if i < d - 1:
-            h = relu(h)
+    for i in range(g.depth - 1):
+        h = relu(_layer(g, i, h))
+    return h
+
+
+def forward(g: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
+    """Evaluate G(z). z may be (k,) or (k, batch)."""
+    h = _layer(g, g.depth - 1, hidden(g, z))
     if g.final_activation == "sigmoid":
         h = sigmoid(h)
     return h
@@ -214,8 +226,7 @@ def network_from_json(obj: dict) -> GenerativeNetwork:
 
 
 def save_network(g: GenerativeNetwork, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(network_to_json(g), f)
+    write_json(network_to_json(g), path)
 
 
 def load_network(path: str) -> GenerativeNetwork:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coherence import network_coherence_heuristic, subspace_coherence
+from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
 from .errors import DimensionMismatch, DomainError, Unsupported
 from .gnn import GenerativeNetwork, forward
 # Cells call recover_batch; harness.recover stays bound because
@@ -277,6 +277,7 @@ def run_rip_check(
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
     sampler = check_grid(model, m_list, u.n)
+    chords = ChordSampler(g, u)
     jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
     k = g.code_dim
 
@@ -288,15 +289,14 @@ def run_rip_check(
         rng = derive_rng(seed, mi, t, 1)
         z1 = rng.standard_normal((k, chord_samples))
         z2 = rng.standard_normal((k, chord_samples))
-        chords = forward(g, z1) - forward(g, z2)
-        norms = np.linalg.norm(chords, axis=0)
+        c, norms = chords.sample(z1, z2)
         ok = norms > 1e-10
         if not np.any(ok):
             dev = 0.0
         else:
-            unit = chords[:, ok] / norms[ok]
-            rows = u.matrix[a.indices]
-            ax = a.scale * (rows @ unit)
+            unit = c[:, ok] / norms[ok]
+            # Rows J of U W^(d): A chord = scale * U_J W^(d) dh.
+            ax = a.scale * (chords.proj[a.indices] @ unit)
             dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": trial_seed}
 

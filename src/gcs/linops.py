@@ -120,9 +120,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return check_finite(m)
 
 
-def save_matrix(m: np.ndarray, path: str) -> None:
+def write_json(obj, path: str) -> None:
+    """Write obj as compact JSON, byte-identical to json.dump(obj, f).
+
+    json.dumps runs the C encoder; json.dump streams through the pure-Python
+    one, which takes twice as long on a weight matrix.
+    """
     with open(path, "w") as f:
-        json.dump(matrix_to_json(m), f)
+        f.write(json.dumps(obj))
+
+
+def save_matrix(m: np.ndarray, path: str) -> None:
+    write_json(matrix_to_json(m), path)
 
 
 def load_matrix(path: str) -> np.ndarray:

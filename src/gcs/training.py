@@ -23,7 +23,7 @@ from .errors import (
     TruncatedFile,
 )
 from .gnn import GenerativeNetwork, network_from_json, network_to_json, relu, sigmoid
-from .linops import matrix_from_json, matrix_to_json
+from .linops import matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
@@ -374,8 +374,7 @@ def vae_from_json(obj: dict) -> VaeModel:
 
 
 def save_vae(model: VaeModel, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(vae_to_json(model), f)
+    write_json(vae_to_json(model), path)
 
 
 def load_vae(path: str) -> VaeModel:

@@ -1,0 +1,170 @@
+"""Differential tests: chords through the last layer against explicit chords.
+
+The oracles below are the explicit-chord code that ChordSampler replaced: they
+form every n-dimensional chord G(z1) - G(z2), normalize it by its Euclidean
+norm, and apply U (or the sampled rows of U) to it. They evaluate G with their
+own copy of the layer loop, so a fault shared by gnn.hidden and gnn.forward
+still shows.
+"""
+
+import numpy as np
+import pytest
+
+from gcs.coherence import ChordSampler, chord_coherence_mc
+from gcs.errors import DimensionMismatch
+from gcs.gnn import GenerativeNetwork, forward, hidden, relu, sigmoid
+from gcs.harness import run_rip_check
+from gcs.sampling import derive_rng, sampler_for, spawn_seed
+from gcs.transforms import dct2_operator, dft_operator, explicit_operator
+
+N = 32
+WIDTHS = {1: [3, N], 2: [3, 8, N], 3: [3, 6, 10, N]}
+
+
+def oracle_forward(g, z):
+    h = z
+    for i, w in enumerate(g.weights):
+        h = w @ h
+        if g.biases is not None:
+            h = h + (g.biases[i] if h.ndim == 1 else g.biases[i][:, None])
+        if i < g.depth - 1:
+            h = relu(h)
+    return sigmoid(h) if g.final_activation == "sigmoid" else h
+
+
+def oracle_chord_coherence_mc(g, u, samples, seed, chunk=8192):
+    rng = derive_rng(seed)
+    k = g.code_dim
+    best = 0.0
+    done = 0
+    while done < samples:
+        batch = min(chunk, samples - done)
+        z1 = rng.standard_normal((k, batch))
+        z2 = rng.standard_normal((k, batch))
+        chords = oracle_forward(g, z1) - oracle_forward(g, z2)
+        norms = np.linalg.norm(chords, axis=0)
+        ok = norms > 1e-10
+        if np.any(ok):
+            unit = chords[:, ok] / norms[ok]
+            vals = np.max(np.abs(u.matrix @ unit), axis=0)
+            best = max(best, float(np.max(vals)))
+        done += batch
+    return best
+
+
+def oracle_rip_check(g, u, m_list, delta, chord_samples, trials, seed, model="bernoulli"):
+    sampler = sampler_for(model)
+    k = g.code_dim
+    out = []
+    for mi, m in enumerate(m_list):
+        for t in range(trials):
+            a = sampler(u, m, spawn_seed(seed, mi, t))
+            rng = derive_rng(seed, mi, t, 1)
+            z1 = rng.standard_normal((k, chord_samples))
+            z2 = rng.standard_normal((k, chord_samples))
+            chords = oracle_forward(g, z1) - oracle_forward(g, z2)
+            norms = np.linalg.norm(chords, axis=0)
+            ok = norms > 1e-10
+            if not np.any(ok):
+                dev = 0.0
+            else:
+                unit = chords[:, ok] / norms[ok]
+                ax = a.scale * (u.matrix[a.indices] @ unit)
+                dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
+            out.append((dev, dev >= delta))
+    return out
+
+
+def operator(kind):
+    if kind == "dct":
+        return dct2_operator(N)
+    if kind == "dft":
+        return dft_operator(N)
+    # A random orthogonal matrix scaled by 1 + 1e-10: explicit_operator accepts
+    # it (||U^T U - I||_F is about 1e-9), but ||U x|| is not ||x|| to 1e-12,
+    # so only exact chord norms agree with the oracle.
+    q = np.linalg.qr(derive_rng(7).standard_normal((N, N)))[0]
+    return explicit_operator((1.0 + 1e-10) * q)
+
+
+def network(depth, seed, biases=False, final="none"):
+    rng = derive_rng(seed)
+    widths = WIDTHS[depth]
+    return GenerativeNetwork(
+        weights=[rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])],
+        biases=[rng.standard_normal(b) for b in widths[1:]] if biases else None,
+        final_activation=final,
+    )
+
+
+@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_chord_coherence_mc_matches_explicit_chords(kind, depth):
+    g, u = network(depth, seed=depth), operator(kind)
+    # chunk 700 leaves a short last chunk.
+    got = chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    want = oracle_chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_chord_coherence_mc_biased_network(kind, depth):
+    # Inner biases shift the hidden layer; the final bias cancels in a chord.
+    g, u = network(depth, seed=10 + depth, biases=True), operator(kind)
+    got = chord_coherence_mc(g, u, samples=2000, seed=6)
+    want = oracle_chord_coherence_mc(g, u, samples=2000, seed=6)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
+def test_chord_coherence_mc_sigmoid_is_unchanged(kind):
+    g, u = network(2, seed=20, biases=True, final="sigmoid"), operator(kind)
+    assert chord_coherence_mc(g, u, samples=2000, seed=8) == oracle_chord_coherence_mc(
+        g, u, samples=2000, seed=8
+    )
+
+
+@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("model", ["bernoulli", "fixed"])
+def test_rip_check_matches_explicit_chords(kind, depth, model):
+    g, u = network(depth, seed=30 + depth), operator(kind)
+    args = (g, u, [8, 16, 24], 0.3, 40, 6, 9)
+    records, _ = run_rip_check(*args, model=model)
+    want = oracle_rip_check(*args, model=model)
+    got_dev = [r["deviation"] for r in records]
+    np.testing.assert_allclose(got_dev, [d for d, _ in want], rtol=1e-12, atol=0)
+    assert [r["exceed"] for r in records] == [e for _, e in want]
+
+
+def test_chord_sampler_coordinates_and_norms():
+    g, u = network(2, seed=40, biases=True), operator("dft")
+    rng = derive_rng(41)
+    z1, z2 = rng.standard_normal((3, 50)), rng.standard_normal((3, 50))
+    chords = ChordSampler(g, u)
+    c, norms = chords.sample(z1, z2)
+    assert np.array_equal(c, hidden(g, z1) - hidden(g, z2))
+    explicit = oracle_forward(g, z1) - oracle_forward(g, z2)
+    np.testing.assert_allclose(g.weights[-1] @ c, explicit, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(norms, np.linalg.norm(explicit, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(chords.proj @ c, u.matrix @ explicit, rtol=0, atol=1e-12)
+
+
+def test_chord_sampler_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        ChordSampler(network(2, seed=0), dct2_operator(N + 1))
+
+
+@pytest.mark.parametrize("final", ["none", "sigmoid"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_forward_is_final_layer_over_hidden(depth, final):
+    # forward runs the same operations in the same order as the layer loop.
+    g = network(depth, seed=50 + depth, biases=True, final=final)
+    z = derive_rng(51).standard_normal((3, 20))
+    assert np.array_equal(forward(g, z), oracle_forward(g, z))
+    for j in range(3):
+        assert np.array_equal(forward(g, z[:, j]), oracle_forward(g, z[:, j]))
+    w, b = g.weights[-1], g.biases[-1][:, None]
+    if final == "none":
+        assert np.array_equal(forward(g, z), w @ hidden(g, z) + b)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from gcs import cli
+from gcs.errors import DomainError
 from gcs.gnn import GenerativeNetwork, forward, save_network
 from gcs.linops import save_matrix
+from gcs.recovery import RecoveryConfig
 from gcs.sampling import derive_rng
 from gcs.training import load_vae
 
@@ -17,7 +19,7 @@ def test_resolve_unitary(tmp_path):
     path = tmp_path / "u.json"
     save_matrix(np.eye(4), str(path))
     assert np.array_equal(cli.resolve_unitary(f"file:{path}", 4).matrix, np.eye(4))
-    with pytest.raises(SystemExit):
+    with pytest.raises(DomainError, match="unknown unitary 'walsh'"):
         cli.resolve_unitary("walsh", 8)
 
 
@@ -102,3 +104,51 @@ def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
     rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
     assert rc == 2
     assert "unknown sampling model 'fxied'" in capsys.readouterr().err
+
+
+def no_compute(*args, **kwargs):
+    raise AssertionError("the command computed before rejecting its input")
+
+
+def test_unknown_unitary_exits_2(tmp_path, monkeypatch, capsys):
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+    monkeypatch.setattr(cli.recovery, "recover", no_compute)
+    rc = cli.main(["recover", "--weights", path, "--unitary", "walsh", "--m", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: unknown unitary 'walsh'")
+
+
+@pytest.mark.parametrize("extra", [["--data", "bogus"], ["--regularized", "--unitary", "walsh"]])
+def test_train_bad_input_exits_2_before_training(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: unknown ")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_recovery_block_keys():
+    assert cli._recovery_from_json({}) == RecoveryConfig()
+    assert cli._recovery_from_json({"recovery": {"restarts": 3}}) == RecoveryConfig(restarts=3)
+    with pytest.raises(DomainError, match="unknown recovery key 'restart'"):
+        cli._recovery_from_json({"recovery": {"restart": 3}})
+    with pytest.raises(DomainError, match="'seed'"):
+        cli._recovery_from_json({"recovery": {"seed": 1}})
+
+
+def test_unknown_recovery_key_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    rng = derive_rng(3)
+    for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
+        save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
+    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
+           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1,
+           "recovery": {"restart": 3}}
+    with open(tmp_path / "phase.json", "w") as f:
+        json.dump(cfg, f)
+    monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    assert rc == 2
+    assert "unknown recovery key 'restart'" in capsys.readouterr().err

@@ -158,3 +158,6 @@ def test_matrix_file_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(m, str(path))
     np.testing.assert_array_equal(load_matrix(str(path)), m)
+    with open(tmp_path / "dumped.json", "w") as f:
+        json.dump(matrix_to_json(m), f)
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()

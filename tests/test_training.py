@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from gcs.errors import (
     EmptyDataset,
     TruncatedFile,
 )
-from gcs.gnn import forward
+from gcs.gnn import forward, network_to_json, save_network
 from gcs.sampling import derive_rng
 from gcs.training import (
     AdamState,
@@ -277,3 +278,16 @@ def test_vae_json_roundtrip(tmp_path):
         forward(m.decoder, np.ones(2)), forward(m3.decoder, np.ones(2))
     )
     assert m3.loss_trace == m.loss_trace
+
+
+def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):
+    m = small_run(final="sigmoid")
+    for save, to_json, obj in [
+        (save_vae, vae_to_json, m),
+        (save_network, network_to_json, m.decoder),
+    ]:
+        path = tmp_path / "saved.json"
+        save(obj, str(path))
+        with open(tmp_path / "dumped.json", "w") as f:
+            json.dump(to_json(obj), f)
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
