@@ -116,14 +116,21 @@ RECOVERY_KEYS = ("learning_rate", "max_iters", "grad_tol", "restarts")
 
 
 def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
-    """The config's "recovery" block; keys it leaves out take RecoveryConfig's defaults."""
+    """The config's "recovery" block; keys it leaves out take RecoveryConfig's defaults.
+
+    An unknown key or a bad value raises DomainError, before any compute.
+    """
     rc = cfg_json.get("recovery", {})
     for key in rc:
         if key not in RECOVERY_KEYS:
             raise DomainError(
                 f"unknown recovery key {key!r} (expected one of {', '.join(RECOVERY_KEYS)})"
             )
-    return recovery.RecoveryConfig(**rc)
+    try:
+        return recovery.RecoveryConfig(**rc)
+    except (TypeError, ValueError) as e:
+        # RecoveryConfig names the offending field in its message.
+        raise DomainError(f"bad recovery value: {e}") from None
 
 
 def cmd_phase(args) -> int:
@@ -147,7 +154,6 @@ def cmd_phase(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
-        threads=args.threads,
     )
     records = harness.run_phase_portrait(cfg)
     csv_path = os.path.join(args.out_dir, "phase.csv")
@@ -190,7 +196,6 @@ def cmd_sweep(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
-        threads=args.threads,
     )
     records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"),
@@ -239,7 +244,8 @@ def cmd_subspace_rip(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gcs", description=__doc__)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for rip and subspace-rip; phase and sweep ignore it")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--paper-scale", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)

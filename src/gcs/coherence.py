@@ -75,10 +75,13 @@ class ChordSampler:
 
     With a linear final layer every chord is W^(d) dh, where dh = h(z1) - h(z2)
     is the difference of the last hidden layers (the final bias cancels). The
-    sampler then keeps chords in those coordinates: `proj` is U W^(d), and the
-    chord norms come from the Gram matrix W^(d)^T W^(d), which is exact however
-    closely U is unitary. With a sigmoid final layer the chords are explicit
-    and `proj` is U.
+    sampler then keeps chords in those coordinates: the projection P is
+    U W^(d), and the chord norms come from the Gram matrix W^(d)^T W^(d),
+    which is exact however closely U is unitary. With a sigmoid final layer
+    the chords are explicit and P is U.
+
+    `parts` holds P as real matrices: (P,) for a real U, (Re P, Im P) for a
+    complex one, so real chords are never cast to complex for a product.
     """
 
     def __init__(self, g: GenerativeNetwork, u: UnitaryOperator):
@@ -86,13 +89,14 @@ class ChordSampler:
             raise DimensionMismatch(f"network output dim {g.ambient_dim} != operator dim {u.n}")
         self.g = g
         if g.final_activation == "sigmoid":
-            self.proj, self._gram = u.matrix, None
+            proj, self._gram = u.matrix, None
         else:
             w = g.weights[-1]
-            self.proj, self._gram = u.matrix @ w, w.T @ w
+            proj, self._gram = u.matrix @ w, w.T @ w
+        self.parts = (proj.real.copy(), proj.imag.copy()) if np.iscomplexobj(proj) else (proj,)
 
     def sample(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, norms) for the chords of the latent columns z1, z2: U chord = proj @ c."""
+        """(c, norms) for the chords of the latent columns z1, z2: U chord = P @ c."""
         if self._gram is None:
             c = forward(self.g, z1) - forward(self.g, z2)
             return c, np.linalg.norm(c, axis=0)
@@ -100,6 +104,19 @@ class ChordSampler:
         # Rounding can take the form slightly below 0 for c in the null space
         # of W^(d) (k_{d-1} > n); such a chord is 0 and gets skipped.
         return c, np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
+
+    def modulus(self, c: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """|P[rows] @ c| entrywise (all rows of P when rows is None)."""
+        parts = self.parts if rows is None else [p[rows] for p in self.parts]
+        if len(parts) == 1:
+            return np.abs(parts[0] @ c)
+        # sqrt(re^2 + im^2) in place; np.hypot is about ten times slower, and
+        # unit chords keep the squares far from overflow.
+        re, im = (p @ c for p in parts)
+        re *= re
+        im *= im
+        re += im
+        return np.sqrt(re, out=re)
 
 
 def chord_coherence_mc(
@@ -125,7 +142,7 @@ def chord_coherence_mc(
         ok = norms > 1e-10
         if np.any(ok):
             unit = c[:, ok] / norms[ok]
-            vals = np.max(np.abs(chords.proj @ unit), axis=0)
+            vals = np.max(chords.modulus(unit), axis=0)
             best = max(best, float(np.max(vals)))
             kept += int(np.count_nonzero(ok))
         done += batch

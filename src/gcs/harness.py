@@ -2,8 +2,11 @@
 CSV/SVG emission.
 
 Every trial derives its own RNG stream from (seed, grid indices, trial), so
-output is byte-identical regardless of worker count. Experiments default to
-the fixed-permutation sampling model; RIP checks default to Bernoulli.
+output is byte-identical regardless of worker count. The phase portrait and
+the measurement sweep recover all their trials in one lockstep batch and take
+no worker count; the RIP checks run their trials on `run_indexed`.
+Experiments default to the fixed-permutation sampling model; RIP checks
+default to Bernoulli.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
 from .errors import DimensionMismatch, DomainError, Unsupported
 from .gnn import GenerativeNetwork, forward
-# Cells call recover_batch; harness.recover stays bound because
+# The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
 from .recovery import SUCCESS_RRE, RecoveryConfig, recover, recover_batch  # noqa: F401
 from .sampling import apply, check_m, derive_rng, sampler_for, spawn_seed
@@ -93,18 +96,17 @@ def parse_csv(path: str) -> list[dict]:
     return out
 
 
-def _recover_cell(g: GenerativeNetwork, trials: list, recovery: RecoveryConfig) -> list[float]:
-    """Recover a cell's trials, each (operator, x0, solver seed), in one block.
+def _recover_all(trials: list, recovery: RecoveryConfig) -> list[float]:
+    """Recover trials, each (network, operator, x0, solver seed), in one batch.
 
     Returns each trial's rre; inf where it is undefined (x0 = 0).
     """
-    ops = [a for a, _, _ in trials]
-    x0s = [x0 for _, x0, _ in trials]
+    gs, ops, x0s, seeds = (list(col) for col in zip(*trials))
     results = recover_batch(
-        g,
+        gs,
         ops,
         [apply(a, x0) for a, x0 in zip(ops, x0s)],
-        [replace(recovery, seed=seed) for _, _, seed in trials],
+        [replace(recovery, seed=seed) for seed in seeds],
         x0s,
     )
     return [float("inf") if res.rre is None else res.rre for res in results]
@@ -127,7 +129,6 @@ class PhaseConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
-    threads: int = 1
 
     def __post_init__(self):
         if self.w_high.shape != self.w_low.shape:
@@ -140,44 +141,37 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     """Per (beta, m) cell: interpolate final layers, measure, recover, record.
 
     W_beta := beta * w_high + (1 - beta) * w_low; success is rre < 1e-5.
-    Each cell recovers all of its trials in one recover_batch call.
+    Every trial of every cell is recovered in one recover_batch call.
     Records are ordered by (beta, m, trial) with columns
     beta, coherence_heuristic, m, trial, rre, success, seed.
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    nets = []
-    for beta in cfg.betas:
+    keys, trials = [], []
+    for bi, beta in enumerate(cfg.betas):
         w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
         net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
-        nets.append((net, network_coherence_heuristic(net, u)))
-    cells = [(bi, mi) for bi in range(len(cfg.betas)) for mi in range(len(cfg.m_list))]
-
-    def one(j):
-        bi, mi = cells[j]
-        net, coh = nets[bi]
-        m = cfg.m_list[mi]
-        trials = []
-        for t in range(cfg.trials):
-            a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
-            rng = derive_rng(cfg.seed, bi, mi, t, 1)
-            x0 = forward(net, rng.standard_normal(net.code_dim))
-            trials.append((a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)))
-        errs = _recover_cell(net, trials, cfg.recovery)
-        return [
-            {
-                "beta": cfg.betas[bi],
-                "coherence_heuristic": coh,
-                "m": m,
-                "trial": t,
-                "rre": err,
-                "success": err < SUCCESS_RRE,
-                "seed": a.seed,
-            }
-            for t, ((a, _, _), err) in enumerate(zip(trials, errs))
-        ]
-
-    return [r for cell in run_indexed(one, len(cells), cfg.threads) for r in cell]
+        coh = network_coherence_heuristic(net, u)
+        for mi, m in enumerate(cfg.m_list):
+            for t in range(cfg.trials):
+                a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
+                rng = derive_rng(cfg.seed, bi, mi, t, 1)
+                x0 = forward(net, rng.standard_normal(net.code_dim))
+                keys.append((beta, coh, m, t, a.seed))
+                trials.append((net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)))
+    errs = _recover_all(trials, cfg.recovery)
+    return [
+        {
+            "beta": beta,
+            "coherence_heuristic": coh,
+            "m": m,
+            "trial": t,
+            "rre": err,
+            "success": err < SUCCESS_RRE,
+            "seed": seed,
+        }
+        for (beta, coh, m, t, seed), err in zip(keys, errs)
+    ]
 
 
 def phase_success_grid(records: list[dict], betas, m_list) -> np.ndarray:
@@ -206,7 +200,6 @@ class SweepConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
-    threads: int = 1
 
 
 def run_measurement_sweep(
@@ -214,32 +207,29 @@ def run_measurement_sweep(
 ) -> tuple[list[dict], list[dict]]:
     """Per (model, m, trial): fresh A, target G(E(x_sharp)), recover, record rre.
 
+    Every trial is recovered in one recover_batch call, so the decoders must
+    share widths, bias presence and final activation.
     Returns (trial records, per-(model, m) geometric summaries).
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
-
-    def one(j):
-        gi, mi = cells[j]
-        name, model = models[gi]
-        m = cfg.m_list[mi]
-        trials = []
-        for t in range(cfg.trials):
-            # Target choice is shared across models: same x_sharp per (m, trial).
-            rng = derive_rng(cfg.seed, mi, t)
-            x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
-            mu, _ = model.encode(x_sharp)
-            x0 = forward(model.decoder, mu)
-            a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
-            trials.append((a, x0, spawn_seed(cfg.seed, gi, mi, t, 2)))
-        errs = _recover_cell(model.decoder, trials, cfg.recovery)
-        return [
-            {"model": name, "m": m, "trial": t, "rre": err, "seed": a.seed}
-            for t, ((a, _, _), err) in enumerate(zip(trials, errs))
-        ]
-
-    records = [r for cell in run_indexed(one, len(cells), cfg.threads) for r in cell]
+    keys, trials = [], []
+    for gi, (name, model) in enumerate(models):
+        for mi, m in enumerate(cfg.m_list):
+            for t in range(cfg.trials):
+                # Target choice is shared across models: same x_sharp per (m, trial).
+                rng = derive_rng(cfg.seed, mi, t)
+                x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
+                mu, _ = model.encode(x_sharp)
+                x0 = forward(model.decoder, mu)
+                a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
+                keys.append((name, m, t, a.seed))
+                trials.append((model.decoder, a, x0, spawn_seed(cfg.seed, gi, mi, t, 2)))
+    errs = _recover_all(trials, cfg.recovery)
+    records = [
+        {"model": name, "m": m, "trial": t, "rre": err, "seed": seed}
+        for (name, m, t, seed), err in zip(keys, errs)
+    ]
     summaries = []
     for name, _ in models:
         for m in cfg.m_list:
@@ -295,8 +285,8 @@ def run_rip_check(
             dev = 0.0
         else:
             unit = c[:, ok] / norms[ok]
-            # Rows J of U W^(d): A chord = scale * U_J W^(d) dh.
-            ax = a.scale * (chords.proj[a.indices] @ unit)
+            # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise.
+            ax = a.scale * chords.modulus(unit, a.indices)
             dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": trial_seed}
 

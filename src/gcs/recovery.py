@@ -7,20 +7,25 @@ Recovery is declared successful when rre < 1e-5.
 
 One engine solves every problem. `recover_batch` runs Adam in lockstep on a
 latent block Z that stacks one latent vector, a column, per (problem,
-restart) pair; `recover` is a one-problem call of it. Each column keeps its
-own rows U[J], measurement b, early stop and nonfinite-restart accounting,
-and leaves the block when it finishes. Every product is a stacked
-matrix-vector product (`np.matmul(W, Z[:, :, None])`), the same BLAS call as
-a one-vector loop makes, never a matrix-matrix product, whose blocking rounds
-differently. U[J] is gathered unscaled once per block and the sqrt(n/m)
-scale multiplies each product, as in `sampling.apply`. So each column's
-iterates, and every result, are bit for bit those of solving its problem
-alone; tests/test_recovery.py checks this against the one-vector loop.
+restart) pair; `recover` is a one-problem call of it. Problems may use
+different networks of one shape, so a whole phase portrait or sweep runs as
+one batch. Each column keeps its own rows U[J], measurement b, early stop and
+nonfinite-restart accounting, and leaves the block when it finishes. A
+block's columns are sorted by network, and each layer is one product per run
+of columns that share its weights, so no weight is ever copied. Every product
+is a stacked matrix-vector product (`np.matmul(W, Z[:, :, None])`), the same
+BLAS call as a one-vector loop makes, never a matrix-matrix product, whose
+blocking rounds differently. U[J] is gathered unscaled once per block and the
+sqrt(n/m) scale multiplies each product, as in `sampling.apply`. So each
+column's iterates, and every result, are bit for bit those of solving its
+problem alone; tests/test_recovery.py checks this against the one-vector
+loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,7 +39,7 @@ SUCCESS_RRE = 1e-5
 
 # Cap on the row stack of one block. Problems whose rows exceed it are split
 # over several blocks; columns never interact, so this changes no result.
-BLOCK_BYTES = 32 * 2**20
+BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,14 @@ class RecoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_iters < 1 or self.grad_tol <= 0 or self.restarts < 1:
-            raise ValueError("all RecoveryConfig fields must be positive")
+        for name, kind in (("learning_rate", Real), ("max_iters", Integral), ("grad_tol", Real),
+                           ("restarts", Integral), ("seed", Integral)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a number"
+                raise TypeError(f"{name} must be {what}, got {value!r}")
+            if name != "seed" and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,43 +90,96 @@ def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.linalg.norm(x0 - x_hat)) / denom
 
 
-def _block_value_grad(g, rows, scale, b, z):
+def _affine(runs, h):
+    """W h + bias per column of h (B, in, 1); one stacked product per run.
+
+    runs: [(start, stop, w, bias)] covering the columns in order; bias is a
+    1-D array or None.
+    """
+    if len(runs) == 1:
+        _, _, w, bias = runs[0]
+        h = np.matmul(w, h)
+        return h if bias is None else h + bias[:, None]
+    out = np.empty((h.shape[0], runs[0][2].shape[0], 1))
+    for start, stop, w, bias in runs:
+        part = out[start:stop]
+        np.matmul(w, h[start:stop], out=part)
+        if bias is not None:
+            part += bias[:, None]
+    return out
+
+
+def _pullback(runs, s):
+    """W^T s per column of s (B, out, 1); one stacked product per run."""
+    if len(runs) == 1:
+        return np.matmul(runs[0][2].T, s)
+    out = np.empty((s.shape[0], runs[0][2].shape[1], 1))
+    for start, stop, w, _ in runs:
+        np.matmul(w.T, s[start:stop], out=out[start:stop])
+    return out
+
+
+def _block_value_grad(layers, final_activation, rows, scale, b, z):
     """Per-column finiteness of 0.5*||scale*rows@G(z) - b||^2 and its gradient.
 
-    Shapes: rows (B, |J|, n); scale (B, 1, 1); b (B, |J|, 1); z (B, k, 1).
+    Shapes: layers, per layer the runs of `_layer_runs`; rows (B, |J|, n);
+    scale (B, 1, 1); b (B, |J|, 1); z (B, k, 1).
     Returns (finite (B,), grad (B, k, 1)).
     """
-    d = g.depth
+    d = len(layers)
     h = z
     pre = []
-    for i, w in enumerate(g.weights):
-        h = np.matmul(w, h)
-        if g.biases is not None:
-            h = h + g.biases[i][:, None]
+    for i, runs in enumerate(layers):
+        h = _affine(runs, h)
         pre.append(h)
         if i < d - 1:
             h = relu(h)
     y = pre[-1]
-    x = sigmoid(y) if g.final_activation == "sigmoid" else y
+    x = sigmoid(y) if final_activation == "sigmoid" else y
     r = scale * np.matmul(rows, x) - b
     r_conj = r.conj()
     value = np.real(np.matmul(r_conj.transpose(0, 2, 1), r))[:, 0, 0]
     # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
     # flips, without a conjugated copy of the rows.
     s = np.real(scale * np.matmul(rows.transpose(0, 2, 1), r_conj))
-    if g.final_activation == "sigmoid":
+    if final_activation == "sigmoid":
         s = s * x * (1.0 - x)
     for i in range(d - 1, -1, -1):
-        s = np.matmul(g.weights[i].T, s)
+        s = _pullback(layers[i], s)
         if i > 0:
             s = s * (pre[i - 1] > 0)
-    finite = np.isfinite(value) & np.all(np.isfinite(s), axis=(1, 2))
+    finite = np.isfinite(value) & np.isfinite(s).all(axis=(1, 2))
     return finite, s
 
 
-def _adam_block(g, rows, scale, b, z, config):
-    """Adam in lockstep on the columns of z (B, k); column c measures x by
-    scale[c] * rows[c] @ x against b[c].
+def _layer_runs(nets, owner) -> list[list[tuple]]:
+    """Per layer, [(start, stop, w, bias)] over a block whose column c runs
+    nets[owner[c]].
+
+    Adjacent columns whose networks hold the same weight and bias arrays for a
+    layer share one run of it, so a layer common to the whole block is one
+    product; owner is sorted, so each network is one run.
+    """
+    cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    bounds = [0, *cuts.tolist(), owner.size]
+    layers = []
+    for i in range(nets[0].depth):
+        runs = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            g = nets[owner[start]]
+            w, bias = g.weights[i], None if g.biases is None else g.biases[i]
+            if runs and runs[-1][2] is w and runs[-1][3] is bias:
+                runs[-1] = (runs[-1][0], stop, w, bias)
+            else:
+                runs.append((start, stop, w, bias))
+        layers.append(runs)
+    return layers
+
+
+def _adam_block(nets, owner, final_activation, rows, scale, b, z, config):
+    """Adam in lockstep on the columns of z (B, k); column c runs the network
+    nets[owner[c]] (owner sorted) and measures x by scale[c] * rows[c] @ x
+    against b[c].
 
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite. Finished columns are moved out of rows in
@@ -124,32 +188,35 @@ def _adam_block(g, rows, scale, b, z, config):
     lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
     out = [None] * len(z)
     live = np.arange(len(z))
+    layers = _layer_runs(nets, owner)
     z = z[:, :, None]
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     for it in range(1, config.max_iters + 1):
-        finite, grad = _block_value_grad(g, rows, scale, b, z)
+        finite, grad = _block_value_grad(layers, final_activation, rows, scale, b, z)
         norm = np.sqrt(np.matmul(grad.transpose(0, 2, 1), grad))[:, 0, 0]
         done = finite & (norm <= config.grad_tol)
         keep = finite & ~done
         if not keep.all():
             for j in np.flatnonzero(done):
-                out[live[j]] = (z[j, :, 0], it, "grad_tol")
+                out[live[j]] = (z[j, :, 0].copy(), it, "grad_tol")
             kept = np.flatnonzero(keep)
             for dst, src in enumerate(kept):  # ascending, so no source is overwritten
                 if dst != src:
                     rows[dst] = rows[src]
             rows = rows[:kept.size]
-            live, z, m, v, grad, scale, b = (a[kept] for a in (live, z, m, v, grad, scale, b))
+            live, owner, z, m, v, grad, scale, b = (
+                a[kept] for a in (live, owner, z, m, v, grad, scale, b))
             if not live.size:
                 return out
+            layers = _layer_runs(nets, owner)
         m = b1 * m + (1 - b1) * grad
         v = b2 * v + (1 - b2) * grad**2
         m_hat = m / (1 - b1**it)
         v_hat = v / (1 - b2**it)
         z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
     for j, c in enumerate(live):
-        out[c] = (z[j, :, 0], config.max_iters, "max_iters")
+        out[c] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
     return out
 
 
@@ -170,15 +237,16 @@ def _stack_rows(ops, problems) -> np.ndarray:
 
 
 def recover_batch(
-    g: GenerativeNetwork,
+    gs: list[GenerativeNetwork],
     ops: list[SubsampledIsometry],
     bs: list[np.ndarray],
     configs: list[RecoveryConfig],
     x0s: list[np.ndarray | None] | None = None,
 ) -> list[RecoveryResult]:
-    """recover(g, ops[i], bs[i], configs[i], x0s[i]) for every i, in one block.
+    """recover(gs[i], ops[i], bs[i], configs[i], x0s[i]) for every i, in lockstep.
 
-    The configs may differ in seed and restarts only. Problems with equal |J|
+    The networks must share widths, bias presence and final activation; the
+    configs may differ in seed and restarts only. Problems with equal |J|
     (and unitary dtype) share a block, so that their row sets stack; one
     column per restart, each holding its own copy of U[J]. A block holds at
     most BLOCK_BYTES of rows (or one column's, if that is more), so a call
@@ -186,39 +254,53 @@ def recover_batch(
     """
     if x0s is None:
         x0s = [None] * len(ops)
-    if not len(ops) == len(bs) == len(configs) == len(x0s):
-        raise DimensionMismatch("need one measurement, config and x0 per operator")
+    if not len(gs) == len(ops) == len(bs) == len(configs) == len(x0s):
+        raise DimensionMismatch("need one network, measurement, config and x0 per operator")
+    if len({(tuple(g.widths), g.biases is not None, g.final_activation) for g in gs}) > 1:
+        raise DimensionMismatch("a batch's networks must share widths, bias presence and "
+                                "final activation")
     bs = [np.asarray(b) for b in bs]
-    for a, b in zip(ops, bs):
+    for g, a, b in zip(gs, ops, bs):
         if a.base.n != g.ambient_dim:
             raise DimensionMismatch(f"operator dim {a.base.n}, network output dim {g.ambient_dim}")
         if b.shape[0] != a.num_rows:
             raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
     if len({(c.learning_rate, c.max_iters, c.grad_tol) for c in configs}) > 1:
         raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
+    if not gs:
+        return []
+    n, k, final_activation = gs[0].ambient_dim, gs[0].code_dim, gs[0].final_activation
+    # Distinct networks by first appearance. A block's columns are sorted by
+    # network, stably, so a problem's restarts stay adjacent.
+    nets = list({id(g): g for g in gs}.values())
+    index = {id(g): j for j, g in enumerate(nets)}
+    net_of = [index[id(g)] for g in gs]
     cols = [(i, r) for i, c in enumerate(configs) for r in range(c.restarts)]
     by_rows = {}
     for c, (i, _) in enumerate(cols):
         by_rows.setdefault((ops[i].num_rows, ops[i].base.matrix.dtype), []).append(c)
     finals = [None] * len(cols)
     for (num_rows, dtype), group in by_rows.items():
-        width = max(1, BLOCK_BYTES // max(1, num_rows * g.ambient_dim * dtype.itemsize))
+        group.sort(key=lambda c: net_of[cols[c][0]])
+        width = max(1, BLOCK_BYTES // max(1, num_rows * n * dtype.itemsize))
         for start in range(0, len(group), width):
             chunk = group[start:start + width]
             problems = [cols[c][0] for c in chunk]
             scale = np.array([ops[i].scale for i in problems])[:, None, None]
             b = np.stack([bs[i] for i in problems])[:, :, None]
-            z0 = np.stack([derive_rng(configs[i].seed, cols[c][1]).standard_normal(g.code_dim)
+            z0 = np.stack([derive_rng(configs[i].seed, cols[c][1]).standard_normal(k)
                            for c, i in zip(chunk, problems)])
+            owner = np.array([net_of[i] for i in problems])
             # The row stack is not bound here, so it is freed before the next
             # chunk's is built.
-            block = _adam_block(g, _stack_rows(ops, problems), scale, b, z0, configs[0])
+            block = _adam_block(nets, owner, final_activation, _stack_rows(ops, problems),
+                                scale, b, z0, configs[0])
             for c, final in zip(chunk, block):
                 finals[c] = final
 
     results = []
     c = 0
-    for a, b, config, x0 in zip(ops, bs, configs, x0s):
+    for g, a, b, config, x0 in zip(gs, ops, bs, configs, x0s):
         best = None
         failed = 0
         for final in finals[c:c + config.restarts]:
@@ -262,7 +344,7 @@ def recover(
     (recomputed) residual wins. When the true signal x0 is supplied, the
     result carries the rre against it (None when ||x0|| = 0).
     """
-    return recover_batch(g, [a], [b], [config], [x0])[0]
+    return recover_batch([g], [a], [b], [config], [x0])[0]
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,6 @@ class UnitaryOperator:
             raise DimensionMismatch(f"operator dim {self.n}, vector dim {y.shape[0]}")
         return self.matrix.conj().T @ y
 
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
 
 def dft_operator(n: int) -> UnitaryOperator:
     """DFT matrix F_ij = exp(2*pi*i*(i-1)*(j-1)/n)/sqrt(n) (1-based indices)."""

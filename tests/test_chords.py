@@ -148,7 +148,25 @@ def test_chord_sampler_coordinates_and_norms():
     explicit = oracle_forward(g, z1) - oracle_forward(g, z2)
     np.testing.assert_allclose(g.weights[-1] @ c, explicit, rtol=0, atol=1e-12)
     np.testing.assert_allclose(norms, np.linalg.norm(explicit, axis=0), rtol=1e-12)
-    np.testing.assert_allclose(chords.proj @ c, u.matrix @ explicit, rtol=0, atol=1e-12)
+    # A complex U is held as two real parts, so real chords stay real.
+    re, im = chords.parts
+    assert re.dtype == im.dtype == np.float64
+    np.testing.assert_allclose(re @ c + 1j * (im @ c), u.matrix @ explicit, rtol=0, atol=1e-12)
+    rows = np.array([1, 4, 9])
+    np.testing.assert_allclose(chords.modulus(c), np.abs(u.matrix @ explicit), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chords.modulus(c, rows), np.abs(u.matrix[rows] @ explicit),
+                               rtol=0, atol=1e-12)
+
+
+def test_chord_sampler_real_unitary_is_one_real_part():
+    g, u = network(2, seed=42), operator("dct")
+    chords = ChordSampler(g, u)
+    assert len(chords.parts) == 1
+    c, _ = chords.sample(*derive_rng(43).standard_normal((2, 3, 30)))
+    rows = np.array([0, 5, 7])
+    proj = u.matrix @ g.weights[-1]
+    assert np.array_equal(chords.modulus(c), np.abs(proj @ c))
+    assert np.array_equal(chords.modulus(c, rows), np.abs(proj[rows] @ c))
 
 
 def test_chord_sampler_rejects_dimension_mismatch():

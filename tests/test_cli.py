@@ -152,3 +152,35 @@ def test_unknown_recovery_key_exits_2_before_any_cell(tmp_path, monkeypatch, cap
     rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
     assert rc == 2
     assert "unknown recovery key 'restart'" in capsys.readouterr().err
+
+
+def test_recovery_block_values():
+    for block, key in [({"restarts": 0}, "restarts"), ({"max_iters": "5"}, "max_iters"),
+                       ({"max_iters": 2.5}, "max_iters"), ({"restarts": True}, "restarts"),
+                       ({"learning_rate": "0.1"}, "learning_rate"),
+                       ({"grad_tol": float("nan")}, "grad_tol")]:
+        with pytest.raises(DomainError, match=f"bad recovery value: {key} must be"):
+            cli._recovery_from_json({"recovery": block})
+    assert cli._recovery_from_json({"recovery": {"learning_rate": 1}}).learning_rate == 1
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"restarts": 0}, "restarts must be positive, got 0"),
+    ({"max_iters": "5"}, "max_iters must be an integer, got '5'"),
+])
+def test_bad_recovery_value_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, block, message):
+    rng = derive_rng(3)
+    for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
+        save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
+    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
+           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1,
+           "recovery": block}
+    with open(tmp_path / "phase.json", "w") as f:
+        json.dump(cfg, f)
+    monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: bad recovery value: ")
+    assert message in err
+    assert not (tmp_path / "phase.csv").exists()

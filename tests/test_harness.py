@@ -1,10 +1,11 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gcs.errors import DomainError, InvalidM, Unsupported
+from gcs.errors import DimensionMismatch, DomainError, InvalidM, Unsupported
 from gcs.gnn import GenerativeNetwork, forward
 from gcs.harness import (
     PhaseConfig,
@@ -87,7 +88,7 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def tiny_phase_config(threads=1):
+def tiny_phase_config():
     rng = derive_rng(0)
     w1 = rng.standard_normal((4, 2))
     w_low = np.linalg.qr(rng.standard_normal((8, 4)))[0]
@@ -102,23 +103,24 @@ def tiny_phase_config(threads=1):
         seed=1,
         d_op=dct2_operator(8),
         recovery=RecoveryConfig(max_iters=300),
-        threads=threads,
     )
 
 
-def test_phase_portrait_records_and_thread_invariance():
-    r1 = run_phase_portrait(tiny_phase_config(threads=1))
-    r4 = run_phase_portrait(tiny_phase_config(threads=4))
-    assert r1 == r4
+def test_phase_portrait_records_and_rerun_invariance():
+    r1 = run_phase_portrait(tiny_phase_config())
+    r2 = run_phase_portrait(tiny_phase_config())
+    assert r1 == r2
     assert len(r1) == 2 * 2 * 3
     assert [r["beta"] for r in r1[:6]] == [0.0] * 6  # stable (beta, m, trial) order
+    assert [(r["m"], r["trial"]) for r in r1[:6]] == [(4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (8, 2)]
+    assert list(r1[0]) == ["beta", "coherence_heuristic", "m", "trial", "rre", "success", "seed"]
     grid = phase_success_grid(r1, [0.0, 1.0], [4, 8])
     assert grid.shape == (2, 2)
     assert np.all((0.0 <= grid) & (grid <= 1.0))
 
 
 def test_phase_portrait_cells_equal_per_trial_recovery():
-    # Each cell recovers its trials in one batch; every record must be what
+    # All trials are recovered in one batch; every record must be what
     # recovering that trial alone from its own seed streams gives.
     cfg = tiny_phase_config()
     records = run_phase_portrait(cfg)
@@ -146,8 +148,6 @@ def test_check_grid():
 
 def test_phase_config_validation():
     cfg = tiny_phase_config()
-    from gcs.errors import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         PhaseConfig(
             inner_weights=cfg.inner_weights,
@@ -277,3 +277,41 @@ def test_svg_emitters(tmp_path):
         [{"label": "x", "x": [1, 2, 3], "y": [1e-1, 1e-3, 1e-5]}], str(sp), log_y=True
     )
     assert "<svg" in sp.read_text()
+
+
+def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
+    # Two different decoders recovered in one batch: every record must be what
+    # recovering that trial alone with its own decoder gives.
+    u = dct2_operator(16)
+    data = synth_dataset(16, 2, 100, seed=1)
+    models = [(name, train_vae(data, [2, 8, 16], "none",
+                               TrainConfig(epochs=2, seed=seed, d_op=u, batch_size=32)))
+              for name, seed in (("a", 0), ("b", 1))]
+    sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
+                     recovery=RecoveryConfig(max_iters=300, restarts=2))
+    records, _ = run_measurement_sweep(models, data.samples, sw)
+    assert [(r["model"], r["m"], r["trial"]) for r in records] == [
+        (name, m, t) for name in ("a", "b") for m in (8, 12) for t in range(2)
+    ]
+    for rec in records:
+        gi = [name for name, _ in models].index(rec["model"])
+        mi, t = sw.m_list.index(rec["m"]), rec["trial"]
+        model = models[gi][1]
+        rng = derive_rng(sw.seed, mi, t)
+        x_sharp = data.samples[int(rng.integers(data.samples.shape[0]))]
+        x0 = forward(model.decoder, model.encode(x_sharp)[0])
+        a = sample_fixed(u, rec["m"], spawn_seed(sw.seed, mi, t, 1))
+        config = replace(sw.recovery, seed=spawn_seed(sw.seed, gi, mi, t, 2))
+        res = recover(model.decoder, a, apply(a, x0), config, x0=x0)
+        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+
+
+def test_measurement_sweep_rejects_mismatched_decoders():
+    u = dct2_operator(16)
+    data = synth_dataset(16, 2, 60, seed=1)
+    cfg = TrainConfig(epochs=1, seed=0, d_op=u, batch_size=32)
+    models = [("a", train_vae(data, [2, 8, 16], "none", cfg)),
+              ("b", train_vae(data, [2, 6, 16], "none", cfg))]
+    sw = SweepConfig(m_list=[8], trials=1, seed=2, d_op=u, recovery=RecoveryConfig(max_iters=5))
+    with pytest.raises(DimensionMismatch, match="share widths"):
+        run_measurement_sweep(models, data.samples, sw)

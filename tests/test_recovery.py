@@ -252,7 +252,7 @@ def cell_problems(g, u, m_list, seed, sampler=sample_fixed, config=RecoveryConfi
 
 
 def assert_batch_matches_oracle(g, ops, bs, configs, x0s):
-    got = recover_batch(g, ops, bs, configs, x0s)
+    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
     assert len(got) == len(ops)
     for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
         want = oracle_recover(g, a, b, config, x0=x0)
@@ -362,13 +362,16 @@ def test_batch_validation():
     a = sample_fixed(dct2_operator(8), 4, seed=49)
     b = np.zeros(4)
     with pytest.raises(DimensionMismatch):
-        recover_batch(g, [a, a], [b], [RecoveryConfig()] * 2)
+        recover_batch([g, g], [a, a], [b], [RecoveryConfig()] * 2)
     with pytest.raises(DimensionMismatch):
-        recover_batch(g, [a], [np.zeros(5)], [RecoveryConfig()])
+        recover_batch([g], [a, a], [b, b], [RecoveryConfig()] * 2)
     with pytest.raises(DimensionMismatch):
-        recover_batch(g, [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [RecoveryConfig()])
+        recover_batch([g], [a], [np.zeros(5)], [RecoveryConfig()])
+    with pytest.raises(DimensionMismatch):
+        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [RecoveryConfig()])
     with pytest.raises(DomainError):
-        recover_batch(g, [a, a], [b, b], [RecoveryConfig(), RecoveryConfig(max_iters=10)])
+        recover_batch([g, g], [a, a], [b, b], [RecoveryConfig(), RecoveryConfig(max_iters=10)])
+    assert recover_batch([], [], [], []) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -391,3 +394,117 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, final, berno
     ops, bs, configs, x0s = cell_problems(g, u, m_list, seed, sampler,
                                           RecoveryConfig(max_iters=120))
     assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+
+
+# ---------------------------------------------------------------------------
+# Mixed-network batches: one block, columns running different networks
+# ---------------------------------------------------------------------------
+
+
+def mixed_problems(nets, u, m_list, seed, config):
+    """Problem t runs nets[t % len(nets)]; restarts cycle through 1..3."""
+    gs = [nets[t % len(nets)] for t in range(len(m_list))]
+    ops, bs, configs, x0s = [], [], [], []
+    for t, (g, m) in enumerate(zip(gs, m_list)):
+        a = sample_fixed(u, m, spawn_seed(seed, t))
+        x0 = forward(g, derive_rng(seed, t, 1).standard_normal(g.code_dim))
+        ops.append(a)
+        bs.append(apply(a, x0))
+        configs.append(replace(config, restarts=1 + t % 3, seed=spawn_seed(seed, t, 2)))
+        x0s.append(x0)
+    return gs, ops, bs, configs, x0s
+
+
+def assert_mixed_batch_matches(gs, ops, bs, configs, x0s):
+    """The mixed batch equals one batch per network and the scalar oracle."""
+    got = recover_batch(gs, ops, bs, configs, x0s)
+    assert len(got) == len(ops)
+    for g in {id(g): g for g in gs}.values():
+        idx = [i for i, h in enumerate(gs) if h is g]
+        alone = recover_batch([g] * len(idx), *([seq[i] for i in idx]
+                                                 for seq in (ops, bs, configs, x0s)))
+        for i, res in zip(idx, alone):
+            assert_identical(got[i], res)
+    for res, g, a, b, config, x0 in zip(got, gs, ops, bs, configs, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    # Columns left their blocks at different iterations, so the blocks were
+    # compacted while other networks' columns stayed live.
+    assert len({r.iterations for r in got if r.termination == "grad_tol"}) >= 2
+    return got
+
+
+@pytest.mark.parametrize("unitary", ["dct", "dft"])
+def test_mixed_batch_differs_in_final_layer(unitary):
+    # The phase portrait's case: shared inner layers, one final layer per net.
+    u = (dct2_operator if unitary == "dct" else dft_operator)(24)
+    base = small_network([3, 10, 24], seed=60)
+    rng = derive_rng(61)
+    nets = [GenerativeNetwork(weights=[base.weights[0], rng.standard_normal((24, 10)) / 4])
+            for _ in range(3)]
+    # A distinct network object holding nets[0]'s very arrays.
+    nets.append(GenerativeNetwork(weights=list(nets[0].weights)))
+    assert nets[0].weights[0] is nets[1].weights[0] is nets[3].weights[0]
+    problems = mixed_problems(nets, u, [10, 12] * 6, seed=62,
+                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    assert_mixed_batch_matches(*problems)
+
+
+@pytest.mark.parametrize("unitary", ["dct", "dft"])
+def test_mixed_batch_biased_nets_differ_everywhere(unitary):
+    u = (dct2_operator if unitary == "dct" else dft_operator)(16)
+    nets = [small_network([3, 8, 16], seed=63 + i, biases=True) for i in range(3)]
+    # Same weight arrays as nets[0], other biases: the layers are not shared.
+    rng = derive_rng(66)
+    nets.insert(1, GenerativeNetwork(weights=nets[0].weights,
+                                     biases=[0.1 * rng.standard_normal(b) for b in (8, 16)]))
+    problems = mixed_problems(nets, u, [8] * 12, seed=66,
+                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    assert_mixed_batch_matches(*problems)
+
+
+def test_mixed_batch_sigmoid_final():
+    u = dct2_operator(16)
+    nets = [small_network([3, 8, 16], seed=67 + i, biases=True, final="sigmoid")
+            for i in range(2)]
+    problems = mixed_problems(nets, u, [8] * 8, seed=69,
+                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    assert_mixed_batch_matches(*problems)
+
+
+def test_mixed_batch_split_over_capped_blocks(monkeypatch):
+    import gcs.recovery
+
+    u = dct2_operator(16)
+    nets = [small_network([3, 8, 16], seed=70 + i, biases=True) for i in range(3)]
+    problems = mixed_problems(nets, u, [6] * 10, seed=73,
+                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    # Room for five columns per block: problems' restarts straddle blocks.
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 5 * 6 * 16 * 8)
+    assert_mixed_batch_matches(*problems)
+
+
+def test_mixed_batch_rejects_mismatched_networks():
+    u = dct2_operator(16)
+    a = sample_fixed(u, 8, seed=74)
+    b = np.zeros(8)
+    plain = small_network([3, 8, 16], seed=75)
+    others = [
+        small_network([3, 9, 16], seed=76),  # widths
+        small_network([3, 8, 16], seed=77, biases=True),  # bias presence
+        small_network([3, 8, 16], seed=78, final="sigmoid"),  # final activation
+    ]
+    for other in others:
+        with pytest.raises(DimensionMismatch, match="share widths"):
+            recover_batch([plain, other], [a, a], [b, b], [RecoveryConfig()] * 2)
+
+
+@pytest.mark.parametrize("config, termination", [
+    (RecoveryConfig(max_iters=50), "max_iters"),
+    (RecoveryConfig(grad_tol=1e3), "grad_tol"),
+])
+def test_finished_column_does_not_pin_block(config, termination):
+    g = small_network([3, 8, 16], seed=79)
+    problems = cell_problems(g, dct2_operator(16), [8] * 3, seed=80, config=config)
+    for res in recover_batch([g] * 3, *problems):
+        assert res.termination == termination
+        assert res.z_hat.base is None

@@ -56,7 +56,7 @@ def test_apply_matches_manual_row_selection():
     u = dft_operator(12)
     a = sample_bernoulli(u, 6, seed=9)
     x = np.random.default_rng(1).standard_normal(12)
-    manual = math.sqrt(12 / 6) * np.array([u.row(j) @ x for j in a.indices])
+    manual = math.sqrt(12 / 6) * np.array([u.matrix[j] @ x for j in a.indices])
     np.testing.assert_allclose(apply(a, x), manual, atol=1e-12)
 
 

@@ -80,7 +80,7 @@ def test_identity_operator_norm_is_linf():
 def test_measurement_norm_matches_direct_max():
     u = dct2_operator(16)
     x = np.random.default_rng(4).standard_normal(16)
-    direct = max(abs(u.row(i) @ x) for i in range(16))
+    direct = max(abs(u.matrix[i] @ x) for i in range(16))
     assert measurement_norm(u, x) == pytest.approx(direct, rel=1e-12)
 
 
