@@ -154,6 +154,7 @@ def cmd_phase(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
+        threads=args.threads,
     )
     records = harness.run_phase_portrait(cfg)
     csv_path = os.path.join(args.out_dir, "phase.csv")
@@ -196,6 +197,7 @@ def cmd_sweep(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
+        threads=args.threads,
     )
     records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"),
@@ -244,8 +246,7 @@ def cmd_subspace_rip(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gcs", description=__doc__)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for rip and subspace-rip; phase and sweep ignore it")
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--paper-scale", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)

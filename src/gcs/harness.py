@@ -3,8 +3,8 @@ CSV/SVG emission.
 
 Every trial derives its own RNG stream from (seed, grid indices, trial), so
 output is byte-identical regardless of worker count. The phase portrait and
-the measurement sweep recover all their trials in one lockstep batch and take
-no worker count; the RIP checks run their trials on `run_indexed`.
+the measurement sweep build their cells on `run_indexed` and then recover all
+their trials in one lockstep batch; the RIP checks run their trials on it.
 Experiments default to the fixed-permutation sampling model; RIP checks
 default to Bernoulli.
 """
@@ -129,6 +129,7 @@ class PhaseConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
+    threads: int = 1
 
     def __post_init__(self):
         if self.w_high.shape != self.w_low.shape:
@@ -141,24 +142,35 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     """Per (beta, m) cell: interpolate final layers, measure, recover, record.
 
     W_beta := beta * w_high + (1 - beta) * w_low; success is rre < 1e-5.
-    Every trial of every cell is recovered in one recover_batch call.
-    Records are ordered by (beta, m, trial) with columns
+    Cells are built on `run_indexed`; every trial of every cell is then
+    recovered in one recover_batch call. Records are ordered by
+    (beta, m, trial) with columns
     beta, coherence_heuristic, m, trial, rre, success, seed.
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    keys, trials = [], []
-    for bi, beta in enumerate(cfg.betas):
+    nets = []
+    for beta in cfg.betas:
         w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
         net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
-        coh = network_coherence_heuristic(net, u)
-        for mi, m in enumerate(cfg.m_list):
-            for t in range(cfg.trials):
-                a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
-                rng = derive_rng(cfg.seed, bi, mi, t, 1)
-                x0 = forward(net, rng.standard_normal(net.code_dim))
-                keys.append((beta, coh, m, t, a.seed))
-                trials.append((net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)))
+        nets.append((net, network_coherence_heuristic(net, u)))
+    cells = [(bi, mi) for bi in range(len(cfg.betas)) for mi in range(len(cfg.m_list))]
+
+    def build(j):
+        bi, mi = cells[j]
+        net, coh = nets[bi]
+        m = cfg.m_list[mi]
+        cell = []
+        for t in range(cfg.trials):
+            a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
+            rng = derive_rng(cfg.seed, bi, mi, t, 1)
+            x0 = forward(net, rng.standard_normal(net.code_dim))
+            cell.append(((cfg.betas[bi], coh, m, t, a.seed),
+                         (net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2))))
+        return cell
+
+    built = run_indexed(build, len(cells), cfg.threads)
+    keys, trials = zip(*(pair for cell in built for pair in cell))
     errs = _recover_all(trials, cfg.recovery)
     return [
         {
@@ -200,6 +212,7 @@ class SweepConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
+    threads: int = 1
 
 
 def run_measurement_sweep(
@@ -207,24 +220,32 @@ def run_measurement_sweep(
 ) -> tuple[list[dict], list[dict]]:
     """Per (model, m, trial): fresh A, target G(E(x_sharp)), recover, record rre.
 
-    Every trial is recovered in one recover_batch call, so the decoders must
-    share widths, bias presence and final activation.
+    Cells are built on `run_indexed`; every trial is then recovered in one
+    recover_batch call, whatever the decoders' shapes.
     Returns (trial records, per-(model, m) geometric summaries).
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    keys, trials = [], []
-    for gi, (name, model) in enumerate(models):
-        for mi, m in enumerate(cfg.m_list):
-            for t in range(cfg.trials):
-                # Target choice is shared across models: same x_sharp per (m, trial).
-                rng = derive_rng(cfg.seed, mi, t)
-                x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
-                mu, _ = model.encode(x_sharp)
-                x0 = forward(model.decoder, mu)
-                a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
-                keys.append((name, m, t, a.seed))
-                trials.append((model.decoder, a, x0, spawn_seed(cfg.seed, gi, mi, t, 2)))
+    cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
+
+    def build(j):
+        gi, mi = cells[j]
+        name, model = models[gi]
+        m = cfg.m_list[mi]
+        cell = []
+        for t in range(cfg.trials):
+            # Target choice is shared across models: same x_sharp per (m, trial).
+            rng = derive_rng(cfg.seed, mi, t)
+            x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
+            mu, _ = model.encode(x_sharp)
+            x0 = forward(model.decoder, mu)
+            a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
+            cell.append(((name, m, t, a.seed),
+                         (model.decoder, a, x0, spawn_seed(cfg.seed, gi, mi, t, 2))))
+        return cell
+
+    built = run_indexed(build, len(cells), cfg.threads)
+    keys, trials = zip(*(pair for cell in built for pair in cell))
     errs = _recover_all(trials, cfg.recovery)
     records = [
         {"model": name, "m": m, "trial": t, "rre": err, "seed": seed}

@@ -247,6 +247,7 @@ def desk_phase_config():
         seed=11,
         d_op=dct2_operator(64),
         recovery=RecoveryConfig(restarts=3),
+        threads=THREADS,
     )
 
 
@@ -351,6 +352,7 @@ def test_criterion_10_regularizer_effect():
         seed=3,
         d_op=u,
         recovery=RecoveryConfig(restarts=5),
+        threads=THREADS,
     )
     _, summaries = run_measurement_sweep(
         [("plain", m_plain), ("reg", m_reg)], test_samples, sweep

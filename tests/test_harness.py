@@ -88,7 +88,7 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def tiny_phase_config():
+def tiny_phase_config(threads=1):
     rng = derive_rng(0)
     w1 = rng.standard_normal((4, 2))
     w_low = np.linalg.qr(rng.standard_normal((8, 4)))[0]
@@ -103,13 +103,14 @@ def tiny_phase_config():
         seed=1,
         d_op=dct2_operator(8),
         recovery=RecoveryConfig(max_iters=300),
+        threads=threads,
     )
 
 
-def test_phase_portrait_records_and_rerun_invariance():
-    r1 = run_phase_portrait(tiny_phase_config())
-    r2 = run_phase_portrait(tiny_phase_config())
-    assert r1 == r2
+def test_phase_portrait_records_and_thread_invariance():
+    r1 = run_phase_portrait(tiny_phase_config(threads=1))
+    r4 = run_phase_portrait(tiny_phase_config(threads=4))
+    assert r1 == r4
     assert len(r1) == 2 * 2 * 3
     assert [r["beta"] for r in r1[:6]] == [0.0] * 6  # stable (beta, m, trial) order
     assert [(r["m"], r["trial"]) for r in r1[:6]] == [(4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (8, 2)]
@@ -279,9 +280,29 @@ def test_svg_emitters(tmp_path):
     assert "<svg" in sp.read_text()
 
 
+def assert_sweep_equals_per_trial_recovery(models, data, sw):
+    """Every sweep record is what recovering that trial alone with its own
+    decoder gives, in (model, m, trial) order."""
+    records, _ = run_measurement_sweep(models, data.samples, sw)
+    names = [name for name, _ in models]
+    assert [(r["model"], r["m"], r["trial"]) for r in records] == [
+        (name, m, t) for name in names for m in sw.m_list for t in range(sw.trials)
+    ]
+    for rec in records:
+        gi = names.index(rec["model"])
+        mi, t = sw.m_list.index(rec["m"]), rec["trial"]
+        model = models[gi][1]
+        rng = derive_rng(sw.seed, mi, t)
+        x_sharp = data.samples[int(rng.integers(data.samples.shape[0]))]
+        x0 = forward(model.decoder, model.encode(x_sharp)[0])
+        a = sample_fixed(sw.d_op, rec["m"], spawn_seed(sw.seed, mi, t, 1))
+        config = replace(sw.recovery, seed=spawn_seed(sw.seed, gi, mi, t, 2))
+        res = recover(model.decoder, a, apply(a, x0), config, x0=x0)
+        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+
+
 def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
-    # Two different decoders recovered in one batch: every record must be what
-    # recovering that trial alone with its own decoder gives.
+    # Two different decoders of one shape, recovered in one batch.
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
     models = [(name, train_vae(data, [2, 8, 16], "none",
@@ -289,29 +310,17 @@ def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
               for name, seed in (("a", 0), ("b", 1))]
     sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
                      recovery=RecoveryConfig(max_iters=300, restarts=2))
-    records, _ = run_measurement_sweep(models, data.samples, sw)
-    assert [(r["model"], r["m"], r["trial"]) for r in records] == [
-        (name, m, t) for name in ("a", "b") for m in (8, 12) for t in range(2)
-    ]
-    for rec in records:
-        gi = [name for name, _ in models].index(rec["model"])
-        mi, t = sw.m_list.index(rec["m"]), rec["trial"]
-        model = models[gi][1]
-        rng = derive_rng(sw.seed, mi, t)
-        x_sharp = data.samples[int(rng.integers(data.samples.shape[0]))]
-        x0 = forward(model.decoder, model.encode(x_sharp)[0])
-        a = sample_fixed(u, rec["m"], spawn_seed(sw.seed, mi, t, 1))
-        config = replace(sw.recovery, seed=spawn_seed(sw.seed, gi, mi, t, 2))
-        res = recover(model.decoder, a, apply(a, x0), config, x0=x0)
-        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+    assert_sweep_equals_per_trial_recovery(models, data, sw)
 
 
-def test_measurement_sweep_rejects_mismatched_decoders():
+def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
+    # Decoders of other widths and final activations share one sweep.
     u = dct2_operator(16)
-    data = synth_dataset(16, 2, 60, seed=1)
-    cfg = TrainConfig(epochs=1, seed=0, d_op=u, batch_size=32)
+    data = synth_dataset(16, 2, 100, seed=1)
+    cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
     models = [("a", train_vae(data, [2, 8, 16], "none", cfg)),
-              ("b", train_vae(data, [2, 6, 16], "none", cfg))]
-    sw = SweepConfig(m_list=[8], trials=1, seed=2, d_op=u, recovery=RecoveryConfig(max_iters=5))
-    with pytest.raises(DimensionMismatch, match="share widths"):
-        run_measurement_sweep(models, data.samples, sw)
+              ("b", train_vae(data, [2, 6, 16], "none", cfg)),
+              ("c", train_vae(data, [2, 8, 16], "sigmoid", cfg))]
+    sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
+                     recovery=RecoveryConfig(max_iters=300, restarts=2))
+    assert_sweep_equals_per_trial_recovery(models, data, sw)

@@ -354,6 +354,7 @@ def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
     ops, bs, configs, x0s = (a + b for a, b in zip((ops, bs, configs, x0s), more))
     # Room for two DCT columns per block, so problems' restarts straddle blocks.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 2 * 6 * 16 * 8)
+    monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     assert_batch_matches_oracle(g, ops, bs, configs, x0s)
 
 
@@ -480,22 +481,48 @@ def test_mixed_batch_split_over_capped_blocks(monkeypatch):
                               config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
     # Room for five columns per block: problems' restarts straddle blocks.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 5 * 6 * 16 * 8)
+    monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     assert_mixed_batch_matches(*problems)
 
 
-def test_mixed_batch_rejects_mismatched_networks():
+def test_mixed_batch_of_different_shapes():
+    # Networks of other widths, code dims and final activation get blocks of
+    # their own within one call; biased and unbiased networks share one.
     u = dct2_operator(16)
-    a = sample_fixed(u, 8, seed=74)
-    b = np.zeros(8)
-    plain = small_network([3, 8, 16], seed=75)
-    others = [
-        small_network([3, 9, 16], seed=76),  # widths
-        small_network([3, 8, 16], seed=77, biases=True),  # bias presence
-        small_network([3, 8, 16], seed=78, final="sigmoid"),  # final activation
+    nets = [
+        small_network([3, 8, 16], seed=75),
+        small_network([3, 9, 16], seed=76),
+        small_network([2, 8, 16], seed=77),
+        small_network([3, 8, 16], seed=78, biases=True),
+        small_network([3, 8, 16], seed=79, biases=True, final="sigmoid"),
     ]
-    for other in others:
-        with pytest.raises(DimensionMismatch, match="share widths"):
-            recover_batch([plain, other], [a, a], [b, b], [RecoveryConfig()] * 2)
+    problems = mixed_problems(nets, u, [8, 10] * 5, seed=74,
+                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    assert_mixed_batch_matches(*problems)
+
+
+def test_block_column_floor(monkeypatch):
+    import gcs.recovery
+
+    g = small_network([3, 8, 16], seed=80)
+    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
+                                          config=RecoveryConfig(max_iters=300))
+    # A cap below one column's rows still gives BLOCK_COLUMNS columns a block.
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 1)
+    widths = []
+    adam_block = gcs.recovery._adam_block
+
+    def counted(nets, owner, *args):
+        widths.append(owner.size)
+        return adam_block(nets, owner, *args)
+
+    monkeypatch.setattr(gcs.recovery, "_adam_block", counted)
+    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    columns, floor = sum(c.restarts for c in configs), gcs.recovery.BLOCK_COLUMNS
+    assert columns > floor > 1
+    assert widths == [min(floor, columns - s) for s in range(0, columns, floor)]
+    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
 
 
 @pytest.mark.parametrize("config, termination", [
