@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
 from .errors import DomainError, GcsError
@@ -38,10 +36,6 @@ def _ints(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x]
 
 
-def _floats(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x]
-
-
 def cmd_coherence(args) -> int:
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
@@ -56,6 +50,7 @@ def cmd_train(args) -> int:
             f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>[,<labels>])"
         )
     widths = _ints(args.arch)
+    gnn.check_widths(widths)
     d_op = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
     if args.data == "synth":
         data = training.synth_dataset(
@@ -178,6 +173,8 @@ def cmd_phase(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config) as f:
         cfg_json = json.load(f)
+    if not cfg_json.get("models"):
+        raise DomainError("a sweep config needs at least one entry in \"models\"")
     models = [(name, training.load_vae(path)) for name, path in cfg_json["models"].items()]
     n = models[0][1].decoder.ambient_dim
     u = resolve_unitary(cfg_json.get("unitary", "dct"), n)

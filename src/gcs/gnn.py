@@ -32,6 +32,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_widths(widths) -> None:
+    """Raise DimensionMismatch unless widths [k, k_1, ..., n] can make a
+    network: at least one layer, code dimension k >= 2, inner widths >= k."""
+    if len(widths) < 2:
+        raise DimensionMismatch(f"widths {list(widths)}: a network needs at least one layer")
+    k = widths[0]
+    if k < 2:
+        raise DimensionMismatch(f"widths {list(widths)}: code dimension must be >= 2")
+    if any(w < k for w in widths[1:-1]):
+        raise DimensionMismatch(f"widths {list(widths)}: inner widths must be >= code dimension")
+
+
 @dataclass(frozen=True)
 class GenerativeNetwork:
     weights: list = field(repr=False)  # W^(i) of shape k_i x k_{i-1}
@@ -39,20 +51,12 @@ class GenerativeNetwork:
     final_activation: str = "none"  # "none" | "sigmoid"
 
     def __post_init__(self):
-        if not self.weights:
-            raise DimensionMismatch("network needs at least one layer")
         ws = [check_finite(np.asarray(w, dtype=float), "weight") for w in self.weights]
         object.__setattr__(self, "weights", ws)
-        k0 = ws[0].shape[1]
-        if k0 < 2:
-            raise DimensionMismatch("code dimension must be >= 2")
-        prev = k0
-        for i, w in enumerate(ws):
-            if w.shape[1] != prev:
-                raise DimensionMismatch(f"layer shape chain broken at {w.shape}")
-            if i < len(ws) - 1 and w.shape[0] < k0:
-                raise DimensionMismatch("inner widths must be >= code dimension")
-            prev = w.shape[0]
+        for w, v in zip(ws, ws[1:]):
+            if v.shape[1] != w.shape[0]:
+                raise DimensionMismatch(f"layer shape chain broken at {v.shape}")
+        check_widths(self.widths if ws else [])
         if self.biases is not None:
             bs = [check_finite(np.asarray(b, dtype=float), "bias") for b in self.biases]
             if len(bs) != len(ws):

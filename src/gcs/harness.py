@@ -11,6 +11,7 @@ default to Bernoulli.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -78,22 +79,16 @@ def emit_csv(records: list[dict], path: str, columns: list[str] | None = None) -
         raise OSError("refusing to write an empty CSV")
     if columns is None:
         columns = list(records[0].keys())
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_format_value(rec[c]) for c in columns))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_value(rec[c]) for c in columns] for rec in records)
 
 
 def parse_csv(path: str) -> list[dict]:
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln]
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        out.append(dict(zip(header, ln.split(","))))
-    return out
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def _recover_all(trials: list, recovery: RecoveryConfig) -> list[float]:
@@ -267,6 +262,15 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _exceed_summaries(records: list[dict], m_list: list[int]) -> list[dict]:
+    """Per m: the share of its trials whose deviation reached delta."""
+    summaries = []
+    for m in m_list:
+        exc = [r["exceed"] for r in records if r["m"] == m]
+        summaries.append({"m": m, "exceed_freq": float(np.mean(exc)), "trials": len(exc)})
+    return summaries
+
+
 def run_rip_check(
     g: GenerativeNetwork,
     u: UnitaryOperator,
@@ -312,10 +316,7 @@ def run_rip_check(
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": trial_seed}
 
     records = run_indexed(one, len(jobs), threads)
-    summaries = []
-    for m in m_list:
-        exc = [r["exceed"] for r in records if r["m"] == m]
-        summaries.append({"m": m, "exceed_freq": float(np.mean(exc)), "trials": len(exc)})
+    summaries = _exceed_summaries(records, m_list)
     return records, summaries
 
 
@@ -359,10 +360,7 @@ def run_subspace_rip(
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
 
     records = run_indexed(one, len(jobs), threads)
-    summaries = []
-    for m in m_list:
-        exc = [r["exceed"] for r in records if r["m"] == m]
-        summaries.append({"m": m, "exceed_freq": float(np.mean(exc)), "trials": len(exc)})
+    summaries = _exceed_summaries(records, m_list)
     fit = fit_subspace_tail(summaries, k, n, alpha, delta)
     fit["alpha"] = alpha
     for s in summaries:

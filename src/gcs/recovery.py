@@ -34,6 +34,7 @@ from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
 # calling it; the binding stays because perfbench/instrument.py wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad, relu, sigmoid  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
+from .training import adam_step
 
 SUCCESS_RRE = 1e-5
 
@@ -186,9 +187,9 @@ def _adam_block(nets, owner, final_activation, rows, scale, b, z, config):
 
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite. Finished columns are moved out of rows in
-    place, so the block never holds a second copy of it.
+    place, so the block never holds a second copy of it; Adam steps z and
+    its moments in place.
     """
-    lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
     out = [None] * len(z)
     live = np.arange(len(z))
     layers = _layer_runs(nets, owner)
@@ -213,11 +214,7 @@ def _adam_block(nets, owner, final_activation, rows, scale, b, z, config):
             if not live.size:
                 return out
             layers = _layer_runs(nets, owner)
-        m = b1 * m + (1 - b1) * grad
-        v = b2 * v + (1 - b2) * grad**2
-        m_hat = m / (1 - b1**it)
-        v_hat = v / (1 - b2**it)
-        z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_step(z, grad, m, v, it, config.learning_rate)
     for j, c in enumerate(live):
         out[c] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
     return out

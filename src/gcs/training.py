@@ -22,7 +22,14 @@ from .errors import (
     NonfiniteLoss,
     TruncatedFile,
 )
-from .gnn import GenerativeNetwork, network_from_json, network_to_json, relu, sigmoid
+from .gnn import (
+    GenerativeNetwork,
+    check_widths,
+    network_from_json,
+    network_to_json,
+    relu,
+    sigmoid,
+)
 from .linops import matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
@@ -89,42 +96,20 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     return Dataset(samples=np.clip(x, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m: list = field(repr=False)
-    v: list = field(repr=False)
-    t: int = 0
+def adam_step(p, g, m, v, t: int, lr: float) -> None:
+    """Bias-corrected Adam step t (counted from 1) on p with gradient g.
 
-
-def adam_init(params: list) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
-def adam_step(
-    params: list,
-    grads: list,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[list, AdamState]:
-    """One bias-corrected Adam update over a list of parameter arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionMismatch("params/grads/state length mismatch")
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise DimensionMismatch("parameter and gradient shapes differ")
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g**2
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    Updates p and its moments m and v in place; p, g, m and v share one
+    shape, whatever it is. Recovery and training both step through here.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g**2
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass(frozen=True)
@@ -166,47 +151,47 @@ class VaeModel:
         return mu, lv
 
 
-def _init_params(widths, final_activation, rng):
-    """He-style Gaussian init; returns (param list, layout description)."""
-    k, n = widths[0], widths[-1]
-    enc_widths = [n] + list(reversed(widths[1:-1]))
-    params = []
-    for a, b in zip(enc_widths[:-1], enc_widths[1:]):
-        params.append(rng.standard_normal((b, a)) * np.sqrt(2.0 / a))
-        params.append(np.zeros(b))
-    h = enc_widths[-1]
-    params.append(rng.standard_normal((k, h)) * np.sqrt(2.0 / h))  # w_mu
-    params.append(np.zeros(k))
-    params.append(rng.standard_normal((k, h)) * np.sqrt(2.0 / h))  # w_lv
-    params.append(np.zeros(k))
-    for a, b in zip(widths[:-1], widths[1:]):
-        params.append(rng.standard_normal((b, a)) * np.sqrt(2.0 / a))
-        params.append(np.zeros(b))
-    return params, len(enc_widths) - 1
+def _layers(widths) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each weight in flat-buffer order: the encoder
+    layers, the mu and log-variance heads, then the decoder layers. Each
+    weight (fan_out, fan_in) is followed by its bias (fan_out,)."""
+    k = widths[0]
+    enc = [widths[-1], *widths[-2:0:-1]]
+    return [*zip(enc[:-1], enc[1:]), (enc[-1], k), (enc[-1], k), *zip(widths[:-1], widths[1:])]
 
 
-def _unpack(params, n_enc_layers, n_dec_layers):
-    i = 0
-    enc = []
-    for _ in range(n_enc_layers):
-        enc.append((params[i], params[i + 1]))
-        i += 2
-    w_mu, b_mu, w_lv, b_lv = params[i], params[i + 1], params[i + 2], params[i + 3]
-    i += 4
-    dec = []
-    for _ in range(n_dec_layers):
-        dec.append((params[i], params[i + 1]))
-        i += 2
-    return enc, (w_mu, b_mu, w_lv, b_lv), dec
+def _unpack(flat, widths):
+    """Views of a flat buffer: (encoder [(w, b)], (w_mu, b_mu, w_lv, b_lv),
+    decoder [(w, b)])."""
+    pairs, i = [], 0
+    for a, b in _layers(widths):
+        pairs.append((flat[i:i + a * b].reshape(b, a), flat[i + a * b:i + (a + 1) * b]))
+        i += (a + 1) * b
+    n_enc = len(widths) - 2
+    (w_mu, b_mu), (w_lv, b_lv) = pairs[n_enc:n_enc + 2]
+    return pairs[:n_enc], (w_mu, b_mu, w_lv, b_lv), pairs[n_enc + 2:]
 
 
-def _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, final_activation, reg):
-    """Forward + manual backprop for one mini-batch.
+def _init_params(widths, rng) -> np.ndarray:
+    """The flat parameter buffer: He-style Gaussian weights, zero biases."""
+    flat = np.zeros(sum((a + 1) * b for a, b in _layers(widths)))
+    enc, (w_mu, _, w_lv, _), dec = _unpack(flat, widths)
+    for w in [w for w, _ in enc] + [w_mu, w_lv] + [w for w, _ in dec]:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[1])
+    return flat
 
-    reg is None or (reg_weight, lam, d_op); the regularizer applies to the
-    decoder's final weight matrix only.
+
+def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> float:
+    """Forward + manual backprop for one mini-batch; returns the loss.
+
+    params and grads are `_unpack` views of the flat parameter and gradient
+    buffers; each gradient is written into its view. reg is None or
+    (reg_weight, lam, d_op); the regularizer applies to the decoder's final
+    weight matrix only.
     """
-    enc, (w_mu, b_mu, w_lv, b_lv), dec = _unpack(params, n_enc, n_dec)
+    enc, (w_mu, b_mu, w_lv, b_lv), dec = params
+    g_enc, (g_wmu, g_bmu, g_wlv, g_blv), g_dec = grads
+    n_dec = len(dec)
     batch = x.shape[0]
 
     enc_pre, enc_act = [], [x]
@@ -241,15 +226,13 @@ def _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, final_activation, re
     kl = -0.5 * float(np.sum(1.0 + lv - mu**2 - np.exp(lv))) / batch
     loss = recon + kl
 
-    grads = [np.zeros_like(p) for p in params]
-    base_dec = 2 * n_enc + 4
     # Decoder backward.
     d = dy
     for i in range(n_dec - 1, -1, -1):
-        w, _ = dec[i]
-        grads[base_dec + 2 * i] = d.T @ dec_act[i]
-        grads[base_dec + 2 * i + 1] = d.sum(axis=0)
-        d = d @ w
+        gw, gb = g_dec[i]
+        np.matmul(d.T, dec_act[i], out=gw)
+        d.sum(axis=0, out=gb)
+        d = d @ dec[i][0]
         if i > 0:
             d = d * (dec_pre[i - 1] > 0)
     dz = d
@@ -257,26 +240,26 @@ def _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, final_activation, re
     dlv = dz * eps_noise * 0.5 * np.exp(0.5 * lv) + 0.5 * (np.exp(lv) - 1.0) / batch
     # Heads.
     h_top = enc_act[-1]
-    grads[2 * n_enc] = dmu.T @ h_top
-    grads[2 * n_enc + 1] = dmu.sum(axis=0)
-    grads[2 * n_enc + 2] = dlv.T @ h_top
-    grads[2 * n_enc + 3] = dlv.sum(axis=0)
+    np.matmul(dmu.T, h_top, out=g_wmu)
+    dmu.sum(axis=0, out=g_bmu)
+    np.matmul(dlv.T, h_top, out=g_wlv)
+    dlv.sum(axis=0, out=g_blv)
     d = dmu @ w_mu + dlv @ w_lv
     # Encoder backward.
-    for i in range(n_enc - 1, -1, -1):
+    for i in range(len(enc) - 1, -1, -1):
         d = d * (enc_pre[i] > 0)
-        w, _ = enc[i]
-        grads[2 * i] = d.T @ enc_act[i]
-        grads[2 * i + 1] = d.sum(axis=0)
-        d = d @ w
+        gw, gb = g_enc[i]
+        np.matmul(d.T, enc_act[i], out=gw)
+        d.sum(axis=0, out=gb)
+        d = d @ enc[i][0]
 
     if reg is not None:
         reg_weight, lam, d_op = reg
-        w_last_idx = base_dec + 2 * (n_dec - 1)
-        rho, rho_grad = regularizer(params[w_last_idx], d_op, lam)
+        rho, rho_grad = regularizer(dec[-1][0], d_op, lam)
         loss += reg_weight * rho
-        grads[w_last_idx] = grads[w_last_idx] + reg_weight * rho_grad
-    return loss, grads
+        g_last, _ = g_dec[-1]
+        g_last += reg_weight * rho_grad
+    return loss
 
 
 def train_vae(
@@ -290,8 +273,10 @@ def train_vae(
     reg_weight * rho(W_dec_final) to the loss.
 
     Deterministic per seed: init, shuffles, and reparameterization noise all
-    come from one derived stream. Any nonfinite loss aborts.
+    come from one derived stream. Any nonfinite loss aborts. Adam steps all
+    parameters at once, in place, as one flat vector.
     """
+    check_widths(widths)
     if data.count == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if data.dim != widths[-1]:
@@ -299,14 +284,16 @@ def train_vae(
     if regularized and config.reg_weight > 0 and config.d_op is None:
         raise DomainError("regularized training needs a reference operator in the config")
     rng = derive_rng(config.seed)
-    params, n_enc = _init_params(widths, final_activation, rng)
-    n_dec = len(widths) - 1
+    params = _init_params(widths, rng)
+    grads, m, v = (np.zeros_like(params) for _ in range(3))
+    views = _unpack(params, widths)
+    grad_views = _unpack(grads, widths)
     k = widths[0]
-    state = adam_init(params)
     reg = None
     if regularized and config.reg_weight > 0:
         reg = (config.reg_weight, config.lam, config.d_op)
     trace = []
+    t = 0
     for _ in range(config.epochs):
         order = rng.permutation(data.count)
         epoch_losses = []
@@ -314,15 +301,14 @@ def train_vae(
             idx = order[start : start + config.batch_size]
             x = data.samples[idx]
             eps_noise = rng.standard_normal((x.shape[0], k))
-            loss, grads = _vae_loss_and_grads(
-                params, n_enc, n_dec, x, eps_noise, final_activation, reg
-            )
+            loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, final_activation, reg)
             if not np.isfinite(loss):
                 raise NonfiniteLoss(f"loss became {loss} at epoch {len(trace)}")
-            params, state = adam_step(params, grads, state, config.learning_rate)
+            t += 1
+            adam_step(params, grads, m, v, t, config.learning_rate)
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
-    enc, (w_mu, b_mu, w_lv, b_lv), dec = _unpack(params, n_enc, n_dec)
+    enc, (w_mu, b_mu, w_lv, b_lv), dec = views
     decoder = GenerativeNetwork(
         weights=[w for w, _ in dec],
         biases=[b for _, b in dec],

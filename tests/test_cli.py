@@ -25,7 +25,6 @@ def test_resolve_unitary(tmp_path):
 
 def test_arg_list_parsers():
     assert cli._ints("8,16, 32") == [8, 16, 32]
-    assert cli._floats("0, 0.5,1") == [0.0, 0.5, 1.0]
 
 
 def save_net(tmp_path, widths, seed):
@@ -128,6 +127,36 @@ def test_train_bad_input_exits_2_before_training(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: unknown ")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("arch, message", [
+    ("8", "a network needs at least one layer"),
+    ("1,4,8", "code dimension must be >= 2"),
+])
+def test_train_bad_arch_exits_2_before_data(tmp_path, monkeypatch, capsys, arch, message):
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--arch", arch, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: widths [")
+    assert message in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_sweep_without_models_exits_2_before_loading(tmp_path, monkeypatch, capsys):
+    cfg = {"models": {}, "test_data": {"kind": "synth", "k_true": 2, "count": 4, "seed": 0},
+           "m_list": [4], "trials": 1}
+    with open(tmp_path / "sweep.json", "w") as f:
+        json.dump(cfg, f)
+    monkeypatch.setattr(cli.training, "load_vae", no_compute)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path), "sweep", "--config", str(tmp_path / "sweep.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: ")
+    assert '"models"' in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_recovery_block_keys():

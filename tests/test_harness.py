@@ -80,6 +80,20 @@ def test_emit_parse_csv_roundtrip(tmp_path):
         emit_csv([], str(tmp_path / "empty.csv"))
 
 
+def test_csv_quotes_a_comma_and_keeps_plain_rows_bytes(tmp_path):
+    records = [
+        {"model": "vae, reg", "m": 8, "rre": 3e-7},
+        {"model": "unreg", "m": 16, "rre": 0.5},
+    ]
+    path = tmp_path / "r.csv"
+    emit_csv(records, str(path))
+    assert path.read_bytes() == b'model,m,rre\n"vae, reg",8,3e-07\nunreg,16,0.5\n'
+    assert parse_csv(str(path)) == [
+        {"model": "vae, reg", "m": "8", "rre": "3e-07"},
+        {"model": "unreg", "m": "16", "rre": "0.5"},
+    ]
+
+
 def test_emit_csv_deterministic_bytes(tmp_path):
     records = [{"a": 1.0 / 3.0, "b": i} for i in range(5)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,13 @@
 import json
+import os
+import runpy
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from gcs.coherence import network_coherence_heuristic, regularizer
+from gcs.coherence import network_coherence_heuristic
 from gcs.errors import (
     BadMagic,
     DimensionMismatch,
@@ -15,11 +18,9 @@ from gcs.errors import (
 from gcs.gnn import forward, network_to_json, save_network
 from gcs.sampling import derive_rng
 from gcs.training import (
-    AdamState,
     Dataset,
     TrainConfig,
     VaeModel,
-    adam_init,
     adam_step,
     load_idx,
     load_vae,
@@ -124,42 +125,59 @@ def test_synth_dataset_low_rank_structure():
 # ---------------------------------------------------------------------------
 
 
+def oracle_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The list-based, allocating Adam that adam_step replaced; state is (m, v, t)."""
+    m_list, v_list, t = state
+    t += 1
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g**2
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, (new_m, new_v, t)
+
+
 def test_adam_two_step_hand_trace():
     # One scalar parameter, constant gradient 1: hand-computed bias-corrected
     # trace gives steps of exactly lr/(1 + eps') each time.
-    p = [np.array([0.0])]
-    g = [np.array([1.0])]
-    state = adam_init(p)
+    p, g, m, v = np.array([0.0]), np.array([1.0]), np.zeros(1), np.zeros(1)
     lr, eps = 0.1, 1e-8
-    p1, state = adam_step(p, g, state, lr=lr)
+    adam_step(p, g, m, v, 1, lr)
     # t=1: m_hat = v_hat = 1 -> step lr/(1 + eps)
-    assert p1[0][0] == pytest.approx(-lr / (1 + eps), abs=1e-15)
-    p2, state = adam_step(p1, g, state, lr=lr)
+    p1 = p[0]
+    assert p1 == pytest.approx(-lr / (1 + eps), abs=1e-15)
+    adam_step(p, g, m, v, 2, lr)
     # t=2: m = 0.19, v = 0.001999; m_hat = 1, v_hat = 1 -> same step again
     m2 = 0.9 * 0.1 + 0.1 * 1.0
     v2 = 0.999 * 0.001 + 0.001 * 1.0
     step2 = lr * (m2 / (1 - 0.9**2)) / (np.sqrt(v2 / (1 - 0.999**2)) + eps)
-    assert p2[0][0] == pytest.approx(p1[0][0] - step2, abs=1e-15)
-    assert state.t == 2
+    assert p[0] == pytest.approx(p1 - step2, abs=1e-15)
+    assert (m[0], v[0]) == pytest.approx((m2, v2), abs=1e-15)
 
 
-def test_adam_shape_validation():
-    p = [np.zeros(3)]
-    state = adam_init(p)
-    with pytest.raises(DimensionMismatch):
-        adam_step(p, [np.zeros(4)], state, lr=0.1)
-    with pytest.raises(DimensionMismatch):
-        adam_step(p, [np.zeros(3), np.zeros(3)], state, lr=0.1)
-
-
-def test_adam_state_immutable_inputs():
-    p = [np.ones(2)]
-    g = [np.ones(2)]
-    state = adam_init(p)
-    p_before = p[0].copy()
-    adam_step(p, g, state, lr=0.5)
-    np.testing.assert_array_equal(p[0], p_before)  # functional update
-    assert isinstance(state, AdamState) and state.t == 0
+def test_flat_adam_equals_list_oracle_bitwise():
+    rng = derive_rng(11)
+    shapes = [(3, 4), (5,), (2, 3, 2), (1,)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    flat = rng.standard_normal(sum(sizes))
+    grads, m, v = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    cuts = np.cumsum(sizes)[:-1]
+    params = [a.reshape(s).copy() for a, s in zip(np.split(flat, cuts), shapes)]
+    state = ([np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes], 0)
+    for t in range(1, 7):
+        # Gradients over several scales, with exact zeros in the first step.
+        grads[:] = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-6, 3, flat.size)
+        if t == 1:
+            grads[::3] = 0.0
+        g_list = [a.reshape(s) for a, s in zip(np.split(grads, cuts), shapes)]
+        params, state = oracle_adam_step(params, g_list, state, lr=0.05)
+        adam_step(flat, grads, m, v, t, 0.05)
+        for want, got in [(params, flat), (state[0], m), (state[1], v)]:
+            assert np.concatenate([a.ravel() for a in want]).tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +254,50 @@ def test_train_rejects_empty_and_mismatched():
 
 def test_vae_loss_gradient_finite_difference():
     # End-to-end check of the manual backprop through a tiny batch.
-    from gcs.training import _init_params, _vae_loss_and_grads
+    from gcs.training import _init_params, _unpack, _vae_loss_and_grads
+
+    def arrays(unpacked):
+        enc, heads, dec = unpacked
+        return [a for pair in enc for a in pair] + list(heads) + [a for pair in dec for a in pair]
 
     rng = derive_rng(7)
     widths = [2, 4, 6]
-    params, n_enc = _init_params(widths, "sigmoid", rng)
-    n_dec = 2
+    flat = _init_params(widths, rng)
+    params = _unpack(flat, widths)
+    grad_flat = np.full_like(flat, np.nan)  # every entry must be written
+    grads = _unpack(grad_flat, widths)
+    scratch = _unpack(np.empty_like(flat), widths)
     x = np.clip(rng.random((3, 6)), 0.01, 0.99)
     eps_noise = rng.standard_normal((3, 2))
     u = dct2_operator(6)
     reg = (10.0, 1.0, u)
-    loss, grads = _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, "sigmoid", reg)
+    _vae_loss_and_grads(params, grads, x, eps_noise, "sigmoid", reg)
+    assert np.all(np.isfinite(grad_flat))
     h = 1e-6
     rel_errs = []
-    for pi in range(len(params)):
-        flat = params[pi].ravel()
-        for j in range(min(3, flat.size)):
-            orig = flat[j]
-            flat[j] = orig + h
-            lp, _ = _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, "sigmoid", reg)
-            flat[j] = orig - h
-            lm, _ = _vae_loss_and_grads(params, n_enc, n_dec, x, eps_noise, "sigmoid", reg)
-            flat[j] = orig
+    for p, g in zip(arrays(params), arrays(grads)):
+        p = p.reshape(-1)  # a view into flat
+        for j in range(min(3, p.size)):
+            orig = p[j]
+            p[j] = orig + h
+            lp = _vae_loss_and_grads(params, scratch, x, eps_noise, "sigmoid", reg)
+            p[j] = orig - h
+            lm = _vae_loss_and_grads(params, scratch, x, eps_noise, "sigmoid", reg)
+            p[j] = orig
             fd = (lp - lm) / (2 * h)
-            g = grads[pi].ravel()[j]
-            rel_errs.append(abs(fd - g) / max(abs(fd), abs(g), 1e-8))
+            gj = g.reshape(-1)[j]
+            rel_errs.append(abs(fd - gj) / max(abs(fd), abs(gj), 1e-8))
     assert max(rel_errs) < 1e-4
+
+
+def test_sweep_models_reproduce_committed_files(tmp_path, monkeypatch):
+    # scripts/train_sweep_models.py must rebuild out/desk/models byte for byte.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "argv", ["train_sweep_models.py", "--out-dir", str(tmp_path)])
+    runpy.run_path(os.path.join(root, "scripts", "train_sweep_models.py"), run_name="__main__")
+    for name in ("unreg.json", "reg.json"):
+        with open(os.path.join(root, "out", "desk", "models", name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read(), name
 
 
 def test_vae_json_roundtrip(tmp_path):
