@@ -33,7 +33,10 @@ def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
 
 
 def _ints(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x]
+    try:
+        return [int(x) for x in s.split(",") if x]
+    except ValueError:
+        raise DomainError(f"expected comma-separated integers, got {s!r}") from None
 
 
 def cmd_coherence(args) -> int:
@@ -51,7 +54,17 @@ def cmd_train(args) -> int:
         )
     widths = _ints(args.arch)
     gnn.check_widths(widths)
-    d_op = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
+    if args.epochs < 1:
+        raise DomainError(f"--epochs must be >= 1, got {args.epochs}")
+    config = training.TrainConfig(
+        learning_rate=args.lr,
+        batch_size=args.batch,
+        epochs=args.epochs,
+        reg_weight=args.reg_weight,
+        lam=getattr(args, "lambda"),
+        seed=args.seed,
+        d_op=resolve_unitary(args.unitary, widths[-1]) if args.regularized else None,
+    )
     if args.data == "synth":
         data = training.synth_dataset(
             widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
@@ -65,15 +78,6 @@ def cmd_train(args) -> int:
     else:
         paths = args.data[len("idx:"):].split(",")
         data = training.load_idx(*paths)
-    config = training.TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        reg_weight=args.reg_weight,
-        lam=getattr(args, "lambda"),
-        seed=args.seed,
-        d_op=d_op,
-    )
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
     training.save_vae(model, args.out)
     gnn.save_network(model.decoder, args.out.removesuffix(".json") + ".decoder.json")

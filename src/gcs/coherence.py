@@ -109,7 +109,8 @@ class ChordSampler:
         """|P[rows] @ c| entrywise (all rows of P when rows is None)."""
         parts = self.parts if rows is None else [p[rows] for p in self.parts]
         if len(parts) == 1:
-            return np.abs(parts[0] @ c)
+            prod = parts[0] @ c
+            return np.abs(prod, out=prod)
         # sqrt(re^2 + im^2) in place; np.hypot is about ten times slower, and
         # unit chords keep the squares far from overflow.
         re, im = (p @ c for p in parts)
@@ -181,14 +182,15 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     """rho(W) = ||D W||_{2->inf} + lam*||W^T W - I||_F, with a subgradient.
 
     The 2->inf term differentiates through the maximizing row (smallest index
-    on ties); the Frobenius term's gradient is zeroed below 1e-12.
+    on ties); the Frobenius term's gradient is zeroed below 1e-12. D W is
+    `d_op.apply(w)`, an FFT from n = FFT_MIN_N on (see `transforms`).
     """
     w = np.asarray(w, dtype=float)
     if lam < 0:
         raise DomainError("lambda must be >= 0")
     if w.ndim != 2 or w.shape[0] != d_op.n:
         raise DimensionMismatch(f"W must have {d_op.n} rows")
-    dw = d_op.matrix @ w
+    dw = d_op.apply(w)
     row_norms = np.sqrt(np.sum(np.abs(dw) ** 2, axis=1))
     i_star = int(np.argmax(row_norms))  # argmax takes the first maximizer
     value = float(row_norms[i_star])

@@ -96,12 +96,28 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     return Dataset(samples=np.clip(x, 0.0, 1.0))
 
 
+# Elements per pass of adam_step over a long flat vector: its temporaries then
+# stay in cache. About 16 K measured fastest on training's 327 K parameters.
+ADAM_CHUNK = 16384
+
+
 def adam_step(p, g, m, v, t: int, lr: float) -> None:
     """Bias-corrected Adam step t (counted from 1) on p with gradient g.
 
     Updates p and its moments m and v in place; p, g, m and v share one
     shape, whatever it is. Recovery and training both step through here.
+    A 1-D p longer than ADAM_CHUNK is stepped ADAM_CHUNK elements at a time;
+    every update is elementwise, so the result is bit for bit the same.
     """
+    if p.ndim == 1 and p.size > ADAM_CHUNK:
+        for i in range(0, p.size, ADAM_CHUNK):
+            s = slice(i, i + ADAM_CHUNK)
+            _adam(p[s], g[s], m[s], v[s], t, lr)
+    else:
+        _adam(p, g, m, v, t, lr)
+
+
+def _adam(p, g, m, v, t: int, lr: float) -> None:
     b1, b2, eps = 0.9, 0.999, 1e-8
     m *= b1
     m += (1 - b1) * g
@@ -123,8 +139,12 @@ class TrainConfig:
     d_op: UnitaryOperator | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate must be positive, batch_size >= 1")
+        if not self.learning_rate > 0:
+            raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -245,13 +265,14 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> f
     np.matmul(dlv.T, h_top, out=g_wlv)
     dlv.sum(axis=0, out=g_blv)
     d = dmu @ w_mu + dlv @ w_lv
-    # Encoder backward.
+    # Encoder backward; nothing reads the gradient of the input batch.
     for i in range(len(enc) - 1, -1, -1):
         d = d * (enc_pre[i] > 0)
         gw, gb = g_enc[i]
         np.matmul(d.T, enc_act[i], out=gw)
         d.sum(axis=0, out=gb)
-        d = d @ enc[i][0]
+        if i > 0:
+            d = d @ enc[i][0]
 
     if reg is not None:
         reg_weight, lam, d_op = reg

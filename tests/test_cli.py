@@ -25,6 +25,8 @@ def test_resolve_unitary(tmp_path):
 
 def test_arg_list_parsers():
     assert cli._ints("8,16, 32") == [8, 16, 32]
+    with pytest.raises(DomainError, match="comma-separated integers"):
+        cli._ints("2,x,16")
 
 
 def save_net(tmp_path, widths, seed):
@@ -213,3 +215,44 @@ def test_bad_recovery_value_exits_2_before_any_cell(tmp_path, monkeypatch, capsy
     assert err.count("\n") == 1 and err.startswith("gcs: error: bad recovery value: ")
     assert message in err
     assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--arch", "2,x,16", "--out", "m.json"],
+    ["rip", "--weights", "net.json", "--m-list", "16,x"],
+])
+def test_non_integer_list_entry_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.harness, "run_rip_check", no_compute)
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: expected comma-separated integers")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--batch", "0"], "batch size must be >= 1, got 0"),
+    (["--lr", "0"], "learning rate must be positive, got 0.0"),
+])
+def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, flag, message):
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")] + flag)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err == f"gcs: error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_zero_epochs_exits_2_before_data(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--arch", "2,8,16", "--epochs", "0", "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "gcs: error: --epochs must be >= 1, got 0\n"
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "m.decoder.json").exists()

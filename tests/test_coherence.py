@@ -165,6 +165,22 @@ def test_regularizer_value():
     assert val == pytest.approx(expected, rel=1e-12)
 
 
+def test_regularizer_at_784_matches_dense_formula():
+    # At n = 784 the regularizer's D W runs as an FFT DCT-II.
+    n, k, lam = 784, 20, 0.5
+    u = dct2_operator(n)
+    w = derive_rng(14).standard_normal((n, k)) / np.sqrt(n)
+    val, grad = regularizer(w, u, lam=lam)
+    dw = u.matrix @ w
+    row_norms = np.sqrt(np.sum(dw**2, axis=1))
+    i_star = int(np.argmax(row_norms))
+    e = w.T @ w - np.eye(k)
+    fro = float(np.linalg.norm(e))
+    assert val == pytest.approx(row_norms[i_star] + lam * fro, rel=1e-12)
+    want = np.outer(u.matrix[i_star], dw[i_star]) / row_norms[i_star] + 2.0 * lam * (w @ e) / fro
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_regularizer_zero_at_orthonormal_spread():
     # Orthonormal W kills the Frobenius term; only the 2->inf norm remains.
     n, k = 16, 4

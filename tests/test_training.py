@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from gcs import training
 from gcs.coherence import network_coherence_heuristic
 from gcs.errors import (
     BadMagic,
@@ -159,6 +160,24 @@ def test_adam_two_step_hand_trace():
     assert (m[0], v[0]) == pytest.approx((m2, v2), abs=1e-15)
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_chunked_adam_equals_single_pass_bitwise(monkeypatch, chunk):
+    # A length that is not a multiple of the chunk leaves a short last chunk.
+    if chunk is not None:
+        monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+    size = 3 * training.ADAM_CHUNK + 5
+    rng = derive_rng(12)
+    flat = rng.standard_normal(size)
+    grads, m, v = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    params, state = [flat.copy()], ([np.zeros(size)], [np.zeros(size)], 0)
+    for t in range(1, 4):
+        grads[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+        params, state = oracle_adam_step(params, [grads], state, lr=0.05)
+        adam_step(flat, grads, m, v, t, 0.05)
+        for want, got in [(params, flat), (state[0], m), (state[1], v)]:
+            assert want[0].tobytes() == got.tobytes()
+
+
 def test_flat_adam_equals_list_oracle_bitwise():
     rng = derive_rng(11)
     shapes = [(3, 4), (5,), (2, 3, 2), (1,)]
@@ -243,6 +262,13 @@ def test_regularized_training_requires_operator():
     data = synth_dataset(16, 2, 50, seed=0)
     with pytest.raises(DomainError):
         train_vae(data, [2, 8, 16], "none", TrainConfig(epochs=1), regularized=True)
+
+
+@pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": float("nan")},
+                                    {"batch_size": 0}, {"epochs": -1}])
+def test_train_config_rejects_bad_values(kwargs):
+    with pytest.raises(DomainError):
+        TrainConfig(**kwargs)
 
 
 def test_train_rejects_empty_and_mismatched():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gcs.errors import DimensionMismatch, NotOrthonormal
 from gcs.transforms import (
+    FFT_MIN_N,
     dct2_operator,
     dft_operator,
     explicit_operator,
@@ -102,3 +103,30 @@ def test_dimension_checks():
         u.apply(np.zeros(7))
     with pytest.raises(DimensionMismatch):
         measurement_norm(u, np.zeros(9))
+
+
+@pytest.mark.parametrize("n", [63, 64, FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 1, 784])
+@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_apply_matches_dense_product(n, make, shape):
+    # At and above FFT_MIN_N apply() runs an FFT; it must agree with the matrix.
+    u = make(n)
+    x = np.random.default_rng(n).standard_normal((n, *shape))
+    want = u.matrix @ x
+    np.testing.assert_allclose(u.apply(x), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_fft_dct_of_complex_input():
+    u = dct2_operator(FFT_MIN_N)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((FFT_MIN_N, 3)) + 1j * rng.standard_normal((FFT_MIN_N, 3))
+    want = u.matrix @ x
+    np.testing.assert_allclose(u.apply(x), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("shape", [(), (7,)])
+def test_apply_below_crossover_is_the_dense_product(make, shape):
+    u = make(64)
+    x = np.random.default_rng(6).standard_normal((64, *shape))
+    assert np.array_equal(u.apply(x), u.matrix @ x)
