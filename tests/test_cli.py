@@ -243,7 +243,7 @@ def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, fla
     rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")] + flag)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err == f"gcs: error: {message}\n"
+    assert err == f"gcs: error: {message}\n"
     assert not (tmp_path / "m.json").exists()
 
 
