@@ -26,11 +26,11 @@ with open(f"{tmp}/sweep_desk.json", "w") as f:
     json.dump(cfg, f)
 EOF
 
-gcs --seed 11 --threads 4 --out-dir "$tmp/phase" phase --config configs/phase_desk.json >/dev/null
-gcs --seed 3 --threads 4 --out-dir "$tmp/sweep" sweep --config "$tmp/sweep_desk.json" >/dev/null
-gcs --seed 0 --threads 4 --out-dir "$tmp/subspace_rip" subspace-rip \
+gcs --seed 11 --out-dir "$tmp/phase" phase --config configs/phase_desk.json >/dev/null
+gcs --seed 3 --out-dir "$tmp/sweep" sweep --config "$tmp/sweep_desk.json" >/dev/null
+gcs --seed 0 --out-dir "$tmp/subspace_rip" subspace-rip \
     --unitary dct --n 256 --k 4 --m-list 32,64,128 --delta 0.4 --trials 300 >/dev/null
-gcs --seed 0 --threads 4 --out-dir "$tmp/rip" rip \
+gcs --seed 0 --out-dir "$tmp/rip" rip \
     --weights out/desk/weights/g_w_low.json --unitary dct \
     --m-list 16,32,48,64 --delta 0.5 --chord-samples 200 --trials 100 >/dev/null
 

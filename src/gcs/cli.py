@@ -16,7 +16,7 @@ import sys
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
 from .errors import DomainError, GcsError
-from .linops import load_matrix
+from .linops import load_matrix, read_json
 
 PAPER_PHASE_M = list(range(40, 441, 20))
 PAPER_SWEEP_M = [10, 15, 20, 25, 50, 100, 200, 250]
@@ -132,9 +132,24 @@ def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
         raise DomainError(f"bad recovery value: {e}") from None
 
 
+def _load_config(path: str, required: tuple[str, ...]) -> dict:
+    """A JSON config object, after checking that it has every required key."""
+    cfg_json = read_json(path)
+    if not isinstance(cfg_json, dict):
+        raise DomainError(f"config {path} must hold a JSON object")
+    _require(cfg_json, required, f"config {path}")
+    return cfg_json
+
+
+def _require(obj: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise DomainError(f"{where} is missing required key {key!r}")
+
+
 def cmd_phase(args) -> int:
-    with open(args.config) as f:
-        cfg_json = json.load(f)
+    required = ("inner_weights", "w_high", "w_low") + (() if args.paper_scale else ("m_list",))
+    cfg_json = _load_config(args.config, required)
     inner = [load_matrix(p) for p in cfg_json["inner_weights"]]
     w_high = load_matrix(cfg_json["w_high"])
     w_low = load_matrix(cfg_json["w_low"])
@@ -153,7 +168,6 @@ def cmd_phase(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
-        threads=args.threads,
     )
     records = harness.run_phase_portrait(cfg)
     csv_path = os.path.join(args.out_dir, "phase.csv")
@@ -175,14 +189,17 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as f:
-        cfg_json = json.load(f)
-    if not cfg_json.get("models"):
+    required = ("models", "test_data") + (() if args.paper_scale else ("m_list",))
+    cfg_json = _load_config(args.config, required)
+    if not cfg_json["models"]:
         raise DomainError("a sweep config needs at least one entry in \"models\"")
+    test_spec = cfg_json["test_data"]
+    _require(test_spec, ("kind",), "test_data")
+    _require(test_spec, ("k_true", "count", "seed") if test_spec["kind"] == "synth"
+             else ("images",), "test_data")
     models = [(name, training.load_vae(path)) for name, path in cfg_json["models"].items()]
     n = models[0][1].decoder.ambient_dim
     u = resolve_unitary(cfg_json.get("unitary", "dct"), n)
-    test_spec = cfg_json["test_data"]
     if test_spec["kind"] == "synth":
         data = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
@@ -198,7 +215,6 @@ def cmd_sweep(args) -> int:
         d_op=u,
         model=cfg_json.get("model", "fixed"),
         recovery=_recovery_from_json(cfg_json),
-        threads=args.threads,
     )
     records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"),
@@ -220,7 +236,7 @@ def cmd_rip(args) -> int:
     u = resolve_unitary(args.unitary, g.ambient_dim)
     records, summaries = harness.run_rip_check(
         g, u, _ints(args.m_list), args.delta, args.chord_samples, args.trials,
-        args.seed, model=args.model, threads=args.threads,
+        args.seed, model=args.model,
     )
     harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"),
                      columns=["m", "trial", "deviation", "exceed", "seed"])
@@ -234,7 +250,6 @@ def cmd_subspace_rip(args) -> int:
     u = resolve_unitary(args.unitary, args.n)
     records, summaries, fit = harness.run_subspace_rip(
         u, args.k, _ints(args.m_list), args.delta, args.trials, args.seed,
-        threads=args.threads,
     )
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"),
                      columns=["m", "trial", "deviation", "exceed", "seed"])
@@ -247,7 +262,8 @@ def cmd_subspace_rip(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gcs", description=__doc__)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; every command runs in one thread")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--paper-scale", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
@@ -320,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GcsError as e:
+    except (GcsError, OSError) as e:
         print(f"gcs: error: {e}", file=sys.stderr)
         return 2
 

@@ -7,14 +7,13 @@ sigmoid. The ReLU subgradient at 0 is taken to be 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoBiases, Unsupported
-from .linops import check_finite, matrix_from_json, matrix_to_json, write_json
+from .linops import check_finite, matrix_from_json, matrix_to_json, read_json, write_json
 from .sampling import SubsampledIsometry, apply, apply_adjoint
 
 
@@ -234,5 +233,4 @@ def save_network(g: GenerativeNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> GenerativeNetwork:
-    with open(path) as f:
-        return network_from_json(json.load(f))
+    return network_from_json(read_json(path))

@@ -1,10 +1,12 @@
 """Experiment harness: phase portrait, measurement sweep, RIP checks, and
 CSV/SVG emission.
 
-Every trial derives its own RNG stream from (seed, grid indices, trial), so
-output is byte-identical regardless of worker count. The phase portrait and
-the measurement sweep build their cells on `run_indexed` and then recover all
-their trials in one lockstep batch; the RIP checks run their trials on it.
+Every trial derives its own RNG stream from (seed, grid indices, trial), so a
+trial's output does not depend on how many trials run: a run with fewer trials
+writes a prefix of each cell's records. The phase portrait and the
+measurement sweep build their cells on `run_indexed`, one after another in the
+calling thread, and then recover all their trials in one lockstep batch; the
+RIP checks run their trials on it.
 Experiments default to the fixed-permutation sampling model; RIP checks
 default to Bernoulli.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,12 +35,10 @@ from .transforms import UnitaryOperator
 RRE_FLOOR = 1e-16
 
 
+# threads is ignored; kept because perfbench/instrument.py's wrappers pass it on.
 def run_indexed(fn, count: int, threads: int = 1) -> list:
-    """Apply fn to 0..count-1, aggregated in index order (thread-count invariant)."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
+    """Apply fn to 0..count-1 in index order, in one thread."""
+    return [fn(i) for i in range(count)]
 
 
 def check_grid(model: str, m_list, n: int):
@@ -47,9 +46,18 @@ def check_grid(model: str, m_list, n: int):
 
     Checking the whole grid up front fails a run before any cell computes.
     """
+    if not m_list:
+        raise DomainError("the m grid is empty")
     for m in m_list:
         check_m(model, m, n)
     return sampler_for(model)
+
+
+def check_counts(**counts: int) -> None:
+    """Raise DomainError naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 def geometric_stats(values) -> tuple[float, float, int]:
@@ -124,7 +132,6 @@ class PhaseConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
-    threads: int = 1
 
     def __post_init__(self):
         if self.w_high.shape != self.w_low.shape:
@@ -164,7 +171,7 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
                          (net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2))))
         return cell
 
-    built = run_indexed(build, len(cells), cfg.threads)
+    built = run_indexed(build, len(cells))
     keys, trials = zip(*(pair for cell in built for pair in cell))
     errs = _recover_all(trials, cfg.recovery)
     return [
@@ -207,7 +214,9 @@ class SweepConfig:
     d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
-    threads: int = 1
+
+    def __post_init__(self):
+        check_counts(trials=self.trials)
 
 
 def run_measurement_sweep(
@@ -239,7 +248,7 @@ def run_measurement_sweep(
                          (model.decoder, a, x0, spawn_seed(cfg.seed, gi, mi, t, 2))))
         return cell
 
-    built = run_indexed(build, len(cells), cfg.threads)
+    built = run_indexed(build, len(cells))
     keys, trials = zip(*(pair for cell in built for pair in cell))
     errs = _recover_all(trials, cfg.recovery)
     records = [
@@ -280,7 +289,6 @@ def run_rip_check(
     trials: int,
     seed: int,
     model: str = "bernoulli",
-    threads: int = 1,
 ) -> tuple[list[dict], list[dict]]:
     """Empirical restricted isometry over sampled chords of range(G).
 
@@ -291,6 +299,7 @@ def run_rip_check(
         raise Unsupported("RIP check needs a linear-final network")
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
+    check_counts(trials=trials, chord_samples=chord_samples)
     sampler = check_grid(model, m_list, u.n)
     chords = ChordSampler(g, u)
     jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
@@ -315,7 +324,7 @@ def run_rip_check(
             dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": trial_seed}
 
-    records = run_indexed(one, len(jobs), threads)
+    records = run_indexed(one, len(jobs))
     summaries = _exceed_summaries(records, m_list)
     return records, summaries
 
@@ -327,7 +336,6 @@ def run_subspace_rip(
     delta: float,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> tuple[list[dict], list[dict], dict]:
     """Exact subspace RIP simulation against the incoherent-subspace tail.
 
@@ -341,6 +349,8 @@ def run_subspace_rip(
     n = u.n
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
+    check_counts(trials=trials)
+    check_grid("bernoulli", m_list, n)
     rng = derive_rng(seed, 0)
     q = np.linalg.qr(rng.standard_normal((n, k)), mode="reduced")[0]
     alpha = subspace_coherence(u, q)
@@ -359,7 +369,7 @@ def run_subspace_rip(
         dev = float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k)))))
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
 
-    records = run_indexed(one, len(jobs), threads)
+    records = run_indexed(one, len(jobs))
     summaries = _exceed_summaries(records, m_list)
     fit = fit_subspace_tail(summaries, k, n, alpha, delta)
     fit["alpha"] = alpha

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal, RankDeficient
+from .errors import DimensionMismatch, DomainError, NotOrthonormal, RankDeficient
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -130,10 +130,18 @@ def write_json(obj, path: str) -> None:
         f.write(json.dumps(obj))
 
 
+def read_json(path: str):
+    """Parse a JSON file; malformed JSON raises DomainError naming the file."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise DomainError(f"{path}: malformed JSON: {e}") from None
+
+
 def save_matrix(m: np.ndarray, path: str) -> None:
     write_json(matrix_to_json(m), path)
 
 
 def load_matrix(path: str) -> np.ndarray:
-    with open(path) as f:
-        return matrix_from_json(json.load(f))
+    return matrix_from_json(read_json(path))

@@ -1,8 +1,9 @@
 """Subsampled isometries: both sampling models, isotropy diagnostics, tails.
 
 Randomness is counter-based: every trial derives its own generator from
-(base_seed, trial_index) via numpy's SeedSequence, so serial and parallel
-runs agree bit for bit.
+(base_seed, trial_index) via numpy's SeedSequence, so a trial's draws do not
+depend on how many trials run, and a run with fewer trials repeats the first
+trials of a longer run bit for bit.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from .gnn import (
     relu,
     sigmoid,
 )
-from .linops import matrix_from_json, matrix_to_json, write_json
+from .linops import matrix_from_json, matrix_to_json, read_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
@@ -385,5 +384,4 @@ def save_vae(model: VaeModel, path: str) -> None:
 
 
 def load_vae(path: str) -> VaeModel:
-    with open(path) as f:
-        return vae_from_json(json.load(f))
+    return vae_from_json(read_json(path))

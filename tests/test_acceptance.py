@@ -52,9 +52,6 @@ from gcs.sampling import (
 from gcs.training import TrainConfig, save_vae, synth_dataset, train_vae
 from gcs.transforms import dct2_operator, dft_operator, identity_operator
 
-THREADS = 4
-
-
 _CAPSYS = None
 
 
@@ -247,7 +244,6 @@ def desk_phase_config():
         seed=11,
         d_op=dct2_operator(64),
         recovery=RecoveryConfig(restarts=3),
-        threads=THREADS,
     )
 
 
@@ -279,7 +275,7 @@ def test_criterion_07_phase_monotonicity():
 def test_criterion_08_subspace_rip():
     u = dct2_operator(256)
     records, summaries, fit = run_subspace_rip(
-        u, 4, [32, 64, 128], delta=0.4, trials=300, seed=0, threads=THREADS
+        u, 4, [32, 64, 128], delta=0.4, trials=300, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     ok = all(a > b for a, b in zip(freqs, freqs[1:]))
@@ -352,7 +348,6 @@ def test_criterion_10_regularizer_effect():
         seed=3,
         d_op=u,
         recovery=RecoveryConfig(restarts=5),
-        threads=THREADS,
     )
     _, summaries = run_measurement_sweep(
         [("plain", m_plain), ("reg", m_reg)], test_samples, sweep

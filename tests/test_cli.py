@@ -94,15 +94,35 @@ def test_paper_scale_phase_fails_before_any_cell(monkeypatch, capsys):
     assert err.count("\n") == 1 and "got m=80, n=64" in err
 
 
-def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
+def write_config(path, base: dict, edits: dict) -> str:
+    """Write base updated by edits as JSON; an edit to None drops the key."""
+    cfg = {k: v for k, v in {**base, **edits}.items() if v is not None}
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    return str(path)
+
+
+def phase_config(tmp_path, **edits) -> str:
+    """A tiny phase config, with its weight files, under tmp_path."""
     rng = derive_rng(3)
     for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
         save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
-    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
-           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1, "model": "fxied"}
-    with open(tmp_path / "phase.json", "w") as f:
-        json.dump(cfg, f)
-    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    base = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
+            "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1}
+    return write_config(tmp_path / "phase.json", base, edits)
+
+
+def sweep_config(tmp_path, **edits) -> str:
+    """A tiny sweep config under tmp_path; its model file is not written."""
+    base = {"models": {"a": str(tmp_path / "model.json")},
+            "test_data": {"kind": "synth", "k_true": 2, "count": 4, "seed": 0},
+            "m_list": [4], "trials": 1}
+    return write_config(tmp_path / "sweep.json", base, edits)
+
+
+def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
+    config = phase_config(tmp_path, model="fxied")
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
     assert rc == 2
     assert "unknown sampling model 'fxied'" in capsys.readouterr().err
 
@@ -147,13 +167,10 @@ def test_train_bad_arch_exits_2_before_data(tmp_path, monkeypatch, capsys, arch,
 
 
 def test_sweep_without_models_exits_2_before_loading(tmp_path, monkeypatch, capsys):
-    cfg = {"models": {}, "test_data": {"kind": "synth", "k_true": 2, "count": 4, "seed": 0},
-           "m_list": [4], "trials": 1}
-    with open(tmp_path / "sweep.json", "w") as f:
-        json.dump(cfg, f)
+    config = sweep_config(tmp_path, models={})
     monkeypatch.setattr(cli.training, "load_vae", no_compute)
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
-    rc = cli.main(["--out-dir", str(tmp_path), "sweep", "--config", str(tmp_path / "sweep.json")])
+    rc = cli.main(["--out-dir", str(tmp_path), "sweep", "--config", config])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: ")
@@ -171,16 +188,9 @@ def test_recovery_block_keys():
 
 
 def test_unknown_recovery_key_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
-    rng = derive_rng(3)
-    for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
-        save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
-    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
-           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1,
-           "recovery": {"restart": 3}}
-    with open(tmp_path / "phase.json", "w") as f:
-        json.dump(cfg, f)
+    config = phase_config(tmp_path, recovery={"restart": 3})
     monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
-    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
     assert rc == 2
     assert "unknown recovery key 'restart'" in capsys.readouterr().err
 
@@ -200,16 +210,9 @@ def test_recovery_block_values():
     ({"max_iters": "5"}, "max_iters must be an integer, got '5'"),
 ])
 def test_bad_recovery_value_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, block, message):
-    rng = derive_rng(3)
-    for name, shape in [("w1", (4, 2)), ("w_high", (8, 4)), ("w_low", (8, 4))]:
-        save_matrix(rng.standard_normal(shape), str(tmp_path / f"{name}.json"))
-    cfg = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
-           "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1,
-           "recovery": block}
-    with open(tmp_path / "phase.json", "w") as f:
-        json.dump(cfg, f)
+    config = phase_config(tmp_path, recovery=block)
     monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
-    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", str(tmp_path / "phase.json")])
+    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: bad recovery value: ")
@@ -256,3 +259,79 @@ def test_train_zero_epochs_exits_2_before_data(tmp_path, monkeypatch, capsys):
     assert err == "gcs: error: --epochs must be >= 1, got 0\n"
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "m.decoder.json").exists()
+
+
+SUBSPACE = ["subspace-rip", "--unitary", "dct", "--n", "32", "--k", "3"]
+RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SUBSPACE + ["--m-list", "0,16"], "got m=0, n=32"),
+    (SUBSPACE + ["--m-list", "80"], "got m=80, n=32"),
+    (SUBSPACE + ["--m-list", "16", "--trials", "0"], "trials must be >= 1, got 0"),
+    (RIP + ["--trials", "0"], "trials must be >= 1, got 0"),
+    (RIP + ["--chord-samples", "0"], "chord_samples must be >= 1, got 0"),
+], ids=["subspace-m0", "subspace-m-above-n", "subspace-trials0", "rip-trials0",
+        "rip-chords0"])
+def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+    monkeypatch.chdir(tmp_path)
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
+    rc = cli.main(["--out-dir", "out"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, edits, message", [
+    (["phase", "--config", "absent.json"], {},
+     "No such file or directory: 'absent.json'"),
+    (["sweep", "--config", "bad.json"], {}, "bad.json: malformed JSON: "),
+    (["phase", "--config", "list.json"], {}, "config list.json must hold a JSON object"),
+    (["rip", "--weights", "absent.json", "--m-list", "8"], {},
+     "No such file or directory: 'absent.json'"),
+    (["coherence", "--weights", "bad.json"], {}, "bad.json: malformed JSON: "),
+    (["phase", "--config", "phase.json"], {"w_low": "absent.json"},
+     "No such file or directory: 'absent.json'"),
+    (["phase", "--config", "phase.json"], {"w_high": "bad.json"}, "bad.json: malformed JSON: "),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "bad.json"}},
+     "bad.json: malformed JSON: "),
+    (["phase", "--config", "phase.json"], {"m_list": None},
+     "config phase.json is missing required key 'm_list'"),
+    (["phase", "--config", "phase.json"], {"inner_weights": None},
+     "config phase.json is missing required key 'inner_weights'"),
+    (["phase", "--config", "phase.json"], {"w_high": None},
+     "config phase.json is missing required key 'w_high'"),
+    (["phase", "--config", "phase.json"], {"w_low": None},
+     "config phase.json is missing required key 'w_low'"),
+    (["sweep", "--config", "sweep.json"], {"models": None},
+     "config sweep.json is missing required key 'models'"),
+    (["sweep", "--config", "sweep.json"], {"test_data": None},
+     "config sweep.json is missing required key 'test_data'"),
+    (["sweep", "--config", "sweep.json"], {"m_list": None},
+     "config sweep.json is missing required key 'm_list'"),
+    (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "synth"}},
+     "test_data is missing required key 'k_true'"),
+    (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx"}},
+     "test_data is missing required key 'images'"),
+], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
+        "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
+        "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
+        "synth-k_true", "idx-images"])
+def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                          argv, edits, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"rows": 2,')
+    (tmp_path / "list.json").write_text("[]")
+    (phase_config if argv[0] == "phase" else sweep_config)(tmp_path, **edits)
+    for fn in ("recover_batch", "network_coherence_heuristic", "run_rip_check"):
+        monkeypatch.setattr(cli.harness, fn, no_compute)
+    monkeypatch.setattr(cli.coh, "coherence_report", no_compute)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    rc = cli.main(["--out-dir", "out"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
+    assert not (tmp_path / "out").exists()

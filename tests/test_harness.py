@@ -1,5 +1,4 @@
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -46,24 +45,8 @@ def test_geometric_stats_floors_zeros():
         geometric_stats([])
 
 
-def test_run_indexed_order_and_thread_invariance():
-    def fn(i):
-        return i * i
-
-    serial = run_indexed(fn, 50, threads=1)
-    parallel = run_indexed(fn, 50, threads=4)
-    assert serial == parallel == [i * i for i in range(50)]
-
-
-def test_run_indexed_actually_uses_threads():
-    seen = set()
-
-    def fn(i):
-        seen.add(threading.get_ident())
-        return i
-
-    run_indexed(fn, 64, threads=4)
-    assert len(seen) >= 1  # smoke: runs to completion under the pool
+def test_run_indexed_order():
+    assert run_indexed(lambda i: i * i, 50) == [i * i for i in range(50)]
 
 
 def test_emit_parse_csv_roundtrip(tmp_path):
@@ -102,7 +85,7 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def tiny_phase_config(threads=1):
+def tiny_phase_config(trials=3):
     rng = derive_rng(0)
     w1 = rng.standard_normal((4, 2))
     w_low = np.linalg.qr(rng.standard_normal((8, 4)))[0]
@@ -113,18 +96,18 @@ def tiny_phase_config(threads=1):
         w_low=w_low,
         betas=[0.0, 1.0],
         m_list=[4, 8],
-        trials=3,
+        trials=trials,
         seed=1,
         d_op=dct2_operator(8),
         recovery=RecoveryConfig(max_iters=300),
-        threads=threads,
     )
 
 
-def test_phase_portrait_records_and_thread_invariance():
-    r1 = run_phase_portrait(tiny_phase_config(threads=1))
-    r4 = run_phase_portrait(tiny_phase_config(threads=4))
-    assert r1 == r4
+def test_phase_portrait_records_and_trial_prefix_invariance():
+    r1 = run_phase_portrait(tiny_phase_config())
+    # Per-trial streams: two trials per cell repeat the first two of three.
+    r2 = run_phase_portrait(tiny_phase_config(trials=2))
+    assert r2 == [r for r in r1 if r["trial"] < 2]
     assert len(r1) == 2 * 2 * 3
     assert [r["beta"] for r in r1[:6]] == [0.0] * 6  # stable (beta, m, trial) order
     assert [(r["m"], r["trial"]) for r in r1[:6]] == [(4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (8, 2)]
@@ -159,6 +142,8 @@ def test_check_grid():
         check_grid("fixed", [4, 9], 8)
     with pytest.raises(InvalidM):
         check_grid("bernoulli", [1, 4], 8)
+    with pytest.raises(DomainError, match="the m grid is empty"):
+        check_grid("fixed", [], 8)
 
 
 def test_phase_config_validation():
@@ -178,6 +163,11 @@ def test_phase_config_validation():
             trials=0,
             d_op=cfg.d_op,
         )
+
+
+def test_sweep_config_rejects_zero_trials():
+    with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
+        SweepConfig(m_list=[8], trials=0, d_op=dct2_operator(16))
 
 
 def test_measurement_sweep_shared_targets():
@@ -244,6 +234,34 @@ def test_rip_check_rejections():
         )
 
 
+def no_compute(*args, **kwargs):
+    raise AssertionError("the harness computed before rejecting its input")
+
+
+@pytest.mark.parametrize("chord_samples, trials, message", [
+    (10, 0, "trials must be >= 1, got 0"),
+    (0, 2, "chord_samples must be >= 1, got 0"),
+])
+def test_rip_check_rejects_empty_counts(monkeypatch, chord_samples, trials, message):
+    rng = derive_rng(5)
+    g = GenerativeNetwork(weights=[rng.standard_normal((4, 2)), rng.standard_normal((8, 4))])
+    monkeypatch.setattr("gcs.harness.ChordSampler", no_compute)
+    with pytest.raises(DomainError, match=message):
+        run_rip_check(g, dct2_operator(8), [8], 0.5, chord_samples, trials, 0)
+
+
+@pytest.mark.parametrize("m_list, trials, error, message", [
+    ([0, 16], 4, InvalidM, "got m=0, n=32"),
+    ([40], 4, InvalidM, "got m=40, n=32"),
+    ([], 4, DomainError, "the m grid is empty"),
+    ([16], 0, DomainError, "trials must be >= 1, got 0"),
+])
+def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, error, message):
+    monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
+    with pytest.raises(error, match=message):
+        run_subspace_rip(dct2_operator(32), 3, m_list, 0.4, trials=trials, seed=0)
+
+
 def test_subspace_rip_full_sampling_tiny_deviation():
     u = dct2_operator(32)
     records, summaries, fit = run_subspace_rip(u, 3, [32], 0.4, trials=4, seed=0)
@@ -254,7 +272,7 @@ def test_subspace_rip_full_sampling_tiny_deviation():
 def test_subspace_rip_decreasing_and_bound(tmp_path):
     u = dct2_operator(128)
     records, summaries, fit = run_subspace_rip(
-        u, 4, [16, 32, 64], 0.4, trials=150, seed=0, threads=2
+        u, 4, [16, 32, 64], 0.4, trials=150, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     assert freqs[0] > freqs[-1]
