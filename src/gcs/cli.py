@@ -9,7 +9,9 @@ IDX files for `train --data mnist`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -27,7 +29,7 @@ def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
         return transforms.dft_operator(n)
     if spec == "dct":
         return transforms.dct2_operator(n)
-    if spec.startswith("file:"):
+    if isinstance(spec, str) and spec.startswith("file:"):
         return transforms.explicit_operator(load_matrix(spec[len("file:"):]))
     raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
 
@@ -86,6 +88,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise DomainError(f"--noise must be a finite number >= 0, got {args.noise}")
+    cfg = recovery.RecoveryConfig(
+        learning_rate=args.lr,
+        max_iters=args.max_iters,
+        grad_tol=args.grad_tol,
+        restarts=args.restarts,
+        seed=sampling.spawn_seed(args.seed, 2),
+    )
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     a = sampling.sampler_for(args.model)(u, args.m, sampling.spawn_seed(args.seed, 0))
@@ -96,13 +107,6 @@ def cmd_recover(args) -> int:
     if args.noise > 0:
         eta = args.noise * rng.standard_normal(b.shape[0])
         b = b + eta
-    cfg = recovery.RecoveryConfig(
-        learning_rate=args.lr,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        restarts=args.restarts,
-        seed=sampling.spawn_seed(args.seed, 2),
-    )
     res = recovery.recover(g, a, b, cfg, x0=x0)
     out = res.to_json()
     out["success"] = res.rre is not None and res.rre < recovery.SUCCESS_RRE
@@ -110,64 +114,60 @@ def cmd_recover(args) -> int:
     return 0
 
 
-# The solver seed comes from --seed, never from a config.
-RECOVERY_KEYS = ("learning_rate", "max_iters", "grad_tol", "restarts")
+def _block(obj, where: str, required=()) -> dict:
+    """obj, after checking that it is a JSON object with every required key."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{where} must hold a JSON object")
+    for key in required:
+        if key not in obj:
+            raise DomainError(f"{where} is missing required key {key!r}")
+    return obj
+
+
+def _fields(cls, obj: dict, what: str, extra=()) -> dict:
+    """The entries of obj for fields of the config dataclass cls.
+
+    The CLI sets "seed" and "d_op" itself, so a config may not hold them;
+    extra names the keys only the CLI reads. Any other key raises
+    DomainError. A field obj leaves out takes its default from cls, which
+    also checks the values.
+    """
+    allowed = [f.name for f in dataclasses.fields(cls) if f.name not in ("seed", "d_op")]
+    allowed += extra
+    for key in obj:
+        if key not in allowed:
+            raise DomainError(f"unknown {what} key {key!r} (expected one of {', '.join(allowed)})")
+    return {key: value for key, value in obj.items() if key not in extra}
 
 
 def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
-    """The config's "recovery" block; keys it leaves out take RecoveryConfig's defaults.
-
-    An unknown key or a bad value raises DomainError, before any compute.
-    """
-    rc = cfg_json.get("recovery", {})
-    for key in rc:
-        if key not in RECOVERY_KEYS:
-            raise DomainError(
-                f"unknown recovery key {key!r} (expected one of {', '.join(RECOVERY_KEYS)})"
-            )
-    try:
-        return recovery.RecoveryConfig(**rc)
-    except (TypeError, ValueError) as e:
-        # RecoveryConfig names the offending field in its message.
-        raise DomainError(f"bad recovery value: {e}") from None
+    """The config's "recovery" block as a RecoveryConfig."""
+    block = _block(cfg_json.get("recovery", {}), "recovery")
+    return recovery.RecoveryConfig(**_fields(recovery.RecoveryConfig, block, "recovery"))
 
 
-def _load_config(path: str, required: tuple[str, ...]) -> dict:
-    """A JSON config object, after checking that it has every required key."""
-    cfg_json = read_json(path)
-    if not isinstance(cfg_json, dict):
-        raise DomainError(f"config {path} must hold a JSON object")
-    _require(cfg_json, required, f"config {path}")
-    return cfg_json
-
-
-def _require(obj: dict, keys, where: str) -> None:
-    for key in keys:
-        if key not in obj:
-            raise DomainError(f"{where} is missing required key {key!r}")
+def _load_config(path: str, cls, what: str, required, extra) -> tuple[dict, dict]:
+    """A JSON config object and its entries for fields of cls, the recovery
+    block built; every key and the recovery values are checked before any
+    file the config names is read."""
+    cfg_json = _block(read_json(path), f"config {path}", required)
+    values = _fields(cls, cfg_json, f"{what} config", extra)
+    values["recovery"] = _recovery_from_json(cfg_json)
+    return cfg_json, values
 
 
 def cmd_phase(args) -> int:
     required = ("inner_weights", "w_high", "w_low") + (() if args.paper_scale else ("m_list",))
-    cfg_json = _load_config(args.config, required)
-    inner = [load_matrix(p) for p in cfg_json["inner_weights"]]
-    w_high = load_matrix(cfg_json["w_high"])
-    w_low = load_matrix(cfg_json["w_low"])
-    n = w_high.shape[0]
-    u = resolve_unitary(cfg_json.get("unitary", "dct"), n)
-    m_list = PAPER_PHASE_M if args.paper_scale else cfg_json["m_list"]
-    trials = 20 if args.paper_scale else cfg_json.get("trials", 20)
+    cfg_json, values = _load_config(args.config, harness.PhaseConfig, "phase", required,
+                                    ("unitary",))
+    values["inner_weights"] = [load_matrix(p) for p in cfg_json["inner_weights"]]
+    values["w_high"] = load_matrix(cfg_json["w_high"])
+    values["w_low"] = load_matrix(cfg_json["w_low"])
+    n = values["w_high"].shape[0]
+    if args.paper_scale:
+        values.update(m_list=PAPER_PHASE_M, trials=20)
     cfg = harness.PhaseConfig(
-        inner_weights=inner,
-        w_high=w_high,
-        w_low=w_low,
-        betas=cfg_json.get("betas", [0.0, 0.25, 0.5, 0.75, 1.0]),
-        m_list=m_list,
-        trials=trials,
-        seed=args.seed,
-        d_op=u,
-        model=cfg_json.get("model", "fixed"),
-        recovery=_recovery_from_json(cfg_json),
+        **values, seed=args.seed, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n)
     )
     records = harness.run_phase_portrait(cfg)
     csv_path = os.path.join(args.out_dir, "phase.csv")
@@ -190,32 +190,28 @@ def cmd_phase(args) -> int:
 
 def cmd_sweep(args) -> int:
     required = ("models", "test_data") + (() if args.paper_scale else ("m_list",))
-    cfg_json = _load_config(args.config, required)
-    if not cfg_json["models"]:
+    cfg_json, values = _load_config(args.config, harness.SweepConfig, "sweep", required,
+                                    ("unitary", "models", "test_data"))
+    if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
         raise DomainError("a sweep config needs at least one entry in \"models\"")
-    test_spec = cfg_json["test_data"]
-    _require(test_spec, ("kind",), "test_data")
-    _require(test_spec, ("k_true", "count", "seed") if test_spec["kind"] == "synth"
-             else ("images",), "test_data")
+    test_spec = _block(cfg_json["test_data"], "test_data", ("kind",))
+    kind = test_spec["kind"]
+    if kind not in ("synth", "idx"):
+        raise DomainError(f"unknown test_data kind {kind!r} (expected synth or idx)")
+    _block(test_spec, "test_data", ("k_true", "count", "seed") if kind == "synth" else ("images",))
+    if args.paper_scale:
+        values["m_list"] = PAPER_SWEEP_M
+    cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
     models = [(name, training.load_vae(path)) for name, path in cfg_json["models"].items()]
     n = models[0][1].decoder.ambient_dim
-    u = resolve_unitary(cfg_json.get("unitary", "dct"), n)
-    if test_spec["kind"] == "synth":
+    cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
+    if kind == "synth":
         data = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
         )
         test_samples = data.samples
     else:
         test_samples = training.load_idx(test_spec["images"]).samples
-    m_list = PAPER_SWEEP_M if args.paper_scale else cfg_json["m_list"]
-    cfg = harness.SweepConfig(
-        m_list=m_list,
-        trials=cfg_json.get("trials", 10),
-        seed=args.seed,
-        d_op=u,
-        model=cfg_json.get("model", "fixed"),
-        recovery=_recovery_from_json(cfg_json),
-    )
     records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"),
                      columns=["model", "m", "trial", "rre", "seed"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoBiases, Unsupported
-from .linops import check_finite, matrix_from_json, matrix_to_json, read_json, write_json
+from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import SubsampledIsometry, apply, apply_adjoint
 
 
@@ -233,4 +233,4 @@ def save_network(g: GenerativeNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> GenerativeNetwork:
-    return network_from_json(read_json(path))
+    return load_json(path, network_from_json)

@@ -17,6 +17,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,8 +55,10 @@ def check_grid(model: str, m_list, n: int):
 
 
 def check_counts(**counts: int) -> None:
-    """Raise DomainError naming the first count below 1."""
+    """Raise DomainError naming the first count that is not an integer >= 1."""
     for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
 
@@ -136,8 +139,10 @@ class PhaseConfig:
     def __post_init__(self):
         if self.w_high.shape != self.w_low.shape:
             raise DimensionMismatch("the two final layers must share a shape")
-        if not self.betas or not self.m_list or self.trials < 1:
-            raise DomainError("grids must be nonempty and trials >= 1")
+        check_counts(trials=self.trials)
+        if not (isinstance(self.betas, list) and self.betas and all(
+                isinstance(b, Real) and not isinstance(b, bool) for b in self.betas)):
+            raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
 
 
 def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:

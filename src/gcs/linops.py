@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotOrthonormal, RankDeficient
+from .errors import DimensionMismatch, DomainError, GcsError, NotOrthonormal, RankDeficient
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -139,9 +139,25 @@ def read_json(path: str):
             raise DomainError(f"{path}: malformed JSON: {e}") from None
 
 
+def load_json(path: str, from_json):
+    """from_json applied to a parsed JSON file.
+
+    A file that parses but lacks a key or holds a value from_json rejects,
+    such as a NaN or a layer that does not chain, raises DomainError naming
+    the file.
+    """
+    obj = read_json(path)
+    try:
+        return from_json(obj)
+    except KeyError as e:
+        raise DomainError(f"{path}: missing key {e}") from None
+    except (TypeError, ValueError, GcsError) as e:
+        raise DomainError(f"{path}: bad contents: {e}") from None
+
+
 def save_matrix(m: np.ndarray, path: str) -> None:
     write_json(matrix_to_json(m), path)
 
 
 def load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(read_json(path))
+    return load_json(path, matrix_from_json)

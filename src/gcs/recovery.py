@@ -59,9 +59,9 @@ class RecoveryConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is Integral else "a number"
-                raise TypeError(f"{name} must be {what}, got {value!r}")
+                raise DomainError(f"bad recovery value: {name} must be {what}, got {value!r}")
             if name != "seed" and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+                raise DomainError(f"bad recovery value: {name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -220,22 +220,6 @@ def _adam_block(nets, owner, final_activation, rows, scale, b, z, config):
     return out
 
 
-def _stack_rows(ops, problems) -> np.ndarray:
-    """The unscaled rows U[J] of ops[i] for each i in problems, stacked.
-
-    A problem's restarts are adjacent, so each U[J] is gathered once and
-    copied into its restarts' slots.
-    """
-    first = ops[problems[0]]
-    rows = np.empty((len(problems), first.num_rows, first.base.n), dtype=first.base.matrix.dtype)
-    last = None
-    for j, i in enumerate(problems):
-        if i != last:
-            gathered, last = ops[i].base.matrix[ops[i].indices], i
-        rows[j] = gathered
-    return rows
-
-
 def recover_batch(
     gs: list[GenerativeNetwork],
     ops: list[SubsampledIsometry],
@@ -246,11 +230,11 @@ def recover_batch(
     """recover(gs[i], ops[i], bs[i], configs[i], x0s[i]) for every i, in lockstep.
 
     The configs may differ in seed and restarts only. Problems with equal |J|
-    and unitary dtype whose networks share widths and final activation share
-    a block, so that their row sets stack; one column per restart, each
-    holding its own copy of U[J]. A block holds at most BLOCK_BYTES of rows,
-    or BLOCK_COLUMNS columns' if that is more, so a call needs that plus one
-    |J| x n gather on top of its inputs.
+    and the same unitary whose networks share widths and final activation
+    share a block, so that their row sets stack; one column per restart, each
+    holding its own copy of U[J]. A block's rows are one gather from that
+    unitary. A block holds at most BLOCK_BYTES of rows, or BLOCK_COLUMNS
+    columns' if that is more, so a call needs that on top of its inputs.
     """
     if x0s is None:
         x0s = [None] * len(ops)
@@ -275,13 +259,14 @@ def recover_batch(
     groups = {}
     for c, (i, _) in enumerate(cols):
         g = gs[i]  # biases are per run, so biased and unbiased networks mix
-        key = (ops[i].num_rows, ops[i].base.matrix.dtype, tuple(g.widths), g.final_activation)
+        key = (ops[i].num_rows, id(ops[i].base), tuple(g.widths), g.final_activation)
         groups.setdefault(key, []).append(c)
     finals = [None] * len(cols)
-    for (num_rows, dtype, widths, final_activation), group in groups.items():
+    for (num_rows, _, widths, final_activation), group in groups.items():
         k, n = widths[0], widths[-1]
+        unitary = ops[cols[group[0]][0]].base.matrix
         group.sort(key=lambda c: net_of[cols[c][0]])
-        width = max(BLOCK_COLUMNS, BLOCK_BYTES // max(1, num_rows * n * dtype.itemsize))
+        width = max(BLOCK_COLUMNS, BLOCK_BYTES // max(1, num_rows * n * unitary.itemsize))
         for start in range(0, len(group), width):
             chunk = group[start:start + width]
             problems = [cols[c][0] for c in chunk]
@@ -292,7 +277,8 @@ def recover_batch(
             owner = np.array([net_of[i] for i in problems])
             # The row stack is not bound here, so it is freed before the next
             # chunk's is built.
-            block = _adam_block(nets, owner, final_activation, _stack_rows(ops, problems),
+            block = _adam_block(nets, owner, final_activation,
+                                unitary[np.stack([ops[i].indices for i in problems])],
                                 scale, b, z0, configs[0])
             for c, final in zip(chunk, block):
                 finals[c] = final

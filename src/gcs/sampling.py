@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -49,16 +50,18 @@ MIN_M = {"fixed": 1, "bernoulli": 2}
 
 
 def _check_model(model: str) -> None:
-    if model not in MIN_M:
+    if not isinstance(model, str) or model not in MIN_M:
         raise DomainError(f"unknown sampling model {model!r} (expected fixed or bernoulli)")
 
 
 def check_m(model: str, m: int, n: int) -> None:
     """Raise InvalidM unless `model` sampling takes m of n rows.
 
-    An unknown model name raises DomainError.
+    An unknown model name or an m that is not an integer raises DomainError.
     """
     _check_model(model)
+    if isinstance(m, bool) or not isinstance(m, Integral):
+        raise DomainError(f"m must be an integer, got {m!r}")
     if not MIN_M[model] <= m <= n:
         raise InvalidM(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
 

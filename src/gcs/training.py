@@ -29,7 +29,7 @@ from .gnn import (
     relu,
     sigmoid,
 )
-from .linops import matrix_from_json, matrix_to_json, read_json, write_json
+from .linops import load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
@@ -384,4 +384,4 @@ def save_vae(model: VaeModel, path: str) -> None:
 
 
 def load_vae(path: str) -> VaeModel:
-    return vae_from_json(read_json(path))
+    return load_json(path, vae_from_json)

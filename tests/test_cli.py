@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,15 +317,44 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
      "test_data is missing required key 'k_true'"),
     (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx"}},
      "test_data is missing required key 'images'"),
+    (["coherence", "--weights", "rows.json"], {}, "rows.json: missing key 'layers'"),
+    (["coherence", "--weights", "nodata.json"], {}, "nodata.json: missing key 'data'"),
+    (["coherence", "--weights", "nan.json"], {},
+     "nan.json: bad contents: matrix contains NaN/Inf entries"),
+    (["rip", "--weights", "chain.json", "--m-list", "8"], {},
+     "chain.json: bad contents: layer shape chain broken at (2, 3)"),
+    (["phase", "--config", "phase.json"], {"w_high": "rows.json"}, "rows.json: missing key 'cols'"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "rows.json"}},
+     "rows.json: missing key 'encoder'"),
+    (["phase", "--config", "phase.json"], {"trails": 1, "w_high": "absent.json"},
+     "unknown phase config key 'trails' (expected one of inner_weights, w_high, w_low, betas, "
+     "m_list, trials, model, recovery, unitary)"),
+    (["sweep", "--config", "sweep.json"], {"seed": 3},
+     "unknown sweep config key 'seed' (expected one of m_list, trials, model, recovery, "
+     "unitary, models, test_data)"),
+    (["phase", "--config", "phase.json"], {"trials": 1.5}, "trials must be an integer, got 1.5"),
+    (["phase", "--config", "phase.json"], {"trials": "2"}, "trials must be an integer, got '2'"),
+    (["phase", "--config", "phase.json"], {"m_list": [4, "8"]},
+     "m must be an integer, got '8'"),
+    (["sweep", "--config", "sweep.json"], {"trials": 1.5}, "trials must be an integer, got 1.5"),
+    (["phase", "--config", "phase.json"], {"unitary": 5}, "unknown unitary 5"),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
-        "synth-k_true", "idx-images"])
+        "synth-k_true", "idx-images", "weights-no-layers", "weights-no-data", "weights-nan", "weights-no-chain",
+        "phase-weights-no-cols", "sweep-model-no-encoder", "phase-unknown-key",
+        "sweep-unknown-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
+        "sweep-float-trials", "phase-unitary-not-a-string"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text('{"rows": 2,')
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "rows.json").write_text('{"rows": 2}')
+    (tmp_path / "nodata.json").write_text('{"layers": [{"rows": 2, "cols": 2}]}')
+    (tmp_path / "nan.json").write_text('{"layers": [{"rows": 1, "cols": 1, "data": [NaN]}]}')
+    (tmp_path / "chain.json").write_text('{"layers": [{"rows": 1, "cols": 2, "data": [1, 2]}, '
+                                         '{"rows": 2, "cols": 3, "data": [1, 2, 3, 4, 5, 6]}]}')
     (phase_config if argv[0] == "phase" else sweep_config)(tmp_path, **edits)
     for fn in ("recover_batch", "network_coherence_heuristic", "run_rip_check"):
         monkeypatch.setattr(cli.harness, fn, no_compute)
@@ -335,3 +365,57 @@ def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+RECOVER = ["recover", "--weights", "net.json", "--m", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (RECOVER + ["--restarts", "0"], "bad recovery value: restarts must be positive, got 0"),
+    (RECOVER + ["--max-iters", "0"], "bad recovery value: max_iters must be positive, got 0"),
+    (RECOVER + ["--lr", "0"], "bad recovery value: learning_rate must be positive, got 0.0"),
+    (RECOVER + ["--grad-tol", "-1"], "bad recovery value: grad_tol must be positive, got -1.0"),
+    (RECOVER + ["--noise", "-1"], "--noise must be a finite number >= 0, got -1.0"),
+    (RECOVER + ["--noise", "nan"], "--noise must be a finite number >= 0, got nan"),
+    (["sweep", "--config", "sweep.json"],
+     "unknown test_data kind 'mnist' (expected synth or idx)"),
+], ids=["restarts0", "max-iters0", "lr0", "grad-tol-negative", "noise-negative", "noise-nan",
+        "test-data-kind"])
+def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, monkeypatch, capsys,
+                                                                   argv, message):
+    monkeypatch.chdir(tmp_path)
+    sweep_config(tmp_path, test_data={"kind": "mnist", "images": "absent"})
+    monkeypatch.setattr(cli.gnn, "load_network", no_compute)
+    monkeypatch.setattr(cli.training, "load_vae", no_compute)
+    rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: {message}\n"
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "configs"))))
+def test_shipped_configs_pass_the_key_check(monkeypatch, name):
+    # Each shipped config builds its run up to the recovery batch, with every
+    # key it holds passed on: trials sets the batch size, recovery its configs.
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join("configs", name)) as f:
+        cfg_json = json.load(f)
+    seen = []
+
+    def reached(gs, ops, bs, configs, x0s):
+        seen.extend(configs)
+        raise Reached
+
+    monkeypatch.setattr(cli.harness, "recover_batch", reached)
+    command = name.split("_")[0]
+    with pytest.raises(Reached):
+        cli.main([command, "--config", os.path.join("configs", name)])
+    grid = cfg_json["betas"] if command == "phase" else cfg_json["models"]
+    assert len(seen) == len(grid) * len(cfg_json["m_list"]) * cfg_json["trials"]
+    assert {replace(c, seed=0) for c in seen} == {RecoveryConfig(**cfg_json["recovery"])}

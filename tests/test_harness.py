@@ -10,6 +10,7 @@ from gcs.harness import (
     PhaseConfig,
     RRE_FLOOR,
     SweepConfig,
+    check_counts,
     check_grid,
     emit_csv,
     emit_svg_heatmap,
@@ -144,6 +145,16 @@ def test_check_grid():
         check_grid("bernoulli", [1, 4], 8)
     with pytest.raises(DomainError, match="the m grid is empty"):
         check_grid("fixed", [], 8)
+    check_grid("fixed", [np.int64(4)], 8)
+    for m in (4.0, "4", True, None):
+        with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
+            check_grid("fixed", [2, m], 8)
+    check_counts(trials=np.int64(2), chord_samples=1)
+    for value in (1.5, "2", True, 2.0):
+        with pytest.raises(DomainError, match=f"trials must be an integer, got {value!r}"):
+            check_counts(trials=value)
+    with pytest.raises(DomainError, match="chord_samples must be >= 1, got 0"):
+        check_counts(trials=1, chord_samples=0)
 
 
 def test_phase_config_validation():
@@ -163,6 +174,9 @@ def test_phase_config_validation():
             trials=0,
             d_op=cfg.d_op,
         )
+    for betas in ([], ["0.5"], 0.5):
+        with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
+            replace(cfg, betas=betas)
 
 
 def test_sweep_config_rejects_zero_trials():

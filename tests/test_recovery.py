@@ -50,9 +50,9 @@ def test_rre_scale_invariance():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="learning_rate must be positive"):
         RecoveryConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="restarts must be positive"):
         RecoveryConfig(restarts=0)
 
 

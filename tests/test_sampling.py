@@ -120,6 +120,8 @@ def test_check_m_and_sampler_for():
         sampler_for("fxied")
     with pytest.raises(DomainError):
         check_m("fxied", 4, 8)
+    with pytest.raises(DomainError, match="unknown sampling model"):
+        check_m(["fixed"], 4, 8)
 
 
 def test_isotropy_full_sampling_exact_zero():
