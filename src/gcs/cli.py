@@ -81,8 +81,7 @@ def cmd_train(args) -> int:
         paths = args.data[len("idx:"):].split(",")
         data = training.load_idx(*paths)
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
-    training.save_vae(model, args.out)
-    gnn.save_network(model.decoder, args.out.removesuffix(".json") + ".decoder.json")
+    training.save_vae_and_decoder(model, args.out, args.out.removesuffix(".json") + ".decoder.json")
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
     return 0
 
@@ -199,6 +198,12 @@ def cmd_sweep(args) -> int:
     if kind not in ("synth", "idx"):
         raise DomainError(f"unknown test_data kind {kind!r} (expected synth or idx)")
     _block(test_spec, "test_data", ("k_true", "count", "seed") if kind == "synth" else ("images",))
+    if kind == "synth":
+        # synth_dataset checks k_true <= n once a model gives n.
+        harness.check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
+        seed = test_spec["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
     if args.paper_scale:
         values["m_list"] = PAPER_SWEEP_M
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load

@@ -63,6 +63,12 @@ def check_counts(**counts: int) -> None:
             raise DomainError(f"{name} must be >= 1, got {value}")
 
 
+def _check_delta(delta: float) -> None:
+    """Raise DomainError unless 0 < delta < 1, the range the RIP is stated for."""
+    if not 0 < delta < 1:  # NaN fails the comparison too
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
+
+
 def geometric_stats(values) -> tuple[float, float, int]:
     """Geometric mean and geometric SD; zeros floored at RRE_FLOOR.
 
@@ -305,6 +311,7 @@ def run_rip_check(
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
     check_counts(trials=trials, chord_samples=chord_samples)
+    _check_delta(delta)
     sampler = check_grid(model, m_list, u.n)
     chords = ChordSampler(g, u)
     jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
@@ -355,6 +362,7 @@ def run_subspace_rip(
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     check_counts(trials=trials)
+    _check_delta(delta)
     check_grid("bernoulli", m_list, n)
     rng = derive_rng(seed, 0)
     q = np.linalg.qr(rng.standard_normal((n, k)), mode="reduced")[0]

@@ -7,6 +7,8 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -84,15 +86,29 @@ def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
 
 def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.01) -> Dataset:
     """Hermetic MNIST stand-in: sigmoid of random k_true-dim linear images
-    plus Gaussian noise, clamped to [0, 1]."""
-    if k_true > n:
-        raise DomainError("k_true must be <= n")
+    plus Gaussian noise, clamped to [0, 1].
+
+    The images are formed once; scale, sigmoid, noise and clamp then act in
+    place on row blocks of about ADAM_CHUNK entries, whose temporaries stay
+    in cache. Consecutive row blocks of noise are the numbers one (count, n)
+    draw gives, so the data do not depend on the block.
+    """
+    if not 1 <= k_true <= n:
+        raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     rng = derive_rng(seed)
     w = rng.standard_normal((n, k_true))
     z = rng.standard_normal((count, k_true))
-    x = sigmoid(z @ w.T / np.sqrt(k_true))
-    x = x + noise * rng.standard_normal((count, n))
-    return Dataset(samples=np.clip(x, 0.0, 1.0))
+    x = z @ w.T
+    rows = max(1, ADAM_CHUNK // n)
+    for i in range(0, count, rows):
+        block = x[i:i + rows]
+        block /= np.sqrt(k_true)
+        block[...] = sigmoid(block)
+        block += noise * rng.standard_normal(block.shape)
+        np.clip(block, 0.0, 1.0, out=block)
+    return Dataset(samples=x)
 
 
 # Elements per pass of adam_step over a long flat vector: its temporaries then
@@ -144,6 +160,11 @@ class TrainConfig:
             raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        # A negative weight would train toward higher coherence.
+        for name in ("reg_weight", "lam"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -381,6 +402,23 @@ def vae_from_json(obj: dict) -> VaeModel:
 
 def save_vae(model: VaeModel, path: str) -> None:
     write_json(vae_to_json(model), path)
+
+
+def save_vae_and_decoder(model: VaeModel, path: str, decoder_path: str) -> None:
+    """save_vae(model, path) and save_network(model.decoder, decoder_path),
+    with the decoder JSON-encoded once and its text written into both files."""
+    obj = vae_to_json(model)
+    # Each top-level value is encoded on its own, and its lists go once it is;
+    # joined with json.dumps's separators, the texts are the bytes save_vae
+    # writes.
+    texts = {key: json.dumps(obj.pop(key)) for key in list(obj)}
+    with open(path, "w") as f:
+        for i, (key, text) in enumerate(texts.items()):
+            f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            f.write(text)
+        f.write("}")
+    with open(decoder_path, "w") as f:
+        f.write(texts["decoder"])
 
 
 def load_vae(path: str) -> VaeModel:

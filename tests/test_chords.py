@@ -7,9 +7,13 @@ own copy of the layer loop, so a fault shared by gnn.hidden and gnn.forward
 still shows.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gcs import coherence
 from gcs.coherence import ChordSampler, chord_coherence_mc
 from gcs.errors import DimensionMismatch
 from gcs.gnn import GenerativeNetwork, forward, hidden, relu, sigmoid
@@ -123,6 +127,50 @@ def test_chord_coherence_mc_sigmoid_is_unchanged(kind):
     assert chord_coherence_mc(g, u, samples=2000, seed=8) == oracle_chord_coherence_mc(
         g, u, samples=2000, seed=8
     )
+
+
+@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
+@pytest.mark.parametrize("net", ["depth1", "depth3", "biased", "sigmoid"])
+@pytest.mark.parametrize("columns", [1, 37, 256])
+def test_chord_coherence_mc_column_blocks_split_chunks(monkeypatch, kind, net, columns):
+    # Blocks narrower than a chunk split it, and the short last chunk too
+    # (3000 = 4 * 700 + 200); a complex U gets blocks half as wide.
+    g = {"depth1": lambda: network(1, seed=60), "depth3": lambda: network(3, seed=61),
+         "biased": lambda: network(2, seed=62, biases=True),
+         "sigmoid": lambda: network(2, seed=63, biases=True, final="sigmoid")}[net]()
+    u = operator(kind)
+    monkeypatch.setattr(coherence, "MC_BLOCK_BYTES", columns * 8 * N)
+    width = max(1, columns // (2 if kind == "dft" else 1))
+    widths = []
+    sample = ChordSampler.sample
+
+    def counted(self, z1, z2):
+        widths.append(z1.shape[1])
+        return sample(self, z1, z2)
+
+    monkeypatch.setattr(ChordSampler, "sample", counted)
+    got = chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    want = oracle_chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert sum(widths) == 3000 and max(widths) == min(width, 700)
+    assert len(widths) == 4 * math.ceil(700 / width) + math.ceil(200 / width)
+
+
+def test_chord_coherence_mc_peak_memory_at_n784():
+    # One 8192-chord chunk of a 20 -> 200 -> 784 network: whole-chunk products
+    # peak near 82 MB; column blocks of MC_BLOCK_BYTES keep it near 14 MB.
+    rng = derive_rng(70)
+    g = GenerativeNetwork(weights=[rng.standard_normal((200, 20)) / math.sqrt(20),
+                                   rng.standard_normal((784, 200)) / math.sqrt(200)])
+    u = dct2_operator(784)
+    tracemalloc.start()
+    try:
+        alpha = chord_coherence_mc(g, u, samples=8192, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+    assert 0 < alpha <= 1
 
 
 @pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])

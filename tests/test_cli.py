@@ -240,6 +240,8 @@ def test_non_integer_list_entry_exits_2(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("flag, message", [
     (["--batch", "0"], "batch size must be >= 1, got 0"),
     (["--lr", "0"], "learning rate must be positive, got 0.0"),
+    (["--regularized", "--reg-weight", "-1"], "reg_weight must be a finite number >= 0, got -1.0"),
+    (["--regularized", "--lambda", "-1"], "lam must be a finite number >= 0, got -1.0"),
 ])
 def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, flag, message):
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
@@ -248,6 +250,20 @@ def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, fla
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"gcs: error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--synth-k", "0"], "need 1 <= k_true <= n, got k_true=0, n=16"),
+    (["--synth-count", "0"], "count must be >= 1, got 0"),
+])
+def test_train_bad_synth_data_exits_2_before_drawing(tmp_path, monkeypatch, capsys, flag,
+                                                     message):
+    monkeypatch.setattr(cli.training, "derive_rng", no_compute)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")] + flag)
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: {message}\n"
     assert not (tmp_path / "m.json").exists()
 
 
@@ -272,8 +288,14 @@ RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
     (SUBSPACE + ["--m-list", "16", "--trials", "0"], "trials must be >= 1, got 0"),
     (RIP + ["--trials", "0"], "trials must be >= 1, got 0"),
     (RIP + ["--chord-samples", "0"], "chord_samples must be >= 1, got 0"),
+    (RIP + ["--delta", "-1"], "delta must be in (0, 1), got -1.0"),
+    (RIP + ["--delta", "0"], "delta must be in (0, 1), got 0.0"),
+    (RIP + ["--delta", "nan"], "delta must be in (0, 1), got nan"),
+    (SUBSPACE + ["--m-list", "16", "--delta", "0"], "delta must be in (0, 1), got 0.0"),
+    (SUBSPACE + ["--m-list", "16", "--delta", "1"], "delta must be in (0, 1), got 1.0"),
 ], ids=["subspace-m0", "subspace-m-above-n", "subspace-trials0", "rip-trials0",
-        "rip-chords0"])
+        "rip-chords0", "rip-delta-negative", "rip-delta0", "rip-delta-nan", "subspace-delta0",
+        "subspace-delta1"])
 def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
                                                         argv, message):
     monkeypatch.chdir(tmp_path)
@@ -370,21 +392,35 @@ def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch
 RECOVER = ["recover", "--weights", "net.json", "--m", "8"]
 
 
-@pytest.mark.parametrize("argv, message", [
-    (RECOVER + ["--restarts", "0"], "bad recovery value: restarts must be positive, got 0"),
-    (RECOVER + ["--max-iters", "0"], "bad recovery value: max_iters must be positive, got 0"),
-    (RECOVER + ["--lr", "0"], "bad recovery value: learning_rate must be positive, got 0.0"),
-    (RECOVER + ["--grad-tol", "-1"], "bad recovery value: grad_tol must be positive, got -1.0"),
-    (RECOVER + ["--noise", "-1"], "--noise must be a finite number >= 0, got -1.0"),
-    (RECOVER + ["--noise", "nan"], "--noise must be a finite number >= 0, got nan"),
-    (["sweep", "--config", "sweep.json"],
+SWEEP = ["sweep", "--config", "sweep.json"]
+
+
+def synth(**edits):
+    return {"kind": "synth", "k_true": 2, "count": 4, "seed": 0, **edits}
+
+
+@pytest.mark.parametrize("argv, test_data, message", [
+    (RECOVER + ["--restarts", "0"], None, "bad recovery value: restarts must be positive, got 0"),
+    (RECOVER + ["--max-iters", "0"], None,
+     "bad recovery value: max_iters must be positive, got 0"),
+    (RECOVER + ["--lr", "0"], None, "bad recovery value: learning_rate must be positive, got 0.0"),
+    (RECOVER + ["--grad-tol", "-1"], None,
+     "bad recovery value: grad_tol must be positive, got -1.0"),
+    (RECOVER + ["--noise", "-1"], None, "--noise must be a finite number >= 0, got -1.0"),
+    (RECOVER + ["--noise", "nan"], None, "--noise must be a finite number >= 0, got nan"),
+    (SWEEP, {"kind": "mnist", "images": "absent"},
      "unknown test_data kind 'mnist' (expected synth or idx)"),
+    (SWEEP, synth(count=1.5), "count must be an integer, got 1.5"),
+    (SWEEP, synth(seed=-1), "test_data seed must be an integer >= 0, got -1"),
+    (SWEEP, synth(count=0), "count must be >= 1, got 0"),
+    (SWEEP, synth(k_true=0), "k_true must be >= 1, got 0"),
 ], ids=["restarts0", "max-iters0", "lr0", "grad-tol-negative", "noise-negative", "noise-nan",
-        "test-data-kind"])
+        "test-data-kind", "test-data-float-count", "test-data-negative-seed", "test-data-count0",
+        "test-data-k_true0"])
 def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, monkeypatch, capsys,
-                                                                   argv, message):
+                                                                   argv, test_data, message):
     monkeypatch.chdir(tmp_path)
-    sweep_config(tmp_path, test_data={"kind": "mnist", "images": "absent"})
+    sweep_config(tmp_path, test_data=test_data or {"kind": "mnist", "images": "absent"})
     monkeypatch.setattr(cli.gnn, "load_network", no_compute)
     monkeypatch.setattr(cli.training, "load_vae", no_compute)
     rc = cli.main(argv)

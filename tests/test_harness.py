@@ -264,6 +264,21 @@ def test_rip_check_rejects_empty_counts(monkeypatch, chord_samples, trials, mess
         run_rip_check(g, dct2_operator(8), [8], 0.5, chord_samples, trials, 0)
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0, 1.5, float("nan"), float("inf")])
+def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
+    # The RIP is stated for 0 < delta < 1; outside it every trial "exceeds"
+    # (delta <= 0) or none can, and a NaN compares false everywhere.
+    rng = derive_rng(5)
+    g = GenerativeNetwork(weights=[rng.standard_normal((4, 2)), rng.standard_normal((8, 4))])
+    monkeypatch.setattr("gcs.harness.ChordSampler", no_compute)
+    monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
+    message = rf"delta must be in \(0, 1\), got {delta}"
+    with pytest.raises(DomainError, match=message):
+        run_rip_check(g, dct2_operator(8), [8], delta, 10, 2, 0)
+    with pytest.raises(DomainError, match=message):
+        run_subspace_rip(dct2_operator(32), 3, [16], delta, trials=4, seed=0)
+
+
 @pytest.mark.parametrize("m_list, trials, error, message", [
     ([0, 16], 4, InvalidM, "got m=0, n=32"),
     ([40], 4, InvalidM, "got m=40, n=32"),

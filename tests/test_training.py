@@ -3,6 +3,7 @@ import os
 import runpy
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gcs.errors import (
     EmptyDataset,
     TruncatedFile,
 )
-from gcs.gnn import forward, network_to_json, save_network
+from gcs.gnn import forward, network_to_json, save_network, sigmoid
 from gcs.sampling import derive_rng
 from gcs.training import (
     Dataset,
@@ -26,6 +27,7 @@ from gcs.training import (
     load_idx,
     load_vae,
     save_vae,
+    save_vae_and_decoder,
     synth_dataset,
     train_vae,
     vae_from_json,
@@ -108,6 +110,52 @@ def test_synth_dataset_shape_and_range():
     assert not np.array_equal(ds.samples, synth_dataset(32, 4, 100, seed=1).samples)
     with pytest.raises(DomainError):
         synth_dataset(4, 8, 10, seed=0)
+
+
+def oracle_synth_dataset(n, k_true, count, seed, noise=0.01):
+    # The one-shot formula synth_dataset replaced: whole-array temporaries.
+    rng = derive_rng(seed)
+    w = rng.standard_normal((n, k_true))
+    z = rng.standard_normal((count, k_true))
+    x = sigmoid(z @ w.T / np.sqrt(k_true))
+    x = x + noise * rng.standard_normal((count, n))
+    return np.clip(x, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n, k_true, count, seed", [(64, 4, 2000, 999), (64, 3, 1, 2),
+                                                    (784, 4, 2000, 6), (784, 20, 333, 1)])
+def test_synth_dataset_equals_one_shot_formula_bitwise(n, k_true, count, seed):
+    # Row blocks of ADAM_CHUNK // n rows (20 at n = 784, 256 at n = 64); 333
+    # rows leave a short last block.
+    got = synth_dataset(n, k_true, count, seed).samples
+    want = oracle_synth_dataset(n, k_true, count, seed)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_synth_dataset_peak_memory():
+    # The one-shot formula peaks near 3.6 times its 12.5 MB result.
+    tracemalloc.start()
+    try:
+        ds = synth_dataset(784, 4, 2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ds.samples.nbytes
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("data were drawn before the input was checked")
+
+
+@pytest.mark.parametrize("k_true, count, message", [
+    (0, 10, "need 1 <= k_true <= n, got k_true=0, n=8"),
+    (9, 10, "need 1 <= k_true <= n, got k_true=9, n=8"),
+    (2, 0, "count must be >= 1, got 0"),
+])
+def test_synth_dataset_rejects_bad_shapes_before_drawing(monkeypatch, k_true, count, message):
+    monkeypatch.setattr(training, "derive_rng", no_draw)
+    with pytest.raises(DomainError, match=message):
+        synth_dataset(8, k_true, count, seed=0)
 
 
 def test_synth_dataset_low_rank_structure():
@@ -265,10 +313,17 @@ def test_regularized_training_requires_operator():
 
 
 @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": float("nan")},
-                                    {"batch_size": 0}, {"epochs": -1}])
+                                    {"batch_size": 0}, {"epochs": -1}, {"reg_weight": -1.0},
+                                    {"reg_weight": float("nan")}, {"reg_weight": float("inf")},
+                                    {"lam": -1.0}, {"lam": float("nan")}])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
         TrainConfig(**kwargs)
+
+
+def test_train_config_takes_zero_regularizer_weights():
+    cfg = TrainConfig(reg_weight=0.0, lam=0.0)
+    assert cfg.reg_weight == 0.0 and cfg.lam == 0.0
 
 
 def test_train_rejects_empty_and_mismatched():
@@ -353,3 +408,8 @@ def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):
         with open(tmp_path / "dumped.json", "w") as f:
             json.dump(to_json(obj), f)
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    # Both files of one save_vae_and_decoder call, the decoder encoded once.
+    save_vae_and_decoder(m, str(tmp_path / "m.json"), str(tmp_path / "m.decoder.json"))
+    for name, to_json, obj in [("m.json", vae_to_json, m),
+                               ("m.decoder.json", network_to_json, m.decoder)]:
+        assert (tmp_path / name).read_text() == json.dumps(to_json(obj))
