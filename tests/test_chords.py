@@ -17,7 +17,7 @@ from gcs import coherence
 from gcs.coherence import ChordSampler, chord_coherence_mc
 from gcs.errors import DimensionMismatch
 from gcs.gnn import GenerativeNetwork, forward, hidden, relu, sigmoid
-from gcs.harness import run_rip_check
+from gcs.harness import run_rip_check, run_subspace_rip
 from gcs.sampling import derive_rng, sampler_for, spawn_seed
 from gcs.transforms import dct2_operator, dft_operator, explicit_operator
 
@@ -75,6 +75,21 @@ def oracle_rip_check(g, u, m_list, delta, chord_samples, trials, seed, model="be
                 unit = chords[:, ok] / norms[ok]
                 ax = a.scale * (u.matrix[a.indices] @ unit)
                 dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
+            out.append((dev, dev >= delta))
+    return out
+
+
+def oracle_subspace_rip(u, k, m_list, delta, trials, seed):
+    n = u.n
+    q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
+    b_mat = u.matrix @ q
+    out = []
+    for mi, m in enumerate(m_list):
+        for t in range(trials):
+            mask = derive_rng(seed, 1, mi, t).random(n) < m / n
+            bj = b_mat[mask]
+            gram = (n / m) * np.real(bj.conj().T @ bj)
+            dev = float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k)))))
             out.append((dev, dev >= delta))
     return out
 
@@ -184,6 +199,25 @@ def test_rip_check_matches_explicit_chords(kind, depth, model):
     got_dev = [r["deviation"] for r in records]
     np.testing.assert_allclose(got_dev, [d for d, _ in want], rtol=1e-12, atol=0)
     assert [r["exceed"] for r in records] == [e for _, e in want]
+
+
+@pytest.mark.parametrize("kind", ["dft", "dct"])
+def test_subspace_rip_matches_oracle(kind):
+    # The DFT makes B = U Q complex, so only the real part of B_J^* B_J enters.
+    u = operator(kind)
+    args = (u, 3, [4, 8, 16, 32], 0.4, 12, 2)
+    records, summaries, _ = run_subspace_rip(*args)
+    want = oracle_subspace_rip(*args)
+    assert [(r["m"], r["trial"], r["seed"]) for r in records] == [
+        (m, t, 2) for m in args[2] for t in range(12)
+    ]
+    np.testing.assert_allclose([r["deviation"] for r in records], [d for d, _ in want],
+                               rtol=1e-12, atol=0)
+    assert [r["exceed"] for r in records] == [e for _, e in want]
+    assert [(s["m"], s["trials"]) for s in summaries] == [(m, 12) for m in args[2]]
+    assert [s["exceed_freq"] for s in summaries] == [
+        float(np.mean([e for _, e in want[i * 12:(i + 1) * 12]])) for i in range(4)
+    ]
 
 
 def test_chord_sampler_coordinates_and_norms():

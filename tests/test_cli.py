@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -455,3 +456,36 @@ def test_shipped_configs_pass_the_key_check(monkeypatch, name):
     grid = cfg_json["betas"] if command == "phase" else cfg_json["models"]
     assert len(seen) == len(grid) * len(cfg_json["m_list"]) * cfg_json["trials"]
     assert {replace(c, seed=0) for c in seen} == {RecoveryConfig(**cfg_json["recovery"])}
+
+
+def desk_lines(*commands):
+    """The scripts/run_all_desk.sh command lines of the given subcommands, as
+    argument lists for cli.main, with the out-dir they write to."""
+    with open(os.path.join(ROOT, "scripts", "run_all_desk.sh")) as f:
+        script = f.read().replace("\\\n", " ")
+    lines = []
+    for line in script.splitlines():
+        argv = shlex.split(line)
+        if argv and argv[0] == "gcs":
+            argv = [a for a in argv[1:] if a != "$@"]
+            out_dir = argv[argv.index("--out-dir") + 1]
+            if set(commands) & set(argv):
+                lines.append((argv, out_dir))
+    assert len(lines) == len(commands)
+    return lines
+
+
+def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
+    # The rip and subspace-rip lines of the desk script rewrite their committed
+    # CSVs byte for byte.
+    monkeypatch.chdir(ROOT)
+    for argv, out_dir in desk_lines("rip", "subspace-rip"):
+        i = argv.index("--out-dir") + 1
+        argv[i] = str(tmp_path / out_dir)
+        assert cli.main(argv) == 0
+        names = sorted(os.listdir(out_dir))
+        assert names == sorted(os.listdir(argv[i])) and names
+        for name in names:
+            with open(os.path.join(out_dir, name), "rb") as want, \
+                    open(os.path.join(argv[i], name), "rb") as got:
+                assert got.read() == want.read(), name
