@@ -17,7 +17,7 @@ import sys
 
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
-from .errors import DomainError, GcsError
+from .errors import DomainError, GcsError, check_counts
 from .linops import load_matrix, read_json
 
 PAPER_PHASE_M = list(range(40, 441, 20))
@@ -170,10 +170,7 @@ def cmd_phase(args) -> int:
     )
     records = harness.run_phase_portrait(cfg)
     csv_path = os.path.join(args.out_dir, "phase.csv")
-    harness.emit_csv(
-        records, csv_path,
-        columns=["beta", "coherence_heuristic", "m", "trial", "rre", "success", "seed"],
-    )
+    harness.emit_csv(records, csv_path)
     grid = harness.phase_success_grid(records, cfg.betas, cfg.m_list)
     cohs = sorted({(r["beta"], r["coherence_heuristic"]) for r in records})
     harness.emit_svg_heatmap(
@@ -200,7 +197,7 @@ def cmd_sweep(args) -> int:
     _block(test_spec, "test_data", ("k_true", "count", "seed") if kind == "synth" else ("images",))
     if kind == "synth":
         # synth_dataset checks k_true <= n once a model gives n.
-        harness.check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
+        check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         seed = test_spec["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
@@ -218,10 +215,8 @@ def cmd_sweep(args) -> int:
     else:
         test_samples = training.load_idx(test_spec["images"]).samples
     records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
-    harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"),
-                     columns=["model", "m", "trial", "rre", "seed"])
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"),
-                     columns=["model", "m", "geo_mean_rre", "geo_sd_rre", "floored"])
+    harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"))
+    harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"))
     series = []
     for name, _ in models:
         pts = [(s["m"], s["geo_mean_rre"]) for s in summaries if s["model"] == name]
@@ -239,10 +234,8 @@ def cmd_rip(args) -> int:
         g, u, _ints(args.m_list), args.delta, args.chord_samples, args.trials,
         args.seed, model=args.model,
     )
-    harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"),
-                     columns=["m", "trial", "deviation", "exceed", "seed"])
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "rip_summary.csv"),
-                     columns=["m", "exceed_freq", "trials"])
+    harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"))
+    harness.emit_csv(summaries, os.path.join(args.out_dir, "rip_summary.csv"))
     print(f"wrote {os.path.join(args.out_dir, 'rip.csv')}")
     return 0
 
@@ -252,10 +245,8 @@ def cmd_subspace_rip(args) -> int:
     records, summaries, fit = harness.run_subspace_rip(
         u, args.k, _ints(args.m_list), args.delta, args.trials, args.seed,
     )
-    harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"),
-                     columns=["m", "trial", "deviation", "exceed", "seed"])
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"),
-                     columns=["m", "exceed_freq", "trials", "bound"])
+    harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
+    harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
     print(json.dumps(fit, indent=2))
     return 0
 

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     NotOrthonormal,
     Unsupported,
+    check_counts,
 )
 from .gnn import GenerativeNetwork, forward, hidden
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
@@ -95,30 +96,35 @@ class ChordSampler:
             proj, self._gram = u.matrix @ w, w.T @ w
         self.parts = (proj.real.copy(), proj.imag.copy()) if np.iscomplexobj(proj) else (proj,)
 
-    def sample(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, norms) for the chords of the latent columns z1, z2: U chord = P @ c."""
+    def moduli(self, z1: np.ndarray, z2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """|P[rows] u| entrywise (all rows when rows is None), one column per
+        unit chord u of the latent columns z1, z2 whose norm exceeds 1e-10."""
         if self._gram is None:
             c = forward(self.g, z1) - forward(self.g, z2)
-            return c, np.linalg.norm(c, axis=0)
-        c = hidden(self.g, z1) - hidden(self.g, z2)
-        # Rounding can take the form slightly below 0 for c in the null space
-        # of W^(d) (k_{d-1} > n); such a chord is 0 and gets skipped.
-        return c, np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
-
-    def modulus(self, c: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """|P[rows] @ c| entrywise (all rows of P when rows is None)."""
+            norms = np.linalg.norm(c, axis=0)
+        else:
+            c = hidden(self.g, z1) - hidden(self.g, z2)
+            # Rounding can take the form slightly below 0 for c in the null
+            # space of W^(d) (k_{d-1} > n); such a chord is 0 and gets dropped.
+            norms = np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
+        ok = norms > 1e-10
+        unit = c[:, ok]
+        unit /= norms[ok]
         parts = self.parts if rows is None else [p[rows] for p in self.parts]
         if len(parts) == 1:
-            prod = parts[0] @ c
+            prod = parts[0] @ unit
             return np.abs(prod, out=prod)
         # sqrt(re^2 + im^2) in place; np.hypot is about ten times slower, and
         # unit chords keep the squares far from overflow.
-        re, im = (p @ c for p in parts)
+        re, im = (p @ unit for p in parts)
         re *= re
         im *= im
         re += im
         return np.sqrt(re, out=re)
 
+
+# Latent pairs per chord_coherence_mc draw; it fixes which pairs a seed gives.
+MC_CHUNK = 8192
 
 # Bytes of |P c| for one column block of a chord_coherence_mc chunk: 6 MiB is
 # about 1,000 columns at n = 784 (half as many for a complex U, which forms
@@ -129,38 +135,30 @@ class ChordSampler:
 MC_BLOCK_BYTES = 6 * 2**20
 
 
-def chord_coherence_mc(
-    g: GenerativeNetwork, u: UnitaryOperator, samples: int, seed: int, chunk: int = 8192
-) -> float:
+def chord_coherence_mc(g: GenerativeNetwork, u: UnitaryOperator, samples: int, seed: int) -> float:
     """Monte-Carlo lower bound on the coherence of range(G) - range(G).
 
-    Latent pairs are standard Gaussian, drawn `chunk` pairs at a time; chords
-    below norm 1e-10 are skipped. Each chunk is evaluated in column blocks of
-    at most MC_BLOCK_BYTES of |P c|; columns never interact, so the block
-    width changes no result.
+    Latent pairs are standard Gaussian, drawn MC_CHUNK pairs at a time; chords
+    of norm 1e-10 or less are skipped. Each chunk is evaluated in column
+    blocks of at most MC_BLOCK_BYTES of |P c|; columns never interact, so the
+    block width changes no result.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    check_counts(samples=samples)
     chords = ChordSampler(g, u)
     width = max(1, MC_BLOCK_BYTES // (8 * u.n * len(chords.parts)))
     rng = derive_rng(seed)
     k = g.code_dim
     best = 0.0
     kept = 0
-    done = 0
-    while done < samples:
-        batch = min(chunk, samples - done)
+    for done in range(0, samples, MC_CHUNK):
+        batch = min(MC_CHUNK, samples - done)
         z1 = rng.standard_normal((k, batch))
         z2 = rng.standard_normal((k, batch))
         for s in range(0, batch, width):
-            c, norms = chords.sample(z1[:, s:s + width], z2[:, s:s + width])
-            ok = norms > 1e-10
-            if np.any(ok):
-                unit = c[:, ok]
-                unit /= norms[ok]
-                best = max(best, float(np.max(chords.modulus(unit))))
-                kept += int(np.count_nonzero(ok))
-        done += batch
+            mod = chords.moduli(z1[:, s:s + width], z2[:, s:s + width])
+            best = max(best, float(np.max(mod, initial=0.0)))
+            kept += mod.shape[1]
+            del mod  # so the next block's |P u| does not form beside this one
     if kept == 0:
         raise DegenerateRange("all sampled chords were below norm tolerance")
     return best

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the count checks."""
+
+from numbers import Integral
 
 
 class GcsError(Exception):
@@ -55,3 +57,17 @@ class NonfiniteLoss(GcsError):
 
 class ZeroSignal(GcsError):
     pass
+
+
+def check_integer(name: str, value) -> None:
+    """Raise DomainError unless value is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check_counts(**counts: int) -> None:
+    """Raise DomainError naming the first count that is not an integer >= 1."""
+    for name, value in counts.items():
+        check_integer(name, value)
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")

@@ -6,7 +6,7 @@ trial's output does not depend on how many trials run: a run with fewer trials
 writes a prefix of each cell's records. The phase portrait and the
 measurement sweep build their cells on `run_indexed`, one after another in the
 calling thread, and then recover all their trials in one lockstep batch; the
-RIP checks run their trials on it.
+two RIP checks share one trial loop on it.
 Experiments default to the fixed-permutation sampling model; RIP checks
 default to Bernoulli.
 """
@@ -17,17 +17,17 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
-from .errors import DimensionMismatch, DomainError, Unsupported
+from .errors import DimensionMismatch, DomainError, Unsupported, check_counts, check_integer
 from .gnn import GenerativeNetwork, forward
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
 from .recovery import SUCCESS_RRE, RecoveryConfig, recover, recover_batch  # noqa: F401
-from .sampling import apply, check_m, derive_rng, sampler_for, spawn_seed
+from .sampling import apply, bernoulli_rows, check_m, derive_rng, sampler_for, spawn_seed
 # Not called here; bound because perfbench/instrument.py wraps these names.
 from .sampling import sample_bernoulli, sample_fixed  # noqa: F401
 from .training import VaeModel
@@ -45,28 +45,16 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
 def check_grid(model: str, m_list, n: int):
     """The sampler for a sampling model, after checking every grid m against n.
 
-    Checking the whole grid up front fails a run before any cell computes.
+    Checking the whole grid up front fails a run before any cell computes;
+    records and summaries are keyed by m, so an m may appear only once.
     """
     if not m_list:
         raise DomainError("the m grid is empty")
-    for m in m_list:
+    for i, m in enumerate(m_list):
         check_m(model, m, n)
+        if m in m_list[:i]:
+            raise DomainError(f"m = {m} appears twice in the m grid")
     return sampler_for(model)
-
-
-def check_counts(**counts: int) -> None:
-    """Raise DomainError naming the first count that is not an integer >= 1."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
-
-
-def _check_delta(delta: float) -> None:
-    """Raise DomainError unless 0 < delta < 1, the range the RIP is stated for."""
-    if not 0 < delta < 1:  # NaN fails the comparison too
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
 
 
 def geometric_stats(values) -> tuple[float, float, int]:
@@ -90,12 +78,11 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def emit_csv(records: list[dict], path: str, columns: list[str] | None = None) -> None:
-    """Write records with a header row and stable column order; empty input errors."""
+def emit_csv(records: list[dict], path: str) -> None:
+    """Write records under a header of the first record's keys; empty input errors."""
     if not records:
         raise OSError("refusing to write an empty CSV")
-    if columns is None:
-        columns = list(records[0].keys())
+    columns = list(records[0])
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -149,6 +136,8 @@ class PhaseConfig:
         if not (isinstance(self.betas, list) and self.betas and all(
                 isinstance(b, Real) and not isinstance(b, bool) for b in self.betas)):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
+        if len(set(self.betas)) < len(self.betas):
+            raise DomainError(f"betas must not repeat, got {self.betas!r}")
 
 
 def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
@@ -282,13 +271,29 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _exceed_summaries(records: list[dict], m_list: list[int]) -> list[dict]:
-    """Per m: the share of its trials whose deviation reached delta."""
-    summaries = []
-    for m in m_list:
-        exc = [r["exceed"] for r in records if r["m"] == m]
-        summaries.append({"m": m, "exceed_freq": float(np.mean(exc)), "trials": len(exc)})
-    return summaries
+def _rip_trials(model: str, m_list: list[int], n: int, trials: int, delta: float,
+                prepare) -> tuple[list[dict], list[dict]]:
+    """The trial loop of both RIP checks: (records, per-m exceed summaries).
+
+    Checks trials, 0 < delta < 1 and the grid before `prepare(sampler)`
+    builds the trial function, (m index, trial, m) -> (deviation, seed). The
+    (m, trial) jobs run in that order on `run_indexed`.
+    """
+    check_counts(trials=trials)
+    if not 0 < delta < 1:  # the range the RIP is stated for; NaN fails it too
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    trial = prepare(check_grid(model, m_list, n))
+
+    def one(j):
+        mi, t = divmod(j, trials)
+        m = m_list[mi]
+        dev, seed = trial(mi, t, m)
+        return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
+
+    records = run_indexed(one, len(m_list) * trials)
+    exceed = np.reshape([r["exceed"] for r in records], (len(m_list), trials))
+    return records, [{"m": m, "exceed_freq": float(np.mean(e)), "trials": trials}
+                     for m, e in zip(m_list, exceed)]
 
 
 def run_rip_check(
@@ -310,35 +315,26 @@ def run_rip_check(
         raise Unsupported("RIP check needs a linear-final network")
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
-    check_counts(trials=trials, chord_samples=chord_samples)
-    _check_delta(delta)
-    sampler = check_grid(model, m_list, u.n)
-    chords = ChordSampler(g, u)
-    jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
-    k = g.code_dim
+    check_counts(chord_samples=chord_samples)
 
-    def one(j):
-        mi, t = jobs[j]
-        m = m_list[mi]
-        trial_seed = spawn_seed(seed, mi, t)
-        a = sampler(u, m, trial_seed)
-        rng = derive_rng(seed, mi, t, 1)
-        z1 = rng.standard_normal((k, chord_samples))
-        z2 = rng.standard_normal((k, chord_samples))
-        c, norms = chords.sample(z1, z2)
-        ok = norms > 1e-10
-        if not np.any(ok):
-            dev = 0.0
-        else:
-            unit = c[:, ok] / norms[ok]
-            # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise.
-            ax = a.scale * chords.modulus(unit, a.indices)
-            dev = float(np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0)))
-        return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": trial_seed}
+    def prepare(sampler):
+        chords = ChordSampler(g, u)
 
-    records = run_indexed(one, len(jobs))
-    summaries = _exceed_summaries(records, m_list)
-    return records, summaries
+        def trial(mi, t, m):
+            trial_seed = spawn_seed(seed, mi, t)
+            a = sampler(u, m, trial_seed)
+            rng = derive_rng(seed, mi, t, 1)
+            z1 = rng.standard_normal((g.code_dim, chord_samples))
+            z2 = rng.standard_normal((g.code_dim, chord_samples))
+            # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise;
+            # with every chord dropped the deviation is 0.
+            ax = a.scale * chords.moduli(z1, z2, a.indices)
+            dev = np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0), initial=0.0)
+            return float(dev), trial_seed
+
+        return trial
+
+    return _rip_trials(model, m_list, u.n, trials, delta, prepare)
 
 
 def run_subspace_rip(
@@ -359,31 +355,27 @@ def run_subspace_rip(
     constant of 2k*exp(-c*delta^2*m/(alpha^2*n)) and the log-linear R^2.
     """
     n = u.n
+    check_integer("k", k)
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
-    check_counts(trials=trials)
-    _check_delta(delta)
-    check_grid("bernoulli", m_list, n)
-    rng = derive_rng(seed, 0)
-    q = np.linalg.qr(rng.standard_normal((n, k)), mode="reduced")[0]
-    alpha = subspace_coherence(u, q)
-    b_mat = u.matrix @ q
-    jobs = [(mi, t) for mi in range(len(m_list)) for t in range(trials)]
+    alpha = 0.0
 
-    def one(j):
-        mi, t = jobs[j]
-        m = m_list[mi]
-        trial_rng = derive_rng(seed, 1, mi, t)
-        mask = trial_rng.random(n) < m / n
-        bj = b_mat[mask]
-        # The subspace is real, so the sup runs over real unit v: only the
-        # real (symmetric) part of the Gram matrix enters the quadratic form.
-        gram = (n / m) * np.real(bj.conj().T @ bj)
-        dev = float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k)))))
-        return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
+    def prepare(_sampler):
+        nonlocal alpha
+        q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
+        alpha = subspace_coherence(u, q)
+        b_mat = u.matrix @ q
 
-    records = run_indexed(one, len(jobs))
-    summaries = _exceed_summaries(records, m_list)
+        def trial(mi, t, m):
+            bj = b_mat[bernoulli_rows(derive_rng(seed, 1, mi, t), m, n)]
+            # The subspace is real, so the sup runs over real unit v: only the
+            # real (symmetric) part of the Gram matrix enters the quadratic form.
+            gram = (n / m) * np.real(bj.conj().T @ bj)
+            return float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k))))), seed
+
+        return trial
+
+    records, summaries = _rip_trials("bernoulli", m_list, n, trials, delta, prepare)
     fit = fit_subspace_tail(summaries, k, n, alpha, delta)
     fit["alpha"] = alpha
     for s in summaries:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidM
+from .errors import DimensionMismatch, DomainError, InvalidM, check_counts, check_integer
 from .transforms import UnitaryOperator
 
 
@@ -60,10 +59,14 @@ def check_m(model: str, m: int, n: int) -> None:
     An unknown model name or an m that is not an integer raises DomainError.
     """
     _check_model(model)
-    if isinstance(m, bool) or not isinstance(m, Integral):
-        raise DomainError(f"m must be an integer, got {m!r}")
+    check_integer("m", m)
     if not MIN_M[model] <= m <= n:
         raise InvalidM(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
+
+
+def bernoulli_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Sorted rows of [n] one Bernoulli draw keeps, each with probability m/n."""
+    return np.flatnonzero(rng.random(n) < m / n)
 
 
 def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
@@ -73,9 +76,7 @@ def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometr
     """
     n = u.n
     check_m("bernoulli", m, n)
-    rng = derive_rng(seed)
-    mask = rng.random(n) < m / n
-    indices = np.flatnonzero(mask)
+    indices = bernoulli_rows(derive_rng(seed), m, n)
     return SubsampledIsometry(base=u, model="bernoulli", m=m, indices=indices, seed=seed)
 
 
@@ -121,13 +122,12 @@ def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:
     A^*A = (n/m) sum_{j in J} U_j^* U_j, so trials only contribute inclusion
     counts per row index.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    check_counts(trials=trials)
     n = u.n
+    check_m("bernoulli", m, n)
     counts = np.zeros(n)
     for t in range(trials):
-        rng = derive_rng(seed, t)
-        counts[np.flatnonzero(rng.random(n) < m / n)] += 1.0
+        counts[bernoulli_rows(derive_rng(seed, t), m, n)] += 1.0
     # mean A*A - I = U* diag(w - 1) U with w the scaled inclusion frequencies;
     # subtracting in count space keeps the m = n case exactly zero.
     w = (n / m) / trials * counts

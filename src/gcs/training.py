@@ -22,6 +22,8 @@ from .errors import (
     EmptyDataset,
     NonfiniteLoss,
     TruncatedFile,
+    check_counts,
+    check_integer,
 )
 from .gnn import (
     GenerativeNetwork,
@@ -93,10 +95,10 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     in cache. Consecutive row blocks of noise are the numbers one (count, n)
     draw gives, so the data do not depend on the block.
     """
+    check_integer("k_true", k_true)
     if not 1 <= k_true <= n:
         raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    check_counts(count=count)
     rng = derive_rng(seed)
     w = rng.standard_normal((n, k_true))
     z = rng.standard_normal((count, k_true))
@@ -156,8 +158,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
+        check_counts(**{"batch size": self.batch_size})
+        check_integer("epochs", self.epochs)
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         # A negative weight would train toward higher coherence.

@@ -118,10 +118,11 @@ def network(depth, seed, biases=False, final="none"):
 
 @pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_chord_coherence_mc_matches_explicit_chords(kind, depth):
+def test_chord_coherence_mc_matches_explicit_chords(monkeypatch, kind, depth):
     g, u = network(depth, seed=depth), operator(kind)
     # chunk 700 leaves a short last chunk.
-    got = chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    monkeypatch.setattr(coherence, "MC_CHUNK", 700)
+    got = chord_coherence_mc(g, u, samples=3000, seed=5)
     want = oracle_chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -157,14 +158,15 @@ def test_chord_coherence_mc_column_blocks_split_chunks(monkeypatch, kind, net, c
     monkeypatch.setattr(coherence, "MC_BLOCK_BYTES", columns * 8 * N)
     width = max(1, columns // (2 if kind == "dft" else 1))
     widths = []
-    sample = ChordSampler.sample
+    moduli = ChordSampler.moduli
 
-    def counted(self, z1, z2):
+    def counted(self, z1, z2, rows=None):
         widths.append(z1.shape[1])
-        return sample(self, z1, z2)
+        return moduli(self, z1, z2, rows)
 
-    monkeypatch.setattr(ChordSampler, "sample", counted)
-    got = chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
+    monkeypatch.setattr(ChordSampler, "moduli", counted)
+    monkeypatch.setattr(coherence, "MC_CHUNK", 700)
+    got = chord_coherence_mc(g, u, samples=3000, seed=5)
     want = oracle_chord_coherence_mc(g, u, samples=3000, seed=5, chunk=700)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
     assert sum(widths) == 3000 and max(widths) == min(width, 700)
@@ -225,18 +227,17 @@ def test_chord_sampler_coordinates_and_norms():
     rng = derive_rng(41)
     z1, z2 = rng.standard_normal((3, 50)), rng.standard_normal((3, 50))
     chords = ChordSampler(g, u)
-    c, norms = chords.sample(z1, z2)
-    assert np.array_equal(c, hidden(g, z1) - hidden(g, z2))
+    c = hidden(g, z1) - hidden(g, z2)
     explicit = oracle_forward(g, z1) - oracle_forward(g, z2)
     np.testing.assert_allclose(g.weights[-1] @ c, explicit, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(norms, np.linalg.norm(explicit, axis=0), rtol=1e-12)
+    unit = explicit / np.linalg.norm(explicit, axis=0)
     # A complex U is held as two real parts, so real chords stay real.
     re, im = chords.parts
     assert re.dtype == im.dtype == np.float64
     np.testing.assert_allclose(re @ c + 1j * (im @ c), u.matrix @ explicit, rtol=0, atol=1e-12)
     rows = np.array([1, 4, 9])
-    np.testing.assert_allclose(chords.modulus(c), np.abs(u.matrix @ explicit), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(chords.modulus(c, rows), np.abs(u.matrix[rows] @ explicit),
+    np.testing.assert_allclose(chords.moduli(z1, z2), np.abs(u.matrix @ unit), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chords.moduli(z1, z2, rows), np.abs(u.matrix[rows] @ unit),
                                rtol=0, atol=1e-12)
 
 
@@ -244,11 +245,32 @@ def test_chord_sampler_real_unitary_is_one_real_part():
     g, u = network(2, seed=42), operator("dct")
     chords = ChordSampler(g, u)
     assert len(chords.parts) == 1
-    c, _ = chords.sample(*derive_rng(43).standard_normal((2, 3, 30)))
+    z1, z2 = derive_rng(43).standard_normal((2, 3, 30))
+    c = hidden(g, z1) - hidden(g, z2)
+    w = g.weights[-1]
+    unit = c / np.sqrt(np.sum(c * ((w.T @ w) @ c), axis=0))
     rows = np.array([0, 5, 7])
-    proj = u.matrix @ g.weights[-1]
-    assert np.array_equal(chords.modulus(c), np.abs(proj @ c))
-    assert np.array_equal(chords.modulus(c, rows), np.abs(proj[rows] @ c))
+    proj = u.matrix @ w
+    assert np.array_equal(chords.moduli(z1, z2), np.abs(proj @ unit))
+    assert np.array_equal(chords.moduli(z1, z2, rows), np.abs(proj[rows] @ unit))
+
+
+@pytest.mark.parametrize("final", ["none", "sigmoid"])
+def test_chord_sampler_drops_chords_of_norm_at_most_1e_10(final):
+    # The columns of q are orthonormal, so a one-layer linear network maps
+    # z1 - z2 to a chord of the same norm; near 0 the sigmoid's slope is 1/4.
+    q = np.linalg.qr(derive_rng(44).standard_normal((N, 3)))[0]
+    g = GenerativeNetwork(weights=[q], final_activation=final)
+    chords = ChordSampler(g, operator("dft"))
+    scale = 4.0 if final == "sigmoid" else 1.0
+    z1 = np.zeros((3, 5))
+    z2 = np.zeros((3, 5))
+    z2[0] = scale * np.array([0.0, 5e-11, 1e-10 / 1.01, 1e-9, 1.0])
+    mod = chords.moduli(z1, z2)
+    assert mod.shape == (N, 2)
+    np.testing.assert_allclose(np.linalg.norm(mod, axis=0), 1.0, rtol=1e-12)
+    assert chords.moduli(z1, z2, np.array([2, 3, 5])).shape == (3, 2)
+    assert chords.moduli(z1[:, :3], z2[:, :3]).shape == (N, 0)
 
 
 def test_chord_sampler_rejects_dimension_mismatch():

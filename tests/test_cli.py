@@ -294,9 +294,11 @@ RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
     (RIP + ["--delta", "nan"], "delta must be in (0, 1), got nan"),
     (SUBSPACE + ["--m-list", "16", "--delta", "0"], "delta must be in (0, 1), got 0.0"),
     (SUBSPACE + ["--m-list", "16", "--delta", "1"], "delta must be in (0, 1), got 1.0"),
+    (SUBSPACE + ["--m-list", "8,16,8"], "m = 8 appears twice in the m grid"),
+    (RIP + ["--m-list", "8,8", "--trials", "2"], "m = 8 appears twice in the m grid"),
 ], ids=["subspace-m0", "subspace-m-above-n", "subspace-trials0", "rip-trials0",
         "rip-chords0", "rip-delta-negative", "rip-delta0", "rip-delta-nan", "subspace-delta0",
-        "subspace-delta1"])
+        "subspace-delta1", "subspace-repeated-m", "rip-repeated-m"])
 def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
                                                         argv, message):
     monkeypatch.chdir(tmp_path)
@@ -361,13 +363,18 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
      "m must be an integer, got '8'"),
     (["sweep", "--config", "sweep.json"], {"trials": 1.5}, "trials must be an integer, got 1.5"),
     (["phase", "--config", "phase.json"], {"unitary": 5}, "unknown unitary 5"),
+    (["phase", "--config", "phase.json"], {"m_list": [4, 4], "trials": 2},
+     "m = 4 appears twice in the m grid"),
+    (["phase", "--config", "phase.json"], {"betas": [0.0, 0.5, 0.5]},
+     "betas must not repeat, got [0.0, 0.5, 0.5]"),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
         "synth-k_true", "idx-images", "weights-no-layers", "weights-no-data", "weights-nan", "weights-no-chain",
         "phase-weights-no-cols", "sweep-model-no-encoder", "phase-unknown-key",
         "sweep-unknown-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
-        "sweep-float-trials", "phase-unitary-not-a-string"])
+        "sweep-float-trials", "phase-unitary-not-a-string", "phase-repeated-m",
+        "phase-repeated-beta"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)

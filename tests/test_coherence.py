@@ -124,6 +124,9 @@ def test_mc_chord_estimate_validation():
     g = GenerativeNetwork(weights=[derive_rng(0).standard_normal((8, 2))])
     with pytest.raises(DomainError):
         chord_coherence_mc(g, dct2_operator(8), samples=0, seed=0)
+    for samples in (2.5, "10", True):
+        with pytest.raises(DomainError, match=f"samples must be an integer, got {samples!r}"):
+            chord_coherence_mc(g, dct2_operator(8), samples=samples, seed=0)
     with pytest.raises(DimensionMismatch):
         chord_coherence_mc(g, dct2_operator(9), samples=10, seed=0)
 

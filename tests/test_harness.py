@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcs.errors import DimensionMismatch, DomainError, InvalidM, Unsupported
+from gcs.errors import DimensionMismatch, DomainError, InvalidM, Unsupported, check_counts
 from gcs.gnn import GenerativeNetwork, forward
 from gcs.harness import (
     PhaseConfig,
     RRE_FLOOR,
     SweepConfig,
-    check_counts,
     check_grid,
     emit_csv,
     emit_svg_heatmap,
@@ -157,6 +156,29 @@ def test_check_grid():
         check_counts(trials=1, chord_samples=0)
 
 
+@pytest.mark.parametrize("m_list, m", [([8, 8], 8), ([4, 8, 4], 4), ([8, np.int64(8)], 8)])
+def test_check_grid_rejects_a_repeated_m(m_list, m):
+    # Records and summaries are keyed by m: a repeated m would pool its trials.
+    with pytest.raises(DomainError, match=f"m = {m} appears twice in the m grid"):
+        check_grid("bernoulli", m_list, 8)
+
+
+def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
+    rng = derive_rng(5)
+    g = GenerativeNetwork(weights=[rng.standard_normal((4, 2)), rng.standard_normal((8, 4))])
+    for name in ("run_indexed", "derive_rng", "ChordSampler", "recover_batch"):
+        monkeypatch.setattr(f"gcs.harness.{name}", no_compute)
+    with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
+        run_rip_check(g, dct2_operator(8), [8, 8], 0.5, 10, 2, 0)
+    with pytest.raises(DomainError, match="m = 16 appears twice in the m grid"):
+        run_subspace_rip(dct2_operator(32), 3, [16, 16], 0.4, trials=2, seed=0)
+    with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
+        run_phase_portrait(replace(tiny_phase_config(), m_list=[8, 8], trials=2))
+    with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
+        run_measurement_sweep([], np.zeros((1, 16)),
+                              SweepConfig(m_list=[8, 8], trials=1, d_op=dct2_operator(16)))
+
+
 def test_phase_config_validation():
     cfg = tiny_phase_config()
     with pytest.raises(DimensionMismatch):
@@ -176,6 +198,9 @@ def test_phase_config_validation():
         )
     for betas in ([], ["0.5"], 0.5):
         with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
+            replace(cfg, betas=betas)
+    for betas in ([0.5, 0.5], [0, 0.5, 0.0]):
+        with pytest.raises(DomainError, match="betas must not repeat"):
             replace(cfg, betas=betas)
 
 
@@ -289,6 +314,16 @@ def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, er
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
     with pytest.raises(error, match=message):
         run_subspace_rip(dct2_operator(32), 3, m_list, 0.4, trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "need 1 <= k <= n, got k=0"), (33, "need 1 <= k <= n, got k=33"),
+    (2.5, "k must be an integer, got 2.5"),
+])
+def test_subspace_rip_checks_k_before_drawing(monkeypatch, k, message):
+    monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
+    with pytest.raises(DomainError, match=message):
+        run_subspace_rip(dct2_operator(32), k, [16], 0.4, trials=4, seed=0)
 
 
 def test_subspace_rip_full_sampling_tiny_deviation():

@@ -136,6 +136,11 @@ def test_isotropy_single_trial_nonzero():
     assert isotropy_error(dft_operator(8), 4, trials=1, seed=1) > 0.0
     with pytest.raises(DomainError):
         isotropy_error(dft_operator(8), 4, trials=0, seed=0)
+    with pytest.raises(DomainError, match="trials must be an integer, got 2.5"):
+        isotropy_error(dft_operator(8), 4, trials=2.5, seed=0)
+    for m in (0, 1, 9):
+        with pytest.raises(InvalidM, match=f"got m={m}, n=8"):
+            isotropy_error(dft_operator(8), m, trials=2, seed=0)
 
 
 def test_isotropy_error_matches_dense_oracle():

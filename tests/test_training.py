@@ -151,6 +151,8 @@ def no_draw(*args, **kwargs):
     (0, 10, "need 1 <= k_true <= n, got k_true=0, n=8"),
     (9, 10, "need 1 <= k_true <= n, got k_true=9, n=8"),
     (2, 0, "count must be >= 1, got 0"),
+    (2, 2.5, "count must be an integer, got 2.5"),
+    (2.5, 10, "k_true must be an integer, got 2.5"),
 ])
 def test_synth_dataset_rejects_bad_shapes_before_drawing(monkeypatch, k_true, count, message):
     monkeypatch.setattr(training, "derive_rng", no_draw)
@@ -315,7 +317,8 @@ def test_regularized_training_requires_operator():
 @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": float("nan")},
                                     {"batch_size": 0}, {"epochs": -1}, {"reg_weight": -1.0},
                                     {"reg_weight": float("nan")}, {"reg_weight": float("inf")},
-                                    {"lam": -1.0}, {"lam": float("nan")}])
+                                    {"lam": -1.0}, {"lam": float("nan")}, {"batch_size": 2.5},
+                                    {"batch_size": True}, {"epochs": 2.5}, {"epochs": "1"}])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
         TrainConfig(**kwargs)
