@@ -35,7 +35,7 @@ def main() -> None:
     w1 = rng.standard_normal((K1, K)) / 2.0
     w_low = np.linalg.qr(rng.standard_normal((N, K1)))[0]
     u = transforms.dct2_operator(N)
-    w_high = u.matrix[:K1].T.real.copy()
+    w_high = u.rows(np.arange(K1)).T.real.copy()
 
     os.makedirs(args.out_dir, exist_ok=True)
     for name, w in [("w1", w1), ("w_low", w_low), ("w_high", w_high)]:

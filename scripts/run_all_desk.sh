@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run every desk-scale experiment end to end. Artifacts land in out/.
-# Pass --paper-scale through to use the full-size m grids instead.
+# Extra arguments (such as --threads) are passed to every gcs command.
 set -e
 
 python3 scripts/make_phase_weights.py

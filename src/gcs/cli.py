@@ -20,9 +20,6 @@ from . import gnn, harness, recovery, sampling, training, transforms
 from .errors import DomainError, GcsError, check_counts
 from .linops import load_matrix, read_json
 
-PAPER_PHASE_M = list(range(40, 441, 20))
-PAPER_SWEEP_M = [10, 15, 20, 25, 50, 100, 200, 250]
-
 
 def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
     if spec == "dft":
@@ -156,15 +153,12 @@ def _load_config(path: str, cls, what: str, required, extra) -> tuple[dict, dict
 
 
 def cmd_phase(args) -> int:
-    required = ("inner_weights", "w_high", "w_low") + (() if args.paper_scale else ("m_list",))
-    cfg_json, values = _load_config(args.config, harness.PhaseConfig, "phase", required,
-                                    ("unitary",))
+    cfg_json, values = _load_config(args.config, harness.PhaseConfig, "phase",
+                                    ("inner_weights", "w_high", "w_low", "m_list"), ("unitary",))
     values["inner_weights"] = [load_matrix(p) for p in cfg_json["inner_weights"]]
     values["w_high"] = load_matrix(cfg_json["w_high"])
     values["w_low"] = load_matrix(cfg_json["w_low"])
     n = values["w_high"].shape[0]
-    if args.paper_scale:
-        values.update(m_list=PAPER_PHASE_M, trials=20)
     cfg = harness.PhaseConfig(
         **values, seed=args.seed, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n)
     )
@@ -185,8 +179,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    required = ("models", "test_data") + (() if args.paper_scale else ("m_list",))
-    cfg_json, values = _load_config(args.config, harness.SweepConfig, "sweep", required,
+    cfg_json, values = _load_config(args.config, harness.SweepConfig, "sweep",
+                                    ("models", "test_data", "m_list"),
                                     ("unitary", "models", "test_data"))
     if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
         raise DomainError("a sweep config needs at least one entry in \"models\"")
@@ -201,11 +195,12 @@ def cmd_sweep(args) -> int:
         seed = test_spec["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
-    if args.paper_scale:
-        values["m_list"] = PAPER_SWEEP_M
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
-    models = [(name, training.load_vae(path)) for name, path in cfg_json["models"].items()]
+    (name, path), *rest = cfg_json["models"].items()
+    models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
+    harness.check_grid(cfg.model, cfg.m_list, n)  # the first model gives n; check before the rest
+    models += [(name, training.load_vae(path)) for name, path in rest]
     cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
     if kind == "synth":
         data = training.synth_dataset(
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored; every command runs in one thread")
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--paper-scale", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("coherence", help="coherence report for a weight file")

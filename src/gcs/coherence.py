@@ -50,7 +50,7 @@ def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
         raise DimensionMismatch(f"Q must be {u.n} x k")
     if orthonormality_defect(q) > 1e-8:
         raise NotOrthonormal("columns of Q are not orthonormal to 1e-8")
-    return two_to_inf_norm(u.matrix @ q)
+    return two_to_inf_norm(u.apply(q))
 
 
 def network_coherence_heuristic(
@@ -68,7 +68,7 @@ def network_coherence_heuristic(
     if w.shape[0] != d_op.n:
         raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {d_op.n}")
     factors = qr_thin(w)
-    return two_to_inf_norm(d_op.matrix @ factors.q)
+    return two_to_inf_norm(d_op.apply(factors.q))
 
 
 class ChordSampler:
@@ -93,7 +93,7 @@ class ChordSampler:
             proj, self._gram = u.matrix, None
         else:
             w = g.weights[-1]
-            proj, self._gram = u.matrix @ w, w.T @ w
+            proj, self._gram = u.apply(w), w.T @ w
         self.parts = (proj.real.copy(), proj.imag.copy()) if np.iscomplexobj(proj) else (proj,)
 
     def moduli(self, z1: np.ndarray, z2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -209,7 +209,7 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     grad = np.zeros_like(w)
     if row_norms[i_star] > 0:
         t = dw[i_star]
-        d_row = d_op.matrix[i_star]
+        d_row = d_op.rows(i_star)
         grad += np.real(np.outer(d_row, np.conj(t))) / row_norms[i_star]
     k = w.shape[1]
     e = w.T @ w - np.eye(k)

@@ -90,11 +90,6 @@ def emit_csv(records: list[dict], path: str) -> None:
         writer.writerows([_format_value(rec[c]) for c in columns] for rec in records)
 
 
-def parse_csv(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def _recover_all(trials: list, recovery: RecoveryConfig) -> list[float]:
     """Recover trials, each (network, operator, x0, solver seed), in one batch.
 
@@ -364,7 +359,7 @@ def run_subspace_rip(
         nonlocal alpha
         q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
         alpha = subspace_coherence(u, q)
-        b_mat = u.matrix @ q
+        b_mat = u.apply(q)
 
         def trial(mi, t, m):
             bj = b_mat[bernoulli_rows(derive_rng(seed, 1, mi, t), m, n)]

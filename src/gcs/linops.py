@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GcsError, NotOrthonormal, RankDeficient
+from .errors import DimensionMismatch, DomainError, GcsError, RankDeficient
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -68,18 +68,6 @@ def orthonormality_defect(q: np.ndarray) -> float:
     q = np.asarray(q)
     k = q.shape[1]
     return float(np.linalg.norm(q.conj().T @ q - np.eye(k)))
-
-
-def max_row_norm_bound_check(q: np.ndarray) -> bool:
-    """Check max_i ||Q_i||_2 >= sqrt(k/n) - 1e-12 for orthonormal-column Q.
-
-    Always true for orthonormal columns (the mean squared row norm is k/n).
-    """
-    q = check_finite(q, "Q")
-    if orthonormality_defect(q) > 1e-8:
-        raise NotOrthonormal("columns of Q are not orthonormal to 1e-8")
-    n, k = q.shape
-    return two_to_inf_norm(q) >= np.sqrt(k / n) - 1e-12
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -232,8 +232,8 @@ def recover_batch(
     The configs may differ in seed and restarts only. Problems with equal |J|
     and the same unitary whose networks share widths and final activation
     share a block, so that their row sets stack; one column per restart, each
-    holding its own copy of U[J]. A block's rows are one gather from that
-    unitary. A block holds at most BLOCK_BYTES of rows, or BLOCK_COLUMNS
+    holding its own copy of U[J]. A block's rows are one `rows` call on
+    that unitary. A block holds at most BLOCK_BYTES of rows, or BLOCK_COLUMNS
     columns' if that is more, so a call needs that on top of its inputs.
     """
     if x0s is None:
@@ -264,9 +264,9 @@ def recover_batch(
     finals = [None] * len(cols)
     for (num_rows, _, widths, final_activation), group in groups.items():
         k, n = widths[0], widths[-1]
-        unitary = ops[cols[group[0]][0]].base.matrix
+        unitary = ops[cols[group[0]][0]].base
         group.sort(key=lambda c: net_of[cols[c][0]])
-        width = max(BLOCK_COLUMNS, BLOCK_BYTES // max(1, num_rows * n * unitary.itemsize))
+        width = max(BLOCK_COLUMNS, BLOCK_BYTES // max(1, num_rows * n * unitary.dtype.itemsize))
         for start in range(0, len(group), width):
             chunk = group[start:start + width]
             problems = [cols[c][0] for c in chunk]
@@ -278,7 +278,7 @@ def recover_batch(
             # The row stack is not bound here, so it is freed before the next
             # chunk's is built.
             block = _adam_block(nets, owner, final_activation,
-                                unitary[np.stack([ops[i].indices for i in problems])],
+                                unitary.rows(np.stack([ops[i].indices for i in problems])),
                                 scale, b, z0, configs[0])
             for c, final in zip(chunk, block):
                 finals[c] = final

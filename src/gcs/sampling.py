@@ -104,16 +104,14 @@ def apply(a: SubsampledIsometry, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != a.base.n:
         raise DimensionMismatch(f"operator dim {a.base.n}, vector dim {x.shape[0]}")
-    rows = a.base.matrix[a.indices]
-    return a.scale * (rows @ x)
+    return a.scale * (a.base.rows(a.indices) @ x)
 
 
 def apply_adjoint(a: SubsampledIsometry, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if y.shape[0] != a.num_rows:
         raise DimensionMismatch(f"expected length {a.num_rows}, got {y.shape[0]}")
-    rows = a.base.matrix[a.indices]
-    return a.scale * (rows.conj().T @ y)
+    return a.scale * (a.base.rows(a.indices).conj().T @ y)
 
 
 def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:
@@ -148,16 +146,3 @@ def cramer_chernoff_tail(t: float, m: int, r: float) -> float:
     exponent = -m * (u * math.log(u) - u + 1.0)
     return float(min(1.0, math.exp(min(exponent, 0.0))))
 
-
-def bernstein_tail(gamma: float, tau_sq: float, k_bound: float, dim: int) -> float:
-    """Matrix Bernstein tail 2n*exp(-(g^2/2)/(tau^2 + K*g/3)), clamped to [0,1]."""
-    if gamma < 0 or tau_sq < 0:
-        raise DomainError("gamma and tau_sq must be nonnegative")
-    if k_bound <= 0:
-        raise DomainError("K must be positive")
-    denom = tau_sq + k_bound * gamma / 3.0
-    if denom == 0.0:
-        raw = 2.0 * dim  # gamma = 0 with zero variance: vacuous bound
-    else:
-        raw = 2.0 * dim * math.exp(-(gamma**2 / 2.0) / denom)
-    return float(min(1.0, raw))

@@ -1,35 +1,79 @@
-"""Unitary reference operators (DFT, orthonormal DCT-II, explicit) and ||.||_U.
+"""Unitary reference operators (DFT, orthonormal DCT-II, explicit).
 
-Operators carry an explicit dense matrix. `UnitaryOperator.apply` runs the
-DFT and the DCT-II as O(n log n) FFTs once n reaches FFT_MIN_N, and as the
-dense product `matrix @ x` below it (and always for explicit unitaries).
-Callers that need rows or products of the matrix itself, such as
-`sampling`'s row gathers, `coherence.ChordSampler`'s U W^(d) and the
-subspace products, use `matrix` directly.
+An explicit operator holds the matrix it is given. The DFT and the DCT-II
+hold no matrix: their entries have closed forms, one function per kind.
+Below FFT_MIN_N, `rows` gathers from the dense `matrix` and `apply` is the
+dense product `matrix @ x`; from FFT_MIN_N on, `rows` evaluates the closed
+form for the rows asked for and `apply` runs an O(n log n) FFT, so no n x n
+array is built. `matrix` is built on first use; past FFT_MIN_N only readers
+that need every entry (`apply_adjoint`, `sampling.isotropy_error` and the
+sigmoid-final `coherence.ChordSampler`) build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
 from .linops import check_finite
 
-# Smallest n at which apply() runs an FFT. Measured on the DCT-II with BLAS at
-# one thread: the dense product wins at n <= 128 (8 us against 51 us at
-# 64 x 32, 66 us against 104 us at 128 x 64), the two tie at 192 x 64, and
-# the FFT wins from n = 256 (0.13 ms against 0.26 ms at 256 x 64; 2.4 ms
-# against 7.7 ms at 784 x 200).
+# Smallest n at which apply() runs an FFT and rows() evaluates the closed
+# form. Measured on the DCT-II with BLAS at one thread: the dense product
+# wins at n <= 128 (8 us against 51 us at 64 x 32, 66 us against 104 us at
+# 128 x 64), the two tie at 192 x 64, and the FFT wins from n = 256 (0.13 ms
+# against 0.26 ms at 256 x 64; 2.4 ms against 7.7 ms at 784 x 200). At
+# n = 64 a gather of 8 to 64 rows takes 3-9 us, the closed form 31-119 us.
 FFT_MIN_N = 256
+
+
+def _dft_rows(n: int, j: np.ndarray) -> np.ndarray:
+    """Rows j of the DFT, F_ij = exp(2*pi*i*(i-1)*(j-1)/n)/sqrt(n) (1-based)."""
+    return np.exp(2j * np.pi * np.multiply.outer(j, np.arange(n)) / n) / np.sqrt(n)
+
+
+def _dct_rows(n: int, j: np.ndarray) -> np.ndarray:
+    """Rows j of the orthonormal DCT-II: row 0 constant 1/sqrt(n), then
+    sqrt(2/n)*cos(pi*i*(2j+1)/(2n)) for row i >= 1 (0-based)."""
+    d = np.sqrt(2.0 / n) * np.cos(np.pi * j[..., None] * (2 * np.arange(n) + 1) / (2 * n))
+    d[j == 0] = 1.0 / np.sqrt(n)
+    return d
+
+
+_ROWS = {"dft": _dft_rows, "dct": _dct_rows}
 
 
 @dataclass(frozen=True)
 class UnitaryOperator:
     kind: str  # "dft" | "dct" | "explicit"
     n: int
-    matrix: np.ndarray = field(repr=False)
+    given: np.ndarray | None = field(default=None, repr=False)  # an explicit U's matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix; built on first use for the DFT and DCT-II."""
+        if self.kind == "explicit":
+            return self.given
+        return _ROWS[self.kind](self.n, np.arange(self.n))
+
+    @property
+    def dtype(self) -> np.dtype:
+        """complex for the DFT, real for the DCT-II, the given matrix's otherwise."""
+        if self.kind == "explicit":
+            return self.given.dtype
+        return np.dtype(complex if self.kind == "dft" else float)
+
+    def rows(self, j) -> np.ndarray:
+        """Rows j of U, equal to `matrix[j]`: j is a row number in [0, n),
+        a 1-D row set, or a 2-D stack of row sets."""
+        j = np.asarray(j)
+        if self.n < FFT_MIN_N or self.kind == "explicit":
+            return self.matrix[j]
+        if j.size and (j.min() < 0 or j.max() >= self.n):
+            raise IndexError(f"row index out of range for n = {self.n}")
+        return _ROWS[self.kind](self.n, j)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -68,24 +112,17 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 
 
 def dft_operator(n: int) -> UnitaryOperator:
-    """DFT matrix F_ij = exp(2*pi*i*(i-1)*(j-1)/n)/sqrt(n) (1-based indices)."""
+    """The unitary DFT of size n (entries in `_dft_rows`)."""
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
-    idx = np.arange(n)
-    f = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    return UnitaryOperator(kind="dft", n=n, matrix=f)
+    return UnitaryOperator(kind="dft", n=n)
 
 
 def dct2_operator(n: int) -> UnitaryOperator:
-    """Orthonormal DCT-II: first row constant 1/sqrt(n), then
-    sqrt(2/n)*cos(pi*i*(2j+1)/(2n)) for row i >= 1 (0-based)."""
+    """The orthonormal DCT-II of size n (entries in `_dct_rows`)."""
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    d = np.sqrt(2.0 / n) * np.cos(np.pi * i * (2 * j + 1) / (2 * n))
-    d[0, :] = 1.0 / np.sqrt(n)
-    return UnitaryOperator(kind="dct", n=n, matrix=d)
+    return UnitaryOperator(kind="dct", n=n)
 
 
 def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
@@ -96,16 +133,8 @@ def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
     n = m.shape[0]
     if np.linalg.norm(m.conj().T @ m - np.eye(n)) > 1e-8:
         raise NotOrthonormal("||U*U - I||_F exceeds 1e-8")
-    return UnitaryOperator(kind="explicit", n=n, matrix=m)
+    return UnitaryOperator(kind="explicit", n=n, given=m)
 
 
 def identity_operator(n: int) -> UnitaryOperator:
-    return UnitaryOperator(kind="explicit", n=n, matrix=np.eye(n))
-
-
-def measurement_norm(u: UnitaryOperator, x: np.ndarray) -> float:
-    """||x||_U := ||Ux||_inf, the largest |<U_i, x>|."""
-    x = np.asarray(x)
-    if x.shape[0] != u.n:
-        raise DimensionMismatch(f"operator dim {u.n}, vector dim {x.shape[0]}")
-    return float(np.max(np.abs(u.apply(x))))
+    return UnitaryOperator(kind="explicit", n=n, given=np.eye(n))

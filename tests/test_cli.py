@@ -2,6 +2,7 @@ import json
 import os
 import shlex
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,21 +80,6 @@ def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):
     ])
     assert rc == 0
     assert (out.parent / "m.decoder.json").exists()
-
-
-def test_paper_scale_phase_fails_before_any_cell(monkeypatch, capsys):
-    # The shipped desk weights have n = 64; the paper-scale grid runs to m = 440.
-    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-    def no_recovery(*args, **kwargs):
-        raise AssertionError("a trial was recovered")
-
-    monkeypatch.setattr(cli.harness, "recover_batch", no_recovery)
-    monkeypatch.setattr(cli.harness, "network_coherence_heuristic", no_recovery)
-    rc = cli.main(["--paper-scale", "phase", "--config", "configs/phase_desk.json"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "got m=80, n=64" in err
 
 
 def write_config(path, base: dict, edits: dict) -> str:
@@ -178,6 +164,28 @@ def test_sweep_without_models_exits_2_before_loading(tmp_path, monkeypatch, caps
     assert err.count("\n") == 1 and err.startswith("gcs: error: ")
     assert '"models"' in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("m_list, message", [([10, 10], "m = 10 appears twice"),
+                                             ([16, 80], "got m=80, n=64")])
+def test_sweep_bad_grid_exits_2_after_one_model_load(tmp_path, monkeypatch, capsys, m_list,
+                                                     message):
+    config = sweep_config(tmp_path, m_list=m_list,
+                          models={"a": str(tmp_path / "a.json"), "b": str(tmp_path / "b.json")})
+    loads = []
+
+    def load_vae(path):
+        loads.append(path)
+        return SimpleNamespace(decoder=SimpleNamespace(ambient_dim=64))
+
+    monkeypatch.setattr(cli.training, "load_vae", load_vae)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path), "sweep", "--config", config])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert loads == [str(tmp_path / "a.json")]
 
 
 def test_recovery_block_keys():

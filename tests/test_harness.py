@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from gcs.harness import (
     emit_svg_scatter,
     fit_subspace_tail,
     geometric_stats,
-    parse_csv,
     phase_success_grid,
     run_indexed,
     run_measurement_sweep,
@@ -28,6 +28,11 @@ from gcs.recovery import RecoveryConfig, recover
 from gcs.sampling import apply, derive_rng, sample_bernoulli, sample_fixed, spawn_seed
 from gcs.training import TrainConfig, synth_dataset, train_vae
 from gcs.transforms import dct2_operator, dft_operator
+
+
+def parse_csv(path: str) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def test_geometric_stats_definition():

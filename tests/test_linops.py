@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcs.errors import DimensionMismatch, NotOrthonormal, RankDeficient
+from gcs.errors import DimensionMismatch, RankDeficient
 from gcs.linops import (
     QRFactors,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    max_row_norm_bound_check,
     orthonormality_defect,
     qr_thin,
     save_matrix,
@@ -128,12 +127,7 @@ def test_max_row_norm_bound_always_holds(seed):
     n = int(rng.integers(2, 64))
     k = int(rng.integers(1, n + 1))
     q = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    assert max_row_norm_bound_check(q)
-
-
-def test_max_row_norm_bound_rejects_nonorthonormal():
-    with pytest.raises(NotOrthonormal):
-        max_row_norm_bound_check(np.ones((4, 2)))
+    assert two_to_inf_norm(q) >= np.sqrt(k / n) - 1e-12
 
 
 @pytest.mark.parametrize("complex_", [False, True])

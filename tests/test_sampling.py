@@ -9,7 +9,6 @@ from gcs.errors import DimensionMismatch, DomainError, InvalidM
 from gcs.sampling import (
     apply,
     apply_adjoint,
-    bernstein_tail,
     check_m,
     cramer_chernoff_tail,
     derive_rng,
@@ -178,45 +177,6 @@ def test_cramer_chernoff_domain():
         cramer_chernoff_tail(1.0, 4, 1.0)
     with pytest.raises(DomainError):
         cramer_chernoff_tail(2.0, 4, 0.0)
-
-
-def test_bernstein_tail_properties():
-    assert bernstein_tail(0.0, 1.0, 1.0, 16) == 1.0  # raw 2n, clamped
-    vals = [bernstein_tail(g, 0.01, 0.5, 16) for g in (2.0, 3.0, 4.0)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        bernstein_tail(-1.0, 1.0, 1.0, 4)
-    with pytest.raises(DomainError):
-        bernstein_tail(1.0, 1.0, 0.0, 4)
-
-
-def test_bernstein_closed_form():
-    g, tau_sq, kb, n = 0.7, 0.02, 0.3, 128
-    raw = 2 * n * math.exp(-(g**2 / 2) / (tau_sq + kb * g / 3))
-    assert bernstein_tail(g, tau_sq, kb, n) == pytest.approx(min(1.0, raw))
-
-
-def test_bernstein_dominates_subspace_simulation():
-    # Empirical tail of the subspace Gram deviation vs the matrix Bernstein
-    # bound at n = 128, m = 64, k = 4.
-    n, m, k, trials = 128, 64, 4, 400
-    u = dft_operator(n)
-    q = np.linalg.qr(derive_rng(0, 0).standard_normal((n, k)))[0]
-    b = u.matrix @ q
-    alpha = float(np.sqrt(np.max(np.sum(np.abs(b) ** 2, axis=1))))
-    devs = []
-    for t in range(trials):
-        mask = derive_rng(0, 1, t).random(n) < m / n
-        bj = b[mask]
-        gram = (n / m) * np.real(bj.conj().T @ bj)
-        devs.append(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k)))))
-    devs = np.asarray(devs)
-    # Summand norms are bounded by K = (n/m)*alpha^2 and the variance proxy by
-    # tau^2 = (n/m)*alpha^2 for isotropic row sampling.
-    kb = (n / m) * alpha**2
-    for gamma in (0.25, 0.5):
-        emp = float(np.mean(devs >= gamma))
-        assert emp <= bernstein_tail(gamma, kb, kb, k)
 
 
 @given(st.integers(0, 1000), st.integers(2, 16))
