@@ -203,20 +203,30 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     if w.ndim != 2 or w.shape[0] != d_op.n:
         raise DimensionMismatch(f"W must have {d_op.n} rows")
     dw = d_op.apply(w)
-    row_norms = np.sqrt(np.sum(np.abs(dw) ** 2, axis=1))
+    # The n x k products are formed in place, each in the order of the
+    # formula, so the results are bit for bit those of the formula.
+    sq = np.abs(dw)
+    sq **= 2
+    row_norms = np.sqrt(np.sum(sq, axis=1))
+    del sq
     i_star = int(np.argmax(row_norms))  # argmax takes the first maximizer
     value = float(row_norms[i_star])
     grad = np.zeros_like(w)
     if row_norms[i_star] > 0:
-        t = dw[i_star]
-        d_row = d_op.rows(i_star)
-        grad += np.real(np.outer(d_row, np.conj(t))) / row_norms[i_star]
+        tmp = np.real(np.outer(d_op.rows(i_star), np.conj(dw[i_star])))
+        tmp /= row_norms[i_star]
+        grad += tmp
+        del tmp
+    del dw
     k = w.shape[1]
     e = w.T @ w - np.eye(k)
     fro = float(np.linalg.norm(e))
     value += lam * fro
     if fro > 1e-12:
-        grad += 2.0 * lam * (w @ e) / fro
+        tmp = w @ e
+        tmp *= 2.0 * lam
+        tmp /= fro
+        grad += tmp
     return value, grad
 
 

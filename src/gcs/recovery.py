@@ -8,18 +8,29 @@ Recovery is declared successful when rre < 1e-5.
 One engine solves every problem. `recover_batch` runs Adam in lockstep on a
 latent block Z that stacks one latent vector, a column, per (problem,
 restart) pair; `recover` is a one-problem call of it. Each problem has its
-own network, so a whole phase portrait or sweep runs as one batch. Each
-column keeps its own rows U[J], measurement b, early stop and
-nonfinite-restart accounting, and leaves the block when it finishes. A
-block holds columns of one |J| and one network shape, sorted by network, and
-each layer is one product per run of columns that share its weights, so no
-weight is ever copied. Every product is a stacked matrix-vector product
-(`np.matmul(W, Z[:, :, None])`), the same BLAS call as a one-vector loop
-makes, never a matrix-matrix product, whose blocking rounds differently. U[J]
-is gathered unscaled once per block and the sqrt(n/m) scale multiplies each
-product, as in `sampling.apply`. So each column's iterates, and every result,
-are bit for bit those of solving its problem alone; tests/test_recovery.py
-checks this against the one-vector loop.
+own network, so a whole phase portrait or sweep runs as one batch. Columns
+whose networks share widths and final activation, and whose unitaries and
+measurements share a dtype, run in one loop: each iteration runs the layers,
+the gradient norm, the termination test and the Adam step once over every
+column in flight, and the measurement products once per stretch of columns
+with equal |J| and the same unitary (a group). The dtype splits loops: a
+complex residual's gradient passes through a strided real view, and numpy's
+matmul rounds a strided operand otherwise than a contiguous one. Each layer
+is one product per run of columns that share its weights, so no weight is
+ever copied; columns are sorted by network, then group, so each layer is
+one product per network. Each column keeps its own rows U[J],
+measurement b, Adam step count, early stop and nonfinite-restart
+accounting, and leaves the loop when it finishes. The rows in flight lie
+back to back in one buffer; BLOCK_BYTES bounds everything the loop holds,
+the rows, the per-column arrays and their transients together, and the
+other columns wait in a queue and enter as leaving columns free room. Every
+product is a stacked matrix-vector product (`np.matmul(W, Z[:, :, None])`),
+the same BLAS call as a one-vector loop makes, never a matrix-matrix
+product, whose blocking rounds differently. U[J] is held unscaled and the
+sqrt(n/m) scale multiplies each product, as in `sampling.apply`. So each
+column's iterates, and every result, are bit for bit those of solving its
+problem alone; tests/test_recovery.py checks this against the one-vector
+loop.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
-# The block engine computes objective_value_grad column by column without
+# The lockstep engine computes objective_value_grad column by column without
 # calling it; the binding stays because perfbench/instrument.py wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad, relu, sigmoid  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
@@ -38,9 +49,10 @@ from .training import adam_step
 
 SUCCESS_RRE = 1e-5
 
-# Cap on the row stack of one block, unless that leaves fewer than
-# BLOCK_COLUMNS columns. Problems whose rows exceed it are split over several
-# blocks; columns never interact, so this changes no result.
+# Cap on what one lockstep loop holds, transients included (see `_capacity`),
+# unless that leaves room for fewer than BLOCK_COLUMNS columns. Columns that
+# do not fit wait until others leave; columns never interact, so this
+# changes no result.
 BLOCK_BYTES = 2 * 2**20
 BLOCK_COLUMNS = 4
 
@@ -123,11 +135,11 @@ def _pullback(runs, s):
     return out
 
 
-def _block_value_grad(layers, final_activation, rows, scale, b, z):
+def _block_value_grad(layers, final_activation, measure, z):
     """Per-column finiteness of 0.5*||scale*rows@G(z) - b||^2 and its gradient.
 
-    Shapes: layers, per layer the runs of `_layer_runs`; rows (B, |J|, n);
-    scale (B, 1, 1); b (B, |J|, 1); z (B, k, 1).
+    Shapes: layers, per layer the runs of `_layer_runs`; measure,
+    a `_Measure` of the columns; z (B, k, 1).
     Returns (finite (B,), grad (B, k, 1)).
     """
     d = len(layers)
@@ -140,29 +152,40 @@ def _block_value_grad(layers, final_activation, rows, scale, b, z):
             h = relu(h)
     y = pre[-1]
     x = sigmoid(y) if final_activation == "sigmoid" else y
-    r = scale * np.matmul(rows, x) - b
-    r_conj = r.conj()
-    value = np.real(np.matmul(r_conj.transpose(0, 2, 1), r))[:, 0, 0]
-    # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
-    # flips, without a conjugated copy of the rows.
-    s = np.real(scale * np.matmul(rows.transpose(0, 2, 1), r_conj))
+    for start, stop, rows, p, *_ in measure.segments:
+        np.matmul(rows, x[start:stop], out=p)
+    # r = scale*(U_J x) - b, one entry per row in flight.
+    measure.p *= measure.scale_rows
+    np.subtract(measure.p, measure.b, out=measure.r)
+    if measure.r_conj is not measure.r:
+        np.conjugate(measure.r, out=measure.r_conj)
+    for start, stop, rows, _, r, r_conj, value, s in measure.segments:
+        np.matmul(r_conj.transpose(0, 2, 1), r, out=value)
+        # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
+        # flips, without a conjugated copy of the rows.
+        np.matmul(rows.transpose(0, 2, 1), r_conj, out=s)
+    measure.s *= measure.scale
+    # For complex residuals this is a strided view. The pullback below must
+    # see it so: numpy's matmul rounds differently on strided operands, so a
+    # contiguous copy would not step as the column alone does.
+    s = np.real(measure.s)
     if final_activation == "sigmoid":
         s = s * x * (1.0 - x)
     for i in range(d - 1, -1, -1):
         s = _pullback(layers[i], s)
         if i > 0:
             s = s * (pre[i - 1] > 0)
-    finite = np.isfinite(value) & np.isfinite(s).all(axis=(1, 2))
+    finite = np.isfinite(np.real(measure.value[:, 0, 0])) & np.isfinite(s).all(axis=(1, 2))
     return finite, s
 
 
 def _layer_runs(nets, owner) -> list[list[tuple]]:
-    """Per layer, [(start, stop, w, bias)] over a block whose column c runs
-    nets[owner[c]].
+    """Per layer, [(start, stop, w, bias)] over the columns in flight, whose
+    column c runs nets[owner[c]].
 
     Adjacent columns whose networks hold the same weight and bias arrays for a
-    layer share one run of it, so a layer common to the whole block is one
-    product; owner is sorted, so each network is one run.
+    layer share one run of it, so a layer common to the columns in flight is
+    one product.
     """
     cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
     bounds = [0, *cuts.tolist(), owner.size]
@@ -180,44 +203,167 @@ def _layer_runs(nets, owner) -> list[list[tuple]]:
     return layers
 
 
-def _adam_block(nets, owner, final_activation, rows, scale, b, z, config):
-    """Adam in lockstep on the columns of z (B, k); column c runs the network
-    nets[owner[c]] (owner sorted) and measures x by scale[c] * rows[c] @ x
-    against b[c].
+class _Measure:
+    """The measurement side of the columns in flight. Per stretch of one
+    group's columns, `segments` holds (start, stop, rows) and views of the
+    buffers: p = U_J x and r = scale*p - b, one entry per row in flight
+    (r_conj is r for real residuals), and value and the gradient s, one per
+    column. b holds the measurements in the layout of p."""
+
+    def __init__(self, rows_flat, b_flat, group, jrows, scale, n, measure_dtype):
+        entries = int(jrows.sum())
+        self.scale, self.scale_rows, self.b = scale, np.repeat(scale[:, 0, 0], jrows), b_flat[:entries]
+        self.p = np.empty(entries, dtype=rows_flat.dtype)
+        self.r = self.p if rows_flat.dtype == measure_dtype else np.empty_like(self.p, measure_dtype)
+        self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
+        self.value = np.empty((len(scale), 1, 1), dtype=measure_dtype)
+        self.s = np.empty((len(scale), n, 1), dtype=measure_dtype)
+        bounds = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
+        self.segments, at = [], 0
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            shape = (stop - start, int(jrows[start]), 1)
+            size = shape[0] * shape[1]
+            self.segments.append((start, stop, rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,)),
+                                  *(a[at:at + size].reshape(shape) for a in (self.p, self.r, self.r_conj)),
+                                  self.value[start:stop], self.s[start:stop]))
+            at += size
+
+
+def _squeeze(flat, sizes, keep) -> None:
+    """Move the entries of the kept columns to the front of flat, in order.
+
+    Column c holds sizes[c] entries, the columns back to back from flat[0].
+    Each run of kept columns moves by one copy on a byte view: numpy copies
+    overlapping 1-D byte slices in place, but a complex slice through a
+    temporary as large as the run.
+    """
+    raw = flat.view(np.uint8)
+    ends = np.cumsum(sizes) * flat.itemsize
+    starts = ends - sizes * flat.itemsize
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    dst = 0
+    for first, last in zip(edges[::2], edges[1::2] - 1):
+        src, stop = starts[first], ends[last]
+        if dst != src:
+            raw[dst:dst + stop - src] = raw[src:stop]
+        dst += stop - src
+
+
+def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
+    """(rows, columns) a lockstep loop may hold in flight, so that everything
+    it holds, its transients included, fits in BLOCK_BYTES; or BLOCK_COLUMNS
+    of the queue's largest columns, if that is more.
+
+    jrows_of: |J| per queued column. Each row in flight costs its entries of
+    U, its measurement, its product U_J x, the residual and its conjugate
+    and its scale; each column its value, its gradient through U_J, 512
+    bytes of Python objects and six floats per layer width, which cover an
+    iteration's activations, gradients, Adam moments and their temporaries
+    (tracemalloc puts them at 2.5-4.5 kB at the desk widths, where this
+    counts 5-6.5 kB). One column's `rows` call, at most three arrays of that
+    column's rows, is set aside. The rest is split between rows and columns
+    in the queue's mean ratio.
+    """
+    n = widths[-1]
+    row_bytes = (n + 1) * dtype.itemsize + 3 * measure_dtype.itemsize + 8
+    column_bytes = (n + 1) * measure_dtype.itemsize + 512 + 6 * 8 * sum(widths)
+    largest = int(jrows_of.max())
+    room = BLOCK_BYTES - 3 * largest * n * dtype.itemsize
+    columns = max(room // int(jrows_of.mean() * row_bytes + column_bytes), 0)
+    rows = max((room - columns * column_bytes) // row_bytes, 0)
+    return (int(min(jrows_of.sum(), max(rows, BLOCK_COLUMNS * largest))),
+            int(min(jrows_of.size, max(columns, BLOCK_COLUMNS))))
+
+
+def _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype, config):
+    """Adam in lockstep on the columns of queue, which enter in order as the
+    columns in flight leave room.
+
+    queue: per column (net, op, b, seed, restart, group): the column runs
+    nets[net] from derive_rng(seed, restart) and measures x by op against b.
+    Columns of one group share |J| and the unitary, and each stretch of one
+    group's columns in flight is measured by one set of stacked products.
+    The rows of the columns in flight lie back to back in one buffer, and
+    their measurements likewise in a second; a column enters when its rows
+    fit after the last and the columns' own arrays have room too (see
+    `_capacity`). Leaving columns' entries are squeezed out in place, and
+    each column's rows are gathered straight into the buffer, so nothing
+    but one column's rows is ever built on top of it. Each column carries
+    its own Adam step count.
 
     Returns per column (z, iterations, termination), or None where the
-    objective went nonfinite. Finished columns are moved out of rows in
-    place, so the block never holds a second copy of it; Adam steps z and
-    its moments in place.
+    objective went nonfinite.
     """
-    out = [None] * len(z)
-    live = np.arange(len(z))
-    layers = _layer_runs(nets, owner)
-    z = z[:, :, None]
-    m = np.zeros_like(z)
-    v = np.zeros_like(z)
-    for it in range(1, config.max_iters + 1):
-        finite, grad = _block_value_grad(layers, final_activation, rows, scale, b, z)
+    k, n = widths[0], widths[-1]
+    jrows_of = np.array([q[1].num_rows for q in queue], dtype=np.intp)
+    max_rows, max_columns = _capacity(jrows_of, widths, dtype, measure_dtype)
+    rows_flat = np.empty(max_rows * n, dtype=dtype)
+    b_flat = np.empty(max_rows, dtype=measure_dtype)
+    out = [None] * len(queue)
+    pos = used = 0
+    # Per column in flight, in order: queue position, net, group, |J|, Adam
+    # step count, sqrt(n/m) scale, and the latent vector with its moments.
+    ids = owner = group = jrows = t = np.zeros(0, dtype=np.intp)
+    scale = np.zeros((0, 1, 1))
+    z = m = v = np.zeros((0, k, 1))
+    layers = measure = None
+
+    def drop(keep):
+        nonlocal ids, owner, group, jrows, t, scale, z, m, v, used, layers, measure
+        _squeeze(rows_flat, jrows * n, keep)
+        _squeeze(b_flat, jrows, keep)
+        ids, owner, group, jrows, t, scale, z, m, v = (
+            a[keep] for a in (ids, owner, group, jrows, t, scale, z, m, v))
+        used = int(jrows.sum())
+        layers = measure = None
+
+    while True:
+        entering = []
+        while (pos < len(queue) and used + jrows_of[pos] <= max_rows
+               and ids.size + len(entering) < max_columns):
+            net, op, b, seed, restart, g = queue[pos]
+            stop = used + op.num_rows
+            rows_flat[used * n:stop * n] = op.base.rows(op.indices).reshape(-1)
+            b_flat[used:stop] = b
+            entering.append((pos, net, g, op.num_rows, op.scale,
+                             derive_rng(seed, restart).standard_normal(k)))
+            pos, used = pos + 1, stop
+        if entering:
+            e_ids, e_net, e_group, e_jrows, e_scale, e_z = zip(*entering)
+            ids, owner, group, jrows, t = (
+                np.concatenate([a, e]) for a, e in zip(
+                    (ids, owner, group, jrows, t),
+                    (e_ids, e_net, e_group, e_jrows, [1] * len(entering))))
+            scale = np.concatenate([scale, np.array(e_scale)[:, None, None]])
+            fresh = np.zeros((len(entering), k, 1))
+            z = np.concatenate([z, np.array(e_z)[:, :, None]])
+            m, v = np.concatenate([m, fresh]), np.concatenate([v, fresh])
+            layers = measure = None
+        if not ids.size:
+            return out
+        if layers is None:  # the columns in flight changed
+            layers = _layer_runs(nets, owner)
+            measure = _Measure(rows_flat, b_flat, group, jrows, scale, n, measure_dtype)
+
+        finite, grad = _block_value_grad(layers, final_activation, measure, z)
         norm = np.sqrt(np.matmul(grad.transpose(0, 2, 1), grad))[:, 0, 0]
         done = finite & (norm <= config.grad_tol)
         keep = finite & ~done
         if not keep.all():
             for j in np.flatnonzero(done):
-                out[live[j]] = (z[j, :, 0].copy(), it, "grad_tol")
-            kept = np.flatnonzero(keep)
-            for dst, src in enumerate(kept):  # ascending, so no source is overwritten
-                if dst != src:
-                    rows[dst] = rows[src]
-            rows = rows[:kept.size]
-            live, owner, z, m, v, grad, scale, b = (
-                a[kept] for a in (live, owner, z, m, v, grad, scale, b))
-            if not live.size:
-                return out
-            layers = _layer_runs(nets, owner)
-        adam_step(z, grad, m, v, it, config.learning_rate)
-    for j, c in enumerate(live):
-        out[c] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
-    return out
+                out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
+            grad = grad[keep]
+            drop(keep)
+            if not ids.size:
+                continue
+        adam_step(z, grad, m, v, t, config.learning_rate)
+        # Columns enter in queue order and t counts up, so t[0] is the most.
+        if t[0] == config.max_iters:
+            capped = t == config.max_iters
+            for j in np.flatnonzero(capped):
+                out[ids[j]] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
+            drop(~capped)
+        t += 1
 
 
 def recover_batch(
@@ -229,12 +375,17 @@ def recover_batch(
 ) -> list[RecoveryResult]:
     """recover(gs[i], ops[i], bs[i], configs[i], x0s[i]) for every i, in lockstep.
 
-    The configs may differ in seed and restarts only. Problems with equal |J|
-    and the same unitary whose networks share widths and final activation
-    share a block, so that their row sets stack; one column per restart, each
-    holding its own copy of U[J]. A block's rows are one `rows` call on
-    that unitary. A block holds at most BLOCK_BYTES of rows, or BLOCK_COLUMNS
-    columns' if that is more, so a call needs that on top of its inputs.
+    The configs may differ in seed and restarts only. One column per
+    restart. Columns whose networks share widths and final activation, and
+    whose unitaries and measurements share a dtype, run in one lockstep loop
+    (`_lockstep`); within it, those with equal |J| and the same unitary form
+    a group, each holding its own copy of U[J]. The dtype splits loops
+    because a complex residual's gradient goes through a strided real view,
+    which numpy's matmul rounds otherwise than a contiguous buffer. A loop
+    holds at most BLOCK_BYTES, its rows, measurements, per-column arrays
+    and transients together, or BLOCK_COLUMNS columns' worth if that is
+    more, so a call needs that on top of its inputs and results; the other
+    columns wait and enter as earlier ones leave.
     """
     if x0s is None:
         x0s = [None] * len(ops)
@@ -250,38 +401,33 @@ def recover_batch(
         raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
     if not gs:
         return []
-    # Distinct networks by first appearance. A block's columns are sorted by
-    # network, stably, so a problem's restarts stay adjacent.
+    # Distinct networks by first appearance.
     nets = list({id(g): g for g in gs}.values())
     index = {id(g): j for j, g in enumerate(nets)}
     net_of = [index[id(g)] for g in gs]
     cols = [(i, r) for i, c in enumerate(configs) for r in range(c.restarts)]
-    groups = {}
+    loops = {}
     for c, (i, _) in enumerate(cols):
-        g = gs[i]  # biases are per run, so biased and unbiased networks mix
-        key = (ops[i].num_rows, id(ops[i].base), tuple(g.widths), g.final_activation)
-        groups.setdefault(key, []).append(c)
+        g, a = gs[i], ops[i]  # biases are per run, so biased and unbiased networks mix
+        loop = (tuple(g.widths), g.final_activation, a.base.dtype,
+                np.result_type(a.base.dtype, bs[i].dtype))
+        loops.setdefault(loop, {}).setdefault((a.num_rows, id(a.base)), []).append(c)
     finals = [None] * len(cols)
-    for (num_rows, _, widths, final_activation), group in groups.items():
-        k, n = widths[0], widths[-1]
-        unitary = ops[cols[group[0]][0]].base
-        group.sort(key=lambda c: net_of[cols[c][0]])
-        width = max(BLOCK_COLUMNS, BLOCK_BYTES // max(1, num_rows * n * unitary.dtype.itemsize))
-        for start in range(0, len(group), width):
-            chunk = group[start:start + width]
-            problems = [cols[c][0] for c in chunk]
-            scale = np.array([ops[i].scale for i in problems])[:, None, None]
-            b = np.stack([bs[i] for i in problems])[:, :, None]
-            z0 = np.stack([derive_rng(configs[i].seed, cols[c][1]).standard_normal(k)
-                           for c, i in zip(chunk, problems)])
-            owner = np.array([net_of[i] for i in problems])
-            # The row stack is not bound here, so it is freed before the next
-            # chunk's is built.
-            block = _adam_block(nets, owner, final_activation,
-                                unitary.rows(np.stack([ops[i].indices for i in problems])),
-                                scale, b, z0, configs[0])
-            for c, final in zip(chunk, block):
-                finals[c] = final
+    for (widths, final_activation, dtype, measure_dtype), groups in loops.items():
+        # Sorted by network, then group: each layer then costs one product
+        # per network per iteration, however many groups the networks span.
+        # Ties keep the columns' order, so a problem's restarts stay adjacent.
+        columns = sorted((net_of[cols[c][0]], g, c) for g, group in enumerate(groups.values())
+                         for c in group)
+        queue, order = [], []
+        for _, g, c in columns:
+            i, r = cols[c]
+            queue.append((net_of[i], ops[i], bs[i], configs[i].seed, r, g))
+            order.append(c)
+        block = _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype,
+                          configs[0])
+        for c, final in zip(order, block):
+            finals[c] = final
 
     results = []
     c = 0

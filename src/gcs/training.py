@@ -118,13 +118,18 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
 ADAM_CHUNK = 16384
 
 
-def adam_step(p, g, m, v, t: int, lr: float) -> None:
+def adam_step(p, g, m, v, t, lr: float) -> None:
     """Bias-corrected Adam step t (counted from 1) on p with gradient g.
 
     Updates p and its moments m and v in place; p, g, m and v share one
     shape, whatever it is. Recovery and training both step through here.
-    A 1-D p longer than ADAM_CHUNK is stepped ADAM_CHUNK elements at a time;
-    every update is elementwise, so the result is bit for bit the same.
+    t is an int, or an integer array with one step count per entry of p's
+    first axis, so that recovery's columns, which start at different
+    iterations, step together; either way every bias correction is the
+    Python float 1 - b**t, so each column steps bit for bit as it would
+    alone. A 1-D p longer than ADAM_CHUNK (training's flat parameters, with
+    an int t) is stepped ADAM_CHUNK elements at a time; every update is
+    elementwise, so the result is bit for bit the same.
     """
     if p.ndim == 1 and p.size > ADAM_CHUNK:
         for i in range(0, p.size, ADAM_CHUNK):
@@ -134,15 +139,30 @@ def adam_step(p, g, m, v, t: int, lr: float) -> None:
         _adam(p, g, m, v, t, lr)
 
 
-def _adam(p, g, m, v, t: int, lr: float) -> None:
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    m *= b1
-    m += (1 - b1) * g
-    v *= b2
-    v += (1 - b2) * g**2
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
+# Rows 1 - _B1**t and 1 - _B2**t for t below its width, each the Python float
+# a scalar step t divides by; grown to the next power of two when outgrown.
+_bias_table = np.empty((2, 0))
+
+
+def _adam(p, g, m, v, t, lr: float) -> None:
+    global _bias_table
+    m *= _B1
+    m += (1 - _B1) * g
+    v *= _B2
+    v += (1 - _B2) * g**2
+    if np.ndim(t):
+        t, table = np.asarray(t), _bias_table
+        if table.shape[1] <= t.max():
+            size = 1 << int(t.max()).bit_length()
+            table = _bias_table = np.array([np.fromiter((1 - b**s for s in range(size)), float, size)
+                                            for b in (_B1, _B2)])
+        c1, c2 = table.take(t, axis=1).reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
+    else:
+        c1, c2 = 1 - _B1**t, 1 - _B2**t
+    m_hat = m / c1
+    v_hat = v / c2
+    p -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 @dataclass(frozen=True)

@@ -504,3 +504,35 @@ def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
             with open(os.path.join(out_dir, name), "rb") as want, \
                     open(os.path.join(argv[i], name), "rb") as got:
                 assert got.read() == want.read(), name
+
+
+@pytest.mark.parametrize("command, key", [("phase", ("beta", "m", "trial")),
+                                          ("sweep", ("model", "m", "trial"))])
+def test_desk_phase_and_sweep_rows_reproduce(tmp_path, monkeypatch, command, key):
+    # The desk script's phase and sweep lines, rerun at 2 trials per cell,
+    # rewrite their committed rows byte for byte. A row depends only on its
+    # seed, cell and trial, so the rows of 2 trials are those of 20.
+    monkeypatch.chdir(ROOT)
+    [(argv, out_dir)] = desk_lines(command)
+    i = argv.index("--config") + 1
+    with open(argv[i]) as f:
+        cfg = json.load(f)
+    cfg["trials"] = 2
+    argv[i] = str(tmp_path / "config.json")
+    with open(argv[i], "w") as f:
+        json.dump(cfg, f)
+    j = argv.index("--out-dir") + 1
+    argv[j] = str(tmp_path / out_dir)
+    assert cli.main(argv) == 0
+    name = f"{command}.csv"
+    with open(os.path.join(out_dir, name)) as f:
+        header, *want = f.read().splitlines()
+    with open(os.path.join(argv[j], name)) as f:
+        got_header, *got = f.read().splitlines()
+    assert got_header == header
+    cols = [header.split(",").index(k) for k in key]
+    by_key = {tuple(line.split(",")[c] for c in cols): line for line in want}
+    grid = cfg["betas"] if command == "phase" else cfg["models"]
+    assert len(got) == len(grid) * len(cfg["m_list"]) * 2
+    for line in got:
+        assert line == by_key[tuple(line.split(",")[c] for c in cols)]

@@ -267,7 +267,7 @@ def assert_batch_matches_oracle(g, ops, bs, configs, x0s):
 def test_batch_matches_scalar_loop_fixed(unitary, biases, final):
     u = (dct2_operator if unitary == "dct" else dft_operator)(24)
     g = small_network([3, 10, 24], seed=40, biases=biases, final=final)
-    # Equal |J| throughout, so every column shares one block.
+    # Equal |J| throughout, so every column is in one group.
     ops, bs, configs, x0s = cell_problems(g, u, [10] * 5, seed=41,
                                           config=RecoveryConfig(max_iters=600))
     assert_batch_matches_oracle(g, ops, bs, configs, x0s)
@@ -348,14 +348,17 @@ def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
     g = small_network([3, 8, 16], seed=50)
     ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [6] * 4, seed=51,
                                           config=RecoveryConfig(max_iters=300))
-    # Same |J|, other dtype: DFT problems get a block of their own.
+    # Same |J|, other dtype: DFT problems get a loop of their own.
     more = cell_problems(g, dft_operator(16), [6] * 2, seed=52,
                          config=RecoveryConfig(max_iters=300))
     ops, bs, configs, x0s = (a + b for a, b in zip((ops, bs, configs, x0s), more))
-    # Room for two DCT columns per block, so problems' restarts straddle blocks.
-    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 2 * 6 * 16 * 8)
+    # Room for two DCT columns in flight (each counts about 3 kB), so a
+    # problem's restarts enter apart.
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 10000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
+    trace = trace_loop(monkeypatch)
     assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    assert max(trace["in_flight"]) == 2
 
 
 def test_batch_validation():
@@ -398,7 +401,7 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, final, berno
 
 
 # ---------------------------------------------------------------------------
-# Mixed-network batches: one block, columns running different networks
+# Mixed-network batches: one loop, columns running different networks
 # ---------------------------------------------------------------------------
 
 
@@ -428,7 +431,7 @@ def assert_mixed_batch_matches(gs, ops, bs, configs, x0s):
             assert_identical(got[i], res)
     for res, g, a, b, config, x0 in zip(got, gs, ops, bs, configs, x0s):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
-    # Columns left their blocks at different iterations, so the blocks were
+    # Columns left the loop at different iterations, so its rows were
     # compacted while other networks' columns stayed live.
     assert len({r.iterations for r in got if r.termination == "grad_tol"}) >= 2
     return got
@@ -479,14 +482,16 @@ def test_mixed_batch_split_over_capped_blocks(monkeypatch):
     nets = [small_network([3, 8, 16], seed=70 + i, biases=True) for i in range(3)]
     problems = mixed_problems(nets, u, [6] * 10, seed=73,
                               config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
-    # Room for five columns per block: problems' restarts straddle blocks.
-    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 5 * 6 * 16 * 8)
+    # Room for five columns in flight: a problem's restarts enter apart.
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 18500)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
+    trace = trace_loop(monkeypatch)
     assert_mixed_batch_matches(*problems)
+    assert max(trace["in_flight"]) == 5
 
 
 def test_mixed_batch_of_different_shapes():
-    # Networks of other widths, code dims and final activation get blocks of
+    # Networks of other widths, code dims and final activation get loops of
     # their own within one call; biased and unbiased networks share one.
     u = dct2_operator(16)
     nets = [
@@ -501,28 +506,138 @@ def test_mixed_batch_of_different_shapes():
     assert_mixed_batch_matches(*problems)
 
 
+def trace_loop(monkeypatch):
+    """Record, per lockstep iteration, the columns in flight, and per column
+    the iterations run before it entered (it draws its start on entry)."""
+    import gcs.recovery
+
+    trace = {"in_flight": [], "entered_after": []}
+    value_grad, draw = gcs.recovery._block_value_grad, gcs.recovery.derive_rng
+
+    def counted(*args):
+        trace["in_flight"].append(len(args[-1]))  # z, one latent vector per column
+        return value_grad(*args)
+
+    def drawn(*args):
+        trace["entered_after"].append(len(trace["in_flight"]))
+        return draw(*args)
+
+    monkeypatch.setattr(gcs.recovery, "_block_value_grad", counted)
+    monkeypatch.setattr(gcs.recovery, "derive_rng", drawn)
+    return trace
+
+
 def test_block_column_floor(monkeypatch):
     import gcs.recovery
 
     g = small_network([3, 8, 16], seed=80)
     ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
                                           config=RecoveryConfig(max_iters=300))
-    # A cap below one column's rows still gives BLOCK_COLUMNS columns a block.
+    # A cap below one column's rows still keeps BLOCK_COLUMNS columns in
+    # flight: exactly that many while columns wait, and one enters as one leaves.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 1)
-    widths = []
-    adam_block = gcs.recovery._adam_block
-
-    def counted(nets, owner, *args):
-        widths.append(owner.size)
-        return adam_block(nets, owner, *args)
-
-    monkeypatch.setattr(gcs.recovery, "_adam_block", counted)
+    trace = trace_loop(monkeypatch)
     got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
     columns, floor = sum(c.restarts for c in configs), gcs.recovery.BLOCK_COLUMNS
     assert columns > floor > 1
-    assert widths == [min(floor, columns - s) for s in range(0, columns, floor)]
+    entered = trace["entered_after"]
+    assert len(entered) == columns and entered[:floor] == [0] * floor
+    for it, live in enumerate(trace["in_flight"]):
+        waiting = sum(e > it for e in entered)
+        assert live == floor if waiting else live <= floor
+    assert max(entered) > 0
     for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+
+
+def three_group_problems(g, u, sampler, seed, config):
+    """Problems with at least three distinct |J|, restarts cycling 1..3."""
+    if sampler is sample_fixed:
+        return cell_problems(g, u, [4, 6, 8] * 2, seed, sampler, config)
+    for attempt in range(20):
+        problems = cell_problems(g, u, [3, 5, 7, 9] * 2, spawn_seed(seed, attempt), sampler, config)
+        if len({a.num_rows for a in problems[0]}) >= 3 and all(a.num_rows for a in problems[0]):
+            return problems
+    raise AssertionError("no Bernoulli draw gave three row counts")
+
+
+@pytest.mark.parametrize("unitary", ["dct", "dft"])
+@pytest.mark.parametrize("sampler", [sample_fixed, sample_bernoulli])
+@pytest.mark.parametrize("biases, final", [(True, "none"), (False, "sigmoid")])
+def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases, final):
+    import gcs.recovery
+
+    # n = 14: numpy's matmul rounds a strided operand of that length otherwise
+    # than a contiguous one, so the DFT pullback must go through the view.
+    u = (dct2_operator if unitary == "dct" else dft_operator)(14)
+    g = small_network([3, 8, 14], seed=82, biases=biases, final=final)
+    ops, bs, configs, x0s = three_group_problems(g, u, sampler, 83,
+                                                 RecoveryConfig(max_iters=300, grad_tol=1e-4))
+    # BLOCK_BYTES at a third of the rows: later columns wait, then enter
+    # beside columns that have taken many steps.
+    rows = sum(a.num_rows * c.restarts for a, c in zip(ops, configs)) * 14 * u.dtype.itemsize
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", rows // 3)
+    monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
+    trace = trace_loop(monkeypatch)
+    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    assert max(trace["entered_after"]) > 1
+    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+
+
+@pytest.mark.parametrize("limited", [False, True])
+def test_max_iters_groups_run_in_one_loop(monkeypatch, limited):
+    import gcs.recovery
+
+    g = small_network([3, 8, 16], seed=84, biases=True)
+    config = RecoveryConfig(max_iters=40, grad_tol=1e-30)
+    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [4, 6, 8] * 2, seed=85,
+                                          config=config)
+    if limited:
+        # Room for eight of the twelve columns.
+        monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 28000)
+        monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
+    trace = trace_loop(monkeypatch)
+    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    groups = {a.num_rows: [] for a in ops}
+    for a, res in zip(ops, got):
+        groups[a.num_rows].append(res.termination)
+    assert len(groups) == 3 and all("max_iters" in t for t in groups.values())
+    delay = max(trace["entered_after"])
+    assert (delay > 0) == limited
+    assert max(trace["in_flight"]) == (8 if limited else 12)
+    assert len(trace["in_flight"]) <= config.max_iters + delay < 3 * config.max_iters
+
+
+@pytest.mark.parametrize("unitary, widths, final, m_list, budget", [
+    ("dct", [4, 16, 64], "none", [8, 16, 32, 64], 2**19),
+    ("dft", [4, 16, 64], "sigmoid", [8, 16, 32, 64], 2**19),
+    ("dct", [8, 32, 256], "none", [4, 8, 16], 2**20),
+    ("dft", [8, 32, 256], "sigmoid", [4, 8, 16], 2**20),
+])
+def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, final, m_list, budget):
+    import tracemalloc
+    import gcs.recovery
+
+    # n = 256 builds rows by formula (FFT_MIN_N), whose temporaries count too.
+    u = (dct2_operator if unitary == "dct" else dft_operator)(widths[-1])
+    g = small_network(widths, seed=86, biases=True, final=final)
+    ops, bs, configs, x0s = cell_problems(g, u, m_list * 12, seed=87,
+                                          config=RecoveryConfig(max_iters=30, grad_tol=1e-30))
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", budget)
+    trace = trace_loop(monkeypatch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        recover_batch([g] * len(ops), ops, bs, configs, x0s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # Everything the batch allocates, its transients and results included,
+    # fits in BLOCK_BYTES; and the bound, not the queue's end, kept columns
+    # waiting.
+    assert peak <= budget
+    assert max(trace["entered_after"]) > 0
 
 
 @pytest.mark.parametrize("config, termination", [

@@ -228,6 +228,22 @@ def test_chunked_adam_equals_single_pass_bitwise(monkeypatch, chunk):
             assert want[0].tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(5000, 3, 1), (5000, 3)])
+def test_adam_per_column_steps_equal_scalar_steps_bitwise(shape):
+    # Column j takes step 1 + j with moments from earlier steps: one call
+    # with the step array equals one scalar call per column.
+    rng = derive_rng(13)
+    p, g = rng.standard_normal(shape), rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
+    m, v = 0.1 * rng.standard_normal(shape), rng.random(shape)
+    t = 1 + np.arange(shape[0])
+    want = [a.copy() for a in (p, m, v)]
+    for j in range(shape[0]):
+        adam_step(want[0][j:j + 1], g[j:j + 1], want[1][j:j + 1], want[2][j:j + 1], int(t[j]), 0.1)
+    adam_step(p, g, m, v, t, 0.1)
+    for w, got in zip(want, (p, m, v)):
+        assert w.tobytes() == got.tobytes()
+
+
 def test_flat_adam_equals_list_oracle_bitwise():
     rng = derive_rng(11)
     shapes = [(3, 4), (5,), (2, 3, 2), (1,)]

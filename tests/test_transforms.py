@@ -119,6 +119,35 @@ def test_fft_dct_of_complex_input():
     np.testing.assert_allclose(u.apply(x), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("n", [255, 256, 257, 784])
+@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_apply_adjoint_matches_dense_product(n, make, shape):
+    # From FFT_MIN_N on apply_adjoint() runs an FFT: a DFT, or the DCT-III
+    # for the DCT-II; below it, it is the dense product itself.
+    u = make(n)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape))
+    for y in (y, y.real):
+        want = u.matrix.conj().T @ y
+        np.testing.assert_allclose(u.apply_adjoint(y), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+def test_apply_adjoint_builds_no_dense_matrix_at_n1024(make):
+    # The dense DFT at n = 1024 is 16 MiB, and a conjugated copy as much again.
+    u = make(1024)
+    y = np.random.default_rng(8).standard_normal(1024) + 0j
+    tracemalloc.start()
+    try:
+        u.apply_adjoint(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("make", [dft_operator, dct2_operator])
 @pytest.mark.parametrize("shape", [(), (7,)])
 def test_apply_below_crossover_is_the_dense_product(make, shape):
