@@ -321,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (GcsError, OSError) as e:
         print(f"gcs: error: {e}", file=sys.stderr)

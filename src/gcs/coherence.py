@@ -268,6 +268,7 @@ def coherence_report(
     gamma: float = 0.0,
 ) -> CoherenceReport:
     """Assemble the standard report: heuristic, MC chord estimate, and bounds."""
+    check_counts(samples=mc_samples)  # before the heuristic's QR
     sigmoid_final = g.final_activation == "sigmoid"
     alpha_h = network_coherence_heuristic(g, d_op, allow_sigmoid=True)
     alpha_mc = chord_coherence_mc(g, d_op, mc_samples, seed)

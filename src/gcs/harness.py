@@ -22,7 +22,8 @@ from numbers import Real
 import numpy as np
 
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
-from .errors import DimensionMismatch, DomainError, Unsupported, check_counts, check_integer
+from .errors import (DimensionMismatch, DomainError, EmptyDataset, Unsupported, check_counts,
+                     check_integer)
 from .gnn import GenerativeNetwork, forward
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
@@ -219,12 +220,19 @@ def run_measurement_sweep(
 ) -> tuple[list[dict], list[dict]]:
     """Per (model, m, trial): fresh A, target G(E(x_sharp)), recover, record rre.
 
-    Cells are built on `run_indexed`; every trial is then recovered in one
-    recover_batch call, whatever the decoders' shapes.
+    The grid and the test samples' count and dimension are checked before
+    any cell is built. Cells are built on `run_indexed`; every trial is then
+    recovered in one recover_batch call, whatever the decoders' shapes.
     Returns (trial records, per-(model, m) geometric summaries).
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
+    if test_samples.shape[0] == 0:
+        raise EmptyDataset("the sweep's test data holds no samples")
+    for name, model in models:
+        if model.decoder.ambient_dim != test_samples.shape[1]:
+            raise DimensionMismatch(f"test data dim {test_samples.shape[1]} != decoder output "
+                                    f"{model.decoder.ambient_dim} of model {name!r}")
     cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
 
     def build(j):

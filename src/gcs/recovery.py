@@ -8,33 +8,43 @@ Recovery is declared successful when rre < 1e-5.
 One engine solves every problem. `recover_batch` runs Adam in lockstep on a
 latent block Z that stacks one latent vector, a column, per (problem,
 restart) pair; `recover` is a one-problem call of it. Each problem has its
-own network, so a whole phase portrait or sweep runs as one batch. Columns
-whose networks share widths and final activation, and whose unitaries and
-measurements share a dtype, run in one loop: each iteration runs the layers,
-the gradient norm, the termination test and the Adam step once over every
-column in flight, and the measurement products once per stretch of columns
-with equal |J| and the same unitary (a group). The dtype splits loops: a
-complex residual's gradient passes through a strided real view, and numpy's
-matmul rounds a strided operand otherwise than a contiguous one. Each layer
-is one product per run of columns that share its weights, so no weight is
-ever copied; columns are sorted by network, then group, so each layer is
-one product per network. Each column keeps its own rows U[J],
-measurement b, Adam step count, early stop and nonfinite-restart
-accounting, and leaves the loop when it finishes. The rows in flight lie
-back to back in one buffer; BLOCK_BYTES bounds everything the loop holds,
-the rows, the per-column arrays and their transients together, and the
-other columns wait in a queue and enter as leaving columns free room. Every
-product is a stacked matrix-vector product (`np.matmul(W, Z[:, :, None])`),
-the same BLAS call as a one-vector loop makes, never a matrix-matrix
-product, whose blocking rounds differently. U[J] is held unscaled and the
-sqrt(n/m) scale multiplies each product, as in `sampling.apply`. So each
-column's iterates, and every result, are bit for bit those of solving its
-problem alone; tests/test_recovery.py checks this against the one-vector
-loop.
+own network, so a whole phase portrait or sweep runs as one batch.
+
+Columns whose networks share widths and final activation, and whose
+unitaries and measurements share a dtype, run in one loop (`_lockstep`).
+The dtype splits loops: a complex residual's gradient passes through a
+strided real view, and numpy's matmul rounds a strided operand otherwise
+than a contiguous one. Within a loop, the columns with equal |J| and the
+same unitary form a group, and columns are sorted by network, then group.
+Each iteration runs the layers, the gradient norm, the termination test and
+the Adam step once over every column in flight, and the measurement
+products once per stretch of one group's columns. Each layer is one product
+per run of columns that share its weights, so no weight is ever copied and
+each layer costs one product per network. Each column keeps its own rows
+U[J], measurement b, Adam step count, early stop and nonfinite-restart
+accounting, and leaves the loop when it finishes.
+
+The rows in flight lie back to back in one buffer and their measurements in
+a second. BLOCK_BYTES bounds everything a loop holds, the rows, the
+per-column arrays and their transients together, unless that leaves room
+for fewer than BLOCK_COLUMNS columns; so a call needs that much on top of
+its inputs and results. The other columns wait in a queue and enter, in
+order, as leaving columns free room. Leaving columns' entries are squeezed
+out in place, and each entering column's rows are gathered straight into
+the buffer.
+
+Every product is a stacked matrix-vector product
+(`np.matmul(W, Z[:, :, None])`), the same BLAS call as a one-vector loop
+makes, never a matrix-matrix product, whose blocking rounds differently.
+U[J] is held unscaled and the sqrt(n/m) scale multiplies each product, as
+in `sampling.apply`. So each column's iterates, and every result, are bit
+for bit those of solving its problem alone; tests/test_recovery.py checks
+this against the one-vector loop.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 
@@ -72,8 +82,11 @@ class RecoveryConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is Integral else "a number"
                 raise DomainError(f"bad recovery value: {name} must be {what}, got {value!r}")
-            if name != "seed" and not value > 0:
-                raise DomainError(f"bad recovery value: {name} must be positive, got {value!r}")
+            if not (value >= 0 if name == "seed" else value > 0):
+                least = ">= 0" if name == "seed" else "positive"
+                raise DomainError(f"bad recovery value: {name} must be {least}, got {value!r}")
+            if name == "learning_rate" and not value <= sys.float_info.max:
+                raise DomainError(f"bad recovery value: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,13 +122,8 @@ def _affine(runs, h):
     """W h + bias per column of h (B, in, 1); one stacked product per run.
 
     runs: [(start, stop, w, bias)] covering the columns in order; bias is a
-    1-D array or None. A single run skips the output buffer, which makes
-    phase-desk about 7 % faster (its inner layer is one run).
+    1-D array or None.
     """
-    if len(runs) == 1:
-        _, _, w, bias = runs[0]
-        h = np.matmul(w, h)
-        return h if bias is None else h + bias[:, None]
     out = np.empty((h.shape[0], runs[0][2].shape[0], 1))
     for start, stop, w, bias in runs:
         part = out[start:stop]
@@ -127,8 +135,6 @@ def _affine(runs, h):
 
 def _pullback(runs, s):
     """W^T s per column of s (B, out, 1); one stacked product per run."""
-    if len(runs) == 1:
-        return np.matmul(runs[0][2].T, s)
     out = np.empty((s.shape[0], runs[0][2].shape[1], 1))
     for start, stop, w, _ in runs:
         np.matmul(w.T, s[start:stop], out=out[start:stop])
@@ -179,6 +185,12 @@ def _block_value_grad(layers, final_activation, measure, z):
     return finite, s
 
 
+def _stretches(keys) -> list[tuple[int, int]]:
+    """(start, stop) of each stretch of equal adjacent entries of keys."""
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _layer_runs(nets, owner) -> list[list[tuple]]:
     """Per layer, [(start, stop, w, bias)] over the columns in flight, whose
     column c runs nets[owner[c]].
@@ -187,12 +199,10 @@ def _layer_runs(nets, owner) -> list[list[tuple]]:
     layer share one run of it, so a layer common to the columns in flight is
     one product.
     """
-    cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-    bounds = [0, *cuts.tolist(), owner.size]
     layers = []
     for i in range(nets[0].depth):
         runs = []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+        for start, stop in _stretches(owner):
             g = nets[owner[start]]
             w, bias = g.weights[i], None if g.biases is None else g.biases[i]
             if runs and runs[-1][2] is w and runs[-1][3] is bias:
@@ -218,9 +228,8 @@ class _Measure:
         self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
         self.value = np.empty((len(scale), 1, 1), dtype=measure_dtype)
         self.s = np.empty((len(scale), n, 1), dtype=measure_dtype)
-        bounds = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
         self.segments, at = [], 0
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+        for start, stop in _stretches(group):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
             self.segments.append((start, stop, rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,)),
@@ -252,18 +261,18 @@ def _squeeze(flat, sizes, keep) -> None:
 def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
     """(rows, columns) a lockstep loop may hold in flight, so that everything
     it holds, its transients included, fits in BLOCK_BYTES; or BLOCK_COLUMNS
-    of the queue's largest columns, if that is more.
-
-    jrows_of: |J| per queued column. Each row in flight costs its entries of
-    U, its measurement, its product U_J x, the residual and its conjugate
-    and its scale; each column its value, its gradient through U_J, 512
-    bytes of Python objects and six floats per layer width, which cover an
-    iteration's activations, gradients, Adam moments and their temporaries
-    (tracemalloc puts them at 2.5-4.5 kB at the desk widths, where this
-    counts 5-6.5 kB). One column's `rows` call, at most three arrays of that
-    column's rows, is set aside. The rest is split between rows and columns
-    in the queue's mean ratio.
+    of the queue's largest columns, if that is more. jrows_of: |J| per
+    queued column.
     """
+    # Each row in flight costs its entries of U, its measurement, its product
+    # U_J x, the residual and its conjugate and its scale; each column its
+    # value, its gradient through U_J, 512 bytes of Python objects and six
+    # floats per layer width, which cover an iteration's activations,
+    # gradients, Adam moments and their temporaries (tracemalloc puts them at
+    # 2.5-4.5 kB at the desk widths, where this counts 5-6.5 kB). One
+    # column's `rows` call, at most three arrays of that column's rows, is
+    # set aside. The rest is split between rows and columns in the queue's
+    # mean ratio.
     n = widths[-1]
     row_bytes = (n + 1) * dtype.itemsize + 3 * measure_dtype.itemsize + 8
     column_bytes = (n + 1) * measure_dtype.itemsize + 512 + 6 * 8 * sum(widths)
@@ -280,89 +289,80 @@ def _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype, confi
     columns in flight leave room.
 
     queue: per column (net, op, b, seed, restart, group): the column runs
-    nets[net] from derive_rng(seed, restart) and measures x by op against b.
-    Columns of one group share |J| and the unitary, and each stretch of one
-    group's columns in flight is measured by one set of stacked products.
-    The rows of the columns in flight lie back to back in one buffer, and
-    their measurements likewise in a second; a column enters when its rows
-    fit after the last and the columns' own arrays have room too (see
-    `_capacity`). Leaving columns' entries are squeezed out in place, and
-    each column's rows are gathered straight into the buffer, so nothing
-    but one column's rows is ever built on top of it. Each column carries
-    its own Adam step count.
-
+    nets[net] from derive_rng(seed, restart) and measures x by op against b;
+    the columns of one group share |J| and the unitary.
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite.
     """
     k, n = widths[0], widths[-1]
-    jrows_of = np.array([q[1].num_rows for q in queue], dtype=np.intp)
+    net_of, ops, _, _, _, group_of = zip(*queue)
+    net_of, group_of = np.array(net_of), np.array(group_of)
+    jrows_of = np.array([op.num_rows for op in ops], dtype=np.intp)
+    scale_of = np.array([op.scale for op in ops])[:, None, None]
     max_rows, max_columns = _capacity(jrows_of, widths, dtype, measure_dtype)
     rows_flat = np.empty(max_rows * n, dtype=dtype)
     b_flat = np.empty(max_rows, dtype=measure_dtype)
     out = [None] * len(queue)
     pos = used = 0
-    # Per column in flight, in order: queue position, net, group, |J|, Adam
-    # step count, sqrt(n/m) scale, and the latent vector with its moments.
-    ids = owner = group = jrows = t = np.zeros(0, dtype=np.intp)
-    scale = np.zeros((0, 1, 1))
-    z = m = v = np.zeros((0, k, 1))
-    layers = measure = None
-
-    def drop(keep):
-        nonlocal ids, owner, group, jrows, t, scale, z, m, v, used, layers, measure
-        _squeeze(rows_flat, jrows * n, keep)
-        _squeeze(b_flat, jrows, keep)
-        ids, owner, group, jrows, t, scale, z, m, v = (
-            a[keep] for a in (ids, owner, group, jrows, t, scale, z, m, v))
-        used = int(jrows.sum())
-        layers = measure = None
-
+    # Per column in flight, in order: its queue position, its Adam step
+    # count, and its latent vector with both moments.
+    ids = t = np.zeros(0, dtype=np.intp)
+    state = np.zeros((3, 0, k, 1))
+    layers = None
     while True:
-        entering = []
+        starts = []
         while (pos < len(queue) and used + jrows_of[pos] <= max_rows
-               and ids.size + len(entering) < max_columns):
-            net, op, b, seed, restart, g = queue[pos]
+               and ids.size + len(starts) < max_columns):
+            _, op, b, seed, restart, _ = queue[pos]
             stop = used + op.num_rows
             rows_flat[used * n:stop * n] = op.base.rows(op.indices).reshape(-1)
             b_flat[used:stop] = b
-            entering.append((pos, net, g, op.num_rows, op.scale,
-                             derive_rng(seed, restart).standard_normal(k)))
+            starts.append(derive_rng(seed, restart).standard_normal(k))
             pos, used = pos + 1, stop
-        if entering:
-            e_ids, e_net, e_group, e_jrows, e_scale, e_z = zip(*entering)
-            ids, owner, group, jrows, t = (
-                np.concatenate([a, e]) for a, e in zip(
-                    (ids, owner, group, jrows, t),
-                    (e_ids, e_net, e_group, e_jrows, [1] * len(entering))))
-            scale = np.concatenate([scale, np.array(e_scale)[:, None, None]])
-            fresh = np.zeros((len(entering), k, 1))
-            z = np.concatenate([z, np.array(e_z)[:, :, None]])
-            m, v = np.concatenate([m, fresh]), np.concatenate([v, fresh])
-            layers = measure = None
+        if starts:
+            fresh = np.zeros((3, len(starts), k, 1))
+            fresh[0, :, :, 0] = starts
+            ids = np.concatenate([ids, np.arange(pos - len(starts), pos)])
+            t = np.concatenate([t, np.ones(len(starts), dtype=np.intp)])
+            state = np.concatenate([state, fresh], axis=1)
+            layers = None
         if not ids.size:
             return out
         if layers is None:  # the columns in flight changed
-            layers = _layer_runs(nets, owner)
-            measure = _Measure(rows_flat, b_flat, group, jrows, scale, n, measure_dtype)
+            layers = _layer_runs(nets, net_of[ids])
+            measure = _Measure(rows_flat, b_flat, group_of[ids], jrows_of[ids], scale_of[ids], n,
+                               measure_dtype)
+            z, m, v = state
 
         finite, grad = _block_value_grad(layers, final_activation, measure, z)
         norm = np.sqrt(np.matmul(grad.transpose(0, 2, 1), grad))[:, 0, 0]
         done = finite & (norm <= config.grad_tol)
         keep = finite & ~done
-        if not keep.all():
+        leaving = not keep.all()
+        if leaving:
             for j in np.flatnonzero(done):
                 out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
-            grad = grad[keep]
-            drop(keep)
-            if not ids.size:
-                continue
+            # Leaving columns step too, on a zero gradient, so that a
+            # nonfinite one raises no floating-point warning; nothing reads
+            # their state again.
+            grad[~keep] = 0.0
         adam_step(z, grad, m, v, t, config.learning_rate)
         # Columns enter in queue order and t counts up, so t[0] is the most.
         if t[0] == config.max_iters:
-            capped = t == config.max_iters
+            capped = keep & (t == config.max_iters)
             for j in np.flatnonzero(capped):
                 out[ids[j]] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
-            drop(~capped)
+            keep &= ~capped
+            leaving = True
+        if leaving:
+            jrows = jrows_of[ids]
+            _squeeze(rows_flat, jrows * n, keep)
+            _squeeze(b_flat, jrows, keep)
+            # state[:, keep] would not be C-contiguous, and Adam's updates of
+            # strided views of it took a third longer.
+            ids, t, state = ids[keep], t[keep], state.compress(keep, axis=1)
+            used = int(jrows[keep].sum())
+            layers = None
         t += 1
 
 
@@ -375,17 +375,9 @@ def recover_batch(
 ) -> list[RecoveryResult]:
     """recover(gs[i], ops[i], bs[i], configs[i], x0s[i]) for every i, in lockstep.
 
-    The configs may differ in seed and restarts only. One column per
-    restart. Columns whose networks share widths and final activation, and
-    whose unitaries and measurements share a dtype, run in one lockstep loop
-    (`_lockstep`); within it, those with equal |J| and the same unitary form
-    a group, each holding its own copy of U[J]. The dtype splits loops
-    because a complex residual's gradient goes through a strided real view,
-    which numpy's matmul rounds otherwise than a contiguous buffer. A loop
-    holds at most BLOCK_BYTES, its rows, measurements, per-column arrays
-    and transients together, or BLOCK_COLUMNS columns' worth if that is
-    more, so a call needs that on top of its inputs and results; the other
-    columns wait and enter as earlier ones leave.
+    The configs may differ in seed and restarts only. Each restart is one
+    column of the engine the module docstring describes, so every result is
+    bit for bit the one-problem result.
     """
     if x0s is None:
         x0s = [None] * len(ops)
@@ -399,8 +391,6 @@ def recover_batch(
             raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
     if len({(c.learning_rate, c.max_iters, c.grad_tol) for c in configs}) > 1:
         raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
-    if not gs:
-        return []
     # Distinct networks by first appearance.
     nets = list({id(g): g for g in gs}.values())
     index = {id(g): j for j, g in enumerate(nets)}
@@ -419,34 +409,28 @@ def recover_batch(
         # Ties keep the columns' order, so a problem's restarts stay adjacent.
         columns = sorted((net_of[cols[c][0]], g, c) for g, group in enumerate(groups.values())
                          for c in group)
-        queue, order = [], []
+        queue = []
         for _, g, c in columns:
             i, r = cols[c]
             queue.append((net_of[i], ops[i], bs[i], configs[i].seed, r, g))
-            order.append(c)
         block = _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype,
                           configs[0])
-        for c, final in zip(order, block):
+        for (_, _, c), final in zip(columns, block):
             finals[c] = final
 
     results = []
     c = 0
     for g, a, b, config, x0 in zip(gs, ops, bs, configs, x0s):
-        best = None
-        failed = 0
-        for final in finals[c:c + config.restarts]:
-            if final is None:
-                failed += 1
-                continue
-            z, iters, termination = final
-            x = forward(g, z)
-            residual = float(np.linalg.norm(apply(a, x) - b))
-            if best is None or residual < best[3]:
-                best = (z, x, iters, residual, termination)
+        finished = [final for final in finals[c:c + config.restarts] if final is not None]
         c += config.restarts
-        if best is None:
+        if not finished:
             raise GcsError(f"all {config.restarts} restarts hit a nonfinite objective")
-        z, x, iters, residual, termination = best
+        tried = []
+        for z, iters, termination in finished:
+            x = forward(g, z)
+            tried.append((float(np.linalg.norm(apply(a, x) - b)), z, x, iters, termination))
+        # The first restart of least (recomputed) residual wins.
+        residual, z, x, iters, termination = min(tried, key=lambda e: e[0])
         err = None
         if x0 is not None and np.linalg.norm(x0) > 0:
             err = rre(x0, x)
@@ -457,7 +441,7 @@ def recover_batch(
             iterations=iters,
             termination=termination,
             residual=residual,
-            failed_restarts=failed,
+            failed_restarts=config.restarts - len(finished),
         ))
     return results
 

@@ -126,40 +126,38 @@ def adam_step(p, g, m, v, t, lr: float) -> None:
     t is an int, or an integer array with one step count per entry of p's
     first axis, so that recovery's columns, which start at different
     iterations, step together; either way every bias correction is the
-    Python float 1 - b**t, so each column steps bit for bit as it would
-    alone. A 1-D p longer than ADAM_CHUNK (training's flat parameters, with
-    an int t) is stepped ADAM_CHUNK elements at a time; every update is
-    elementwise, so the result is bit for bit the same.
+    Python float 1 - b**t, looked up once per call in one table, so each
+    column steps bit for bit as it would alone. A 1-D p longer than
+    ADAM_CHUNK (training's flat parameters, with an int t) is stepped
+    ADAM_CHUNK elements at a time; every update is elementwise, so the
+    result is bit for bit the same.
     """
+    global _bias_table
+    t = np.asarray(t)
+    if _bias_table.shape[1] <= t.max():
+        size = 1 << int(t.max()).bit_length()
+        _bias_table = np.array([np.fromiter((1 - b**s for s in range(size)), float, size)
+                                for b in (_B1, _B2)])
+    c1, c2 = _bias_table.take(t, axis=1).reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
     if p.ndim == 1 and p.size > ADAM_CHUNK:
         for i in range(0, p.size, ADAM_CHUNK):
             s = slice(i, i + ADAM_CHUNK)
-            _adam(p[s], g[s], m[s], v[s], t, lr)
+            _adam(p[s], g[s], m[s], v[s], c1, c2, lr)
     else:
-        _adam(p, g, m, v, t, lr)
+        _adam(p, g, m, v, c1, c2, lr)
 
 
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 # Rows 1 - _B1**t and 1 - _B2**t for t below its width, each the Python float
-# a scalar step t divides by; grown to the next power of two when outgrown.
+# a step t divides by; grown to the next power of two when outgrown.
 _bias_table = np.empty((2, 0))
 
 
-def _adam(p, g, m, v, t, lr: float) -> None:
-    global _bias_table
+def _adam(p, g, m, v, c1, c2, lr: float) -> None:
     m *= _B1
     m += (1 - _B1) * g
     v *= _B2
     v += (1 - _B2) * g**2
-    if np.ndim(t):
-        t, table = np.asarray(t), _bias_table
-        if table.shape[1] <= t.max():
-            size = 1 << int(t.max()).bit_length()
-            table = _bias_table = np.array([np.fromiter((1 - b**s for s in range(size)), float, size)
-                                            for b in (_B1, _B2)])
-        c1, c2 = table.take(t, axis=1).reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
-    else:
-        c1, c2 = 1 - _B1**t, 1 - _B2**t
     m_hat = m / c1
     v_hat = v / c2
     p -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
@@ -178,6 +176,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
+        if not self.learning_rate < math.inf:
+            raise DomainError(f"learning rate must be finite, got {self.learning_rate}")
         check_counts(**{"batch size": self.batch_size})
         check_integer("epochs", self.epochs)
         if self.epochs < 0:

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -209,10 +210,15 @@ def test_recovery_block_values():
     for block, key in [({"restarts": 0}, "restarts"), ({"max_iters": "5"}, "max_iters"),
                        ({"max_iters": 2.5}, "max_iters"), ({"restarts": True}, "restarts"),
                        ({"learning_rate": "0.1"}, "learning_rate"),
+                       ({"learning_rate": float("inf")}, "learning_rate"),
+                       ({"learning_rate": 10**400}, "learning_rate"),
                        ({"grad_tol": float("nan")}, "grad_tol")]:
         with pytest.raises(DomainError, match=f"bad recovery value: {key} must be"):
             cli._recovery_from_json({"recovery": block})
     assert cli._recovery_from_json({"recovery": {"learning_rate": 1}}).learning_rate == 1
+    # The CLI derives the seed itself, so only a direct caller can pass a bad one.
+    with pytest.raises(DomainError, match="bad recovery value: seed must be >= 0, got -1"):
+        RecoveryConfig(seed=-1)
 
 
 @pytest.mark.parametrize("block, message", [
@@ -251,6 +257,7 @@ def test_non_integer_list_entry_exits_2(tmp_path, monkeypatch, capsys, argv):
     (["--lr", "0"], "learning rate must be positive, got 0.0"),
     (["--regularized", "--reg-weight", "-1"], "reg_weight must be a finite number >= 0, got -1.0"),
     (["--regularized", "--lambda", "-1"], "lam must be a finite number >= 0, got -1.0"),
+    (["--lr", "inf"], "learning rate must be finite, got inf"),
 ])
 def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, flag, message):
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
@@ -287,6 +294,25 @@ def test_train_zero_epochs_exits_2_before_data(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.decoder.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--weights", "net.json"],
+    ["train", "--arch", "2,8,16", "--out", "m.json"],
+    ["recover", "--weights", "net.json", "--m", "8"],
+    ["phase", "--config", "phase.json"],
+    ["sweep", "--config", "sweep.json"],
+    ["rip", "--weights", "net.json", "--m-list", "8"],
+    ["subspace-rip", "--n", "16", "--k", "2", "--m-list", "8"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2_before_dispatch(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for command in ("coherence", "train", "recover", "phase", "sweep", "rip", "subspace_rip"):
+        monkeypatch.setattr(cli, f"cmd_{command}", no_compute)
+    rc = cli.main(["--seed", "-1", "--out-dir", "out"] + argv)
+    assert rc == 2
+    assert capsys.readouterr().err == "gcs: error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 SUBSPACE = ["subspace-rip", "--unitary", "dct", "--n", "32", "--k", "3"]
 RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
 
@@ -304,14 +330,17 @@ RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
     (SUBSPACE + ["--m-list", "16", "--delta", "1"], "delta must be in (0, 1), got 1.0"),
     (SUBSPACE + ["--m-list", "8,16,8"], "m = 8 appears twice in the m grid"),
     (RIP + ["--m-list", "8,8", "--trials", "2"], "m = 8 appears twice in the m grid"),
+    (["coherence", "--weights", "net.json", "--mc-samples", "0"], "samples must be >= 1, got 0"),
 ], ids=["subspace-m0", "subspace-m-above-n", "subspace-trials0", "rip-trials0",
         "rip-chords0", "rip-delta-negative", "rip-delta0", "rip-delta-nan", "subspace-delta0",
-        "subspace-delta1", "subspace-repeated-m", "rip-repeated-m"])
+        "subspace-delta1", "subspace-repeated-m", "rip-repeated-m", "coherence-mc-samples0"])
 def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
                                                         argv, message):
     monkeypatch.chdir(tmp_path)
     save_net(tmp_path, [2, 8, 16], seed=1)
     monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
+    monkeypatch.setattr(cli.coh, "network_coherence_heuristic", no_compute)
+    monkeypatch.setattr(cli.coh, "chord_coherence_mc", no_compute)
     rc = cli.main(["--out-dir", "out"] + argv)
     assert rc == 2
     err = capsys.readouterr().err
@@ -420,6 +449,7 @@ def synth(**edits):
     (RECOVER + ["--max-iters", "0"], None,
      "bad recovery value: max_iters must be positive, got 0"),
     (RECOVER + ["--lr", "0"], None, "bad recovery value: learning_rate must be positive, got 0.0"),
+    (RECOVER + ["--lr", "inf"], None, "bad recovery value: learning_rate must be finite, got inf"),
     (RECOVER + ["--grad-tol", "-1"], None,
      "bad recovery value: grad_tol must be positive, got -1.0"),
     (RECOVER + ["--noise", "-1"], None, "--noise must be a finite number >= 0, got -1.0"),
@@ -430,9 +460,9 @@ def synth(**edits):
     (SWEEP, synth(seed=-1), "test_data seed must be an integer >= 0, got -1"),
     (SWEEP, synth(count=0), "count must be >= 1, got 0"),
     (SWEEP, synth(k_true=0), "k_true must be >= 1, got 0"),
-], ids=["restarts0", "max-iters0", "lr0", "grad-tol-negative", "noise-negative", "noise-nan",
-        "test-data-kind", "test-data-float-count", "test-data-negative-seed", "test-data-count0",
-        "test-data-k_true0"])
+], ids=["restarts0", "max-iters0", "lr0", "lr-inf", "grad-tol-negative", "noise-negative",
+        "noise-nan", "test-data-kind", "test-data-float-count", "test-data-negative-seed",
+        "test-data-count0", "test-data-k_true0"])
 def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, monkeypatch, capsys,
                                                                    argv, test_data, message):
     monkeypatch.chdir(tmp_path)
@@ -445,6 +475,34 @@ def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, mo
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def write_idx(path, count, rows, cols):
+    """An IDX image file holding count black rows x cols images."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, count, rows, cols) + bytes(count * rows * cols))
+
+
+@pytest.mark.parametrize("count, side, message", [
+    (3, 28, "test data dim 784 != decoder output 64 of model "),
+    (0, 8, "the sweep's test data holds no samples"),
+], ids=["wrong-dim", "no-images"])
+def test_sweep_idx_test_data_of_wrong_shape_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                                     count, side, message):
+    # The desk sweep's n = 64 models against idx test data.
+    monkeypatch.chdir(ROOT)
+    write_idx(tmp_path / "images.idx", count, side, side)
+    with open(os.path.join("configs", "sweep_desk.json")) as f:
+        cfg = json.load(f)
+    config = write_config(tmp_path / "sweep.json", cfg,
+                          {"test_data": {"kind": "idx", "images": str(tmp_path / "images.idx")}})
+    monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
+    monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path / "out"), "sweep", "--config", config])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 class Reached(Exception):
@@ -473,21 +531,43 @@ def test_shipped_configs_pass_the_key_check(monkeypatch, name):
     assert {replace(c, seed=0) for c in seen} == {RecoveryConfig(**cfg_json["recovery"])}
 
 
+def gcs_lines(script):
+    """The gcs command lines of a shell script under scripts/, as argument
+    lists for cli.main, without "$@" and output redirections."""
+    with open(os.path.join(ROOT, "scripts", script)) as f:
+        text = f.read().replace("\\\n", " ")
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("gcs "):
+            argv = shlex.split(line)[1:]
+            lines.append([a for a in argv if a != "$@" and not a.startswith(">")])
+    return lines
+
+
 def desk_lines(*commands):
     """The scripts/run_all_desk.sh command lines of the given subcommands, as
     argument lists for cli.main, with the out-dir they write to."""
-    with open(os.path.join(ROOT, "scripts", "run_all_desk.sh")) as f:
-        script = f.read().replace("\\\n", " ")
-    lines = []
-    for line in script.splitlines():
-        argv = shlex.split(line)
-        if argv and argv[0] == "gcs":
-            argv = [a for a in argv[1:] if a != "$@"]
-            out_dir = argv[argv.index("--out-dir") + 1]
-            if set(commands) & set(argv):
-                lines.append((argv, out_dir))
+    lines = [(argv, argv[argv.index("--out-dir") + 1]) for argv in gcs_lines("run_all_desk.sh")
+             if set(commands) & set(argv)]
     assert len(lines) == len(commands)
     return lines
+
+
+def test_check_script_reruns_the_desk_lines():
+    # scripts/check_desk_outputs.sh restates the gcs lines of
+    # scripts/run_all_desk.sh; they may differ only in where they write and,
+    # for the sweep, in the config, which names the retrained models.
+    def normalized(script):
+        lines = []
+        for argv in gcs_lines(script):
+            argv[argv.index("--out-dir") + 1] = "<out-dir>"
+            if "sweep" in argv:
+                argv[argv.index("--config") + 1] = "<sweep config>"
+            lines.append(argv)
+        return lines
+
+    assert normalized("check_desk_outputs.sh") == normalized("run_all_desk.sh")
+    assert len(normalized("run_all_desk.sh")) == 4
 
 
 def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
