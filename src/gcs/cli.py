@@ -196,10 +196,15 @@ def cmd_sweep(args) -> int:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
+    if kind == "idx":
+        count, rows, cols = training.idx_image_header(test_spec["images"])
     (name, path), *rest = cfg_json["models"].items()
     models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
-    harness.check_grid(cfg.model, cfg.m_list, n)  # the first model gives n; check before the rest
+    # The first model gives n; the grid and an idx file's shape are checked before the rest.
+    harness.check_grid(cfg.model, cfg.m_list, n)
+    if kind == "idx":
+        harness.check_test_data(count, rows * cols, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
     cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
     if kind == "synth":

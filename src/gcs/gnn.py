@@ -21,9 +21,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x, dtype=float)
+    out = np.empty_like(x, dtype=float) if out is None else out
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

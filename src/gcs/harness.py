@@ -215,6 +215,17 @@ class SweepConfig:
         check_counts(trials=self.trials)
 
 
+def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) -> None:
+    """Raise unless the sweep's test data hold samples of every model's
+    output dimension."""
+    if count == 0:
+        raise EmptyDataset("the sweep's test data holds no samples")
+    for name, model in models:
+        if model.decoder.ambient_dim != dim:
+            raise DimensionMismatch(f"test data dim {dim} != decoder output "
+                                    f"{model.decoder.ambient_dim} of model {name!r}")
+
+
 def run_measurement_sweep(
     models: list[tuple[str, VaeModel]], test_samples: np.ndarray, cfg: SweepConfig
 ) -> tuple[list[dict], list[dict]]:
@@ -227,12 +238,7 @@ def run_measurement_sweep(
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    if test_samples.shape[0] == 0:
-        raise EmptyDataset("the sweep's test data holds no samples")
-    for name, model in models:
-        if model.decoder.ambient_dim != test_samples.shape[1]:
-            raise DimensionMismatch(f"test data dim {test_samples.shape[1]} != decoder output "
-                                    f"{model.decoder.ambient_dim} of model {name!r}")
+    check_test_data(*test_samples.shape, models)
     cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
 
     def build(j):

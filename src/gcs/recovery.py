@@ -16,22 +16,38 @@ The dtype splits loops: a complex residual's gradient passes through a
 strided real view, and numpy's matmul rounds a strided operand otherwise
 than a contiguous one. Within a loop, the columns with equal |J| and the
 same unitary form a group, and columns are sorted by network, then group.
-Each iteration runs the layers, the gradient norm, the termination test and
-the Adam step once over every column in flight, and the measurement
-products once per stretch of one group's columns. Each layer is one product
-per run of columns that share its weights, so no weight is ever copied and
-each layer costs one product per network. Each column keeps its own rows
-U[J], measurement b, Adam step count, early stop and nonfinite-restart
-accounting, and leaves the loop when it finishes.
+Each column keeps its own rows U[J], measurement b, Adam step count, early
+stop and nonfinite-restart accounting.
+
+Each time the set of columns in flight changes, the loop builds a plan
+(`_Plan`). It preallocates every buffer an iteration needs: activations,
+ReLU masks, residual, gradients and Adam scratch. It lists the (matrix,
+input view, output view) of each product: one per layer per run of
+adjacent columns whose networks hold the same weight and bias arrays for
+it, so no weight is ever copied, and two per stretch of one group's
+columns for the measurement side. An iteration runs those products with out= and then the gradient
+norm, the termination test and one Adam step over every column in flight;
+it allocates, slices and transposes nothing.
+
+No value is computed. A column fails its restart where its gradient or
+0.5*||r||^2 is not finite, as in the one-vector loop, whose value can
+overflow while r and the gradient stay finite. So each column's |r|^2 is
+summed by one `np.add.reduceat` over the columns' first rows (a column with
+|J| = 0 sums to 0), and the sum is added to the gradient's squared norm:
+the column runs on while that total is finite. A column whose total alone
+overflowed is checked again entry by entry.
 
 The rows in flight lie back to back in one buffer and their measurements in
-a second. BLOCK_BYTES bounds everything a loop holds, the rows, the
-per-column arrays and their transients together, unless that leaves room
-for fewer than BLOCK_COLUMNS columns; so a call needs that much on top of
-its inputs and results. The other columns wait in a queue and enter, in
-order, as leaving columns free room. Leaving columns' entries are squeezed
-out in place, and each entering column's rows are gathered straight into
-the buffer.
+a second. BLOCK_BYTES bounds everything a loop holds, the rows, the plan
+and the transients together, unless that leaves room for fewer than
+BLOCK_COLUMNS columns; so a call needs that much on top of its inputs and
+results. The other columns wait in a queue. A finished column sits in
+flight at z = 0 with its measurements and scale zeroed, so its gradient is
+exactly zero and nothing it computes raises a warning. When an eighth or
+more of the columns in flight have finished, or all of them, the loop
+compacts: the finished columns' rows are squeezed out in place, the waiting
+columns enter in order as far as room allows, each one's rows gathered
+straight into the buffer, and the plan is rebuilt.
 
 Every product is a stacked matrix-vector product
 (`np.matmul(W, Z[:, :, None])`), the same BLAS call as a one-vector loop
@@ -53,7 +69,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
 # The lockstep engine computes objective_value_grad column by column without
 # calling it; the binding stays because perfbench/instrument.py wraps it.
-from .gnn import GenerativeNetwork, forward, objective_value_grad, relu, sigmoid  # noqa: F401
+from .gnn import GenerativeNetwork, forward, objective_value_grad, sigmoid  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
 from .training import adam_step
 
@@ -118,124 +134,120 @@ def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.linalg.norm(x0 - x_hat)) / denom
 
 
-def _affine(runs, h):
-    """W h + bias per column of h (B, in, 1); one stacked product per run.
-
-    runs: [(start, stop, w, bias)] covering the columns in order; bias is a
-    1-D array or None.
-    """
-    out = np.empty((h.shape[0], runs[0][2].shape[0], 1))
-    for start, stop, w, bias in runs:
-        part = out[start:stop]
-        np.matmul(w, h[start:stop], out=part)
-        if bias is not None:
-            part += bias[:, None]
-    return out
-
-
-def _pullback(runs, s):
-    """W^T s per column of s (B, out, 1); one stacked product per run."""
-    out = np.empty((s.shape[0], runs[0][2].shape[1], 1))
-    for start, stop, w, _ in runs:
-        np.matmul(w.T, s[start:stop], out=out[start:stop])
-    return out
-
-
-def _block_value_grad(layers, final_activation, measure, z):
-    """Per-column finiteness of 0.5*||scale*rows@G(z) - b||^2 and its gradient.
-
-    Shapes: layers, per layer the runs of `_layer_runs`; measure,
-    a `_Measure` of the columns; z (B, k, 1).
-    Returns (finite (B,), grad (B, k, 1)).
-    """
-    d = len(layers)
-    h = z
-    pre = []
-    for i, runs in enumerate(layers):
-        h = _affine(runs, h)
-        pre.append(h)
-        if i < d - 1:
-            h = relu(h)
-    y = pre[-1]
-    x = sigmoid(y) if final_activation == "sigmoid" else y
-    for start, stop, rows, p, *_ in measure.segments:
-        np.matmul(rows, x[start:stop], out=p)
-    # r = scale*(U_J x) - b, one entry per row in flight.
-    measure.p *= measure.scale_rows
-    np.subtract(measure.p, measure.b, out=measure.r)
-    if measure.r_conj is not measure.r:
-        np.conjugate(measure.r, out=measure.r_conj)
-    for start, stop, rows, _, r, r_conj, value, s in measure.segments:
-        np.matmul(r_conj.transpose(0, 2, 1), r, out=value)
-        # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
-        # flips, without a conjugated copy of the rows.
-        np.matmul(rows.transpose(0, 2, 1), r_conj, out=s)
-    measure.s *= measure.scale
-    # For complex residuals this is a strided view. The pullback below must
-    # see it so: numpy's matmul rounds differently on strided operands, so a
-    # contiguous copy would not step as the column alone does.
-    s = np.real(measure.s)
-    if final_activation == "sigmoid":
-        s = s * x * (1.0 - x)
-    for i in range(d - 1, -1, -1):
-        s = _pullback(layers[i], s)
-        if i > 0:
-            s = s * (pre[i - 1] > 0)
-    finite = np.isfinite(np.real(measure.value[:, 0, 0])) & np.isfinite(s).all(axis=(1, 2))
-    return finite, s
-
-
 def _stretches(keys) -> list[tuple[int, int]]:
     """(start, stop) of each stretch of equal adjacent entries of keys."""
     bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _layer_runs(nets, owner) -> list[list[tuple]]:
-    """Per layer, [(start, stop, w, bias)] over the columns in flight, whose
-    column c runs nets[owner[c]].
+class _Plan:
+    """The buffers and products of one iteration over the columns in flight
+    (see the module docstring).
 
-    Adjacent columns whose networks hold the same weight and bias arrays for a
-    layer share one run of it, so a layer common to the columns in flight is
-    one product.
+    layers: per layer, the (w, input, output) views of each run, the
+    (bias, output) views of each biased run, the layer's output and, for an
+    inner layer, its ReLU mask; x is the network's output. gathers: per
+    stretch of one group's columns, the (U_J, x, p) views, for p = U_J x;
+    scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r). p and r
+    hold one entry per row in flight (r is p when they share a dtype, and
+    r_conj is r for real residuals); offsets are the nonempty columns' first
+    rows. pullbacks: per layer from the last, the (w^T, input, output) views
+    of each run, the output, which is the gradient over the layer's input,
+    and the ReLU mask it is multiplied by.
     """
-    layers = []
-    for i in range(nets[0].depth):
-        runs = []
-        for start, stop in _stretches(owner):
-            g = nets[owner[start]]
-            w, bias = g.weights[i], None if g.biases is None else g.biases[i]
-            if runs and runs[-1][2] is w and runs[-1][3] is bias:
-                runs[-1] = (runs[-1][0], stop, w, bias)
-            else:
-                runs.append((start, stop, w, bias))
-        layers.append(runs)
-    return layers
 
-
-class _Measure:
-    """The measurement side of the columns in flight. Per stretch of one
-    group's columns, `segments` holds (start, stop, rows) and views of the
-    buffers: p = U_J x and r = scale*p - b, one entry per row in flight
-    (r_conj is r for real residuals), and value and the gradient s, one per
-    column. b holds the measurements in the layout of p."""
-
-    def __init__(self, rows_flat, b_flat, group, jrows, scale, n, measure_dtype):
+    def __init__(self, nets, owner, group, jrows, scale, rows_flat, b_flat, z):
+        mine = [nets[j] for j in owner]  # each column's network
+        columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
+        measure_dtype, sigmoid_out = b_flat.dtype, mine[0].final_activation == "sigmoid"
+        self.s = np.empty((columns, n, 1), dtype=measure_dtype)
+        # For complex residuals this is a strided view. The pullback must see
+        # it so: numpy's matmul rounds differently on strided operands, so a
+        # contiguous copy would not step as the column alone does.
+        self.s_real = np.real(self.s)
+        self.layers, self.pullbacks, codes = [], [], {}
+        h, dh, mask = z, np.empty_like(z), None
+        self.grad, self.grad_t = dh, dh.transpose(0, 2, 1)
+        for i in range(depth):
+            pairs = [(g.weights[i], None if g.biases is None else g.biases[i]) for g in mine]
+            code = np.array([codes.setdefault((id(w), id(c)), len(codes)) for w, c in pairs])
+            runs = [(a, b, *pairs[a]) for a, b in _stretches(code)]
+            out = np.empty((columns, runs[0][2].shape[0], 1))
+            last = i == depth - 1
+            dout = self.s_real if last and not sigmoid_out else np.empty_like(out)
+            self.layers.append(([(w, h[a:b], out[a:b]) for a, b, w, _ in runs],
+                                [(c[:, None], out[a:b]) for a, b, _, c in runs if c is not None],
+                                out, None if last else np.empty(out.shape, dtype=bool)))
+            self.pullbacks.insert(0, ([(w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs], dh, mask))
+            h, dh, mask = out, dout, self.layers[-1][3]
+        self.x, self.x_grad = (np.empty_like(h), dh) if sigmoid_out else (h, None)
         entries = int(jrows.sum())
-        self.scale, self.scale_rows, self.b = scale, np.repeat(scale[:, 0, 0], jrows), b_flat[:entries]
+        self.scale, self.b = scale, b_flat[:entries]
+        self.scale_rows = np.repeat(scale[:, 0, 0], jrows)
         self.p = np.empty(entries, dtype=rows_flat.dtype)
         self.r = self.p if rows_flat.dtype == measure_dtype else np.empty_like(self.p, measure_dtype)
         self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
-        self.value = np.empty((len(scale), 1, 1), dtype=measure_dtype)
-        self.s = np.empty((len(scale), n, 1), dtype=measure_dtype)
-        self.segments, at = [], 0
+        self.gathers, self.scatters, at = [], [], 0
         for start, stop in _stretches(group):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
-            self.segments.append((start, stop, rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,)),
-                                  *(a[at:at + size].reshape(shape) for a in (self.p, self.r, self.r_conj)),
-                                  self.value[start:stop], self.s[start:stop]))
+            rows = rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,))
+            self.gathers.append((rows, self.x[start:stop], self.p[at:at + size].reshape(shape)))
+            self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
+                                  self.s[start:stop]))
             at += size
+        self.nonempty = None if jrows.all() else np.flatnonzero(jrows)
+        self.offsets = (np.cumsum(jrows) - jrows)[slice(None) if self.nonempty is None else self.nonempty]
+        self.value = np.zeros(columns, dtype=measure_dtype)
+        self.norm, self.check = np.empty((columns, 1, 1)), np.empty(columns, dtype=measure_dtype)
+        self.keep, self.above = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
+        self.adam = (np.empty_like(z), np.empty_like(z))
+
+
+def _block_value_grad(plan, z):
+    """Per-column sum of |r|^2 and the gradient of 0.5*||r||^2 over z, where
+    r = scale*U_J G(z) - b, computed in the buffers of plan, which reads z
+    through the views it was built with.
+
+    Returns (sums (B,), grad (B, k, 1)); a column with |J| = 0 sums to 0.
+    """
+    for runs, adds, out, mask in plan.layers:
+        for w, h, part in runs:
+            np.matmul(w, h, out=part)
+        for bias, part in adds:
+            part += bias
+        if mask is not None:
+            np.greater(out, 0, out=mask)
+            np.maximum(out, 0.0, out=out)
+    if plan.x is not out:
+        sigmoid(out, out=plan.x)
+    for rows, x, p in plan.gathers:
+        np.matmul(rows, x, out=p)
+    # r = scale*(U_J x) - b, one entry per row in flight.
+    plan.p *= plan.scale_rows
+    np.subtract(plan.p, plan.b, out=plan.r)
+    if plan.r_conj is not plan.r:
+        np.conjugate(plan.r, out=plan.r_conj)
+    # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
+    # flips, without a conjugated copy of the rows.
+    for rows_t, r_conj, s in plan.scatters:
+        np.matmul(rows_t, r_conj, out=s)
+    plan.s *= plan.scale
+    np.multiply(plan.r_conj, plan.r, out=plan.r_conj)
+    if plan.nonempty is None:
+        np.add.reduceat(plan.r_conj, plan.offsets, out=plan.value)
+    else:
+        plan.value[plan.nonempty] = np.add.reduceat(plan.r_conj, plan.offsets)
+    if plan.x is not out:  # s * x * (1 - x), with 1 - x in y's buffer
+        np.subtract(1.0, plan.x, out=out)
+        np.multiply(plan.s_real, plan.x, out=plan.x_grad)
+        plan.x_grad *= out
+    for runs, out, mask in plan.pullbacks:
+        for w_t, s, part in runs:
+            np.matmul(w_t, s, out=part)
+        if mask is not None:
+            out *= mask
+    return plan.value, plan.grad
 
 
 def _squeeze(flat, sizes, keep) -> None:
@@ -265,14 +277,17 @@ def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
     queued column.
     """
     # Each row in flight costs its entries of U, its measurement, its product
-    # U_J x, the residual and its conjugate and its scale; each column its
-    # value, its gradient through U_J, 512 bytes of Python objects and six
-    # floats per layer width, which cover an iteration's activations,
-    # gradients, Adam moments and their temporaries (tracemalloc puts them at
-    # 2.5-4.5 kB at the desk widths, where this counts 5-6.5 kB). One
-    # column's `rows` call, at most three arrays of that column's rows, is
-    # set aside. The rest is split between rows and columns in the queue's
-    # mean ratio.
+    # U_J x, the residual and its conjugate (which then holds |r|^2) and its
+    # scale; each column its |r|^2 sum, its gradient through U_J, 512 bytes
+    # of Python objects and six floats per layer width, which cover the
+    # plan's activations, ReLU masks, gradients and sigmoid buffers, the
+    # latent vector, both moments and the Adam scratch, and the sigmoid's
+    # transients. (With eight rows per column, tracemalloc puts a plan and an
+    # iteration's transients at 2.3 kB per column at the desk widths and at
+    # 15.6 kB for 8-32-256 with a sigmoid and the DFT, where this counts 5.4
+    # and 19.4 kB besides U.) One column's `rows` call, at most three arrays
+    # of that column's rows, is set aside. The rest is split between rows
+    # and columns in the queue's mean ratio.
     n = widths[-1]
     row_bytes = (n + 1) * dtype.itemsize + 3 * measure_dtype.itemsize + 8
     column_bytes = (n + 1) * measure_dtype.itemsize + 512 + 6 * 8 * sum(widths)
@@ -284,9 +299,9 @@ def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
             int(min(jrows_of.size, max(columns, BLOCK_COLUMNS))))
 
 
-def _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype, config):
-    """Adam in lockstep on the columns of queue, which enter in order as the
-    columns in flight leave room.
+def _lockstep(nets, queue, widths, dtype, measure_dtype, config):
+    """Adam in lockstep on the columns of queue, which enter in order, at the
+    start and at each compaction, as far as room allows.
 
     queue: per column (net, op, b, seed, restart, group): the column runs
     nets[net] from derive_rng(seed, restart) and measures x by op against b;
@@ -308,7 +323,6 @@ def _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype, confi
     # count, and its latent vector with both moments.
     ids = t = np.zeros(0, dtype=np.intp)
     state = np.zeros((3, 0, k, 1))
-    layers = None
     while True:
         starts = []
         while (pos < len(queue) and used + jrows_of[pos] <= max_rows
@@ -325,45 +339,56 @@ def _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype, confi
             ids = np.concatenate([ids, np.arange(pos - len(starts), pos)])
             t = np.concatenate([t, np.ones(len(starts), dtype=np.intp)])
             state = np.concatenate([state, fresh], axis=1)
-            layers = None
         if not ids.size:
             return out
-        if layers is None:  # the columns in flight changed
-            layers = _layer_runs(nets, net_of[ids])
-            measure = _Measure(rows_flat, b_flat, group_of[ids], jrows_of[ids], scale_of[ids], n,
-                               measure_dtype)
-            z, m, v = state
-
-        finite, grad = _block_value_grad(layers, final_activation, measure, z)
-        norm = np.sqrt(np.matmul(grad.transpose(0, 2, 1), grad))[:, 0, 0]
-        done = finite & (norm <= config.grad_tol)
-        keep = finite & ~done
-        leaving = not keep.all()
-        if leaving:
-            for j in np.flatnonzero(done):
-                out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
-            # Leaving columns step too, on a zero gradient, so that a
-            # nonfinite one raises no floating-point warning; nothing reads
-            # their state again.
-            grad[~keep] = 0.0
-        adam_step(z, grad, m, v, t, config.learning_rate)
-        # Columns enter in queue order and t counts up, so t[0] is the most.
-        if t[0] == config.max_iters:
-            capped = keep & (t == config.max_iters)
-            for j in np.flatnonzero(capped):
-                out[ids[j]] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
-            keep &= ~capped
-            leaving = True
-        if leaving:
-            jrows = jrows_of[ids]
-            _squeeze(rows_flat, jrows * n, keep)
-            _squeeze(b_flat, jrows, keep)
-            # state[:, keep] would not be C-contiguous, and Adam's updates of
-            # strided views of it took a third longer.
-            ids, t, state = ids[keep], t[keep], state.compress(keep, axis=1)
-            used = int(jrows[keep].sum())
-            layers = None
-        t += 1
+        plan = _Plan(nets, net_of[ids], group_of[ids], jrows_of[ids], scale_of[ids], rows_flat,
+                     b_flat, state[0])
+        z, m, v = state
+        norm, keep = plan.norm.reshape(-1), plan.keep
+        # live: the columns still running; the first of them has the most
+        # steps, since columns enter in queue order and t counts up.
+        live, first, running = np.ones(ids.size, dtype=bool), 0, ids.size
+        while 8 * (ids.size - running) < ids.size:
+            value, grad = _block_value_grad(plan, z)
+            np.matmul(plan.grad_t, grad, out=plan.norm)
+            # |r|^2 + |grad|^2 is finite when both are; a column whose sum
+            # alone overflowed is checked again below.
+            np.isfinite(np.add(value, norm, out=plan.check), out=keep)
+            np.sqrt(norm, out=norm)
+            keep &= np.greater(norm, config.grad_tol, out=plan.above)
+            if left := np.count_nonzero(keep) != running:
+                for j in np.flatnonzero(live & ~keep):
+                    if np.isfinite(value[j]) and np.isfinite(grad[j]).all():
+                        keep[j] = norm[j] > config.grad_tol  # only its check overflowed
+                        if not keep[j]:
+                            out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
+                # Leaving columns step too, on a zero gradient, so that a
+                # nonfinite one raises no floating-point warning.
+                grad[~keep] = 0.0
+            adam_step(z, grad, m, v, t, config.learning_rate, plan.adam)
+            if t[first] == config.max_iters:
+                for j in np.flatnonzero(keep & (t == config.max_iters)):
+                    out[ids[j]] = (z[j, :, 0].copy(), config.max_iters, "max_iters")
+                keep &= t != config.max_iters
+                left = True
+            if left:
+                # Finished columns sit at z = 0 with zero measurements and
+                # scale until the next compaction, so their gradient is zero.
+                gone = live & ~keep
+                state[:, gone] = 0.0
+                gone_rows = np.repeat(gone, jrows_of[ids])
+                plan.b[gone_rows] = plan.scale_rows[gone_rows] = 0.0
+                live, first, running = keep.copy(), int(keep.argmax()), np.count_nonzero(keep)
+            t += 1
+        # Compaction: an eighth or more of the columns in flight finished.
+        plan = value = grad = None
+        jrows = jrows_of[ids]
+        _squeeze(rows_flat, jrows * n, live)
+        _squeeze(b_flat, jrows, live)
+        # state[:, live] would not be C-contiguous, and Adam's updates of
+        # strided views of it took a third longer.
+        ids, t, state = ids[live], t[live], state.compress(live, axis=1)
+        used = int(jrows[live].sum())
 
 
 def recover_batch(
@@ -403,18 +428,15 @@ def recover_batch(
                 np.result_type(a.base.dtype, bs[i].dtype))
         loops.setdefault(loop, {}).setdefault((a.num_rows, id(a.base)), []).append(c)
     finals = [None] * len(cols)
-    for (widths, final_activation, dtype, measure_dtype), groups in loops.items():
+    for (widths, _, dtype, measure_dtype), groups in loops.items():
         # Sorted by network, then group: each layer then costs one product
         # per network per iteration, however many groups the networks span.
         # Ties keep the columns' order, so a problem's restarts stay adjacent.
         columns = sorted((net_of[cols[c][0]], g, c) for g, group in enumerate(groups.values())
                          for c in group)
-        queue = []
-        for _, g, c in columns:
-            i, r = cols[c]
-            queue.append((net_of[i], ops[i], bs[i], configs[i].seed, r, g))
-        block = _lockstep(nets, queue, final_activation, widths, dtype, measure_dtype,
-                          configs[0])
+        queue = [(net_of[i], ops[i], bs[i], configs[i].seed, r, g)
+                 for _, g, c in columns for i, r in [cols[c]]]
+        block = _lockstep(nets, queue, widths, dtype, measure_dtype, configs[0])
         for (_, _, c), final in zip(columns, block):
             finals[c] = final
 
@@ -425,24 +447,15 @@ def recover_batch(
         c += config.restarts
         if not finished:
             raise GcsError(f"all {config.restarts} restarts hit a nonfinite objective")
-        tried = []
-        for z, iters, termination in finished:
-            x = forward(g, z)
-            tried.append((float(np.linalg.norm(apply(a, x) - b)), z, x, iters, termination))
+        xs = [forward(g, z) for z, _, _ in finished]
+        tried = [(float(np.linalg.norm(apply(a, x) - b)), z, x, iters, termination)
+                 for x, (z, iters, termination) in zip(xs, finished)]
         # The first restart of least (recomputed) residual wins.
         residual, z, x, iters, termination = min(tried, key=lambda e: e[0])
-        err = None
-        if x0 is not None and np.linalg.norm(x0) > 0:
-            err = rre(x0, x)
-        results.append(RecoveryResult(
-            z_hat=z,
-            x_hat=x,
-            rre=err,
-            iterations=iters,
-            termination=termination,
-            residual=residual,
-            failed_restarts=config.restarts - len(finished),
-        ))
+        err = rre(x0, x) if x0 is not None and np.linalg.norm(x0) > 0 else None
+        results.append(RecoveryResult(z_hat=z, x_hat=x, rre=err, iterations=iters,
+                                      termination=termination, residual=residual,
+                                      failed_restarts=config.restarts - len(finished)))
     return results
 
 

@@ -55,15 +55,24 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
-    """Parse big-endian IDX files; pixels scaled by 1/255 and flattened."""
+def idx_image_header(images_path: str) -> tuple[int, int, int]:
+    """(count, rows, cols) from the 16-byte header of a big-endian IDX image
+    file, which is all this reads of it."""
     with open(images_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
+        head = f.read(16)
+    if len(head) < 16:
         raise TruncatedFile(f"{images_path}: header truncated")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
+    magic, count, rows, cols = struct.unpack(">IIII", head)
     if magic != IMAGE_MAGIC:
         raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
+    return count, rows, cols
+
+
+def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
+    """Parse big-endian IDX files; pixels scaled by 1/255 and flattened."""
+    count, rows, cols = idx_image_header(images_path)
+    with open(images_path, "rb") as f:
+        raw = f.read()
     need = 16 + count * rows * cols
     if len(raw) < need:
         raise TruncatedFile(f"{images_path}: expected {need} bytes, got {len(raw)}")
@@ -118,7 +127,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
 ADAM_CHUNK = 16384
 
 
-def adam_step(p, g, m, v, t, lr: float) -> None:
+def adam_step(p, g, m, v, t, lr: float, scratch=None) -> None:
     """Bias-corrected Adam step t (counted from 1) on p with gradient g.
 
     Updates p and its moments m and v in place; p, g, m and v share one
@@ -130,21 +139,26 @@ def adam_step(p, g, m, v, t, lr: float) -> None:
     column steps bit for bit as it would alone. A 1-D p longer than
     ADAM_CHUNK (training's flat parameters, with an int t) is stepped
     ADAM_CHUNK elements at a time; every update is elementwise, so the
-    result is bit for bit the same.
+    result is bit for bit the same. scratch, two arrays shaped like p, holds
+    the step's temporaries, so that a caller stepping often allocates none;
+    without it, or for a chunked p, they are allocated per step or chunk.
     """
     global _bias_table
     t = np.asarray(t)
-    if _bias_table.shape[1] <= t.max():
+    try:
+        c = _bias_table.take(t, axis=1)
+    except IndexError:
         size = 1 << int(t.max()).bit_length()
         _bias_table = np.array([np.fromiter((1 - b**s for s in range(size)), float, size)
                                 for b in (_B1, _B2)])
-    c1, c2 = _bias_table.take(t, axis=1).reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
+        c = _bias_table.take(t, axis=1)
+    c1, c2 = c.reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
     if p.ndim == 1 and p.size > ADAM_CHUNK:
         for i in range(0, p.size, ADAM_CHUNK):
             s = slice(i, i + ADAM_CHUNK)
             _adam(p[s], g[s], m[s], v[s], c1, c2, lr)
     else:
-        _adam(p, g, m, v, c1, c2, lr)
+        _adam(p, g, m, v, c1, c2, lr, scratch)
 
 
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
@@ -153,14 +167,18 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 _bias_table = np.empty((2, 0))
 
 
-def _adam(p, g, m, v, c1, c2, lr: float) -> None:
+def _adam(p, g, m, v, c1, c2, lr: float, scratch=None) -> None:
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), each operation in the order
+    # the formula gives, through the scratch arrays a and b.
+    a, b = (np.empty_like(p), np.empty_like(p)) if scratch is None else scratch
     m *= _B1
-    m += (1 - _B1) * g
+    m += np.multiply(g, 1 - _B1, out=a)
     v *= _B2
-    v += (1 - _B2) * g**2
-    m_hat = m / c1
-    v_hat = v / c2
-    p -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    v += np.multiply(np.square(g, out=b), 1 - _B2, out=b)
+    np.divide(m, c1, out=a)
+    a *= lr
+    a /= np.add(np.sqrt(np.divide(v, c2, out=b), out=b), _EPS, out=b)
+    p -= a
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import shlex
 import struct
+import subprocess
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -498,11 +499,20 @@ def test_sweep_idx_test_data_of_wrong_shape_exits_2_before_any_trial(tmp_path, m
                           {"test_data": {"kind": "idx", "images": str(tmp_path / "images.idx")}})
     monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
     monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    loads, load_vae = [], cli.training.load_vae
+
+    def counted(path):
+        loads.append(path)
+        return load_vae(path)
+
+    monkeypatch.setattr(cli.training, "load_vae", counted)
     rc = cli.main(["--out-dir", str(tmp_path / "out"), "sweep", "--config", config])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
     assert not (tmp_path / "out").exists()
+    # The first model gives n; the data are rejected before the second loads.
+    assert len(loads) == 1
 
 
 class Reached(Exception):
@@ -568,6 +578,14 @@ def test_check_script_reruns_the_desk_lines():
 
     assert normalized("check_desk_outputs.sh") == normalized("run_all_desk.sh")
     assert len(normalized("run_all_desk.sh")) == 4
+
+
+@pytest.mark.parametrize("argv", [[], ["a", "b", "phase-desk", "0"]], ids=["none", "four"])
+def test_bench_pairs_prints_usage_and_exits_2_without_its_arguments(argv):
+    script = os.path.join(ROOT, "scripts", "bench_pairs.sh")
+    done = subprocess.run(["sh", script, *argv], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "usage: sh scripts/bench_pairs.sh PARENT CHANGE WORKLOAD FIRST LAST\n"
 
 
 def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):

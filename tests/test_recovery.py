@@ -349,6 +349,26 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
             recover(g, a, b, config)
 
 
+def test_overflowing_value_fails_restart_with_finite_residual_and_gradient():
+    # Every residual entry is about -1e155 and the gradient is finite, but
+    # 0.5*||r||^2 overflows: each restart fails, as in the scalar loop.
+    g = small_network([3, 8, 16], seed=92)
+    a = sample_fixed(dct2_operator(16), 8, seed=93)
+    b = np.full(8, 1e155)
+    config = RecoveryConfig(restarts=2, seed=94)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for restart in range(config.restarts):
+            z0 = derive_rng(config.seed, restart).standard_normal(3)
+            value, grad = objective_value_grad(g, a, b, z0)
+            assert np.isfinite(apply(a, forward(g, z0)) - b).all()
+            assert value == np.inf and np.isfinite(grad).all()
+        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
+            oracle_recover(g, a, b, config)
+        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
+            recover(g, a, b, config)
+
+
 def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
     import gcs.recovery
 
@@ -513,6 +533,22 @@ def test_mixed_batch_of_different_shapes():
     assert_mixed_batch_matches(*problems)
 
 
+def test_mixed_batch_of_different_depths_and_output_dims():
+    # Each loop takes its layer count and output dimension from its own
+    # networks, not from the batch's first network.
+    nets = [small_network([3, 8, 16], seed=75), small_network([3, 8, 8, 16], seed=76),
+            small_network([3, 8, 32], seed=77)]
+    gs, ops, bs, configs, x0s = [], [], [], [], []
+    for g in nets:
+        problems = mixed_problems([g], dct2_operator(g.ambient_dim), [8, 10], seed=74,
+                                  config=RecoveryConfig(max_iters=200, grad_tol=1e-4))
+        for seq, more in zip((gs, ops, bs, configs, x0s), problems):
+            seq += more
+    got = recover_batch(gs, ops, bs, configs, x0s)
+    for res, g, a, b, config, x0 in zip(got, gs, ops, bs, configs, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+
+
 def trace_loop(monkeypatch):
     """Record, per lockstep iteration, the columns in flight, and per column
     the iterations run before it entered (it draws its start on entry)."""
@@ -532,6 +568,37 @@ def trace_loop(monkeypatch):
     monkeypatch.setattr(gcs.recovery, "_block_value_grad", counted)
     monkeypatch.setattr(gcs.recovery, "derive_rng", drawn)
     return trace
+
+
+def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
+    import gcs.recovery
+
+    # 36 columns that finish at many different iterations, up to 23 in flight.
+    g = small_network([3, 8, 16], seed=90)
+    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [8] * 18, seed=91,
+                                          config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 80000)
+    monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
+    trace = trace_loop(monkeypatch)
+    squeeze, compactions = gcs.recovery._squeeze, set()
+
+    def squeezed(*args):
+        compactions.add(len(trace["in_flight"]))  # after this many iterations
+        return squeeze(*args)
+
+    monkeypatch.setattr(gcs.recovery, "_squeeze", squeezed)
+    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    columns = sum(c.restarts for c in configs)
+    assert max(trace["in_flight"]) > 16
+    # Finished columns wait for an eighth of those in flight: at most one
+    # compaction per two leaving columns, where one per leave would take
+    # about one per column.
+    assert 2 * len(compactions) <= columns
+    # Only a compaction frees room, so waiting columns enter only there.
+    entered = {e for e in trace["entered_after"] if e > 0}
+    assert entered and entered <= compactions
+    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
 
 
 def test_block_column_floor(monkeypatch):
