@@ -2,8 +2,8 @@
 rip, subspace-rip}.
 
 Experiment configs are JSON files mirroring the harness config dataclasses;
-desk-scale defaults ship in configs/. The env var GCS_DATA_DIR locates MNIST
-IDX files for `train --data mnist`.
+desk-scale defaults ship in configs/. The env var GCS_DATA_DIR locates the
+MNIST IDX image file for `train --data mnist`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def cmd_coherence(args) -> int:
 def cmd_train(args) -> int:
     if args.data not in ("synth", "mnist") and not args.data.startswith("idx:"):
         raise DomainError(
-            f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>[,<labels>])"
+            f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>)"
         )
     widths = _ints(args.arch)
     gnn.check_widths(widths)
@@ -69,16 +69,12 @@ def cmd_train(args) -> int:
             widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
         )
     elif args.data == "mnist":
-        root = os.environ.get("GCS_DATA_DIR", ".")
         data = training.load_idx(
-            os.path.join(root, "train-images-idx3-ubyte"),
-            os.path.join(root, "train-labels-idx1-ubyte"),
-        )
+            os.path.join(os.environ.get("GCS_DATA_DIR", "."), "train-images-idx3-ubyte"))
     else:
-        paths = args.data[len("idx:"):].split(",")
-        data = training.load_idx(*paths)
+        data = training.load_idx(args.data[len("idx:"):])
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
-    training.save_vae_and_decoder(model, args.out, args.out.removesuffix(".json") + ".decoder.json")
+    training.save_vae(model, args.out, args.out.removesuffix(".json") + ".decoder.json")
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
     return 0
 
@@ -190,31 +186,27 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"unknown test_data kind {kind!r} (expected synth or idx)")
     _block(test_spec, "test_data", ("k_true", "count", "seed") if kind == "synth" else ("images",))
     if kind == "synth":
-        # synth_dataset checks k_true <= n once a model gives n.
+        # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         seed = test_spec["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
     if kind == "idx":
-        count, rows, cols = training.idx_image_header(test_spec["images"])
+        samples = training.load_idx(test_spec["images"]).samples
     (name, path), *rest = cfg_json["models"].items()
     models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
-    # The first model gives n; the grid and an idx file's shape are checked before the rest.
+    # The first model gives n; the grid and the test data are checked before the rest load.
     harness.check_grid(cfg.model, cfg.m_list, n)
-    if kind == "idx":
-        harness.check_test_data(count, rows * cols, models)
+    if kind == "synth":
+        samples = training.synth_dataset(
+            n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
+        ).samples
+    harness.check_test_data(*samples.shape, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
     cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
-    if kind == "synth":
-        data = training.synth_dataset(
-            n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
-        )
-        test_samples = data.samples
-    else:
-        test_samples = training.load_idx(test_spec["images"]).samples
-    records, summaries = harness.run_measurement_sweep(models, test_samples, cfg)
+    records, summaries = harness.run_measurement_sweep(models, samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"))
     series = []
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_coherence)
 
     t = sub.add_parser("train", help="train a small VAE")
-    t.add_argument("--data", default="synth", help="synth | mnist | idx:<images>[,<labels>]")
+    t.add_argument("--data", default="synth", help="synth | mnist | idx:<images> (IDX images only)")
     t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
     t.add_argument("--final", default="none", choices=["none", "sigmoid"])
     t.add_argument("--regularized", action="store_true")

@@ -280,18 +280,22 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _rip_trials(model: str, m_list: list[int], n: int, trials: int, delta: float,
-                prepare) -> tuple[list[dict], list[dict]]:
-    """The trial loop of both RIP checks: (records, per-m exceed summaries).
-
-    Checks trials, 0 < delta < 1 and the grid before `prepare(sampler)`
-    builds the trial function, (m index, trial, m) -> (deviation, seed). The
-    (m, trial) jobs run in that order on `run_indexed`.
-    """
+def _check_rip(model: str, m_list: list[int], n: int, trials: int, delta: float):
+    """The sampler for a RIP check, after checking trials, 0 < delta < 1 and
+    the grid; each driver calls this before it builds anything."""
     check_counts(trials=trials)
     if not 0 < delta < 1:  # the range the RIP is stated for; NaN fails it too
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    trial = prepare(check_grid(model, m_list, n))
+    return check_grid(model, m_list, n)
+
+
+def _rip_trials(m_list: list[int], trials: int, delta: float,
+                trial) -> tuple[list[dict], list[dict]]:
+    """The trial loop of both RIP checks: (records, per-m exceed summaries).
+
+    trial maps (m index, trial, m) to (deviation, seed); the (m, trial) jobs
+    run in that order on `run_indexed`.
+    """
 
     def one(j):
         mi, t = divmod(j, trials)
@@ -325,25 +329,22 @@ def run_rip_check(
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
     check_counts(chord_samples=chord_samples)
+    sampler = _check_rip(model, m_list, u.n, trials, delta)
+    chords = ChordSampler(g, u)
 
-    def prepare(sampler):
-        chords = ChordSampler(g, u)
+    def trial(mi, t, m):
+        trial_seed = spawn_seed(seed, mi, t)
+        a = sampler(u, m, trial_seed)
+        rng = derive_rng(seed, mi, t, 1)
+        z1 = rng.standard_normal((g.code_dim, chord_samples))
+        z2 = rng.standard_normal((g.code_dim, chord_samples))
+        # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise;
+        # with every chord dropped the deviation is 0.
+        ax = a.scale * chords.moduli(z1, z2, a.indices)
+        dev = np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0), initial=0.0)
+        return float(dev), trial_seed
 
-        def trial(mi, t, m):
-            trial_seed = spawn_seed(seed, mi, t)
-            a = sampler(u, m, trial_seed)
-            rng = derive_rng(seed, mi, t, 1)
-            z1 = rng.standard_normal((g.code_dim, chord_samples))
-            z2 = rng.standard_normal((g.code_dim, chord_samples))
-            # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise;
-            # with every chord dropped the deviation is 0.
-            ax = a.scale * chords.moduli(z1, z2, a.indices)
-            dev = np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0), initial=0.0)
-            return float(dev), trial_seed
-
-        return trial
-
-    return _rip_trials(model, m_list, u.n, trials, delta, prepare)
+    return _rip_trials(m_list, trials, delta, trial)
 
 
 def run_subspace_rip(
@@ -367,24 +368,19 @@ def run_subspace_rip(
     check_integer("k", k)
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
-    alpha = 0.0
+    _check_rip("bernoulli", m_list, n, trials, delta)
+    q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
+    alpha = subspace_coherence(u, q)
+    b_mat = u.apply(q)
 
-    def prepare(_sampler):
-        nonlocal alpha
-        q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
-        alpha = subspace_coherence(u, q)
-        b_mat = u.apply(q)
+    def trial(mi, t, m):
+        bj = b_mat[bernoulli_rows(derive_rng(seed, 1, mi, t), m, n)]
+        # The subspace is real, so the sup runs over real unit v: only the
+        # real (symmetric) part of the Gram matrix enters the quadratic form.
+        gram = (n / m) * np.real(bj.conj().T @ bj)
+        return float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k))))), seed
 
-        def trial(mi, t, m):
-            bj = b_mat[bernoulli_rows(derive_rng(seed, 1, mi, t), m, n)]
-            # The subspace is real, so the sup runs over real unit v: only the
-            # real (symmetric) part of the Gram matrix enters the quadratic form.
-            gram = (n / m) * np.real(bj.conj().T @ bj)
-            return float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k))))), seed
-
-        return trial
-
-    records, summaries = _rip_trials("bernoulli", m_list, n, trials, delta, prepare)
+    records, summaries = _rip_trials(m_list, trials, delta, trial)
     fit = fit_subspace_tail(summaries, k, n, alpha, delta)
     fit["alpha"] = alpha
     for s in summaries:
@@ -421,6 +417,20 @@ def fit_subspace_tail(summaries, k, n, alpha, delta) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _write_svg(path: str, width: int, height: int, margin: int, title: str,
+               body: list[str]) -> None:
+    """Write an SVG document of the given size: the title, if any, at the left
+    margin, then the body elements, one per line."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
+    if title:
+        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
+    parts += body
+    parts.append("</svg>")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as f:
+        f.write("\n".join(parts))
+
+
 def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels=None, col_labels=None,
                      cell: int = 40, title: str = "") -> None:
     """Static heatmap; value 1 renders white, 0 black."""
@@ -429,10 +439,7 @@ def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels=None, col_labels=No
         raise OSError("refusing to render an empty heatmap")
     rows, cols = grid.shape
     margin = 70
-    w, h = margin + cols * cell + 20, margin + rows * cell + 20
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
-    if title:
-        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
+    parts = []
     for i in range(rows):
         for j in range(cols):
             shade = int(round(255 * min(1.0, max(0.0, grid[i, j]))))
@@ -450,10 +457,7 @@ def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels=None, col_labels=No
         for j, lab in enumerate(col_labels):
             x = margin + j * cell + cell // 4
             parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{lab}</text>')
-    parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
-        f.write("\n".join(parts))
+    _write_svg(path, margin + cols * cell + 20, margin + rows * cell + 20, margin, title, parts)
 
 
 def emit_svg_scatter(series: list[dict], path: str, log_y: bool = False,
@@ -478,16 +482,11 @@ def emit_svg_scatter(series: list[dict], path: str, log_y: bool = False,
         return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
     colors = ["black", "steelblue", "firebrick", "seagreen", "darkorange"]
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
-    if title:
-        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
-    parts.append(
+    parts = [
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>'
-    )
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
+    ]
     for si, s in enumerate(series):
         color = colors[si % len(colors)]
         xs = np.asarray(s["x"], dtype=float)
@@ -502,7 +501,4 @@ def emit_svg_scatter(series: list[dict], path: str, log_y: bool = False,
             f'<text x="{width - margin + 4}" y="{margin + 16 * si}" font-size="11" '
             f'fill="{color}">{s.get("label", f"series {si}")}</text>'
         )
-    parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
-        f.write("\n".join(parts))
+    _write_svg(path, width, height, margin, title, parts)

@@ -33,18 +33,16 @@ from .gnn import (
     relu,
     sigmoid,
 )
-from .linops import load_json, matrix_from_json, matrix_to_json, write_json
+from .linops import load_json, matrix_from_json, matrix_to_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
 IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
 
 
 @dataclass(frozen=True)
 class Dataset:
     samples: np.ndarray = field(repr=False)  # (count, n), entries in [0, 1]
-    labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def count(self) -> int:
@@ -55,44 +53,20 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def idx_image_header(images_path: str) -> tuple[int, int, int]:
-    """(count, rows, cols) from the 16-byte header of a big-endian IDX image
-    file, which is all this reads of it."""
-    with open(images_path, "rb") as f:
-        head = f.read(16)
-    if len(head) < 16:
-        raise TruncatedFile(f"{images_path}: header truncated")
-    magic, count, rows, cols = struct.unpack(">IIII", head)
-    if magic != IMAGE_MAGIC:
-        raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
-    return count, rows, cols
-
-
-def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
-    """Parse big-endian IDX files; pixels scaled by 1/255 and flattened."""
-    count, rows, cols = idx_image_header(images_path)
+def load_idx(images_path: str) -> Dataset:
+    """Parse a big-endian IDX image file; pixels scaled by 1/255 and flattened."""
     with open(images_path, "rb") as f:
         raw = f.read()
+    if len(raw) < 16:
+        raise TruncatedFile(f"{images_path}: header truncated")
+    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
+    if magic != IMAGE_MAGIC:
+        raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
     need = 16 + count * rows * cols
     if len(raw) < need:
         raise TruncatedFile(f"{images_path}: expected {need} bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    samples = pixels.reshape(count, rows * cols).astype(float) / 255.0
-    labels = None
-    if labels_path is not None:
-        with open(labels_path, "rb") as f:
-            lraw = f.read()
-        if len(lraw) < 8:
-            raise TruncatedFile(f"{labels_path}: header truncated")
-        lmagic, lcount = struct.unpack(">II", lraw[:8])
-        if lmagic != LABEL_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {lmagic:#010x}, expected {LABEL_MAGIC:#010x}")
-        if lcount != count:
-            raise DimensionMismatch(f"{lcount} labels for {count} images")
-        if len(lraw) < 8 + lcount:
-            raise TruncatedFile(f"{labels_path}: label bytes truncated")
-        labels = np.frombuffer(lraw, dtype=np.uint8, count=lcount, offset=8).copy()
-    return Dataset(samples=samples, labels=labels)
+    return Dataset(samples=pixels.reshape(count, rows * cols).astype(float) / 255.0)
 
 
 def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.01) -> Dataset:
@@ -440,25 +414,23 @@ def vae_from_json(obj: dict) -> VaeModel:
     )
 
 
-def save_vae(model: VaeModel, path: str) -> None:
-    write_json(vae_to_json(model), path)
-
-
-def save_vae_and_decoder(model: VaeModel, path: str, decoder_path: str) -> None:
-    """save_vae(model, path) and save_network(model.decoder, decoder_path),
-    with the decoder JSON-encoded once and its text written into both files."""
+def save_vae(model: VaeModel, path: str, decoder_path: str | None = None) -> None:
+    """Write the model as json.dumps(vae_to_json(model)) does; with
+    decoder_path, also write the decoder there as save_network does, from the
+    same encoded text."""
     obj = vae_to_json(model)
     # Each top-level value is encoded on its own, and its lists go once it is;
-    # joined with json.dumps's separators, the texts are the bytes save_vae
-    # writes.
+    # joined with json.dumps's separators, the texts are the bytes json.dumps
+    # gives for the whole object.
     texts = {key: json.dumps(obj.pop(key)) for key in list(obj)}
     with open(path, "w") as f:
         for i, (key, text) in enumerate(texts.items()):
             f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
             f.write(text)
         f.write("}")
-    with open(decoder_path, "w") as f:
-        f.write(texts["decoder"])
+    if decoder_path is not None:
+        with open(decoder_path, "w") as f:
+            f.write(texts["decoder"])
 
 
 def load_vae(path: str) -> VaeModel:

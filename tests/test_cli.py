@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shlex
@@ -82,6 +83,21 @@ def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):
     ])
     assert rc == 0
     assert (out.parent / "m.decoder.json").exists()
+
+
+@pytest.mark.parametrize("data", ["mnist", "idx:{images}"])
+def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, monkeypatch, capsys, data):
+    # The data directory holds the image file alone.
+    images = tmp_path / "data" / "train-images-idx3-ubyte"
+    images.parent.mkdir()
+    write_idx(images, 64, 8, 8)
+    monkeypatch.setenv("GCS_DATA_DIR", str(images.parent))
+    out = tmp_path / "m.json"
+    rc = cli.main(["train", "--data", data.format(images=images), "--arch", "4,16,64",
+                   "--epochs", "1", "--out", str(out)])
+    assert rc == 0
+    assert load_vae(str(out)).decoder.ambient_dim == 64
+    assert (tmp_path / "m.decoder.json").exists()
 
 
 def write_config(path, base: dict, edits: dict) -> str:
@@ -340,6 +356,8 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     save_net(tmp_path, [2, 8, 16], seed=1)
     monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
+    monkeypatch.setattr(cli.harness, "ChordSampler", no_compute)
+    monkeypatch.setattr(cli.harness, "subspace_coherence", no_compute)
     monkeypatch.setattr(cli.coh, "network_coherence_heuristic", no_compute)
     monkeypatch.setattr(cli.coh, "chord_coherence_mc", no_compute)
     rc = cli.main(["--out-dir", "out"] + argv)
@@ -478,25 +496,33 @@ def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, mo
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def write_idx(path, count, rows, cols):
-    """An IDX image file holding count black rows x cols images."""
+def write_idx(path, count, rows, cols, missing=0):
+    """An IDX image file holding count black rows x cols images, less the
+    last `missing` pixel bytes."""
     with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, count, rows, cols) + bytes(count * rows * cols))
+        f.write(struct.pack(">IIII", 0x00000803, count, rows, cols)
+                + bytes(count * rows * cols - missing))
 
 
-@pytest.mark.parametrize("count, side, message", [
-    (3, 28, "test data dim 784 != decoder output 64 of model "),
-    (0, 8, "the sweep's test data holds no samples"),
-], ids=["wrong-dim", "no-images"])
+@pytest.mark.parametrize("idx, test_data, message, want_loads", [
+    ((3, 28, 28), None, "test data dim 784 != decoder output 64 of model ", 1),
+    ((0, 8, 8), None, "the sweep's test data holds no samples", 1),
+    ((3, 8, 8, 1), None, "images.idx: expected 208 bytes, got 207", 0),
+    (None, synth(k_true=100), "need 1 <= k_true <= n, got k_true=100, n=64", 1),
+], ids=["wrong-dim", "no-images", "truncated-body", "synth-k_true-above-n"])
 def test_sweep_idx_test_data_of_wrong_shape_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
-                                                                     count, side, message):
-    # The desk sweep's n = 64 models against idx test data.
+                                                                     idx, test_data, message,
+                                                                     want_loads):
+    # The desk sweep's n = 64 models against idx or synth test data. An idx
+    # file is read in full before any model loads; synth data are drawn once
+    # the first model gives n.
     monkeypatch.chdir(ROOT)
-    write_idx(tmp_path / "images.idx", count, side, side)
+    if idx is not None:
+        write_idx(tmp_path / "images.idx", *idx)
+        test_data = {"kind": "idx", "images": str(tmp_path / "images.idx")}
     with open(os.path.join("configs", "sweep_desk.json")) as f:
         cfg = json.load(f)
-    config = write_config(tmp_path / "sweep.json", cfg,
-                          {"test_data": {"kind": "idx", "images": str(tmp_path / "images.idx")}})
+    config = write_config(tmp_path / "sweep.json", cfg, {"test_data": test_data})
     monkeypatch.setattr(cli.harness, "run_indexed", no_compute)
     monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
     loads, load_vae = [], cli.training.load_vae
@@ -511,8 +537,8 @@ def test_sweep_idx_test_data_of_wrong_shape_exits_2_before_any_trial(tmp_path, m
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
     assert not (tmp_path / "out").exists()
-    # The first model gives n; the data are rejected before the second loads.
-    assert len(loads) == 1
+    # Bad data are rejected before the second model loads.
+    assert len(loads) == want_loads
 
 
 class Reached(Exception):
@@ -566,13 +592,14 @@ def desk_lines(*commands):
 def test_check_script_reruns_the_desk_lines():
     # scripts/check_desk_outputs.sh restates the gcs lines of
     # scripts/run_all_desk.sh; they may differ only in where they write and,
-    # for the sweep, in the config, which names the retrained models.
+    # for the phase and the sweep, in the config, which names the regenerated
+    # weights or the retrained models.
     def normalized(script):
         lines = []
         for argv in gcs_lines(script):
             argv[argv.index("--out-dir") + 1] = "<out-dir>"
-            if "sweep" in argv:
-                argv[argv.index("--config") + 1] = "<sweep config>"
+            if "--config" in argv:
+                argv[argv.index("--config") + 1] = "<config>"
             lines.append(argv)
         return lines
 
@@ -634,3 +661,38 @@ def test_desk_phase_and_sweep_rows_reproduce(tmp_path, monkeypatch, command, key
     assert len(got) == len(grid) * len(cfg["m_list"]) * 2
     for line in got:
         assert line == by_key[tuple(line.split(",")[c] for c in cols)]
+
+
+def read_records(path):
+    """The rows of a CSV the harness wrote, each value an int, a float or a string."""
+    def value(text):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+
+    with open(path) as f:
+        return [{k: value(v) for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+@pytest.mark.parametrize("command", ["phase", "sweep"])
+def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, command):
+    # The desk script's phase and sweep lines, handed the committed records in
+    # place of a run, rewrite every committed file byte for byte, the SVG
+    # plots with the CSVs.
+    monkeypatch.chdir(ROOT)
+    [(argv, out_dir)] = desk_lines(command)
+    names = sorted(os.listdir(out_dir))
+    tables = [read_records(os.path.join(out_dir, name)) for name in names if name.endswith(".csv")]
+    monkeypatch.setattr(cli.harness, "run_phase_portrait", lambda cfg: tables[0])
+    monkeypatch.setattr(cli.harness, "run_measurement_sweep", lambda models, data, cfg: tables)
+    i = argv.index("--out-dir") + 1
+    argv[i] = str(tmp_path / out_dir)
+    assert cli.main(argv) == 0
+    assert sorted(os.listdir(argv[i])) == names
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as want, \
+                open(os.path.join(argv[i], name), "rb") as got:
+            assert got.read() == want.read(), name

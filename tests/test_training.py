@@ -27,7 +27,6 @@ from gcs.training import (
     load_idx,
     load_vae,
     save_vae,
-    save_vae_and_decoder,
     synth_dataset,
     train_vae,
     vae_from_json,
@@ -41,34 +40,25 @@ from gcs.transforms import dct2_operator
 # ---------------------------------------------------------------------------
 
 
-def write_idx_fixture(tmp_path, pixels, labels=None):
+def write_idx_fixture(tmp_path, pixels):
     count, rows, cols = pixels.shape
     img = tmp_path / "images-idx3-ubyte"
     with open(img, "wb") as f:
         f.write(struct.pack(">IIII", 0x803, count, rows, cols))
         f.write(pixels.astype(np.uint8).tobytes())
-    lab = None
-    if labels is not None:
-        lab = tmp_path / "labels-idx1-ubyte"
-        with open(lab, "wb") as f:
-            f.write(struct.pack(">II", 0x801, len(labels)))
-            f.write(bytes(labels))
-    return str(img), (str(lab) if lab else None)
+    return str(img)
 
 
 def test_load_idx_bytes(tmp_path):
     pixels = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
-    img, lab = write_idx_fixture(tmp_path, pixels, labels=[7, 1])
-    ds = load_idx(img, lab)
+    ds = load_idx(write_idx_fixture(tmp_path, pixels))
     assert ds.count == 2 and ds.dim == 12
     np.testing.assert_allclose(ds.samples[0], np.arange(12) / 255.0)
-    np.testing.assert_array_equal(ds.labels, [7, 1])
 
 
 def test_load_idx_no_labels(tmp_path):
-    img, _ = write_idx_fixture(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8))
-    ds = load_idx(img)
-    assert ds.labels is None and ds.samples.shape == (1, 4)
+    ds = load_idx(write_idx_fixture(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8)))
+    assert ds.samples.shape == (1, 4)
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -85,15 +75,6 @@ def test_load_idx_truncated(tmp_path):
         f.write(struct.pack(">IIII", 0x803, 5, 28, 28))  # header promises more
     with pytest.raises(TruncatedFile):
         load_idx(str(path))
-
-
-def test_load_idx_label_count_mismatch(tmp_path):
-    img, _ = write_idx_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8))
-    lab = tmp_path / "labels"
-    with open(lab, "wb") as f:
-        f.write(struct.pack(">II", 0x801, 3) + bytes(3))
-    with pytest.raises(DimensionMismatch):
-        load_idx(img, str(lab))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +408,8 @@ def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):
         with open(tmp_path / "dumped.json", "w") as f:
             json.dump(to_json(obj), f)
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
-    # Both files of one save_vae_and_decoder call, the decoder encoded once.
-    save_vae_and_decoder(m, str(tmp_path / "m.json"), str(tmp_path / "m.decoder.json"))
+    # Both files of one save_vae call with a decoder path, the decoder encoded once.
+    save_vae(m, str(tmp_path / "m.json"), str(tmp_path / "m.decoder.json"))
     for name, to_json, obj in [("m.json", vae_to_json, m),
                                ("m.decoder.json", network_to_json, m.decoder)]:
         assert (tmp_path / name).read_text() == json.dumps(to_json(obj))
