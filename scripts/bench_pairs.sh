@@ -11,7 +11,11 @@
 # both sides' wall_s, setup_s, peak_rss_mb, failed_frac (failed over
 # attempted operations) and success_frac, then per metric the medians, the
 # parent's interquartile range and the number of pairs in which the change
-# is lower. Calls nothing but perfbench.
+# is lower. Last comes one verdict line per metric, for a claim that the
+# change lowers it: whether the change is lower in at least nine tenths of
+# the pairs (9 of 10 seeds), and whether the parent's median exceeds the
+# change's by more than the parent's IQR (interquartile range). Both must
+# read "yes" for the claim to hold. Calls nothing but perfbench.
 set -e
 
 if [ $# -ne 5 ]; then
@@ -40,7 +44,7 @@ for seed in $(seq "$first" "$last"); do
 done
 
 python3 - "$rows" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 from collections import defaultdict
 
 names = ("wall_s", "setup_s", "peak_rss_mb", "failed_frac", "success_frac")
@@ -57,6 +61,7 @@ for s in seeds:
     print(f"seed {s}: " + " | ".join(
         side + "".join(f" {name} {runs[s][side][name]:.6g}" for name in names)
         for side in ("parent", "change")))
+verdicts = []
 for name in names:
     parent = [runs[s]["parent"][name] for s in seeds]
     change = [runs[s]["change"][name] for s in seeds]
@@ -65,4 +70,10 @@ for name in names:
     wins = sum(c < p for p, c in zip(parent, change))
     print(f"{name}: parent median {statistics.median(parent):.4g} [IQR {q1:.4g}-{q3:.4g}], "
           f"change median {statistics.median(change):.4g}, change lower in {wins}/{len(seeds)}")
+    need = math.ceil(0.9 * len(seeds))
+    gap = statistics.median(parent) - statistics.median(change)
+    verdicts.append(f"verdict {name}: lower in >= {need}/{len(seeds)} pairs: "
+                    f"{'yes' if wins >= need else 'no'} ({wins}); median gap {gap:.4g} "
+                    f"> parent IQR {q3 - q1:.4g}: {'yes' if gap > q3 - q1 else 'no'}")
+print("\n".join(verdicts))
 EOF

@@ -21,14 +21,24 @@ from .errors import DomainError, GcsError, check_counts
 from .linops import load_matrix, read_json
 
 
+def check_unitary_spec(spec) -> None:
+    """Raise DomainError unless spec names a unitary: dft, dct or file:<path>."""
+    if spec not in ("dft", "dct") and not (isinstance(spec, str) and spec.startswith("file:")):
+        raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
+
+
 def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
+    """The n x n unitary spec names; a file: unitary of another size is an error."""
+    check_unitary_spec(spec)
     if spec == "dft":
         return transforms.dft_operator(n)
     if spec == "dct":
         return transforms.dct2_operator(n)
-    if isinstance(spec, str) and spec.startswith("file:"):
-        return transforms.explicit_operator(load_matrix(spec[len("file:"):]))
-    raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
+    path = spec[len("file:"):]
+    m = load_matrix(path)
+    if m.shape != (n, n):
+        raise DomainError(f"unitary {path} is {m.shape[0]}x{m.shape[1]}, expected {n}x{n}")
+    return transforms.explicit_operator(m)
 
 
 def _ints(s: str) -> list[int]:
@@ -140,11 +150,12 @@ def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
 
 def _load_config(path: str, cls, what: str, required, extra) -> tuple[dict, dict]:
     """A JSON config object and its entries for fields of cls, the recovery
-    block built; every key and the recovery values are checked before any
-    file the config names is read."""
+    block built; every key, the recovery values and the unitary spec are
+    checked before any file the config names is read."""
     cfg_json = _block(read_json(path), f"config {path}", required)
     values = _fields(cls, cfg_json, f"{what} config", extra)
     values["recovery"] = _recovery_from_json(cfg_json)
+    check_unitary_spec(cfg_json.get("unitary", "dct"))
     return cfg_json, values
 
 
@@ -197,15 +208,16 @@ def cmd_sweep(args) -> int:
     (name, path), *rest = cfg_json["models"].items()
     models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
-    # The first model gives n; the grid and the test data are checked before the rest load.
+    # The first model gives n; the grid, the unitary and the test data are
+    # checked before the rest load.
     harness.check_grid(cfg.model, cfg.m_list, n)
+    cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
     if kind == "synth":
         samples = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
         ).samples
     harness.check_test_data(*samples.shape, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
-    cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
     records, summaries = harness.run_measurement_sweep(models, samples, cfg)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"))

@@ -213,7 +213,7 @@ def network_to_json(g: GenerativeNetwork) -> dict:
     for i, w in enumerate(g.weights):
         layer = matrix_to_json(w)
         if g.biases is not None:
-            layer["bias"] = g.biases[i].tolist()
+            layer["bias"] = g.biases[i]
         layers.append(layer)
     return {"widths": g.widths, "final_activation": g.final_activation, "layers": layers}
 

@@ -73,24 +73,20 @@ def orthonormality_defect(q: np.ndarray) -> float:
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize a matrix to the toolkit JSON schema.
 
-    {rows, cols, complex, data}: row-major flat list, re/im interleaved
-    when complex.
+    {rows, cols, complex, data}: data is the row-major flat float array,
+    re/im interleaved when complex; write_json streams it as a JSON list.
     """
     m = check_finite(np.asarray(m))
     if m.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
     is_complex = bool(np.iscomplexobj(m))
-    if is_complex:
-        flat = np.empty(2 * m.size)
-        flat[0::2] = m.real.ravel()
-        flat[1::2] = m.imag.ravel()
-    else:
-        flat = np.asarray(m, dtype=float).ravel()
+    # A complex128 array viewed as float64 interleaves re and im.
+    flat = np.ascontiguousarray(m, dtype=complex if is_complex else float).view(float).ravel()
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
         "complex": is_complex,
-        "data": flat.tolist(),
+        "data": flat,
     }
 
 
@@ -108,14 +104,66 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return check_finite(m)
 
 
-def write_json(obj, path: str) -> None:
-    """Write obj as compact JSON, byte-identical to json.dump(obj, f).
+# Floats per json.dumps call when write_json streams an array. Saving a
+# 20->200->784 VAE with its decoder (6.7 MB + 3.3 MB) took 411-455 ms of CPU
+# in the median for chunks of 1 K to 64 K floats, their quartiles
+# overlapping, while the tracemalloc peak grows by about 140 bytes per chunk
+# float: 0.16 MB at 1 K, 0.58 MB at 4 K, 2.3 MB at 16 K and 7.3 MB at 64 K,
+# against 17.7 MB for one json.dumps of the whole file.
+JSON_CHUNK = 4096
 
-    json.dumps runs the C encoder; json.dump streams through the pure-Python
-    one, which takes twice as long on a weight matrix.
+
+def write_json(obj, path: str, part: tuple[str, str] | None = None) -> None:
+    """Write obj as JSON, byte-identical to json.dumps(obj, default=np.ndarray.tolist).
+
+    obj is built of dicts, lists, JSON scalars and 1-D float arrays, the
+    matrix data and bias leaves of the *_to_json builders. Each array is
+    streamed JSON_CHUNK floats at a time through the C encoder, so at most
+    one chunk's list and text are in memory, not the whole file. With
+    part = (key, part_path), obj[key] is also written to part_path as
+    write_json(obj[key], part_path) would write it, from the same encoded
+    chunks.
     """
     with open(path, "w") as f:
-        f.write(json.dumps(obj))
+        if part is None:
+            _write_value(obj, f.write)
+            return
+        key, part_path = part
+        with open(part_path, "w") as g:
+            def both(text: str) -> None:
+                f.write(text)
+                g.write(text)
+
+            _write_value(obj, f.write, {key: both})
+
+
+def _write_value(value, write, routes=None) -> None:
+    """Write value's JSON text through write; an entry of the dict value
+    whose key routes names goes through routes[key] instead."""
+    if isinstance(value, np.ndarray):
+        write("[")
+        for i in range(0, value.size, JSON_CHUNK):
+            if i:
+                write(", ")
+            # json.dumps of the chunk's list, its brackets stripped.
+            write(json.dumps(value[i:i + JSON_CHUNK].tolist())[1:-1])
+        write("]")
+    elif isinstance(value, dict):
+        routes = routes or {}
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write((", " if i else "") + json.dumps(key) + ": ")
+            _write_value(item, routes.get(key, write))
+        write("}")
+    elif isinstance(value, list):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(", ")
+            _write_value(item, write)
+        write("]")
+    else:
+        write(json.dumps(value))
 
 
 def read_json(path: str):

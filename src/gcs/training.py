@@ -7,7 +7,6 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .gnn import (
     relu,
     sigmoid,
 )
-from .linops import load_json, matrix_from_json, matrix_to_json
+from .linops import load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
@@ -385,15 +384,15 @@ def vae_to_json(model: VaeModel) -> dict:
     enc_layers = []
     for w, b in zip(model.enc_weights, model.enc_biases):
         layer = matrix_to_json(w)
-        layer["bias"] = b.tolist()
+        layer["bias"] = b
         enc_layers.append(layer)
     return {
         "encoder": {
             "layers": enc_layers,
             "w_mu": matrix_to_json(model.w_mu),
-            "b_mu": model.b_mu.tolist(),
+            "b_mu": model.b_mu,
             "w_lv": matrix_to_json(model.w_lv),
-            "b_lv": model.b_lv.tolist(),
+            "b_lv": model.b_lv,
         },
         "decoder": network_to_json(model.decoder),
         "loss_trace": list(model.loss_trace),
@@ -415,22 +414,12 @@ def vae_from_json(obj: dict) -> VaeModel:
 
 
 def save_vae(model: VaeModel, path: str, decoder_path: str | None = None) -> None:
-    """Write the model as json.dumps(vae_to_json(model)) does; with
-    decoder_path, also write the decoder there as save_network does, from the
-    same encoded text."""
-    obj = vae_to_json(model)
-    # Each top-level value is encoded on its own, and its lists go once it is;
-    # joined with json.dumps's separators, the texts are the bytes json.dumps
-    # gives for the whole object.
-    texts = {key: json.dumps(obj.pop(key)) for key in list(obj)}
-    with open(path, "w") as f:
-        for i, (key, text) in enumerate(texts.items()):
-            f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            f.write(text)
-        f.write("}")
-    if decoder_path is not None:
-        with open(decoder_path, "w") as f:
-            f.write(texts["decoder"])
+    """Write the model as json.dumps(vae_to_json(model), default=np.ndarray.tolist)
+    does, streamed by write_json with at most one chunk in memory; with
+    decoder_path, also write the decoder there as save_network does, in the
+    same pass, each decoder chunk encoded once and written to both files."""
+    part = None if decoder_path is None else ("decoder", decoder_path)
+    write_json(vae_to_json(model), path, part)
 
 
 def load_vae(path: str) -> VaeModel:

@@ -25,6 +25,8 @@ def test_resolve_unitary(tmp_path):
     path = tmp_path / "u.json"
     save_matrix(np.eye(4), str(path))
     assert np.array_equal(cli.resolve_unitary(f"file:{path}", 4).matrix, np.eye(4))
+    with pytest.raises(DomainError, match="is 4x4, expected 8x8"):
+        cli.resolve_unitary(f"file:{path}", 8)
     with pytest.raises(DomainError, match="unknown unitary 'walsh'"):
         cli.resolve_unitary("walsh", 8)
 
@@ -204,6 +206,65 @@ def test_sweep_bad_grid_exits_2_after_one_model_load(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert loads == [str(tmp_path / "a.json")]
+
+
+@pytest.mark.parametrize("unitary, loads_before_exit, message", [
+    ("walsh", 0, "unknown unitary 'walsh'"),
+    ("file:u4.json", 1, "unitary u4.json is 4x4, expected 64x64"),
+])
+def test_sweep_bad_unitary_exits_2_before_the_other_models_load(tmp_path, monkeypatch, capsys,
+                                                                unitary, loads_before_exit,
+                                                                message):
+    # An unknown spec exits before any model loads; a file: unitary is
+    # checked against the n the first model gives.
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.eye(4), "u4.json")
+    config = sweep_config(tmp_path, unitary=unitary, models={"a": "a.json", "b": "b.json"})
+    loads = []
+
+    def load_vae(path):
+        loads.append(path)
+        return SimpleNamespace(decoder=SimpleNamespace(ambient_dim=64))
+
+    monkeypatch.setattr(cli.training, "load_vae", load_vae)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    monkeypatch.setattr(cli.harness, "recover_batch", no_compute)
+    rc = cli.main(["--out-dir", "out", "sweep", "--config", config])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: ") and message in err
+    assert len(loads) == loads_before_exit
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["train", "--regularized", "--arch", "8,32,64", "--out", "m.json"], 64),
+    (["rip", "--weights", "net.json", "--m-list", "8"], 16),
+    (["coherence", "--weights", "net.json"], 16),
+    (["recover", "--weights", "net.json", "--m", "8"], 16),
+], ids=["train", "rip", "coherence", "recover"])
+def test_file_unitary_of_wrong_size_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                               argv, n):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.eye(4), "u4.json")
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    synth_calls = []
+
+    def synth_dataset(*args, **kwargs):
+        synth_calls.append(args)
+        return synth_dataset.wrapped(*args, **kwargs)
+
+    synth_dataset.wrapped = cli.training.synth_dataset
+    monkeypatch.setattr(cli.training, "synth_dataset", synth_dataset)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    monkeypatch.setattr(cli.harness, "run_rip_check", no_compute)
+    monkeypatch.setattr(cli.coh, "coherence_report", no_compute)
+    monkeypatch.setattr(cli.recovery, "recover", no_compute)
+    rc = cli.main(["--out-dir", "out"] + argv + ["--unitary", "file:u4.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: unitary u4.json is 4x4, expected {n}x{n}\n"
+    assert synth_calls == []
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
 
 def test_recovery_block_keys():

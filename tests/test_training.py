@@ -405,11 +405,9 @@ def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):
     ]:
         path = tmp_path / "saved.json"
         save(obj, str(path))
-        with open(tmp_path / "dumped.json", "w") as f:
-            json.dump(to_json(obj), f)
-        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+        assert path.read_text() == json.dumps(to_json(obj), default=np.ndarray.tolist)
     # Both files of one save_vae call with a decoder path, the decoder encoded once.
     save_vae(m, str(tmp_path / "m.json"), str(tmp_path / "m.decoder.json"))
     for name, to_json, obj in [("m.json", vae_to_json, m),
                                ("m.decoder.json", network_to_json, m.decoder)]:
-        assert (tmp_path / name).read_text() == json.dumps(to_json(obj))
+        assert (tmp_path / name).read_text() == json.dumps(to_json(obj), default=np.ndarray.tolist)
