@@ -7,15 +7,20 @@
 #   python3 perfbench/run.py --workload WORKLOAD --seed S --seconds 30 --trace 0
 # in the checkout PARENT and in the checkout CHANGE. The parent runs first on
 # even seeds and the change on odd ones, so that a host whose speed drifts
-# over minutes slows both sides alike. When all have run, prints per seed
-# both sides' wall_s, setup_s, peak_rss_mb, failed_frac (failed over
-# attempted operations) and success_frac, then per metric the medians, the
-# parent's interquartile range and the number of pairs in which the change
-# is lower. Last comes one verdict line per metric, for a claim that the
-# change lowers it: whether the change is lower in at least nine tenths of
-# the pairs (9 of 10 seeds), and whether the parent's median exceeds the
-# change's by more than the parent's IQR (interquartile range). Both must
-# read "yes" for the claim to hold. Calls nothing but perfbench.
+# over minutes slows both sides alike. The end-to-end metrics, each with the
+# direction in which it is better and its bound, are read from this
+# checkout's BENCHMARK.json. When all have run, prints per seed both sides'
+# value of each, then per metric the medians, the parent's interquartile
+# range (IQR) and the number of pairs in which the change is better.
+#
+# Last come two verdict lines per metric. The claim line, for a claim that
+# the change improves the metric: whether the change is better in at least
+# nine tenths of the pairs (9 of 10 seeds), and whether its median is better
+# than the parent's by more than the parent's IQR; both must read "yes" for
+# the claim to hold. The no-regression line: whether the change's median is
+# worse than the parent's by at most bound x the parent's median; it reads
+# "unresolved" when the parent's IQR over its median exceeds the bound, as
+# the runs then spread too widely to tell. Calls nothing but perfbench.
 set -e
 
 if [ $# -ne 5 ]; then
@@ -23,6 +28,7 @@ if [ $# -ne 5 ]; then
     exit 2
 fi
 parent=$1 change=$2 workload=$3 first=$4 last=$5
+spec="$(dirname "$0")/../BENCHMARK.json"
 rows=$(mktemp)
 trap 'rm -f "$rows"' EXIT
 
@@ -43,37 +49,44 @@ for seed in $(seq "$first" "$last"); do
     fi
 done
 
-python3 - "$rows" <<'EOF'
+python3 - "$rows" "$spec" <<'EOF'
 import json, math, statistics, sys
 from collections import defaultdict
 
-names = ("wall_s", "setup_s", "peak_rss_mb", "failed_frac", "success_frac")
+with open(sys.argv[2]) as f:
+    metrics = json.load(f)["end_to_end"]
 runs = defaultdict(dict)
 with open(sys.argv[1]) as f:
     for line in f:
         seed, side, out = line.split(" ", 2)
-        out = json.loads(out)
-        m = {k: v["value"] for k, v in out["metrics"].items()}
-        m["failed_frac"] = out["failed"] / out["attempted"] if out["attempted"] else 1.0
-        runs[seed][side] = m
+        runs[seed][side] = {k: v["value"] for k, v in json.loads(out)["metrics"].items()}
 seeds = sorted(runs, key=int)
 for s in seeds:
     print(f"seed {s}: " + " | ".join(
-        side + "".join(f" {name} {runs[s][side][name]:.6g}" for name in names)
+        side + "".join(f" {m['name']} {runs[s][side][m['name']]:.6g}" for m in metrics)
         for side in ("parent", "change")))
+need = math.ceil(0.9 * len(seeds))
 verdicts = []
-for name in names:
+for m in metrics:
+    name, bound = m["name"], m["bound"]
+    sign = 1 if m["better"] == "lower" else -1  # the change is better where sign * (c - p) < 0
     parent = [runs[s]["parent"][name] for s in seeds]
     change = [runs[s]["change"][name] for s in seeds]
     q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
                  else parent * 3)
-    wins = sum(c < p for p, c in zip(parent, change))
-    print(f"{name}: parent median {statistics.median(parent):.4g} [IQR {q1:.4g}-{q3:.4g}], "
-          f"change median {statistics.median(change):.4g}, change lower in {wins}/{len(seeds)}")
-    need = math.ceil(0.9 * len(seeds))
-    gap = statistics.median(parent) - statistics.median(change)
-    verdicts.append(f"verdict {name}: lower in >= {need}/{len(seeds)} pairs: "
-                    f"{'yes' if wins >= need else 'no'} ({wins}); median gap {gap:.4g} "
-                    f"> parent IQR {q3 - q1:.4g}: {'yes' if gap > q3 - q1 else 'no'}")
+    p_med, c_med, iqr = statistics.median(parent), statistics.median(change), q3 - q1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    print(f"{name} ({m['better']} is better): parent median {p_med:.4g} "
+          f"[IQR {q1:.4g}-{q3:.4g}], change median {c_med:.4g}, "
+          f"change better in {wins}/{len(seeds)}")
+    # + 0.0 prints a tie as 0, not -0.
+    gain, worse = sign * (p_med - c_med) + 0.0, sign * (c_med - p_med) + 0.0
+    verdicts.append(f"claim {name}: better in >= {need}/{len(seeds)} pairs: "
+                    f"{'yes' if wins >= need else 'no'} ({wins}); median gain {gain:.4g} "
+                    f"> parent IQR {iqr:.4g}: {'yes' if gain > iqr else 'no'}")
+    allowed = bound * abs(p_med)
+    held = "unresolved" if iqr > allowed else "yes" if worse <= allowed else "no"
+    verdicts.append(f"no-regression {name}: median worse by {worse:.4g} <= {bound:g} x parent "
+                    f"median {allowed:.4g}: {held}")
 print("\n".join(verdicts))
 EOF

@@ -41,6 +41,15 @@ def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
     return transforms.explicit_operator(m)
 
 
+def check_out_dir(path: str) -> None:
+    """Raise OSError unless path is, or os.makedirs can make, a writable directory."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head) or not os.access(head, os.W_OK | os.X_OK):
+        raise NotADirectoryError(f"cannot write to {path}: {head} is not a writable directory")
+
+
 def _ints(s: str) -> list[int]:
     try:
         return [int(x) for x in s.split(",") if x]
@@ -84,6 +93,7 @@ def cmd_train(args) -> int:
     else:
         data = training.load_idx(args.data[len("idx:"):])
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, args.out.removesuffix(".json") + ".decoder.json")
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
     return 0
@@ -332,6 +342,12 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy's generators take no negative seed
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
+        # An output directory that cannot be made fails here, before any
+        # input is read; it is made at the first write.
+        if args.command == "train":
+            check_out_dir(os.path.dirname(os.path.abspath(args.out)))
+        elif args.command in ("phase", "sweep", "rip", "subspace-rip"):
+            check_out_dir(args.out_dir)
         return args.fn(args)
     except (GcsError, OSError) as e:
         print(f"gcs: error: {e}", file=sys.stderr)

@@ -11,13 +11,12 @@ restart) pair; `recover` is a one-problem call of it. Each problem has its
 own network, so a whole phase portrait or sweep runs as one batch.
 
 Columns whose networks share widths and final activation, and whose
-unitaries and measurements share a dtype, run in one loop (`_lockstep`).
-The dtype splits loops: a complex residual's gradient passes through a
-strided real view, and numpy's matmul rounds a strided operand otherwise
-than a contiguous one. Within a loop, the columns with equal |J| and the
-same unitary form a group, and columns are sorted by network, then group.
-Each column keeps its own rows U[J], measurement b, Adam step count, early
-stop and nonfinite-restart accounting.
+unitaries share a dtype, run in one loop (`_lockstep`). A column's
+measurement and residual take its unitary's dtype, so a complex measurement
+under a real unitary is rejected. Within a loop, the columns with equal |J|
+and the same unitary form a group, and columns are sorted by network, then
+group. Each column keeps its own rows U[J], measurement b, Adam step count,
+early stop and nonfinite-restart accounting.
 
 Each time the set of columns in flight changes, the loop builds a plan
 (`_Plan`). It preallocates every buffer an iteration needs: activations,
@@ -147,10 +146,10 @@ class _Plan:
     layers: per layer, the (w, input, output) views of each run, the
     (bias, output) views of each biased run, the layer's output and, for an
     inner layer, its ReLU mask; x is the network's output. gathers: per
-    stretch of one group's columns, the (U_J, x, p) views, for p = U_J x;
-    scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r). p and r
-    hold one entry per row in flight (r is p when they share a dtype, and
-    r_conj is r for real residuals); offsets are the nonempty columns' first
+    stretch of one group's columns, the (U_J, x, r) views, for r = U_J x,
+    which then becomes the residual in place; scatters: the (U_J^T, conj(r),
+    s) views, for s = U_J^T conj(r). r holds one entry per row in flight
+    (r_conj is r for real residuals); offsets are the nonempty columns' first
     rows. pullbacks: per layer from the last, the (w^T, input, output) views
     of each run, the output, which is the gradient over the layer's input,
     and the ReLU mask it is multiplied by.
@@ -159,8 +158,8 @@ class _Plan:
     def __init__(self, nets, owner, group, jrows, scale, rows_flat, b_flat, z):
         mine = [nets[j] for j in owner]  # each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
-        measure_dtype, sigmoid_out = b_flat.dtype, mine[0].final_activation == "sigmoid"
-        self.s = np.empty((columns, n, 1), dtype=measure_dtype)
+        dtype, sigmoid_out = rows_flat.dtype, mine[0].final_activation == "sigmoid"
+        self.s = np.empty((columns, n, 1), dtype=dtype)
         # For complex residuals this is a strided view. The pullback must see
         # it so: numpy's matmul rounds differently on strided operands, so a
         # contiguous copy would not step as the column alone does.
@@ -184,22 +183,21 @@ class _Plan:
         entries = int(jrows.sum())
         self.scale, self.b = scale, b_flat[:entries]
         self.scale_rows = np.repeat(scale[:, 0, 0], jrows)
-        self.p = np.empty(entries, dtype=rows_flat.dtype)
-        self.r = self.p if rows_flat.dtype == measure_dtype else np.empty_like(self.p, measure_dtype)
+        self.r = np.empty(entries, dtype=dtype)
         self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
         self.gathers, self.scatters, at = [], [], 0
         for start, stop in _stretches(group):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
             rows = rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,))
-            self.gathers.append((rows, self.x[start:stop], self.p[at:at + size].reshape(shape)))
+            self.gathers.append((rows, self.x[start:stop], self.r[at:at + size].reshape(shape)))
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))
             at += size
         self.nonempty = None if jrows.all() else np.flatnonzero(jrows)
         self.offsets = (np.cumsum(jrows) - jrows)[slice(None) if self.nonempty is None else self.nonempty]
-        self.value = np.zeros(columns, dtype=measure_dtype)
-        self.norm, self.check = np.empty((columns, 1, 1)), np.empty(columns, dtype=measure_dtype)
+        self.value = np.zeros(columns, dtype=dtype)
+        self.norm, self.check = np.empty((columns, 1, 1)), np.empty(columns, dtype=dtype)
         self.keep, self.above = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
         self.adam = (np.empty_like(z), np.empty_like(z))
 
@@ -221,11 +219,11 @@ def _block_value_grad(plan, z):
             np.maximum(out, 0.0, out=out)
     if plan.x is not out:
         sigmoid(out, out=plan.x)
-    for rows, x, p in plan.gathers:
-        np.matmul(rows, x, out=p)
+    for rows, x, r in plan.gathers:
+        np.matmul(rows, x, out=r)
     # r = scale*(U_J x) - b, one entry per row in flight.
-    plan.p *= plan.scale_rows
-    np.subtract(plan.p, plan.b, out=plan.r)
+    plan.r *= plan.scale_rows
+    plan.r -= plan.b
     if plan.r_conj is not plan.r:
         np.conjugate(plan.r, out=plan.r_conj)
     # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
@@ -270,27 +268,27 @@ def _squeeze(flat, sizes, keep) -> None:
         dst += stop - src
 
 
-def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
+def _capacity(jrows_of, widths, dtype) -> tuple[int, int]:
     """(rows, columns) a lockstep loop may hold in flight, so that everything
     it holds, its transients included, fits in BLOCK_BYTES; or BLOCK_COLUMNS
     of the queue's largest columns, if that is more. jrows_of: |J| per
     queued column.
     """
-    # Each row in flight costs its entries of U, its measurement, its product
-    # U_J x, the residual and its conjugate (which then holds |r|^2) and its
-    # scale; each column its |r|^2 sum, its gradient through U_J, 512 bytes
-    # of Python objects and six floats per layer width, which cover the
-    # plan's activations, ReLU masks, gradients and sigmoid buffers, the
-    # latent vector, both moments and the Adam scratch, and the sigmoid's
-    # transients. (With eight rows per column, tracemalloc puts a plan and an
+    # Each row in flight costs its entries of U, its measurement, its residual
+    # (first the product U_J x) and its conjugate (which then holds |r|^2),
+    # one entry to spare and its scale; each column its |r|^2 sum, its
+    # gradient through U_J, 512 bytes of Python objects and six floats per
+    # layer width, which cover the plan's activations, ReLU masks, gradients
+    # and sigmoid buffers, the latent vector, both moments and the Adam
+    # scratch, and the sigmoid's transients. (With eight rows per column, tracemalloc puts a plan and an
     # iteration's transients at 2.3 kB per column at the desk widths and at
     # 15.6 kB for 8-32-256 with a sigmoid and the DFT, where this counts 5.4
     # and 19.4 kB besides U.) One column's `rows` call, at most three arrays
     # of that column's rows, is set aside. The rest is split between rows
     # and columns in the queue's mean ratio.
     n = widths[-1]
-    row_bytes = (n + 1) * dtype.itemsize + 3 * measure_dtype.itemsize + 8
-    column_bytes = (n + 1) * measure_dtype.itemsize + 512 + 6 * 8 * sum(widths)
+    row_bytes = (n + 4) * dtype.itemsize + 8
+    column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
     largest = int(jrows_of.max())
     room = BLOCK_BYTES - 3 * largest * n * dtype.itemsize
     columns = max(room // int(jrows_of.mean() * row_bytes + column_bytes), 0)
@@ -299,7 +297,7 @@ def _capacity(jrows_of, widths, dtype, measure_dtype) -> tuple[int, int]:
             int(min(jrows_of.size, max(columns, BLOCK_COLUMNS))))
 
 
-def _lockstep(nets, queue, widths, dtype, measure_dtype, config):
+def _lockstep(nets, queue, widths, dtype, config):
     """Adam in lockstep on the columns of queue, which enter in order, at the
     start and at each compaction, as far as room allows.
 
@@ -314,9 +312,9 @@ def _lockstep(nets, queue, widths, dtype, measure_dtype, config):
     net_of, group_of = np.array(net_of), np.array(group_of)
     jrows_of = np.array([op.num_rows for op in ops], dtype=np.intp)
     scale_of = np.array([op.scale for op in ops])[:, None, None]
-    max_rows, max_columns = _capacity(jrows_of, widths, dtype, measure_dtype)
+    max_rows, max_columns = _capacity(jrows_of, widths, dtype)
     rows_flat = np.empty(max_rows * n, dtype=dtype)
-    b_flat = np.empty(max_rows, dtype=measure_dtype)
+    b_flat = np.empty(max_rows, dtype=dtype)
     out = [None] * len(queue)
     pos = used = 0
     # Per column in flight, in order: its queue position, its Adam step
@@ -414,6 +412,8 @@ def recover_batch(
             raise DimensionMismatch(f"operator dim {a.base.n}, network output dim {g.ambient_dim}")
         if b.shape[0] != a.num_rows:
             raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
+        if not np.can_cast(b.dtype, a.base.dtype):
+            raise DomainError(f"a {b.dtype} measurement does not fit a {a.base.dtype} unitary")
     if len({(c.learning_rate, c.max_iters, c.grad_tol) for c in configs}) > 1:
         raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
     # Distinct networks by first appearance.
@@ -424,11 +424,10 @@ def recover_batch(
     loops = {}
     for c, (i, _) in enumerate(cols):
         g, a = gs[i], ops[i]  # biases are per run, so biased and unbiased networks mix
-        loop = (tuple(g.widths), g.final_activation, a.base.dtype,
-                np.result_type(a.base.dtype, bs[i].dtype))
+        loop = (tuple(g.widths), g.final_activation, a.base.dtype)
         loops.setdefault(loop, {}).setdefault((a.num_rows, id(a.base)), []).append(c)
     finals = [None] * len(cols)
-    for (widths, _, dtype, measure_dtype), groups in loops.items():
+    for (widths, _, dtype), groups in loops.items():
         # Sorted by network, then group: each layer then costs one product
         # per network per iteration, however many groups the networks span.
         # Ties keep the columns' order, so a problem's restarts stay adjacent.
@@ -436,7 +435,7 @@ def recover_batch(
                          for c in group)
         queue = [(net_of[i], ops[i], bs[i], configs[i].seed, r, g)
                  for _, g, c in columns for i, r in [cols[c]]]
-        block = _lockstep(nets, queue, widths, dtype, measure_dtype, configs[0])
+        block = _lockstep(nets, queue, widths, dtype, configs[0])
         for (_, _, c), final in zip(columns, block):
             finals[c] = final
 

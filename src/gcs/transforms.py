@@ -2,12 +2,11 @@
 
 An explicit operator holds the matrix it is given. The DFT and the DCT-II
 hold no matrix: their entries have closed forms, one function per kind.
-Below FFT_MIN_N, `rows` gathers from the dense `matrix`, and `apply` and
-`apply_adjoint` are the dense products `matrix @ x` and `matrix.conj().T @ y`;
-from FFT_MIN_N on, `rows` evaluates the closed form for the rows asked for and
-`apply` and `apply_adjoint` run an O(n log n) FFT, so no n x n array is
-built. `matrix` is built on first use; past FFT_MIN_N only readers that need
-every entry (`sampling.isotropy_error` and the sigmoid-final
+Below FFT_MIN_N, `rows` gathers from the dense `matrix` and `apply` is the
+dense product `matrix @ x`; from FFT_MIN_N on, `rows` evaluates the closed
+form for the rows asked for and `apply` runs an O(n log n) FFT, so no n x n
+array is built. `matrix` is built on first use; past FFT_MIN_N only readers
+that need every entry (`sampling.isotropy_error` and the sigmoid-final
 `coherence.ChordSampler`) build it.
 """
 
@@ -88,18 +87,6 @@ class UnitaryOperator:
             return _dct2(x.real) + 1j * _dct2(x.imag)
         return _dct2(x)
 
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape[0] != self.n:
-            raise DimensionMismatch(f"operator dim {self.n}, vector dim {y.shape[0]}")
-        if self.n < FFT_MIN_N or self.kind == "explicit":
-            return self.matrix.conj().T @ y
-        if self.kind == "dft":
-            return np.fft.fft(y, axis=0, norm="ortho")
-        if np.iscomplexobj(y):
-            return _dct3(y.real) + 1j * _dct3(y.imag)
-        return _dct3(y)
-
 
 def _dct2(x: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II of real x along axis 0 by one real FFT per column
@@ -118,26 +105,6 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     y *= np.sqrt(2.0 / n)
     y[0] *= np.sqrt(0.5)
     return y
-
-
-def _dct3(y: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-III of real y along axis 0, the inverse of `_dct2`, by
-    one real inverse FFT per column: undo the orthonormal scale, rebuild
-    V_k = exp(i*pi*k/(2n)) * (X_k - i*X_{n-k}) for k <= n/2 (X_n = 0), then
-    read x's even entries from the front of v = IFFT(V) and its odd entries
-    from the back, reversed."""
-    n = y.shape[0]
-    x = y * np.sqrt(n / 2.0)
-    x[0] *= np.sqrt(2.0)
-    shape = (-1,) + (1,) * (y.ndim - 1)
-    tw = np.exp(0.5j * np.pi / n * np.arange(n // 2 + 1)).reshape(shape)
-    back = np.zeros((n // 2 + 1,) + y.shape[1:])
-    back[1:] = x[::-1][: n // 2]
-    v = np.fft.irfft(tw * (x[: n // 2 + 1] - 1j * back), n, axis=0)
-    out = np.empty(y.shape)
-    out[0::2] = v[: (n + 1) // 2]
-    out[1::2] = v[::-1][: n // 2]
-    return out
 
 
 def dft_operator(n: int) -> UnitaryOperator:

@@ -372,9 +372,10 @@ def test_criterion_10_regularizer_effect():
 def test_criterion_11_flattish_tail():
     n, m, draws = 256, 32, 100_000
     u = dft_operator(n)
-    # Flat in measurement coordinates: xi = U*(1/sqrt(n) * ones), so that
-    # ||xi||_U = 1/sqrt(n) and R = n*||xi||_U^2 = 1, the informative regime.
-    xi = u.apply_adjoint(np.ones(n) / math.sqrt(n))
+    # Flat in measurement coordinates: xi = e_0 = U*(1/sqrt(n) * ones) for the
+    # unitary DFT, so that ||xi||_U = 1/sqrt(n) and R = n*||xi||_U^2 = 1, the
+    # informative regime.
+    xi = np.eye(n)[0]
     uxi_sq = np.abs(u.apply(xi)) ** 2
     r = n * float(np.max(np.abs(u.apply(xi)))) ** 2
     rng = derive_rng(0)

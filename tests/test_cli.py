@@ -87,6 +87,46 @@ def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):
     assert (out.parent / "m.decoder.json").exists()
 
 
+def test_train_makes_the_out_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "m.json"
+    rc = cli.main([
+        "train", "--arch", "2,8,16", "--epochs", "1", "--batch", "32",
+        "--synth-count", "100", "--synth-k", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    assert load_vae(str(out)).decoder.ambient_dim == 16
+    assert (out.parent / "m.decoder.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--arch", "2,8,16", "--out", "{bad}/m.json"],
+    ["--out-dir", "{bad}", "phase", "--config", "{tmp}/phase.json"],
+    ["--out-dir", "{bad}", "sweep", "--config", "configs/sweep_desk.json"],
+    ["--out-dir", "{bad}", "rip", "--weights", "{tmp}/net.json", "--m-list", "8"],
+    ["--out-dir", "{bad}", "subspace-rip", "--n", "16", "--k", "2", "--m-list", "8"],
+], ids=lambda argv: argv[0] if argv[0] == "train" else argv[2])
+@pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+def test_unwritable_out_location_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                            argv, under):
+    # The output directory is a regular file, or would lie under one, so
+    # os.makedirs cannot make it: the run stops before it reads its inputs.
+    monkeypatch.chdir(ROOT)
+    (tmp_path / "file").write_text("x")
+    bad = str(tmp_path / "file" / "out") if under else str(tmp_path / "file")
+    phase_config(tmp_path)
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    for driver in ("run_phase_portrait", "run_measurement_sweep", "run_rip_check",
+                   "run_subspace_rip"):
+        monkeypatch.setattr(cli.harness, driver, no_compute)
+    rc = cli.main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gcs: error: cannot write to ")
+    assert "is not a writable directory" in err
+
+
 @pytest.mark.parametrize("data", ["mnist", "idx:{images}"])
 def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, monkeypatch, capsys, data):
     # The data directory holds the image file alone.

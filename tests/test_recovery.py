@@ -264,20 +264,57 @@ def assert_batch_matches_oracle(g, ops, bs, configs, x0s):
 @pytest.mark.parametrize("unitary", ["dct", "dft", "dct-complex-b"])
 @pytest.mark.parametrize("biases", [False, True])
 @pytest.mark.parametrize("final", ["none", "sigmoid"])
-def test_batch_matches_scalar_loop_fixed(unitary, biases, final):
+def test_batch_matches_scalar_loop_fixed(unitary, biases, final, monkeypatch):
     u = (dft_operator if unitary == "dft" else dct2_operator)(24)
     g = small_network([3, 10, 24], seed=40, biases=biases, final=final)
     # Equal |J| throughout, so every column is in one group.
     ops, bs, configs, x0s = cell_problems(g, u, [10] * 5, seed=41,
                                           config=RecoveryConfig(max_iters=600))
-    if unitary == "dct-complex-b":
-        # Complex measurements under a real unitary: the residual is complex
-        # while the rows and their products stay real.
-        rng = derive_rng(42)
-        bs = [b + 1e-3 * (rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size))
-              for b in bs]
-        configs = [replace(c, restarts=2) for c in configs]
-    assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    if unitary != "dct-complex-b":
+        assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+        return
+    # A complex measurement under a real unitary is rejected, by both the
+    # batch and the scalar path, before any lockstep loop is built.
+    import gcs.recovery
+
+    def no_loop(*args):
+        raise AssertionError("a lockstep loop was built")
+
+    monkeypatch.setattr(gcs.recovery, "_lockstep", no_loop)
+    bs[1] = bs[1] + 1e-3j
+    with pytest.raises(DomainError, match="^a complex128 measurement does not fit a float64 "
+                                          "unitary$"):
+        recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    with pytest.raises(DomainError, match="complex128 measurement"):
+        recover(g, ops[1], bs[1], configs[1])
+
+
+def test_capacity_of_the_desk_queues():
+    # The (rows, columns) in flight of the one lockstep loop of the desk
+    # phase portrait and of the desk sweep: |J| = m for each restart of
+    # each trial of each cell.
+    import json
+    import os
+
+    from gcs.linops import load_matrix
+    from gcs.recovery import _capacity
+    from gcs.training import load_vae
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    got = {}
+    for name in ("phase", "sweep"):
+        with open(os.path.join(root, "configs", f"{name}_desk.json")) as f:
+            cfg = json.load(f)
+        if name == "phase":
+            w1, w_high = (load_matrix(os.path.join(root, p))
+                          for p in (cfg["inner_weights"][0], cfg["w_high"]))
+            widths, nets = (w1.shape[1], w1.shape[0], w_high.shape[0]), len(cfg["betas"])
+        else:
+            widths = tuple(load_vae(os.path.join(root, cfg["models"]["reg"])).decoder.widths)
+            nets = len(cfg["models"])
+        jrows = np.repeat(cfg["m_list"], nets * cfg["trials"] * cfg["recovery"]["restarts"])
+        got[name] = _capacity(jrows, widths, np.dtype(float))
+    assert got == {"phase": (2822, 87), "sweep": (1833, 176)}
 
 
 def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
