@@ -21,6 +21,8 @@
 # worse than the parent's by at most bound x the parent's median; it reads
 # "unresolved" when the parent's IQR over its median exceeds the bound, as
 # the runs then spread too widely to tell. Calls nothing but perfbench.
+# A run that exits nonzero, or whose last line is not a JSON object with
+# metrics, stops the script with status 1 before any summary.
 set -e
 
 if [ $# -ne 5 ]; then
@@ -34,10 +36,16 @@ trap 'rm -f "$rows"' EXIT
 
 # run SIDE DIR SEED: one perfbench run; appends "SEED SIDE <last JSON line>".
 run() {
-    line=$(cd "$2" && python3 perfbench/run.py --workload "$workload" --seed "$3" \
-        --seconds 30 --trace 0 | tail -n 1)
+    out=$(cd "$2" && python3 perfbench/run.py --workload "$workload" --seed "$3" \
+        --seconds 30 --trace 0) || failed "$@"
+    line=$(printf '%s\n' "$out" | tail -n 1)
+    printf '%s\n' "$line" |
+        python3 -c 'import json, sys; json.load(sys.stdin)["metrics"].items()' 2>/dev/null ||
+        failed "$@"
     echo "$3 $1 $line" >> "$rows"
 }
+
+failed() { echo "bench_pairs: $1 run in $2 failed at seed $3" >&2; exit 1; }
 
 for seed in $(seq "$first" "$last"); do
     if [ $((seed % 2)) -eq 0 ]; then

@@ -28,10 +28,9 @@ SEED = 11
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out/desk/weights")
-    ap.add_argument("--seed", type=int, default=SEED)
     args = ap.parse_args()
 
-    rng = sampling.derive_rng(args.seed, 0)
+    rng = sampling.derive_rng(SEED, 0)
     w1 = rng.standard_normal((K1, K)) / 2.0
     w_low = np.linalg.qr(rng.standard_normal((N, K1)))[0]
     u = transforms.dct2_operator(N)

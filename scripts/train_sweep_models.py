@@ -23,13 +23,11 @@ EPOCHS = 8
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out/desk/models")
-    ap.add_argument("--seed", type=int, default=TRAIN_SEED)
-    ap.add_argument("--epochs", type=int, default=EPOCHS)
     args = ap.parse_args()
 
     u = transforms.dct2_operator(ARCH[-1])
     data = training.synth_dataset(ARCH[-1], 4, 2000, DATA_SEED)
-    cfg = training.TrainConfig(epochs=args.epochs, seed=args.seed, d_op=u)
+    cfg = training.TrainConfig(epochs=EPOCHS, seed=TRAIN_SEED, d_op=u)
 
     os.makedirs(args.out_dir, exist_ok=True)
     for name, regularized in [("unreg", False), ("reg", True)]:

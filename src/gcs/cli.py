@@ -50,6 +50,11 @@ def check_out_dir(path: str) -> None:
         raise NotADirectoryError(f"cannot write to {path}: {head} is not a writable directory")
 
 
+def _decoder_path(out: str) -> str:
+    """Where gcs train writes the decoder of the model it writes to out."""
+    return out.removesuffix(".json") + ".decoder.json"
+
+
 def _ints(s: str) -> list[int]:
     try:
         return [int(x) for x in s.split(",") if x]
@@ -94,7 +99,7 @@ def cmd_train(args) -> int:
         data = training.load_idx(args.data[len("idx:"):])
     model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    training.save_vae(model, args.out, args.out.removesuffix(".json") + ".decoder.json")
+    training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
     return 0
 
@@ -342,10 +347,14 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy's generators take no negative seed
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
-        # An output directory that cannot be made fails here, before any
-        # input is read; it is made at the first write.
+        # An output directory that cannot be made, or a train output file
+        # that names a directory, fails here, before any input is read; the
+        # directory is made at the first write.
         if args.command == "train":
             check_out_dir(os.path.dirname(os.path.abspath(args.out)))
+            for path in (args.out, _decoder_path(args.out)):
+                if os.path.isdir(path):
+                    raise IsADirectoryError(f"cannot write to {path}: it is a directory")
         elif args.command in ("phase", "sweep", "rip", "subspace-rip"):
             check_out_dir(args.out_dir)
         return args.fn(args)

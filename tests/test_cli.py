@@ -1,4 +1,5 @@
 import csv
+import filecmp
 import json
 import os
 import shlex
@@ -125,6 +126,18 @@ def test_unwritable_out_location_exits_2_before_any_compute(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("gcs: error: cannot write to ")
     assert "is not a writable directory" in err
+
+
+@pytest.mark.parametrize("taken", ["m.json", "m.decoder.json"])
+def test_train_out_file_that_is_a_directory_exits_2_before_any_compute(tmp_path, monkeypatch,
+                                                                       capsys, taken):
+    (tmp_path / taken).mkdir()
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
+    rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"gcs: error: cannot write to {tmp_path / taken}: it is a directory\n"
 
 
 @pytest.mark.parametrize("data", ["mnist", "idx:{images}"])
@@ -668,44 +681,18 @@ def test_shipped_configs_pass_the_key_check(monkeypatch, name):
     assert {replace(c, seed=0) for c in seen} == {RecoveryConfig(**cfg_json["recovery"])}
 
 
-def gcs_lines(script):
-    """The gcs command lines of a shell script under scripts/, as argument
-    lists for cli.main, without "$@" and output redirections."""
-    with open(os.path.join(ROOT, "scripts", script)) as f:
-        text = f.read().replace("\\\n", " ")
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("gcs "):
-            argv = shlex.split(line)[1:]
-            lines.append([a for a in argv if a != "$@" and not a.startswith(">")])
-    return lines
-
-
 def desk_lines(*commands):
     """The scripts/run_all_desk.sh command lines of the given subcommands, as
-    argument lists for cli.main, with the out-dir they write to."""
-    lines = [(argv, argv[argv.index("--out-dir") + 1]) for argv in gcs_lines("run_all_desk.sh")
+    argument lists for cli.main, with the out-dir they write to. The script
+    holds four gcs lines, each checked by one of the desk tests below."""
+    with open(os.path.join(ROOT, "scripts", "run_all_desk.sh")) as f:
+        text = f.read().replace("\\\n", " ")
+    argvs = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("gcs ")]
+    assert len(argvs) == 4
+    lines = [(argv, argv[argv.index("--out-dir") + 1]) for argv in argvs
              if set(commands) & set(argv)]
     assert len(lines) == len(commands)
     return lines
-
-
-def test_check_script_reruns_the_desk_lines():
-    # scripts/check_desk_outputs.sh restates the gcs lines of
-    # scripts/run_all_desk.sh; they may differ only in where they write and,
-    # for the phase and the sweep, in the config, which names the regenerated
-    # weights or the retrained models.
-    def normalized(script):
-        lines = []
-        for argv in gcs_lines(script):
-            argv[argv.index("--out-dir") + 1] = "<out-dir>"
-            if "--config" in argv:
-                argv[argv.index("--config") + 1] = "<config>"
-            lines.append(argv)
-        return lines
-
-    assert normalized("check_desk_outputs.sh") == normalized("run_all_desk.sh")
-    assert len(normalized("run_all_desk.sh")) == 4
 
 
 @pytest.mark.parametrize("argv", [[], ["a", "b", "phase-desk", "0"]], ids=["none", "four"])
@@ -714,6 +701,21 @@ def test_bench_pairs_prints_usage_and_exits_2_without_its_arguments(argv):
     done = subprocess.run(["sh", script, *argv], capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == "usage: sh scripts/bench_pairs.sh PARENT CHANGE WORKLOAD FIRST LAST\n"
+
+
+@pytest.mark.parametrize("body", ["import sys; sys.exit(3)", "print('no metrics')"],
+                         ids=["exit-3", "no-json"])
+def test_bench_pairs_stops_at_a_failed_run(tmp_path, body):
+    # The parent runs first at seed 0 and succeeds; the change's run fails,
+    # so the script stops there and prints no summary.
+    for side, code in [("parent", 'print(\'{"metrics": {}}\')'), ("change", body)]:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(code + "\n")
+    script = os.path.join(ROOT, "scripts", "bench_pairs.sh")
+    done = subprocess.run(["sh", script, str(tmp_path / "parent"), str(tmp_path / "change"),
+                           "phase-desk", "0", "1"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"bench_pairs: change run in {tmp_path / 'change'} failed at seed 0\n"
 
 
 def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
@@ -726,10 +728,7 @@ def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0
         names = sorted(os.listdir(out_dir))
         assert names == sorted(os.listdir(argv[i])) and names
-        for name in names:
-            with open(os.path.join(out_dir, name), "rb") as want, \
-                    open(os.path.join(argv[i], name), "rb") as got:
-                assert got.read() == want.read(), name
+        assert filecmp.cmpfiles(out_dir, argv[i], names, shallow=False)[0] == names
 
 
 @pytest.mark.parametrize("command, key", [("phase", ("beta", "m", "trial")),
@@ -793,7 +792,4 @@ def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, 
     argv[i] = str(tmp_path / out_dir)
     assert cli.main(argv) == 0
     assert sorted(os.listdir(argv[i])) == names
-    for name in names:
-        with open(os.path.join(out_dir, name), "rb") as want, \
-                open(os.path.join(argv[i], name), "rb") as got:
-            assert got.read() == want.read(), name
+    assert filecmp.cmpfiles(out_dir, argv[i], names, shallow=False)[0] == names
