@@ -27,11 +27,11 @@ def main() -> None:
 
     u = transforms.dct2_operator(ARCH[-1])
     data = training.synth_dataset(ARCH[-1], 4, 2000, DATA_SEED)
-    cfg = training.TrainConfig(epochs=EPOCHS, seed=TRAIN_SEED, d_op=u)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, regularized in [("unreg", False), ("reg", True)]:
-        model = training.train_vae(data, ARCH, "none", cfg, regularized=regularized)
+    for name, d_op in [("unreg", None), ("reg", u)]:
+        cfg = training.TrainConfig(epochs=EPOCHS, seed=TRAIN_SEED, d_op=d_op)
+        model = training.train_vae(data, ARCH, "none", cfg)
         path = os.path.join(args.out_dir, f"{name}.json")
         training.save_vae(model, path)
         alpha = coherence.network_coherence_heuristic(model.decoder, u)

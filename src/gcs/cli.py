@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
             os.path.join(os.environ.get("GCS_DATA_DIR", "."), "train-images-idx3-ubyte"))
     else:
         data = training.load_idx(args.data[len("idx:"):])
-    model = training.train_vae(data, widths, args.final, config, regularized=args.regularized)
+    model = training.train_vae(data, widths, args.final, config)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
@@ -150,11 +150,23 @@ def _fields(cls, obj: dict, what: str, extra=()) -> dict:
     also checks the values.
     """
     allowed = [f.name for f in dataclasses.fields(cls) if f.name not in ("seed", "d_op")]
-    allowed += extra
+    _check_keys(obj, what, [*allowed, *extra])
+    return {key: value for key, value in obj.items() if key not in extra}
+
+
+def _check_keys(obj: dict, what: str, allowed) -> None:
+    """Raise DomainError naming the first key of obj that allowed lacks."""
     for key in obj:
         if key not in allowed:
             raise DomainError(f"unknown {what} key {key!r} (expected one of {', '.join(allowed)})")
-    return {key: value for key, value in obj.items() if key not in extra}
+
+
+def _path(value, what: str) -> str:
+    """value, after checking that it is a string: a config value that names
+    a file is a path, never a file descriptor or a list of characters."""
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be a file path string, got {value!r}")
+    return value
 
 
 def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
@@ -177,9 +189,14 @@ def _load_config(path: str, cls, what: str, required, extra) -> tuple[dict, dict
 def cmd_phase(args) -> int:
     cfg_json, values = _load_config(args.config, harness.PhaseConfig, "phase",
                                     ("inner_weights", "w_high", "w_low", "m_list"), ("unitary",))
-    values["inner_weights"] = [load_matrix(p) for p in cfg_json["inner_weights"]]
-    values["w_high"] = load_matrix(cfg_json["w_high"])
-    values["w_low"] = load_matrix(cfg_json["w_low"])
+    inner = cfg_json["inner_weights"]
+    if not isinstance(inner, list):
+        raise DomainError(f"inner_weights must be a list of file paths, got {inner!r}")
+    inner = [_path(p, "each inner_weights entry") for p in inner]
+    w_high, w_low = (_path(cfg_json[key], key) for key in ("w_high", "w_low"))
+    values["inner_weights"] = [load_matrix(p) for p in inner]
+    values["w_high"] = load_matrix(w_high)
+    values["w_low"] = load_matrix(w_low)
     n = values["w_high"].shape[0]
     cfg = harness.PhaseConfig(
         **values, seed=args.seed, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n)
@@ -210,8 +227,14 @@ def cmd_sweep(args) -> int:
     kind = test_spec["kind"]
     if kind not in ("synth", "idx"):
         raise DomainError(f"unknown test_data kind {kind!r} (expected synth or idx)")
-    _block(test_spec, "test_data", ("k_true", "count", "seed") if kind == "synth" else ("images",))
-    if kind == "synth":
+    keys = ("kind", "k_true", "count", "seed") if kind == "synth" else ("kind", "images")
+    _block(test_spec, "test_data", keys)
+    _check_keys(test_spec, "test_data", keys)
+    for name, path in cfg_json["models"].items():
+        _path(path, f"model {name!r}")
+    if kind == "idx":
+        _path(test_spec["images"], "test_data images")
+    else:
         # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         seed = test_spec["seed"]
@@ -219,7 +242,7 @@ def cmd_sweep(args) -> int:
             raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
     if kind == "idx":
-        samples = training.load_idx(test_spec["images"]).samples
+        samples = training.load_idx(test_spec["images"])
     (name, path), *rest = cfg_json["models"].items()
     models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
@@ -230,7 +253,7 @@ def cmd_sweep(args) -> int:
     if kind == "synth":
         samples = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
-        ).samples
+        )
     harness.check_test_data(*samples.shape, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
     records, summaries = harness.run_measurement_sweep(models, samples, cfg)

@@ -132,6 +132,8 @@ class PhaseConfig:
         if not (isinstance(self.betas, list) and self.betas and all(
                 isinstance(b, Real) and not isinstance(b, bool) for b in self.betas)):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
+        if not all(math.isfinite(b) for b in self.betas):
+            raise DomainError(f"betas must be finite, got {self.betas!r}")
         if len(set(self.betas)) < len(self.betas):
             raise DomainError(f"betas must not repeat, got {self.betas!r}")
 

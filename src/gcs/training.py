@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,33 +28,20 @@ from .errors import (
 from .gnn import (
     GenerativeNetwork,
     check_widths,
-    network_from_json,
     network_to_json,
     relu,
     sigmoid,
 )
-from .linops import load_json, matrix_from_json, matrix_to_json, write_json
+from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
 
 IMAGE_MAGIC = 0x00000803
 
 
-@dataclass(frozen=True)
-class Dataset:
-    samples: np.ndarray = field(repr=False)  # (count, n), entries in [0, 1]
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
-def load_idx(images_path: str) -> Dataset:
-    """Parse a big-endian IDX image file; pixels scaled by 1/255 and flattened."""
+def load_idx(images_path: str) -> np.ndarray:
+    """Parse a big-endian IDX image file: a (count, rows * cols) array of its
+    pixels scaled by 1/255."""
     with open(images_path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -65,12 +53,12 @@ def load_idx(images_path: str) -> Dataset:
     if len(raw) < need:
         raise TruncatedFile(f"{images_path}: expected {need} bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return Dataset(samples=pixels.reshape(count, rows * cols).astype(float) / 255.0)
+    return pixels.reshape(count, rows * cols).astype(float) / 255.0
 
 
-def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.01) -> Dataset:
-    """Hermetic MNIST stand-in: sigmoid of random k_true-dim linear images
-    plus Gaussian noise, clamped to [0, 1].
+def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.01) -> np.ndarray:
+    """Hermetic MNIST stand-in, (count, n): sigmoid of random k_true-dim
+    linear images plus Gaussian noise, clamped to [0, 1].
 
     The images are formed once; scale, sigmoid, noise and clamp then act in
     place on row blocks of about ADAM_CHUNK entries, whose temporaries stay
@@ -92,7 +80,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
         block[...] = sigmoid(block)
         block += noise * rng.standard_normal(block.shape)
         np.clip(block, 0.0, 1.0, out=block)
-    return Dataset(samples=x)
+    return x
 
 
 # Elements per pass of adam_step over a long flat vector: its temporaries then
@@ -182,24 +170,36 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class VaeModel:
-    enc_weights: list = field(repr=False)
-    enc_biases: list = field(repr=False)
-    w_mu: np.ndarray = field(repr=False)
-    b_mu: np.ndarray = field(repr=False)
-    w_lv: np.ndarray = field(repr=False)
-    b_lv: np.ndarray = field(repr=False)
-    decoder: GenerativeNetwork = field(repr=False)
+    """A VAE: its decoder widths [k, ..., n], its final activation, and the
+    one flat parameter vector that training steps, laid out by `_layers`.
+    Every weight and bias is a view of params."""
+
+    widths: list
+    final_activation: str
+    params: np.ndarray = field(repr=False)
     loss_trace: list = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        if self.final_activation not in ("none", "sigmoid"):
+            raise DomainError(f"unknown final activation {self.final_activation!r}")
+
+    @cached_property
+    def views(self):
+        """`_unpack` views of params: (encoder [(w, b)], (w_mu, b_mu, w_lv,
+        b_lv), decoder [(w, b)])."""
+        return _unpack(self.params, self.widths)
+
+    @cached_property
+    def decoder(self) -> GenerativeNetwork:
+        dec = self.views[2]
+        return GenerativeNetwork(weights=[w for w, _ in dec], biases=[b for _, b in dec],
+                                 final_activation=self.final_activation)
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and log-variance of the latent posterior. x is (n,) or (B, n)."""
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        for w, b in zip(self.enc_weights, self.enc_biases):
-            h = relu(h @ w.T + b)
-        mu = h @ self.w_mu.T + self.b_mu
-        lv = h @ self.w_lv.T + self.b_lv
-        if single:
+        enc, heads, _ = self.views
+        mu, lv, _, _ = _encode(enc, heads, np.atleast_2d(np.asarray(x, dtype=float)))
+        if x.ndim == 1:
             return mu[0], lv[0]
         return mu, lv
 
@@ -213,13 +213,19 @@ def _layers(widths) -> list[tuple[int, int]]:
     return [*zip(enc[:-1], enc[1:]), (enc[-1], k), (enc[-1], k), *zip(widths[:-1], widths[1:])]
 
 
-def _unpack(flat, widths):
-    """Views of a flat buffer: (encoder [(w, b)], (w_mu, b_mu, w_lv, b_lv),
-    decoder [(w, b)])."""
+def _pairs(flat, widths) -> list:
+    """(weight, bias) views of a flat buffer, in `_layers` order."""
     pairs, i = [], 0
     for a, b in _layers(widths):
         pairs.append((flat[i:i + a * b].reshape(b, a), flat[i + a * b:i + (a + 1) * b]))
         i += (a + 1) * b
+    return pairs
+
+
+def _unpack(flat, widths):
+    """Views of a flat buffer: (encoder [(w, b)], (w_mu, b_mu, w_lv, b_lv),
+    decoder [(w, b)])."""
+    pairs = _pairs(flat, widths)
     n_enc = len(widths) - 2
     (w_mu, b_mu), (w_lv, b_lv) = pairs[n_enc:n_enc + 2]
     return pairs[:n_enc], (w_mu, b_mu, w_lv, b_lv), pairs[n_enc + 2:]
@@ -228,10 +234,23 @@ def _unpack(flat, widths):
 def _init_params(widths, rng) -> np.ndarray:
     """The flat parameter buffer: He-style Gaussian weights, zero biases."""
     flat = np.zeros(sum((a + 1) * b for a, b in _layers(widths)))
-    enc, (w_mu, _, w_lv, _), dec = _unpack(flat, widths)
-    for w in [w for w, _ in enc] + [w_mu, w_lv] + [w for w, _ in dec]:
+    for w, _ in _pairs(flat, widths):
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[1])
     return flat
+
+
+def _encode(enc, heads, x):
+    """The encoder pass over a batch x: (mu, log-variance, each layer's
+    pre-activation, each layer's input and then the last layer's output)."""
+    w_mu, b_mu, w_lv, b_lv = heads
+    pre, act = [], [x]
+    h = x
+    for w, b in enc:
+        a = h @ w.T + b
+        pre.append(a)
+        h = relu(a)
+        act.append(h)
+    return h @ w_mu.T + b_mu, h @ w_lv.T + b_lv, pre, act
 
 
 def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> float:
@@ -242,20 +261,13 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> f
     (reg_weight, lam, d_op); the regularizer applies to the decoder's final
     weight matrix only.
     """
-    enc, (w_mu, b_mu, w_lv, b_lv), dec = params
+    enc, heads, dec = params
+    w_mu, _, w_lv, _ = heads
     g_enc, (g_wmu, g_bmu, g_wlv, g_blv), g_dec = grads
     n_dec = len(dec)
     batch = x.shape[0]
 
-    enc_pre, enc_act = [], [x]
-    h = x
-    for w, b in enc:
-        a = h @ w.T + b
-        enc_pre.append(a)
-        h = relu(a)
-        enc_act.append(h)
-    mu = h @ w_mu.T + b_mu
-    lv = h @ w_lv.T + b_lv
+    mu, lv, enc_pre, enc_act = _encode(enc, heads, x)
     z = mu + np.exp(0.5 * lv) * eps_noise
 
     dec_pre, dec_act = [], [z]
@@ -317,26 +329,22 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> f
 
 
 def train_vae(
-    data: Dataset,
-    widths: list[int],
-    final_activation: str,
-    config: TrainConfig,
-    regularized: bool = False,
+    data: np.ndarray, widths: list[int], final_activation: str, config: TrainConfig
 ) -> VaeModel:
-    """Train an encoder/decoder pair by Adam on the ELBO; optionally add
-    reg_weight * rho(W_dec_final) to the loss.
+    """Train an encoder/decoder pair by Adam on the ELBO over data, a
+    (count, n) array. With a reference operator config.d_op and a positive
+    reg_weight, add reg_weight * rho(W_dec_final) to the loss.
 
     Deterministic per seed: init, shuffles, and reparameterization noise all
     come from one derived stream. Any nonfinite loss aborts. Adam steps all
     parameters at once, in place, as one flat vector.
     """
     check_widths(widths)
-    if data.count == 0:
+    count, dim = data.shape
+    if count == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    if data.dim != widths[-1]:
-        raise DimensionMismatch(f"data dim {data.dim} != decoder output {widths[-1]}")
-    if regularized and config.reg_weight > 0 and config.d_op is None:
-        raise DomainError("regularized training needs a reference operator in the config")
+    if dim != widths[-1]:
+        raise DimensionMismatch(f"data dim {dim} != decoder output {widths[-1]}")
     rng = derive_rng(config.seed)
     params = _init_params(widths, rng)
     grads, m, v = (np.zeros_like(params) for _ in range(3))
@@ -344,16 +352,16 @@ def train_vae(
     grad_views = _unpack(grads, widths)
     k = widths[0]
     reg = None
-    if regularized and config.reg_weight > 0:
+    if config.d_op is not None and config.reg_weight > 0:
         reg = (config.reg_weight, config.lam, config.d_op)
     trace = []
     t = 0
     for _ in range(config.epochs):
-        order = rng.permutation(data.count)
+        order = rng.permutation(count)
         epoch_losses = []
-        for start in range(0, data.count, config.batch_size):
+        for start in range(0, count, config.batch_size):
             idx = order[start : start + config.batch_size]
-            x = data.samples[idx]
+            x = data[idx]
             eps_noise = rng.standard_normal((x.shape[0], k))
             loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, final_activation, reg)
             if not np.isfinite(loss):
@@ -362,37 +370,18 @@ def train_vae(
             adam_step(params, grads, m, v, t, config.learning_rate)
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
-    enc, (w_mu, b_mu, w_lv, b_lv), dec = views
-    decoder = GenerativeNetwork(
-        weights=[w for w, _ in dec],
-        biases=[b for _, b in dec],
-        final_activation=final_activation,
-    )
-    return VaeModel(
-        enc_weights=[w for w, _ in enc],
-        enc_biases=[b for _, b in enc],
-        w_mu=w_mu,
-        b_mu=b_mu,
-        w_lv=w_lv,
-        b_lv=b_lv,
-        decoder=decoder,
-        loss_trace=trace,
-    )
+    return VaeModel(list(widths), final_activation, params, trace)
 
 
 def vae_to_json(model: VaeModel) -> dict:
-    enc_layers = []
-    for w, b in zip(model.enc_weights, model.enc_biases):
-        layer = matrix_to_json(w)
-        layer["bias"] = b
-        enc_layers.append(layer)
+    enc, (w_mu, b_mu, w_lv, b_lv), _ = model.views
     return {
         "encoder": {
-            "layers": enc_layers,
-            "w_mu": matrix_to_json(model.w_mu),
-            "b_mu": model.b_mu,
-            "w_lv": matrix_to_json(model.w_lv),
-            "b_lv": model.b_lv,
+            "layers": [{**matrix_to_json(w), "bias": b} for w, b in enc],
+            "w_mu": matrix_to_json(w_mu),
+            "b_mu": b_mu,
+            "w_lv": matrix_to_json(w_lv),
+            "b_lv": b_lv,
         },
         "decoder": network_to_json(model.decoder),
         "loss_trace": list(model.loss_trace),
@@ -400,17 +389,28 @@ def vae_to_json(model: VaeModel) -> dict:
 
 
 def vae_from_json(obj: dict) -> VaeModel:
-    enc = obj["encoder"]
-    return VaeModel(
-        enc_weights=[matrix_from_json(layer) for layer in enc["layers"]],
-        enc_biases=[np.asarray(layer["bias"], dtype=float) for layer in enc["layers"]],
-        w_mu=matrix_from_json(enc["w_mu"]),
-        b_mu=np.asarray(enc["b_mu"], dtype=float),
-        w_lv=matrix_from_json(enc["w_lv"]),
-        b_lv=np.asarray(enc["b_lv"], dtype=float),
-        decoder=network_from_json(obj["decoder"]),
-        loss_trace=list(obj.get("loss_trace", [])),
-    )
+    """The VaeModel of a vae_to_json object, its weights and biases copied
+    into one fresh flat vector. Each must have the shape that the decoder's
+    widths give it in the layout, or DimensionMismatch names it."""
+    enc, dec = obj["encoder"], obj["decoder"]
+    stored = [(f"encoder layer {i}", lay, lay["bias"]) for i, lay in enumerate(enc["layers"])]
+    stored += [("mu", enc["w_mu"], enc["b_mu"]), ("log-variance", enc["w_lv"], enc["b_lv"])]
+    stored += [(f"decoder layer {i}", lay, lay["bias"]) for i, lay in enumerate(dec["layers"])]
+    widths = dec["widths"]
+    check_widths(widths)
+    layout = _layers(widths)
+    if len(stored) != len(layout):
+        raise DimensionMismatch(f"{len(stored)} weights, where widths {widths} give {len(layout)}")
+    params = np.empty(sum((a + 1) * b for a, b in layout))
+    for (name, w_obj, b_obj), views in zip(stored, _pairs(params, widths)):
+        values = matrix_from_json(w_obj), check_finite(np.asarray(b_obj, dtype=float), "bias")
+        for what, value, view in zip(("weight", "bias"), values, views):
+            if value.shape != view.shape or value.dtype != view.dtype:
+                raise DimensionMismatch(f"{name} {what} is {value.dtype} {value.shape}, where "
+                                        f"widths {widths} give {view.dtype} {view.shape}")
+            view[...] = value
+    return VaeModel(widths, dec.get("final_activation", "none"), params,
+                    list(obj.get("loss_trace", [])))
 
 
 def save_vae(model: VaeModel, path: str, decoder_path: str | None = None) -> None:

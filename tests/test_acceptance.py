@@ -327,21 +327,19 @@ def test_criterion_10_regularizer_effect():
     widths = [8, 32, 64]
     lowered = 0
     for seed in range(5):
-        cfg = TrainConfig(epochs=8, seed=seed, d_op=u)
         a_plain = network_coherence_heuristic(
-            train_vae(data, widths, "none", cfg, regularized=False).decoder, u
+            train_vae(data, widths, "none", TrainConfig(epochs=8, seed=seed)).decoder, u
         )
         a_reg = network_coherence_heuristic(
-            train_vae(data, widths, "none", cfg, regularized=True).decoder, u
+            train_vae(data, widths, "none", TrainConfig(epochs=8, seed=seed, d_op=u)).decoder, u
         )
         lowered += a_reg < a_plain - 0.02
     ok = lowered >= 4
 
     # Measurement sweep for the committed pair (training seed 2).
-    cfg = TrainConfig(epochs=8, seed=2, d_op=u)
-    m_plain = train_vae(data, widths, "none", cfg, regularized=False)
-    m_reg = train_vae(data, widths, "none", cfg, regularized=True)
-    test_samples = synth_dataset(64, 4, 200, seed=6).samples
+    m_plain = train_vae(data, widths, "none", TrainConfig(epochs=8, seed=2))
+    m_reg = train_vae(data, widths, "none", TrainConfig(epochs=8, seed=2, d_op=u))
+    test_samples = synth_dataset(64, 4, 200, seed=6)
     sweep = SweepConfig(
         m_list=[6, 8, 10, 12, 16],
         trials=20,

@@ -14,10 +14,10 @@ import pytest
 from gcs import cli
 from gcs.errors import DomainError
 from gcs.gnn import GenerativeNetwork, forward, save_network
-from gcs.linops import save_matrix
+from gcs.linops import save_matrix, write_json
 from gcs.recovery import RecoveryConfig
 from gcs.sampling import derive_rng
-from gcs.training import load_vae
+from gcs.training import VaeModel, load_vae, vae_to_json
 
 
 def test_resolve_unitary(tmp_path):
@@ -155,9 +155,13 @@ def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, monkeypatch, 
     assert (tmp_path / "m.decoder.json").exists()
 
 
+# An edit to NULL writes the key with the value null.
+NULL = object()
+
+
 def write_config(path, base: dict, edits: dict) -> str:
     """Write base updated by edits as JSON; an edit to None drops the key."""
-    cfg = {k: v for k, v in {**base, **edits}.items() if v is not None}
+    cfg = {k: None if v is NULL else v for k, v in {**base, **edits}.items() if v is not None}
     with open(path, "w") as f:
         json.dump(cfg, f)
     return str(path)
@@ -481,6 +485,20 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+def write_unfit_models(tmp_path):
+    """Model files for widths [2, 8, 16], each whole but for one part that
+    does not fit them: w_mu one column short, b_mu or the first encoder bias
+    cut to one entry."""
+    # 340 is the size of the [2, 8, 16] layout.
+    obj = vae_to_json(VaeModel([2, 8, 16], "none", derive_rng(4).standard_normal(340)))
+    enc = obj["encoder"]
+    w_mu = {**enc["w_mu"], "cols": 7, "data": enc["w_mu"]["data"].reshape(2, 8)[:, :7].ravel()}
+    layer = {**enc["layers"][0], "bias": enc["layers"][0]["bias"][:1]}
+    for name, edit in [("w_mu_short", {"w_mu": w_mu}), ("b_mu_cut", {"b_mu": enc["b_mu"][:1]}),
+                       ("bias_cut", {"layers": [layer]})]:
+        write_json({**obj, "encoder": {**enc, **edit}}, str(tmp_path / f"{name}.json"))
+
+
 @pytest.mark.parametrize("argv, edits, message", [
     (["phase", "--config", "absent.json"], {},
      "No such file or directory: 'absent.json'"),
@@ -537,6 +555,38 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
      "m = 4 appears twice in the m grid"),
     (["phase", "--config", "phase.json"], {"betas": [0.0, 0.5, 0.5]},
      "betas must not repeat, got [0.0, 0.5, 0.5]"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "w_mu_short.json"}},
+     "w_mu_short.json: bad contents: mu weight is float64 (2, 7), where widths "
+     "[2, 8, 16] give float64 (2, 8)"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "b_mu_cut.json"}},
+     "b_mu_cut.json: bad contents: mu bias is float64 (1,), where widths [2, 8, 16] "
+     "give float64 (2,)"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "bias_cut.json"}},
+     "bias_cut.json: bad contents: encoder layer 0 bias is float64 (1,), where widths "
+     "[2, 8, 16] give float64 (8,)"),
+    (["phase", "--config", "phase.json"], {"w_high": NULL},
+     "w_high must be a file path string, got None"),
+    (["phase", "--config", "phase.json"], {"w_low": 7}, "w_low must be a file path string, got 7"),
+    (["phase", "--config", "phase.json"], {"inner_weights": "w1.json"},
+     "inner_weights must be a list of file paths, got 'w1.json'"),
+    (["phase", "--config", "phase.json"], {"inner_weights": ["w1.json", 7]},
+     "each inner_weights entry must be a file path string, got 7"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "model.json", "b": None}},
+     "model 'b' must be a file path string, got None"),
+    (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx", "images": 7}},
+     "test_data images must be a file path string, got 7"),
+    (["sweep", "--config", "sweep.json"],
+     {"test_data": {"kind": "synth", "k_true": 2, "count": 4, "seed": 0, "nosie": 0.1}},
+     "unknown test_data key 'nosie' (expected one of kind, k_true, count, seed)"),
+    (["sweep", "--config", "sweep.json"],
+     {"test_data": {"kind": "synth", "k_true": 2, "count": 4, "seed": 0, "images": "x.idx"}},
+     "unknown test_data key 'images' (expected one of kind, k_true, count, seed)"),
+    (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx", "images": "x", "seed": 0}},
+     "unknown test_data key 'seed' (expected one of kind, images)"),
+    (["phase", "--config", "phase.json"], {"betas": [0.0, float("nan")]},
+     "betas must be finite, got [0.0, nan]"),
+    (["phase", "--config", "phase.json"], {"betas": [0.0, float("inf")]},
+     "betas must be finite, got [0.0, inf]"),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
@@ -544,7 +594,11 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
         "phase-weights-no-cols", "sweep-model-no-encoder", "phase-unknown-key",
         "sweep-unknown-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
         "sweep-float-trials", "phase-unitary-not-a-string", "phase-repeated-m",
-        "phase-repeated-beta"])
+        "phase-repeated-beta", "sweep-model-w_mu-short", "sweep-model-b_mu-cut",
+        "sweep-model-encoder-bias-cut", "phase-null-w_high", "phase-integer-w_low",
+        "phase-string-inner_weights", "phase-integer-inner-entry", "sweep-null-model",
+        "idx-integer-images", "synth-unknown-key", "synth-images-key", "idx-unknown-key",
+        "phase-nan-beta", "phase-infinite-beta"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)
@@ -555,6 +609,7 @@ def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch
     (tmp_path / "nan.json").write_text('{"layers": [{"rows": 1, "cols": 1, "data": [NaN]}]}')
     (tmp_path / "chain.json").write_text('{"layers": [{"rows": 1, "cols": 2, "data": [1, 2]}, '
                                          '{"rows": 2, "cols": 3, "data": [1, 2, 3, 4, 5, 6]}]}')
+    write_unfit_models(tmp_path)
     (phase_config if argv[0] == "phase" else sweep_config)(tmp_path, **edits)
     for fn in ("recover_batch", "network_coherence_heuristic", "run_rip_check"):
         monkeypatch.setattr(cli.harness, fn, no_compute)

@@ -207,6 +207,9 @@ def test_phase_config_validation():
     for betas in ([0.5, 0.5], [0, 0.5, 0.0]):
         with pytest.raises(DomainError, match="betas must not repeat"):
             replace(cfg, betas=betas)
+    for betas in ([0.0, math.nan], [math.inf], [0.5, -math.inf]):
+        with pytest.raises(DomainError, match="betas must be finite"):
+            replace(cfg, betas=betas)
 
 
 def test_sweep_config_rejects_zero_trials():
@@ -224,7 +227,7 @@ def test_measurement_sweep_shared_targets():
         recovery=RecoveryConfig(max_iters=300),
     )
     records, summaries = run_measurement_sweep(
-        [("a", model), ("b", model)], data.samples, sw
+        [("a", model), ("b", model)], data, sw
     )
     # Identical models share targets and measurement seeds per (m, trial), so
     # their per-trial errors coincide and only the solver seed stream differs
@@ -384,7 +387,7 @@ def test_svg_emitters(tmp_path):
 def assert_sweep_equals_per_trial_recovery(models, data, sw):
     """Every sweep record is what recovering that trial alone with its own
     decoder gives, in (model, m, trial) order."""
-    records, _ = run_measurement_sweep(models, data.samples, sw)
+    records, _ = run_measurement_sweep(models, data, sw)
     names = [name for name, _ in models]
     assert [(r["model"], r["m"], r["trial"]) for r in records] == [
         (name, m, t) for name in names for m in sw.m_list for t in range(sw.trials)
@@ -394,7 +397,7 @@ def assert_sweep_equals_per_trial_recovery(models, data, sw):
         mi, t = sw.m_list.index(rec["m"]), rec["trial"]
         model = models[gi][1]
         rng = derive_rng(sw.seed, mi, t)
-        x_sharp = data.samples[int(rng.integers(data.samples.shape[0]))]
+        x_sharp = data[int(rng.integers(data.shape[0]))]
         x0 = forward(model.decoder, model.encode(x_sharp)[0])
         a = sample_fixed(sw.d_op, rec["m"], spawn_seed(sw.seed, mi, t, 1))
         config = replace(sw.recovery, seed=spawn_seed(sw.seed, gi, mi, t, 2))

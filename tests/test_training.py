@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import struct
 import sys
@@ -20,7 +21,6 @@ from gcs.errors import (
 from gcs.gnn import forward, network_to_json, save_network, sigmoid
 from gcs.sampling import derive_rng
 from gcs.training import (
-    Dataset,
     TrainConfig,
     VaeModel,
     adam_step,
@@ -52,13 +52,13 @@ def write_idx_fixture(tmp_path, pixels):
 def test_load_idx_bytes(tmp_path):
     pixels = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
     ds = load_idx(write_idx_fixture(tmp_path, pixels))
-    assert ds.count == 2 and ds.dim == 12
-    np.testing.assert_allclose(ds.samples[0], np.arange(12) / 255.0)
+    assert ds.shape == (2, 12)
+    np.testing.assert_allclose(ds[0], np.arange(12) / 255.0)
 
 
 def test_load_idx_no_labels(tmp_path):
     ds = load_idx(write_idx_fixture(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8)))
-    assert ds.samples.shape == (1, 4)
+    assert ds.shape == (1, 4)
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -84,11 +84,11 @@ def test_load_idx_truncated(tmp_path):
 
 def test_synth_dataset_shape_and_range():
     ds = synth_dataset(32, 4, 100, seed=0)
-    assert ds.samples.shape == (100, 32)
-    assert np.all(ds.samples >= 0.0) and np.all(ds.samples <= 1.0)
+    assert ds.shape == (100, 32)
+    assert np.all(ds >= 0.0) and np.all(ds <= 1.0)
     # deterministic per seed
-    np.testing.assert_array_equal(ds.samples, synth_dataset(32, 4, 100, seed=0).samples)
-    assert not np.array_equal(ds.samples, synth_dataset(32, 4, 100, seed=1).samples)
+    np.testing.assert_array_equal(ds, synth_dataset(32, 4, 100, seed=0))
+    assert not np.array_equal(ds, synth_dataset(32, 4, 100, seed=1))
     with pytest.raises(DomainError):
         synth_dataset(4, 8, 10, seed=0)
 
@@ -108,7 +108,7 @@ def oracle_synth_dataset(n, k_true, count, seed, noise=0.01):
 def test_synth_dataset_equals_one_shot_formula_bitwise(n, k_true, count, seed):
     # Row blocks of ADAM_CHUNK // n rows (20 at n = 784, 256 at n = 64); 333
     # rows leave a short last block.
-    got = synth_dataset(n, k_true, count, seed).samples
+    got = synth_dataset(n, k_true, count, seed)
     want = oracle_synth_dataset(n, k_true, count, seed)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -121,7 +121,7 @@ def test_synth_dataset_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * ds.samples.nbytes
+    assert peak <= 2 * ds.nbytes
 
 
 def no_draw(*args, **kwargs):
@@ -145,7 +145,7 @@ def test_synth_dataset_low_rank_structure():
     # Noiseless logits live on a k-dimensional manifold; PCA of the logit
     # matrix must capture nearly everything in k_true components.
     ds = synth_dataset(64, 3, 500, seed=2, noise=0.0)
-    logits = np.log(ds.samples / (1 - ds.samples + 1e-300) + 1e-300)
+    logits = np.log(ds / (1 - ds + 1e-300) + 1e-300)
     logits -= logits.mean(axis=0)
     s = np.linalg.svd(logits, compute_uv=False)
     explained = np.sum(s[:3] ** 2) / np.sum(s**2)
@@ -251,11 +251,10 @@ def test_flat_adam_equals_list_oracle_bitwise():
 # ---------------------------------------------------------------------------
 
 
-def small_run(seed=0, regularized=False, final="none", epochs=2):
-    u = dct2_operator(16)
+def small_run(seed=0, final="none", epochs=2):
     data = synth_dataset(16, 2, 200, seed=1)
-    cfg = TrainConfig(epochs=epochs, seed=seed, d_op=u, batch_size=32)
-    return train_vae(data, [2, 8, 16], final, cfg, regularized=regularized)
+    cfg = TrainConfig(epochs=epochs, seed=seed, batch_size=32)
+    return train_vae(data, [2, 8, 16], final, cfg)
 
 
 def test_train_deterministic_per_seed():
@@ -276,7 +275,7 @@ def test_trained_model_reconstructs_better_than_init():
     data = synth_dataset(64, 4, 2000, seed=5)
 
     def recon_err(model):
-        x = data.samples[:100]
+        x = data[:100]
         mu, _ = model.encode(x)
         x_hat = forward(model.decoder, mu.T).T
         return float(np.mean(np.linalg.norm(x_hat - x, axis=1) / np.linalg.norm(x, axis=1)))
@@ -297,18 +296,22 @@ def test_encoder_shapes():
 def test_regularized_training_lowers_coherence():
     u = dct2_operator(64)
     data = synth_dataset(64, 4, 2000, seed=5)
-    cfg = TrainConfig(epochs=8, seed=0, d_op=u)
-    m_plain = train_vae(data, [8, 32, 64], "none", cfg, regularized=False)
-    m_reg = train_vae(data, [8, 32, 64], "none", cfg, regularized=True)
+    m_plain = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=8, seed=0))
+    m_reg = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=8, seed=0, d_op=u))
     a_plain = network_coherence_heuristic(m_plain.decoder, u)
     a_reg = network_coherence_heuristic(m_reg.decoder, u)
     assert a_reg < a_plain - 0.02
 
 
-def test_regularized_training_requires_operator():
+def test_training_regularizes_only_with_an_operator_and_a_positive_weight():
+    # No operator, or a zero weight, trains bit for bit as plain training;
+    # the operator with a positive weight moves the decoder.
     data = synth_dataset(16, 2, 50, seed=0)
-    with pytest.raises(DomainError):
-        train_vae(data, [2, 8, 16], "none", TrainConfig(epochs=1), regularized=True)
+    u = dct2_operator(16)
+    runs = [train_vae(data, [2, 8, 16], "none", TrainConfig(epochs=1, **kw)).params
+            for kw in ({"reg_weight": 0.0}, {}, {"reg_weight": 0.0, "d_op": u}, {"d_op": u})]
+    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+    assert runs[3].tobytes() != runs[0].tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": float("nan")},
@@ -328,7 +331,7 @@ def test_train_config_takes_zero_regularizer_weights():
 
 def test_train_rejects_empty_and_mismatched():
     with pytest.raises(EmptyDataset):
-        train_vae(Dataset(samples=np.zeros((0, 16))), [2, 8, 16], "none", TrainConfig(epochs=1))
+        train_vae(np.zeros((0, 16)), [2, 8, 16], "none", TrainConfig(epochs=1))
     with pytest.raises(DimensionMismatch):
         train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], "none", TrainConfig(epochs=1))
 
@@ -395,6 +398,58 @@ def test_vae_json_roundtrip(tmp_path):
         forward(m.decoder, np.ones(2)), forward(m3.decoder, np.ones(2))
     )
     assert m3.loss_trace == m.loss_trace
+
+
+def test_every_weight_and_bias_is_a_view_of_params(tmp_path):
+    m = small_run(final="sigmoid")
+    save_vae(m, str(tmp_path / "vae.json"))
+    loaded = load_vae(str(tmp_path / "vae.json"))
+    for model in (m, loaded):
+        enc, heads, dec = model.views
+        arrays = [a for pair in enc + dec for a in pair] + list(heads)
+        arrays += model.decoder.weights + model.decoder.biases
+        assert len(arrays) == 14
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+    assert loaded.params.tobytes() == m.params.tobytes()
+    assert (loaded.widths, loaded.final_activation) == ([2, 8, 16], "sigmoid")
+
+
+def cut(entries, count=1):
+    """A JSON matrix or bias list with its last count columns or entries cut."""
+    if isinstance(entries, list):
+        return entries[:-count]
+    rows, cols = entries["rows"], entries["cols"]
+    data = np.asarray(entries["data"]).reshape(rows, cols)[:, :cols - count]
+    return {**entries, "cols": cols - count, "data": data.ravel().tolist()}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda e, d: e.update(w_mu=cut(e["w_mu"])),
+     "mu weight is float64 (2, 7), where widths [2, 8, 16] give float64 (2, 8)"),
+    (lambda e, d: e.update(b_mu=e["b_mu"][:1]), "mu bias is float64 (1,)"),
+    (lambda e, d: e["layers"][0].update(bias=cut(e["layers"][0]["bias"], 7)),
+     "encoder layer 0 bias is float64 (1,), where widths [2, 8, 16] give float64 (8,)"),
+    (lambda e, d: e.update(b_lv=[0.0, float("nan")]), "bias contains NaN/Inf entries"),
+    (lambda e, d: e.update(w_lv={**e["w_lv"], "complex": True, "cols": 4}),
+     "log-variance weight is complex128 (2, 4)"),
+    (lambda e, d: e["layers"].append(e["layers"][0]),
+     "6 weights, where widths [2, 8, 16] give 5"),
+    (lambda e, d: d.update(widths=[2, 8, 8, 16]), "5 weights, where widths [2, 8, 8, 16] give 7"),
+    (lambda e, d: d.update(widths=[2, 9, 16]), "encoder layer 0 weight is float64 (8, 16), where "),
+    (lambda e, d: d["layers"][1].pop("bias"), "missing key 'bias'"),
+    (lambda e, d: d.update(final_activation="tanh"), "unknown final activation 'tanh'"),
+], ids=["w_mu-column-short", "b_mu-cut", "encoder-bias-cut", "nan-bias", "complex-weight",
+        "extra-encoder-layer", "widths-too-deep", "widths-wrong", "decoder-bias-missing",
+        "final-activation"])
+def test_load_vae_rejects_a_file_that_does_not_fit_its_layout(tmp_path, edit, message):
+    path = tmp_path / "vae.json"
+    save_vae(small_run(), str(path))
+    obj = json.loads(path.read_text())
+    edit(obj["encoder"], obj["decoder"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DomainError, match="^" + re.escape(f"{path}: ")) as info:
+        load_vae(str(path))
+    assert message in str(info.value)
 
 
 def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):

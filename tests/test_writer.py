@@ -39,17 +39,8 @@ def network(widths, seed, biases=False, final="none"):
 
 def vae(k, h, n, seed, final="none"):
     """A VaeModel with Gaussian parameters, one encoder layer n -> h."""
-    rng = derive_rng(seed)
-    return VaeModel(
-        enc_weights=[rng.standard_normal((h, n))],
-        enc_biases=[rng.standard_normal(h)],
-        w_mu=rng.standard_normal((k, h)),
-        b_mu=rng.standard_normal(k),
-        w_lv=rng.standard_normal((k, h)),
-        b_lv=rng.standard_normal(k),
-        decoder=network([k, h, n], seed + 1, biases=True, final=final),
-        loss_trace=[3.5, 2.25],
-    )
+    size = (n + 1) * h + 2 * (h + 1) * k + (k + 1) * h + (h + 1) * n
+    return VaeModel([k, h, n], final, derive_rng(seed).standard_normal(size), [3.5, 2.25])
 
 
 @pytest.mark.parametrize("size", [1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1, 2 * JSON_CHUNK])
