@@ -31,7 +31,7 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     for name, d_op in [("unreg", None), ("reg", u)]:
         cfg = training.TrainConfig(epochs=EPOCHS, seed=TRAIN_SEED, d_op=d_op)
-        model = training.train_vae(data, ARCH, "none", cfg)
+        model = training.train_vae(data, ARCH, cfg)
         path = os.path.join(args.out_dir, f"{name}.json")
         training.save_vae(model, path)
         alpha = coherence.network_coherence_heuristic(model.decoder, u)

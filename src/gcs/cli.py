@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
             os.path.join(os.environ.get("GCS_DATA_DIR", "."), "train-images-idx3-ubyte"))
     else:
         data = training.load_idx(args.data[len("idx:"):])
-    model = training.train_vae(data, widths, args.final, config)
+    model = training.train_vae(data, widths, config)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a small VAE")
     t.add_argument("--data", default="synth", help="synth | mnist | idx:<images> (IDX images only)")
     t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
-    t.add_argument("--final", default="none", choices=["none", "sigmoid"])
     t.add_argument("--regularized", action="store_true")
     t.add_argument("--reg-weight", type=float, default=1e4)
     t.add_argument("--lambda", type=float, default=1.0)

@@ -19,10 +19,10 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NotOrthonormal,
-    Unsupported,
     check_counts,
 )
-from .gnn import GenerativeNetwork, forward, hidden
+# perfbench/instrument.py wraps coherence.forward, which nothing here calls.
+from .gnn import GenerativeNetwork, forward, hidden  # noqa: F401
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
@@ -36,7 +36,6 @@ class CoherenceReport:
     lower_bound: float
     typical_bound: float | None
     seed: int
-    heuristic_guarantee: bool  # False when the final layer has a sigmoid
     constant_c: float = 1.0
 
     def to_json(self) -> dict:
@@ -53,17 +52,11 @@ def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
     return two_to_inf_norm(u.apply(q))
 
 
-def network_coherence_heuristic(
-    g: GenerativeNetwork, d_op: UnitaryOperator, allow_sigmoid: bool = False
-) -> float:
+def network_coherence_heuristic(g: GenerativeNetwork, d_op: UnitaryOperator) -> float:
     """||D Q1||_{2->inf} with Q1 spanning range(W^(d)).
 
-    Upper-bounds the coherence of the expanded chord set for linear-final
-    networks. With a sigmoid final layer the containment guarantee does not
-    apply; pass allow_sigmoid=True to compute it as a diagnostic anyway.
+    Upper-bounds the coherence of the expanded chord set.
     """
-    if g.final_activation == "sigmoid" and not allow_sigmoid:
-        raise Unsupported("heuristic guarantee needs a linear final layer; pass allow_sigmoid=True")
     w = g.weights[-1]
     if w.shape[0] != d_op.n:
         raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {d_op.n}")
@@ -74,12 +67,11 @@ def network_coherence_heuristic(
 class ChordSampler:
     """Chords G(z1) - G(z2) of range(G), and their images under a unitary U.
 
-    With a linear final layer every chord is W^(d) dh, where dh = h(z1) - h(z2)
-    is the difference of the last hidden layers (the final bias cancels). The
-    sampler then keeps chords in those coordinates: the projection P is
-    U W^(d), and the chord norms come from the Gram matrix W^(d)^T W^(d),
-    which is exact however closely U is unitary. With a sigmoid final layer
-    the chords are explicit and P is U.
+    The final layer is linear, so every chord is W^(d) dh, where
+    dh = h(z1) - h(z2) is the difference of the last hidden layers (the final
+    bias cancels). The sampler keeps chords in those coordinates: the
+    projection P is U W^(d), and the chord norms come from the Gram matrix
+    W^(d)^T W^(d), which is exact however closely U is unitary.
 
     `parts` holds P as real matrices: (P,) for a real U, (Re P, Im P) for a
     complex one, so real chords are never cast to complex for a product.
@@ -89,24 +81,17 @@ class ChordSampler:
         if g.ambient_dim != u.n:
             raise DimensionMismatch(f"network output dim {g.ambient_dim} != operator dim {u.n}")
         self.g = g
-        if g.final_activation == "sigmoid":
-            proj, self._gram = u.matrix, None
-        else:
-            w = g.weights[-1]
-            proj, self._gram = u.apply(w), w.T @ w
+        w = g.weights[-1]
+        proj, self._gram = u.apply(w), w.T @ w
         self.parts = (proj.real.copy(), proj.imag.copy()) if np.iscomplexobj(proj) else (proj,)
 
     def moduli(self, z1: np.ndarray, z2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """|P[rows] u| entrywise (all rows when rows is None), one column per
         unit chord u of the latent columns z1, z2 whose norm exceeds 1e-10."""
-        if self._gram is None:
-            c = forward(self.g, z1) - forward(self.g, z2)
-            norms = np.linalg.norm(c, axis=0)
-        else:
-            c = hidden(self.g, z1) - hidden(self.g, z2)
-            # Rounding can take the form slightly below 0 for c in the null
-            # space of W^(d) (k_{d-1} > n); such a chord is 0 and gets dropped.
-            norms = np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
+        c = hidden(self.g, z1) - hidden(self.g, z2)
+        # Rounding can take the form slightly below 0 for c in the null space
+        # of W^(d) (k_{d-1} > n); such a chord is 0 and gets dropped.
+        norms = np.sqrt(np.maximum(np.sum(c * (self._gram @ c), axis=0), 0.0))
         ok = norms > 1e-10
         unit = c[:, ok]
         unit /= norms[ok]
@@ -269,8 +254,7 @@ def coherence_report(
 ) -> CoherenceReport:
     """Assemble the standard report: heuristic, MC chord estimate, and bounds."""
     check_counts(samples=mc_samples)  # before the heuristic's QR
-    sigmoid_final = g.final_activation == "sigmoid"
-    alpha_h = network_coherence_heuristic(g, d_op, allow_sigmoid=True)
+    alpha_h = network_coherence_heuristic(g, d_op)
     alpha_mc = chord_coherence_mc(g, d_op, mc_samples, seed)
     return CoherenceReport(
         alpha_heuristic=alpha_h,
@@ -281,5 +265,4 @@ def coherence_report(
             g.code_dim, g.depth, g.widths, g.ambient_dim, gamma
         ),
         seed=seed,
-        heuristic_guarantee=not sigmoid_final,
     )

@@ -1,8 +1,8 @@
 """ReLU generative networks: forward pass, bias augmentation, difference
 networks, region-count bounds, and gradients of the recovery objective.
 
-G(z) = W^(d) relu(... relu(W^(1) z)), optionally with biases and a final
-sigmoid. The ReLU subgradient at 0 is taken to be 0.
+G(z) = W^(d) relu(... relu(W^(1) z)), optionally with biases; the final layer
+is linear. The ReLU subgradient at 0 is taken to be 0.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x, dtype=float) if out is None else out
+    out = np.empty_like(x, dtype=float)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -47,7 +47,6 @@ def check_widths(widths) -> None:
 class GenerativeNetwork:
     weights: list = field(repr=False)  # W^(i) of shape k_i x k_{i-1}
     biases: list | None = field(default=None, repr=False)
-    final_activation: str = "none"  # "none" | "sigmoid"
 
     def __post_init__(self):
         ws = [check_finite(np.asarray(w, dtype=float), "weight") for w in self.weights]
@@ -64,8 +63,6 @@ class GenerativeNetwork:
                 if b.shape != (w.shape[0],):
                     raise DimensionMismatch("bias length must match layer width")
             object.__setattr__(self, "biases", bs)
-        if self.final_activation not in ("none", "sigmoid"):
-            raise DomainError(f"unknown final activation {self.final_activation!r}")
 
     @property
     def widths(self) -> list[int]:
@@ -109,10 +106,7 @@ def hidden(g: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
 
 def forward(g: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
     """Evaluate G(z). z may be (k,) or (k, batch)."""
-    h = _layer(g, g.depth - 1, hidden(g, z))
-    if g.final_activation == "sigmoid":
-        h = sigmoid(h)
-    return h
+    return _layer(g, g.depth - 1, hidden(g, z))
 
 
 def augment_biases(g: GenerativeNetwork) -> GenerativeNetwork:
@@ -132,17 +126,17 @@ def augment_biases(g: GenerativeNetwork) -> GenerativeNetwork:
             bottom = np.zeros((1, w.shape[1] + 1))
             bottom[0, -1] = 1.0
             new_weights.append(np.vstack([top, bottom]))
-    return GenerativeNetwork(weights=new_weights, biases=None, final_activation=g.final_activation)
+    return GenerativeNetwork(weights=new_weights)
 
 
 def difference_network(g: GenerativeNetwork) -> GenerativeNetwork:
     """Network Gbar on R^(2k) with Gbar([x; y]) = G(x) - G(y).
 
     Inner weights become blockdiag(W, W); the final layer is [W^(d), -W^(d)].
-    Only defined for bias-free, linear-final networks.
+    Only defined for bias-free networks.
     """
-    if g.biases is not None or g.final_activation != "none":
-        raise Unsupported("difference network requires no biases and linear final layer")
+    if g.biases is not None:
+        raise Unsupported("difference network requires no biases")
     d = g.depth
     new_weights = []
     for i, w in enumerate(g.weights):
@@ -194,13 +188,9 @@ def objective_value_grad(
         pre.append(h)
         if i < d - 1:
             h = relu(h)
-    y = pre[-1]
-    x = sigmoid(y) if g.final_activation == "sigmoid" else y
-    r = apply(a, x) - np.asarray(b)
+    r = apply(a, pre[-1]) - np.asarray(b)
     value = 0.5 * float(np.real(np.vdot(r, r)))
     s = np.real(apply_adjoint(a, r))
-    if g.final_activation == "sigmoid":
-        s = s * x * (1.0 - x)
     for i in range(d - 1, -1, -1):
         s = g.weights[i].T @ s
         if i > 0:
@@ -215,17 +205,36 @@ def network_to_json(g: GenerativeNetwork) -> dict:
         if g.biases is not None:
             layer["bias"] = g.biases[i]
         layers.append(layer)
-    return {"widths": g.widths, "final_activation": g.final_activation, "layers": layers}
+    # The key is constant: every network's final layer is linear.
+    return {"widths": g.widths, "final_activation": "none", "layers": layers}
+
+
+def stored_widths(obj: dict) -> list:
+    """The "widths" of a network object, as network_to_json writes it, after
+    check_widths. Its "final_activation", where present, must be "none".
+    Weight and model files both read their network's widths here."""
+    final = obj.get("final_activation", "none")
+    if final != "none":
+        raise DomainError(f"final activation {final!r}: every network's final layer is linear "
+                          "(\"none\")")
+    widths = obj["widths"]
+    check_widths(widths)
+    return widths
 
 
 def network_from_json(obj: dict) -> GenerativeNetwork:
-    weights = [matrix_from_json(layer) for layer in obj["layers"]]
+    """The network of a network_to_json object, whose "widths" must be the
+    ones its layers give."""
+    layers = obj["layers"]
+    weights = [matrix_from_json(layer) for layer in layers]
     biases = None
-    if any("bias" in layer for layer in obj["layers"]):
-        biases = [np.asarray(layer["bias"], dtype=float) for layer in obj["layers"]]
-    return GenerativeNetwork(
-        weights=weights, biases=biases, final_activation=obj.get("final_activation", "none")
-    )
+    if any("bias" in layer for layer in layers):
+        biases = [np.asarray(layer["bias"], dtype=float) for layer in layers]
+    g = GenerativeNetwork(weights=weights, biases=biases)
+    widths = stored_widths(obj)
+    if widths != g.widths:
+        raise DimensionMismatch(f"widths {widths}, where the layers give {g.widths}")
+    return g
 
 
 def save_network(g: GenerativeNetwork, path: str) -> None:

@@ -326,8 +326,6 @@ def run_rip_check(
     Per (m, trial): sample A, record max over normalized chords of
     | ||Ax||_2 - 1 | and whether it exceeds delta.
     """
-    if g.final_activation == "sigmoid":
-        raise Unsupported("RIP check needs a linear-final network")
     if g.biases is not None:
         raise Unsupported("RIP check needs a bias-free network")
     check_counts(chord_samples=chord_samples)

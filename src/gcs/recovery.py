@@ -10,13 +10,13 @@ latent block Z that stacks one latent vector, a column, per (problem,
 restart) pair; `recover` is a one-problem call of it. Each problem has its
 own network, so a whole phase portrait or sweep runs as one batch.
 
-Columns whose networks share widths and final activation, and whose
-unitaries share a dtype, run in one loop (`_lockstep`). A column's
-measurement and residual take its unitary's dtype, so a complex measurement
-under a real unitary is rejected. Within a loop, the columns with equal |J|
-and the same unitary form a group, and columns are sorted by network, then
-group. Each column keeps its own rows U[J], measurement b, Adam step count,
-early stop and nonfinite-restart accounting.
+Columns whose networks share widths, and whose unitaries share a dtype,
+run in one loop (`_lockstep`). A column's measurement and residual take its
+unitary's dtype, so a complex measurement under a real unitary is rejected.
+Within a loop, the columns with equal |J| and the same unitary form a group,
+and columns are sorted by network, then group. Each column keeps its own
+rows U[J], measurement b, Adam step count, early stop and nonfinite-restart
+accounting.
 
 Each time the set of columns in flight changes, the loop builds a plan
 (`_Plan`). It preallocates every buffer an iteration needs: activations,
@@ -68,7 +68,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
 # The lockstep engine computes objective_value_grad column by column without
 # calling it; the binding stays because perfbench/instrument.py wraps it.
-from .gnn import GenerativeNetwork, forward, objective_value_grad, sigmoid  # noqa: F401
+from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
 from .training import adam_step
 
@@ -145,20 +145,21 @@ class _Plan:
 
     layers: per layer, the (w, input, output) views of each run, the
     (bias, output) views of each biased run, the layer's output and, for an
-    inner layer, its ReLU mask; x is the network's output. gathers: per
-    stretch of one group's columns, the (U_J, x, r) views, for r = U_J x,
-    which then becomes the residual in place; scatters: the (U_J^T, conj(r),
-    s) views, for s = U_J^T conj(r). r holds one entry per row in flight
-    (r_conj is r for real residuals); offsets are the nonempty columns' first
-    rows. pullbacks: per layer from the last, the (w^T, input, output) views
-    of each run, the output, which is the gradient over the layer's input,
-    and the ReLU mask it is multiplied by.
+    inner layer, its ReLU mask; the last layer's output is the network's
+    output x. gathers: per stretch of one group's columns, the (U_J, x, r)
+    views, for r = U_J x, which then becomes the residual in place;
+    scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r). r holds
+    one entry per row in flight (r_conj is r for real residuals); offsets
+    are the nonempty columns' first rows. pullbacks: per layer from the
+    last, the (w^T, input, output) views of each run, the output, which is
+    the gradient over the layer's input, and the ReLU mask it is multiplied
+    by; the last layer's pullback reads s.
     """
 
     def __init__(self, nets, owner, group, jrows, scale, rows_flat, b_flat, z):
         mine = [nets[j] for j in owner]  # each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
-        dtype, sigmoid_out = rows_flat.dtype, mine[0].final_activation == "sigmoid"
+        dtype = rows_flat.dtype
         self.s = np.empty((columns, n, 1), dtype=dtype)
         # For complex residuals this is a strided view. The pullback must see
         # it so: numpy's matmul rounds differently on strided operands, so a
@@ -173,13 +174,12 @@ class _Plan:
             runs = [(a, b, *pairs[a]) for a, b in _stretches(code)]
             out = np.empty((columns, runs[0][2].shape[0], 1))
             last = i == depth - 1
-            dout = self.s_real if last and not sigmoid_out else np.empty_like(out)
+            dout = self.s_real if last else np.empty_like(out)
             self.layers.append(([(w, h[a:b], out[a:b]) for a, b, w, _ in runs],
                                 [(c[:, None], out[a:b]) for a, b, _, c in runs if c is not None],
                                 out, None if last else np.empty(out.shape, dtype=bool)))
             self.pullbacks.insert(0, ([(w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs], dh, mask))
             h, dh, mask = out, dout, self.layers[-1][3]
-        self.x, self.x_grad = (np.empty_like(h), dh) if sigmoid_out else (h, None)
         entries = int(jrows.sum())
         self.scale, self.b = scale, b_flat[:entries]
         self.scale_rows = np.repeat(scale[:, 0, 0], jrows)
@@ -190,7 +190,7 @@ class _Plan:
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
             rows = rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,))
-            self.gathers.append((rows, self.x[start:stop], self.r[at:at + size].reshape(shape)))
+            self.gathers.append((rows, h[start:stop], self.r[at:at + size].reshape(shape)))
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))
             at += size
@@ -217,8 +217,6 @@ def _block_value_grad(plan, z):
         if mask is not None:
             np.greater(out, 0, out=mask)
             np.maximum(out, 0.0, out=out)
-    if plan.x is not out:
-        sigmoid(out, out=plan.x)
     for rows, x, r in plan.gathers:
         np.matmul(rows, x, out=r)
     # r = scale*(U_J x) - b, one entry per row in flight.
@@ -236,10 +234,6 @@ def _block_value_grad(plan, z):
         np.add.reduceat(plan.r_conj, plan.offsets, out=plan.value)
     else:
         plan.value[plan.nonempty] = np.add.reduceat(plan.r_conj, plan.offsets)
-    if plan.x is not out:  # s * x * (1 - x), with 1 - x in y's buffer
-        np.subtract(1.0, plan.x, out=out)
-        np.multiply(plan.s_real, plan.x, out=plan.x_grad)
-        plan.x_grad *= out
     for runs, out, mask in plan.pullbacks:
         for w_t, s, part in runs:
             np.matmul(w_t, s, out=part)
@@ -278,14 +272,14 @@ def _capacity(jrows_of, widths, dtype) -> tuple[int, int]:
     # (first the product U_J x) and its conjugate (which then holds |r|^2),
     # one entry to spare and its scale; each column its |r|^2 sum, its
     # gradient through U_J, 512 bytes of Python objects and six floats per
-    # layer width, which cover the plan's activations, ReLU masks, gradients
-    # and sigmoid buffers, the latent vector, both moments and the Adam
-    # scratch, and the sigmoid's transients. (With eight rows per column, tracemalloc puts a plan and an
-    # iteration's transients at 2.3 kB per column at the desk widths and at
-    # 15.6 kB for 8-32-256 with a sigmoid and the DFT, where this counts 5.4
-    # and 19.4 kB besides U.) One column's `rows` call, at most three arrays
-    # of that column's rows, is set aside. The rest is split between rows
-    # and columns in the queue's mean ratio.
+    # layer width, which cover the plan's activations, ReLU masks and
+    # gradients, the latent vector, both moments and the Adam scratch. (With
+    # eight rows per column and 64 to 1,024 columns, tracemalloc puts a plan
+    # and an iteration's transients at 2.7-3.2 kB per column at the desk
+    # widths and at 8.5-10.4 kB for 8-32-256 with the DFT, where this counts
+    # 5.4 and 19.4 kB besides U.) One column's `rows` call, at most three
+    # arrays of that column's rows, is set aside. The rest is split between
+    # rows and columns in the queue's mean ratio.
     n = widths[-1]
     row_bytes = (n + 4) * dtype.itemsize + 8
     column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
@@ -424,10 +418,10 @@ def recover_batch(
     loops = {}
     for c, (i, _) in enumerate(cols):
         g, a = gs[i], ops[i]  # biases are per run, so biased and unbiased networks mix
-        loop = (tuple(g.widths), g.final_activation, a.base.dtype)
+        loop = (tuple(g.widths), a.base.dtype)
         loops.setdefault(loop, {}).setdefault((a.num_rows, id(a.base)), []).append(c)
     finals = [None] * len(cols)
-    for (widths, _, dtype), groups in loops.items():
+    for (widths, dtype), groups in loops.items():
         # Sorted by network, then group: each layer then costs one product
         # per network per iteration, however many groups the networks span.
         # Ties keep the columns' order, so a problem's restarts stay adjacent.

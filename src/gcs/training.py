@@ -25,13 +25,7 @@ from .errors import (
     check_counts,
     check_integer,
 )
-from .gnn import (
-    GenerativeNetwork,
-    check_widths,
-    network_to_json,
-    relu,
-    sigmoid,
-)
+from .gnn import GenerativeNetwork, check_widths, network_to_json, relu, sigmoid, stored_widths
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
@@ -170,18 +164,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class VaeModel:
-    """A VAE: its decoder widths [k, ..., n], its final activation, and the
-    one flat parameter vector that training steps, laid out by `_layers`.
-    Every weight and bias is a view of params."""
+    """A VAE: its decoder widths [k, ..., n] and the one flat parameter
+    vector that training steps, laid out by `_layers`. Every weight and bias
+    is a view of params."""
 
     widths: list
-    final_activation: str
     params: np.ndarray = field(repr=False)
     loss_trace: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if self.final_activation not in ("none", "sigmoid"):
-            raise DomainError(f"unknown final activation {self.final_activation!r}")
 
     @cached_property
     def views(self):
@@ -192,8 +181,7 @@ class VaeModel:
     @cached_property
     def decoder(self) -> GenerativeNetwork:
         dec = self.views[2]
-        return GenerativeNetwork(weights=[w for w, _ in dec], biases=[b for _, b in dec],
-                                 final_activation=self.final_activation)
+        return GenerativeNetwork(weights=[w for w, _ in dec], biases=[b for _, b in dec])
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and log-variance of the latent posterior. x is (n,) or (B, n)."""
@@ -253,7 +241,7 @@ def _encode(enc, heads, x):
     return h @ w_mu.T + b_mu, h @ w_lv.T + b_lv, pre, act
 
 
-def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> float:
+def _vae_loss_and_grads(params, grads, x, eps_noise, reg) -> float:
     """Forward + manual backprop for one mini-batch; returns the loss.
 
     params and grads are `_unpack` views of the flat parameter and gradient
@@ -278,21 +266,13 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> f
         if i < n_dec - 1:
             h = relu(a)
             dec_act.append(h)
-    y = dec_pre[-1]
-    if final_activation == "sigmoid":
-        x_hat = sigmoid(y)
-        # BCE via logits for stability.
-        recon = float(np.sum(np.maximum(y, 0) - y * x + np.log1p(np.exp(-np.abs(y))))) / batch
-        dy = (x_hat - x) / batch
-    else:
-        x_hat = y
-        recon = 0.5 * float(np.sum((x_hat - x) ** 2)) / batch
-        dy = (x_hat - x) / batch
+    x_hat = dec_pre[-1]
+    recon = 0.5 * float(np.sum((x_hat - x) ** 2)) / batch
     kl = -0.5 * float(np.sum(1.0 + lv - mu**2 - np.exp(lv))) / batch
     loss = recon + kl
 
     # Decoder backward.
-    d = dy
+    d = (x_hat - x) / batch
     for i in range(n_dec - 1, -1, -1):
         gw, gb = g_dec[i]
         np.matmul(d.T, dec_act[i], out=gw)
@@ -328,9 +308,7 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, final_activation, reg) -> f
     return loss
 
 
-def train_vae(
-    data: np.ndarray, widths: list[int], final_activation: str, config: TrainConfig
-) -> VaeModel:
+def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeModel:
     """Train an encoder/decoder pair by Adam on the ELBO over data, a
     (count, n) array. With a reference operator config.d_op and a positive
     reg_weight, add reg_weight * rho(W_dec_final) to the loss.
@@ -363,14 +341,14 @@ def train_vae(
             idx = order[start : start + config.batch_size]
             x = data[idx]
             eps_noise = rng.standard_normal((x.shape[0], k))
-            loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, final_activation, reg)
+            loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, reg)
             if not np.isfinite(loss):
                 raise NonfiniteLoss(f"loss became {loss} at epoch {len(trace)}")
             t += 1
             adam_step(params, grads, m, v, t, config.learning_rate)
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
-    return VaeModel(list(widths), final_activation, params, trace)
+    return VaeModel(list(widths), params, trace)
 
 
 def vae_to_json(model: VaeModel) -> dict:
@@ -396,8 +374,7 @@ def vae_from_json(obj: dict) -> VaeModel:
     stored = [(f"encoder layer {i}", lay, lay["bias"]) for i, lay in enumerate(enc["layers"])]
     stored += [("mu", enc["w_mu"], enc["b_mu"]), ("log-variance", enc["w_lv"], enc["b_lv"])]
     stored += [(f"decoder layer {i}", lay, lay["bias"]) for i, lay in enumerate(dec["layers"])]
-    widths = dec["widths"]
-    check_widths(widths)
+    widths = stored_widths(dec)
     layout = _layers(widths)
     if len(stored) != len(layout):
         raise DimensionMismatch(f"{len(stored)} weights, where widths {widths} give {len(layout)}")
@@ -409,8 +386,7 @@ def vae_from_json(obj: dict) -> VaeModel:
                 raise DimensionMismatch(f"{name} {what} is {value.dtype} {value.shape}, where "
                                         f"widths {widths} give {view.dtype} {view.shape}")
             view[...] = value
-    return VaeModel(widths, dec.get("final_activation", "none"), params,
-                    list(obj.get("loss_trace", [])))
+    return VaeModel(widths, params, list(obj.get("loss_trace", [])))
 
 
 def save_vae(model: VaeModel, path: str, decoder_path: str | None = None) -> None:

@@ -78,11 +78,11 @@ def random_orthonormal(n, k, seed):
     return np.linalg.qr(derive_rng(seed).standard_normal((n, k)))[0]
 
 
-def seeded_network(widths, seed, biases=False, final="none"):
+def seeded_network(widths, seed, biases=False):
     rng = derive_rng(seed)
     ws = [rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])]
     bs = [rng.standard_normal(b) for b in widths[1:]] if biases else None
-    return GenerativeNetwork(weights=ws, biases=bs, final_activation=final)
+    return GenerativeNetwork(weights=ws, biases=bs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +328,17 @@ def test_criterion_10_regularizer_effect():
     lowered = 0
     for seed in range(5):
         a_plain = network_coherence_heuristic(
-            train_vae(data, widths, "none", TrainConfig(epochs=8, seed=seed)).decoder, u
+            train_vae(data, widths, TrainConfig(epochs=8, seed=seed)).decoder, u
         )
         a_reg = network_coherence_heuristic(
-            train_vae(data, widths, "none", TrainConfig(epochs=8, seed=seed, d_op=u)).decoder, u
+            train_vae(data, widths, TrainConfig(epochs=8, seed=seed, d_op=u)).decoder, u
         )
         lowered += a_reg < a_plain - 0.02
     ok = lowered >= 4
 
     # Measurement sweep for the committed pair (training seed 2).
-    m_plain = train_vae(data, widths, "none", TrainConfig(epochs=8, seed=2))
-    m_reg = train_vae(data, widths, "none", TrainConfig(epochs=8, seed=2, d_op=u))
+    m_plain = train_vae(data, widths, TrainConfig(epochs=8, seed=2))
+    m_reg = train_vae(data, widths, TrainConfig(epochs=8, seed=2, d_op=u))
     test_samples = synth_dataset(64, 4, 200, seed=6)
     sweep = SweepConfig(
         m_list=[6, 8, 10, 12, 16],
@@ -442,7 +442,7 @@ def test_criterion_13_cli_reproducibility(tmp_path):
 
     data = synth_dataset(16, 2, 100, seed=1)
     model = train_vae(
-        data, [2, 8, 16], "none", TrainConfig(epochs=1, seed=0, batch_size=32)
+        data, [2, 8, 16], TrainConfig(epochs=1, seed=0, batch_size=32)
     )
     save_vae(model, str(tmp_path / "model.json"))
     sweep_cfg = {

@@ -16,7 +16,7 @@ import pytest
 from gcs import coherence
 from gcs.coherence import ChordSampler, chord_coherence_mc
 from gcs.errors import DimensionMismatch
-from gcs.gnn import GenerativeNetwork, forward, hidden, relu, sigmoid
+from gcs.gnn import GenerativeNetwork, forward, hidden, relu
 from gcs.harness import run_rip_check, run_subspace_rip
 from gcs.sampling import derive_rng, sampler_for, spawn_seed
 from gcs.transforms import dct2_operator, dft_operator, explicit_operator
@@ -33,7 +33,7 @@ def oracle_forward(g, z):
             h = h + (g.biases[i] if h.ndim == 1 else g.biases[i][:, None])
         if i < g.depth - 1:
             h = relu(h)
-    return sigmoid(h) if g.final_activation == "sigmoid" else h
+    return h
 
 
 def oracle_chord_coherence_mc(g, u, samples, seed, chunk=8192):
@@ -106,13 +106,12 @@ def operator(kind):
     return explicit_operator((1.0 + 1e-10) * q)
 
 
-def network(depth, seed, biases=False, final="none"):
+def network(depth, seed, biases=False):
     rng = derive_rng(seed)
     widths = WIDTHS[depth]
     return GenerativeNetwork(
         weights=[rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])],
         biases=[rng.standard_normal(b) for b in widths[1:]] if biases else None,
-        final_activation=final,
     )
 
 
@@ -138,22 +137,13 @@ def test_chord_coherence_mc_biased_network(kind, depth):
 
 
 @pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
-def test_chord_coherence_mc_sigmoid_is_unchanged(kind):
-    g, u = network(2, seed=20, biases=True, final="sigmoid"), operator(kind)
-    assert chord_coherence_mc(g, u, samples=2000, seed=8) == oracle_chord_coherence_mc(
-        g, u, samples=2000, seed=8
-    )
-
-
-@pytest.mark.parametrize("kind", ["dct", "dft", "explicit"])
-@pytest.mark.parametrize("net", ["depth1", "depth3", "biased", "sigmoid"])
+@pytest.mark.parametrize("net", ["depth1", "depth3", "biased"])
 @pytest.mark.parametrize("columns", [1, 37, 256])
 def test_chord_coherence_mc_column_blocks_split_chunks(monkeypatch, kind, net, columns):
     # Blocks narrower than a chunk split it, and the short last chunk too
     # (3000 = 4 * 700 + 200); a complex U gets blocks half as wide.
     g = {"depth1": lambda: network(1, seed=60), "depth3": lambda: network(3, seed=61),
-         "biased": lambda: network(2, seed=62, biases=True),
-         "sigmoid": lambda: network(2, seed=63, biases=True, final="sigmoid")}[net]()
+         "biased": lambda: network(2, seed=62, biases=True)}[net]()
     u = operator(kind)
     monkeypatch.setattr(coherence, "MC_BLOCK_BYTES", columns * 8 * N)
     width = max(1, columns // (2 if kind == "dft" else 1))
@@ -255,17 +245,14 @@ def test_chord_sampler_real_unitary_is_one_real_part():
     assert np.array_equal(chords.moduli(z1, z2, rows), np.abs(proj[rows] @ unit))
 
 
-@pytest.mark.parametrize("final", ["none", "sigmoid"])
-def test_chord_sampler_drops_chords_of_norm_at_most_1e_10(final):
-    # The columns of q are orthonormal, so a one-layer linear network maps
-    # z1 - z2 to a chord of the same norm; near 0 the sigmoid's slope is 1/4.
+def test_chord_sampler_drops_chords_of_norm_at_most_1e_10():
+    # The columns of q are orthonormal, so a one-layer network maps z1 - z2
+    # to a chord of the same norm.
     q = np.linalg.qr(derive_rng(44).standard_normal((N, 3)))[0]
-    g = GenerativeNetwork(weights=[q], final_activation=final)
-    chords = ChordSampler(g, operator("dft"))
-    scale = 4.0 if final == "sigmoid" else 1.0
+    chords = ChordSampler(GenerativeNetwork(weights=[q]), operator("dft"))
     z1 = np.zeros((3, 5))
     z2 = np.zeros((3, 5))
-    z2[0] = scale * np.array([0.0, 5e-11, 1e-10 / 1.01, 1e-9, 1.0])
+    z2[0] = [0.0, 5e-11, 1e-10 / 1.01, 1e-9, 1.0]
     mod = chords.moduli(z1, z2)
     assert mod.shape == (N, 2)
     np.testing.assert_allclose(np.linalg.norm(mod, axis=0), 1.0, rtol=1e-12)
@@ -278,15 +265,13 @@ def test_chord_sampler_rejects_dimension_mismatch():
         ChordSampler(network(2, seed=0), dct2_operator(N + 1))
 
 
-@pytest.mark.parametrize("final", ["none", "sigmoid"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_forward_is_final_layer_over_hidden(depth, final):
+def test_forward_is_final_layer_over_hidden(depth):
     # forward runs the same operations in the same order as the layer loop.
-    g = network(depth, seed=50 + depth, biases=True, final=final)
+    g = network(depth, seed=50 + depth, biases=True)
     z = derive_rng(51).standard_normal((3, 20))
     assert np.array_equal(forward(g, z), oracle_forward(g, z))
     for j in range(3):
         assert np.array_equal(forward(g, z[:, j]), oracle_forward(g, z[:, j]))
     w, b = g.weights[-1], g.biases[-1][:, None]
-    if final == "none":
-        assert np.array_equal(forward(g, z), w @ hidden(g, z) + b)
+    assert np.array_equal(forward(g, z), w @ hidden(g, z) + b)

@@ -488,15 +488,28 @@ def test_rip_bad_grid_or_count_exits_2_before_any_trial(tmp_path, monkeypatch, c
 def write_unfit_models(tmp_path):
     """Model files for widths [2, 8, 16], each whole but for one part that
     does not fit them: w_mu one column short, b_mu or the first encoder bias
-    cut to one entry."""
+    cut to one entry, the decoder's widths edited to [2, 9, 16], or its final
+    activation a sigmoid. Also copies of out/desk/weights/g_w_low.json with
+    its "widths" edited to [9, 99] or its final activation a sigmoid."""
     # 340 is the size of the [2, 8, 16] layout.
-    obj = vae_to_json(VaeModel([2, 8, 16], "none", derive_rng(4).standard_normal(340)))
-    enc = obj["encoder"]
+    obj = vae_to_json(VaeModel([2, 8, 16], derive_rng(4).standard_normal(340)))
+    enc, dec = obj["encoder"], obj["decoder"]
     w_mu = {**enc["w_mu"], "cols": 7, "data": enc["w_mu"]["data"].reshape(2, 8)[:, :7].ravel()}
     layer = {**enc["layers"][0], "bias": enc["layers"][0]["bias"][:1]}
     for name, edit in [("w_mu_short", {"w_mu": w_mu}), ("b_mu_cut", {"b_mu": enc["b_mu"][:1]}),
                        ("bias_cut", {"layers": [layer]})]:
         write_json({**obj, "encoder": {**enc, **edit}}, str(tmp_path / f"{name}.json"))
+    for name, edit in [("widths_model", {"widths": [2, 9, 16]}),
+                       ("sigmoid_model", {"final_activation": "sigmoid"})]:
+        write_json({**obj, "decoder": {**dec, **edit}}, str(tmp_path / f"{name}.json"))
+    with open(os.path.join(ROOT, "out", "desk", "weights", "g_w_low.json")) as f:
+        net = json.load(f)
+    for name, edit in [("widths", {"widths": [9, 99]}), ("sigmoid", {"final_activation": "sigmoid"})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**net, **edit}))
+
+
+WIDTHS_EDITED = "widths.json: bad contents: widths [9, 99], where the layers give [4, 16, 64]"
+SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer is linear"
 
 
 @pytest.mark.parametrize("argv, edits, message", [
@@ -587,6 +600,21 @@ def write_unfit_models(tmp_path):
      "betas must be finite, got [0.0, nan]"),
     (["phase", "--config", "phase.json"], {"betas": [0.0, float("inf")]},
      "betas must be finite, got [0.0, inf]"),
+    (["coherence", "--weights", "widths.json"], {}, WIDTHS_EDITED),
+    (["rip", "--weights", "widths.json", "--m-list", "8"], {}, WIDTHS_EDITED),
+    (["recover", "--weights", "widths.json", "--m", "8"], {}, WIDTHS_EDITED),
+    (["phase", "--config", "phase.json"], {"w_high": "widths.json"},
+     "widths.json: missing key 'rows'"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "widths_model.json"}},
+     "widths_model.json: bad contents: encoder layer 0 weight is float64 (8, 16), where widths "
+     "[2, 9, 16] give float64 (9, 16)"),
+    (["coherence", "--weights", "sigmoid.json"], {}, "sigmoid.json: " + SIGMOID),
+    (["rip", "--weights", "sigmoid.json", "--m-list", "8"], {}, "sigmoid.json: " + SIGMOID),
+    (["recover", "--weights", "sigmoid.json", "--m", "8"], {}, "sigmoid.json: " + SIGMOID),
+    (["phase", "--config", "phase.json"], {"w_low": "sigmoid.json"},
+     "sigmoid.json: missing key 'rows'"),
+    (["sweep", "--config", "sweep.json"], {"models": {"a": "sigmoid_model.json"}},
+     "sigmoid_model.json: " + SIGMOID),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
@@ -598,7 +626,10 @@ def write_unfit_models(tmp_path):
         "sweep-model-encoder-bias-cut", "phase-null-w_high", "phase-integer-w_low",
         "phase-string-inner_weights", "phase-integer-inner-entry", "sweep-null-model",
         "idx-integer-images", "synth-unknown-key", "synth-images-key", "idx-unknown-key",
-        "phase-nan-beta", "phase-infinite-beta"])
+        "phase-nan-beta", "phase-infinite-beta", "coherence-widths-edited",
+        "rip-widths-edited", "recover-widths-edited", "phase-widths-edited",
+        "sweep-model-widths-edited", "coherence-sigmoid", "rip-sigmoid", "recover-sigmoid",
+        "phase-sigmoid", "sweep-model-sigmoid"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)
@@ -848,3 +879,17 @@ def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, 
     assert cli.main(argv) == 0
     assert sorted(os.listdir(argv[i])) == names
     assert filecmp.cmpfiles(out_dir, argv[i], names, shallow=False)[0] == names
+
+
+def test_every_benchmark_binding_resolves_in_gcs(monkeypatch):
+    # perfbench/instrument.py wraps each (module, attribute) of SPANS and HOT
+    # by getattr, so a binding gone from gcs would crash every traced run.
+    import importlib
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    instrument = importlib.import_module("instrument")
+    bindings = [(module, name) for module, name, _ in instrument.SPANS + instrument.HOT]
+    assert bindings
+    missing = [f"gcs.{module}.{name}" for module, name in bindings
+               if not hasattr(importlib.import_module(f"gcs.{module}"), name)]
+    assert missing == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from gcs.sampling import derive_rng, sample_fixed, apply
 from gcs.transforms import dct2_operator
 
 
-def random_network(widths, seed, biases=False, final="none"):
+def random_network(widths, seed, biases=False):
     rng = derive_rng(seed)
     ws = [rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])]
     bs = [rng.standard_normal(b) for b in widths[1:]] if biases else None
-    return GenerativeNetwork(weights=ws, biases=bs, final_activation=final)
+    return GenerativeNetwork(weights=ws, biases=bs)
 
 
 def forward_oracle(g, z):
@@ -41,15 +42,12 @@ def forward_oracle(g, z):
             h = h + g.biases[i]
         if i != len(g.weights) - 1:
             h = np.where(h > 0, h, 0.0)
-    if g.final_activation == "sigmoid":
-        h = 1.0 / (1.0 + np.exp(-h))
     return h
 
 
 @pytest.mark.parametrize("biases", [False, True])
-@pytest.mark.parametrize("final", ["none", "sigmoid"])
-def test_forward_matches_oracle(biases, final):
-    g = random_network([3, 6, 10], seed=0, biases=biases, final=final)
+def test_forward_matches_oracle(biases):
+    g = random_network([3, 6, 10], seed=0, biases=biases)
     rng = derive_rng(1)
     for _ in range(25):
         z = rng.standard_normal(3)
@@ -82,8 +80,6 @@ def test_network_validation():
         GenerativeNetwork(weights=[np.ones((2, 3)), np.ones((5, 2))])
     with pytest.raises(DimensionMismatch):
         GenerativeNetwork(weights=[np.ones((4, 2)), np.ones((5, 3))])  # chain broken
-    with pytest.raises(DomainError):
-        GenerativeNetwork(weights=[np.ones((4, 2))], final_activation="tanh")
 
 
 def test_width_properties():
@@ -132,11 +128,9 @@ def test_difference_network_kills_diagonal():
     )
 
 
-def test_difference_network_rejects_biased_or_sigmoid():
+def test_difference_network_rejects_biased():
     with pytest.raises(Unsupported):
         difference_network(random_network([2, 4, 6], seed=0, biases=True))
-    with pytest.raises(Unsupported):
-        difference_network(random_network([2, 4, 6], seed=0, final="sigmoid"))
 
 
 def test_log_region_bound_values():
@@ -194,10 +188,9 @@ def _away_from_kinks(g, z, tol=1e-3):
     return True
 
 
-@pytest.mark.parametrize("final", ["none", "sigmoid"])
-def test_gradient_matches_finite_differences(final):
+def test_gradient_matches_finite_differences():
     u = dct2_operator(16)
-    g = random_network([3, 5, 16], seed=20, biases=True, final=final)
+    g = random_network([3, 5, 16], seed=20, biases=True)
     a = sample_fixed(u, 8, seed=21)
     rng = derive_rng(22)
     checked = 0
@@ -241,8 +234,9 @@ def test_relu_and_sigmoid_basics():
 
 @pytest.mark.parametrize("biases", [False, True])
 def test_network_json_roundtrip(biases, tmp_path):
-    g = random_network([2, 5, 7], seed=40, biases=biases, final="sigmoid")
+    g = random_network([2, 5, 7], seed=40, biases=biases)
     obj = network_to_json(g)
+    assert (obj["widths"], obj["final_activation"]) == ([2, 5, 7], "none")
     g2 = network_from_json(obj)
     for w1, w2 in zip(g.weights, g2.weights):
         np.testing.assert_array_equal(w1, w2)
@@ -254,3 +248,22 @@ def test_network_json_roundtrip(biases, tmp_path):
     g3 = load_network(str(path))
     z = derive_rng(41).standard_normal(2)
     np.testing.assert_array_equal(forward(g, z), forward(g3, z))
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    ({"widths": [9, 99]}, DimensionMismatch, "widths [9, 99], where the layers give [2, 5, 7]"),
+    ({"widths": [1, 7]}, DimensionMismatch, "code dimension must be >= 2"),
+    ({"final_activation": "sigmoid"}, DomainError, "final activation 'sigmoid': every network's "
+                                                    "final layer is linear"),
+], ids=["widths-edited", "widths-bad", "sigmoid"])
+def test_network_from_json_checks_widths_and_final_activation(edit, error, message):
+    obj = {**network_to_json(random_network([2, 5, 7], seed=42)), **edit}
+    with pytest.raises(error, match=re.escape(message)):
+        network_from_json(obj)
+
+
+def test_network_from_json_reads_a_file_without_final_activation():
+    g = random_network([2, 5, 7], seed=43, biases=True)
+    obj = network_to_json(g)
+    del obj["final_activation"]
+    assert network_from_json(obj).widths == [2, 5, 7]

@@ -221,7 +221,7 @@ def test_measurement_sweep_shared_targets():
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
     cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
-    model = train_vae(data, [2, 8, 16], "none", cfg)
+    model = train_vae(data, [2, 8, 16], cfg)
     sw = SweepConfig(
         m_list=[8, 16], trials=2, seed=2, d_op=u,
         recovery=RecoveryConfig(max_iters=300),
@@ -269,11 +269,6 @@ def test_rip_check_rejections():
     rng = derive_rng(5)
     w = [rng.standard_normal((4, 2)), rng.standard_normal((8, 4))]
     u = dct2_operator(8)
-    with pytest.raises(Unsupported):
-        run_rip_check(
-            GenerativeNetwork(weights=w, final_activation="sigmoid"),
-            u, [8], 0.5, 10, 2, 0,
-        )
     with pytest.raises(Unsupported):
         run_rip_check(
             GenerativeNetwork(weights=w, biases=[np.zeros(4), np.zeros(8)]),
@@ -409,7 +404,7 @@ def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
     # Two different decoders of one shape, recovered in one batch.
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
-    models = [(name, train_vae(data, [2, 8, 16], "none",
+    models = [(name, train_vae(data, [2, 8, 16],
                                TrainConfig(epochs=2, seed=seed, d_op=u, batch_size=32)))
               for name, seed in (("a", 0), ("b", 1))]
     sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
@@ -418,13 +413,13 @@ def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
 
 
 def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
-    # Decoders of other widths and final activations share one sweep.
+    # Decoders of other widths share one sweep.
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
     cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
-    models = [("a", train_vae(data, [2, 8, 16], "none", cfg)),
-              ("b", train_vae(data, [2, 6, 16], "none", cfg)),
-              ("c", train_vae(data, [2, 8, 16], "sigmoid", cfg))]
+    models = [("a", train_vae(data, [2, 8, 16], cfg)),
+              ("b", train_vae(data, [2, 6, 16], cfg)),
+              ("c", train_vae(data, [2, 4, 8, 16], cfg))]
     sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
                      recovery=RecoveryConfig(max_iters=300, restarts=2))
     assert_sweep_equals_per_trial_recovery(models, data, sw)

@@ -231,11 +231,11 @@ def assert_identical(got, want):
     )
 
 
-def small_network(widths, seed, biases=False, final="none"):
+def small_network(widths, seed, biases=False):
     rng = derive_rng(seed)
     weights = [rng.standard_normal((b, a)) / np.sqrt(a) for a, b in zip(widths[:-1], widths[1:])]
     bs = [0.1 * rng.standard_normal(b) for b in widths[1:]] if biases else None
-    return GenerativeNetwork(weights=weights, biases=bs, final_activation=final)
+    return GenerativeNetwork(weights=weights, biases=bs)
 
 
 def cell_problems(g, u, m_list, seed, sampler=sample_fixed, config=RecoveryConfig()):
@@ -263,10 +263,9 @@ def assert_batch_matches_oracle(g, ops, bs, configs, x0s):
 
 @pytest.mark.parametrize("unitary", ["dct", "dft", "dct-complex-b"])
 @pytest.mark.parametrize("biases", [False, True])
-@pytest.mark.parametrize("final", ["none", "sigmoid"])
-def test_batch_matches_scalar_loop_fixed(unitary, biases, final, monkeypatch):
+def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
     u = (dft_operator if unitary == "dft" else dct2_operator)(24)
-    g = small_network([3, 10, 24], seed=40, biases=biases, final=final)
+    g = small_network([3, 10, 24], seed=40, biases=biases)
     # Equal |J| throughout, so every column is in one group.
     ops, bs, configs, x0s = cell_problems(g, u, [10] * 5, seed=41,
                                           config=RecoveryConfig(max_iters=600))
@@ -449,14 +448,13 @@ def test_batch_validation():
     n=st.integers(4, 12),
     unitary=st.sampled_from(["dct", "dft"]),
     biases=st.booleans(),
-    final=st.sampled_from(["none", "sigmoid"]),
     bernoulli=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_batch_equals_scalar_property(k, width, n, unitary, biases, final, bernoulli, seed):
+def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, seed):
     width = max(width, k)
     u = (dct2_operator if unitary == "dct" else dft_operator)(n)
-    g = small_network([k, width, n], seed=seed, biases=biases, final=final)
+    g = small_network([k, width, n], seed=seed, biases=biases)
     m_list = [max(2, (n * (t + 1)) // 4) for t in range(3)]
     sampler = sample_bernoulli if bernoulli else sample_fixed
     ops, bs, configs, x0s = cell_problems(g, u, m_list, seed, sampler,
@@ -530,15 +528,6 @@ def test_mixed_batch_biased_nets_differ_everywhere(unitary):
     assert_mixed_batch_matches(*problems)
 
 
-def test_mixed_batch_sigmoid_final():
-    u = dct2_operator(16)
-    nets = [small_network([3, 8, 16], seed=67 + i, biases=True, final="sigmoid")
-            for i in range(2)]
-    problems = mixed_problems(nets, u, [8] * 8, seed=69,
-                              config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
-    assert_mixed_batch_matches(*problems)
-
-
 def test_mixed_batch_split_over_capped_blocks(monkeypatch):
     import gcs.recovery
 
@@ -555,15 +544,15 @@ def test_mixed_batch_split_over_capped_blocks(monkeypatch):
 
 
 def test_mixed_batch_of_different_shapes():
-    # Networks of other widths, code dims and final activation get loops of
-    # their own within one call; biased and unbiased networks share one.
+    # Networks of other widths and code dims get loops of their own within
+    # one call; biased and unbiased networks share one.
     u = dct2_operator(16)
     nets = [
         small_network([3, 8, 16], seed=75),
         small_network([3, 9, 16], seed=76),
         small_network([2, 8, 16], seed=77),
         small_network([3, 8, 16], seed=78, biases=True),
-        small_network([3, 8, 16], seed=79, biases=True, final="sigmoid"),
+        small_network([3, 10, 16], seed=79, biases=True),
     ]
     problems = mixed_problems(nets, u, [8, 10] * 5, seed=74,
                               config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
@@ -674,14 +663,14 @@ def three_group_problems(g, u, sampler, seed, config):
 
 @pytest.mark.parametrize("unitary", ["dct", "dft"])
 @pytest.mark.parametrize("sampler", [sample_fixed, sample_bernoulli])
-@pytest.mark.parametrize("biases, final", [(True, "none"), (False, "sigmoid")])
-def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases, final):
+@pytest.mark.parametrize("biases", [True, False])
+def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases):
     import gcs.recovery
 
     # n = 14: numpy's matmul rounds a strided operand of that length otherwise
     # than a contiguous one, so the DFT pullback must go through the view.
     u = (dct2_operator if unitary == "dct" else dft_operator)(14)
-    g = small_network([3, 8, 14], seed=82, biases=biases, final=final)
+    g = small_network([3, 8, 14], seed=82, biases=biases)
     ops, bs, configs, x0s = three_group_problems(g, u, sampler, 83,
                                                  RecoveryConfig(max_iters=300, grad_tol=1e-4))
     # BLOCK_BYTES at a third of the rows: later columns wait, then enter
@@ -720,19 +709,19 @@ def test_max_iters_groups_run_in_one_loop(monkeypatch, limited):
     assert len(trace["in_flight"]) <= config.max_iters + delay < 3 * config.max_iters
 
 
-@pytest.mark.parametrize("unitary, widths, final, m_list, budget", [
-    ("dct", [4, 16, 64], "none", [8, 16, 32, 64], 2**19),
-    ("dft", [4, 16, 64], "sigmoid", [8, 16, 32, 64], 2**19),
-    ("dct", [8, 32, 256], "none", [4, 8, 16], 2**20),
-    ("dft", [8, 32, 256], "sigmoid", [4, 8, 16], 2**20),
+@pytest.mark.parametrize("unitary, widths, m_list, budget", [
+    ("dct", [4, 16, 64], [8, 16, 32, 64], 2**19),
+    ("dft", [4, 16, 64], [8, 16, 32, 64], 2**19),
+    ("dct", [8, 32, 256], [4, 8, 16], 2**20),
+    ("dft", [8, 32, 256], [4, 8, 16], 2**20),
 ])
-def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, final, m_list, budget):
+def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, m_list, budget):
     import tracemalloc
     import gcs.recovery
 
     # n = 256 builds rows by formula (FFT_MIN_N), whose temporaries count too.
     u = (dct2_operator if unitary == "dct" else dft_operator)(widths[-1])
-    g = small_network(widths, seed=86, biases=True, final=final)
+    g = small_network(widths, seed=86, biases=True)
     ops, bs, configs, x0s = cell_problems(g, u, m_list * 12, seed=87,
                                           config=RecoveryConfig(max_iters=30, grad_tol=1e-30))
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", budget)

@@ -251,10 +251,10 @@ def test_flat_adam_equals_list_oracle_bitwise():
 # ---------------------------------------------------------------------------
 
 
-def small_run(seed=0, final="none", epochs=2):
+def small_run(seed=0, epochs=2):
     data = synth_dataset(16, 2, 200, seed=1)
     cfg = TrainConfig(epochs=epochs, seed=seed, batch_size=32)
-    return train_vae(data, [2, 8, 16], final, cfg)
+    return train_vae(data, [2, 8, 16], cfg)
 
 
 def test_train_deterministic_per_seed():
@@ -280,8 +280,8 @@ def test_trained_model_reconstructs_better_than_init():
         x_hat = forward(model.decoder, mu.T).T
         return float(np.mean(np.linalg.norm(x_hat - x, axis=1) / np.linalg.norm(x, axis=1)))
 
-    init = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=0, seed=0))
-    trained = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=8, seed=0))
+    init = train_vae(data, [8, 32, 64], TrainConfig(epochs=0, seed=0))
+    trained = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0))
     assert recon_err(trained) < 0.5 * recon_err(init)
 
 
@@ -296,8 +296,8 @@ def test_encoder_shapes():
 def test_regularized_training_lowers_coherence():
     u = dct2_operator(64)
     data = synth_dataset(64, 4, 2000, seed=5)
-    m_plain = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=8, seed=0))
-    m_reg = train_vae(data, [8, 32, 64], "none", TrainConfig(epochs=8, seed=0, d_op=u))
+    m_plain = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0))
+    m_reg = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0, d_op=u))
     a_plain = network_coherence_heuristic(m_plain.decoder, u)
     a_reg = network_coherence_heuristic(m_reg.decoder, u)
     assert a_reg < a_plain - 0.02
@@ -308,7 +308,7 @@ def test_training_regularizes_only_with_an_operator_and_a_positive_weight():
     # the operator with a positive weight moves the decoder.
     data = synth_dataset(16, 2, 50, seed=0)
     u = dct2_operator(16)
-    runs = [train_vae(data, [2, 8, 16], "none", TrainConfig(epochs=1, **kw)).params
+    runs = [train_vae(data, [2, 8, 16], TrainConfig(epochs=1, **kw)).params
             for kw in ({"reg_weight": 0.0}, {}, {"reg_weight": 0.0, "d_op": u}, {"d_op": u})]
     assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
     assert runs[3].tobytes() != runs[0].tobytes()
@@ -331,13 +331,14 @@ def test_train_config_takes_zero_regularizer_weights():
 
 def test_train_rejects_empty_and_mismatched():
     with pytest.raises(EmptyDataset):
-        train_vae(np.zeros((0, 16)), [2, 8, 16], "none", TrainConfig(epochs=1))
+        train_vae(np.zeros((0, 16)), [2, 8, 16], TrainConfig(epochs=1))
     with pytest.raises(DimensionMismatch):
-        train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], "none", TrainConfig(epochs=1))
+        train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], TrainConfig(epochs=1))
 
 
 def test_vae_loss_gradient_finite_difference():
-    # End-to-end check of the manual backprop through a tiny batch.
+    # End-to-end check of the manual backprop through a tiny batch, on the
+    # squared-error loss of the linear final layer.
     from gcs.training import _init_params, _unpack, _vae_loss_and_grads
 
     def arrays(unpacked):
@@ -355,7 +356,7 @@ def test_vae_loss_gradient_finite_difference():
     eps_noise = rng.standard_normal((3, 2))
     u = dct2_operator(6)
     reg = (10.0, 1.0, u)
-    _vae_loss_and_grads(params, grads, x, eps_noise, "sigmoid", reg)
+    _vae_loss_and_grads(params, grads, x, eps_noise, reg)
     assert np.all(np.isfinite(grad_flat))
     h = 1e-6
     rel_errs = []
@@ -364,9 +365,9 @@ def test_vae_loss_gradient_finite_difference():
         for j in range(min(3, p.size)):
             orig = p[j]
             p[j] = orig + h
-            lp = _vae_loss_and_grads(params, scratch, x, eps_noise, "sigmoid", reg)
+            lp = _vae_loss_and_grads(params, scratch, x, eps_noise, reg)
             p[j] = orig - h
-            lm = _vae_loss_and_grads(params, scratch, x, eps_noise, "sigmoid", reg)
+            lm = _vae_loss_and_grads(params, scratch, x, eps_noise, reg)
             p[j] = orig
             fd = (lp - lm) / (2 * h)
             gj = g.reshape(-1)[j]
@@ -401,7 +402,7 @@ def test_vae_json_roundtrip(tmp_path):
 
 
 def test_every_weight_and_bias_is_a_view_of_params(tmp_path):
-    m = small_run(final="sigmoid")
+    m = small_run()
     save_vae(m, str(tmp_path / "vae.json"))
     loaded = load_vae(str(tmp_path / "vae.json"))
     for model in (m, loaded):
@@ -411,7 +412,7 @@ def test_every_weight_and_bias_is_a_view_of_params(tmp_path):
         assert len(arrays) == 14
         assert all(np.shares_memory(a, model.params) for a in arrays)
     assert loaded.params.tobytes() == m.params.tobytes()
-    assert (loaded.widths, loaded.final_activation) == ([2, 8, 16], "sigmoid")
+    assert loaded.widths == [2, 8, 16]
 
 
 def cut(entries, count=1):
@@ -437,10 +438,13 @@ def cut(entries, count=1):
     (lambda e, d: d.update(widths=[2, 8, 8, 16]), "5 weights, where widths [2, 8, 8, 16] give 7"),
     (lambda e, d: d.update(widths=[2, 9, 16]), "encoder layer 0 weight is float64 (8, 16), where "),
     (lambda e, d: d["layers"][1].pop("bias"), "missing key 'bias'"),
-    (lambda e, d: d.update(final_activation="tanh"), "unknown final activation 'tanh'"),
+    (lambda e, d: d.update(final_activation="tanh"), "final activation 'tanh': every network's "
+                                                     "final layer is linear"),
+    (lambda e, d: d.update(final_activation="sigmoid"), "final activation 'sigmoid': every "
+                                                        "network's final layer is linear"),
 ], ids=["w_mu-column-short", "b_mu-cut", "encoder-bias-cut", "nan-bias", "complex-weight",
         "extra-encoder-layer", "widths-too-deep", "widths-wrong", "decoder-bias-missing",
-        "final-activation"])
+        "final-activation", "final-activation-sigmoid"])
 def test_load_vae_rejects_a_file_that_does_not_fit_its_layout(tmp_path, edit, message):
     path = tmp_path / "vae.json"
     save_vae(small_run(), str(path))
@@ -453,7 +457,7 @@ def test_load_vae_rejects_a_file_that_does_not_fit_its_layout(tmp_path, edit, me
 
 
 def test_saved_vae_and_decoder_bytes_equal_json_dump(tmp_path):
-    m = small_run(final="sigmoid")
+    m = small_run()
     for save, to_json, obj in [
         (save_vae, vae_to_json, m),
         (save_network, network_to_json, m.decoder),

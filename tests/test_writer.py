@@ -30,17 +30,17 @@ def dumped(obj) -> bytes:
     return json.dumps(obj, default=np.ndarray.tolist).encode()
 
 
-def network(widths, seed, biases=False, final="none"):
+def network(widths, seed, biases=False):
     rng = derive_rng(seed)
     ws = [rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])]
     bs = [rng.standard_normal(b) for b in widths[1:]] if biases else None
-    return GenerativeNetwork(weights=ws, biases=bs, final_activation=final)
+    return GenerativeNetwork(weights=ws, biases=bs)
 
 
-def vae(k, h, n, seed, final="none"):
+def vae(k, h, n, seed):
     """A VaeModel with Gaussian parameters, one encoder layer n -> h."""
     size = (n + 1) * h + 2 * (h + 1) * k + (k + 1) * h + (h + 1) * n
-    return VaeModel([k, h, n], final, derive_rng(seed).standard_normal(size), [3.5, 2.25])
+    return VaeModel([k, h, n], derive_rng(seed).standard_normal(size), [3.5, 2.25])
 
 
 @pytest.mark.parametrize("size", [1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1, 2 * JSON_CHUNK])
@@ -73,9 +73,9 @@ def test_write_json_streams_any_json_value(tmp_path):
     assert (tmp_path / "o.json").read_bytes() == dumped(obj)
 
 
-@pytest.mark.parametrize("biases, final", [(False, "none"), (True, "none"), (True, "sigmoid")])
-def test_network_bytes(tmp_path, monkeypatch, biases, final):
-    g = network([3, 7, 11], seed=2, biases=biases, final=final)
+@pytest.mark.parametrize("biases", [False, True])
+def test_network_bytes(tmp_path, monkeypatch, biases):
+    g = network([3, 7, 11], seed=2, biases=biases)
     # A chunk of 4 floats puts boundaries inside every weight and bias.
     for chunk in (JSON_CHUNK, 4):
         monkeypatch.setattr(linops, "JSON_CHUNK", chunk)
@@ -85,7 +85,7 @@ def test_network_bytes(tmp_path, monkeypatch, biases, final):
 
 @pytest.mark.parametrize("with_decoder", [False, True])
 def test_vae_bytes(tmp_path, monkeypatch, with_decoder):
-    model = vae(3, 9, 16, seed=4, final="sigmoid")
+    model = vae(3, 9, 16, seed=4)
     decoder_path = str(tmp_path / "m.decoder.json") if with_decoder else None
     for chunk in (JSON_CHUNK, 5):
         monkeypatch.setattr(linops, "JSON_CHUNK", chunk)
