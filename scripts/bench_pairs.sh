@@ -13,14 +13,17 @@
 # value of each, then per metric the medians, the parent's interquartile
 # range (IQR) and the number of pairs in which the change is better.
 #
-# Last come two verdict lines per metric. The claim line, for a claim that
+# Last come three verdict lines per metric. The claim line, for a claim that
 # the change improves the metric: whether the change is better in at least
 # nine tenths of the pairs (9 of 10 seeds), and whether its median is better
 # than the parent's by more than the parent's IQR; both must read "yes" for
 # the claim to hold. The no-regression line: whether the change's median is
 # worse than the parent's by at most bound x the parent's median; it reads
 # "unresolved" when the parent's IQR over its median exceeds the bound, as
-# the runs then spread too widely to tell. Calls nothing but perfbench.
+# the runs then spread too widely to tell. The separation line: whether
+# every change run is better than every parent run, which still shows a
+# real change where the runs spread wider than the bound. Calls nothing but
+# perfbench.
 # A run that exits nonzero, or whose last line is not a JSON object with
 # metrics, stops the script with status 1 before any summary.
 set -e
@@ -96,5 +99,9 @@ for m in metrics:
     held = "unresolved" if iqr > allowed else "yes" if worse <= allowed else "no"
     verdicts.append(f"no-regression {name}: median worse by {worse:.4g} <= {bound:g} x parent "
                     f"median {allowed:.4g}: {held}")
+    c_worst, p_best = (max if sign > 0 else min)(change), (min if sign > 0 else max)(parent)
+    verdicts.append(f"separation {name}: every change run better than every parent run "
+                    f"(worst change {c_worst:.4g}, best parent {p_best:.4g}): "
+                    f"{'yes' if sign * (c_worst - p_best) < 0 else 'no'}")
 print("\n".join(verdicts))
 EOF

@@ -111,13 +111,13 @@ class ChordSampler:
 # Latent pairs per chord_coherence_mc draw; it fixes which pairs a seed gives.
 MC_CHUNK = 8192
 
-# Bytes of |P c| for one column block of a chord_coherence_mc chunk: 6 MiB is
-# about 1,000 columns at n = 784 (half as many for a complex U, which forms
-# two real products). Timed at n = 784 with 40,000 samples, one BLAS thread,
-# three runs each: whole 8,192-column chunks took 0.74-0.99 s at 173 MB peak
-# RSS, 1,024 columns 0.74-0.87 s at 62 MB, 256 columns 0.71-0.91 s at 52 MB;
-# the estimate was bit-identical at every width.
-MC_BLOCK_BYTES = 6 * 2**20
+# Bytes of |P c| for one column block of a chord_coherence_mc chunk: 2 MiB is
+# 334 columns at n = 784 (half as many for a complex U, which forms two real
+# products). Timed at n = 784 with 40,000 samples, one BLAS thread, three
+# runs each: whole 8,192-column chunks (48 MiB) took 0.65-0.72 s at 132 MB
+# peak RSS, 6 MiB 0.55-0.70 s at 54 MB, 2 MiB 0.57-0.63 s at 47 MB, 0.75 MiB
+# 0.70-0.75 s at 44 MB; the estimate was bit-identical at every width.
+MC_BLOCK_BYTES = 2 * 2**20
 
 
 def chord_coherence_mc(g: GenerativeNetwork, u: UnitaryOperator, samples: int, seed: int) -> float:
@@ -175,6 +175,13 @@ def typical_coherence_bound(k: int, d: int, widths: list[int], n: int, gamma: fl
     )
 
 
+# Rows per block of the regularizer's row norms and rank-one gradient term.
+# At 784 x 200 a call then peaks at 1.9 MB traced, set by the DCT's output
+# and one column block, against 3.0 MB with one block of all rows; 32 to 256
+# rows timed alike within the host's noise (5-7 ms a call).
+REG_ROWS = 128
+
+
 def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float, np.ndarray]:
     """rho(W) = ||D W||_{2->inf} + lam*||W^T W - I||_F, with a subgradient.
 
@@ -183,35 +190,44 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     `d_op.apply(w)`, an FFT from n = FFT_MIN_N on (see `transforms`).
     """
     w = np.asarray(w, dtype=float)
-    if lam < 0:
-        raise DomainError("lambda must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be a finite number >= 0, got {lam}")
     if w.ndim != 2 or w.shape[0] != d_op.n:
         raise DimensionMismatch(f"W must have {d_op.n} rows")
+    n, k = w.shape
+    # Each product is formed in the order of the formula, REG_ROWS rows at a
+    # time, so the results are bit for bit those of whole-array products.
     dw = d_op.apply(w)
-    # The n x k products are formed in place, each in the order of the
-    # formula, so the results are bit for bit those of the formula.
-    sq = np.abs(dw)
-    sq **= 2
-    row_norms = np.sqrt(np.sum(sq, axis=1))
-    del sq
+    row_norms = np.empty(n)
+    for s in range(0, n, REG_ROWS):
+        sq = np.abs(dw[s:s + REG_ROWS])
+        sq **= 2
+        row_norms[s:s + REG_ROWS] = np.sqrt(np.sum(sq, axis=1))
+        del sq  # so that the next block's square does not form beside it
     i_star = int(np.argmax(row_norms))  # argmax takes the first maximizer
     value = float(row_norms[i_star])
-    grad = np.zeros_like(w)
-    if row_norms[i_star] > 0:
-        tmp = np.real(np.outer(d_op.rows(i_star), np.conj(dw[i_star])))
-        tmp /= row_norms[i_star]
-        grad += tmp
-        del tmp
+    top = np.conj(dw[i_star])  # a copy, so that D W can go
     del dw
-    k = w.shape[1]
     e = w.T @ w - np.eye(k)
     fro = float(np.linalg.norm(e))
     value += lam * fro
+    # One n x k buffer holds the gradient: the Frobenius term f first, then
+    # the rank-one term r added in row blocks. 0 + f turns each -0 of f (they
+    # occur at lam = 0) into +0, so that, as in 0 + r + f, no entry is -0.
     if fro > 1e-12:
-        tmp = w @ e
-        tmp *= 2.0 * lam
-        tmp /= fro
-        grad += tmp
+        grad = w @ e
+        grad *= 2.0 * lam
+        grad /= fro
+        grad += 0.0
+    else:
+        grad = np.zeros_like(w)
+    if row_norms[i_star] > 0:
+        d_row = d_op.rows(i_star)
+        for s in range(0, n, REG_ROWS):
+            tmp = np.real(np.outer(d_row[s:s + REG_ROWS], top))
+            tmp /= row_norms[i_star]
+            grad[s:s + REG_ROWS] += tmp
+            del tmp
     return value, grad
 
 

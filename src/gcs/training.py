@@ -247,8 +247,23 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, reg) -> float:
     params and grads are `_unpack` views of the flat parameter and gradient
     buffers; each gradient is written into its view. reg is None or
     (reg_weight, lam, d_op); the regularizer applies to the decoder's final
-    weight matrix only.
+    weight matrix only. It runs after the ELBO pass has returned, so that
+    its n x k products do not form beside the pass's activations.
     """
+    loss = _elbo_and_grads(params, grads, x, eps_noise)
+    if reg is not None:
+        reg_weight, lam, d_op = reg
+        (w_last, _), (g_last, _) = params[2][-1], grads[2][-1]
+        rho, rho_grad = regularizer(w_last, d_op, lam)
+        loss += reg_weight * rho
+        rho_grad *= reg_weight
+        g_last += rho_grad
+    return loss
+
+
+def _elbo_and_grads(params, grads, x, eps_noise) -> float:
+    """The negative ELBO of one mini-batch, its gradient written into the
+    views grads."""
     enc, heads, dec = params
     w_mu, _, w_lv, _ = heads
     g_enc, (g_wmu, g_bmu, g_wlv, g_blv), g_dec = grads
@@ -298,13 +313,6 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, reg) -> float:
         d.sum(axis=0, out=gb)
         if i > 0:
             d = d @ enc[i][0]
-
-    if reg is not None:
-        reg_weight, lam, d_op = reg
-        rho, rho_grad = regularizer(dec[-1][0], d_op, lam)
-        loss += reg_weight * rho
-        g_last, _ = g_dec[-1]
-        g_last += reg_weight * rho_grad
     return loss
 
 

@@ -165,7 +165,7 @@ def test_chord_coherence_mc_column_blocks_split_chunks(monkeypatch, kind, net, c
 
 def test_chord_coherence_mc_peak_memory_at_n784():
     # One 8192-chord chunk of a 20 -> 200 -> 784 network: whole-chunk products
-    # peak near 82 MB; column blocks of MC_BLOCK_BYTES keep it near 14 MB.
+    # peak near 82 MB; column blocks of MC_BLOCK_BYTES keep it near 7.4 MB.
     rng = derive_rng(70)
     g = GenerativeNetwork(weights=[rng.standard_normal((200, 20)) / math.sqrt(20),
                                    rng.standard_normal((784, 200)) / math.sqrt(200)])
@@ -176,7 +176,7 @@ def test_chord_coherence_mc_peak_memory_at_n784():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6
+    assert peak <= 10e6
     assert 0 < alpha <= 1
 
 

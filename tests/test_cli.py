@@ -804,6 +804,32 @@ def test_bench_pairs_stops_at_a_failed_run(tmp_path, body):
     assert done.stderr == f"bench_pairs: change run in {tmp_path / 'change'} failed at seed 0\n"
 
 
+@pytest.mark.parametrize("change_base,lower,higher", [(5, "yes", "no"), (8, "no", "no"),
+                                                      (13, "no", "yes")])
+def test_bench_pairs_separation_line(tmp_path, change_base, lower, higher):
+    # Every metric reads base + seed over seeds 0-2; the parent's base is 10,
+    # so a change base of 8 ties the best parent run, which does not separate.
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        names = [m["name"] for m in json.load(f)["end_to_end"]]
+    for side, base in [("parent", 10), ("change", change_base)]:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "s = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            f"print(json.dumps({{'metrics': {{n: {{'value': {base} + s}} for n in {names!r}}}}}))\n")
+    script = os.path.join(ROOT, "scripts", "bench_pairs.sh")
+    done = subprocess.run(["sh", script, str(tmp_path / "parent"), str(tmp_path / "change"),
+                           "phase-desk", "0", "2"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith("separation ")]
+    best = {"wall_s": 10, "success_frac": 12}
+    worst = {"wall_s": change_base + 2, "success_frac": change_base}
+    for name, verdict in [("wall_s", lower), ("success_frac", higher)]:
+        assert (f"separation {name}: every change run better than every parent run "
+                f"(worst change {worst[name]}, best parent {best[name]}): {verdict}") in lines
+    assert len(lines) == len(names)
+
+
 def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
     # The rip and subspace-rip lines of the desk script rewrite their committed
     # CSVs byte for byte.

@@ -202,8 +202,9 @@ def test_regularizer_subgradient_finite_difference():
 
 def test_regularizer_validation():
     u = dct2_operator(8)
-    with pytest.raises(DomainError):
-        regularizer(np.ones((8, 2)), u, lam=-1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            regularizer(np.ones((8, 2)), u, lam=lam)
     with pytest.raises(DimensionMismatch):
         regularizer(np.ones((7, 2)), u, lam=1.0)
 
