@@ -205,11 +205,12 @@ def cmd_phase(args) -> int:
     csv_path = os.path.join(args.out_dir, "phase.csv")
     harness.emit_csv(records, csv_path)
     grid = harness.phase_success_grid(records, cfg.betas, cfg.m_list)
-    cohs = sorted({(r["beta"], r["coherence_heuristic"]) for r in records})
+    # The grid's rows follow cfg.betas, and so do their labels.
+    cohs = {r["beta"]: r["coherence_heuristic"] for r in records}
     harness.emit_svg_heatmap(
         grid,
         os.path.join(args.out_dir, "phase.svg"),
-        row_labels=[f"a={c:.3f}" for _, c in cohs],
+        row_labels=[f"a={cohs[beta]:.3f}" for beta in cfg.betas],
         col_labels=[str(m) for m in cfg.m_list],
         title="success fraction (white = all trials recovered)",
     )

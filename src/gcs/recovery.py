@@ -19,14 +19,15 @@ rows U[J], measurement b, Adam step count, early stop and nonfinite-restart
 accounting.
 
 Each time the set of columns in flight changes, the loop builds a plan
-(`_Plan`). It preallocates every buffer an iteration needs: activations,
-ReLU masks, residual, gradients and Adam scratch. It lists the (matrix,
-input view, output view) of each product: one per layer per run of
-adjacent columns whose networks hold the same weight and bias arrays for
-it, so no weight is ever copied, and two per stretch of one group's
-columns for the measurement side. An iteration runs those products with out= and then the gradient
-norm, the termination test and one Adam step over every column in flight;
-it allocates, slices and transposes nothing.
+(`_Plan`). It gathers the columns' rows and measurements and preallocates
+every buffer an iteration needs: activations, ReLU masks, residual,
+gradients and Adam scratch. It lists the (matrix, input view, output view)
+of each product: one per layer per run of adjacent columns whose networks
+hold the same weight and bias arrays for it, so no weight is ever copied,
+and two per stretch of one group's columns for the measurement side. An
+iteration runs those products with out= and then the gradient norm, the
+termination test and one Adam step over every column in flight; it
+allocates, slices and transposes nothing.
 
 No value is computed. A column fails its restart where its gradient or
 0.5*||r||^2 is not finite, as in the one-vector loop, whose value can
@@ -36,17 +37,18 @@ summed by one `np.add.reduceat` over the columns' first rows (a column with
 the column runs on while that total is finite. A column whose total alone
 overflowed is checked again entry by entry.
 
-The rows in flight lie back to back in one buffer and their measurements in
-a second. BLOCK_BYTES bounds everything a loop holds, the rows, the plan
-and the transients together, unless that leaves room for fewer than
-BLOCK_COLUMNS columns; so a call needs that much on top of its inputs and
-results. The other columns wait in a queue. A finished column sits in
-flight at z = 0 with its measurements and scale zeroed, so its gradient is
-exactly zero and nothing it computes raises a warning. When an eighth or
-more of the columns in flight have finished, or all of them, the loop
-compacts: the finished columns' rows are squeezed out in place, the waiting
-columns enter in order as far as room allows, each one's rows gathered
-straight into the buffer, and the plan is rebuilt.
+A plan holds the rows U[J] of each stretch of one group's columns in one
+array, filled column by column, and the columns' measurements in another.
+Each queued column costs a fixed count of bytes, its rows' and its own (see
+`_lockstep`). Columns enter in queue order while what the loop holds stays
+within BLOCK_BYTES, or while fewer than BLOCK_COLUMNS are in flight; so a
+call needs about BLOCK_BYTES on top of its inputs and results. The other
+columns wait in the queue. A finished column sits in flight at z = 0 with
+its measurements and scale zeroed, so its gradient is exactly zero and
+nothing it computes raises a warning. When an eighth or more of the columns
+in flight have finished, or all of them, the loop compacts: the finished
+columns leave, the waiting columns enter in order as far as room allows,
+and a new plan gathers the rows of all in flight.
 
 Every product is a stacked matrix-vector product
 (`np.matmul(W, Z[:, :, None])`), the same BLAS call as a one-vector loop
@@ -74,7 +76,7 @@ from .training import adam_step
 
 SUCCESS_RRE = 1e-5
 
-# Cap on what one lockstep loop holds, transients included (see `_capacity`),
+# Cap on what one lockstep loop holds, transients included (see `_lockstep`),
 # unless that leaves room for fewer than BLOCK_COLUMNS columns. Columns that
 # do not fit wait until others leave; columns never interact, so this
 # changes no result.
@@ -143,23 +145,26 @@ class _Plan:
     """The buffers and products of one iteration over the columns in flight
     (see the module docstring).
 
-    layers: per layer, the (w, input, output) views of each run, the
-    (bias, output) views of each biased run, the layer's output and, for an
-    inner layer, its ReLU mask; the last layer's output is the network's
-    output x. gathers: per stretch of one group's columns, the (U_J, x, r)
-    views, for r = U_J x, which then becomes the residual in place;
-    scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r). r holds
-    one entry per row in flight (r_conj is r for real residuals); offsets
-    are the nonempty columns' first rows. pullbacks: per layer from the
-    last, the (w^T, input, output) views of each run, the output, which is
-    the gradient over the layer's input, and the ReLU mask it is multiplied
-    by; the last layer's pullback reads s.
+    entries: the queue entries of the columns in flight, in order (see
+    `_lockstep`). layers: per layer, the (w, input, output) views of each
+    run, the (bias, output) views of each biased run, the layer's output
+    and, for an inner layer, its ReLU mask; the last layer's output is the
+    network's output x. gathers: per stretch of one group's columns, the
+    (U_J, x, r) views, for r = U_J x, which then becomes the residual in
+    place; scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
+    Each stretch's U_J is one array the plan fills column by column. b, r
+    and the row scales hold one entry per row in flight (r_conj is r for
+    real residuals); offsets are the nonempty columns' first rows.
+    pullbacks: per layer from the last, the (w^T, input, output) views of
+    each run, the output, which is the gradient over the layer's input, and
+    the ReLU mask it is multiplied by; the last layer's pullback reads s.
     """
 
-    def __init__(self, nets, owner, group, jrows, scale, rows_flat, b_flat, z):
-        mine = [nets[j] for j in owner]  # each column's network
+    def __init__(self, nets, entries, z):
+        net_of, ops, bs, _, _, group = zip(*entries)
+        mine = [nets[j] for j in net_of]  # each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
-        dtype = rows_flat.dtype
+        dtype = ops[0].base.dtype
         self.s = np.empty((columns, n, 1), dtype=dtype)
         # For complex residuals this is a strided view. The pullback must see
         # it so: numpy's matmul rounds differently on strided operands, so a
@@ -180,16 +185,21 @@ class _Plan:
                                 out, None if last else np.empty(out.shape, dtype=bool)))
             self.pullbacks.insert(0, ([(w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs], dh, mask))
             h, dh, mask = out, dout, self.layers[-1][3]
-        entries = int(jrows.sum())
-        self.scale, self.b = scale, b_flat[:entries]
-        self.scale_rows = np.repeat(scale[:, 0, 0], jrows)
-        self.r = np.empty(entries, dtype=dtype)
+        self.jrows = jrows = np.array([op.num_rows for op in ops], dtype=np.intp)
+        self.scale = np.array([op.scale for op in ops])[:, None, None]
+        self.b = np.concatenate(bs, dtype=dtype)
+        self.scale_rows = np.repeat(self.scale[:, 0, 0], jrows)
+        self.r = np.empty(self.b.size, dtype=dtype)
         self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
         self.gathers, self.scatters, at = [], [], 0
-        for start, stop in _stretches(group):
+        for start, stop in _stretches(np.array(group)):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
-            rows = rows_flat[at * n:(at + size) * n].reshape(shape[:2] + (n,))
+            rows = np.empty(shape[:2] + (n,), dtype=dtype)
+            # One column at a time, so that a closed-form `rows` call's
+            # temporaries stay one column's size.
+            for column, op in zip(rows, ops[start:stop]):
+                column[...] = op.base.rows(op.indices)
             self.gathers.append((rows, h[start:stop], self.r[at:at + size].reshape(shape)))
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))
@@ -242,55 +252,6 @@ def _block_value_grad(plan, z):
     return plan.value, plan.grad
 
 
-def _squeeze(flat, sizes, keep) -> None:
-    """Move the entries of the kept columns to the front of flat, in order.
-
-    Column c holds sizes[c] entries, the columns back to back from flat[0].
-    Each run of kept columns moves by one copy on a byte view: numpy copies
-    overlapping 1-D byte slices in place, but a complex slice through a
-    temporary as large as the run.
-    """
-    raw = flat.view(np.uint8)
-    ends = np.cumsum(sizes) * flat.itemsize
-    starts = ends - sizes * flat.itemsize
-    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    dst = 0
-    for first, last in zip(edges[::2], edges[1::2] - 1):
-        src, stop = starts[first], ends[last]
-        if dst != src:
-            raw[dst:dst + stop - src] = raw[src:stop]
-        dst += stop - src
-
-
-def _capacity(jrows_of, widths, dtype) -> tuple[int, int]:
-    """(rows, columns) a lockstep loop may hold in flight, so that everything
-    it holds, its transients included, fits in BLOCK_BYTES; or BLOCK_COLUMNS
-    of the queue's largest columns, if that is more. jrows_of: |J| per
-    queued column.
-    """
-    # Each row in flight costs its entries of U, its measurement, its residual
-    # (first the product U_J x) and its conjugate (which then holds |r|^2),
-    # one entry to spare and its scale; each column its |r|^2 sum, its
-    # gradient through U_J, 512 bytes of Python objects and six floats per
-    # layer width, which cover the plan's activations, ReLU masks and
-    # gradients, the latent vector, both moments and the Adam scratch. (With
-    # eight rows per column and 64 to 1,024 columns, tracemalloc puts a plan
-    # and an iteration's transients at 2.7-3.2 kB per column at the desk
-    # widths and at 8.5-10.4 kB for 8-32-256 with the DFT, where this counts
-    # 5.4 and 19.4 kB besides U.) One column's `rows` call, at most three
-    # arrays of that column's rows, is set aside. The rest is split between
-    # rows and columns in the queue's mean ratio.
-    n = widths[-1]
-    row_bytes = (n + 4) * dtype.itemsize + 8
-    column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
-    largest = int(jrows_of.max())
-    room = BLOCK_BYTES - 3 * largest * n * dtype.itemsize
-    columns = max(room // int(jrows_of.mean() * row_bytes + column_bytes), 0)
-    rows = max((room - columns * column_bytes) // row_bytes, 0)
-    return (int(min(jrows_of.sum(), max(rows, BLOCK_COLUMNS * largest))),
-            int(min(jrows_of.size, max(columns, BLOCK_COLUMNS))))
-
-
 def _lockstep(nets, queue, widths, dtype, config):
     """Adam in lockstep on the columns of queue, which enter in order, at the
     start and at each compaction, as far as room allows.
@@ -302,29 +263,38 @@ def _lockstep(nets, queue, widths, dtype, config):
     objective went nonfinite.
     """
     k, n = widths[0], widths[-1]
-    net_of, ops, _, _, _, group_of = zip(*queue)
-    net_of, group_of = np.array(net_of), np.array(group_of)
-    jrows_of = np.array([op.num_rows for op in ops], dtype=np.intp)
-    scale_of = np.array([op.scale for op in ops])[:, None, None]
-    max_rows, max_columns = _capacity(jrows_of, widths, dtype)
-    rows_flat = np.empty(max_rows * n, dtype=dtype)
-    b_flat = np.empty(max_rows, dtype=dtype)
+    # What a queued column costs in flight, transients included. Each row
+    # costs its entries of U, its measurement, its residual (first the
+    # product U_J x) and its conjugate (which then holds |r|^2), one entry to
+    # spare and its scale; each column its |r|^2 sum, its gradient through
+    # U_J, 512 bytes of Python objects and six floats per layer width, which
+    # cover the plan's activations, ReLU masks and gradients, the latent
+    # vector, both moments and the Adam scratch. With eight rows per column
+    # this counts 5.4 kB per column besides U at the desk widths and 19.4 kB
+    # for 8-32-256 with the DFT. Tracemalloc puts what a column holds, its
+    # state, its share of the plan and of one iteration's transients, at
+    # 1.9-2.9 and 11.7-11.8 kB besides U (64 to 1,024 columns). The counted
+    # figures are kept, so that the columns in flight stay comparable with
+    # earlier measurements. One column's `rows` call, at most three arrays of
+    # that column's rows, is set aside.
+    row_bytes = (n + 4) * dtype.itemsize + 8
+    column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
+    jrows = np.array([op.num_rows for _, op, *_ in queue])
+    cost = jrows * row_bytes + column_bytes
+    room = BLOCK_BYTES - 3 * int(jrows.max()) * n * dtype.itemsize
     out = [None] * len(queue)
-    pos = used = 0
+    pos = held = 0
     # Per column in flight, in order: its queue position, its Adam step
     # count, and its latent vector with both moments.
     ids = t = np.zeros(0, dtype=np.intp)
     state = np.zeros((3, 0, k, 1))
     while True:
         starts = []
-        while (pos < len(queue) and used + jrows_of[pos] <= max_rows
-               and ids.size + len(starts) < max_columns):
-            _, op, b, seed, restart, _ = queue[pos]
-            stop = used + op.num_rows
-            rows_flat[used * n:stop * n] = op.base.rows(op.indices).reshape(-1)
-            b_flat[used:stop] = b
+        while pos < len(queue) and (held + cost[pos] <= room
+                                    or ids.size + len(starts) < BLOCK_COLUMNS):
+            _, _, _, seed, restart, _ = queue[pos]
             starts.append(derive_rng(seed, restart).standard_normal(k))
-            pos, used = pos + 1, stop
+            pos, held = pos + 1, held + cost[pos]
         if starts:
             fresh = np.zeros((3, len(starts), k, 1))
             fresh[0, :, :, 0] = starts
@@ -333,8 +303,7 @@ def _lockstep(nets, queue, widths, dtype, config):
             state = np.concatenate([state, fresh], axis=1)
         if not ids.size:
             return out
-        plan = _Plan(nets, net_of[ids], group_of[ids], jrows_of[ids], scale_of[ids], rows_flat,
-                     b_flat, state[0])
+        plan = _Plan(nets, [queue[i] for i in ids], state[0])
         z, m, v = state
         norm, keep = plan.norm.reshape(-1), plan.keep
         # live: the columns still running; the first of them has the most
@@ -368,19 +337,17 @@ def _lockstep(nets, queue, widths, dtype, config):
                 # scale until the next compaction, so their gradient is zero.
                 gone = live & ~keep
                 state[:, gone] = 0.0
-                gone_rows = np.repeat(gone, jrows_of[ids])
+                gone_rows = np.repeat(gone, plan.jrows)
                 plan.b[gone_rows] = plan.scale_rows[gone_rows] = 0.0
                 live, first, running = keep.copy(), int(keep.argmax()), np.count_nonzero(keep)
             t += 1
         # Compaction: an eighth or more of the columns in flight finished.
+        # They leave, and the next plan gathers the rows of those that stay.
         plan = value = grad = None
-        jrows = jrows_of[ids]
-        _squeeze(rows_flat, jrows * n, live)
-        _squeeze(b_flat, jrows, live)
         # state[:, live] would not be C-contiguous, and Adam's updates of
         # strided views of it took a third longer.
         ids, t, state = ids[live], t[live], state.compress(live, axis=1)
-        used = int(jrows[live].sum())
+        held = int(cost[ids].sum())
 
 
 def recover_batch(

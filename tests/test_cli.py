@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -175,6 +176,23 @@ def phase_config(tmp_path, **edits) -> str:
     base = {"inner_weights": [str(tmp_path / "w1.json")], "w_high": str(tmp_path / "w_high.json"),
             "w_low": str(tmp_path / "w_low.json"), "m_list": [4], "trials": 1}
     return write_config(tmp_path / "phase.json", base, edits)
+
+
+def test_phase_heatmap_rows_follow_the_config_betas(tmp_path, monkeypatch):
+    # The desk phase config with its betas unsorted: each heatmap row is
+    # labelled with the coherence of its own beta, in the config's order.
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join("configs", "phase_desk.json")) as f:
+        base = json.load(f)
+    config = write_config(tmp_path / "phase.json", base,
+                          {"betas": [1.0, 0.0], "m_list": [64], "trials": 1})
+    assert cli.main(["--out-dir", str(tmp_path), "phase", "--config", config]) == 0
+    with open(tmp_path / "phase.csv") as f:
+        cohs = {float(r["beta"]): float(r["coherence_heuristic"]) for r in csv.DictReader(f)}
+    svg = (tmp_path / "phase.svg").read_text()
+    labels = re.findall(r'<text x="5" y="\d+" font-size="11">([^<]*)</text>', svg)
+    assert labels == ["a=1.000", "a=0.636"]
+    assert labels == [f"a={cohs[beta]:.3f}" for beta in (1.0, 0.0)]
 
 
 def sweep_config(tmp_path, **edits) -> str:

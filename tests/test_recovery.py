@@ -288,15 +288,14 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
         recover(g, ops[1], bs[1], configs[1])
 
 
-def test_capacity_of_the_desk_queues():
-    # The (rows, columns) in flight of the one lockstep loop of the desk
-    # phase portrait and of the desk sweep: |J| = m for each restart of
-    # each trial of each cell.
+def test_capacity_of_the_desk_queues(monkeypatch):
+    # The columns the one lockstep loop of the desk phase portrait and of the
+    # desk sweep first admits. Their queues are built as the harness builds
+    # them: per network, per m, per trial, one column of |J| = m per restart.
     import json
     import os
 
     from gcs.linops import load_matrix
-    from gcs.recovery import _capacity
     from gcs.training import load_vae
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -311,9 +310,16 @@ def test_capacity_of_the_desk_queues():
         else:
             widths = tuple(load_vae(os.path.join(root, cfg["models"]["reg"])).decoder.widths)
             nets = len(cfg["models"])
-        jrows = np.repeat(cfg["m_list"], nets * cfg["trials"] * cfg["recovery"]["restarts"])
-        got[name] = _capacity(jrows, widths, np.dtype(float))
-    assert got == {"phase": (2822, 87), "sweep": (1833, 176)}
+        u = dct2_operator(widths[-1])
+        gs = [small_network(widths, seed=95 + i) for i in range(nets)]
+        problems = [(g, sample_fixed(u, m, spawn_seed(96, m, t)))
+                    for g in gs for m in cfg["m_list"] for t in range(cfg["trials"])]
+        config = RecoveryConfig(max_iters=1, restarts=cfg["recovery"]["restarts"])
+        trace = trace_loop(monkeypatch)
+        recover_batch([g for g, _ in problems], [a for _, a in problems],
+                      [np.zeros(a.num_rows) for _, a in problems], [config] * len(problems))
+        got[name] = trace["in_flight"][0]
+    assert got == {"phase": 152, "sweep": 208}
 
 
 def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
@@ -606,14 +612,17 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 80000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    squeeze, compactions = gcs.recovery._squeeze, set()
+    plan, builds = gcs.recovery._Plan, []
 
-    def squeezed(*args):
-        compactions.add(len(trace["in_flight"]))  # after this many iterations
-        return squeeze(*args)
+    def built(*args):
+        builds.append(len(trace["in_flight"]))  # after this many iterations
+        return plan(*args)
 
-    monkeypatch.setattr(gcs.recovery, "_squeeze", squeezed)
+    monkeypatch.setattr(gcs.recovery, "_Plan", built)
     got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    # The first plan is built at the start; each later one at a compaction.
+    assert builds[0] == 0
+    compactions = set(builds[1:])
     columns = sum(c.restarts for c in configs)
     assert max(trace["in_flight"]) > 16
     # Finished columns wait for an eighth of those in flight: at most one
