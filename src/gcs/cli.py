@@ -75,6 +75,7 @@ def cmd_train(args) -> int:
         raise DomainError(
             f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>)"
         )
+    check_unitary_spec(args.unitary)
     widths = _ints(args.arch)
     gnn.check_widths(widths)
     if args.epochs < 1:
@@ -264,7 +265,7 @@ def cmd_sweep(args) -> int:
     for name, _ in models:
         pts = [(s["m"], s["geo_mean_rre"]) for s in summaries if s["model"] == name]
         series.append({"label": name, "x": [p[0] for p in pts], "y": [p[1] for p in pts]})
-    harness.emit_svg_scatter(series, os.path.join(args.out_dir, "sweep.svg"), log_y=True,
+    harness.emit_svg_scatter(series, os.path.join(args.out_dir, "sweep.svg"),
                              title="geometric mean rre vs m (log-y)")
     print(f"wrote {os.path.join(args.out_dir, 'sweep.csv')}")
     return 0

@@ -14,13 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    DimensionMismatch,
-    DomainError,
-    NotOrthonormal,
-    check_counts,
-)
+from .errors import DimensionMismatch, DomainError, GcsError, check_counts
 # perfbench/instrument.py wraps coherence.forward, which nothing here calls.
 from .gnn import GenerativeNetwork, forward, hidden  # noqa: F401
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
@@ -48,7 +42,7 @@ def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
     if q.ndim != 2 or q.shape[0] != u.n:
         raise DimensionMismatch(f"Q must be {u.n} x k")
     if orthonormality_defect(q) > 1e-8:
-        raise NotOrthonormal("columns of Q are not orthonormal to 1e-8")
+        raise DomainError("columns of Q are not orthonormal to 1e-8")
     return two_to_inf_norm(u.apply(q))
 
 
@@ -145,7 +139,7 @@ def chord_coherence_mc(g: GenerativeNetwork, u: UnitaryOperator, samples: int, s
             kept += mod.shape[1]
             del mod  # so the next block's |P u| does not form beside this one
     if kept == 0:
-        raise DegenerateRange("all sampled chords were below norm tolerance")
+        raise GcsError("all sampled chords were below norm tolerance")
     return best
 
 
@@ -261,13 +255,8 @@ def sample_complexity(
     return c * (alpha**2 * n / delta**2) * (factor * k * log_sum + math.log(mult * k / epsilon))
 
 
-def coherence_report(
-    g: GenerativeNetwork,
-    d_op: UnitaryOperator,
-    mc_samples: int,
-    seed: int,
-    gamma: float = 0.0,
-) -> CoherenceReport:
+def coherence_report(g: GenerativeNetwork, d_op: UnitaryOperator, mc_samples: int,
+                     seed: int) -> CoherenceReport:
     """Assemble the standard report: heuristic, MC chord estimate, and bounds."""
     check_counts(samples=mc_samples)  # before the heuristic's QR
     alpha_h = network_coherence_heuristic(g, d_op)
@@ -277,8 +266,6 @@ def coherence_report(
         alpha_mc=alpha_mc,
         mc_samples=mc_samples,
         lower_bound=coherence_lower_bound(g.code_dim, d_op.n),
-        typical_bound=typical_coherence_bound(
-            g.code_dim, g.depth, g.widths, g.ambient_dim, gamma
-        ),
+        typical_bound=typical_coherence_bound(g.code_dim, g.depth, g.widths, g.ambient_dim),
         seed=seed,
     )

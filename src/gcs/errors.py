@@ -1,61 +1,24 @@
-"""Exception types shared across the toolkit, and the count checks."""
+"""The toolkit's one exception hierarchy, and the count checks.
+
+Every fault the toolkit detects raises a GcsError, which the CLI reports as
+one "gcs: error:" line with exit status 2. Bad input raises DomainError, or
+DimensionMismatch where shapes disagree; a run that fails on valid input,
+such as recovery whose every restart hit a nonfinite objective, raises
+GcsError itself.
+"""
 
 from numbers import Integral
 
 
 class GcsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; raised itself for a failed run."""
 
 
 class DimensionMismatch(GcsError):
     pass
 
 
-class RankDeficient(GcsError):
-    pass
-
-
-class NotOrthonormal(GcsError):
-    pass
-
-
 class DomainError(GcsError):
-    pass
-
-
-class InvalidM(GcsError):
-    pass
-
-
-class NoBiases(GcsError):
-    pass
-
-
-class Unsupported(GcsError):
-    pass
-
-
-class DegenerateRange(GcsError):
-    pass
-
-
-class BadMagic(GcsError):
-    pass
-
-
-class TruncatedFile(GcsError):
-    pass
-
-
-class EmptyDataset(GcsError):
-    pass
-
-
-class NonfiniteLoss(GcsError):
-    pass
-
-
-class ZeroSignal(GcsError):
     pass
 
 

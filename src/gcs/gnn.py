@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoBiases, Unsupported
+from .errors import DimensionMismatch, DomainError
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import SubsampledIsometry, apply, apply_adjoint
 
@@ -115,7 +115,7 @@ def augment_biases(g: GenerativeNetwork) -> GenerativeNetwork:
     forward(g, z) == forward(augmented, [z; 1]) for all z.
     """
     if g.biases is None:
-        raise NoBiases("network has no biases to augment")
+        raise DomainError("network has no biases to augment")
     d = g.depth
     new_weights = []
     for i, (w, b) in enumerate(zip(g.weights, g.biases)):
@@ -136,7 +136,7 @@ def difference_network(g: GenerativeNetwork) -> GenerativeNetwork:
     Only defined for bias-free networks.
     """
     if g.biases is not None:
-        raise Unsupported("difference network requires no biases")
+        raise DomainError("difference network requires no biases")
     d = g.depth
     new_weights = []
     for i, w in enumerate(g.weights):

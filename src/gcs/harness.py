@@ -22,8 +22,7 @@ from numbers import Real
 import numpy as np
 
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
-from .errors import (DimensionMismatch, DomainError, EmptyDataset, Unsupported, check_counts,
-                     check_integer)
+from .errors import DimensionMismatch, DomainError, check_counts, check_integer
 from .gnn import GenerativeNetwork, forward
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
@@ -82,7 +81,7 @@ def _format_value(v) -> str:
 def emit_csv(records: list[dict], path: str) -> None:
     """Write records under a header of the first record's keys; empty input errors."""
     if not records:
-        raise OSError("refusing to write an empty CSV")
+        raise DomainError("refusing to write an empty CSV")
     columns = list(records[0])
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as f:
@@ -221,7 +220,7 @@ def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) ->
     """Raise unless the sweep's test data hold samples of every model's
     output dimension."""
     if count == 0:
-        raise EmptyDataset("the sweep's test data holds no samples")
+        raise DomainError("the sweep's test data holds no samples")
     for name, model in models:
         if model.decoder.ambient_dim != dim:
             raise DimensionMismatch(f"test data dim {dim} != decoder output "
@@ -327,7 +326,7 @@ def run_rip_check(
     | ||Ax||_2 - 1 | and whether it exceeds delta.
     """
     if g.biases is not None:
-        raise Unsupported("RIP check needs a bias-free network")
+        raise DomainError("RIP check needs a bias-free network")
     check_counts(chord_samples=chord_samples)
     sampler = _check_rip(model, m_list, u.n, trials, delta)
     chords = ChordSampler(g, u)
@@ -431,14 +430,14 @@ def _write_svg(path: str, width: int, height: int, margin: int, title: str,
         f.write("\n".join(parts))
 
 
-def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels=None, col_labels=None,
-                     cell: int = 40, title: str = "") -> None:
-    """Static heatmap; value 1 renders white, 0 black."""
+def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels, col_labels, title: str = "") -> None:
+    """Static heatmap, one label per row and per column; value 1 renders
+    white, 0 black."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
-        raise OSError("refusing to render an empty heatmap")
+        raise DomainError("refusing to render an empty heatmap")
     rows, cols = grid.shape
-    margin = 70
+    margin, cell = 70, 40
     parts = []
     for i in range(rows):
         for j in range(cols):
@@ -449,27 +448,25 @@ def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels=None, col_labels=No
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="{color}" stroke="gray"/>'
             )
-    if row_labels is not None:
-        for i, lab in enumerate(row_labels):
-            y = margin + i * cell + cell // 2
-            parts.append(f'<text x="5" y="{y}" font-size="11">{lab}</text>')
-    if col_labels is not None:
-        for j, lab in enumerate(col_labels):
-            x = margin + j * cell + cell // 4
-            parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{lab}</text>')
+    for i, lab in enumerate(row_labels):
+        y = margin + i * cell + cell // 2
+        parts.append(f'<text x="5" y="{y}" font-size="11">{lab}</text>')
+    for j, lab in enumerate(col_labels):
+        x = margin + j * cell + cell // 4
+        parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{lab}</text>')
     _write_svg(path, margin + cols * cell + 20, margin + rows * cell + 20, margin, title, parts)
 
 
-def emit_svg_scatter(series: list[dict], path: str, log_y: bool = False,
-                     width: int = 560, height: int = 400, title: str = "") -> None:
-    """Scatter/line plot; each series is {"label", "x": [...], "y": [...]}."""
+def emit_svg_scatter(series: list[dict], path: str, title: str = "") -> None:
+    """Scatter/line plot with a log10 y axis (values floored at RRE_FLOOR);
+    each series is {"label", "x": [...], "y": [...]}."""
     if not series:
-        raise OSError("refusing to render an empty plot")
-    margin = 60
-    all_x = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    all_y = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
-    if log_y:
-        all_y = np.log10(np.maximum(all_y, RRE_FLOOR))
+        raise DomainError("refusing to render an empty plot")
+    margin, width, height = 60, 560, 400
+    coords = [(np.asarray(s["x"], dtype=float),
+               np.log10(np.maximum(np.asarray(s["y"], dtype=float), RRE_FLOOR))) for s in series]
+    all_x = np.concatenate([xs for xs, _ in coords])
+    all_y = np.concatenate([ys for _, ys in coords])
     x_lo, x_hi = float(all_x.min()), float(all_x.max())
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     x_span = x_hi - x_lo or 1.0
@@ -487,18 +484,14 @@ def emit_svg_scatter(series: list[dict], path: str, log_y: bool = False,
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
     ]
-    for si, s in enumerate(series):
+    for si, (s, (xs, ys)) in enumerate(zip(series, coords)):
         color = colors[si % len(colors)]
-        xs = np.asarray(s["x"], dtype=float)
-        ys = np.asarray(s["y"], dtype=float)
-        if log_y:
-            ys = np.log10(np.maximum(ys, RRE_FLOOR))
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
         for x, y in zip(xs, ys):
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * si}" font-size="11" '
-            f'fill="{color}">{s.get("label", f"series {si}")}</text>'
+            f'fill="{color}">{s["label"]}</text>'
         )
     _write_svg(path, width, height, margin, title, parts)

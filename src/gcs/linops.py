@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GcsError, RankDeficient
+from .errors import DimensionMismatch, DomainError, GcsError
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
     if not np.all(np.isfinite(a.real)) or (np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))):
-        raise ValueError(f"{name} contains NaN/Inf entries")
+        raise DomainError(f"{name} contains NaN/Inf entries")
     return a
 
 
@@ -32,7 +32,7 @@ class QRFactors:
 def qr_thin(w: np.ndarray) -> QRFactors:
     """Thin QR of a real n x k matrix (n >= k) with nonnegative diag(R).
 
-    Raises RankDeficient if any diagonal entry of R falls below
+    Raises DomainError if any diagonal entry of R falls below
     1e-12 * ||W||_F, and DimensionMismatch if n < k.
     """
     w = check_finite(np.asarray(w, dtype=float), "W")
@@ -49,7 +49,7 @@ def qr_thin(w: np.ndarray) -> QRFactors:
     r = s[:, None] * r
     tol = 1e-12 * np.linalg.norm(w)
     if np.any(np.abs(np.diagonal(r)) < tol):
-        raise RankDeficient("R has a near-zero diagonal entry; W is rank deficient")
+        raise DomainError("R has a near-zero diagonal entry; W is rank deficient")
     return QRFactors(q=q, r=r)
 
 

@@ -67,7 +67,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
+from .errors import DimensionMismatch, DomainError, GcsError
 # The lockstep engine computes objective_value_grad column by column without
 # calling it; the binding stays because perfbench/instrument.py wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
@@ -131,7 +131,7 @@ def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
         raise DimensionMismatch("signals must share a shape")
     denom = float(np.linalg.norm(x0))
     if denom == 0.0:
-        raise ZeroSignal("rre undefined for a zero reference signal")
+        raise DomainError("rre undefined for a zero reference signal")
     return float(np.linalg.norm(x0 - x_hat)) / denom
 
 
@@ -197,9 +197,10 @@ class _Plan:
             size = shape[0] * shape[1]
             rows = np.empty(shape[:2] + (n,), dtype=dtype)
             # One column at a time, so that a closed-form `rows` call's
-            # temporaries stay one column's size.
-            for column, op in zip(rows, ops[start:stop]):
-                column[...] = op.base.rows(op.indices)
+            # temporaries stay one column's size. A problem's restarts are
+            # adjacent and share one op, so they copy the rows gathered last.
+            for i, op in enumerate(ops[start:stop]):
+                rows[i] = rows[i - 1] if i and op is ops[start + i - 1] else op.base.rows(op.indices)
             self.gathers.append((rows, h[start:stop], self.r[at:at + size].reshape(shape)))
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidM, check_counts, check_integer
+from .errors import DimensionMismatch, DomainError, check_counts, check_integer
 from .transforms import UnitaryOperator
 
 
@@ -30,7 +30,6 @@ def spawn_seed(seed: int, *stream: int) -> int:
 @dataclass(frozen=True)
 class SubsampledIsometry:
     base: UnitaryOperator
-    model: str  # "bernoulli" | "fixed"
     m: int
     indices: np.ndarray = field(repr=False)  # sorted realized row set J
     seed: int = 0
@@ -54,14 +53,12 @@ def _check_model(model: str) -> None:
 
 
 def check_m(model: str, m: int, n: int) -> None:
-    """Raise InvalidM unless `model` sampling takes m of n rows.
-
-    An unknown model name or an m that is not an integer raises DomainError.
-    """
+    """Raise DomainError unless `model` names a sampling model that takes m
+    of n rows."""
     _check_model(model)
     check_integer("m", m)
     if not MIN_M[model] <= m <= n:
-        raise InvalidM(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
+        raise DomainError(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
 
 
 def bernoulli_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -77,7 +74,7 @@ def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometr
     n = u.n
     check_m("bernoulli", m, n)
     indices = bernoulli_rows(derive_rng(seed), m, n)
-    return SubsampledIsometry(base=u, model="bernoulli", m=m, indices=indices, seed=seed)
+    return SubsampledIsometry(base=u, m=m, indices=indices, seed=seed)
 
 
 def sample_fixed(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
@@ -86,7 +83,7 @@ def sample_fixed(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
     check_m("fixed", m, n)
     rng = derive_rng(seed)
     indices = np.sort(rng.permutation(n)[:m])
-    return SubsampledIsometry(base=u, model="fixed", m=m, indices=indices, seed=seed)
+    return SubsampledIsometry(base=u, m=m, indices=indices, seed=seed)
 
 
 def sampler_for(model: str):

@@ -15,16 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .coherence import regularizer
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    NonfiniteLoss,
-    TruncatedFile,
-    check_counts,
-    check_integer,
-)
+from .errors import DimensionMismatch, DomainError, GcsError, check_counts, check_integer
 from .gnn import GenerativeNetwork, check_widths, network_to_json, relu, sigmoid, stored_widths
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
@@ -39,13 +30,13 @@ def load_idx(images_path: str) -> np.ndarray:
     with open(images_path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
-        raise TruncatedFile(f"{images_path}: header truncated")
+        raise DomainError(f"{images_path}: header truncated")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IMAGE_MAGIC:
-        raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
+        raise DomainError(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
     need = 16 + count * rows * cols
     if len(raw) < need:
-        raise TruncatedFile(f"{images_path}: expected {need} bytes, got {len(raw)}")
+        raise DomainError(f"{images_path}: expected {need} bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     return pixels.reshape(count, rows * cols).astype(float) / 255.0
 
@@ -328,7 +319,7 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
     check_widths(widths)
     count, dim = data.shape
     if count == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
+        raise DomainError("cannot train on an empty dataset")
     if dim != widths[-1]:
         raise DimensionMismatch(f"data dim {dim} != decoder output {widths[-1]}")
     rng = derive_rng(config.seed)
@@ -351,7 +342,7 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
             eps_noise = rng.standard_normal((x.shape[0], k))
             loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, reg)
             if not np.isfinite(loss):
-                raise NonfiniteLoss(f"loss became {loss} at epoch {len(trace)}")
+                raise GcsError(f"loss became {loss} at epoch {len(trace)}")
             t += 1
             adam_step(params, grads, m, v, t, config.learning_rate)
             epoch_losses.append(loss)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal
+from .errors import DimensionMismatch, DomainError
 from .linops import check_finite
 
 # Smallest n at which apply() runs an FFT and rows() evaluates the closed
@@ -139,7 +139,7 @@ def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
         raise DimensionMismatch("explicit operator must be a square matrix")
     n = m.shape[0]
     if np.linalg.norm(m.conj().T @ m - np.eye(n)) > 1e-8:
-        raise NotOrthonormal("||U*U - I||_F exceeds 1e-8")
+        raise DomainError("||U*U - I||_F exceeds 1e-8")
     return UnitaryOperator(kind="explicit", n=n, given=m)
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import struct
 import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -411,6 +412,7 @@ def test_non_integer_list_entry_exits_2(tmp_path, monkeypatch, capsys, argv):
     (["--regularized", "--reg-weight", "-1"], "reg_weight must be a finite number >= 0, got -1.0"),
     (["--regularized", "--lambda", "-1"], "lam must be a finite number >= 0, got -1.0"),
     (["--lr", "inf"], "learning rate must be finite, got inf"),
+    (["--unitary", "bogus"], "unknown unitary 'bogus' (expected dft, dct, or file:<path>)"),
 ])
 def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, flag, message):
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
@@ -712,6 +714,24 @@ def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, mo
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
+    # A finite beta so large that the QR of W_beta overflows: the coherence
+    # heuristic's finiteness check fails, and the CLI reports it like any
+    # other bad input, with no traceback.
+    with open(os.path.join(ROOT, "configs", "phase_desk.json")) as f:
+        base = json.load(f)
+    config = write_config(tmp_path / "phase.json", base,
+                          {"betas": [1.7e308], "m_list": [8], "trials": 1})
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, "-m", "gcs.cli", "--out-dir", str(tmp_path / "out"),
+                           "phase", "--config", config],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "gcs: error: matrix contains NaN/Inf entries\n" in done.stderr
+    assert not (tmp_path / "out" / "phase.csv").exists()
 
 
 def write_idx(path, count, rows, cols, missing=0):

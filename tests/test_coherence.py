@@ -14,11 +14,7 @@ from gcs.coherence import (
     subspace_coherence,
     typical_coherence_bound,
 )
-from gcs.errors import (
-    DimensionMismatch,
-    DomainError,
-    NotOrthonormal,
-)
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import GenerativeNetwork
 from gcs.sampling import derive_rng
 from gcs.transforms import dct2_operator, dft_operator, identity_operator
@@ -61,7 +57,7 @@ def test_subspace_coherence_identity_spike():
 
 def test_subspace_coherence_validation():
     u = dct2_operator(8)
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(DomainError, match="columns of Q are not orthonormal to 1e-8"):
         subspace_coherence(u, np.ones((8, 2)))
     with pytest.raises(DimensionMismatch):
         subspace_coherence(u, random_orthonormal(9, 2, 0))

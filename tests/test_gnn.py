@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcs.errors import DimensionMismatch, DomainError, NoBiases, Unsupported
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import (
     GenerativeNetwork,
     augment_biases,
@@ -102,7 +102,7 @@ def test_bias_augmentation_exact():
 
 
 def test_bias_augmentation_requires_biases():
-    with pytest.raises(NoBiases):
+    with pytest.raises(DomainError, match="network has no biases to augment"):
         augment_biases(random_network([2, 4, 6], seed=0))
 
 
@@ -129,7 +129,7 @@ def test_difference_network_kills_diagonal():
 
 
 def test_difference_network_rejects_biased():
-    with pytest.raises(Unsupported):
+    with pytest.raises(DomainError, match="difference network requires no biases"):
         difference_network(random_network([2, 4, 6], seed=0, biases=True))
 
 

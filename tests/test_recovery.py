@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcs.errors import DimensionMismatch, DomainError, GcsError, ZeroSignal
+from gcs.errors import DimensionMismatch, DomainError, GcsError
 from gcs.gnn import GenerativeNetwork, forward, objective_value_grad
 from gcs.recovery import (
     SUCCESS_RRE,
@@ -37,7 +37,7 @@ def test_rre_definition():
 
 
 def test_rre_errors():
-    with pytest.raises(ZeroSignal):
+    with pytest.raises(DomainError, match="rre undefined for a zero reference signal"):
         rre(np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch):
         rre(np.ones(3), np.ones(4))

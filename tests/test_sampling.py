@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcs.errors import DimensionMismatch, DomainError, InvalidM
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.sampling import (
     apply,
     apply_adjoint,
@@ -95,11 +95,11 @@ def test_fixed_model_inclusion_frequencies():
 
 def test_m_validation():
     u = dct2_operator(8)
-    with pytest.raises(InvalidM):
+    with pytest.raises(DomainError, match="need 2 <= m <= n for bernoulli sampling, got m=1, n=8"):
         sample_bernoulli(u, 1, seed=0)
-    with pytest.raises(InvalidM):
+    with pytest.raises(DomainError, match="need 2 <= m <= n for bernoulli sampling, got m=9, n=8"):
         sample_bernoulli(u, 9, seed=0)
-    with pytest.raises(InvalidM):
+    with pytest.raises(DomainError, match="need 1 <= m <= n for fixed sampling, got m=0, n=8"):
         sample_fixed(u, 0, seed=0)
     with pytest.raises(DimensionMismatch):
         apply(sample_fixed(u, 4, seed=0), np.zeros(7))
@@ -110,7 +110,7 @@ def test_check_m_and_sampler_for():
     check_m("bernoulli", 2, 8)
     check_m("bernoulli", 8, 8)
     for model, m in [("fixed", 0), ("fixed", 9), ("bernoulli", 1), ("bernoulli", 9)]:
-        with pytest.raises(InvalidM):
+        with pytest.raises(DomainError, match=f"for {model} sampling, got m={m}, n=8"):
             check_m(model, m, 8)
     assert sampler_for("fixed") is sample_fixed
     assert sampler_for("bernoulli") is sample_bernoulli
@@ -138,7 +138,7 @@ def test_isotropy_single_trial_nonzero():
     with pytest.raises(DomainError, match="trials must be an integer, got 2.5"):
         isotropy_error(dft_operator(8), 4, trials=2.5, seed=0)
     for m in (0, 1, 9):
-        with pytest.raises(InvalidM, match=f"got m={m}, n=8"):
+        with pytest.raises(DomainError, match=f"got m={m}, n=8"):
             isotropy_error(dft_operator(8), m, trials=2, seed=0)
 
 

@@ -11,13 +11,7 @@ import pytest
 
 from gcs import training
 from gcs.coherence import network_coherence_heuristic
-from gcs.errors import (
-    BadMagic,
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    TruncatedFile,
-)
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import forward, network_to_json, save_network, sigmoid
 from gcs.sampling import derive_rng
 from gcs.training import (
@@ -65,7 +59,7 @@ def test_load_idx_bad_magic(tmp_path):
     path = tmp_path / "bad"
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", 0x804, 1, 2, 2) + bytes(4))
-    with pytest.raises(BadMagic):
+    with pytest.raises(DomainError, match="magic 0x00000804, expected 0x00000803"):
         load_idx(str(path))
 
 
@@ -73,7 +67,7 @@ def test_load_idx_truncated(tmp_path):
     path = tmp_path / "short"
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", 0x803, 5, 28, 28))  # header promises more
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DomainError, match="expected 3936 bytes, got 16"):
         load_idx(str(path))
 
 
@@ -330,7 +324,7 @@ def test_train_config_takes_zero_regularizer_weights():
 
 
 def test_train_rejects_empty_and_mismatched():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DomainError, match="cannot train on an empty dataset"):
         train_vae(np.zeros((0, 16)), [2, 8, 16], TrainConfig(epochs=1))
     with pytest.raises(DimensionMismatch):
         train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], TrainConfig(epochs=1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcs.coherence import ChordSampler, chord_coherence_mc, regularizer
-from gcs.errors import DimensionMismatch, NotOrthonormal
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import GenerativeNetwork
 from gcs.sampling import apply, apply_adjoint, derive_rng, sample_fixed
 from gcs.transforms import (
@@ -87,7 +87,7 @@ def test_explicit_operator_validates():
     u = explicit_operator(q)
     assert u.kind == "explicit" and u.n == 6
     assert u.dtype == np.float64 and np.array_equal(u.rows([4, 1]), q[[4, 1]])
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(DomainError, match=r"\|\|U\*U - I\|\|_F exceeds 1e-8"):
         explicit_operator(q * 1.01)
     with pytest.raises(DimensionMismatch):
         explicit_operator(np.ones((3, 2)))
