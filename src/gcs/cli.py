@@ -2,8 +2,8 @@
 rip, subspace-rip}.
 
 Experiment configs are JSON files mirroring the harness config dataclasses;
-desk-scale defaults ship in configs/. The env var GCS_DATA_DIR locates the
-MNIST IDX image file for `train --data mnist`.
+desk-scale defaults ship in configs/. `train --data idx:<images>` reads one
+IDX image file, such as MNIST's train-images-idx3-ubyte.
 """
 
 from __future__ import annotations
@@ -71,10 +71,8 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.data not in ("synth", "mnist") and not args.data.startswith("idx:"):
-        raise DomainError(
-            f"unknown data source {args.data!r} (expected synth, mnist, or idx:<images>)"
-        )
+    if args.data != "synth" and not args.data.startswith("idx:"):
+        raise DomainError(f"unknown data source {args.data!r} (expected synth or idx:<images>)")
     check_unitary_spec(args.unitary)
     widths = _ints(args.arch)
     gnn.check_widths(widths)
@@ -93,9 +91,6 @@ def cmd_train(args) -> int:
         data = training.synth_dataset(
             widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
         )
-    elif args.data == "mnist":
-        data = training.load_idx(
-            os.path.join(os.environ.get("GCS_DATA_DIR", "."), "train-images-idx3-ubyte"))
     else:
         data = training.load_idx(args.data[len("idx:"):])
     model = training.train_vae(data, widths, config)
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_coherence)
 
     t = sub.add_parser("train", help="train a small VAE")
-    t.add_argument("--data", default="synth", help="synth | mnist | idx:<images> (IDX images only)")
+    t.add_argument("--data", default="synth", help="synth | idx:<images> (IDX images only)")
     t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
     t.add_argument("--regularized", action="store_true")
     t.add_argument("--reg-weight", type=float, default=1e4)

@@ -178,20 +178,13 @@ def objective_value_grad(
     z = np.asarray(z, dtype=float)
     if z.shape != (g.code_dim,):
         raise DimensionMismatch(f"latent must have shape ({g.code_dim},)")
-    d = g.depth
-    h = z
-    pre = []  # preactivations of inner layers, plus final layer output
-    for i, w in enumerate(g.weights):
-        h = w @ h
-        if g.biases is not None:
-            h = h + g.biases[i]
-        pre.append(h)
-        if i < d - 1:
-            h = relu(h)
+    pre = [_layer(g, 0, z)]  # preactivations of inner layers, plus final layer output
+    for i in range(1, g.depth):
+        pre.append(_layer(g, i, relu(pre[-1])))
     r = apply(a, pre[-1]) - np.asarray(b)
     value = 0.5 * float(np.real(np.vdot(r, r)))
     s = np.real(apply_adjoint(a, r))
-    for i in range(d - 1, -1, -1):
+    for i in range(g.depth - 1, -1, -1):
         s = g.weights[i].T @ s
         if i > 0:
             s = s * (pre[i - 1] > 0)

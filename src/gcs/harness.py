@@ -137,22 +137,34 @@ class PhaseConfig:
             raise DomainError(f"betas must not repeat, got {self.betas!r}")
 
 
+def final_layer(cfg: PhaseConfig, beta) -> np.ndarray:
+    """W_beta := beta * w_high + (1 - beta) * w_low, the final layer at beta.
+
+    Raises DomainError, naming beta, where W_beta or its squared Frobenius
+    norm overflows: the coherence heuristic's QR of W_beta would then fail.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
+        norm = np.linalg.norm(w_beta)
+    if not math.isfinite(norm):
+        raise DomainError(f"betas entry {beta!r} overflows W_beta = beta*w_high + (1 - beta)*w_low")
+    return w_beta
+
+
 def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     """Per (beta, m) cell: interpolate final layers, measure, recover, record.
 
-    W_beta := beta * w_high + (1 - beta) * w_low; success is rre < 1e-5.
-    Cells are built on `run_indexed`; every trial of every cell is then
-    recovered in one recover_batch call. Records are ordered by
-    (beta, m, trial) with columns
+    W_beta is `final_layer(cfg, beta)`, every one checked before any
+    coherence is taken; success is rre < 1e-5. Cells are built on
+    `run_indexed`; every trial of every cell is then recovered in one
+    recover_batch call. Records are ordered by (beta, m, trial) with columns
     beta, coherence_heuristic, m, trial, rre, success, seed.
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    nets = []
-    for beta in cfg.betas:
-        w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
-        net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
-        nets.append((net, network_coherence_heuristic(net, u)))
+    nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
+            for beta in cfg.betas]
+    nets = [(net, network_coherence_heuristic(net, u)) for net in nets]
     cells = [(bi, mi) for bi in range(len(cfg.betas)) for mi in range(len(cfg.m_list))]
 
     def build(j):

@@ -29,13 +29,11 @@ iteration runs those products with out= and then the gradient norm, the
 termination test and one Adam step over every column in flight; it
 allocates, slices and transposes nothing.
 
-No value is computed. A column fails its restart where its gradient or
-0.5*||r||^2 is not finite, as in the one-vector loop, whose value can
-overflow while r and the gradient stay finite. So each column's |r|^2 is
-summed by one `np.add.reduceat` over the columns' first rows (a column with
-|J| = 0 sums to 0), and the sum is added to the gradient's squared norm:
-the column runs on while that total is finite. A column whose total alone
-overflowed is checked again entry by entry.
+No value is computed: a column fails its restart where its gradient is not
+finite, as in the one-vector loop. Each iteration one mask, the finiteness
+of each column's gradient entries, decides every column: a finite gradient
+of norm at most grad_tol ends the column, a nonfinite one fails its
+restart, and a finite one whose squared norm overflowed runs on.
 
 A plan holds the rows U[J] of each stretch of one group's columns in one
 array, filled column by column, and the columns' measurements in another.
@@ -68,8 +66,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GcsError
-# The lockstep engine computes objective_value_grad column by column without
-# calling it; the binding stays because perfbench/instrument.py wraps it.
+# The lockstep engine computes objective_value_grad's gradient column by
+# column without calling it; the binding stays because perfbench/instrument.py
+# wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
 from .sampling import SubsampledIsometry, apply, derive_rng
 from .training import adam_step
@@ -154,7 +153,7 @@ class _Plan:
     place; scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
     Each stretch's U_J is one array the plan fills column by column. b, r
     and the row scales hold one entry per row in flight (r_conj is r for
-    real residuals); offsets are the nonempty columns' first rows.
+    real residuals).
     pullbacks: per layer from the last, the (w^T, input, output) views of
     each run, the output, which is the gradient over the layer's input, and
     the ReLU mask it is multiplied by; the last layer's pullback reads s.
@@ -205,20 +204,15 @@ class _Plan:
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))
             at += size
-        self.nonempty = None if jrows.all() else np.flatnonzero(jrows)
-        self.offsets = (np.cumsum(jrows) - jrows)[slice(None) if self.nonempty is None else self.nonempty]
-        self.value = np.zeros(columns, dtype=dtype)
-        self.norm, self.check = np.empty((columns, 1, 1)), np.empty(columns, dtype=dtype)
-        self.keep, self.above = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
+        self.norm, self.finite_entries = np.empty((columns, 1, 1)), np.empty(z.shape, dtype=bool)
+        self.keep, self.finite = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
         self.adam = (np.empty_like(z), np.empty_like(z))
 
 
-def _block_value_grad(plan, z):
-    """Per-column sum of |r|^2 and the gradient of 0.5*||r||^2 over z, where
+def _block_grad(plan, z):
+    """The gradient (B, k, 1) of 0.5*||r||^2 over z, where
     r = scale*U_J G(z) - b, computed in the buffers of plan, which reads z
     through the views it was built with.
-
-    Returns (sums (B,), grad (B, k, 1)); a column with |J| = 0 sums to 0.
     """
     for runs, adds, out, mask in plan.layers:
         for w, h, part in runs:
@@ -240,17 +234,12 @@ def _block_value_grad(plan, z):
     for rows_t, r_conj, s in plan.scatters:
         np.matmul(rows_t, r_conj, out=s)
     plan.s *= plan.scale
-    np.multiply(plan.r_conj, plan.r, out=plan.r_conj)
-    if plan.nonempty is None:
-        np.add.reduceat(plan.r_conj, plan.offsets, out=plan.value)
-    else:
-        plan.value[plan.nonempty] = np.add.reduceat(plan.r_conj, plan.offsets)
     for runs, out, mask in plan.pullbacks:
         for w_t, s, part in runs:
             np.matmul(w_t, s, out=part)
         if mask is not None:
             out *= mask
-    return plan.value, plan.grad
+    return plan.grad
 
 
 def _lockstep(nets, queue, widths, dtype, config):
@@ -264,20 +253,19 @@ def _lockstep(nets, queue, widths, dtype, config):
     objective went nonfinite.
     """
     k, n = widths[0], widths[-1]
-    # What a queued column costs in flight, transients included. Each row
-    # costs its entries of U, its measurement, its residual (first the
-    # product U_J x) and its conjugate (which then holds |r|^2), one entry to
-    # spare and its scale; each column its |r|^2 sum, its gradient through
-    # U_J, 512 bytes of Python objects and six floats per layer width, which
-    # cover the plan's activations, ReLU masks and gradients, the latent
-    # vector, both moments and the Adam scratch. With eight rows per column
-    # this counts 5.4 kB per column besides U at the desk widths and 19.4 kB
-    # for 8-32-256 with the DFT. Tracemalloc puts what a column holds, its
-    # state, its share of the plan and of one iteration's transients, at
-    # 1.9-2.9 and 11.7-11.8 kB besides U (64 to 1,024 columns). The counted
-    # figures are kept, so that the columns in flight stay comparable with
-    # earlier measurements. One column's `rows` call, at most three arrays of
-    # that column's rows, is set aside.
+    # What a queued column costs in flight, transients included. Each row costs
+    # its entries of U, its measurement, its residual (first the product U_J x)
+    # and its conjugate, one entry to spare and its scale; each column one
+    # entry to spare, its gradient through U_J, 512 bytes of Python objects and
+    # six floats per layer width, which cover the plan's activations, ReLU
+    # masks and gradients, the latent vector, both moments and the Adam
+    # scratch. With eight rows per column this counts 5.4 kB per column besides
+    # U at the desk widths and 19.4 kB for 8-32-256 with the DFT. Tracemalloc
+    # puts what a column holds, its state, its share of the plan and of one
+    # iteration's transients, at 1.9-2.9 and 11.7-11.8 kB besides U (64 to
+    # 1,024 columns). The counted figures are kept, so that the columns in
+    # flight stay comparable with earlier measurements. One column's `rows`
+    # call, at most three arrays of that column's rows, is set aside.
     row_bytes = (n + 4) * dtype.itemsize + 8
     column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
     jrows = np.array([op.num_rows for _, op, *_ in queue])
@@ -306,24 +294,22 @@ def _lockstep(nets, queue, widths, dtype, config):
             return out
         plan = _Plan(nets, [queue[i] for i in ids], state[0])
         z, m, v = state
-        norm, keep = plan.norm.reshape(-1), plan.keep
+        norm, keep, finite = plan.norm.reshape(-1), plan.keep, plan.finite
         # live: the columns still running; the first of them has the most
         # steps, since columns enter in queue order and t counts up.
         live, first, running = np.ones(ids.size, dtype=bool), 0, ids.size
         while 8 * (ids.size - running) < ids.size:
-            value, grad = _block_value_grad(plan, z)
+            grad = _block_grad(plan, z)
             np.matmul(plan.grad_t, grad, out=plan.norm)
-            # |r|^2 + |grad|^2 is finite when both are; a column whose sum
-            # alone overflowed is checked again below.
-            np.isfinite(np.add(value, norm, out=plan.check), out=keep)
             np.sqrt(norm, out=norm)
-            keep &= np.greater(norm, config.grad_tol, out=plan.above)
+            # A column runs on while its gradient is finite and its norm,
+            # which may have overflowed to inf, is above grad_tol.
+            np.all(np.isfinite(grad, out=plan.finite_entries), axis=(1, 2), out=finite)
+            np.greater(norm, config.grad_tol, out=keep)
+            keep &= finite
             if left := np.count_nonzero(keep) != running:
-                for j in np.flatnonzero(live & ~keep):
-                    if np.isfinite(value[j]) and np.isfinite(grad[j]).all():
-                        keep[j] = norm[j] > config.grad_tol  # only its check overflowed
-                        if not keep[j]:
-                            out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
+                for j in np.flatnonzero(live & finite & ~keep):
+                    out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
                 # Leaving columns step too, on a zero gradient, so that a
                 # nonfinite one raises no floating-point warning.
                 grad[~keep] = 0.0
@@ -344,7 +330,7 @@ def _lockstep(nets, queue, widths, dtype, config):
             t += 1
         # Compaction: an eighth or more of the columns in flight finished.
         # They leave, and the next plan gathers the rows of those that stay.
-        plan = value = grad = None
+        plan = grad = None
         # state[:, live] would not be C-contiguous, and Adam's updates of
         # strided views of it took a third longer.
         ids, t, state = ids[live], t[live], state.compress(live, axis=1)

@@ -79,6 +79,24 @@ def test_recover_command(tmp_path, capsys):
     assert out["rre"] is not None and out["rre"] >= 0.0
 
 
+def test_recover_noise_flag(tmp_path, capsys):
+    # Noise of standard deviation sigma joins the measurement: a positive
+    # sigma leaves a residual and the same result per seed, and sigma 0 is
+    # the noiseless run.
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+
+    def run(*noise):
+        assert cli.main(["--seed", "2", "recover", "--weights", path, "--m", "12",
+                         "--max-iters", "300", *noise]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    plain, noisy = run(), run("--noise", "0.1")
+    assert run("--noise", "0") == plain
+    assert run("--noise", "0.1") == noisy != plain
+    values = [*noisy["z_hat"], *noisy["x_hat"], noisy["rre"], noisy["residual"]]
+    assert all(np.isfinite(values)) and noisy["residual"] > 0
+
+
 def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):
     out = tmp_path / "a.json.d" / "m.json"
     out.parent.mkdir()
@@ -142,13 +160,12 @@ def test_train_out_file_that_is_a_directory_exits_2_before_any_compute(tmp_path,
     assert err == f"gcs: error: cannot write to {tmp_path / taken}: it is a directory\n"
 
 
-@pytest.mark.parametrize("data", ["mnist", "idx:{images}"])
-def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, monkeypatch, capsys, data):
+@pytest.mark.parametrize("data", ["idx:{images}"])
+def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, data):
     # The data directory holds the image file alone.
     images = tmp_path / "data" / "train-images-idx3-ubyte"
     images.parent.mkdir()
     write_idx(images, 64, 8, 8)
-    monkeypatch.setenv("GCS_DATA_DIR", str(images.parent))
     out = tmp_path / "m.json"
     rc = cli.main(["train", "--data", data.format(images=images), "--arch", "4,16,64",
                    "--epochs", "1", "--out", str(out)])
@@ -224,7 +241,8 @@ def test_unknown_unitary_exits_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("gcs: error: unknown unitary 'walsh'")
 
 
-@pytest.mark.parametrize("extra", [["--data", "bogus"], ["--regularized", "--unitary", "walsh"]])
+@pytest.mark.parametrize("extra", [["--data", "bogus"], ["--regularized", "--unitary", "walsh"],
+                                   ["--data", "mnist"]])
 def test_train_bad_input_exits_2_before_training(tmp_path, monkeypatch, capsys, extra):
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
     monkeypatch.setattr(cli.training, "train_vae", no_compute)
@@ -717,9 +735,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
-    # A finite beta so large that the QR of W_beta overflows: the coherence
-    # heuristic's finiteness check fails, and the CLI reports it like any
-    # other bad input, with no traceback.
+    # A finite beta so large that the norm of W_beta overflows: the phase
+    # portrait refuses it before the coherence heuristic's QR, and the CLI
+    # reports it like any other bad input, with no traceback or warning.
     with open(os.path.join(ROOT, "configs", "phase_desk.json")) as f:
         base = json.load(f)
     config = write_config(tmp_path / "phase.json", base,
@@ -729,8 +747,8 @@ def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
                            "phase", "--config", config],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
-    assert "gcs: error: matrix contains NaN/Inf entries\n" in done.stderr
+    assert done.stderr == ("gcs: error: betas entry 1.7e+308 overflows "
+                           "W_beta = beta*w_high + (1 - beta)*w_low\n")
     assert not (tmp_path / "out" / "phase.csv").exists()
 
 

@@ -14,7 +14,7 @@ from gcs.coherence import (
     subspace_coherence,
     typical_coherence_bound,
 )
-from gcs.errors import DimensionMismatch, DomainError
+from gcs.errors import DimensionMismatch, DomainError, GcsError
 from gcs.gnn import GenerativeNetwork
 from gcs.sampling import derive_rng
 from gcs.transforms import dct2_operator, dft_operator, identity_operator
@@ -114,6 +114,10 @@ def test_mc_chord_estimate_validation():
             chord_coherence_mc(g, dct2_operator(8), samples=samples, seed=0)
     with pytest.raises(DimensionMismatch):
         chord_coherence_mc(g, dct2_operator(9), samples=10, seed=0)
+    # Zero first-layer weights: every chord is 0, so none is kept.
+    flat = GenerativeNetwork(weights=[np.zeros((4, 2)), derive_rng(1).standard_normal((8, 4))])
+    with pytest.raises(GcsError, match="^all sampled chords were below norm tolerance$"):
+        chord_coherence_mc(flat, dct2_operator(8), samples=10, seed=0)
 
 
 def test_lower_bound_values():

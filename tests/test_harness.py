@@ -15,6 +15,7 @@ from gcs.harness import (
     emit_csv,
     emit_svg_heatmap,
     emit_svg_scatter,
+    final_layer,
     fit_subspace_tail,
     geometric_stats,
     phase_success_grid,
@@ -129,13 +130,28 @@ def test_phase_portrait_cells_equal_per_trial_recovery():
     records = run_phase_portrait(cfg)
     for rec in records:
         bi, mi, t = cfg.betas.index(rec["beta"]), cfg.m_list.index(rec["m"]), rec["trial"]
-        w_beta = rec["beta"] * cfg.w_high + (1.0 - rec["beta"]) * cfg.w_low
-        net = GenerativeNetwork(weights=list(cfg.inner_weights) + [w_beta])
+        net = GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, rec["beta"])])
         a = sample_fixed(cfg.d_op, rec["m"], spawn_seed(cfg.seed, bi, mi, t))
         x0 = forward(net, derive_rng(cfg.seed, bi, mi, t, 1).standard_normal(net.code_dim))
         config = RecoveryConfig(max_iters=300, seed=spawn_seed(cfg.seed, bi, mi, t, 2))
         res = recover(net, a, apply(a, x0), config, x0=x0)
         assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+
+
+def test_phase_portrait_checks_every_beta_before_any_coherence(monkeypatch):
+    import gcs.harness
+
+    def no_coherence(*args):
+        raise AssertionError("a coherence heuristic was taken")
+
+    monkeypatch.setattr(gcs.harness, "network_coherence_heuristic", no_coherence)
+    cfg = replace(tiny_phase_config(), betas=[0.0, 1e155, 1.7e308])
+    # W_beta at 1e155 is finite, but its squared norm overflows.
+    assert np.isfinite(1e155 * cfg.w_high + (1.0 - 1e155) * cfg.w_low).all()
+    with pytest.raises(DomainError, match=r"^betas entry 1e\+155 overflows W_beta = "):
+        run_phase_portrait(cfg)
+    np.testing.assert_array_equal(final_layer(cfg, 0.25),
+                                  0.25 * cfg.w_high + 0.75 * cfg.w_low)
 
 
 def test_check_grid():
@@ -377,6 +393,12 @@ def test_svg_emitters(tmp_path):
         [{"label": "x", "x": [1, 2, 3], "y": [1e-1, 1e-3, 1e-5]}], str(sp)
     )
     assert "<svg" in sp.read_text()
+    empty = tmp_path / "e.svg"
+    with pytest.raises(DomainError, match="^refusing to render an empty heatmap$"):
+        emit_svg_heatmap(np.zeros((0, 2)), str(empty), row_labels=[], col_labels=["1", "2"])
+    with pytest.raises(DomainError, match="^refusing to render an empty plot$"):
+        emit_svg_scatter([], str(empty))
+    assert not empty.exists()
 
 
 def assert_sweep_equals_per_trial_recovery(models, data, sw):

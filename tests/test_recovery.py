@@ -18,7 +18,14 @@ from gcs.recovery import (
     recovery_bound_audit,
     rre,
 )
-from gcs.sampling import apply, derive_rng, sample_bernoulli, sample_fixed, spawn_seed
+from gcs.sampling import (
+    SubsampledIsometry,
+    apply,
+    derive_rng,
+    sample_bernoulli,
+    sample_fixed,
+    spawn_seed,
+)
 from gcs.transforms import dct2_operator, dft_operator
 
 
@@ -173,8 +180,8 @@ def _oracle_adam_solve(g, a, b, z0, config):
     termination = "max_iters"
     it = 0
     for it in range(1, config.max_iters + 1):
-        value, grad = objective_value_grad(g, a, b, z)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        _, grad = objective_value_grad(g, a, b, z)
+        if not np.all(np.isfinite(grad)):
             raise FloatingPointError("nonfinite objective")
         if np.linalg.norm(grad) <= config.grad_tol:
             termination = "grad_tol"
@@ -391,24 +398,49 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
             recover(g, a, b, config)
 
 
-def test_overflowing_value_fails_restart_with_finite_residual_and_gradient():
-    # Every residual entry is about -1e155 and the gradient is finite, but
-    # 0.5*||r||^2 overflows: each restart fails, as in the scalar loop.
+def test_infinite_gradient_fails_restart_at_max_iters():
+    # The constant DCT row and positive weights: every term of the gradient
+    # is about -1e308, so each entry overflows to -inf and none is NaN. Its
+    # norm, inf, is above grad_tol, but the restart fails on its first
+    # iteration, which is also max_iters: it never ends as a result.
+    u = dct2_operator(8)
+    a = SubsampledIsometry(base=u, m=1, indices=np.array([0]))
+    g = GenerativeNetwork(weights=[1.0 + derive_rng(97).random((8, 2))])
+    b = np.full(1, 1e308)
+    config = RecoveryConfig(restarts=2, seed=98, max_iters=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for restart in range(config.restarts):
+            z0 = derive_rng(config.seed, restart).standard_normal(2)
+            _, grad = objective_value_grad(g, a, b, z0)
+            assert (grad == -np.inf).all()
+        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
+            oracle_recover(g, a, b, config)
+        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
+            recover(g, a, b, config)
+
+
+@pytest.mark.parametrize("final_scale", [1.0, 1e-150])
+def test_overflowing_value_runs_on_where_the_gradient_is_finite(final_scale):
+    # Every residual entry is about -1e155, so 0.5*||r||^2 overflows, but
+    # the gradient is finite: each restart runs on to max_iters, as in the
+    # scalar loop. At final_scale 1 the gradient's squared norm overflows
+    # too; at 1e-150 the gradient is small and Adam steps as usual.
     g = small_network([3, 8, 16], seed=92)
+    g = GenerativeNetwork(weights=[g.weights[0], final_scale * g.weights[1]])
     a = sample_fixed(dct2_operator(16), 8, seed=93)
     b = np.full(8, 1e155)
-    config = RecoveryConfig(restarts=2, seed=94)
+    config = RecoveryConfig(restarts=2, seed=94, max_iters=30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for restart in range(config.restarts):
             z0 = derive_rng(config.seed, restart).standard_normal(3)
             value, grad = objective_value_grad(g, a, b, z0)
-            assert np.isfinite(apply(a, forward(g, z0)) - b).all()
             assert value == np.inf and np.isfinite(grad).all()
-        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
-            oracle_recover(g, a, b, config)
-        with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
-            recover(g, a, b, config)
+            assert (grad @ grad == np.inf) == (final_scale == 1.0)
+        got = recover(g, a, b, config)
+        assert_identical(got, oracle_recover(g, a, b, config))
+    assert (got.termination, got.iterations, got.failed_restarts) == ("max_iters", 30, 0)
 
 
 def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
@@ -587,17 +619,17 @@ def trace_loop(monkeypatch):
     import gcs.recovery
 
     trace = {"in_flight": [], "entered_after": []}
-    value_grad, draw = gcs.recovery._block_value_grad, gcs.recovery.derive_rng
+    block_grad, draw = gcs.recovery._block_grad, gcs.recovery.derive_rng
 
     def counted(*args):
         trace["in_flight"].append(len(args[-1]))  # z, one latent vector per column
-        return value_grad(*args)
+        return block_grad(*args)
 
     def drawn(*args):
         trace["entered_after"].append(len(trace["in_flight"]))
         return draw(*args)
 
-    monkeypatch.setattr(gcs.recovery, "_block_value_grad", counted)
+    monkeypatch.setattr(gcs.recovery, "_block_grad", counted)
     monkeypatch.setattr(gcs.recovery, "derive_rng", drawn)
     return trace
 

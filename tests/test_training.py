@@ -5,13 +5,14 @@ import runpy
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gcs import training
 from gcs.coherence import network_coherence_heuristic
-from gcs.errors import DimensionMismatch, DomainError
+from gcs.errors import DimensionMismatch, DomainError, GcsError
 from gcs.gnn import forward, network_to_json, save_network, sigmoid
 from gcs.sampling import derive_rng
 from gcs.training import (
@@ -258,6 +259,18 @@ def test_train_deterministic_per_seed():
     assert m1.loss_trace == m2.loss_trace
     m3 = small_run(seed=4)
     assert m1.loss_trace != m3.loss_trace
+
+
+def test_train_nonfinite_loss_is_a_run_failure():
+    # A finite but huge learning rate: the first step throws the parameters
+    # so far that the next batch's loss is not finite, and training stops.
+    data = synth_dataset(16, 2, 64, seed=0)
+    config = TrainConfig(learning_rate=1e300, epochs=2, batch_size=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(GcsError, match=r"^loss became (nan|-?inf) at epoch 0$") as caught:
+            train_vae(data, [2, 8, 16], config)
+    assert type(caught.value) is GcsError
 
 
 def test_train_loss_decreases():
