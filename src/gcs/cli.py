@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
 from .errors import DomainError, GcsError, check_counts
@@ -118,8 +120,10 @@ def cmd_recover(args) -> int:
     x0 = gnn.forward(g, z0)
     b = sampling.apply(a, x0)
     if args.noise > 0:
-        eta = args.noise * rng.standard_normal(b.shape[0])
-        b = b + eta
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = b + args.noise * rng.standard_normal(b.shape[0])
+        if not np.all(np.isfinite(b)):
+            raise DomainError(f"--noise {args.noise} overflows the measurement b")
     res = recovery.recover(g, a, b, cfg, x0=x0)
     out = res.to_json()
     out["success"] = res.rre is not None and res.rre < recovery.SUCCESS_RRE

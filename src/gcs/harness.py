@@ -3,10 +3,11 @@ CSV/SVG emission.
 
 Every trial derives its own RNG stream from (seed, grid indices, trial), so a
 trial's output does not depend on how many trials run: a run with fewer trials
-writes a prefix of each cell's records. The phase portrait and the
-measurement sweep build their cells on `run_indexed`, one after another in the
-calling thread, and then recover all their trials in one lockstep batch; the
-two RIP checks share one trial loop on it.
+writes a prefix of each cell's records. All four experiments run on one trial
+grid, (row, m, trial) in that order with one job per trial on `run_indexed`,
+in the calling thread. The phase portrait's rows are its betas and the
+sweep's its models; both then recover every trial in one lockstep batch
+(`_recover_grid`). The two RIP checks run the same grid with one row.
 Experiments default to the fixed-permutation sampling model; RIP checks
 default to Bernoulli.
 """
@@ -48,6 +49,8 @@ def check_grid(model: str, m_list, n: int):
     Checking the whole grid up front fails a run before any cell computes;
     records and summaries are keyed by m, so an m may appear only once.
     """
+    if not isinstance(m_list, list):
+        raise DomainError(f"m_list must be a list of integers, got {m_list!r}")
     if not m_list:
         raise DomainError("the m grid is empty")
     for i, m in enumerate(m_list):
@@ -90,20 +93,30 @@ def emit_csv(records: list[dict], path: str) -> None:
         writer.writerows([_format_value(rec[c]) for c in columns] for rec in records)
 
 
-def _recover_all(trials: list, recovery: RecoveryConfig) -> list[float]:
-    """Recover trials, each (network, operator, x0, solver seed), in one batch.
+def _grid(rows: int, m_list: list, trials: int, fn) -> list:
+    """fn(row, m index, trial) over the grid in that order, one job each on
+    `run_indexed`."""
 
-    Returns each trial's rre; inf where it is undefined (x0 = 0).
+    def job(j):
+        i, k = divmod(j, len(m_list) * trials)
+        return fn(i, *divmod(k, trials))
+
+    return run_indexed(job, rows * len(m_list) * trials)
+
+
+def _recover_grid(rows: int, m_list: list, trials: int, recovery: RecoveryConfig,
+                  trial) -> list[tuple]:
+    """Build every trial of the grid, recover all of them in one batch.
+
+    trial(row, m index, trial) returns (key, network, operator, x0, solver
+    seed). Returns (key, rre) in grid order; rre is inf where it is
+    undefined (x0 = 0).
     """
-    gs, ops, x0s, seeds = (list(col) for col in zip(*trials))
-    results = recover_batch(
-        gs,
-        ops,
-        [apply(a, x0) for a, x0 in zip(ops, x0s)],
-        [replace(recovery, seed=seed) for seed in seeds],
-        x0s,
-    )
-    return [float("inf") if res.rre is None else res.rre for res in results]
+    keys, gs, ops, x0s, seeds = (list(col) for col in zip(*_grid(rows, m_list, trials, trial)))
+    results = recover_batch(gs, ops, [apply(a, x0) for a, x0 in zip(ops, x0s)],
+                            [replace(recovery, seed=seed) for seed in seeds], x0s)
+    return [(key, float("inf") if res.rre is None else res.rre)
+            for key, res in zip(keys, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +168,24 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     """Per (beta, m) cell: interpolate final layers, measure, recover, record.
 
     W_beta is `final_layer(cfg, beta)`, every one checked before any
-    coherence is taken; success is rre < 1e-5. Cells are built on
-    `run_indexed`; every trial of every cell is then recovered in one
-    recover_batch call. Records are ordered by (beta, m, trial) with columns
-    beta, coherence_heuristic, m, trial, rre, success, seed.
+    coherence is taken; success is rre < 1e-5. The betas are the rows of the
+    trial grid (`_recover_grid`). Records are ordered by (beta, m, trial)
+    with columns beta, coherence_heuristic, m, trial, rre, success, seed.
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
     nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
             for beta in cfg.betas]
     nets = [(net, network_coherence_heuristic(net, u)) for net in nets]
-    cells = [(bi, mi) for bi in range(len(cfg.betas)) for mi in range(len(cfg.m_list))]
 
-    def build(j):
-        bi, mi = cells[j]
+    def trial(bi, mi, t):
         net, coh = nets[bi]
         m = cfg.m_list[mi]
-        cell = []
-        for t in range(cfg.trials):
-            a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
-            rng = derive_rng(cfg.seed, bi, mi, t, 1)
-            x0 = forward(net, rng.standard_normal(net.code_dim))
-            cell.append(((cfg.betas[bi], coh, m, t, a.seed),
-                         (net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2))))
-        return cell
+        a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
+        x0 = forward(net, derive_rng(cfg.seed, bi, mi, t, 1).standard_normal(net.code_dim))
+        return (cfg.betas[bi], coh, m, t, a.seed), net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)
 
-    built = run_indexed(build, len(cells))
-    keys, trials = zip(*(pair for cell in built for pair in cell))
-    errs = _recover_all(trials, cfg.recovery)
+    grid = _recover_grid(len(cfg.betas), cfg.m_list, cfg.trials, cfg.recovery, trial)
     return [
         {
             "beta": beta,
@@ -193,7 +196,7 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
             "success": err < SUCCESS_RRE,
             "seed": seed,
         }
-        for (beta, coh, m, t, seed), err in zip(keys, errs)
+        for (beta, coh, m, t, seed), err in grid
     ]
 
 
@@ -245,38 +248,27 @@ def run_measurement_sweep(
     """Per (model, m, trial): fresh A, target G(E(x_sharp)), recover, record rre.
 
     The grid and the test samples' count and dimension are checked before
-    any cell is built. Cells are built on `run_indexed`; every trial is then
-    recovered in one recover_batch call, whatever the decoders' shapes.
-    Returns (trial records, per-(model, m) geometric summaries).
+    any trial is built. The models are the rows of the trial grid
+    (`_recover_grid`), whatever the decoders' shapes. Returns (trial
+    records, per-(model, m) geometric summaries).
     """
     u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
     check_test_data(*test_samples.shape, models)
-    cells = [(gi, mi) for gi in range(len(models)) for mi in range(len(cfg.m_list))]
 
-    def build(j):
-        gi, mi = cells[j]
+    def trial(gi, mi, t):
         name, model = models[gi]
         m = cfg.m_list[mi]
-        cell = []
-        for t in range(cfg.trials):
-            # Target choice is shared across models: same x_sharp per (m, trial).
-            rng = derive_rng(cfg.seed, mi, t)
-            x_sharp = test_samples[int(rng.integers(test_samples.shape[0]))]
-            mu, _ = model.encode(x_sharp)
-            x0 = forward(model.decoder, mu)
-            a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
-            cell.append(((name, m, t, a.seed),
-                         (model.decoder, a, x0, spawn_seed(cfg.seed, gi, mi, t, 2))))
-        return cell
+        # Target choice is shared across models: same x_sharp per (m, trial).
+        rng = derive_rng(cfg.seed, mi, t)
+        mu, _ = model.encode(test_samples[int(rng.integers(test_samples.shape[0]))])
+        a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
+        return ((name, m, t, a.seed), model.decoder, a, forward(model.decoder, mu),
+                spawn_seed(cfg.seed, gi, mi, t, 2))
 
-    built = run_indexed(build, len(cells))
-    keys, trials = zip(*(pair for cell in built for pair in cell))
-    errs = _recover_all(trials, cfg.recovery)
-    records = [
-        {"model": name, "m": m, "trial": t, "rre": err, "seed": seed}
-        for (name, m, t, seed), err in zip(keys, errs)
-    ]
+    grid = _recover_grid(len(models), cfg.m_list, cfg.trials, cfg.recovery, trial)
+    records = [{"model": name, "m": m, "trial": t, "rre": err, "seed": seed}
+               for (name, m, t, seed), err in grid]
     summaries = []
     for name, _ in models:
         for m in cfg.m_list:
@@ -306,17 +298,16 @@ def _rip_trials(m_list: list[int], trials: int, delta: float,
                 trial) -> tuple[list[dict], list[dict]]:
     """The trial loop of both RIP checks: (records, per-m exceed summaries).
 
-    trial maps (m index, trial, m) to (deviation, seed); the (m, trial) jobs
-    run in that order on `run_indexed`.
+    trial maps (m index, trial, m) to (deviation, seed); it runs on the
+    trial grid with one row, one job per (m, trial).
     """
 
-    def one(j):
-        mi, t = divmod(j, trials)
+    def one(_, mi, t):
         m = m_list[mi]
         dev, seed = trial(mi, t, m)
         return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
 
-    records = run_indexed(one, len(m_list) * trials)
+    records = _grid(1, m_list, trials, one)
     exceed = np.reshape([r["exceed"] for r in records], (len(m_list), trials))
     return records, [{"m": m, "exceed_freq": float(np.mean(e)), "trials": trials}
                      for m, e in zip(m_list, exceed)]

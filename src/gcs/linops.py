@@ -32,8 +32,8 @@ class QRFactors:
 def qr_thin(w: np.ndarray) -> QRFactors:
     """Thin QR of a real n x k matrix (n >= k) with nonnegative diag(R).
 
-    Raises DomainError if any diagonal entry of R falls below
-    1e-12 * ||W||_F, and DimensionMismatch if n < k.
+    Raises DomainError if ||W||_F overflows or any diagonal entry of R falls
+    below 1e-12 * ||W||_F, and DimensionMismatch if n < k.
     """
     w = check_finite(np.asarray(w, dtype=float), "W")
     if w.ndim != 2:
@@ -47,7 +47,11 @@ def qr_thin(w: np.ndarray) -> QRFactors:
     s = np.where(d < 0, -1.0, 1.0)
     q = q * s
     r = s[:, None] * r
-    tol = 1e-12 * np.linalg.norm(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(w)
+    if not np.isfinite(norm):
+        raise DomainError("the Frobenius norm of W overflows")
+    tol = 1e-12 * norm
     if np.any(np.abs(np.diagonal(r)) < tol):
         raise DomainError("R has a near-zero diagonal entry; W is rank deficient")
     return QRFactors(q=q, r=r)

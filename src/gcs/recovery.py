@@ -33,7 +33,9 @@ No value is computed: a column fails its restart where its gradient is not
 finite, as in the one-vector loop. Each iteration one mask, the finiteness
 of each column's gradient entries, decides every column: a finite gradient
 of norm at most grad_tol ends the column, a nonfinite one fails its
-restart, and a finite one whose squared norm overflowed runs on.
+restart, and a finite one whose squared norm overflowed runs on. Since the
+mask decides, the loop runs with numpy's overflow and invalid-value
+warnings off.
 
 A plan holds the rows U[J] of each stretch of one group's columns in one
 array, filled column by column, and the columns' measurements in another.
@@ -383,7 +385,8 @@ def recover_batch(
                          for c in group)
         queue = [(net_of[i], ops[i], bs[i], configs[i].seed, r, g)
                  for _, g, c in columns for i, r in [cols[c]]]
-        block = _lockstep(nets, queue, widths, dtype, configs[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _lockstep(nets, queue, widths, dtype, configs[0])
         for (_, _, c), final in zip(columns, block):
             finals[c] = final
 

@@ -54,6 +54,9 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     if not 1 <= k_true <= n:
         raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
     check_counts(count=count)
+    if int(count) * n * 8 > np.iinfo(np.intp).max:
+        raise DomainError(f"count={count} samples of n={n} float64 entries exceed the largest "
+                          "array numpy can hold")
     rng = derive_rng(seed)
     w = rng.standard_normal((n, k_true))
     z = rng.standard_normal((count, k_true))
@@ -333,20 +336,22 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
         reg = (config.reg_weight, config.lam, config.d_op)
     trace = []
     t = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(count)
-        epoch_losses = []
-        for start in range(0, count, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            x = data[idx]
-            eps_noise = rng.standard_normal((x.shape[0], k))
-            loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, reg)
-            if not np.isfinite(loss):
-                raise GcsError(f"loss became {loss} at epoch {len(trace)}")
-            t += 1
-            adam_step(params, grads, m, v, t, config.learning_rate)
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
+    # The nonfinite-loss check reports an overflow; numpy's warnings are off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(count)
+            epoch_losses = []
+            for start in range(0, count, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                x = data[idx]
+                eps_noise = rng.standard_normal((x.shape[0], k))
+                loss = _vae_loss_and_grads(views, grad_views, x, eps_noise, reg)
+                if not np.isfinite(loss):
+                    raise GcsError(f"loss became {loss} at epoch {len(trace)}")
+                t += 1
+                adam_step(params, grads, m, v, t, config.learning_rate)
+                epoch_losses.append(loss)
+            trace.append(float(np.mean(epoch_losses)))
     return VaeModel(list(widths), params, trace)
 
 

@@ -34,6 +34,17 @@ def test_resolve_unitary(tmp_path):
         cli.resolve_unitary("walsh", 8)
 
 
+def test_coherence_of_a_final_layer_whose_norm_overflows_exits_2(tmp_path, capsys):
+    # Finite weights whose Frobenius norm overflows: the thin QR names the
+    # overflow in one line, where numpy would warn and call W rank deficient.
+    rng = derive_rng(0)
+    net = GenerativeNetwork(weights=[rng.standard_normal((8, 2)),
+                                     1e160 * rng.standard_normal((16, 8))])
+    save_network(net, str(tmp_path / "net.json"))
+    assert cli.main(["coherence", "--weights", str(tmp_path / "net.json")]) == 2
+    assert capsys.readouterr().err == "gcs: error: the Frobenius norm of W overflows\n"
+
+
 def test_arg_list_parsers():
     assert cli._ints("8,16, 32") == [8, 16, 32]
     with pytest.raises(DomainError, match="comma-separated integers"):
@@ -280,8 +291,13 @@ def test_sweep_without_models_exits_2_before_loading(tmp_path, monkeypatch, caps
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("m_list, message", [([10, 10], "m = 10 appears twice"),
-                                             ([16, 80], "got m=80, n=64")])
+@pytest.mark.parametrize("m_list, message", [
+    ([10, 10], "m = 10 appears twice"),
+    ([16, 80], "got m=80, n=64"),
+    (16, "m_list must be a list of integers, got 16"),
+    (True, "m_list must be a list of integers, got True"),
+    (NULL, "m_list must be a list of integers, got None"),
+])
 def test_sweep_bad_grid_exits_2_after_one_model_load(tmp_path, monkeypatch, capsys, m_list,
                                                      message):
     config = sweep_config(tmp_path, m_list=m_list,
@@ -445,6 +461,8 @@ def test_train_bad_config_exits_2_before_data(tmp_path, monkeypatch, capsys, fla
 @pytest.mark.parametrize("flag, message", [
     (["--synth-k", "0"], "need 1 <= k_true <= n, got k_true=0, n=16"),
     (["--synth-count", "0"], "count must be >= 1, got 0"),
+    (["--synth-count", str(2**62)], f"count={2**62} samples of n=16 float64 entries exceed the "
+                                    "largest array numpy can hold"),
 ])
 def test_train_bad_synth_data_exits_2_before_drawing(tmp_path, monkeypatch, capsys, flag,
                                                      message):
@@ -604,6 +622,12 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
     (["phase", "--config", "phase.json"], {"unitary": 5}, "unknown unitary 5"),
     (["phase", "--config", "phase.json"], {"m_list": [4, 4], "trials": 2},
      "m = 4 appears twice in the m grid"),
+    (["phase", "--config", "phase.json"], {"m_list": 16},
+     "m_list must be a list of integers, got 16"),
+    (["phase", "--config", "phase.json"], {"m_list": True},
+     "m_list must be a list of integers, got True"),
+    (["phase", "--config", "phase.json"], {"m_list": NULL},
+     "m_list must be a list of integers, got None"),
     (["phase", "--config", "phase.json"], {"betas": [0.0, 0.5, 0.5]},
      "betas must not repeat, got [0.0, 0.5, 0.5]"),
     (["sweep", "--config", "sweep.json"], {"models": {"a": "w_mu_short.json"}},
@@ -660,6 +684,7 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
         "phase-weights-no-cols", "sweep-model-no-encoder", "phase-unknown-key",
         "sweep-unknown-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
         "sweep-float-trials", "phase-unitary-not-a-string", "phase-repeated-m",
+        "phase-integer-m_list", "phase-bool-m_list", "phase-null-m_list",
         "phase-repeated-beta", "sweep-model-w_mu-short", "sweep-model-b_mu-cut",
         "sweep-model-encoder-bias-cut", "phase-null-w_high", "phase-integer-w_low",
         "phase-string-inner_weights", "phase-integer-inner-entry", "sweep-null-model",
@@ -752,6 +777,25 @@ def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
     assert not (tmp_path / "out" / "phase.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (RECOVER + ["--lr", "1e308"], "all 1 restarts hit a nonfinite objective"),
+    (["phase", "--config", "phase.json"], "all 1 restarts hit a nonfinite objective"),
+    (["train", "--arch", "2,8,16", "--lr", "1e308", "--epochs", "1", "--batch", "32",
+      "--synth-count", "100", "--out", "m.json"], "loss became nan at epoch 0"),
+    (RECOVER + ["--noise", "1e308"], "--noise 1e+308 overflows the measurement b"),
+], ids=["recover-lr", "phase-learning_rate", "train-lr", "recover-noise"])
+def test_overflow_at_finite_extremes_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                                 argv, message):
+    # Finite inputs so large that Adam's step or the noisy measurement
+    # overflows: the run reports it in one line, and numpy warns nothing
+    # (tier-1 turns a RuntimeWarning into an error).
+    monkeypatch.chdir(tmp_path)
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    phase_config(tmp_path, recovery={"learning_rate": 1e308})
+    assert cli.main(["--out-dir", "out"] + argv) == 2
+    assert capsys.readouterr().err == f"gcs: error: {message}\n"
+
+
 def write_idx(path, count, rows, cols, missing=0):
     """An IDX image file holding count black rows x cols images, less the
     last `missing` pixel bytes."""
@@ -765,7 +809,9 @@ def write_idx(path, count, rows, cols, missing=0):
     ((0, 8, 8), None, "the sweep's test data holds no samples", 1),
     ((3, 8, 8, 1), None, "images.idx: expected 208 bytes, got 207", 0),
     (None, synth(k_true=100), "need 1 <= k_true <= n, got k_true=100, n=64", 1),
-], ids=["wrong-dim", "no-images", "truncated-body", "synth-k_true-above-n"])
+    (None, synth(count=2**70), f"count={2**70} samples of n=64 float64 entries exceed the "
+                               "largest array numpy can hold", 1),
+], ids=["wrong-dim", "no-images", "truncated-body", "synth-k_true-above-n", "synth-count-2**70"])
 def test_sweep_idx_test_data_of_wrong_shape_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
                                                                      idx, test_data, message,
                                                                      want_loads):

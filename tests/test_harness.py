@@ -445,3 +445,51 @@ def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
     sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
                      recovery=RecoveryConfig(max_iters=300, restarts=2))
     assert_sweep_equals_per_trial_recovery(models, data, sw)
+
+
+def spy(monkeypatch, name):
+    """Record the positional arguments of every call of gcs.harness.<name>."""
+    import gcs.harness
+
+    calls, fn = [], getattr(gcs.harness, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(gcs.harness, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["phase", "sweep"])
+def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, experiment):
+    # One job per (row, m, trial) and one recover_batch call over the grid,
+    # in (row, m, trial) order: each problem's solver seed names its place.
+    if experiment == "phase":
+        cfg = tiny_phase_config()
+        nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
+                for beta in cfg.betas]
+    else:
+        u = dct2_operator(16)
+        data = synth_dataset(16, 2, 100, seed=1)
+        models = [(name, train_vae(data, [2, 8, 16],
+                                   TrainConfig(epochs=1, seed=seed, d_op=u, batch_size=32)))
+                  for name, seed in (("a", 0), ("b", 1))]
+        cfg = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
+                          recovery=RecoveryConfig(max_iters=300))
+        nets = [model.decoder for _, model in models]
+    jobs, batches = spy(monkeypatch, "run_indexed"), spy(monkeypatch, "recover_batch")
+    if experiment == "phase":
+        run_phase_portrait(cfg)
+    else:
+        run_measurement_sweep(models, data, cfg)
+    grid = [(i, mi, t) for i in range(len(nets)) for mi in range(len(cfg.m_list))
+            for t in range(cfg.trials)]
+    assert [count for _, count in jobs] == [len(grid)]
+    assert len(batches) == 1
+    gs, ops, bs, configs, x0s = batches[0]
+    assert len(gs) == len(ops) == len(bs) == len(configs) == len(x0s) == len(grid)
+    assert [c.seed for c in configs] == [spawn_seed(cfg.seed, *ix, 2) for ix in grid]
+    assert [op.num_rows for op in ops] == [cfg.m_list[mi] for _, mi, _ in grid]
+    for g, (i, _, _) in zip(gs, grid):
+        assert all(np.array_equal(w, v) for w, v in zip(g.weights, nets[i].weights))
