@@ -10,20 +10,21 @@
 # over minutes slows both sides alike. The end-to-end metrics, each with the
 # direction in which it is better and its bound, are read from this
 # checkout's BENCHMARK.json. When all have run, prints per seed both sides'
-# value of each, then per metric the medians, the parent's interquartile
-# range (IQR) and the number of pairs in which the change is better.
-#
-# Last come three verdict lines per metric. The claim line, for a claim that
-# the change improves the metric: whether the change is better in at least
-# nine tenths of the pairs (9 of 10 seeds), and whether its median is better
-# than the parent's by more than the parent's IQR; both must read "yes" for
-# the claim to hold. The no-regression line: whether the change's median is
-# worse than the parent's by at most bound x the parent's median; it reads
-# "unresolved" when the parent's IQR over its median exceeds the bound, as
-# the runs then spread too widely to tell. The separation line: whether
-# every change run is better than every parent run, which still shows a
-# real change where the runs spread wider than the bound. Calls nothing but
-# perfbench.
+# value of each, and then, as its last line, one JSON object:
+#   {"workload": WORKLOAD, "metrics": {NAME: {...}, ...}}
+# Per metric it holds both medians ("parent_median", "change_median"), the
+# parent's quartiles ("parent_q1", "parent_q3"; q3 - q1 is its interquartile
+# range, IQR), the number of pairs in which the change is better ("wins")
+# and the pair count ("pairs"), and three verdicts. "claim", for a claim
+# that the change improves the metric: true when the change is better in at
+# least nine tenths of the pairs (9 of 10 seeds) and its median is better
+# than the parent's by more than the parent's IQR. "no_regression": true
+# when the change's median is worse than the parent's by at most bound x the
+# parent's median, and null (unresolved) when the parent's IQR exceeds that
+# allowance, as the runs then spread too widely to tell. "separation": true
+# when every change run is better than every parent run, which still shows
+# a real change where the runs spread wider than the bound. Calls nothing
+# but perfbench.
 # A run that exits nonzero, or whose last line is not a JSON object with
 # metrics, stops the script with status 1 before any summary.
 set -e
@@ -60,7 +61,7 @@ for seed in $(seq "$first" "$last"); do
     fi
 done
 
-python3 - "$rows" "$spec" <<'EOF'
+python3 - "$rows" "$spec" "$workload" <<'EOF'
 import json, math, statistics, sys
 from collections import defaultdict
 
@@ -77,7 +78,7 @@ for s in seeds:
         side + "".join(f" {m['name']} {runs[s][side][m['name']]:.6g}" for m in metrics)
         for side in ("parent", "change")))
 need = math.ceil(0.9 * len(seeds))
-verdicts = []
+verdicts = {}
 for m in metrics:
     name, bound = m["name"], m["bound"]
     sign = 1 if m["better"] == "lower" else -1  # the change is better where sign * (c - p) < 0
@@ -85,23 +86,16 @@ for m in metrics:
     change = [runs[s]["change"][name] for s in seeds]
     q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
                  else parent * 3)
-    p_med, c_med, iqr = statistics.median(parent), statistics.median(change), q3 - q1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    print(f"{name} ({m['better']} is better): parent median {p_med:.4g} "
-          f"[IQR {q1:.4g}-{q3:.4g}], change median {c_med:.4g}, "
-          f"change better in {wins}/{len(seeds)}")
-    # + 0.0 prints a tie as 0, not -0.
-    gain, worse = sign * (p_med - c_med) + 0.0, sign * (c_med - p_med) + 0.0
-    verdicts.append(f"claim {name}: better in >= {need}/{len(seeds)} pairs: "
-                    f"{'yes' if wins >= need else 'no'} ({wins}); median gain {gain:.4g} "
-                    f"> parent IQR {iqr:.4g}: {'yes' if gain > iqr else 'no'}")
     allowed = bound * abs(p_med)
-    held = "unresolved" if iqr > allowed else "yes" if worse <= allowed else "no"
-    verdicts.append(f"no-regression {name}: median worse by {worse:.4g} <= {bound:g} x parent "
-                    f"median {allowed:.4g}: {held}")
     c_worst, p_best = (max if sign > 0 else min)(change), (min if sign > 0 else max)(parent)
-    verdicts.append(f"separation {name}: every change run better than every parent run "
-                    f"(worst change {c_worst:.4g}, best parent {p_best:.4g}): "
-                    f"{'yes' if sign * (c_worst - p_best) < 0 else 'no'}")
-print("\n".join(verdicts))
+    verdicts[name] = {
+        "parent_median": p_med, "change_median": c_med, "parent_q1": q1, "parent_q3": q3,
+        "wins": wins, "pairs": len(seeds),
+        "claim": wins >= need and sign * (p_med - c_med) > q3 - q1,
+        "no_regression": None if q3 - q1 > allowed else sign * (c_med - p_med) <= allowed,
+        "separation": sign * (c_worst - p_best) < 0,
+    }
+print(json.dumps({"workload": sys.argv[3], "metrics": verdicts}))
 EOF

@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
-from .errors import DimensionMismatch, DomainError, check_counts, check_integer
+from .errors import DimensionMismatch, DomainError, check_array_size, check_counts, check_integer
 from .gnn import GenerativeNetwork, forward
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
@@ -331,6 +331,8 @@ def run_rip_check(
     if g.biases is not None:
         raise DomainError("RIP check needs a bias-free network")
     check_counts(chord_samples=chord_samples)
+    check_array_size(f"chord_samples={chord_samples} chords of up to {max(g.widths)}",
+                     chord_samples, max(g.widths))
     sampler = _check_rip(model, m_list, u.n, trials, delta)
     chords = ChordSampler(g, u)
 
@@ -371,6 +373,7 @@ def run_subspace_rip(
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     _check_rip("bernoulli", m_list, n, trials, delta)
+    check_array_size(f"n={n} rows of k={k}", n, k)
     q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
     alpha = subspace_coherence(u, q)
     b_mat = u.apply(q)

@@ -29,13 +29,13 @@ iteration runs those products with out= and then the gradient norm, the
 termination test and one Adam step over every column in flight; it
 allocates, slices and transposes nothing.
 
-No value is computed: a column fails its restart where its gradient is not
-finite, as in the one-vector loop. Each iteration one mask, the finiteness
-of each column's gradient entries, decides every column: a finite gradient
-of norm at most grad_tol ends the column, a nonfinite one fails its
-restart, and a finite one whose squared norm overflowed runs on. Since the
-mask decides, the loop runs with numpy's overflow and invalid-value
-warnings off.
+No value is computed: a column fails its restart where the norm of its
+gradient is not finite, as in the one-vector loop. Each iteration that one
+number, which the termination test forms anyway, decides every column: a
+norm at most grad_tol ends the column, a nonfinite one (an entry that is
+inf or NaN, or a squared norm that overflowed) fails its restart, and any
+other runs on. Since the norm decides, the loop runs with numpy's overflow
+and invalid-value warnings off.
 
 A plan holds the rows U[J] of each stretch of one group's columns in one
 array, filled column by column, and the columns' measurements in another.
@@ -43,12 +43,12 @@ Each queued column costs a fixed count of bytes, its rows' and its own (see
 `_lockstep`). Columns enter in queue order while what the loop holds stays
 within BLOCK_BYTES, or while fewer than BLOCK_COLUMNS are in flight; so a
 call needs about BLOCK_BYTES on top of its inputs and results. The other
-columns wait in the queue. A finished column sits in flight at z = 0 with
-its measurements and scale zeroed, so its gradient is exactly zero and
-nothing it computes raises a warning. When an eighth or more of the columns
-in flight have finished, or all of them, the loop compacts: the finished
-columns leave, the waiting columns enter in order as far as room allows,
-and a new plan gathers the rows of all in flight.
+columns wait in the queue. A finished column stays in flight and steps on,
+unread, until the next compaction; nothing writes to a plan's rows,
+measurements or scales once it is built. When an eighth or more of the
+columns in flight have finished, or all of them, the loop compacts: the
+finished columns leave, the waiting columns enter in order as far as room
+allows, and a new plan gathers the rows of all in flight.
 
 Every product is a stacked matrix-vector product
 (`np.matmul(W, Z[:, :, None])`), the same BLAS call as a one-vector loop
@@ -155,7 +155,8 @@ class _Plan:
     place; scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
     Each stretch's U_J is one array the plan fills column by column. b, r
     and the row scales hold one entry per row in flight (r_conj is r for
-    real residuals).
+    real residuals). The rows, b and the scales are the plan's inputs: an
+    iteration reads them and nothing writes to them once the plan is built.
     pullbacks: per layer from the last, the (w^T, input, output) views of
     each run, the output, which is the gradient over the layer's input, and
     the ReLU mask it is multiplied by; the last layer's pullback reads s.
@@ -186,7 +187,7 @@ class _Plan:
                                 out, None if last else np.empty(out.shape, dtype=bool)))
             self.pullbacks.insert(0, ([(w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs], dh, mask))
             h, dh, mask = out, dout, self.layers[-1][3]
-        self.jrows = jrows = np.array([op.num_rows for op in ops], dtype=np.intp)
+        jrows = np.array([op.num_rows for op in ops], dtype=np.intp)
         self.scale = np.array([op.scale for op in ops])[:, None, None]
         self.b = np.concatenate(bs, dtype=dtype)
         self.scale_rows = np.repeat(self.scale[:, 0, 0], jrows)
@@ -206,7 +207,7 @@ class _Plan:
             self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
                                   self.s[start:stop]))
             at += size
-        self.norm, self.finite_entries = np.empty((columns, 1, 1)), np.empty(z.shape, dtype=bool)
+        self.norm = np.empty((columns, 1, 1))
         self.keep, self.finite = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
         self.adam = (np.empty_like(z), np.empty_like(z))
 
@@ -298,23 +299,22 @@ def _lockstep(nets, queue, widths, dtype, config):
         z, m, v = state
         norm, keep, finite = plan.norm.reshape(-1), plan.keep, plan.finite
         # live: the columns still running; the first of them has the most
-        # steps, since columns enter in queue order and t counts up.
+        # steps, since columns enter in queue order and t counts up. A column
+        # that has left steps on, unread, until the next compaction.
         live, first, running = np.ones(ids.size, dtype=bool), 0, ids.size
         while 8 * (ids.size - running) < ids.size:
             grad = _block_grad(plan, z)
             np.matmul(plan.grad_t, grad, out=plan.norm)
             np.sqrt(norm, out=norm)
-            # A column runs on while its gradient is finite and its norm,
-            # which may have overflowed to inf, is above grad_tol.
-            np.all(np.isfinite(grad, out=plan.finite_entries), axis=(1, 2), out=finite)
+            # A live column runs on while its gradient norm is finite and
+            # above grad_tol; where the norm is not finite, its restart fails.
+            np.isfinite(norm, out=finite)
             np.greater(norm, config.grad_tol, out=keep)
             keep &= finite
+            keep &= live
             if left := np.count_nonzero(keep) != running:
                 for j in np.flatnonzero(live & finite & ~keep):
                     out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
-                # Leaving columns step too, on a zero gradient, so that a
-                # nonfinite one raises no floating-point warning.
-                grad[~keep] = 0.0
             adam_step(z, grad, m, v, t, config.learning_rate, plan.adam)
             if t[first] == config.max_iters:
                 for j in np.flatnonzero(keep & (t == config.max_iters)):
@@ -322,12 +322,6 @@ def _lockstep(nets, queue, widths, dtype, config):
                 keep &= t != config.max_iters
                 left = True
             if left:
-                # Finished columns sit at z = 0 with zero measurements and
-                # scale until the next compaction, so their gradient is zero.
-                gone = live & ~keep
-                state[:, gone] = 0.0
-                gone_rows = np.repeat(gone, plan.jrows)
-                plan.b[gone_rows] = plan.scale_rows[gone_rows] = 0.0
                 live, first, running = keep.copy(), int(keep.argmax()), np.count_nonzero(keep)
             t += 1
         # Compaction: an eighth or more of the columns in flight finished.

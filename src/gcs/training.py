@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .coherence import regularizer
-from .errors import DimensionMismatch, DomainError, GcsError, check_counts, check_integer
+from .errors import (DimensionMismatch, DomainError, GcsError, check_array_size, check_counts,
+                     check_integer)
 from .gnn import GenerativeNetwork, check_widths, network_to_json, relu, sigmoid, stored_widths
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
@@ -54,9 +55,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     if not 1 <= k_true <= n:
         raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
     check_counts(count=count)
-    if int(count) * n * 8 > np.iinfo(np.intp).max:
-        raise DomainError(f"count={count} samples of n={n} float64 entries exceed the largest "
-                          "array numpy can hold")
+    check_array_size(f"count={count} samples of n={n}", count, n)
     rng = derive_rng(seed)
     w = rng.standard_normal((n, k_true))
     z = rng.standard_normal((count, k_true))
@@ -215,7 +214,9 @@ def _unpack(flat, widths):
 
 def _init_params(widths, rng) -> np.ndarray:
     """The flat parameter buffer: He-style Gaussian weights, zero biases."""
-    flat = np.zeros(sum((a + 1) * b for a, b in _layers(widths)))
+    size = sum((a + 1) * b for a, b in _layers(widths))
+    check_array_size(f"the parameters of arch {','.join(map(str, widths))}: {size}", size)
+    flat = np.zeros(size)
     for w, _ in _pairs(flat, widths):
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[1])
     return flat
@@ -316,8 +317,9 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
     reg_weight, add reg_weight * rho(W_dec_final) to the loss.
 
     Deterministic per seed: init, shuffles, and reparameterization noise all
-    come from one derived stream. Any nonfinite loss aborts. Adam steps all
-    parameters at once, in place, as one flat vector.
+    come from one derived stream. A nonfinite loss, or nonfinite parameters
+    after the last step, aborts. Adam steps all parameters at once, in
+    place, as one flat vector.
     """
     check_widths(widths)
     count, dim = data.shape
@@ -352,6 +354,10 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
                 adam_step(params, grads, m, v, t, config.learning_rate)
                 epoch_losses.append(loss)
             trace.append(float(np.mean(epoch_losses)))
+    # Each loss is checked before its step, so this checks the last step.
+    if not np.isfinite(params).all():
+        raise GcsError(f"training made the parameters nonfinite at epoch {len(trace) - 1} "
+                       f"(learning rate {config.learning_rate:g})")
     return VaeModel(list(widths), params, trace)
 
 

@@ -1,12 +1,14 @@
 import csv
 import filecmp
 import json
+import math
 import os
 import re
 import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -782,8 +784,14 @@ def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
     (["phase", "--config", "phase.json"], "all 1 restarts hit a nonfinite objective"),
     (["train", "--arch", "2,8,16", "--lr", "1e308", "--epochs", "1", "--batch", "32",
       "--synth-count", "100", "--out", "m.json"], "loss became nan at epoch 0"),
+    # One batch, so one step: its loss is finite, and the step it takes
+    # leaves the parameters nonfinite, which saving would name as
+    # "matrix contains NaN/Inf entries".
+    (["train", "--arch", "2,8,16", "--lr", "1e308", "--epochs", "1", "--synth-count", "50",
+      "--out", "m.json"], "training made the parameters nonfinite at epoch 0 "
+                          "(learning rate 1e+308)"),
     (RECOVER + ["--noise", "1e308"], "--noise 1e+308 overflows the measurement b"),
-], ids=["recover-lr", "phase-learning_rate", "train-lr", "recover-noise"])
+], ids=["recover-lr", "phase-learning_rate", "train-lr", "train-lr-last-step", "recover-noise"])
 def test_overflow_at_finite_extremes_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                                  argv, message):
     # Finite inputs so large that Adam's step or the noisy measurement
@@ -794,6 +802,28 @@ def test_overflow_at_finite_extremes_exits_2_with_one_error_line(tmp_path, monke
     phase_config(tmp_path, recovery={"learning_rate": 1e308})
     assert cli.main(["--out-dir", "out"] + argv) == 2
     assert capsys.readouterr().err == f"gcs: error: {message}\n"
+    assert not {"m.json", "m.decoder.json", "out"} & set(os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (RIP + ["--chord-samples", str(2**70)],
+     f"chord_samples={2**70} chords of up to 16 float64 entries"),
+    (["subspace-rip", "--n", str(2**70), "--k", "2", "--m-list", "8"],
+     f"n={2**70} rows of k=2 float64 entries"),
+    (["train", "--arch", f"2,{2**70},16", "--out", "m.json"],
+     # 17w + 3w weights of width w, 2(w + 1) per latent head, 16(w + 1) out.
+     f"the parameters of arch 2,{2**70},16: {40 * 2**70 + 20} float64 entries"),
+], ids=["rip-chord-samples", "subspace-rip-n", "train-arch-width"])
+def test_size_numpy_cannot_hold_exits_2_before_it_is_allocated(tmp_path, monkeypatch, capsys,
+                                                               argv, message):
+    # Sizes past numpy's largest array: each run names the flag in one line,
+    # where numpy's own "Maximum allowed dimension exceeded" is a traceback.
+    monkeypatch.chdir(tmp_path)
+    save_net(tmp_path, [2, 8, 16], seed=1)
+    assert cli.main(["--out-dir", "out"] + argv) == 2
+    assert capsys.readouterr().err == (f"gcs: error: {message} exceed the largest array numpy "
+                                       "can hold\n")
+    assert sorted(os.listdir(tmp_path)) == ["net.json"]
 
 
 def write_idx(path, count, rows, cols, missing=0):
@@ -923,13 +953,19 @@ def test_bench_pairs_separation_line(tmp_path, change_base, lower, higher):
     done = subprocess.run(["sh", script, str(tmp_path / "parent"), str(tmp_path / "change"),
                            "phase-desk", "0", "2"], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = [line for line in done.stdout.splitlines() if line.startswith("separation ")]
-    best = {"wall_s": 10, "success_frac": 12}
-    worst = {"wall_s": change_base + 2, "success_frac": change_base}
+    # One line per seed, then the verdicts as one JSON object.
+    *seeds, last = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in seeds] == ["seed 0", "seed 1", "seed 2"]
+    summary = json.loads(last)
+    assert summary["workload"] == "phase-desk" and sorted(summary["metrics"]) == sorted(names)
     for name, verdict in [("wall_s", lower), ("success_frac", higher)]:
-        assert (f"separation {name}: every change run better than every parent run "
-                f"(worst change {worst[name]}, best parent {best[name]}): {verdict}") in lines
-    assert len(lines) == len(names)
+        assert summary["metrics"][name]["separation"] == (verdict == "yes")
+    # wall_s: lower is better, and its bound allows 0.25 x 11 worse.
+    assert summary["metrics"]["wall_s"] == {
+        "parent_median": 11, "change_median": change_base + 1, "parent_q1": 10.5,
+        "parent_q3": 11.5, "wins": 3 if change_base < 10 else 0, "pairs": 3,
+        "claim": 10 - change_base > 1, "no_regression": change_base - 10 <= 2.75,
+        "separation": lower == "yes"}
 
 
 def test_desk_rip_outputs_reproduce(tmp_path, monkeypatch, capsys):
@@ -1021,3 +1057,113 @@ def test_every_benchmark_binding_resolves_in_gcs(monkeypatch):
     missing = [f"gcs.{module}.{name}" for module, name in bindings
                if not hasattr(importlib.import_module(f"gcs.{module}"), name)]
     assert missing == []
+
+
+# The values of the error walk below. 2**70 is added where a value may size
+# an array, that is, everywhere but for the counts that size a loop or a
+# Python list: such a count is valid input at 2**70, and a run with it would
+# not end or would exhaust memory, so it is not run.
+WALK_VALUES = [None, "x", -1, 0, 1.5, 1e308, math.nan, math.inf, [], {}, True, [0], ["x"]]
+LOOP_COUNTS = {"trials", "restarts", "max_iters", "epochs", "--trials", "--restarts",
+               "--max-iters", "--epochs", "--mc-samples", "--batch"}
+
+
+def walk_values(name):
+    return WALK_VALUES + ([] if name in LOOP_COUNTS else [2**70])
+
+
+def test_every_bad_value_of_a_config_key_or_flag_exits_2_with_one_error_line(tmp_path,
+                                                                              monkeypatch, capsys):
+    # Every key of both desk configs, and every numeric or path flag of the
+    # other commands, set to each value of a fixed table over small, short
+    # runs (one trial of one m, 20 Adam iterations at most). Each run exits 0,
+    # or exits 2 with one "gcs: error:" line, or an argparse type error whose
+    # last line is "gcs <command>: error: ...", and numpy warns nothing.
+    monkeypatch.chdir(tmp_path)
+    _, net = save_net(tmp_path, [2, 8, 16], seed=1)
+    out = str(tmp_path / "out")
+
+    def rooted(paths):
+        if isinstance(paths, str):
+            return os.path.join(ROOT, paths)
+        if isinstance(paths, list):
+            return [rooted(p) for p in paths]
+        return {name: rooted(p) for name, p in paths.items()}
+
+    short = {"m_list": [8], "trials": 1, "recovery": {"restarts": 1, "max_iters": 20}}
+    bases = {}
+    for name, edits in [("phase", {"betas": [0.5]}), ("sweep", {})]:
+        with open(os.path.join(ROOT, "configs", f"{name}_desk.json")) as f:
+            cfg = {**json.load(f), **short, **edits}
+        for key in ("inner_weights", "w_high", "w_low", "models"):
+            if key in cfg:
+                cfg[key] = rooted(cfg[key])
+        if name == "sweep":
+            cfg["test_data"] = {**cfg["test_data"], "count": 20}
+        bases[name] = cfg
+    flags = {
+        "coherence": {"--weights": net, "--mc-samples": "50"},
+        "recover": {"--weights": net, "--m": "8", "--noise": "0", "--lr": "0.1",
+                    "--max-iters": "20", "--grad-tol": "1e-7", "--restarts": "1"},
+        "rip": {"--weights": net, "--m-list": "8", "--delta": "0.5", "--chord-samples": "20",
+                "--trials": "1"},
+        "subspace-rip": {"--n": "16", "--k": "2", "--m-list": "8", "--delta": "0.4",
+                         "--trials": "1"},
+        "train": {"--data": "synth", "--arch": "2,4,16", "--reg-weight": "1e4", "--lambda": "1",
+                  "--lr": "1e-3", "--batch": "32", "--epochs": "1", "--synth-count": "40",
+                  "--synth-k": "2", "--out": "m.json"},
+    }
+
+    def keys(cfg, at=()):
+        for key, value in cfg.items():
+            yield at + (key,)
+            if isinstance(value, dict):
+                yield from keys(value, at + (key,))
+
+    def config_run(name, cfg, what):
+        path = tmp_path / f"{name}-{len(runs)}.json"
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        return name, what, ["--out-dir", out, name, "--config", str(path)]
+
+    def flag_run(command, values, what):
+        return command, what, ["--out-dir", out, command, *(a for item in values.items()
+                                                               for a in item)]
+
+    # Each base run must exit 0, so that the walk starts from a working run.
+    runs = []
+    for name, base in bases.items():
+        runs.append(config_run(name, base, "base"))
+        for where in keys(base):
+            for value in walk_values(where[-1]):
+                cfg = json.loads(json.dumps(base))  # a deep copy
+                block = cfg
+                for key in where[:-1]:
+                    block = block[key]
+                block[where[-1]] = value
+                runs.append(config_run(name, cfg, f"{'.'.join(where)}={value!r}"))
+    for command, base in flags.items():
+        runs.append(flag_run(command, base, "base"))
+        for flag in base:
+            for value in walk_values(flag):
+                text = value if isinstance(value, str) else json.dumps(value)
+                runs.append(flag_run(command, {**base, flag: text}, f"{flag} {text}"))
+    bad = []
+    for command, what, argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+            except Exception as e:  # a traceback: recorded, so that every run is seen
+                rc = repr(e)
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        ok = (rc == 0 and err == "" or what != "base" and rc == 2 and (
+            len(lines) == 1 and lines[0].startswith("gcs: error: ")
+            or lines and lines[-1].startswith(f"gcs {command}: error: argument ")))
+        if not ok or caught:
+            bad.append((command, what, rc, err, [str(w.message) for w in caught]))
+    assert len(runs) > 700
+    assert bad == []

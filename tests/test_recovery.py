@@ -181,9 +181,12 @@ def _oracle_adam_solve(g, a, b, z0, config):
     it = 0
     for it in range(1, config.max_iters + 1):
         _, grad = objective_value_grad(g, a, b, z)
-        if not np.all(np.isfinite(grad)):
+        # One number decides: a restart fails where its gradient norm is not
+        # finite and stops where it is at most grad_tol.
+        norm = np.linalg.norm(grad)
+        if not np.isfinite(norm):
             raise FloatingPointError("nonfinite objective")
-        if np.linalg.norm(grad) <= config.grad_tol:
+        if norm <= config.grad_tol:
             termination = "grad_tol"
             break
         m = b1 * m + (1 - b1) * grad
@@ -423,9 +426,10 @@ def test_infinite_gradient_fails_restart_at_max_iters():
 @pytest.mark.parametrize("final_scale", [1.0, 1e-150])
 def test_overflowing_value_runs_on_where_the_gradient_is_finite(final_scale):
     # Every residual entry is about -1e155, so 0.5*||r||^2 overflows, but
-    # the gradient is finite: each restart runs on to max_iters, as in the
-    # scalar loop. At final_scale 1 the gradient's squared norm overflows
-    # too; at 1e-150 the gradient is small and Adam steps as usual.
+    # every gradient entry is finite. At final_scale 1e-150 the gradient is
+    # small, Adam steps as usual and each restart runs on to max_iters, as in
+    # the scalar loop. At 1 the gradient's squared norm overflows, so its
+    # norm is not finite and each restart fails on its first iteration.
     g = small_network([3, 8, 16], seed=92)
     g = GenerativeNetwork(weights=[g.weights[0], final_scale * g.weights[1]])
     a = sample_fixed(dct2_operator(16), 8, seed=93)
@@ -438,6 +442,11 @@ def test_overflowing_value_runs_on_where_the_gradient_is_finite(final_scale):
             value, grad = objective_value_grad(g, a, b, z0)
             assert value == np.inf and np.isfinite(grad).all()
             assert (grad @ grad == np.inf) == (final_scale == 1.0)
+        if final_scale == 1.0:
+            for solve in (oracle_recover, recover):
+                with pytest.raises(GcsError, match="^all 2 restarts hit a nonfinite objective$"):
+                    solve(g, a, b, config)
+            return
         got = recover(g, a, b, config)
         assert_identical(got, oracle_recover(g, a, b, config))
     assert (got.termination, got.iterations, got.failed_restarts) == ("max_iters", 30, 0)
