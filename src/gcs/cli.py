@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import coherence as coh
 from . import gnn, harness, recovery, sampling, training, transforms
-from .errors import DomainError, GcsError, check_counts
+from .errors import DomainError, GcsError, check_counts, check_number
 from .linops import load_matrix, read_json
 
 
@@ -78,8 +77,7 @@ def cmd_train(args) -> int:
     check_unitary_spec(args.unitary)
     widths = _ints(args.arch)
     gnn.check_widths(widths)
-    if args.epochs < 1:
-        raise DomainError(f"--epochs must be >= 1, got {args.epochs}")
+    check_number("--epochs", args.epochs, 1, integer=True)
     config = training.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -103,8 +101,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if not (math.isfinite(args.noise) and args.noise >= 0):
-        raise DomainError(f"--noise must be a finite number >= 0, got {args.noise}")
+    check_number("--noise", args.noise, 0)
     cfg = recovery.RecoveryConfig(
         learning_rate=args.lr,
         max_iters=args.max_iters,
@@ -238,9 +235,7 @@ def cmd_sweep(args) -> int:
     else:
         # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
-        seed = test_spec["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise DomainError(f"test_data seed must be an integer >= 0, got {seed!r}")
+        check_number("test_data seed", test_spec["seed"], 0, integer=True)
     cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
     if kind == "idx":
         samples = training.load_idx(test_spec["images"])
@@ -368,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's generators take no negative seed
-            raise DomainError(f"--seed must be >= 0, got {args.seed}")
+        check_number("--seed", args.seed, 0, integer=True)  # numpy takes no negative seed
         # An output directory that cannot be made, or a train output file
         # that names a directory, fails here, before any input is read; the
         # directory is made at the first write.

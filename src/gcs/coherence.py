@@ -14,9 +14,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GcsError, check_counts
+from .errors import DimensionMismatch, DomainError, GcsError, check_counts, check_number
 # perfbench/instrument.py wraps coherence.forward, which nothing here calls.
-from .gnn import GenerativeNetwork, forward, hidden  # noqa: F401
+from .gnn import GenerativeNetwork, forward, hidden, log_region_bound  # noqa: F401
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
@@ -150,21 +150,18 @@ def coherence_lower_bound(k: int, n: int) -> float:
     return math.sqrt(k / n)
 
 
-def typical_coherence_bound(k: int, d: int, widths: list[int], n: int, gamma: float = 0.0) -> float:
-    """Gaussian-last-layer coherence scale (up to an absolute constant):
+def typical_coherence_bound(widths: list[int], gamma: float = 0.0) -> float:
+    """Gaussian-last-layer coherence scale (up to an absolute constant) of a
+    network of widths [k, k_1, ..., n]:
 
     sqrt(k/n) + sqrt(log(n)/n) + sqrt((k/n)*sum log(2e*k_i/k)) + gamma/sqrt(n)
     """
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    if len(widths) != d + 1 or widths[0] != k or widths[-1] != n:
-        raise DimensionMismatch("widths must be [k, k_1, ..., k_{d-1}, n]")
-    inner = widths[1:-1]
-    log_sum = sum(math.log(2 * math.e * ki / k) for ki in inner)
+    check_number("gamma", gamma, 0)
+    n = widths[-1]
     return (
-        math.sqrt(k / n)
+        math.sqrt(widths[0] / n)
         + math.sqrt(math.log(n) / n)
-        + math.sqrt((k / n) * log_sum)
+        + math.sqrt(log_region_bound(widths) / n)
         + gamma / math.sqrt(n)
     )
 
@@ -184,8 +181,7 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     `d_op.apply(w)`, an FFT from n = FFT_MIN_N on (see `transforms`).
     """
     w = np.asarray(w, dtype=float)
-    if not 0 <= lam < math.inf:
-        raise DomainError(f"lambda must be a finite number >= 0, got {lam}")
+    check_number("lambda", lam, 0)
     if w.ndim != 2 or w.shape[0] != d_op.n:
         raise DimensionMismatch(f"W must have {d_op.n} rows")
     n, k = w.shape
@@ -228,31 +224,24 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
 _KIND_PARAMS = {"RIP": (1.0, 2.0), "DiffRIP": (2.0, 4.0), "GCS": (2.0, 4.0)}
 
 
-def sample_complexity(
-    alpha: float,
-    n: int,
-    k: int,
-    widths: list[int],
-    epsilon: float,
-    delta: float,
-    kind: str = "RIP",
-    c: float = 1.0,
-) -> float:
-    """m >= c*(alpha^2*n/delta^2)*(factor*k*sum log(2e*k_i/k) + log(mult*k/eps)).
+def sample_complexity(alpha: float, widths: list[int], epsilon: float, delta: float,
+                      kind: str = "RIP", c: float = 1.0) -> float:
+    """m >= c*(alpha^2*n/delta^2)*(factor*k*sum log(2e*k_i/k) + log(mult*k/eps))
+    for a network of widths [k, k_1, ..., n].
 
     (factor, mult) is (1, 2) for RIP and (2, 4) for DiffRIP/GCS; GCS fixes
     delta = 1/3 per the recovery theorem's proof.
     """
     if kind not in _KIND_PARAMS:
         raise DomainError(f"unknown kind {kind!r}")
-    if alpha <= 0 or n < 1 or k < 1 or epsilon <= 0 or delta <= 0 or c <= 0:
-        raise DomainError("all parameters must be positive")
+    for name, value in (("alpha", alpha), ("epsilon", epsilon), ("delta", delta), ("c", c)):
+        check_number(name, value, positive=True)
     factor, mult = _KIND_PARAMS[kind]
     if kind == "GCS":
         delta = 1.0 / 3.0
-    inner = widths[1:-1]
-    log_sum = sum(math.log(2 * math.e * ki / k) for ki in inner)
-    return c * (alpha**2 * n / delta**2) * (factor * k * log_sum + math.log(mult * k / epsilon))
+    k, n = widths[0], widths[-1]
+    return c * (alpha**2 * n / delta**2) * (factor * log_region_bound(widths)
+                                            + math.log(mult * k / epsilon))
 
 
 def coherence_report(g: GenerativeNetwork, d_op: UnitaryOperator, mc_samples: int,
@@ -266,6 +255,6 @@ def coherence_report(g: GenerativeNetwork, d_op: UnitaryOperator, mc_samples: in
         alpha_mc=alpha_mc,
         mc_samples=mc_samples,
         lower_bound=coherence_lower_bound(g.code_dim, d_op.n),
-        typical_bound=typical_coherence_bound(g.code_dim, g.depth, g.widths, g.ambient_dim),
+        typical_bound=typical_coherence_bound(g.widths),
         seed=seed,
     )

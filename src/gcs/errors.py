@@ -1,4 +1,4 @@
-"""The toolkit's one exception hierarchy, and the count and size checks.
+"""The toolkit's one exception hierarchy, and the number and size checks.
 
 Every fault the toolkit detects raises a GcsError, which the CLI reports as
 one "gcs: error:" line with exit status 2. Bad input raises DomainError, or
@@ -8,7 +8,8 @@ GcsError itself.
 """
 
 import math
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -25,18 +26,32 @@ class DomainError(GcsError):
     pass
 
 
-def check_integer(name: str, value) -> None:
-    """Raise DomainError unless value is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+def check_number(name: str, value, least=None, *, integer=False, positive=False) -> None:
+    """Raise DomainError, "<name> must be <rule>, got <value>", naming the
+    first rule value breaks: it is not a bool, and is an integer where
+    integer is set and else a finite real; it is > 0 where positive is set,
+    and >= least where least is given.
+
+    abs(value) <= float max is false for NaN and +-inf and, unlike
+    math.isfinite, does not overflow on a Python int too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        rule = "an integer" if integer else "a number"
+    elif not (integer or abs(value) <= sys.float_info.max):
+        rule = "finite"
+    elif positive and not value > 0:
+        rule = "positive"
+    elif least is not None and not value >= least:
+        rule = f">= {least}"
+    else:
+        return
+    raise DomainError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_counts(**counts: int) -> None:
     """Raise DomainError naming the first count that is not an integer >= 1."""
     for name, value in counts.items():
-        check_integer(name, value)
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+        check_number(name, value, 1, integer=True)
 
 
 def check_array_size(what: str, *shape: int) -> None:

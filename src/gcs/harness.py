@@ -18,12 +18,11 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from numbers import Real
 
 import numpy as np
 
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
-from .errors import DimensionMismatch, DomainError, check_array_size, check_counts, check_integer
+from .errors import DimensionMismatch, DomainError, check_array_size, check_counts, check_number
 from .gnn import GenerativeNetwork, forward
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
@@ -141,11 +140,10 @@ class PhaseConfig:
         if self.w_high.shape != self.w_low.shape:
             raise DimensionMismatch("the two final layers must share a shape")
         check_counts(trials=self.trials)
-        if not (isinstance(self.betas, list) and self.betas and all(
-                isinstance(b, Real) and not isinstance(b, bool) for b in self.betas)):
+        if not (isinstance(self.betas, list) and self.betas):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
-        if not all(math.isfinite(b) for b in self.betas):
-            raise DomainError(f"betas must be finite, got {self.betas!r}")
+        for beta in self.betas:
+            check_number("each betas entry", beta)
         if len(set(self.betas)) < len(self.betas):
             raise DomainError(f"betas must not repeat, got {self.betas!r}")
 
@@ -289,7 +287,8 @@ def _check_rip(model: str, m_list: list[int], n: int, trials: int, delta: float)
     """The sampler for a RIP check, after checking trials, 0 < delta < 1 and
     the grid; each driver calls this before it builds anything."""
     check_counts(trials=trials)
-    if not 0 < delta < 1:  # the range the RIP is stated for; NaN fails it too
+    check_number("delta", delta, positive=True)
+    if not delta < 1:  # the RIP is stated for 0 < delta < 1
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     return check_grid(model, m_list, n)
 
@@ -369,7 +368,7 @@ def run_subspace_rip(
     constant of 2k*exp(-c*delta^2*m/(alpha^2*n)) and the log-linear R^2.
     """
     n = u.n
-    check_integer("k", k)
+    check_number("k", k, integer=True)
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     _check_rip("bernoulli", m_list, n, trials, delta)
@@ -397,21 +396,23 @@ def run_subspace_rip(
 
 def fit_subspace_tail(summaries, k, n, alpha, delta) -> dict:
     """Fit c in 2k*exp(-c*delta^2*m/(alpha^2*n)) so the bound dominates the
-    empirical frequencies, and report the log-linear regression R^2."""
+    empirical frequencies, and report the log-linear regression R^2 and
+    slope; each is None where it is undefined (fewer than two m with an
+    exceedance, or, for R^2, frequencies that do not vary)."""
     ms, freqs = [], []
     for s in summaries:
         if s["exceed_freq"] > 0:
             ms.append(s["m"])
             freqs.append(s["exceed_freq"])
     if len(ms) < 2:
-        return {"c": 0.0, "r_squared": float("nan"), "slope": float("nan")}
+        return {"c": 0.0, "r_squared": None, "slope": None}
     ms_arr = np.asarray(ms, dtype=float)
     logs = np.log(np.asarray(freqs))
     slope, intercept = np.polyfit(ms_arr, logs, 1)
     pred = slope * ms_arr + intercept
     ss_res = float(np.sum((logs - pred) ** 2))
     ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else None
     # Largest c keeping the bound above every observed frequency.
     cs = [(math.log(2 * k) - lf) * alpha**2 * n / (delta**2 * m) for m, lf in zip(ms, logs)]
     return {"c": max(0.0, min(cs)), "r_squared": r2, "slope": float(slope)}

@@ -61,13 +61,11 @@ this against the one-vector loop.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GcsError
+from .errors import DimensionMismatch, DomainError, GcsError, check_number
 # The lockstep engine computes objective_value_grad's gradient column by
 # column without calling it; the binding stays because perfbench/instrument.py
 # wraps it.
@@ -94,17 +92,11 @@ class RecoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("learning_rate", Real), ("max_iters", Integral), ("grad_tol", Real),
-                           ("restarts", Integral), ("seed", Integral)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a number"
-                raise DomainError(f"bad recovery value: {name} must be {what}, got {value!r}")
-            if not (value >= 0 if name == "seed" else value > 0):
-                least = ">= 0" if name == "seed" else "positive"
-                raise DomainError(f"bad recovery value: {name} must be {least}, got {value!r}")
-            if name == "learning_rate" and not value <= sys.float_info.max:
-                raise DomainError(f"bad recovery value: {name} must be finite, got {value!r}")
+        check_number("recovery learning_rate", self.learning_rate, positive=True)
+        check_number("recovery max_iters", self.max_iters, integer=True, positive=True)
+        check_number("recovery grad_tol", self.grad_tol, positive=True)
+        check_number("recovery restarts", self.restarts, integer=True, positive=True)
+        check_number("recovery seed", self.seed, 0, integer=True)
 
 
 @dataclass(frozen=True)

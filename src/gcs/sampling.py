@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, check_counts, check_integer
+from .errors import DimensionMismatch, DomainError, check_counts, check_number
 from .transforms import UnitaryOperator
 
 
@@ -56,7 +56,7 @@ def check_m(model: str, m: int, n: int) -> None:
     """Raise DomainError unless `model` names a sampling model that takes m
     of n rows."""
     _check_model(model)
-    check_integer("m", m)
+    check_number("m", m, integer=True)
     if not MIN_M[model] <= m <= n:
         raise DomainError(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
 

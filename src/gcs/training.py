@@ -7,7 +7,6 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,7 +15,7 @@ import numpy as np
 
 from .coherence import regularizer
 from .errors import (DimensionMismatch, DomainError, GcsError, check_array_size, check_counts,
-                     check_integer)
+                     check_number)
 from .gnn import GenerativeNetwork, check_widths, network_to_json, relu, sigmoid, stored_widths
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
@@ -51,7 +50,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     in cache. Consecutive row blocks of noise are the numbers one (count, n)
     draw gives, so the data do not depend on the block.
     """
-    check_integer("k_true", k_true)
+    check_number("k_true", k_true, integer=True)
     if not 1 <= k_true <= n:
         raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
     check_counts(count=count)
@@ -140,19 +139,12 @@ class TrainConfig:
     d_op: UnitaryOperator | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
-        if not self.learning_rate < math.inf:
-            raise DomainError(f"learning rate must be finite, got {self.learning_rate}")
+        check_number("learning rate", self.learning_rate, positive=True)
         check_counts(**{"batch size": self.batch_size})
-        check_integer("epochs", self.epochs)
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        check_number("epochs", self.epochs, 0, integer=True)
         # A negative weight would train toward higher coherence.
-        for name in ("reg_weight", "lam"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be a finite number >= 0, got {value}")
+        check_number("reg_weight", self.reg_weight, 0)
+        check_number("lam", self.lam, 0)
 
 
 @dataclass(frozen=True)
@@ -222,17 +214,43 @@ def _init_params(widths, rng) -> np.ndarray:
     return flat
 
 
-def _encode(enc, heads, x):
-    """The encoder pass over a batch x: (mu, log-variance, each layer's
-    pre-activation, each layer's input and then the last layer's output)."""
-    w_mu, b_mu, w_lv, b_lv = heads
+def _forward(pairs, x, relu_last):
+    """Layers (w, b) over a batch x, each but the last followed by a ReLU,
+    and the last too where relu_last: (each layer's pre-activation, each
+    layer's input and, where relu_last, the last layer's output)."""
     pre, act = [], [x]
     h = x
-    for w, b in enc:
+    for i, (w, b) in enumerate(pairs):
         a = h @ w.T + b
         pre.append(a)
-        h = relu(a)
-        act.append(h)
+        if relu_last or i < len(pairs) - 1:
+            h = relu(a)
+            act.append(h)
+    return pre, act
+
+
+def _backward(pairs, grads, pre, act, d, relu_last, input_grad):
+    """Backprop d, the gradient at the output of a `_forward` pass, through
+    its layers: each (weight, bias) gradient is written into grads. Returns
+    the gradient at the input x where input_grad, else at the first layer's
+    pre-activation."""
+    for i in range(len(pairs) - 1, -1, -1):
+        if relu_last or i < len(pairs) - 1:
+            d = d * (pre[i] > 0)
+        gw, gb = grads[i]
+        np.matmul(d.T, act[i], out=gw)
+        d.sum(axis=0, out=gb)
+        if input_grad or i > 0:
+            d = d @ pairs[i][0]
+    return d
+
+
+def _encode(enc, heads, x):
+    """The encoder pass over a batch x: (mu, log-variance, and the
+    `_forward` pre-activations and layer inputs and output)."""
+    w_mu, b_mu, w_lv, b_lv = heads
+    pre, act = _forward(enc, x, True)
+    h = act[-1]
     return h @ w_mu.T + b_mu, h @ w_lv.T + b_lv, pre, act
 
 
@@ -262,35 +280,17 @@ def _elbo_and_grads(params, grads, x, eps_noise) -> float:
     enc, heads, dec = params
     w_mu, _, w_lv, _ = heads
     g_enc, (g_wmu, g_bmu, g_wlv, g_blv), g_dec = grads
-    n_dec = len(dec)
     batch = x.shape[0]
 
     mu, lv, enc_pre, enc_act = _encode(enc, heads, x)
     z = mu + np.exp(0.5 * lv) * eps_noise
-
-    dec_pre, dec_act = [], [z]
-    h = z
-    for i, (w, b) in enumerate(dec):
-        a = h @ w.T + b
-        dec_pre.append(a)
-        if i < n_dec - 1:
-            h = relu(a)
-            dec_act.append(h)
+    dec_pre, dec_act = _forward(dec, z, False)
     x_hat = dec_pre[-1]
     recon = 0.5 * float(np.sum((x_hat - x) ** 2)) / batch
     kl = -0.5 * float(np.sum(1.0 + lv - mu**2 - np.exp(lv))) / batch
     loss = recon + kl
 
-    # Decoder backward.
-    d = (x_hat - x) / batch
-    for i in range(n_dec - 1, -1, -1):
-        gw, gb = g_dec[i]
-        np.matmul(d.T, dec_act[i], out=gw)
-        d.sum(axis=0, out=gb)
-        d = d @ dec[i][0]
-        if i > 0:
-            d = d * (dec_pre[i - 1] > 0)
-    dz = d
+    dz = _backward(dec, g_dec, dec_pre, dec_act, (x_hat - x) / batch, False, True)
     dmu = dz + mu / batch
     dlv = dz * eps_noise * 0.5 * np.exp(0.5 * lv) + 0.5 * (np.exp(lv) - 1.0) / batch
     # Heads.
@@ -299,15 +299,8 @@ def _elbo_and_grads(params, grads, x, eps_noise) -> float:
     dmu.sum(axis=0, out=g_bmu)
     np.matmul(dlv.T, h_top, out=g_wlv)
     dlv.sum(axis=0, out=g_blv)
-    d = dmu @ w_mu + dlv @ w_lv
-    # Encoder backward; nothing reads the gradient of the input batch.
-    for i in range(len(enc) - 1, -1, -1):
-        d = d * (enc_pre[i] > 0)
-        gw, gb = g_enc[i]
-        np.matmul(d.T, enc_act[i], out=gw)
-        d.sum(axis=0, out=gb)
-        if i > 0:
-            d = d @ enc[i][0]
+    # Nothing reads the gradient of the input batch.
+    _backward(enc, g_enc, enc_pre, enc_act, dmu @ w_mu + dlv @ w_lv, True, False)
     return loss
 
 

@@ -299,7 +299,7 @@ def test_criterion_08_subspace_rip():
 def test_criterion_09_typical_coherence():
     n, k = 256, 4
     u = dct2_operator(n)
-    bound = typical_coherence_bound(k, 2, [k, k, n], n, gamma=0.0)
+    bound = typical_coherence_bound([k, k, n], gamma=0.0)
     floor = coherence_lower_bound(k, n)
     ok = True
     worst = 0.0

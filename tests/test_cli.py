@@ -189,6 +189,8 @@ def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, data):
 
 # An edit to NULL writes the key with the value null.
 NULL = object()
+# A 400-digit integer: valid JSON, and a Python int, that no float can hold.
+BIG = 10**399
 
 
 def write_config(path, base: dict, edits: dict) -> str:
@@ -403,11 +405,11 @@ def test_recovery_block_values():
                        ({"learning_rate": float("inf")}, "learning_rate"),
                        ({"learning_rate": 10**400}, "learning_rate"),
                        ({"grad_tol": float("nan")}, "grad_tol")]:
-        with pytest.raises(DomainError, match=f"bad recovery value: {key} must be"):
+        with pytest.raises(DomainError, match=f"^recovery {key} must be"):
             cli._recovery_from_json({"recovery": block})
     assert cli._recovery_from_json({"recovery": {"learning_rate": 1}}).learning_rate == 1
     # The CLI derives the seed itself, so only a direct caller can pass a bad one.
-    with pytest.raises(DomainError, match="bad recovery value: seed must be >= 0, got -1"):
+    with pytest.raises(DomainError, match="^recovery seed must be >= 0, got -1$"):
         RecoveryConfig(seed=-1)
 
 
@@ -421,7 +423,7 @@ def test_bad_recovery_value_exits_2_before_any_cell(tmp_path, monkeypatch, capsy
     rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("gcs: error: bad recovery value: ")
+    assert err.count("\n") == 1 and err.startswith("gcs: error: recovery ")
     assert message in err
     assert not (tmp_path / "phase.csv").exists()
 
@@ -445,8 +447,8 @@ def test_non_integer_list_entry_exits_2(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("flag, message", [
     (["--batch", "0"], "batch size must be >= 1, got 0"),
     (["--lr", "0"], "learning rate must be positive, got 0.0"),
-    (["--regularized", "--reg-weight", "-1"], "reg_weight must be a finite number >= 0, got -1.0"),
-    (["--regularized", "--lambda", "-1"], "lam must be a finite number >= 0, got -1.0"),
+    (["--regularized", "--reg-weight", "-1"], "reg_weight must be >= 0, got -1.0"),
+    (["--regularized", "--lambda", "-1"], "lam must be >= 0, got -1.0"),
     (["--lr", "inf"], "learning rate must be finite, got inf"),
     (["--unitary", "bogus"], "unknown unitary 'bogus' (expected dft, dct, or file:<path>)"),
 ])
@@ -516,10 +518,10 @@ RIP = ["rip", "--weights", "net.json", "--unitary", "dct", "--m-list", "8"]
     (SUBSPACE + ["--m-list", "16", "--trials", "0"], "trials must be >= 1, got 0"),
     (RIP + ["--trials", "0"], "trials must be >= 1, got 0"),
     (RIP + ["--chord-samples", "0"], "chord_samples must be >= 1, got 0"),
-    (RIP + ["--delta", "-1"], "delta must be in (0, 1), got -1.0"),
-    (RIP + ["--delta", "0"], "delta must be in (0, 1), got 0.0"),
-    (RIP + ["--delta", "nan"], "delta must be in (0, 1), got nan"),
-    (SUBSPACE + ["--m-list", "16", "--delta", "0"], "delta must be in (0, 1), got 0.0"),
+    (RIP + ["--delta", "-1"], "delta must be positive, got -1.0"),
+    (RIP + ["--delta", "0"], "delta must be positive, got 0.0"),
+    (RIP + ["--delta", "nan"], "delta must be finite, got nan"),
+    (SUBSPACE + ["--m-list", "16", "--delta", "0"], "delta must be positive, got 0.0"),
     (SUBSPACE + ["--m-list", "16", "--delta", "1"], "delta must be in (0, 1), got 1.0"),
     (SUBSPACE + ["--m-list", "8,16,8"], "m = 8 appears twice in the m grid"),
     (RIP + ["--m-list", "8,8", "--trials", "2"], "m = 8 appears twice in the m grid"),
@@ -661,9 +663,17 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
     (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx", "images": "x", "seed": 0}},
      "unknown test_data key 'seed' (expected one of kind, images)"),
     (["phase", "--config", "phase.json"], {"betas": [0.0, float("nan")]},
-     "betas must be finite, got [0.0, nan]"),
+     "each betas entry must be finite, got nan"),
     (["phase", "--config", "phase.json"], {"betas": [0.0, float("inf")]},
-     "betas must be finite, got [0.0, inf]"),
+     "each betas entry must be finite, got inf"),
+    (["phase", "--config", "phase.json"], {"betas": [0.0, BIG]},
+     f"each betas entry must be finite, got {BIG}"),
+    (["phase", "--config", "phase.json"], {"recovery": {"grad_tol": BIG}},
+     f"recovery grad_tol must be finite, got {BIG}"),
+    (["sweep", "--config", "sweep.json"], {"recovery": {"grad_tol": BIG}},
+     f"recovery grad_tol must be finite, got {BIG}"),
+    (["phase", "--config", "phase.json"], {"recovery": {"grad_tol": math.inf}},
+     "recovery grad_tol must be finite, got inf"),
     (["coherence", "--weights", "widths.json"], {}, WIDTHS_EDITED),
     (["rip", "--weights", "widths.json", "--m-list", "8"], {}, WIDTHS_EDITED),
     (["recover", "--weights", "widths.json", "--m", "8"], {}, WIDTHS_EDITED),
@@ -691,7 +701,8 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
         "sweep-model-encoder-bias-cut", "phase-null-w_high", "phase-integer-w_low",
         "phase-string-inner_weights", "phase-integer-inner-entry", "sweep-null-model",
         "idx-integer-images", "synth-unknown-key", "synth-images-key", "idx-unknown-key",
-        "phase-nan-beta", "phase-infinite-beta", "coherence-widths-edited",
+        "phase-nan-beta", "phase-infinite-beta", "phase-big-beta", "phase-big-grad_tol",
+        "sweep-big-grad_tol", "phase-infinite-grad_tol", "coherence-widths-edited",
         "rip-widths-edited", "recover-widths-edited", "phase-widths-edited",
         "sweep-model-widths-edited", "coherence-sigmoid", "rip-sigmoid", "recover-sigmoid",
         "phase-sigmoid", "sweep-model-sigmoid"])
@@ -729,22 +740,22 @@ def synth(**edits):
 
 
 @pytest.mark.parametrize("argv, test_data, message", [
-    (RECOVER + ["--restarts", "0"], None, "bad recovery value: restarts must be positive, got 0"),
-    (RECOVER + ["--max-iters", "0"], None,
-     "bad recovery value: max_iters must be positive, got 0"),
-    (RECOVER + ["--lr", "0"], None, "bad recovery value: learning_rate must be positive, got 0.0"),
-    (RECOVER + ["--lr", "inf"], None, "bad recovery value: learning_rate must be finite, got inf"),
-    (RECOVER + ["--grad-tol", "-1"], None,
-     "bad recovery value: grad_tol must be positive, got -1.0"),
-    (RECOVER + ["--noise", "-1"], None, "--noise must be a finite number >= 0, got -1.0"),
-    (RECOVER + ["--noise", "nan"], None, "--noise must be a finite number >= 0, got nan"),
+    (RECOVER + ["--restarts", "0"], None, "recovery restarts must be positive, got 0"),
+    (RECOVER + ["--max-iters", "0"], None, "recovery max_iters must be positive, got 0"),
+    (RECOVER + ["--lr", "0"], None, "recovery learning_rate must be positive, got 0.0"),
+    (RECOVER + ["--lr", "inf"], None, "recovery learning_rate must be finite, got inf"),
+    (RECOVER + ["--grad-tol", "-1"], None, "recovery grad_tol must be positive, got -1.0"),
+    (RECOVER + ["--grad-tol", "inf"], None, "recovery grad_tol must be finite, got inf"),
+    (RECOVER + ["--noise", "-1"], None, "--noise must be >= 0, got -1.0"),
+    (RECOVER + ["--noise", "nan"], None, "--noise must be finite, got nan"),
     (SWEEP, {"kind": "mnist", "images": "absent"},
      "unknown test_data kind 'mnist' (expected synth or idx)"),
     (SWEEP, synth(count=1.5), "count must be an integer, got 1.5"),
-    (SWEEP, synth(seed=-1), "test_data seed must be an integer >= 0, got -1"),
+    (SWEEP, synth(seed=-1), "test_data seed must be >= 0, got -1"),
     (SWEEP, synth(count=0), "count must be >= 1, got 0"),
     (SWEEP, synth(k_true=0), "k_true must be >= 1, got 0"),
-], ids=["restarts0", "max-iters0", "lr0", "lr-inf", "grad-tol-negative", "noise-negative",
+], ids=["restarts0", "max-iters0", "lr0", "lr-inf", "grad-tol-negative", "grad-tol-inf",
+        "noise-negative",
         "noise-nan", "test-data-kind", "test-data-float-count", "test-data-negative-seed",
         "test-data-count0", "test-data-k_true0"])
 def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, monkeypatch, capsys,
@@ -777,6 +788,19 @@ def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
     assert done.stderr == ("gcs: error: betas entry 1.7e+308 overflows "
                            "W_beta = beta*w_high + (1 - beta)*w_low\n")
     assert not (tmp_path / "out" / "phase.csv").exists()
+
+
+def test_subspace_rip_prints_strict_json_where_the_fit_is_undefined(tmp_path, capsys):
+    # m = n keeps every row, so no trial exceeds delta and the tail fit has
+    # no R^2 or slope: it prints null for them, never NaN, which is not JSON.
+    assert cli.main(["--out-dir", str(tmp_path), "subspace-rip", "--n", "16", "--k", "4",
+                     "--m-list", "16", "--trials", "2"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fit = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert (fit["c"], fit["r_squared"], fit["slope"]) == (0.0, None, None)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1062,14 +1086,17 @@ def test_every_benchmark_binding_resolves_in_gcs(monkeypatch):
 # The values of the error walk below. 2**70 is added where a value may size
 # an array, that is, everywhere but for the counts that size a loop or a
 # Python list: such a count is valid input at 2**70, and a run with it would
-# not end or would exhaust memory, so it is not run.
+# not end or would exhaust memory, so it is not run. BIG, too large for a
+# float, is added where a config key takes a real number.
 WALK_VALUES = [None, "x", -1, 0, 1.5, 1e308, math.nan, math.inf, [], {}, True, [0], ["x"]]
 LOOP_COUNTS = {"trials", "restarts", "max_iters", "epochs", "--trials", "--restarts",
                "--max-iters", "--epochs", "--mc-samples", "--batch"}
+REALS = {"betas": [BIG], "learning_rate": BIG, "grad_tol": BIG}
 
 
 def walk_values(name):
-    return WALK_VALUES + ([] if name in LOOP_COUNTS else [2**70])
+    return (WALK_VALUES + ([] if name in LOOP_COUNTS else [2**70])
+            + ([REALS[name]] if name in REALS else []))
 
 
 def test_every_bad_value_of_a_config_key_or_flag_exits_2_with_one_error_line(tmp_path,
@@ -1090,7 +1117,8 @@ def test_every_bad_value_of_a_config_key_or_flag_exits_2_with_one_error_line(tmp
             return [rooted(p) for p in paths]
         return {name: rooted(p) for name, p in paths.items()}
 
-    short = {"m_list": [8], "trials": 1, "recovery": {"restarts": 1, "max_iters": 20}}
+    short = {"m_list": [8], "trials": 1, "recovery": {"learning_rate": 0.1, "max_iters": 20,
+                                                      "grad_tol": 1e-7, "restarts": 1}}
     bases = {}
     for name, edits in [("phase", {"betas": [0.5]}), ("sweep", {})]:
         with open(os.path.join(ROOT, "configs", f"{name}_desk.json")) as f:

@@ -130,7 +130,7 @@ def test_lower_bound_values():
 
 
 def test_typical_bound_formula():
-    k, d, n = 4, 3, 256
+    k, n = 4, 256
     widths = [4, 16, 32, 256]
     log_sum = math.log(2 * math.e * 16 / 4) + math.log(2 * math.e * 32 / 4)
     expected = (
@@ -139,11 +139,9 @@ def test_typical_bound_formula():
         + math.sqrt(k / n * log_sum)
         + 2.0 / math.sqrt(n)
     )
-    assert typical_coherence_bound(k, d, widths, n, gamma=2.0) == pytest.approx(expected)
-    with pytest.raises(DomainError):
-        typical_coherence_bound(k, d, widths, n, gamma=-1.0)
-    with pytest.raises(DimensionMismatch):
-        typical_coherence_bound(k, 2, widths, n)
+    assert typical_coherence_bound(widths, gamma=2.0) == pytest.approx(expected)
+    with pytest.raises(DomainError, match="^gamma must be >= 0, got -1.0$"):
+        typical_coherence_bound(widths, gamma=-1.0)
 
 
 def test_regularizer_value():
@@ -210,20 +208,20 @@ def test_regularizer_validation():
 
 
 def test_sample_complexity_formula():
-    alpha, n, k, eps, delta = 0.3, 128, 4, 0.01, 0.5
+    alpha, n, k, eps, delta = 0.3, 128, 4, 0.01, 0.5  # n and k as the widths give them
     widths = [4, 16, 128]
     log_sum = math.log(2 * math.e * 16 / 4)
-    rip = sample_complexity(alpha, n, k, widths, eps, delta, kind="RIP")
+    rip = sample_complexity(alpha, widths, eps, delta, kind="RIP")
     assert rip == pytest.approx(
         (alpha**2 * n / delta**2) * (k * log_sum + math.log(2 * k / eps))
     )
-    diff = sample_complexity(alpha, n, k, widths, eps, delta, kind="DiffRIP")
+    diff = sample_complexity(alpha, widths, eps, delta, kind="DiffRIP")
     assert diff == pytest.approx(
         (alpha**2 * n / delta**2) * (2 * k * log_sum + math.log(4 * k / eps))
     )
     # GCS pins delta = 1/3 regardless of the argument.
-    gcs1 = sample_complexity(alpha, n, k, widths, eps, 0.5, kind="GCS")
-    gcs2 = sample_complexity(alpha, n, k, widths, eps, 0.01, kind="GCS")
+    gcs1 = sample_complexity(alpha, widths, eps, 0.5, kind="GCS")
+    gcs2 = sample_complexity(alpha, widths, eps, 0.01, kind="GCS")
     assert gcs1 == gcs2 == pytest.approx(
         (alpha**2 * n * 9.0) * (2 * k * log_sum + math.log(4 * k / eps))
     )
@@ -231,9 +229,9 @@ def test_sample_complexity_formula():
 
 def test_sample_complexity_validation():
     with pytest.raises(DomainError):
-        sample_complexity(0.3, 64, 4, [4, 8, 64], 0.1, 0.5, kind="nope")
-    with pytest.raises(DomainError):
-        sample_complexity(-0.1, 64, 4, [4, 8, 64], 0.1, 0.5)
+        sample_complexity(0.3, [4, 8, 64], 0.1, 0.5, kind="nope")
+    with pytest.raises(DomainError, match="^alpha must be positive, got -0.1$"):
+        sample_complexity(-0.1, [4, 8, 64], 0.1, 0.5)
 
 
 def test_coherence_report_assembly():

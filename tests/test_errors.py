@@ -4,9 +4,13 @@ OSError, which the CLI reports as one "gcs: error:" line with exit status 2."""
 import ast
 import builtins
 import importlib
+import math
 import pathlib
 
-from gcs.errors import GcsError
+import numpy as np
+import pytest
+
+from gcs.errors import DomainError, GcsError, check_number
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gcs"
 
@@ -51,3 +55,35 @@ def test_every_raise_in_src_is_a_gcs_error_or_an_os_error():
                 bad.append(f"{path.name}: {where or '<module>'} raises {name or 'a bare raise'}")
     assert not bad, "\n".join(bad)
 
+
+
+@pytest.mark.parametrize("value, bounds, rule", [
+    (True, {"integer": True}, "an integer"),
+    (2.0, {"integer": True}, "an integer"),
+    (0, {"integer": True, "positive": True}, "positive"),
+    (0, {"least": 1, "integer": True}, ">= 1"),
+    (True, {}, "a number"),
+    ("1", {}, "a number"),
+    (None, {}, "a number"),
+    (math.nan, {"positive": True}, "finite"),
+    (-math.inf, {}, "finite"),
+    (10**400, {}, "finite"),  # math.isfinite would raise OverflowError
+    (np.float64(0.0), {"positive": True}, "positive"),
+    (-1e-300, {"least": 0}, ">= 0"),
+])
+def test_check_number_names_the_value_the_rule_and_the_value_given(value, bounds, rule):
+    with pytest.raises(DomainError) as info:
+        check_number("x", value, **bounds)
+    assert str(info.value) == f"x must be {rule}, got {value!r}"
+
+
+@pytest.mark.parametrize("value, bounds", [
+    (10**400, {"least": 1, "integer": True}),  # an integer need not fit a float
+    (np.int64(3), {"integer": True}),
+    (7, {}),
+    (np.float64(1.7e308), {}),
+    (0.0, {"least": 0}),
+    (1e-300, {"positive": True}),
+])
+def test_check_number_accepts_a_number_that_keeps_the_rule(value, bounds):
+    check_number("x", value, **bounds)

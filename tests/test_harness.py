@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -217,14 +218,17 @@ def test_phase_config_validation():
             trials=0,
             d_op=cfg.d_op,
         )
-    for betas in ([], ["0.5"], 0.5):
+    for betas in ([], 0.5):
         with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
             replace(cfg, betas=betas)
     for betas in ([0.5, 0.5], [0, 0.5, 0.0]):
         with pytest.raises(DomainError, match="betas must not repeat"):
             replace(cfg, betas=betas)
-    for betas in ([0.0, math.nan], [math.inf], [0.5, -math.inf]):
-        with pytest.raises(DomainError, match="betas must be finite"):
+    for betas, rule in [([0.0, math.nan], "finite"), ([math.inf], "finite"),
+                        ([0.5, -math.inf], "finite"), ([10**400], "finite"),
+                        (["0.5"], "a number"), ([0.5, True], "a number")]:
+        with pytest.raises(DomainError, match=f"^each betas entry must be {rule}, "
+                                              f"got {re.escape(repr(betas[-1]))}$"):
             replace(cfg, betas=betas)
 
 
@@ -311,12 +315,15 @@ def test_rip_check_rejects_empty_counts(monkeypatch, chord_samples, trials, mess
 @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0, 1.5, float("nan"), float("inf")])
 def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
     # The RIP is stated for 0 < delta < 1; outside it every trial "exceeds"
-    # (delta <= 0) or none can, and a NaN compares false everywhere.
+    # (delta <= 0) or none can, and a NaN compares false everywhere. Only
+    # a finite delta > 0 reaches the test of the upper end.
     rng = derive_rng(5)
     g = GenerativeNetwork(weights=[rng.standard_normal((4, 2)), rng.standard_normal((8, 4))])
     monkeypatch.setattr("gcs.harness.ChordSampler", no_compute)
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
-    message = rf"delta must be in \(0, 1\), got {delta}"
+    rule = ("positive" if delta <= 0 else r"in \(0, 1\)" if 1 <= delta < math.inf
+            else "finite")
+    message = f"^delta must be {rule}, got {delta}$"
     with pytest.raises(DomainError, match=message):
         run_rip_check(g, dct2_operator(8), [8], delta, 10, 2, 0)
     with pytest.raises(DomainError, match=message):
@@ -379,7 +386,7 @@ def test_fit_subspace_tail_recovers_synthetic_constant():
 
 def test_fit_subspace_tail_degenerate():
     fit = fit_subspace_tail([{"m": 8, "exceed_freq": 0.0}], 2, 16, 0.5, 0.4)
-    assert fit["c"] == 0.0 and math.isnan(fit["r_squared"])
+    assert fit == {"c": 0.0, "r_squared": None, "slope": None}
 
 
 def test_svg_emitters(tmp_path):
