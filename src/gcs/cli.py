@@ -63,11 +63,16 @@ def _ints(s: str) -> list[int]:
         raise DomainError(f"expected comma-separated integers, got {s!r}") from None
 
 
+def _print_json(obj) -> None:
+    """Print obj as indented JSON; arrays become lists by write_json's rule,
+    default=np.ndarray.tolist."""
+    print(json.dumps(obj, indent=2, default=np.ndarray.tolist))
+
+
 def cmd_coherence(args) -> int:
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
-    report = coh.coherence_report(g, u, args.mc_samples, args.seed)
-    print(json.dumps(report.to_json(), indent=2))
+    _print_json(coh.coherence_report(g, u, args.mc_samples, args.seed))
     return 0
 
 
@@ -122,9 +127,8 @@ def cmd_recover(args) -> int:
         if not np.all(np.isfinite(b)):
             raise DomainError(f"--noise {args.noise} overflows the measurement b")
     res = recovery.recover(g, a, b, cfg, x0=x0)
-    out = res.to_json()
-    out["success"] = res.rre is not None and res.rre < recovery.SUCCESS_RRE
-    print(json.dumps(out, indent=2))
+    _print_json({**dataclasses.asdict(res),
+                "success": res.rre is not None and res.rre < recovery.SUCCESS_RRE})
     return 0
 
 
@@ -285,7 +289,7 @@ def cmd_subspace_rip(args) -> int:
     )
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
-    print(json.dumps(fit, indent=2))
+    _print_json(fit)
     return 0
 
 

@@ -10,7 +10,6 @@ of W^(d)) upper-bounds the coherence of the expanded chord set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -20,20 +19,6 @@ from .gnn import GenerativeNetwork, forward, hidden, log_region_bound  # noqa: F
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
 from .sampling import derive_rng
 from .transforms import UnitaryOperator
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    alpha_heuristic: float
-    alpha_mc: float
-    mc_samples: int
-    lower_bound: float
-    typical_bound: float | None
-    seed: int
-    constant_c: float = 1.0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
@@ -54,8 +39,8 @@ def network_coherence_heuristic(g: GenerativeNetwork, d_op: UnitaryOperator) -> 
     w = g.weights[-1]
     if w.shape[0] != d_op.n:
         raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {d_op.n}")
-    factors = qr_thin(w)
-    return two_to_inf_norm(d_op.apply(factors.q))
+    q, _ = qr_thin(w)
+    return two_to_inf_norm(d_op.apply(q))
 
 
 class ChordSampler:
@@ -245,16 +230,17 @@ def sample_complexity(alpha: float, widths: list[int], epsilon: float, delta: fl
 
 
 def coherence_report(g: GenerativeNetwork, d_op: UnitaryOperator, mc_samples: int,
-                     seed: int) -> CoherenceReport:
-    """Assemble the standard report: heuristic, MC chord estimate, and bounds."""
+                     seed: int) -> dict:
+    """The report `gcs coherence` prints: the heuristic, the MC chord
+    estimate and the bounds, with constant_c the c of sample_complexity's
+    default, 1.0."""
     check_counts(samples=mc_samples)  # before the heuristic's QR
-    alpha_h = network_coherence_heuristic(g, d_op)
-    alpha_mc = chord_coherence_mc(g, d_op, mc_samples, seed)
-    return CoherenceReport(
-        alpha_heuristic=alpha_h,
-        alpha_mc=alpha_mc,
-        mc_samples=mc_samples,
-        lower_bound=coherence_lower_bound(g.code_dim, d_op.n),
-        typical_bound=typical_coherence_bound(g.widths),
-        seed=seed,
-    )
+    return {
+        "alpha_heuristic": network_coherence_heuristic(g, d_op),
+        "alpha_mc": chord_coherence_mc(g, d_op, mc_samples, seed),
+        "mc_samples": mc_samples,
+        "lower_bound": coherence_lower_bound(g.code_dim, d_op.n),
+        "typical_bound": typical_coherence_bound(g.widths),
+        "seed": seed,
+        "constant_c": 1.0,
+    }

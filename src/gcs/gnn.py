@@ -22,13 +22,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # With t = exp(-|x|), which never overflows: 1 / (1 + t) for x >= 0,
+    # t / (1 + t) below.
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def check_widths(widths) -> None:

@@ -7,7 +7,6 @@ pure and reentrant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,9 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class QRFactors:
-    """Thin QR factors with nonnegative R diagonal (unique for full-rank input)."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
-def qr_thin(w: np.ndarray) -> QRFactors:
-    """Thin QR of a real n x k matrix (n >= k) with nonnegative diag(R).
+def qr_thin(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors (q, r) of a real n x k matrix (n >= k) with
+    nonnegative diag(R), unique for full-rank input.
 
     Raises DomainError if ||W||_F overflows or any diagonal entry of R falls
     below 1e-12 * ||W||_F, and DimensionMismatch if n < k.
@@ -54,7 +46,7 @@ def qr_thin(w: np.ndarray) -> QRFactors:
     tol = 1e-12 * norm
     if np.any(np.abs(np.diagonal(r)) < tol):
         raise DomainError("R has a near-zero diagonal entry; W is rank deficient")
-    return QRFactors(q=q, r=r)
+    return q, r
 
 
 def two_to_inf_norm(m: np.ndarray) -> float:

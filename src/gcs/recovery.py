@@ -61,7 +61,7 @@ this against the one-vector loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,12 +108,6 @@ class RecoveryResult:
     termination: str  # "grad_tol" | "max_iters"
     residual: float
     failed_restarts: int = 0
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["z_hat"] = self.z_hat.tolist()
-        d["x_hat"] = self.x_hat.tolist()
-        return d
 
 
 def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
@@ -411,17 +405,6 @@ def recover(
     return recover_batch([g], [a], [b], [config], [x0])[0]
 
 
-@dataclass(frozen=True)
-class BoundAudit:
-    left: float
-    right: float
-    satisfied: bool
-    x_perp_norm: float
-    a_x_perp_norm: float
-    eta_norm: float
-    eps_hat: float
-
-
 def recovery_bound_audit(
     result: RecoveryResult,
     x0: np.ndarray,
@@ -429,9 +412,11 @@ def recovery_bound_audit(
     a: SubsampledIsometry,
     eps_hat: float,
     x_perp: np.ndarray | None = None,
-) -> BoundAudit:
+) -> dict:
     """Evaluate ||x_hat - x0|| <= ||x_perp|| + 3||A x_perp|| + 3||eta|| + (3/2)eps_hat.
 
+    Returns the sides "left" and "right", "satisfied" (left <= right), and
+    the terms "x_perp_norm", "a_x_perp_norm", "eta_norm" and "eps_hat".
     The caller supplies x_perp (exact projection onto range(G) is intractable);
     omit it for in-range signals, where it is zero.
     """
@@ -448,12 +433,5 @@ def recovery_bound_audit(
     en = float(np.linalg.norm(np.asarray(eta)))
     left = float(np.linalg.norm(result.x_hat - x0))
     right = xp + 3.0 * axp + 3.0 * en + 1.5 * eps_hat
-    return BoundAudit(
-        left=left,
-        right=right,
-        satisfied=left <= right,
-        x_perp_norm=xp,
-        a_x_perp_norm=axp,
-        eta_norm=en,
-        eps_hat=eps_hat,
-    )
+    return {"left": left, "right": right, "satisfied": left <= right, "x_perp_norm": xp,
+            "a_x_perp_norm": axp, "eta_norm": en, "eps_hat": eps_hat}

@@ -92,6 +92,22 @@ def test_recover_command(tmp_path, capsys):
     assert out["rre"] is not None and out["rre"] >= 0.0
 
 
+def test_coherence_and_recover_print_their_keys_in_order_as_indented_json(tmp_path, capsys):
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+    for argv, keys in [
+        (["coherence", "--weights", path, "--mc-samples", "500"],
+         ["alpha_heuristic", "alpha_mc", "mc_samples", "lower_bound", "typical_bound", "seed",
+          "constant_c"]),
+        (["recover", "--weights", path, "--m", "12", "--max-iters", "50"],
+         ["z_hat", "x_hat", "rre", "iterations", "termination", "residual", "failed_restarts",
+          "success"]),
+    ]:
+        assert cli.main(["--seed", "2", *argv]) == 0
+        out = capsys.readouterr().out
+        assert list(json.loads(out)) == keys
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_recover_noise_flag(tmp_path, capsys):
     # Noise of standard deviation sigma joins the measurement: a positive
     # sigma leaves a residual and the same result per seed, and sigma 0 is

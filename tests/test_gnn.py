@@ -232,6 +232,22 @@ def test_relu_and_sigmoid_basics():
     assert sigmoid(np.array([1000.0]))[0] == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigmoid_matches_the_split_form():
+    # The split by sign: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+    # below, so that neither exp overflows. sigmoid gives its bits, NaN aside.
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, -36.7, 745.2,
+                  -745.2, 1e308, -1e308, *(30 * derive_rng(0).standard_normal(200))])
+    pos = x >= 0
+    split = np.empty_like(x)
+    split[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    split[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    out = sigmoid(x)
+    nan = np.isnan(x)
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    np.testing.assert_array_equal(out[~nan].view(np.int64), split[~nan].view(np.int64))
+
+
 @pytest.mark.parametrize("biases", [False, True])
 def test_network_json_roundtrip(biases, tmp_path):
     g = random_network([2, 5, 7], seed=40, biases=biases)

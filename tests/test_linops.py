@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gcs.errors import DimensionMismatch, DomainError
 from gcs.linops import (
-    QRFactors,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -38,11 +37,11 @@ def gram_schmidt_oracle(w):
 def test_qr_thin_matches_gram_schmidt(seed, shape):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
-    f = qr_thin(w)
+    q, r = qr_thin(w)
     qo, ro = gram_schmidt_oracle(w)
     # Same sign convention (positive diagonal), so the factors agree directly.
-    np.testing.assert_allclose(f.q, qo, atol=1e-8)
-    np.testing.assert_allclose(f.r, ro, atol=1e-8)
+    np.testing.assert_allclose(q, qo, atol=1e-8)
+    np.testing.assert_allclose(r, ro, atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -51,12 +50,12 @@ def test_qr_thin_factor_properties(seed):
     n, k = int(rng.integers(3, 40)), int(rng.integers(1, 3))
     k = min(n, k + int(rng.integers(0, n)))
     w = rng.standard_normal((n, k))
-    f = qr_thin(w)
-    assert isinstance(f, QRFactors)
-    np.testing.assert_allclose(f.q @ f.r, w, atol=1e-10)
-    assert orthonormality_defect(f.q) < 1e-10
-    assert np.all(np.diagonal(f.r) >= 0)
-    assert np.allclose(f.r, np.triu(f.r))
+    q, r = qr_thin(w)
+    assert q.shape == (n, k) and r.shape == (k, k)
+    np.testing.assert_allclose(q @ r, w, atol=1e-10)
+    assert orthonormality_defect(q) < 1e-10
+    assert np.all(np.diagonal(r) >= 0)
+    assert np.allclose(r, np.triu(r))
 
 
 def test_qr_thin_rank_deficient():

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcs import cli
 from gcs.errors import DimensionMismatch, DomainError, GcsError
-from gcs.gnn import GenerativeNetwork, forward, objective_value_grad
+from gcs.gnn import GenerativeNetwork, forward, objective_value_grad, save_network
 from gcs.recovery import (
     SUCCESS_RRE,
-    BoundAudit,
     RecoveryConfig,
     RecoveryResult,
     recover,
@@ -96,7 +97,8 @@ def test_restarts_keep_best_residual():
     assert multi.failed_restarts == 0
 
 
-def test_result_to_json_roundtrippable():
+def test_result_to_json_roundtrippable(tmp_path, monkeypatch, capsys):
+    # gcs recover prints the result's fields, its arrays as lists, and "success".
     res = RecoveryResult(
         z_hat=np.array([1.0, 2.0]),
         x_hat=np.array([0.5]),
@@ -105,11 +107,14 @@ def test_result_to_json_roundtrippable():
         termination="grad_tol",
         residual=1e-9,
     )
-    d = res.to_json()
-    assert d["z_hat"] == [1.0, 2.0] and d["iterations"] == 12
-    import json
-
-    json.dumps(d)
+    path = str(tmp_path / "net.json")
+    save_network(seeded_network([2, 4, 8], seed=0), path)
+    monkeypatch.setattr(cli.recovery, "recover", lambda *args, **kwargs: res)
+    assert cli.main(["recover", "--weights", path, "--m", "4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "z_hat": [1.0, 2.0], "x_hat": [0.5], "rre": 0.1, "iterations": 12,
+        "termination": "grad_tol", "residual": 1e-9, "failed_restarts": 0, "success": False,
+    }
 
 
 def test_bound_audit_in_range_noiseless():
@@ -122,11 +127,12 @@ def test_bound_audit_in_range_noiseless():
     b = apply(a, x0)
     res = recover(g, a, b, RecoveryConfig(seed=14), x0=x0)
     audit = recovery_bound_audit(res, x0, eta=np.zeros(16), a=a, eps_hat=res.residual)
-    assert isinstance(audit, BoundAudit)
-    assert audit.x_perp_norm == 0.0 and audit.eta_norm == 0.0
-    assert audit.right == pytest.approx(1.5 * res.residual)
+    assert list(audit) == ["left", "right", "satisfied", "x_perp_norm", "a_x_perp_norm",
+                           "eta_norm", "eps_hat"]
+    assert audit["x_perp_norm"] == 0.0 and audit["eta_norm"] == 0.0
+    assert audit["right"] == pytest.approx(1.5 * res.residual)
     # With m = n the solver residual equals the ambient error, so the bound holds.
-    assert audit.satisfied
+    assert audit["satisfied"]
 
 
 def test_bound_audit_with_components():
@@ -147,8 +153,8 @@ def test_bound_audit_with_components():
         + 3 * np.linalg.norm(eta)
         + 1.5 * res.residual
     )
-    assert audit.right == pytest.approx(expected_right)
-    assert audit.left == pytest.approx(np.linalg.norm(res.x_hat - x0))
+    assert audit["right"] == pytest.approx(expected_right)
+    assert audit["left"] == pytest.approx(np.linalg.norm(res.x_hat - x0))
 
 
 def test_bound_audit_shape_checks():
