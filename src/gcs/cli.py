@@ -112,7 +112,6 @@ def cmd_recover(args) -> int:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         restarts=args.restarts,
-        seed=sampling.spawn_seed(args.seed, 2),
     )
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
@@ -126,7 +125,7 @@ def cmd_recover(args) -> int:
             b = b + args.noise * rng.standard_normal(b.shape[0])
         if not np.all(np.isfinite(b)):
             raise DomainError(f"--noise {args.noise} overflows the measurement b")
-    res = recovery.recover(g, a, b, cfg, x0=x0)
+    res = recovery.recover(g, a, b, cfg, x0=x0, seed=sampling.spawn_seed(args.seed, 2))
     _print_json({**dataclasses.asdict(res),
                 "success": res.rre is not None and res.rre < recovery.SUCCESS_RRE})
     return 0
@@ -145,12 +144,11 @@ def _block(obj, where: str, required=()) -> dict:
 def _fields(cls, obj: dict, what: str, extra=()) -> dict:
     """The entries of obj for fields of the config dataclass cls.
 
-    The CLI sets "seed" and "d_op" itself, so a config may not hold them;
     extra names the keys only the CLI reads. Any other key raises
     DomainError. A field obj leaves out takes its default from cls, which
     also checks the values.
     """
-    allowed = [f.name for f in dataclasses.fields(cls) if f.name not in ("seed", "d_op")]
+    allowed = [f.name for f in dataclasses.fields(cls)]
     _check_keys(obj, what, [*allowed, *extra])
     return {key: value for key, value in obj.items() if key not in extra}
 
@@ -198,11 +196,9 @@ def cmd_phase(args) -> int:
     values["inner_weights"] = [load_matrix(p) for p in inner]
     values["w_high"] = load_matrix(w_high)
     values["w_low"] = load_matrix(w_low)
-    n = values["w_high"].shape[0]
-    cfg = harness.PhaseConfig(
-        **values, seed=args.seed, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n)
-    )
-    records = harness.run_phase_portrait(cfg)
+    u = resolve_unitary(cfg_json.get("unitary", "dct"), values["w_high"].shape[0])
+    cfg = harness.PhaseConfig(**values)
+    records = harness.run_phase_portrait(cfg, u, args.seed)
     csv_path = os.path.join(args.out_dir, "phase.csv")
     harness.emit_csv(records, csv_path)
     grid = harness.phase_success_grid(records, cfg.betas, cfg.m_list)
@@ -240,7 +236,7 @@ def cmd_sweep(args) -> int:
         # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         check_number("test_data seed", test_spec["seed"], 0, integer=True)
-    cfg = harness.SweepConfig(**values, seed=args.seed)  # checks trials before any model load
+    cfg = harness.SweepConfig(**values)  # checks trials before any model load
     if kind == "idx":
         samples = training.load_idx(test_spec["images"])
     (name, path), *rest = cfg_json["models"].items()
@@ -249,14 +245,14 @@ def cmd_sweep(args) -> int:
     # The first model gives n; the grid, the unitary and the test data are
     # checked before the rest load.
     harness.check_grid(cfg.model, cfg.m_list, n)
-    cfg = dataclasses.replace(cfg, d_op=resolve_unitary(cfg_json.get("unitary", "dct"), n))
+    u = resolve_unitary(cfg_json.get("unitary", "dct"), n)
     if kind == "synth":
         samples = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]
         )
     harness.check_test_data(*samples.shape, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
-    records, summaries = harness.run_measurement_sweep(models, samples, cfg)
+    records, summaries = harness.run_measurement_sweep(models, samples, cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"))
     series = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,15 +105,16 @@ def _grid(rows: int, m_list: list, trials: int, fn) -> list:
 
 def _recover_grid(rows: int, m_list: list, trials: int, recovery: RecoveryConfig,
                   trial) -> list[tuple]:
-    """Build every trial of the grid, recover all of them in one batch.
+    """Build every trial of the grid, recover all of them in one batch under
+    the one solver config recovery.
 
     trial(row, m index, trial) returns (key, network, operator, x0, solver
     seed). Returns (key, rre) in grid order; rre is inf where it is
     undefined (x0 = 0).
     """
     keys, gs, ops, x0s, seeds = (list(col) for col in zip(*_grid(rows, m_list, trials, trial)))
-    results = recover_batch(gs, ops, [apply(a, x0) for a, x0 in zip(ops, x0s)],
-                            [replace(recovery, seed=seed) for seed in seeds], x0s)
+    results = recover_batch(gs, ops, [apply(a, x0) for a, x0 in zip(ops, x0s)], seeds,
+                            recovery, x0s)
     return [(key, float("inf") if res.rre is None else res.rre)
             for key, res in zip(keys, results)]
 
@@ -131,8 +132,6 @@ class PhaseConfig:
     betas: list = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
     m_list: list = field(default_factory=lambda: [8, 16, 24, 32, 48, 64])
     trials: int = 20
-    seed: int = 0
-    d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
 
@@ -162,15 +161,15 @@ def final_layer(cfg: PhaseConfig, beta) -> np.ndarray:
     return w_beta
 
 
-def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
-    """Per (beta, m) cell: interpolate final layers, measure, recover, record.
+def run_phase_portrait(cfg: PhaseConfig, u: UnitaryOperator, seed: int) -> list[dict]:
+    """Per (beta, m) cell: interpolate final layers, measure by rows of u,
+    recover, record; every trial's stream derives from seed.
 
     W_beta is `final_layer(cfg, beta)`, every one checked before any
     coherence is taken; success is rre < 1e-5. The betas are the rows of the
     trial grid (`_recover_grid`). Records are ordered by (beta, m, trial)
     with columns beta, coherence_heuristic, m, trial, rre, success, seed.
     """
-    u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
     nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
             for beta in cfg.betas]
@@ -179,9 +178,9 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
     def trial(bi, mi, t):
         net, coh = nets[bi]
         m = cfg.m_list[mi]
-        a = sampler(u, m, spawn_seed(cfg.seed, bi, mi, t))
-        x0 = forward(net, derive_rng(cfg.seed, bi, mi, t, 1).standard_normal(net.code_dim))
-        return (cfg.betas[bi], coh, m, t, a.seed), net, a, x0, spawn_seed(cfg.seed, bi, mi, t, 2)
+        a = sampler(u, m, spawn_seed(seed, bi, mi, t))
+        x0 = forward(net, derive_rng(seed, bi, mi, t, 1).standard_normal(net.code_dim))
+        return (cfg.betas[bi], coh, m, t, a.seed), net, a, x0, spawn_seed(seed, bi, mi, t, 2)
 
     grid = _recover_grid(len(cfg.betas), cfg.m_list, cfg.trials, cfg.recovery, trial)
     return [
@@ -192,23 +191,17 @@ def run_phase_portrait(cfg: PhaseConfig) -> list[dict]:
             "trial": t,
             "rre": err,
             "success": err < SUCCESS_RRE,
-            "seed": seed,
+            "seed": a_seed,
         }
-        for (beta, coh, m, t, seed), err in grid
+        for (beta, coh, m, t, a_seed), err in grid
     ]
 
 
 def phase_success_grid(records: list[dict], betas, m_list) -> np.ndarray:
-    """Success fractions indexed [beta, m]."""
-    grid = np.zeros((len(betas), len(m_list)))
-    counts = np.zeros_like(grid)
-    bpos = {b: i for i, b in enumerate(betas)}
-    mpos = {m: i for i, m in enumerate(m_list)}
-    for r in records:
-        i, j = bpos[r["beta"]], mpos[r["m"]]
-        grid[i, j] += 1.0 if r["success"] else 0.0
-        counts[i, j] += 1.0
-    return grid / np.maximum(counts, 1.0)
+    """Success fractions indexed [beta, m] of a phase portrait's records,
+    which come in grid order, (beta, m, trial)."""
+    success = np.reshape([r["success"] for r in records], (len(betas), len(m_list), -1))
+    return success.mean(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +213,6 @@ def phase_success_grid(records: list[dict], betas, m_list) -> np.ndarray:
 class SweepConfig:
     m_list: list = field(default_factory=lambda: [10, 15, 20, 25, 50, 100, 200, 250])
     trials: int = 10
-    seed: int = 0
-    d_op: UnitaryOperator | None = None
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
 
@@ -241,16 +232,17 @@ def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) ->
 
 
 def run_measurement_sweep(
-    models: list[tuple[str, VaeModel]], test_samples: np.ndarray, cfg: SweepConfig
+    models: list[tuple[str, VaeModel]], test_samples: np.ndarray, cfg: SweepConfig,
+    u: UnitaryOperator, seed: int,
 ) -> tuple[list[dict], list[dict]]:
-    """Per (model, m, trial): fresh A, target G(E(x_sharp)), recover, record rre.
+    """Per (model, m, trial): fresh A from rows of u, target G(E(x_sharp)),
+    recover, record rre; every trial's stream derives from seed.
 
     The grid and the test samples' count and dimension are checked before
     any trial is built. The models are the rows of the trial grid
     (`_recover_grid`), whatever the decoders' shapes. Returns (trial
     records, per-(model, m) geometric summaries).
     """
-    u = cfg.d_op
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
     check_test_data(*test_samples.shape, models)
 
@@ -258,19 +250,20 @@ def run_measurement_sweep(
         name, model = models[gi]
         m = cfg.m_list[mi]
         # Target choice is shared across models: same x_sharp per (m, trial).
-        rng = derive_rng(cfg.seed, mi, t)
+        rng = derive_rng(seed, mi, t)
         mu, _ = model.encode(test_samples[int(rng.integers(test_samples.shape[0]))])
-        a = sampler(u, m, spawn_seed(cfg.seed, mi, t, 1))
+        a = sampler(u, m, spawn_seed(seed, mi, t, 1))
         return ((name, m, t, a.seed), model.decoder, a, forward(model.decoder, mu),
-                spawn_seed(cfg.seed, gi, mi, t, 2))
+                spawn_seed(seed, gi, mi, t, 2))
 
     grid = _recover_grid(len(models), cfg.m_list, cfg.trials, cfg.recovery, trial)
-    records = [{"model": name, "m": m, "trial": t, "rre": err, "seed": seed}
-               for (name, m, t, seed), err in grid]
+    records = [{"model": name, "m": m, "trial": t, "rre": err, "seed": a_seed}
+               for (name, m, t, a_seed), err in grid]
+    # Each cell's rre values, in trial order.
+    cells = np.reshape([err for _, err in grid], (len(models), len(cfg.m_list), cfg.trials))
     summaries = []
-    for name, _ in models:
-        for m in cfg.m_list:
-            vals = [r["rre"] for r in records if r["model"] == name and r["m"] == m]
+    for (name, _), row in zip(models, cells):
+        for m, vals in zip(cfg.m_list, row):
             gmean, gsd, floored = geometric_stats(vals)
             summaries.append(
                 {"model": name, "m": m, "geo_mean_rre": gmean, "geo_sd_rre": gsd, "floored": floored}

@@ -89,14 +89,12 @@ class RecoveryConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-7
     restarts: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         check_number("recovery learning_rate", self.learning_rate, positive=True)
         check_number("recovery max_iters", self.max_iters, integer=True, positive=True)
         check_number("recovery grad_tol", self.grad_tol, positive=True)
         check_number("recovery restarts", self.restarts, integer=True, positive=True)
-        check_number("recovery seed", self.seed, 0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -323,19 +321,21 @@ def recover_batch(
     gs: list[GenerativeNetwork],
     ops: list[SubsampledIsometry],
     bs: list[np.ndarray],
-    configs: list[RecoveryConfig],
+    seeds: list[int],
+    config: RecoveryConfig,
     x0s: list[np.ndarray | None] | None = None,
 ) -> list[RecoveryResult]:
-    """recover(gs[i], ops[i], bs[i], configs[i], x0s[i]) for every i, in lockstep.
+    """recover(gs[i], ops[i], bs[i], config, x0s[i], seeds[i]) for every i, in lockstep.
 
-    The configs may differ in seed and restarts only. Each restart is one
-    column of the engine the module docstring describes, so every result is
-    bit for bit the one-problem result.
+    Each restart is one column of the engine the module docstring describes,
+    so every result is bit for bit the one-problem result.
     """
     if x0s is None:
         x0s = [None] * len(ops)
-    if not len(gs) == len(ops) == len(bs) == len(configs) == len(x0s):
-        raise DimensionMismatch("need one network, measurement, config and x0 per operator")
+    if not len(gs) == len(ops) == len(bs) == len(seeds) == len(x0s):
+        raise DimensionMismatch("need one network, measurement, seed and x0 per operator")
+    for seed in seeds:
+        check_number("recovery seed", seed, 0, integer=True)
     bs = [np.asarray(b) for b in bs]
     for g, a, b in zip(gs, ops, bs):
         if a.base.n != g.ambient_dim:
@@ -344,13 +344,12 @@ def recover_batch(
             raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
         if not np.can_cast(b.dtype, a.base.dtype):
             raise DomainError(f"a {b.dtype} measurement does not fit a {a.base.dtype} unitary")
-    if len({(c.learning_rate, c.max_iters, c.grad_tol) for c in configs}) > 1:
-        raise DomainError("a batch must share learning_rate, max_iters and grad_tol")
     # Distinct networks by first appearance.
     nets = list({id(g): g for g in gs}.values())
     index = {id(g): j for j, g in enumerate(nets)}
     net_of = [index[id(g)] for g in gs]
-    cols = [(i, r) for i, c in enumerate(configs) for r in range(c.restarts)]
+    restarts = config.restarts
+    cols = [(i, r) for i in range(len(gs)) for r in range(restarts)]
     loops = {}
     for c, (i, _) in enumerate(cols):
         g, a = gs[i], ops[i]  # biases are per run, so biased and unbiased networks mix
@@ -363,20 +362,18 @@ def recover_batch(
         # Ties keep the columns' order, so a problem's restarts stay adjacent.
         columns = sorted((net_of[cols[c][0]], g, c) for g, group in enumerate(groups.values())
                          for c in group)
-        queue = [(net_of[i], ops[i], bs[i], configs[i].seed, r, g)
+        queue = [(net_of[i], ops[i], bs[i], seeds[i], r, g)
                  for _, g, c in columns for i, r in [cols[c]]]
         with np.errstate(over="ignore", invalid="ignore"):
-            block = _lockstep(nets, queue, widths, dtype, configs[0])
+            block = _lockstep(nets, queue, widths, dtype, config)
         for (_, _, c), final in zip(columns, block):
             finals[c] = final
 
     results = []
-    c = 0
-    for g, a, b, config, x0 in zip(gs, ops, bs, configs, x0s):
-        finished = [final for final in finals[c:c + config.restarts] if final is not None]
-        c += config.restarts
+    for i, (g, a, b, x0) in enumerate(zip(gs, ops, bs, x0s)):
+        finished = [final for final in finals[i * restarts:(i + 1) * restarts] if final is not None]
         if not finished:
-            raise GcsError(f"all {config.restarts} restarts hit a nonfinite objective")
+            raise GcsError(f"all {restarts} restarts hit a nonfinite objective")
         xs = [forward(g, z) for z, _, _ in finished]
         tried = [(float(np.linalg.norm(apply(a, x) - b)), z, x, iters, termination)
                  for x, (z, iters, termination) in zip(xs, finished)]
@@ -385,7 +382,7 @@ def recover_batch(
         err = rre(x0, x) if x0 is not None and np.linalg.norm(x0) > 0 else None
         results.append(RecoveryResult(z_hat=z, x_hat=x, rre=err, iterations=iters,
                                       termination=termination, residual=residual,
-                                      failed_restarts=config.restarts - len(finished)))
+                                      failed_restarts=restarts - len(finished)))
     return results
 
 
@@ -395,14 +392,15 @@ def recover(
     b: np.ndarray,
     config: RecoveryConfig = RecoveryConfig(),
     x0: np.ndarray | None = None,
+    seed: int = 0,
 ) -> RecoveryResult:
     """Solve min_z ||A G(z) - b||_2 by Adam from standard-Gaussian restarts.
 
-    Restart r starts from derive_rng(config.seed, r). The best restart by
+    Restart r starts from derive_rng(seed, r). The best restart by
     (recomputed) residual wins. When the true signal x0 is supplied, the
     result carries the rre against it (None when ||x0|| = 0).
     """
-    return recover_batch([g], [a], [b], [config], [x0])[0]
+    return recover_batch([g], [a], [b], [seed], config, [x0])[0]
 
 
 def recovery_bound_audit(

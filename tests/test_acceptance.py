@@ -220,7 +220,7 @@ def test_criterion_06_exact_recovery():
         z0 = derive_rng(11, t).standard_normal(4)
         x0 = forward(g, z0)
         b = apply(a, x0)
-        res = recover(g, a, b, RecoveryConfig(seed=spawn_seed(11, t, 1)), x0=x0)
+        res = recover(g, a, b, x0=x0, seed=spawn_seed(11, t, 1))
         successes += res.rre is not None and res.rre <= SUCCESS_RRE
     ok = successes >= 19
     report(6, f"full-measurement recovery {successes}/20 trials below 1e-5", ok)
@@ -241,15 +241,13 @@ def desk_phase_config():
         inner_weights=[w1],
         w_high=w_high,
         w_low=w_low,
-        seed=11,
-        d_op=dct2_operator(64),
         recovery=RecoveryConfig(restarts=3),
     )
 
 
 def test_criterion_07_phase_monotonicity():
     cfg = desk_phase_config()
-    records = run_phase_portrait(cfg)
+    records = run_phase_portrait(cfg, dct2_operator(64), 11)
     grid = phase_success_grid(records, cfg.betas, cfg.m_list)
     ok = True
     # Nondecreasing in m within two (pooled) binomial standard errors.
@@ -343,12 +341,10 @@ def test_criterion_10_regularizer_effect():
     sweep = SweepConfig(
         m_list=[6, 8, 10, 12, 16],
         trials=20,
-        seed=3,
-        d_op=u,
         recovery=RecoveryConfig(restarts=5),
     )
     _, summaries = run_measurement_sweep(
-        [("plain", m_plain), ("reg", m_reg)], test_samples, sweep
+        [("plain", m_plain), ("reg", m_reg)], test_samples, sweep, u, 3
     )
     by = {(s["model"], s["m"]): s["geo_mean_rre"] for s in summaries}
     sweep_ok = all(by[("reg", m)] <= by[("plain", m)] for m in sweep.m_list)

@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -424,9 +423,6 @@ def test_recovery_block_values():
         with pytest.raises(DomainError, match=f"^recovery {key} must be"):
             cli._recovery_from_json({"recovery": block})
     assert cli._recovery_from_json({"recovery": {"learning_rate": 1}}).learning_rate == 1
-    # The CLI derives the seed itself, so only a direct caller can pass a bad one.
-    with pytest.raises(DomainError, match="^recovery seed must be >= 0, got -1$"):
-        RecoveryConfig(seed=-1)
 
 
 @pytest.mark.parametrize("block, message", [
@@ -634,6 +630,8 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
     (["sweep", "--config", "sweep.json"], {"seed": 3},
      "unknown sweep config key 'seed' (expected one of m_list, trials, model, recovery, "
      "unitary, models, test_data)"),
+    (["phase", "--config", "phase.json"], {"recovery": {"seed": 3}},
+     "unknown recovery key 'seed' (expected one of learning_rate, max_iters, grad_tol, restarts)"),
     (["phase", "--config", "phase.json"], {"trials": 1.5}, "trials must be an integer, got 1.5"),
     (["phase", "--config", "phase.json"], {"trials": "2"}, "trials must be an integer, got '2'"),
     (["phase", "--config", "phase.json"], {"m_list": [4, "8"]},
@@ -710,7 +708,7 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
         "synth-k_true", "idx-images", "weights-no-layers", "weights-no-data", "weights-nan", "weights-no-chain",
         "phase-weights-no-cols", "sweep-model-no-encoder", "phase-unknown-key",
-        "sweep-unknown-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
+        "sweep-unknown-key", "phase-recovery-seed-key", "phase-float-trials", "phase-string-trials", "phase-string-m",
         "sweep-float-trials", "phase-unitary-not-a-string", "phase-repeated-m",
         "phase-integer-m_list", "phase-bool-m_list", "phase-null-m_list",
         "phase-repeated-beta", "sweep-model-w_mu-short", "sweep-model-b_mu-cut",
@@ -920,14 +918,14 @@ class Reached(Exception):
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "configs"))))
 def test_shipped_configs_pass_the_key_check(monkeypatch, name):
     # Each shipped config builds its run up to the recovery batch, with every
-    # key it holds passed on: trials sets the batch size, recovery its configs.
+    # key it holds passed on: trials sets the batch size, recovery its config.
     monkeypatch.chdir(ROOT)
     with open(os.path.join("configs", name)) as f:
         cfg_json = json.load(f)
     seen = []
 
-    def reached(gs, ops, bs, configs, x0s):
-        seen.extend(configs)
+    def reached(gs, ops, bs, seeds, config, x0s):
+        seen.append((len(seeds), config))
         raise Reached
 
     monkeypatch.setattr(cli.harness, "recover_batch", reached)
@@ -935,8 +933,8 @@ def test_shipped_configs_pass_the_key_check(monkeypatch, name):
     with pytest.raises(Reached):
         cli.main([command, "--config", os.path.join("configs", name)])
     grid = cfg_json["betas"] if command == "phase" else cfg_json["models"]
-    assert len(seen) == len(grid) * len(cfg_json["m_list"]) * cfg_json["trials"]
-    assert {replace(c, seed=0) for c in seen} == {RecoveryConfig(**cfg_json["recovery"])}
+    assert seen == [(len(grid) * len(cfg_json["m_list"]) * cfg_json["trials"],
+                     RecoveryConfig(**cfg_json["recovery"]))]
 
 
 def desk_lines(*commands):
@@ -1076,8 +1074,9 @@ def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, 
     [(argv, out_dir)] = desk_lines(command)
     names = sorted(os.listdir(out_dir))
     tables = [read_records(os.path.join(out_dir, name)) for name in names if name.endswith(".csv")]
-    monkeypatch.setattr(cli.harness, "run_phase_portrait", lambda cfg: tables[0])
-    monkeypatch.setattr(cli.harness, "run_measurement_sweep", lambda models, data, cfg: tables)
+    monkeypatch.setattr(cli.harness, "run_phase_portrait", lambda cfg, u, seed: tables[0])
+    monkeypatch.setattr(cli.harness, "run_measurement_sweep",
+                        lambda models, data, cfg, u, seed: tables)
     i = argv.index("--out-dir") + 1
     argv[i] = str(tmp_path / out_dir)
     assert cli.main(argv) == 0

@@ -92,6 +92,10 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# The unitary and seed every tiny phase portrait runs with.
+PHASE_U, PHASE_SEED = dct2_operator(8), 1
+
+
 def tiny_phase_config(trials=3):
     rng = derive_rng(0)
     w1 = rng.standard_normal((4, 2))
@@ -104,16 +108,14 @@ def tiny_phase_config(trials=3):
         betas=[0.0, 1.0],
         m_list=[4, 8],
         trials=trials,
-        seed=1,
-        d_op=dct2_operator(8),
         recovery=RecoveryConfig(max_iters=300),
     )
 
 
 def test_phase_portrait_records_and_trial_prefix_invariance():
-    r1 = run_phase_portrait(tiny_phase_config())
+    r1 = run_phase_portrait(tiny_phase_config(), PHASE_U, PHASE_SEED)
     # Per-trial streams: two trials per cell repeat the first two of three.
-    r2 = run_phase_portrait(tiny_phase_config(trials=2))
+    r2 = run_phase_portrait(tiny_phase_config(trials=2), PHASE_U, PHASE_SEED)
     assert r2 == [r for r in r1 if r["trial"] < 2]
     assert len(r1) == 2 * 2 * 3
     assert [r["beta"] for r in r1[:6]] == [0.0] * 6  # stable (beta, m, trial) order
@@ -128,14 +130,14 @@ def test_phase_portrait_cells_equal_per_trial_recovery():
     # All trials are recovered in one batch; every record must be what
     # recovering that trial alone from its own seed streams gives.
     cfg = tiny_phase_config()
-    records = run_phase_portrait(cfg)
+    records = run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
     for rec in records:
         bi, mi, t = cfg.betas.index(rec["beta"]), cfg.m_list.index(rec["m"]), rec["trial"]
         net = GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, rec["beta"])])
-        a = sample_fixed(cfg.d_op, rec["m"], spawn_seed(cfg.seed, bi, mi, t))
-        x0 = forward(net, derive_rng(cfg.seed, bi, mi, t, 1).standard_normal(net.code_dim))
-        config = RecoveryConfig(max_iters=300, seed=spawn_seed(cfg.seed, bi, mi, t, 2))
-        res = recover(net, a, apply(a, x0), config, x0=x0)
+        a = sample_fixed(PHASE_U, rec["m"], spawn_seed(PHASE_SEED, bi, mi, t))
+        x0 = forward(net, derive_rng(PHASE_SEED, bi, mi, t, 1).standard_normal(net.code_dim))
+        res = recover(net, a, apply(a, x0), cfg.recovery, x0=x0,
+                      seed=spawn_seed(PHASE_SEED, bi, mi, t, 2))
         assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
 
 
@@ -150,7 +152,7 @@ def test_phase_portrait_checks_every_beta_before_any_coherence(monkeypatch):
     # W_beta at 1e155 is finite, but its squared norm overflows.
     assert np.isfinite(1e155 * cfg.w_high + (1.0 - 1e155) * cfg.w_low).all()
     with pytest.raises(DomainError, match=r"^betas entry 1e\+155 overflows W_beta = "):
-        run_phase_portrait(cfg)
+        run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
     np.testing.assert_array_equal(final_layer(cfg, 0.25),
                                   0.25 * cfg.w_high + 0.75 * cfg.w_low)
 
@@ -195,10 +197,11 @@ def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
     with pytest.raises(DomainError, match="m = 16 appears twice in the m grid"):
         run_subspace_rip(dct2_operator(32), 3, [16, 16], 0.4, trials=2, seed=0)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
-        run_phase_portrait(replace(tiny_phase_config(), m_list=[8, 8], trials=2))
+        run_phase_portrait(replace(tiny_phase_config(), m_list=[8, 8], trials=2), PHASE_U,
+                           PHASE_SEED)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
-        run_measurement_sweep([], np.zeros((1, 16)),
-                              SweepConfig(m_list=[8, 8], trials=1, d_op=dct2_operator(16)))
+        run_measurement_sweep([], np.zeros((1, 16)), SweepConfig(m_list=[8, 8], trials=1),
+                              dct2_operator(16), 0)
 
 
 def test_phase_config_validation():
@@ -208,7 +211,6 @@ def test_phase_config_validation():
             inner_weights=cfg.inner_weights,
             w_high=cfg.w_high,
             w_low=cfg.w_low[:, :2],
-            d_op=cfg.d_op,
         )
     with pytest.raises(DomainError):
         PhaseConfig(
@@ -216,7 +218,6 @@ def test_phase_config_validation():
             w_high=cfg.w_high,
             w_low=cfg.w_low,
             trials=0,
-            d_op=cfg.d_op,
         )
     for betas in ([], 0.5):
         with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
@@ -234,7 +235,7 @@ def test_phase_config_validation():
 
 def test_sweep_config_rejects_zero_trials():
     with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
-        SweepConfig(m_list=[8], trials=0, d_op=dct2_operator(16))
+        SweepConfig(m_list=[8], trials=0)
 
 
 def test_measurement_sweep_shared_targets():
@@ -242,13 +243,8 @@ def test_measurement_sweep_shared_targets():
     data = synth_dataset(16, 2, 100, seed=1)
     cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
     model = train_vae(data, [2, 8, 16], cfg)
-    sw = SweepConfig(
-        m_list=[8, 16], trials=2, seed=2, d_op=u,
-        recovery=RecoveryConfig(max_iters=300),
-    )
-    records, summaries = run_measurement_sweep(
-        [("a", model), ("b", model)], data, sw
-    )
+    sw = SweepConfig(m_list=[8, 16], trials=2, recovery=RecoveryConfig(max_iters=300))
+    records, summaries = run_measurement_sweep([("a", model), ("b", model)], data, sw, u, 2)
     # Identical models share targets and measurement seeds per (m, trial), so
     # their per-trial errors coincide and only the solver seed stream differs
     # by model index.
@@ -256,6 +252,36 @@ def test_measurement_sweep_shared_targets():
     assert len(summaries) == 4
     for s in summaries:
         assert s["geo_mean_rre"] > 0
+
+
+def test_cell_summaries_equal_the_cells_found_by_key():
+    # Both summaries read each cell from the grid order; each must be what
+    # collecting the cell's records by their (row, m) keys gives.
+    cfg = replace(tiny_phase_config(), m_list=[2, 4, 8])
+    records = run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
+    want = np.zeros((len(cfg.betas), len(cfg.m_list)))
+    for i, beta in enumerate(cfg.betas):
+        for j, m in enumerate(cfg.m_list):
+            cell = [r["success"] for r in records if (r["beta"], r["m"]) == (beta, m)]
+            want[i, j] = sum(cell) / len(cell)
+    np.testing.assert_array_equal(phase_success_grid(records, cfg.betas, cfg.m_list), want)
+    assert len(np.unique(want)) > 2
+    u = dct2_operator(16)
+    data = synth_dataset(16, 2, 100, seed=1)
+    models = [(name, train_vae(data, [2, 8, 16],
+                               TrainConfig(epochs=1, seed=seed, d_op=u, batch_size=32)))
+              for name, seed in (("a", 0), ("b", 1))]
+    sw = SweepConfig(m_list=[4, 8, 16], trials=3, recovery=RecoveryConfig(max_iters=300))
+    records, summaries = run_measurement_sweep(models, data, sw, u, 2)
+    want = []
+    for name, _ in models:
+        for m in sw.m_list:
+            vals = [r["rre"] for r in records if r["model"] == name and r["m"] == m]
+            gmean, gsd, floored = geometric_stats(vals)
+            want.append({"model": name, "m": m, "geo_mean_rre": gmean, "geo_sd_rre": gsd,
+                         "floored": floored})
+    assert summaries == want
+    assert len({s["geo_mean_rre"] for s in want}) == len(want)
 
 
 def test_rip_check_full_sampling_zero_deviation():
@@ -408,10 +434,10 @@ def test_svg_emitters(tmp_path):
     assert not empty.exists()
 
 
-def assert_sweep_equals_per_trial_recovery(models, data, sw):
+def assert_sweep_equals_per_trial_recovery(models, data, sw, u, seed):
     """Every sweep record is what recovering that trial alone with its own
     decoder gives, in (model, m, trial) order."""
-    records, _ = run_measurement_sweep(models, data, sw)
+    records, _ = run_measurement_sweep(models, data, sw, u, seed)
     names = [name for name, _ in models]
     assert [(r["model"], r["m"], r["trial"]) for r in records] == [
         (name, m, t) for name in names for m in sw.m_list for t in range(sw.trials)
@@ -420,12 +446,12 @@ def assert_sweep_equals_per_trial_recovery(models, data, sw):
         gi = names.index(rec["model"])
         mi, t = sw.m_list.index(rec["m"]), rec["trial"]
         model = models[gi][1]
-        rng = derive_rng(sw.seed, mi, t)
+        rng = derive_rng(seed, mi, t)
         x_sharp = data[int(rng.integers(data.shape[0]))]
         x0 = forward(model.decoder, model.encode(x_sharp)[0])
-        a = sample_fixed(sw.d_op, rec["m"], spawn_seed(sw.seed, mi, t, 1))
-        config = replace(sw.recovery, seed=spawn_seed(sw.seed, gi, mi, t, 2))
-        res = recover(model.decoder, a, apply(a, x0), config, x0=x0)
+        a = sample_fixed(u, rec["m"], spawn_seed(seed, mi, t, 1))
+        res = recover(model.decoder, a, apply(a, x0), sw.recovery, x0=x0,
+                      seed=spawn_seed(seed, gi, mi, t, 2))
         assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
 
 
@@ -436,9 +462,8 @@ def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
     models = [(name, train_vae(data, [2, 8, 16],
                                TrainConfig(epochs=2, seed=seed, d_op=u, batch_size=32)))
               for name, seed in (("a", 0), ("b", 1))]
-    sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
-                     recovery=RecoveryConfig(max_iters=300, restarts=2))
-    assert_sweep_equals_per_trial_recovery(models, data, sw)
+    sw = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300, restarts=2))
+    assert_sweep_equals_per_trial_recovery(models, data, sw, u, 2)
 
 
 def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
@@ -449,9 +474,8 @@ def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
     models = [("a", train_vae(data, [2, 8, 16], cfg)),
               ("b", train_vae(data, [2, 6, 16], cfg)),
               ("c", train_vae(data, [2, 4, 8, 16], cfg))]
-    sw = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
-                     recovery=RecoveryConfig(max_iters=300, restarts=2))
-    assert_sweep_equals_per_trial_recovery(models, data, sw)
+    sw = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300, restarts=2))
+    assert_sweep_equals_per_trial_recovery(models, data, sw, u, 2)
 
 
 def spy(monkeypatch, name):
@@ -473,7 +497,7 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
     # One job per (row, m, trial) and one recover_batch call over the grid,
     # in (row, m, trial) order: each problem's solver seed names its place.
     if experiment == "phase":
-        cfg = tiny_phase_config()
+        cfg, u, seed = tiny_phase_config(), PHASE_U, PHASE_SEED
         nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
                 for beta in cfg.betas]
     else:
@@ -482,21 +506,21 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
         models = [(name, train_vae(data, [2, 8, 16],
                                    TrainConfig(epochs=1, seed=seed, d_op=u, batch_size=32)))
                   for name, seed in (("a", 0), ("b", 1))]
-        cfg = SweepConfig(m_list=[8, 12], trials=2, seed=2, d_op=u,
-                          recovery=RecoveryConfig(max_iters=300))
+        cfg, seed = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300)), 2
         nets = [model.decoder for _, model in models]
     jobs, batches = spy(monkeypatch, "run_indexed"), spy(monkeypatch, "recover_batch")
     if experiment == "phase":
-        run_phase_portrait(cfg)
+        run_phase_portrait(cfg, u, seed)
     else:
-        run_measurement_sweep(models, data, cfg)
+        run_measurement_sweep(models, data, cfg, u, seed)
     grid = [(i, mi, t) for i in range(len(nets)) for mi in range(len(cfg.m_list))
             for t in range(cfg.trials)]
     assert [count for _, count in jobs] == [len(grid)]
     assert len(batches) == 1
-    gs, ops, bs, configs, x0s = batches[0]
-    assert len(gs) == len(ops) == len(bs) == len(configs) == len(x0s) == len(grid)
-    assert [c.seed for c in configs] == [spawn_seed(cfg.seed, *ix, 2) for ix in grid]
+    gs, ops, bs, seeds, config, x0s = batches[0]
+    assert len(gs) == len(ops) == len(bs) == len(seeds) == len(x0s) == len(grid)
+    assert seeds == [spawn_seed(seed, *ix, 2) for ix in grid]
+    assert config is cfg.recovery
     assert [op.num_rows for op in ops] == [cfg.m_list[mi] for _, mi, _ in grid]
     for g, (i, _, _) in zip(gs, grid):
         assert all(np.array_equal(w, v) for w, v in zip(g.weights, nets[i].weights))

@@ -73,7 +73,7 @@ def test_full_measurement_in_range_recovery():
     z0 = derive_rng(11, 0).standard_normal(4)
     x0 = forward(g, z0)
     b = apply(a, x0)
-    res = recover(g, a, b, RecoveryConfig(seed=4), x0=x0)
+    res = recover(g, a, b, x0=x0, seed=4)
     assert res.rre is not None and res.rre <= SUCCESS_RRE
     assert res.termination in ("grad_tol", "max_iters")
     np.testing.assert_allclose(res.x_hat, forward(g, res.z_hat))
@@ -91,8 +91,8 @@ def test_restarts_keep_best_residual():
     u = dct2_operator(16)
     a = sample_fixed(u, 10, seed=8)
     b = apply(a, forward(g, derive_rng(9).standard_normal(3)))
-    single = recover(g, a, b, RecoveryConfig(restarts=1, seed=10, max_iters=500))
-    multi = recover(g, a, b, RecoveryConfig(restarts=5, seed=10, max_iters=500))
+    single = recover(g, a, b, RecoveryConfig(restarts=1, max_iters=500), seed=10)
+    multi = recover(g, a, b, RecoveryConfig(restarts=5, max_iters=500), seed=10)
     assert multi.residual <= single.residual + 1e-12
     assert multi.failed_restarts == 0
 
@@ -125,7 +125,7 @@ def test_bound_audit_in_range_noiseless():
     a = sample_fixed(u, 16, seed=12)
     x0 = forward(g, derive_rng(13).standard_normal(3))
     b = apply(a, x0)
-    res = recover(g, a, b, RecoveryConfig(seed=14), x0=x0)
+    res = recover(g, a, b, x0=x0, seed=14)
     audit = recovery_bound_audit(res, x0, eta=np.zeros(16), a=a, eps_hat=res.residual)
     assert list(audit) == ["left", "right", "satisfied", "x_perp_norm", "a_x_perp_norm",
                            "eta_norm", "eps_hat"]
@@ -145,7 +145,7 @@ def test_bound_audit_with_components():
     x0 = x_range + x_perp
     eta = 0.001 * rng.standard_normal(8)
     b = apply(a, x0) + eta
-    res = recover(g, a, b, RecoveryConfig(seed=18), x0=x0)
+    res = recover(g, a, b, x0=x0, seed=18)
     audit = recovery_bound_audit(res, x0, eta=eta, a=a, eps_hat=res.residual, x_perp=x_perp)
     expected_right = (
         np.linalg.norm(x_perp)
@@ -203,7 +203,7 @@ def _oracle_adam_solve(g, a, b, z0, config):
     return z, it, termination
 
 
-def oracle_recover(g, a, b, config=RecoveryConfig(), x0=None):
+def oracle_recover(g, a, b, config=RecoveryConfig(), x0=None, seed=0):
     """The scalar recover loop: one restart and one latent vector at a time."""
     b = np.asarray(b)
     if b.shape[0] != a.num_rows:
@@ -211,7 +211,7 @@ def oracle_recover(g, a, b, config=RecoveryConfig(), x0=None):
     best = None
     failed = 0
     for restart in range(config.restarts):
-        rng = derive_rng(config.seed, restart)
+        rng = derive_rng(seed, restart)
         z0 = rng.standard_normal(g.code_dim)
         try:
             z, iters, termination = _oracle_adam_solve(g, a, b, z0, config)
@@ -255,25 +255,26 @@ def small_network(widths, seed, biases=False):
 
 
 def cell_problems(g, u, m_list, seed, sampler=sample_fixed, config=RecoveryConfig()):
-    """One in-range problem per m, with restarts cycling through 1..3."""
-    ops, bs, configs, x0s = [], [], [], []
+    """One in-range problem per m: (ops, bs, seeds, config, x0s), the
+    arguments of recover_batch after the networks, with two restarts each."""
+    ops, bs, seeds, x0s = [], [], [], []
     for t, m in enumerate(m_list):
         a = sampler(u, m, spawn_seed(seed, t))
         x0 = forward(g, derive_rng(seed, t, 1).standard_normal(g.code_dim))
         ops.append(a)
         bs.append(apply(a, x0))
-        configs.append(replace(config, restarts=1 + t % 3, seed=spawn_seed(seed, t, 2)))
+        seeds.append(spawn_seed(seed, t, 2))
         x0s.append(x0)
-    return ops, bs, configs, x0s
+    return ops, bs, seeds, replace(config, restarts=2), x0s
 
 
-def assert_batch_matches_oracle(g, ops, bs, configs, x0s):
-    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+def assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s):
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     assert len(got) == len(ops)
-    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
-        want = oracle_recover(g, a, b, config, x0=x0)
+    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+        want = oracle_recover(g, a, b, config, x0=x0, seed=seed)
         assert_identical(res, want)
-        assert_identical(recover(g, a, b, config, x0=x0), want)
+        assert_identical(recover(g, a, b, config, x0=x0, seed=seed), want)
     return got
 
 
@@ -283,10 +284,10 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
     u = (dft_operator if unitary == "dft" else dct2_operator)(24)
     g = small_network([3, 10, 24], seed=40, biases=biases)
     # Equal |J| throughout, so every column is in one group.
-    ops, bs, configs, x0s = cell_problems(g, u, [10] * 5, seed=41,
-                                          config=RecoveryConfig(max_iters=600))
+    ops, bs, seeds, config, x0s = cell_problems(g, u, [10] * 5, seed=41,
+                                                config=RecoveryConfig(max_iters=600))
     if unitary != "dct-complex-b":
-        assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+        assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
         return
     # A complex measurement under a real unitary is rejected, by both the
     # batch and the scalar path, before any lockstep loop is built.
@@ -299,9 +300,9 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
     bs[1] = bs[1] + 1e-3j
     with pytest.raises(DomainError, match="^a complex128 measurement does not fit a float64 "
                                           "unitary$"):
-        recover_batch([g] * len(ops), ops, bs, configs, x0s)
+        recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     with pytest.raises(DomainError, match="complex128 measurement"):
-        recover(g, ops[1], bs[1], configs[1])
+        recover(g, ops[1], bs[1], config, seed=seeds[1])
 
 
 def test_capacity_of_the_desk_queues(monkeypatch):
@@ -333,7 +334,7 @@ def test_capacity_of_the_desk_queues(monkeypatch):
         config = RecoveryConfig(max_iters=1, restarts=cfg["recovery"]["restarts"])
         trace = trace_loop(monkeypatch)
         recover_batch([g for g, _ in problems], [a for _, a in problems],
-                      [np.zeros(a.num_rows) for _, a in problems], [config] * len(problems))
+                      [np.zeros(a.num_rows) for _, a in problems], [0] * len(problems), config)
         got[name] = trace["in_flight"][0]
     assert got == {"phase": 152, "sweep": 208}
 
@@ -346,15 +347,16 @@ def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
     empty = next(s for s in seeds if sizes[s] == 0)
     chosen = [empty] + [s for s in seeds if sizes[s] > 0][:7]
     assert len({sizes[s] for s in chosen}) >= 3
-    ops, bs, configs, x0s = [], [], [], []
+    ops, bs, x0s = [], [], []
     for t, s in enumerate(chosen):
         a = sample_bernoulli(u, 2 + t % 3, s)
         x0 = forward(g, derive_rng(44, t).standard_normal(2))
         ops.append(a)
         bs.append(apply(a, x0))
-        configs.append(RecoveryConfig(restarts=2, seed=spawn_seed(45, t), max_iters=400))
         x0s.append(x0)
-    got = assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    seeds = [spawn_seed(45, t) for t in range(len(chosen))]
+    config = RecoveryConfig(restarts=2, max_iters=400)
+    got = assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
     # An empty J has a zero gradient: every restart stops at once.
     assert got[0].iterations == 1 and got[0].termination == "grad_tol"
     assert got[0].residual == 0.0
@@ -363,9 +365,8 @@ def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
 def test_batch_matches_scalar_loop_max_iters_tail():
     u = dct2_operator(16)
     g = small_network([3, 8, 16], seed=46, biases=True)
-    ops, bs, configs, x0s = cell_problems(g, u, [6] * 4, seed=47,
-                                          config=RecoveryConfig(max_iters=25))
-    got = assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    got = assert_batch_matches_oracle(g, *cell_problems(g, u, [6] * 4, seed=47,
+                                                        config=RecoveryConfig(max_iters=25)))
     assert any(r.termination == "max_iters" and r.iterations == 25 for r in got)
 
 
@@ -374,7 +375,8 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
     # quadrant is dead and stops at once, while one with live units takes an
     # Adam step of ~1e200 and overflows.
     u = dct2_operator(16)
-    ops, bs, configs, x0s = [], [], [], []
+    config = RecoveryConfig(learning_rate=1e200, restarts=4, max_iters=50)
+    ops, bs, x0s = [], [], []
     nets = []
     for seed in (0, 1, 2, 3):
         rng = derive_rng(seed)
@@ -385,13 +387,12 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
         nets.append(g)
         ops.append(a)
         bs.append(apply(a, x0))
-        configs.append(RecoveryConfig(learning_rate=1e200, restarts=4, seed=seed, max_iters=50))
         x0s.append(x0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for g, a, b, config, x0 in zip(nets, ops, bs, configs, x0s):
-            res = recover(g, a, b, config, x0=x0)
-            want = oracle_recover(g, a, b, config, x0=x0)
+        for seed, (g, a, b, x0) in enumerate(zip(nets, ops, bs, x0s)):
+            res = recover(g, a, b, config, x0=x0, seed=seed)
+            want = oracle_recover(g, a, b, config, x0=x0, seed=seed)
             assert_identical(res, want)
             assert 0 < want.failed_restarts < config.restarts
         # Every restart of this problem overflows.
@@ -400,11 +401,10 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
                                        rng.standard_normal((16, 6))])
         a = sample_fixed(u, 8, 11)
         b = apply(a, forward(g, np.abs(rng.standard_normal(2))))
-        config = RecoveryConfig(learning_rate=1e200, restarts=4, seed=11, max_iters=50)
         with pytest.raises(GcsError):
-            oracle_recover(g, a, b, config)
+            oracle_recover(g, a, b, config, seed=11)
         with pytest.raises(GcsError, match="all 4 restarts"):
-            recover(g, a, b, config)
+            recover(g, a, b, config, seed=11)
 
 
 def test_infinite_gradient_fails_restart_at_max_iters():
@@ -416,17 +416,17 @@ def test_infinite_gradient_fails_restart_at_max_iters():
     a = SubsampledIsometry(base=u, m=1, indices=np.array([0]))
     g = GenerativeNetwork(weights=[1.0 + derive_rng(97).random((8, 2))])
     b = np.full(1, 1e308)
-    config = RecoveryConfig(restarts=2, seed=98, max_iters=1)
+    config = RecoveryConfig(restarts=2, max_iters=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for restart in range(config.restarts):
-            z0 = derive_rng(config.seed, restart).standard_normal(2)
+            z0 = derive_rng(98, restart).standard_normal(2)
             _, grad = objective_value_grad(g, a, b, z0)
             assert (grad == -np.inf).all()
         with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
-            oracle_recover(g, a, b, config)
+            oracle_recover(g, a, b, config, seed=98)
         with pytest.raises(GcsError, match="all 2 restarts hit a nonfinite objective"):
-            recover(g, a, b, config)
+            recover(g, a, b, config, seed=98)
 
 
 @pytest.mark.parametrize("final_scale", [1.0, 1e-150])
@@ -440,21 +440,21 @@ def test_overflowing_value_runs_on_where_the_gradient_is_finite(final_scale):
     g = GenerativeNetwork(weights=[g.weights[0], final_scale * g.weights[1]])
     a = sample_fixed(dct2_operator(16), 8, seed=93)
     b = np.full(8, 1e155)
-    config = RecoveryConfig(restarts=2, seed=94, max_iters=30)
+    config = RecoveryConfig(restarts=2, max_iters=30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for restart in range(config.restarts):
-            z0 = derive_rng(config.seed, restart).standard_normal(3)
+            z0 = derive_rng(94, restart).standard_normal(3)
             value, grad = objective_value_grad(g, a, b, z0)
             assert value == np.inf and np.isfinite(grad).all()
             assert (grad @ grad == np.inf) == (final_scale == 1.0)
         if final_scale == 1.0:
             for solve in (oracle_recover, recover):
                 with pytest.raises(GcsError, match="^all 2 restarts hit a nonfinite objective$"):
-                    solve(g, a, b, config)
+                    solve(g, a, b, config, seed=94)
             return
-        got = recover(g, a, b, config)
-        assert_identical(got, oracle_recover(g, a, b, config))
+        got = recover(g, a, b, config, seed=94)
+        assert_identical(got, oracle_recover(g, a, b, config, seed=94))
     assert (got.termination, got.iterations, got.failed_restarts) == ("max_iters", 30, 0)
 
 
@@ -462,18 +462,18 @@ def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
     import gcs.recovery
 
     g = small_network([3, 8, 16], seed=50)
-    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [6] * 4, seed=51,
-                                          config=RecoveryConfig(max_iters=300))
+    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [6] * 4, seed=51,
+                                                config=RecoveryConfig(max_iters=300))
     # Same |J|, other dtype: DFT problems get a loop of their own.
     more = cell_problems(g, dft_operator(16), [6] * 2, seed=52,
                          config=RecoveryConfig(max_iters=300))
-    ops, bs, configs, x0s = (a + b for a, b in zip((ops, bs, configs, x0s), more))
+    ops, bs, seeds, x0s = (a + b for a, b in zip((ops, bs, seeds, x0s), more[:3] + more[4:]))
     # Room for two DCT columns in flight (each counts about 3 kB), so a
     # problem's restarts enter apart.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 10000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
     assert max(trace["in_flight"]) == 2
 
 
@@ -481,17 +481,22 @@ def test_batch_validation():
     g = small_network([2, 4, 8], seed=48)
     a = sample_fixed(dct2_operator(8), 4, seed=49)
     b = np.zeros(4)
+    config = RecoveryConfig()
     with pytest.raises(DimensionMismatch):
-        recover_batch([g, g], [a, a], [b], [RecoveryConfig()] * 2)
+        recover_batch([g, g], [a, a], [b], [0, 0], config)
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a, a], [b, b], [RecoveryConfig()] * 2)
+        recover_batch([g], [a, a], [b, b], [0, 0], config)
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a], [np.zeros(5)], [RecoveryConfig()])
+        recover_batch([g, g], [a, a], [b, b], [0], config)
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [RecoveryConfig()])
-    with pytest.raises(DomainError):
-        recover_batch([g, g], [a, a], [b, b], [RecoveryConfig(), RecoveryConfig(max_iters=10)])
-    assert recover_batch([], [], [], []) == []
+        recover_batch([g], [a], [np.zeros(5)], [0], config)
+    with pytest.raises(DimensionMismatch):
+        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [0], config)
+    with pytest.raises(DomainError, match=r"^recovery seed must be >= 0, got -1$"):
+        recover_batch([g, g], [a, a], [b, b], [0, -1], config)
+    with pytest.raises(DomainError, match=r"^recovery seed must be an integer, got 0.5$"):
+        recover(g, a, b, seed=0.5)
+    assert recover_batch([], [], [], [], config) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -510,9 +515,8 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, s
     g = small_network([k, width, n], seed=seed, biases=biases)
     m_list = [max(2, (n * (t + 1)) // 4) for t in range(3)]
     sampler = sample_bernoulli if bernoulli else sample_fixed
-    ops, bs, configs, x0s = cell_problems(g, u, m_list, seed, sampler,
-                                          RecoveryConfig(max_iters=120))
-    assert_batch_matches_oracle(g, ops, bs, configs, x0s)
+    assert_batch_matches_oracle(g, *cell_problems(g, u, m_list, seed, sampler,
+                                                  RecoveryConfig(max_iters=120)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,31 +525,32 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, s
 
 
 def mixed_problems(nets, u, m_list, seed, config):
-    """Problem t runs nets[t % len(nets)]; restarts cycle through 1..3."""
+    """Problem t runs nets[t % len(nets)]: (gs, ops, bs, seeds, config, x0s),
+    the arguments of recover_batch, with two restarts each."""
     gs = [nets[t % len(nets)] for t in range(len(m_list))]
-    ops, bs, configs, x0s = [], [], [], []
+    ops, bs, seeds, x0s = [], [], [], []
     for t, (g, m) in enumerate(zip(gs, m_list)):
         a = sample_fixed(u, m, spawn_seed(seed, t))
         x0 = forward(g, derive_rng(seed, t, 1).standard_normal(g.code_dim))
         ops.append(a)
         bs.append(apply(a, x0))
-        configs.append(replace(config, restarts=1 + t % 3, seed=spawn_seed(seed, t, 2)))
+        seeds.append(spawn_seed(seed, t, 2))
         x0s.append(x0)
-    return gs, ops, bs, configs, x0s
+    return gs, ops, bs, seeds, replace(config, restarts=2), x0s
 
 
-def assert_mixed_batch_matches(gs, ops, bs, configs, x0s):
+def assert_mixed_batch_matches(gs, ops, bs, seeds, config, x0s):
     """The mixed batch equals one batch per network and the scalar oracle."""
-    got = recover_batch(gs, ops, bs, configs, x0s)
+    got = recover_batch(gs, ops, bs, seeds, config, x0s)
     assert len(got) == len(ops)
     for g in {id(g): g for g in gs}.values():
         idx = [i for i, h in enumerate(gs) if h is g]
-        alone = recover_batch([g] * len(idx), *([seq[i] for i in idx]
-                                                 for seq in (ops, bs, configs, x0s)))
+        ops_g, bs_g, seeds_g, x0s_g = ([seq[i] for i in idx] for seq in (ops, bs, seeds, x0s))
+        alone = recover_batch([g] * len(idx), ops_g, bs_g, seeds_g, config, x0s_g)
         for i, res in zip(idx, alone):
             assert_identical(got[i], res)
-    for res, g, a, b, config, x0 in zip(got, gs, ops, bs, configs, x0s):
-        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    for res, g, a, b, seed, x0 in zip(got, gs, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
     # Columns left the loop at different iterations, so its rows were
     # compacted while other networks' columns stayed live.
     assert len({r.iterations for r in got if r.termination == "grad_tol"}) >= 2
@@ -617,15 +622,16 @@ def test_mixed_batch_of_different_depths_and_output_dims():
     # networks, not from the batch's first network.
     nets = [small_network([3, 8, 16], seed=75), small_network([3, 8, 8, 16], seed=76),
             small_network([3, 8, 32], seed=77)]
-    gs, ops, bs, configs, x0s = [], [], [], [], []
+    gs, ops, bs, seeds, x0s = [], [], [], [], []
     for g in nets:
-        problems = mixed_problems([g], dct2_operator(g.ambient_dim), [8, 10], seed=74,
-                                  config=RecoveryConfig(max_iters=200, grad_tol=1e-4))
-        for seq, more in zip((gs, ops, bs, configs, x0s), problems):
+        *problems, config, more_x0s = mixed_problems(
+            [g], dct2_operator(g.ambient_dim), [8, 10], seed=74,
+            config=RecoveryConfig(max_iters=200, grad_tol=1e-4))
+        for seq, more in zip((gs, ops, bs, seeds, x0s), (*problems, more_x0s)):
             seq += more
-    got = recover_batch(gs, ops, bs, configs, x0s)
-    for res, g, a, b, config, x0 in zip(got, gs, ops, bs, configs, x0s):
-        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    got = recover_batch(gs, ops, bs, seeds, config, x0s)
+    for res, g, a, b, seed, x0 in zip(got, gs, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
 def trace_loop(monkeypatch):
@@ -654,8 +660,8 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
 
     # 36 columns that finish at many different iterations, up to 23 in flight.
     g = small_network([3, 8, 16], seed=90)
-    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [8] * 18, seed=91,
-                                          config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [8] * 18, seed=91,
+                                                config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 80000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
@@ -666,11 +672,11 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
         return plan(*args)
 
     monkeypatch.setattr(gcs.recovery, "_Plan", built)
-    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     # The first plan is built at the start; each later one at a compaction.
     assert builds[0] == 0
     compactions = set(builds[1:])
-    columns = sum(c.restarts for c in configs)
+    columns = len(ops) * config.restarts
     assert max(trace["in_flight"]) > 16
     # Finished columns wait for an eighth of those in flight: at most one
     # compaction per two leaving columns, where one per leave would take
@@ -679,22 +685,22 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
     # Only a compaction frees room, so waiting columns enter only there.
     entered = {e for e in trace["entered_after"] if e > 0}
     assert entered and entered <= compactions
-    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
-        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
 def test_block_column_floor(monkeypatch):
     import gcs.recovery
 
     g = small_network([3, 8, 16], seed=80)
-    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
-                                          config=RecoveryConfig(max_iters=300))
+    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
+                                                config=RecoveryConfig(max_iters=300))
     # A cap below one column's rows still keeps BLOCK_COLUMNS columns in
     # flight: exactly that many while columns wait, and one enters as one leaves.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
-    columns, floor = sum(c.restarts for c in configs), gcs.recovery.BLOCK_COLUMNS
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
+    columns, floor = len(ops) * config.restarts, gcs.recovery.BLOCK_COLUMNS
     assert columns > floor > 1
     entered = trace["entered_after"]
     assert len(entered) == columns and entered[:floor] == [0] * floor
@@ -702,12 +708,12 @@ def test_block_column_floor(monkeypatch):
         waiting = sum(e > it for e in entered)
         assert live == floor if waiting else live <= floor
     assert max(entered) > 0
-    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
-        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
 def three_group_problems(g, u, sampler, seed, config):
-    """Problems with at least three distinct |J|, restarts cycling 1..3."""
+    """Problems with at least three distinct |J|, as cell_problems returns them."""
     if sampler is sample_fixed:
         return cell_problems(g, u, [4, 6, 8] * 2, seed, sampler, config)
     for attempt in range(20):
@@ -727,18 +733,18 @@ def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases
     # than a contiguous one, so the DFT pullback must go through the view.
     u = (dct2_operator if unitary == "dct" else dft_operator)(14)
     g = small_network([3, 8, 14], seed=82, biases=biases)
-    ops, bs, configs, x0s = three_group_problems(g, u, sampler, 83,
-                                                 RecoveryConfig(max_iters=300, grad_tol=1e-4))
+    ops, bs, seeds, config, x0s = three_group_problems(g, u, sampler, 83,
+                                                       RecoveryConfig(max_iters=300, grad_tol=1e-4))
     # BLOCK_BYTES at a third of the rows: later columns wait, then enter
     # beside columns that have taken many steps.
-    rows = sum(a.num_rows * c.restarts for a, c in zip(ops, configs)) * 14 * u.dtype.itemsize
+    rows = sum(a.num_rows for a in ops) * config.restarts * 14 * u.dtype.itemsize
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", rows // 3)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     assert max(trace["entered_after"]) > 1
-    for res, a, b, config, x0 in zip(got, ops, bs, configs, x0s):
-        assert_identical(res, oracle_recover(g, a, b, config, x0=x0))
+    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
 @pytest.mark.parametrize("limited", [False, True])
@@ -747,14 +753,14 @@ def test_max_iters_groups_run_in_one_loop(monkeypatch, limited):
 
     g = small_network([3, 8, 16], seed=84, biases=True)
     config = RecoveryConfig(max_iters=40, grad_tol=1e-30)
-    ops, bs, configs, x0s = cell_problems(g, dct2_operator(16), [4, 6, 8] * 2, seed=85,
-                                          config=config)
+    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [4, 6, 8] * 2, seed=85,
+                                                config=config)
     if limited:
         # Room for eight of the twelve columns.
         monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 28000)
         monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, configs, x0s)
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     groups = {a.num_rows: [] for a in ops}
     for a, res in zip(ops, got):
         groups[a.num_rows].append(res.termination)
@@ -778,14 +784,14 @@ def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, m_l
     # n = 256 builds rows by formula (FFT_MIN_N), whose temporaries count too.
     u = (dct2_operator if unitary == "dct" else dft_operator)(widths[-1])
     g = small_network(widths, seed=86, biases=True)
-    ops, bs, configs, x0s = cell_problems(g, u, m_list * 12, seed=87,
-                                          config=RecoveryConfig(max_iters=30, grad_tol=1e-30))
+    problems = cell_problems(g, u, m_list * 12, seed=87,
+                             config=RecoveryConfig(max_iters=30, grad_tol=1e-30))
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", budget)
     trace = trace_loop(monkeypatch)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        recover_batch([g] * len(ops), ops, bs, configs, x0s)
+        recover_batch([g] * len(problems[0]), *problems)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
