@@ -29,9 +29,9 @@ def main() -> None:
     data = training.synth_dataset(ARCH[-1], 4, 2000, DATA_SEED)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, d_op in [("unreg", None), ("reg", u)]:
-        cfg = training.TrainConfig(epochs=EPOCHS, seed=TRAIN_SEED, d_op=d_op)
-        model = training.train_vae(data, ARCH, cfg)
+    cfg = training.TrainConfig(epochs=EPOCHS)
+    for name, reg_u in [("unreg", None), ("reg", u)]:
+        model = training.train_vae(data, ARCH, cfg, reg_u, TRAIN_SEED)
         path = os.path.join(args.out_dir, f"{name}.json")
         training.save_vae(model, path)
         alpha = coherence.network_coherence_heuristic(model.decoder, u)

@@ -89,16 +89,15 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         reg_weight=args.reg_weight,
         lam=getattr(args, "lambda"),
-        seed=args.seed,
-        d_op=resolve_unitary(args.unitary, widths[-1]) if args.regularized else None,
     )
+    u = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
     if args.data == "synth":
         data = training.synth_dataset(
             widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
         )
     else:
         data = training.load_idx(args.data[len("idx:"):])
-    model = training.train_vae(data, widths, config)
+    model = training.train_vae(data, widths, config, u, args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")

@@ -31,16 +31,16 @@ def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
     return two_to_inf_norm(u.apply(q))
 
 
-def network_coherence_heuristic(g: GenerativeNetwork, d_op: UnitaryOperator) -> float:
+def network_coherence_heuristic(g: GenerativeNetwork, u: UnitaryOperator) -> float:
     """||D Q1||_{2->inf} with Q1 spanning range(W^(d)).
 
     Upper-bounds the coherence of the expanded chord set.
     """
     w = g.weights[-1]
-    if w.shape[0] != d_op.n:
-        raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {d_op.n}")
+    if w.shape[0] != u.n:
+        raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {u.n}")
     q, _ = qr_thin(w)
-    return two_to_inf_norm(d_op.apply(q))
+    return two_to_inf_norm(u.apply(q))
 
 
 class ChordSampler:
@@ -158,21 +158,21 @@ def typical_coherence_bound(widths: list[int], gamma: float = 0.0) -> float:
 REG_ROWS = 128
 
 
-def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float, np.ndarray]:
+def regularizer(w: np.ndarray, u: UnitaryOperator, lam: float) -> tuple[float, np.ndarray]:
     """rho(W) = ||D W||_{2->inf} + lam*||W^T W - I||_F, with a subgradient.
 
     The 2->inf term differentiates through the maximizing row (smallest index
     on ties); the Frobenius term's gradient is zeroed below 1e-12. D W is
-    `d_op.apply(w)`, an FFT from n = FFT_MIN_N on (see `transforms`).
+    `u.apply(w)`, an FFT from n = FFT_MIN_N on (see `transforms`).
     """
     w = np.asarray(w, dtype=float)
     check_number("lambda", lam, 0)
-    if w.ndim != 2 or w.shape[0] != d_op.n:
-        raise DimensionMismatch(f"W must have {d_op.n} rows")
+    if w.ndim != 2 or w.shape[0] != u.n:
+        raise DimensionMismatch(f"W must have {u.n} rows")
     n, k = w.shape
     # Each product is formed in the order of the formula, REG_ROWS rows at a
     # time, so the results are bit for bit those of whole-array products.
-    dw = d_op.apply(w)
+    dw = u.apply(w)
     row_norms = np.empty(n)
     for s in range(0, n, REG_ROWS):
         sq = np.abs(dw[s:s + REG_ROWS])
@@ -197,7 +197,7 @@ def regularizer(w: np.ndarray, d_op: UnitaryOperator, lam: float) -> tuple[float
     else:
         grad = np.zeros_like(w)
     if row_norms[i_star] > 0:
-        d_row = d_op.rows(i_star)
+        d_row = u.rows(i_star)
         for s in range(0, n, REG_ROWS):
             tmp = np.real(np.outer(d_row[s:s + REG_ROWS], top))
             tmp /= row_norms[i_star]
@@ -229,17 +229,17 @@ def sample_complexity(alpha: float, widths: list[int], epsilon: float, delta: fl
                                             + math.log(mult * k / epsilon))
 
 
-def coherence_report(g: GenerativeNetwork, d_op: UnitaryOperator, mc_samples: int,
+def coherence_report(g: GenerativeNetwork, u: UnitaryOperator, mc_samples: int,
                      seed: int) -> dict:
     """The report `gcs coherence` prints: the heuristic, the MC chord
     estimate and the bounds, with constant_c the c of sample_complexity's
     default, 1.0."""
     check_counts(samples=mc_samples)  # before the heuristic's QR
     return {
-        "alpha_heuristic": network_coherence_heuristic(g, d_op),
-        "alpha_mc": chord_coherence_mc(g, d_op, mc_samples, seed),
+        "alpha_heuristic": network_coherence_heuristic(g, u),
+        "alpha_mc": chord_coherence_mc(g, u, mc_samples, seed),
         "mc_samples": mc_samples,
-        "lower_bound": coherence_lower_bound(g.code_dim, d_op.n),
+        "lower_bound": coherence_lower_bound(g.code_dim, u.n),
         "typical_bound": typical_coherence_bound(g.widths),
         "seed": seed,
         "constant_c": 1.0,

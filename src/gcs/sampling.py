@@ -18,7 +18,13 @@ from .transforms import UnitaryOperator
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Stream-split generator: per-trial seed = SeedSequence((seed, *stream))."""
+    """Stream-split generator: per-trial seed = SeedSequence((seed, *stream)).
+
+    The root seed must be an integer >= 0, or DomainError names it; the
+    stream indices, which only the toolkit's own code passes, are not
+    checked.
+    """
+    check_number("seed", seed, 0, integer=True)
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream)))
 
 

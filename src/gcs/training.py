@@ -2,7 +2,7 @@
 regularizer on the decoder's final layer.
 
 All training is plain numpy with manual backprop, single threaded and fully
-deterministic given the config seed.
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -135,8 +135,6 @@ class TrainConfig:
     epochs: int = 10
     reg_weight: float = 1e4
     lam: float = 1.0
-    seed: int = 0
-    d_op: UnitaryOperator | None = None
 
     def __post_init__(self):
         check_number("learning rate", self.learning_rate, positive=True)
@@ -259,15 +257,15 @@ def _vae_loss_and_grads(params, grads, x, eps_noise, reg) -> float:
 
     params and grads are `_unpack` views of the flat parameter and gradient
     buffers; each gradient is written into its view. reg is None or
-    (reg_weight, lam, d_op); the regularizer applies to the decoder's final
+    (reg_weight, lam, u); the regularizer applies to the decoder's final
     weight matrix only. It runs after the ELBO pass has returned, so that
     its n x k products do not form beside the pass's activations.
     """
     loss = _elbo_and_grads(params, grads, x, eps_noise)
     if reg is not None:
-        reg_weight, lam, d_op = reg
+        reg_weight, lam, u = reg
         (w_last, _), (g_last, _) = params[2][-1], grads[2][-1]
-        rho, rho_grad = regularizer(w_last, d_op, lam)
+        rho, rho_grad = regularizer(w_last, u, lam)
         loss += reg_weight * rho
         rho_grad *= reg_weight
         g_last += rho_grad
@@ -304,13 +302,15 @@ def _elbo_and_grads(params, grads, x, eps_noise) -> float:
     return loss
 
 
-def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeModel:
+def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
+              u: UnitaryOperator | None, seed: int) -> VaeModel:
     """Train an encoder/decoder pair by Adam on the ELBO over data, a
-    (count, n) array. With a reference operator config.d_op and a positive
-    reg_weight, add reg_weight * rho(W_dec_final) to the loss.
+    (count, n) array. Given the run's unitary u and a positive
+    config.reg_weight, add reg_weight * rho(W_dec_final) against u to the
+    loss; a u of the wrong size is refused before any draw.
 
     Deterministic per seed: init, shuffles, and reparameterization noise all
-    come from one derived stream. A nonfinite loss, or nonfinite parameters
+    come from derive_rng(seed). A nonfinite loss, or nonfinite parameters
     after the last step, aborts. Adam steps all parameters at once, in
     place, as one flat vector.
     """
@@ -320,15 +320,15 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig) -> VaeMo
         raise DomainError("cannot train on an empty dataset")
     if dim != widths[-1]:
         raise DimensionMismatch(f"data dim {dim} != decoder output {widths[-1]}")
-    rng = derive_rng(config.seed)
+    if u is not None and u.n != widths[-1]:
+        raise DimensionMismatch(f"unitary dim {u.n} != decoder output {widths[-1]}")
+    rng = derive_rng(seed)
     params = _init_params(widths, rng)
     grads, m, v = (np.zeros_like(params) for _ in range(3))
     views = _unpack(params, widths)
     grad_views = _unpack(grads, widths)
     k = widths[0]
-    reg = None
-    if config.d_op is not None and config.reg_weight > 0:
-        reg = (config.reg_weight, config.lam, config.d_op)
+    reg = (config.reg_weight, config.lam, u) if u is not None and config.reg_weight > 0 else None
     trace = []
     t = 0
     # The nonfinite-loss check reports an overflow; numpy's warnings are off.

@@ -326,17 +326,17 @@ def test_criterion_10_regularizer_effect():
     lowered = 0
     for seed in range(5):
         a_plain = network_coherence_heuristic(
-            train_vae(data, widths, TrainConfig(epochs=8, seed=seed)).decoder, u
+            train_vae(data, widths, TrainConfig(epochs=8), None, seed).decoder, u
         )
         a_reg = network_coherence_heuristic(
-            train_vae(data, widths, TrainConfig(epochs=8, seed=seed, d_op=u)).decoder, u
+            train_vae(data, widths, TrainConfig(epochs=8), u, seed).decoder, u
         )
         lowered += a_reg < a_plain - 0.02
     ok = lowered >= 4
 
     # Measurement sweep for the committed pair (training seed 2).
-    m_plain = train_vae(data, widths, TrainConfig(epochs=8, seed=2))
-    m_reg = train_vae(data, widths, TrainConfig(epochs=8, seed=2, d_op=u))
+    m_plain = train_vae(data, widths, TrainConfig(epochs=8), None, 2)
+    m_reg = train_vae(data, widths, TrainConfig(epochs=8), u, 2)
     test_samples = synth_dataset(64, 4, 200, seed=6)
     sweep = SweepConfig(
         m_list=[6, 8, 10, 12, 16],
@@ -437,9 +437,7 @@ def test_criterion_13_cli_reproducibility(tmp_path):
         json.dump(phase_cfg, f)
 
     data = synth_dataset(16, 2, 100, seed=1)
-    model = train_vae(
-        data, [2, 8, 16], TrainConfig(epochs=1, seed=0, batch_size=32)
-    )
+    model = train_vae(data, [2, 8, 16], TrainConfig(epochs=1, batch_size=32), None, 0)
     save_vae(model, str(tmp_path / "model.json"))
     sweep_cfg = {
         "models": {"m0": str(tmp_path / "model.json")},

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -20,7 +21,7 @@ from gcs.gnn import GenerativeNetwork, forward, save_network
 from gcs.linops import save_matrix, write_json
 from gcs.recovery import RecoveryConfig
 from gcs.sampling import derive_rng
-from gcs.training import VaeModel, load_vae, vae_to_json
+from gcs.training import TrainConfig, VaeModel, load_vae, vae_to_json
 
 
 def test_resolve_unitary(tmp_path):
@@ -488,6 +489,37 @@ def test_train_bad_synth_data_exits_2_before_drawing(tmp_path, monkeypatch, caps
     assert rc == 2
     assert capsys.readouterr().err == f"gcs: error: {message}\n"
     assert not (tmp_path / "m.json").exists()
+
+
+# The hyperparameter flags of gcs train, by the TrainConfig field each sets,
+# and the value each is given below.
+TRAIN_FLAGS = {"learning_rate": ("--lr", 0.002), "batch_size": ("--batch", 7),
+               "epochs": ("--epochs", 3), "reg_weight": ("--reg-weight", 5.0),
+               "lam": ("--lambda", 0.5)}
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+def test_train_config_fields_are_the_hyperparameter_flags_of_gcs_train(tmp_path, monkeypatch,
+                                                                       regularized):
+    # TrainConfig holds what these flags set and nothing else; the unitary
+    # and the seed reach train_vae as its own arguments.
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == list(TRAIN_FLAGS)
+    calls = []
+
+    def record(data, widths, config, u, seed):
+        calls.append((config, u, seed))
+        raise DomainError("recorded")
+
+    monkeypatch.setattr(cli.training, "train_vae", record)
+    argv = ["--seed", "3", "train", "--arch", "2,8,16", "--synth-count", "4",
+            "--out", str(tmp_path / "m.json")] + ["--regularized"] * regularized
+    for flag, value in TRAIN_FLAGS.values():
+        argv += [flag, str(value)]
+    assert cli.main(argv) == 2
+    [(config, u, seed)] = calls
+    assert dataclasses.asdict(config) == {name: value for name, (_, value) in TRAIN_FLAGS.items()}
+    assert seed == 3
+    assert (u is not None and u.n == 16) if regularized else u is None
 
 
 def test_train_zero_epochs_exits_2_before_data(tmp_path, monkeypatch, capsys):

@@ -241,8 +241,7 @@ def test_sweep_config_rejects_zero_trials():
 def test_measurement_sweep_shared_targets():
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
-    cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
-    model = train_vae(data, [2, 8, 16], cfg)
+    model = train_vae(data, [2, 8, 16], TrainConfig(epochs=2, batch_size=32), u, 0)
     sw = SweepConfig(m_list=[8, 16], trials=2, recovery=RecoveryConfig(max_iters=300))
     records, summaries = run_measurement_sweep([("a", model), ("b", model)], data, sw, u, 2)
     # Identical models share targets and measurement seeds per (m, trial), so
@@ -269,7 +268,7 @@ def test_cell_summaries_equal_the_cells_found_by_key():
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
     models = [(name, train_vae(data, [2, 8, 16],
-                               TrainConfig(epochs=1, seed=seed, d_op=u, batch_size=32)))
+                               TrainConfig(epochs=1, batch_size=32), u, seed))
               for name, seed in (("a", 0), ("b", 1))]
     sw = SweepConfig(m_list=[4, 8, 16], trials=3, recovery=RecoveryConfig(max_iters=300))
     records, summaries = run_measurement_sweep(models, data, sw, u, 2)
@@ -460,7 +459,7 @@ def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
     models = [(name, train_vae(data, [2, 8, 16],
-                               TrainConfig(epochs=2, seed=seed, d_op=u, batch_size=32)))
+                               TrainConfig(epochs=2, batch_size=32), u, seed))
               for name, seed in (("a", 0), ("b", 1))]
     sw = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300, restarts=2))
     assert_sweep_equals_per_trial_recovery(models, data, sw, u, 2)
@@ -470,10 +469,10 @@ def test_measurement_sweep_mixed_architectures_equal_per_trial_recovery():
     # Decoders of other widths share one sweep.
     u = dct2_operator(16)
     data = synth_dataset(16, 2, 100, seed=1)
-    cfg = TrainConfig(epochs=2, seed=0, d_op=u, batch_size=32)
-    models = [("a", train_vae(data, [2, 8, 16], cfg)),
-              ("b", train_vae(data, [2, 6, 16], cfg)),
-              ("c", train_vae(data, [2, 4, 8, 16], cfg))]
+    cfg = TrainConfig(epochs=2, batch_size=32)
+    models = [("a", train_vae(data, [2, 8, 16], cfg, u, 0)),
+              ("b", train_vae(data, [2, 6, 16], cfg, u, 0)),
+              ("c", train_vae(data, [2, 4, 8, 16], cfg, u, 0))]
     sw = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300, restarts=2))
     assert_sweep_equals_per_trial_recovery(models, data, sw, u, 2)
 
@@ -504,7 +503,7 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
         u = dct2_operator(16)
         data = synth_dataset(16, 2, 100, seed=1)
         models = [(name, train_vae(data, [2, 8, 16],
-                                   TrainConfig(epochs=1, seed=seed, d_op=u, batch_size=32)))
+                                   TrainConfig(epochs=1, batch_size=32), u, seed))
                   for name, seed in (("a", 0), ("b", 1))]
         cfg, seed = SweepConfig(m_list=[8, 12], trials=2, recovery=RecoveryConfig(max_iters=300)), 2
         nets = [model.decoder for _, model in models]

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcs.coherence import chord_coherence_mc
 from gcs.errors import DimensionMismatch, DomainError
+from gcs.gnn import GenerativeNetwork
+from gcs.harness import run_rip_check, run_subspace_rip
 from gcs.sampling import (
     apply,
     apply_adjoint,
@@ -18,7 +21,34 @@ from gcs.sampling import (
     sampler_for,
     spawn_seed,
 )
+from gcs.training import TrainConfig, synth_dataset, train_vae
 from gcs.transforms import dct2_operator, dft_operator
+
+
+_NET = GenerativeNetwork(weights=[np.ones((8, 2)), np.ones((16, 8))])
+_U = dct2_operator(16)
+# Each library entry that takes a root seed, called with valid arguments
+# besides it.
+SEEDED = {
+    "chord_coherence_mc": lambda seed: chord_coherence_mc(_NET, _U, 4, seed),
+    "run_rip_check": lambda seed: run_rip_check(_NET, _U, [8], 0.5, 4, 1, seed),
+    "run_subspace_rip": lambda seed: run_subspace_rip(_U, 2, [8], 0.5, 1, seed),
+    "synth_dataset": lambda seed: synth_dataset(16, 2, 4, seed),
+    "sample_fixed": lambda seed: sample_fixed(_U, 8, seed),
+    "sample_bernoulli": lambda seed: sample_bernoulli(_U, 8, seed),
+    "train_vae": lambda seed: train_vae(np.zeros((4, 16)), [2, 8, 16], TrainConfig(epochs=1),
+                                        None, seed),
+}
+
+
+@pytest.mark.parametrize("seed, rule", [(-1, ">= 0"), (1.5, "an integer")])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_every_seeded_entry_rejects_a_bad_root_seed(entry, seed, rule):
+    # derive_rng checks the root seed that every stream starts from, so a
+    # negative seed does not reach numpy's ValueError and 1.5 does not run
+    # as seed 1.
+    with pytest.raises(DomainError, match=f"^seed must be {rule}, got {seed}$"):
+        SEEDED[entry](seed)
 
 
 def test_derive_rng_deterministic_and_split():

@@ -248,8 +248,8 @@ def test_flat_adam_equals_list_oracle_bitwise():
 
 def small_run(seed=0, epochs=2):
     data = synth_dataset(16, 2, 200, seed=1)
-    cfg = TrainConfig(epochs=epochs, seed=seed, batch_size=32)
-    return train_vae(data, [2, 8, 16], cfg)
+    cfg = TrainConfig(epochs=epochs, batch_size=32)
+    return train_vae(data, [2, 8, 16], cfg, None, seed)
 
 
 def test_train_deterministic_per_seed():
@@ -269,7 +269,7 @@ def test_train_nonfinite_loss_is_a_run_failure():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(GcsError, match=r"^loss became (nan|-?inf) at epoch 0$") as caught:
-            train_vae(data, [2, 8, 16], config)
+            train_vae(data, [2, 8, 16], config, None, 0)
     assert type(caught.value) is GcsError
 
 
@@ -287,8 +287,8 @@ def test_trained_model_reconstructs_better_than_init():
         x_hat = forward(model.decoder, mu.T).T
         return float(np.mean(np.linalg.norm(x_hat - x, axis=1) / np.linalg.norm(x, axis=1)))
 
-    init = train_vae(data, [8, 32, 64], TrainConfig(epochs=0, seed=0))
-    trained = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0))
+    init = train_vae(data, [8, 32, 64], TrainConfig(epochs=0), None, 0)
+    trained = train_vae(data, [8, 32, 64], TrainConfig(epochs=8), None, 0)
     assert recon_err(trained) < 0.5 * recon_err(init)
 
 
@@ -303,20 +303,21 @@ def test_encoder_shapes():
 def test_regularized_training_lowers_coherence():
     u = dct2_operator(64)
     data = synth_dataset(64, 4, 2000, seed=5)
-    m_plain = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0))
-    m_reg = train_vae(data, [8, 32, 64], TrainConfig(epochs=8, seed=0, d_op=u))
+    m_plain = train_vae(data, [8, 32, 64], TrainConfig(epochs=8), None, 0)
+    m_reg = train_vae(data, [8, 32, 64], TrainConfig(epochs=8), u, 0)
     a_plain = network_coherence_heuristic(m_plain.decoder, u)
     a_reg = network_coherence_heuristic(m_reg.decoder, u)
     assert a_reg < a_plain - 0.02
 
 
 def test_training_regularizes_only_with_an_operator_and_a_positive_weight():
-    # No operator, or a zero weight, trains bit for bit as plain training;
-    # the operator with a positive weight moves the decoder.
+    # No unitary, or a zero weight, trains bit for bit as plain training;
+    # the unitary with a positive weight moves the decoder.
     data = synth_dataset(16, 2, 50, seed=0)
     u = dct2_operator(16)
-    runs = [train_vae(data, [2, 8, 16], TrainConfig(epochs=1, **kw)).params
-            for kw in ({"reg_weight": 0.0}, {}, {"reg_weight": 0.0, "d_op": u}, {"d_op": u})]
+    runs = [train_vae(data, [2, 8, 16], TrainConfig(epochs=1, **kw), ku, 0).params
+            for kw, ku in (({"reg_weight": 0.0}, None), ({}, None), ({"reg_weight": 0.0}, u),
+                           ({}, u))]
     assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
     assert runs[3].tobytes() != runs[0].tobytes()
 
@@ -336,11 +337,28 @@ def test_train_config_takes_zero_regularizer_weights():
     assert cfg.reg_weight == 0.0 and cfg.lam == 0.0
 
 
+@pytest.mark.parametrize("u, seed, error, message", [
+    (dct2_operator(8), 0, DimensionMismatch, "^unitary dim 8 != decoder output 16$"),
+    (None, -1, DomainError, "^seed must be >= 0, got -1$"),
+    (None, 1.5, DomainError, "^seed must be an integer, got 1.5$"),
+])
+def test_train_rejects_a_bad_unitary_or_seed_before_drawing(monkeypatch, u, seed, error,
+                                                           message):
+    # The first draw is the parameter initialization; the unitary's size is
+    # checked before the generator is even made.
+    data = synth_dataset(16, 2, 10, seed=0)
+    monkeypatch.setattr(training, "_init_params", no_draw)
+    if u is not None:
+        monkeypatch.setattr(training, "derive_rng", no_draw)
+    with pytest.raises(error, match=message):
+        train_vae(data, [2, 8, 16], TrainConfig(epochs=1), u, seed)
+
+
 def test_train_rejects_empty_and_mismatched():
     with pytest.raises(DomainError, match="cannot train on an empty dataset"):
-        train_vae(np.zeros((0, 16)), [2, 8, 16], TrainConfig(epochs=1))
+        train_vae(np.zeros((0, 16)), [2, 8, 16], TrainConfig(epochs=1), None, 0)
     with pytest.raises(DimensionMismatch):
-        train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], TrainConfig(epochs=1))
+        train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], TrainConfig(epochs=1), None, 0)
 
 
 def test_vae_loss_gradient_finite_difference():

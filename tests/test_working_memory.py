@@ -35,11 +35,11 @@ def oracle_dct2(x):
     return y
 
 
-def oracle_regularizer(w, d_op, lam):
+def oracle_regularizer(w, u, lam):
     """The whole-array regularizer: the gradient accumulates from zeros, the
     rank-one term first."""
     w = np.asarray(w, dtype=float)
-    dw = d_op.apply(w)
+    dw = u.apply(w)
     sq = np.abs(dw)
     sq **= 2
     row_norms = np.sqrt(np.sum(sq, axis=1))
@@ -48,7 +48,7 @@ def oracle_regularizer(w, d_op, lam):
     value = float(row_norms[i_star])
     grad = np.zeros_like(w)
     if row_norms[i_star] > 0:
-        tmp = np.real(np.outer(d_op.rows(i_star), np.conj(dw[i_star])))
+        tmp = np.real(np.outer(u.rows(i_star), np.conj(dw[i_star])))
         tmp /= row_norms[i_star]
         grad += tmp
         del tmp
@@ -120,10 +120,10 @@ def test_regularizer_matches_oracle_at_edge_inputs(kind, n, lam, which):
     assert_same(regularizer(w, operator(kind, n), lam), oracle_regularizer(w, operator(kind, n), lam))
 
 
-def oracle_train_vae(data, widths, config):
+def oracle_train_vae(data, widths, config, u, seed):
     """train_vae's loop with the regularizer applied as it was: the oracle's
     gradient scaled into a new array and added after the ELBO pass."""
-    rng = derive_rng(config.seed)
+    rng = derive_rng(seed)
     params = training._init_params(widths, rng)
     grads, m, v = (np.zeros_like(params) for _ in range(3))
     views, grad_views = training._unpack(params, widths), training._unpack(grads, widths)
@@ -136,7 +136,7 @@ def oracle_train_vae(data, widths, config):
             eps_noise = rng.standard_normal((x.shape[0], widths[0]))
             loss = training._vae_loss_and_grads(views, grad_views, x, eps_noise, None)
             (w_last, _), (g_last, _) = views[2][-1], grad_views[2][-1]
-            rho, rho_grad = oracle_regularizer(w_last, config.d_op, config.lam)
+            rho, rho_grad = oracle_regularizer(w_last, u, config.lam)
             loss += config.reg_weight * rho
             g_last += config.reg_weight * rho_grad
             t += 1
@@ -149,9 +149,9 @@ def oracle_train_vae(data, widths, config):
 def test_regularized_training_matches_oracle_at_n256():
     widths = [4, DCT_BLOCK + 10, 256]
     data = synth_dataset(256, 4, 96, seed=2)
-    config = TrainConfig(epochs=2, batch_size=32, reg_weight=10.0, seed=5, d_op=dct2_operator(256))
-    model = train_vae(data, widths, config)
-    params, trace = oracle_train_vae(data, widths, config)
+    config, u = TrainConfig(epochs=2, batch_size=32, reg_weight=10.0), dct2_operator(256)
+    model = train_vae(data, widths, config, u, 5)
+    params, trace = oracle_train_vae(data, widths, config, u, 5)
     assert model.params.tobytes() == params.tobytes()
     assert model.loss_trace == trace
 
