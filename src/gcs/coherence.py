@@ -2,9 +2,11 @@
 chord estimates, the training regularizer, and sample-complexity formulas.
 
 Coherence of a set T w.r.t. a unitary U is sup over unit x in T of ||Ux||_inf.
-For a subspace spanned by orthonormal Q it equals ||U Q||_{2->inf} exactly; for
-a ReLU network the final-layer heuristic ||D Q1||_{2->inf} (Q1 from the thin QR
-of W^(d)) upper-bounds the coherence of the expanded chord set.
+For a subspace spanned by orthonormal Q it equals ||U Q||_{2->inf} exactly
+(`subspace_coherence`, the one place that formula is evaluated); for a ReLU
+network the final-layer heuristic is the subspace coherence of range(W^(d)),
+||D Q1||_{2->inf} with Q1 from the thin QR of W^(d), and it upper-bounds the
+coherence of the expanded chord set.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
 
 
 def network_coherence_heuristic(g: GenerativeNetwork, u: UnitaryOperator) -> float:
-    """||D Q1||_{2->inf} with Q1 spanning range(W^(d)).
-
-    Upper-bounds the coherence of the expanded chord set.
+    """The subspace coherence of range(W^(d)), ||D Q1||_{2->inf} with
+    Q1 = qr_thin(W^(d)); it upper-bounds the coherence of the expanded chord
+    set.
     """
     w = g.weights[-1]
     if w.shape[0] != u.n:
         raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {u.n}")
-    q, _ = qr_thin(w)
-    return two_to_inf_norm(u.apply(q))
+    return subspace_coherence(u, qr_thin(w))
 
 
 class ChordSampler:
@@ -113,7 +114,6 @@ def chord_coherence_mc(g: GenerativeNetwork, u: UnitaryOperator, samples: int, s
     rng = derive_rng(seed)
     k = g.code_dim
     best = 0.0
-    kept = 0
     for done in range(0, samples, MC_CHUNK):
         batch = min(MC_CHUNK, samples - done)
         z1 = rng.standard_normal((k, batch))
@@ -121,9 +121,10 @@ def chord_coherence_mc(g: GenerativeNetwork, u: UnitaryOperator, samples: int, s
         for s in range(0, batch, width):
             mod = chords.moduli(z1[:, s:s + width], z2[:, s:s + width])
             best = max(best, float(np.max(mod, initial=0.0)))
-            kept += mod.shape[1]
             del mod  # so the next block's |P u| does not form beside this one
-    if kept == 0:
+    # Every chord moduli returns has norm 1, so its image under U has an entry
+    # of at least 1/sqrt(n): best is 0 exactly when all were dropped.
+    if best == 0.0:
         raise GcsError("all sampled chords were below norm tolerance")
     return best
 

@@ -40,20 +40,28 @@ def check_widths(widths) -> None:
         raise DimensionMismatch(f"widths {list(widths)}: inner widths must be >= code dimension")
 
 
+def _real(a, name: str) -> np.ndarray:
+    """a as a finite float array, the array itself when it already is one
+    (layers are shared by identity); DomainError names a complex a."""
+    if np.iscomplexobj(a):
+        raise DomainError(f"{name} contains complex entries; a network is real")
+    return check_finite(np.asarray(a, dtype=float), name)
+
+
 @dataclass(frozen=True)
 class GenerativeNetwork:
     weights: list = field(repr=False)  # W^(i) of shape k_i x k_{i-1}
     biases: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        ws = [check_finite(np.asarray(w, dtype=float), "weight") for w in self.weights]
+        ws = [_real(w, "weight") for w in self.weights]
         object.__setattr__(self, "weights", ws)
         for w, v in zip(ws, ws[1:]):
             if v.shape[1] != w.shape[0]:
                 raise DimensionMismatch(f"layer shape chain broken at {v.shape}")
         check_widths(self.widths if ws else [])
         if self.biases is not None:
-            bs = [check_finite(np.asarray(b, dtype=float), "bias") for b in self.biases]
+            bs = [_real(b, "bias") for b in self.biases]
             if len(bs) != len(ws):
                 raise DimensionMismatch("need one bias per layer")
             for b, w in zip(bs, ws):

@@ -416,13 +416,22 @@ def fit_subspace_tail(summaries, k, n, alpha, delta) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# The XML escapes of an SVG text node, for str.translate. Importing an
+# escape function costs every gcs process memory: xml.sax.saxutils pulls in
+# urllib.request (about 7 MB resident), and html.escape html.entities (a
+# median 0.4 MB more peak RSS on the train-coherence-784 benchmark).
+_ESC = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def _write_svg(path: str, width: int, height: int, margin: int, title: str,
                body: list[str]) -> None:
     """Write an SVG document of the given size: the title, if any, at the left
-    margin, then the body elements, one per line."""
+    margin, then the body elements, one per line. Every text, the title
+    included, is escaped (_ESC): labels such as sweep model names come
+    from config files."""
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     if title:
-        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
+        parts.append(f'<text x="{margin}" y="20" font-size="14">{title.translate(_ESC)}</text>')
     parts += body
     parts.append("</svg>")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -450,10 +459,10 @@ def emit_svg_heatmap(grid: np.ndarray, path: str, row_labels, col_labels, title:
             )
     for i, lab in enumerate(row_labels):
         y = margin + i * cell + cell // 2
-        parts.append(f'<text x="5" y="{y}" font-size="11">{lab}</text>')
+        parts.append(f'<text x="5" y="{y}" font-size="11">{lab.translate(_ESC)}</text>')
     for j, lab in enumerate(col_labels):
         x = margin + j * cell + cell // 4
-        parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{lab}</text>')
+        parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{lab.translate(_ESC)}</text>')
     _write_svg(path, margin + cols * cell + 20, margin + rows * cell + 20, margin, title, parts)
 
 
@@ -492,6 +501,6 @@ def emit_svg_scatter(series: list[dict], path: str, title: str = "") -> None:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * si}" font-size="11" '
-            f'fill="{color}">{s["label"]}</text>'
+            f'fill="{color}">{s["label"].translate(_ESC)}</text>'
         )
     _write_svg(path, width, height, margin, title, parts)

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels: thin QR, the 2->inf norm, orthonormality checks.
+"""Dense linear-algebra kernels: the Q of a thin QR, the 2->inf norm,
+orthonormality checks.
 
 Matrices are plain numpy arrays (float64 or complex128). Everything here is
 pure and reentrant.
@@ -20,9 +21,10 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def qr_thin(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factors (q, r) of a real n x k matrix (n >= k) with
-    nonnegative diag(R), unique for full-rank input.
+def qr_thin(w: np.ndarray) -> np.ndarray:
+    """The n x k factor Q of the thin QR of a real n x k matrix W (n >= k):
+    orthonormal columns spanning range(W). Column signs are whatever the QR
+    gives; Q Q^T, and the row norms of U Q for any U, do not depend on them.
 
     Raises DomainError if ||W||_F overflows or any diagonal entry of R falls
     below 1e-12 * ||W||_F, and DimensionMismatch if n < k.
@@ -34,11 +36,6 @@ def qr_thin(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < k or k < 1:
         raise DimensionMismatch(f"need n >= k >= 1, got shape {w.shape}")
     q, r = np.linalg.qr(w, mode="reduced")
-    # Fix the sign convention: nonnegative diagonal of R.
-    d = np.diagonal(r).copy()
-    s = np.where(d < 0, -1.0, 1.0)
-    q = q * s
-    r = s[:, None] * r
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(w)
     if not np.isfinite(norm):
@@ -46,7 +43,7 @@ def qr_thin(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tol = 1e-12 * norm
     if np.any(np.abs(np.diagonal(r)) < tol):
         raise DomainError("R has a near-zero diagonal entry; W is rank deficient")
-    return q, r
+    return q
 
 
 def two_to_inf_norm(m: np.ndarray) -> float:

@@ -323,15 +323,13 @@ def recover_batch(
     bs: list[np.ndarray],
     seeds: list[int],
     config: RecoveryConfig,
-    x0s: list[np.ndarray | None] | None = None,
+    x0s: list[np.ndarray | None],
 ) -> list[RecoveryResult]:
     """recover(gs[i], ops[i], bs[i], config, x0s[i], seeds[i]) for every i, in lockstep.
 
     Each restart is one column of the engine the module docstring describes,
     so every result is bit for bit the one-problem result.
     """
-    if x0s is None:
-        x0s = [None] * len(ops)
     if not len(gs) == len(ops) == len(bs) == len(seeds) == len(x0s):
         raise DimensionMismatch("need one network, measurement, seed and x0 per operator")
     for seed in seeds:

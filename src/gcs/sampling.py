@@ -121,7 +121,9 @@ def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:
     """||mean_t A_t^* A_t - I||_F over fresh Bernoulli draws.
 
     A^*A = (n/m) sum_{j in J} U_j^* U_j, so trials only contribute inclusion
-    counts per row index.
+    counts per row index, and mean A^*A - I = U^* diag(w - 1) U with w the
+    scaled inclusion frequencies. The Frobenius norm is unitarily invariant,
+    so the error is ||w - 1||_2 and no entry of U is read.
     """
     check_counts(trials=trials)
     n = u.n
@@ -129,11 +131,9 @@ def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:
     counts = np.zeros(n)
     for t in range(trials):
         counts[bernoulli_rows(derive_rng(seed, t), m, n)] += 1.0
-    # mean A*A - I = U* diag(w - 1) U with w the scaled inclusion frequencies;
-    # subtracting in count space keeps the m = n case exactly zero.
-    w = (n / m) / trials * counts
-    deviation = (u.matrix.conj().T * (w - 1.0)) @ u.matrix
-    return float(np.linalg.norm(deviation))
+    # Scaling before dividing makes w exactly 1 when m = n, whatever trials is.
+    w = counts * (n / m) / trials
+    return float(np.linalg.norm(w - 1.0))
 
 
 def cramer_chernoff_tail(t: float, m: int, r: float) -> float:

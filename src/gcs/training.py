@@ -307,7 +307,8 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
     """Train an encoder/decoder pair by Adam on the ELBO over data, a
     (count, n) array. Given the run's unitary u and a positive
     config.reg_weight, add reg_weight * rho(W_dec_final) against u to the
-    loss; a u of the wrong size is refused before any draw.
+    loss. Data that is not 2-d or not finite, and a u of the wrong size,
+    are refused before any draw.
 
     Deterministic per seed: init, shuffles, and reparameterization noise all
     come from derive_rng(seed). A nonfinite loss, or nonfinite parameters
@@ -315,7 +316,9 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
     place, as one flat vector.
     """
     check_widths(widths)
-    count, dim = data.shape
+    if np.ndim(data) != 2:
+        raise DimensionMismatch(f"training data must be (count, n), got shape {np.shape(data)}")
+    count, dim = check_finite(data, "training data").shape
     if count == 0:
         raise DomainError("cannot train on an empty dataset")
     if dim != widths[-1]:

@@ -5,8 +5,9 @@ hold no matrix: their entries have closed forms, one function per kind.
 Below FFT_MIN_N, `rows` gathers from the dense `matrix` and `apply` is the
 dense product `matrix @ x`; from FFT_MIN_N on, `rows` evaluates the closed
 form for the rows asked for and `apply` runs an O(n log n) FFT, so no n x n
-array is built. `matrix` is built on first use; past FFT_MIN_N only the one
-reader that needs every entry, `sampling.isotropy_error`, builds it.
+array is built. `matrix` is built on first use, and only those dense paths
+use it: past FFT_MIN_N no code of the toolkit builds it for the DFT or the
+DCT-II.
 """
 
 from __future__ import annotations

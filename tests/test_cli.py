@@ -735,6 +735,10 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
      "sigmoid.json: missing key 'rows'"),
     (["sweep", "--config", "sweep.json"], {"models": {"a": "sigmoid_model.json"}},
      "sigmoid_model.json: " + SIGMOID),
+    (["coherence", "--weights", "complex.json"], {},
+     "complex.json: bad contents: weight contains complex entries; a network is real"),
+    (["phase", "--config", "phase.json"], {"w_high": "complex_w.json"},
+     "weight contains complex entries; a network is real"),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
@@ -751,7 +755,8 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
         "sweep-big-grad_tol", "phase-infinite-grad_tol", "coherence-widths-edited",
         "rip-widths-edited", "recover-widths-edited", "phase-widths-edited",
         "sweep-model-widths-edited", "coherence-sigmoid", "rip-sigmoid", "recover-sigmoid",
-        "phase-sigmoid", "sweep-model-sigmoid"])
+        "phase-sigmoid", "sweep-model-sigmoid", "coherence-complex-layer",
+        "phase-complex-w_high"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)
@@ -763,6 +768,11 @@ def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch
     (tmp_path / "chain.json").write_text('{"layers": [{"rows": 1, "cols": 2, "data": [1, 2]}, '
                                          '{"rows": 2, "cols": 3, "data": [1, 2, 3, 4, 5, 6]}]}')
     write_unfit_models(tmp_path)
+    # A 2 -> 8 -> 16 network whose final layer, and a phase final layer, are complex.
+    layers = [{"rows": 8, "cols": 2, "data": [1.0] * 16},
+              {"rows": 16, "cols": 8, "complex": True, "data": [0.5] * 256}]
+    (tmp_path / "complex.json").write_text(json.dumps({"widths": [2, 8, 16], "layers": layers}))
+    save_matrix(1j * np.ones((8, 4)), str(tmp_path / "complex_w.json"))
     (phase_config if argv[0] == "phase" else sweep_config)(tmp_path, **edits)
     for fn in ("recover_batch", "network_coherence_heuristic", "run_rip_check"):
         monkeypatch.setattr(cli.harness, fn, no_compute)

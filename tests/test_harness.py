@@ -415,16 +415,27 @@ def test_fit_subspace_tail_degenerate():
 
 
 def test_svg_emitters(tmp_path):
+    from xml.dom import minidom
+
+    def texts(path):
+        nodes = minidom.parse(str(path)).getElementsByTagName("text")
+        return [node.firstChild.data for node in nodes]
+
+    # Labels and titles are written as text, escaped where they hold markup.
     grid = np.array([[0.0, 0.5], [1.0, 0.25]])
     hp = tmp_path / "h.svg"
-    emit_svg_heatmap(grid, str(hp), row_labels=["a", "b"], col_labels=["1", "2"])
+    emit_svg_heatmap(grid, str(hp), row_labels=["a", "b<c"], col_labels=["1", "&2"],
+                     title="x > y")
     text = hp.read_text()
     assert text.startswith("<svg") or "<svg" in text
+    assert texts(hp) == ["x > y", "a", "b<c", "1", "&2"]
     sp = tmp_path / "s.svg"
     emit_svg_scatter(
-        [{"label": "x", "x": [1, 2, 3], "y": [1e-1, 1e-3, 1e-5]}], str(sp)
+        [{"label": "x", "x": [1, 2, 3], "y": [1e-1, 1e-3, 1e-5]},
+         {"label": "a&b <reg>", "x": [1, 2], "y": [1e-2, 1e-4]}], str(sp), title="<rre>"
     )
     assert "<svg" in sp.read_text()
+    assert texts(sp) == ["<rre>", "x", "a&b <reg>"]
     empty = tmp_path / "e.svg"
     with pytest.raises(DomainError, match="^refusing to render an empty heatmap$"):
         emit_svg_heatmap(np.zeros((0, 2)), str(empty), row_labels=[], col_labels=["1", "2"])

@@ -37,11 +37,12 @@ def gram_schmidt_oracle(w):
 def test_qr_thin_matches_gram_schmidt(seed, shape):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
-    q, r = qr_thin(w)
-    qo, ro = gram_schmidt_oracle(w)
-    # Same sign convention (positive diagonal), so the factors agree directly.
-    np.testing.assert_allclose(q, qo, atol=1e-8)
-    np.testing.assert_allclose(r, ro, atol=1e-8)
+    q = qr_thin(w)
+    qo, _ = gram_schmidt_oracle(w)
+    # Column signs are free, so the factors agree through their projector
+    # onto range(W), which fixes every column up to its sign.
+    np.testing.assert_allclose(q @ q.T, qo @ qo.T, atol=1e-8)
+    np.testing.assert_allclose(np.abs(q), np.abs(qo), atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -50,12 +51,11 @@ def test_qr_thin_factor_properties(seed):
     n, k = int(rng.integers(3, 40)), int(rng.integers(1, 3))
     k = min(n, k + int(rng.integers(0, n)))
     w = rng.standard_normal((n, k))
-    q, r = qr_thin(w)
-    assert q.shape == (n, k) and r.shape == (k, k)
-    np.testing.assert_allclose(q @ r, w, atol=1e-10)
+    q = qr_thin(w)
+    assert q.shape == (n, k)
     assert orthonormality_defect(q) < 1e-10
-    assert np.all(np.diagonal(r) >= 0)
-    assert np.allclose(r, np.triu(r))
+    # Q Q^T projects onto range(W): it fixes every column of W.
+    np.testing.assert_allclose(q @ (q.T @ w), w, atol=1e-10)
 
 
 def test_qr_thin_rank_deficient():

@@ -334,7 +334,8 @@ def test_capacity_of_the_desk_queues(monkeypatch):
         config = RecoveryConfig(max_iters=1, restarts=cfg["recovery"]["restarts"])
         trace = trace_loop(monkeypatch)
         recover_batch([g for g, _ in problems], [a for _, a in problems],
-                      [np.zeros(a.num_rows) for _, a in problems], [0] * len(problems), config)
+                      [np.zeros(a.num_rows) for _, a in problems], [0] * len(problems), config,
+                      [None] * len(problems))
         got[name] = trace["in_flight"][0]
     assert got == {"phase": 152, "sweep": 208}
 
@@ -483,20 +484,22 @@ def test_batch_validation():
     b = np.zeros(4)
     config = RecoveryConfig()
     with pytest.raises(DimensionMismatch):
-        recover_batch([g, g], [a, a], [b], [0, 0], config)
+        recover_batch([g, g], [a, a], [b], [0, 0], config, [None, None])
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a, a], [b, b], [0, 0], config)
+        recover_batch([g], [a, a], [b, b], [0, 0], config, [None, None])
     with pytest.raises(DimensionMismatch):
-        recover_batch([g, g], [a, a], [b, b], [0], config)
+        recover_batch([g, g], [a, a], [b, b], [0], config, [None, None])
+    with pytest.raises(DimensionMismatch, match="^need one network, measurement, seed and x0"):
+        recover_batch([g, g], [a, a], [b, b], [0, 0], config, [None])
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a], [np.zeros(5)], [0], config)
+        recover_batch([g], [a], [np.zeros(5)], [0], config, [None])
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [0], config)
+        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [0], config, [None])
     with pytest.raises(DomainError, match=r"^recovery seed must be >= 0, got -1$"):
-        recover_batch([g, g], [a, a], [b, b], [0, -1], config)
+        recover_batch([g, g], [a, a], [b, b], [0, -1], config, [None, None])
     with pytest.raises(DomainError, match=r"^recovery seed must be an integer, got 0.5$"):
         recover(g, a, b, seed=0.5)
-    assert recover_batch([], [], [], [], config) == []
+    assert recover_batch([], [], [], [], config, []) == []
 
 
 @settings(max_examples=20, deadline=None)

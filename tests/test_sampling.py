@@ -154,7 +154,9 @@ def test_check_m_and_sampler_for():
 
 
 def test_isotropy_full_sampling_exact_zero():
-    assert isotropy_error(dct2_operator(8), 8, trials=3, seed=0) == 0.0
+    # 49 * (1/49) rounds below 1, so the scaling must not go through 1/trials.
+    for trials in (3, 49):
+        assert isotropy_error(dct2_operator(8), 8, trials=trials, seed=0) == 0.0
 
 
 def test_isotropy_converges():
@@ -184,6 +186,14 @@ def test_isotropy_error_matches_dense_oracle():
         acc += a_mat.conj().T @ a_mat
     expected = np.linalg.norm(acc / trials - np.eye(6))
     assert isotropy_error(u, m, trials, seed) == pytest.approx(expected, abs=1e-12)
+
+
+def test_isotropy_error_builds_no_dense_matrix():
+    # Past FFT_MIN_N the DFT holds no matrix, and isotropy_error reads none.
+    u = dft_operator(4096)
+    assert isotropy_error(u, 4096, trials=2, seed=0) == 0.0
+    assert isotropy_error(u, 1024, trials=3, seed=5) > 0.0
+    assert "matrix" not in u.__dict__
 
 
 def test_cramer_chernoff_boundary_and_monotonicity():

@@ -354,11 +354,20 @@ def test_train_rejects_a_bad_unitary_or_seed_before_drawing(monkeypatch, u, seed
         train_vae(data, [2, 8, 16], TrainConfig(epochs=1), u, seed)
 
 
-def test_train_rejects_empty_and_mismatched():
+def test_train_rejects_empty_and_mismatched(monkeypatch):
     with pytest.raises(DomainError, match="cannot train on an empty dataset"):
         train_vae(np.zeros((0, 16)), [2, 8, 16], TrainConfig(epochs=1), None, 0)
     with pytest.raises(DimensionMismatch):
         train_vae(synth_dataset(8, 2, 10, seed=0), [2, 8, 16], TrainConfig(epochs=1), None, 0)
+    # 1-D or nonfinite data is refused before the first draw.
+    monkeypatch.setattr(training, "_init_params", no_draw)
+    message = r"^training data must be \(count, n\), got shape \(16,\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        train_vae(np.zeros(16), [2, 8, 16], TrainConfig(epochs=1), None, 0)
+    data = np.zeros((4, 16))
+    data[2, 5] = np.nan
+    with pytest.raises(DomainError, match="^training data contains NaN/Inf entries$"):
+        train_vae(data, [2, 8, 16], TrainConfig(epochs=1), None, 0)
 
 
 def test_vae_loss_gradient_finite_difference():
