@@ -83,13 +83,7 @@ def cmd_train(args) -> int:
     widths = _ints(args.arch)
     gnn.check_widths(widths)
     check_number("--epochs", args.epochs, 1, integer=True)
-    config = training.TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        reg_weight=args.reg_weight,
-        lam=getattr(args, "lambda"),
-    )
+    config = _from_flags(training.TrainConfig, args)
     u = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
     if args.data == "synth":
         data = training.synth_dataset(
@@ -106,12 +100,7 @@ def cmd_train(args) -> int:
 
 def cmd_recover(args) -> int:
     check_number("--noise", args.noise, 0)
-    cfg = recovery.RecoveryConfig(
-        learning_rate=args.lr,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        restarts=args.restarts,
-    )
+    cfg = _from_flags(recovery.RecoveryConfig, args)
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     a = sampling.sampler_for(args.model)(u, args.m, sampling.spawn_seed(args.seed, 0))
@@ -138,6 +127,11 @@ def _block(obj, where: str, required=()) -> dict:
         if key not in obj:
             raise DomainError(f"{where} is missing required key {key!r}")
     return obj
+
+
+def _from_flags(cls, args):
+    """The config dataclass cls built from the flags whose dests are its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _fields(cls, obj: dict, what: str, extra=()) -> dict:
@@ -192,9 +186,9 @@ def cmd_phase(args) -> int:
         raise DomainError(f"inner_weights must be a list of file paths, got {inner!r}")
     inner = [_path(p, "each inner_weights entry") for p in inner]
     w_high, w_low = (_path(cfg_json[key], key) for key in ("w_high", "w_low"))
-    values["inner_weights"] = [load_matrix(p) for p in inner]
-    values["w_high"] = load_matrix(w_high)
-    values["w_low"] = load_matrix(w_low)
+    values["inner_weights"] = [gnn.load_weight(p) for p in inner]
+    values["w_high"] = gnn.load_weight(w_high)
+    values["w_low"] = gnn.load_weight(w_low)
     u = resolve_unitary(cfg_json.get("unitary", "dct"), values["w_high"].shape[0])
     cfg = harness.PhaseConfig(**values)
     records = harness.run_phase_portrait(cfg, u, args.seed)
@@ -307,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
     t.add_argument("--regularized", action="store_true")
     t.add_argument("--reg-weight", type=float, default=1e4)
-    t.add_argument("--lambda", type=float, default=1.0)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--batch", type=int, default=64)
+    t.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    t.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
+    t.add_argument("--batch", dest="batch_size", type=int, default=64)
     t.add_argument("--epochs", type=int, default=10)
     t.add_argument("--unitary", default="dct")
     t.add_argument("--synth-count", dest="synth_count", type=int, default=2000)
@@ -320,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("recover", help="recover a random in-range signal")
     r.add_argument("--weights", required=True)
     r.add_argument("--unitary", default="dct")
-    r.add_argument("--model", default="fixed", choices=["fixed", "bernoulli"])
+    r.add_argument("--model", default="fixed", choices=list(sampling.MIN_M))
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--noise", type=float, default=0.0)
-    r.add_argument("--lr", type=float, default=0.1)
+    r.add_argument("--lr", dest="learning_rate", type=float, default=0.1)
     r.add_argument("--max-iters", type=int, default=5000)
     r.add_argument("--grad-tol", type=float, default=1e-7)
     r.add_argument("--restarts", type=int, default=1)
@@ -344,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     ri.add_argument("--delta", type=float, default=0.5)
     ri.add_argument("--chord-samples", type=int, default=200)
     ri.add_argument("--trials", type=int, default=100)
-    ri.add_argument("--model", default="bernoulli", choices=["fixed", "bernoulli"])
+    ri.add_argument("--model", default="bernoulli", choices=list(sampling.MIN_M))
     ri.set_defaults(fn=cmd_rip)
 
     sr = sub.add_parser("subspace-rip", help="exact subspace RIP concentration")

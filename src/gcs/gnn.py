@@ -241,3 +241,8 @@ def save_network(g: GenerativeNetwork, path: str) -> None:
 
 def load_network(path: str) -> GenerativeNetwork:
     return load_json(path, network_from_json)
+
+
+def load_weight(path: str) -> np.ndarray:
+    """A matrix file's matrix as a network's weight: real and finite."""
+    return load_json(path, lambda obj: _real(matrix_from_json(obj), "weight"))

@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, DomainError, GcsError
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
-    if not np.all(np.isfinite(a.real)) or (np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))):
+    if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains NaN/Inf entries")
     return a
 

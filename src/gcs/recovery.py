@@ -13,10 +13,10 @@ own network, so a whole phase portrait or sweep runs as one batch.
 Columns whose networks share widths, and whose unitaries share a dtype,
 run in one loop (`_lockstep`). A column's measurement and residual take its
 unitary's dtype, so a complex measurement under a real unitary is rejected.
-Within a loop, the columns with equal |J| and the same unitary form a group,
-and columns are sorted by network, then group. Each column keeps its own
-rows U[J], measurement b, Adam step count, early stop and nonfinite-restart
-accounting.
+Within a loop, the columns with equal |J| form a group, whatever their
+unitaries, and columns are sorted by network, then group. Each column keeps
+its own rows U[J], measurement b, Adam step count, early stop and
+nonfinite-restart accounting.
 
 Each time the set of columns in flight changes, the loop builds a plan
 (`_Plan`). It gathers the columns' rows and measurements and preallocates
@@ -134,9 +134,10 @@ class _Plan:
     `_lockstep`). layers: per layer, the (w, input, output) views of each
     run, the (bias, output) views of each biased run, the layer's output
     and, for an inner layer, its ReLU mask; the last layer's output is the
-    network's output x. gathers: per stretch of one group's columns, the
-    (U_J, x, r) views, for r = U_J x, which then becomes the residual in
-    place; scatters: the (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
+    network's output x. gathers: per stretch of adjacent columns with equal
+    |J| (one group's columns, or some of them), the (U_J, x, r) views, for
+    r = U_J x, which then becomes the residual in place; scatters: the
+    (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
     Each stretch's U_J is one array the plan fills column by column. b, r
     and the row scales hold one entry per row in flight (r_conj is r for
     real residuals). The rows, b and the scales are the plan's inputs: an
@@ -147,7 +148,7 @@ class _Plan:
     """
 
     def __init__(self, nets, entries, z):
-        net_of, ops, bs, _, _, group = zip(*entries)
+        net_of, ops, bs, _, _ = zip(*entries)
         mine = [nets[j] for j in net_of]  # each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
         dtype = ops[0].base.dtype
@@ -178,7 +179,7 @@ class _Plan:
         self.r = np.empty(self.b.size, dtype=dtype)
         self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
         self.gathers, self.scatters, at = [], [], 0
-        for start, stop in _stretches(np.array(group)):
+        for start, stop in _stretches(jrows):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
             rows = np.empty(shape[:2] + (n,), dtype=dtype)
@@ -229,16 +230,18 @@ def _block_grad(plan, z):
     return plan.grad
 
 
-def _lockstep(nets, queue, widths, dtype, config):
+def _lockstep(nets, queue, config):
     """Adam in lockstep on the columns of queue, which enter in order, at the
     start and at each compaction, as far as room allows.
 
-    queue: per column (net, op, b, seed, restart, group): the column runs
-    nets[net] from derive_rng(seed, restart) and measures x by op against b;
-    the columns of one group share |J| and the unitary.
+    queue: per column (net, op, b, seed, restart): the column runs nets[net]
+    from derive_rng(seed, restart) and measures x by op against b. Every
+    column's network has the widths, and its unitary the dtype, of the
+    first column's; the columns with equal |J| form a group.
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite.
     """
+    widths, dtype = nets[queue[0][0]].widths, queue[0][1].base.dtype
     k, n = widths[0], widths[-1]
     # What a queued column costs in flight, transients included. Each row costs
     # its entries of U, its measurement, its residual (first the product U_J x)
@@ -268,7 +271,7 @@ def _lockstep(nets, queue, widths, dtype, config):
         starts = []
         while pos < len(queue) and (held + cost[pos] <= room
                                     or ids.size + len(starts) < BLOCK_COLUMNS):
-            _, _, _, seed, restart, _ = queue[pos]
+            _, _, _, seed, restart = queue[pos]
             starts.append(derive_rng(seed, restart).standard_normal(k))
             pos, held = pos + 1, held + cost[pos]
         if starts:
@@ -347,29 +350,26 @@ def recover_batch(
     index = {id(g): j for j, g in enumerate(nets)}
     net_of = [index[id(g)] for g in gs]
     restarts = config.restarts
-    cols = [(i, r) for i in range(len(gs)) for r in range(restarts)]
-    loops = {}
-    for c, (i, _) in enumerate(cols):
-        g, a = gs[i], ops[i]  # biases are per run, so biased and unbiased networks mix
-        loop = (tuple(g.widths), a.base.dtype)
-        loops.setdefault(loop, {}).setdefault((a.num_rows, id(a.base)), []).append(c)
-    finals = [None] * len(cols)
-    for (widths, dtype), groups in loops.items():
-        # Sorted by network, then group: each layer then costs one product
-        # per network per iteration, however many groups the networks span.
-        # Ties keep the columns' order, so a problem's restarts stay adjacent.
-        columns = sorted((net_of[cols[c][0]], g, c) for g, group in enumerate(groups.values())
-                         for c in group)
-        queue = [(net_of[i], ops[i], bs[i], seeds[i], r, g)
-                 for _, g, c in columns for i, r in [cols[c]]]
+    loops, finals = {}, {}
+    for i, (g, a) in enumerate(zip(gs, ops)):
+        # Biases are per run, so biased and unbiased networks mix.
+        loops.setdefault((tuple(g.widths), a.base.dtype), []).append(i)
+    for problems in loops.values():
+        # Sorted by network, then |J| in order of first appearance: each
+        # layer then costs one product per network per iteration, however
+        # many groups the networks span. Ties keep the problems' order, and a
+        # problem's restarts are adjacent.
+        sizes = list(dict.fromkeys(ops[i].num_rows for i in problems))
+        problems.sort(key=lambda i: (net_of[i], sizes.index(ops[i].num_rows)))
+        queue = [(net_of[i], ops[i], bs[i], seeds[i], r) for i in problems for r in range(restarts)]
         with np.errstate(over="ignore", invalid="ignore"):
-            block = _lockstep(nets, queue, widths, dtype, config)
-        for (_, _, c), final in zip(columns, block):
-            finals[c] = final
+            block = iter(_lockstep(nets, queue, config))
+        for i in problems:
+            finals[i] = [next(block) for _ in range(restarts)]
 
     results = []
     for i, (g, a, b, x0) in enumerate(zip(gs, ops, bs, x0s)):
-        finished = [final for final in finals[i * restarts:(i + 1) * restarts] if final is not None]
+        finished = [final for final in finals[i] if final is not None]
         if not finished:
             raise GcsError(f"all {restarts} restarts hit a nonfinite objective")
         xs = [forward(g, z) for z, _, _ in finished]

@@ -49,13 +49,13 @@ class SubsampledIsometry:
         return int(self.indices.size)
 
 
-# The smallest m each sampling model accepts; both need m <= n.
+# The sampling models by name, and the smallest m each accepts; both need m <= n.
 MIN_M = {"fixed": 1, "bernoulli": 2}
 
 
 def _check_model(model: str) -> None:
     if not isinstance(model, str) or model not in MIN_M:
-        raise DomainError(f"unknown sampling model {model!r} (expected fixed or bernoulli)")
+        raise DomainError(f"unknown sampling model {model!r} (expected {' or '.join(MIN_M)})")
 
 
 def check_m(model: str, m: int, n: int) -> None:

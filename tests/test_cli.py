@@ -1,6 +1,8 @@
+import ast
 import csv
 import dataclasses
 import filecmp
+import glob
 import json
 import math
 import os
@@ -256,7 +258,8 @@ def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
     config = phase_config(tmp_path, model="fxied")
     rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
     assert rc == 2
-    assert "unknown sampling model 'fxied'" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("gcs: error: unknown sampling model 'fxied' "
+                                       "(expected fixed or bernoulli)\n")
 
 
 def no_compute(*args, **kwargs):
@@ -522,6 +525,41 @@ def test_train_config_fields_are_the_hyperparameter_flags_of_gcs_train(tmp_path,
     assert (u is not None and u.n == 16) if regularized else u is None
 
 
+# The hyperparameter flags of gcs recover, by the RecoveryConfig field each
+# sets, and the value each is given below.
+RECOVER_FLAGS = {"learning_rate": ("--lr", 0.05), "max_iters": ("--max-iters", 7),
+                 "grad_tol": ("--grad-tol", 1e-5), "restarts": ("--restarts", 2)}
+
+
+def test_recovery_config_fields_are_the_hyperparameter_flags_of_gcs_recover(tmp_path,
+                                                                            monkeypatch):
+    assert [f.name for f in dataclasses.fields(RecoveryConfig)] == list(RECOVER_FLAGS)
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+    calls = []
+
+    def record(g, a, b, config, x0, seed):
+        calls.append(config)
+        raise DomainError("recorded")
+
+    monkeypatch.setattr(cli.recovery, "recover", record)
+    argv = ["recover", "--weights", path, "--m", "8"]
+    for flag, value in RECOVER_FLAGS.values():
+        argv += [flag, str(value)]
+    assert cli.main(argv) == 2
+    [config] = calls
+    assert dataclasses.asdict(config) == {name: value for name, (_, value) in RECOVER_FLAGS.items()}
+
+
+@pytest.mark.parametrize("command, flags", [("train", TRAIN_FLAGS), ("recover", RECOVER_FLAGS)])
+def test_each_config_flag_sets_the_dest_of_its_field(command, flags):
+    # The config is built from the flags by field name; --help shows each
+    # field's name as the flag's metavar.
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    dests = {flag: a.dest for a in sub.choices[command]._actions for flag in a.option_strings}
+    assert {dests[flag] for flag, _ in flags.values()} == set(flags)
+    assert all(dests[flag] == name for name, (flag, _) in flags.items())
+
+
 def test_train_zero_epochs_exits_2_before_data(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
     monkeypatch.setattr(cli.training, "train_vae", no_compute)
@@ -738,7 +776,7 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
     (["coherence", "--weights", "complex.json"], {},
      "complex.json: bad contents: weight contains complex entries; a network is real"),
     (["phase", "--config", "phase.json"], {"w_high": "complex_w.json"},
-     "weight contains complex entries; a network is real"),
+     "complex_w.json: bad contents: weight contains complex entries; a network is real"),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
@@ -1126,16 +1164,41 @@ def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, 
     assert filecmp.cmpfiles(out_dir, argv[i], names, shallow=False)[0] == names
 
 
+def perfbench_references():
+    """(module, name) of every gcs.<module>.<name> and harness.<name> that the
+    code of perfbench/*.py reads (harness is its name for gcs.harness)."""
+    refs = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id == "harness":
+                refs.add(("harness", node.attr))
+            elif (isinstance(node.value, ast.Attribute) and isinstance(node.value.value, ast.Name)
+                  and node.value.value.id == "gcs"):
+                refs.add((node.value.attr, node.attr))
+    return refs
+
+
 def test_every_benchmark_binding_resolves_in_gcs(monkeypatch):
     # perfbench/instrument.py wraps each (module, attribute) of SPANS and HOT
-    # by getattr, so a binding gone from gcs would crash every traced run.
+    # by getattr, and perfbench's code reads other gcs names directly, so a
+    # binding gone from gcs would crash a benchmark run.
     import importlib
 
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     instrument = importlib.import_module("instrument")
     bindings = [(module, name) for module, name, _ in instrument.SPANS + instrument.HOT]
     assert bindings
-    missing = [f"gcs.{module}.{name}" for module, name in bindings
+    refs = perfbench_references()
+    # The scan finds the names the set-up, the trial clock and the driver read.
+    assert {("harness", "run_indexed"), ("linops", "load_matrix"), ("cli", "resolve_unitary"),
+            ("training", "load_vae"), ("training", "synth_dataset"),
+            ("gnn", "GenerativeNetwork"), ("gnn", "save_network"),
+            ("transforms", "dct2_operator"), ("cli", "main")} <= refs
+    missing = [f"gcs.{module}.{name}" for module, name in sorted({*bindings, *refs})
                if not hasattr(importlib.import_module(f"gcs.{module}"), name)]
     assert missing == []
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gcs.errors import DimensionMismatch, DomainError
 from gcs.linops import (
+    check_finite,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -71,6 +72,17 @@ def test_qr_thin_shape_errors():
         qr_thin(np.ones(4))
     with pytest.raises(DomainError, match="W contains NaN/Inf entries"):
         qr_thin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_complex_matrix_with_a_nonfinite_imaginary_part_is_rejected(bad):
+    # The real parts are all finite; only one imaginary part is not.
+    m = np.array([[1.0 + 0.0j, 2.0 + 1.0j], [complex(0.0, bad), 3.0 + 0.0j]])
+    assert np.all(np.isfinite(m.real))
+    with pytest.raises(DomainError, match="^matrix contains NaN/Inf entries$"):
+        check_finite(m)
+    with pytest.raises(DomainError, match="^M contains NaN/Inf entries$"):
+        check_finite(m, "M")
 
 
 def test_two_to_inf_is_max_row_norm():

@@ -27,7 +27,7 @@ from gcs.sampling import (
     sample_fixed,
     spawn_seed,
 )
-from gcs.transforms import dct2_operator, dft_operator
+from gcs.transforms import dct2_operator, dft_operator, identity_operator
 
 
 def seeded_network(widths, seed):
@@ -711,6 +711,32 @@ def test_block_column_floor(monkeypatch):
         waiting = sum(e > it for e in entered)
         assert live == floor if waiting else live <= floor
     assert max(entered) > 0
+    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+        assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
+
+
+def test_mixed_unitaries_of_equal_rows_share_one_gather_product(monkeypatch):
+    import gcs.recovery
+
+    # DCT and identity problems of one |J| = 6, alternating. Each column
+    # gathers its own rows, so all eight columns form one group and every
+    # plan stacks their rows into one gather product, not one per unitary.
+    g = small_network([3, 8, 16], seed=88)
+    dct, eye = (cell_problems(g, u, [6, 6], seed, config=RecoveryConfig(max_iters=300))
+                for u, seed in ((dct2_operator(16), 89), (identity_operator(16), 90)))
+    ops, bs, seeds, x0s = ([x for pair in zip(dct[j], eye[j]) for x in pair] for j in (0, 1, 2, 4))
+    config = dct[3]  # two restarts each
+    stretches = []
+
+    class Recorded(gcs.recovery._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stretches.append(len(self.gathers))
+
+    monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
+    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
+    assert [a.base.kind for a in ops] == ["dct", "explicit"] * 2
+    assert stretches and set(stretches) == {1}
     for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
