@@ -114,8 +114,7 @@ def cmd_recover(args) -> int:
         if not np.all(np.isfinite(b)):
             raise DomainError(f"--noise {args.noise} overflows the measurement b")
     res = recovery.recover(g, a, b, cfg, x0=x0, seed=sampling.spawn_seed(args.seed, 2))
-    _print_json({**dataclasses.asdict(res),
-                "success": res.rre is not None and res.rre < recovery.SUCCESS_RRE})
+    _print_json({**res, "success": res["rre"] is not None and res["rre"] < recovery.SUCCESS_RRE})
     return 0
 
 

@@ -115,7 +115,7 @@ def _recover_grid(rows: int, m_list: list, trials: int, recovery: RecoveryConfig
     keys, gs, ops, x0s, seeds = (list(col) for col in zip(*_grid(rows, m_list, trials, trial)))
     results = recover_batch(gs, ops, [apply(a, x0) for a, x0 in zip(ops, x0s)], seeds,
                             recovery, x0s)
-    return [(key, float("inf") if res.rre is None else res.rre)
+    return [(key, float("inf") if res["rre"] is None else res["rre"])
             for key, res in zip(keys, results)]
 
 

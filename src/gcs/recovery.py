@@ -61,7 +61,7 @@ this against the one-vector loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,17 +95,6 @@ class RecoveryConfig:
         check_number("recovery max_iters", self.max_iters, integer=True, positive=True)
         check_number("recovery grad_tol", self.grad_tol, positive=True)
         check_number("recovery restarts", self.restarts, integer=True, positive=True)
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    z_hat: np.ndarray = field(repr=False)
-    x_hat: np.ndarray = field(repr=False)
-    rre: float | None
-    iterations: int
-    termination: str  # "grad_tol" | "max_iters"
-    residual: float
-    failed_restarts: int = 0
 
 
 def rre(x0: np.ndarray, x_hat: np.ndarray) -> float:
@@ -327,7 +316,7 @@ def recover_batch(
     seeds: list[int],
     config: RecoveryConfig,
     x0s: list[np.ndarray | None],
-) -> list[RecoveryResult]:
+) -> list[dict]:
     """recover(gs[i], ops[i], bs[i], config, x0s[i], seeds[i]) for every i, in lockstep.
 
     Each restart is one column of the engine the module docstring describes,
@@ -378,9 +367,9 @@ def recover_batch(
         # The first restart of least (recomputed) residual wins.
         residual, z, x, iters, termination = min(tried, key=lambda e: e[0])
         err = rre(x0, x) if x0 is not None and np.linalg.norm(x0) > 0 else None
-        results.append(RecoveryResult(z_hat=z, x_hat=x, rre=err, iterations=iters,
-                                      termination=termination, residual=residual,
-                                      failed_restarts=restarts - len(finished)))
+        results.append({"z_hat": z, "x_hat": x, "rre": err, "iterations": iters,
+                        "termination": termination, "residual": residual,
+                        "failed_restarts": restarts - len(finished)})
     return results
 
 
@@ -391,18 +380,21 @@ def recover(
     config: RecoveryConfig = RecoveryConfig(),
     x0: np.ndarray | None = None,
     seed: int = 0,
-) -> RecoveryResult:
+) -> dict:
     """Solve min_z ||A G(z) - b||_2 by Adam from standard-Gaussian restarts.
 
     Restart r starts from derive_rng(seed, r). The best restart by
-    (recomputed) residual wins. When the true signal x0 is supplied, the
-    result carries the rre against it (None when ||x0|| = 0).
+    (recomputed) residual wins. Returns a dict with the keys, in order:
+    "z_hat" and "x_hat" = G(z_hat); "rre", the rre against x0 (None when x0
+    is not supplied or ||x0|| = 0); "iterations"; "termination", "grad_tol"
+    or "max_iters"; "residual", ||A x_hat - b||; and "failed_restarts", the
+    restarts that hit a nonfinite objective.
     """
     return recover_batch([g], [a], [b], [seed], config, [x0])[0]
 
 
 def recovery_bound_audit(
-    result: RecoveryResult,
+    result: dict,
     x0: np.ndarray,
     eta: np.ndarray,
     a: SubsampledIsometry,
@@ -413,11 +405,12 @@ def recovery_bound_audit(
 
     Returns the sides "left" and "right", "satisfied" (left <= right), and
     the terms "x_perp_norm", "a_x_perp_norm", "eta_norm" and "eps_hat".
-    The caller supplies x_perp (exact projection onto range(G) is intractable);
-    omit it for in-range signals, where it is zero.
+    result is what `recover` returns; only its "x_hat" is read. The caller
+    supplies x_perp (exact projection onto range(G) is intractable); omit it
+    for in-range signals, where it is zero.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != result.x_hat.shape:
+    if x0.shape != result["x_hat"].shape:
         raise DimensionMismatch("x0 shape mismatch")
     if x_perp is None:
         x_perp = np.zeros_like(x0)
@@ -427,7 +420,7 @@ def recovery_bound_audit(
     xp = float(np.linalg.norm(x_perp))
     axp = float(np.linalg.norm(apply(a, x_perp)))
     en = float(np.linalg.norm(np.asarray(eta)))
-    left = float(np.linalg.norm(result.x_hat - x0))
+    left = float(np.linalg.norm(result["x_hat"] - x0))
     right = xp + 3.0 * axp + 3.0 * en + 1.5 * eps_hat
     return {"left": left, "right": right, "satisfied": left <= right, "x_perp_norm": xp,
             "a_x_perp_norm": axp, "eta_norm": en, "eps_hat": eps_hat}

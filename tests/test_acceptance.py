@@ -221,7 +221,7 @@ def test_criterion_06_exact_recovery():
         x0 = forward(g, z0)
         b = apply(a, x0)
         res = recover(g, a, b, x0=x0, seed=spawn_seed(11, t, 1))
-        successes += res.rre is not None and res.rre <= SUCCESS_RRE
+        successes += res["rre"] is not None and res["rre"] <= SUCCESS_RRE
     ok = successes >= 19
     report(6, f"full-measurement recovery {successes}/20 trials below 1e-5", ok)
     assert ok

@@ -138,7 +138,7 @@ def test_phase_portrait_cells_equal_per_trial_recovery():
         x0 = forward(net, derive_rng(PHASE_SEED, bi, mi, t, 1).standard_normal(net.code_dim))
         res = recover(net, a, apply(a, x0), cfg.recovery, x0=x0,
                       seed=spawn_seed(PHASE_SEED, bi, mi, t, 2))
-        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+        assert (rec["rre"], rec["seed"]) == (res["rre"], a.seed)
 
 
 def test_phase_portrait_checks_every_beta_before_any_coherence(monkeypatch):
@@ -462,7 +462,7 @@ def assert_sweep_equals_per_trial_recovery(models, data, sw, u, seed):
         a = sample_fixed(u, rec["m"], spawn_seed(seed, mi, t, 1))
         res = recover(model.decoder, a, apply(a, x0), sw.recovery, x0=x0,
                       seed=spawn_seed(seed, gi, mi, t, 2))
-        assert (rec["rre"], rec["seed"]) == (res.rre, a.seed)
+        assert (rec["rre"], rec["seed"]) == (res["rre"], a.seed)
 
 
 def test_measurement_sweep_mixed_decoders_equal_per_trial_recovery():

@@ -13,7 +13,6 @@ from gcs.gnn import GenerativeNetwork, forward, objective_value_grad, save_netwo
 from gcs.recovery import (
     SUCCESS_RRE,
     RecoveryConfig,
-    RecoveryResult,
     recover,
     recover_batch,
     recovery_bound_audit,
@@ -74,9 +73,9 @@ def test_full_measurement_in_range_recovery():
     x0 = forward(g, z0)
     b = apply(a, x0)
     res = recover(g, a, b, x0=x0, seed=4)
-    assert res.rre is not None and res.rre <= SUCCESS_RRE
-    assert res.termination in ("grad_tol", "max_iters")
-    np.testing.assert_allclose(res.x_hat, forward(g, res.z_hat))
+    assert res["rre"] is not None and res["rre"] <= SUCCESS_RRE
+    assert res["termination"] in ("grad_tol", "max_iters")
+    np.testing.assert_allclose(res["x_hat"], forward(g, res["z_hat"]))
 
 
 def test_recover_measurement_length_check():
@@ -93,20 +92,29 @@ def test_restarts_keep_best_residual():
     b = apply(a, forward(g, derive_rng(9).standard_normal(3)))
     single = recover(g, a, b, RecoveryConfig(restarts=1, max_iters=500), seed=10)
     multi = recover(g, a, b, RecoveryConfig(restarts=5, max_iters=500), seed=10)
-    assert multi.residual <= single.residual + 1e-12
-    assert multi.failed_restarts == 0
+    assert multi["residual"] <= single["residual"] + 1e-12
+    assert multi["failed_restarts"] == 0
+
+
+RESULT_KEYS = ["z_hat", "x_hat", "rre", "iterations", "termination", "residual", "failed_restarts"]
+
+
+@pytest.mark.parametrize("unitary", [dct2_operator, dft_operator])
+def test_recover_batch_returns_one_plain_dict_per_problem(unitary):
+    # A result is a dict of exactly these keys, in this order, which is the
+    # order gcs recover prints them in.
+    g = seeded_network([3, 6, 16], seed=7)
+    a = sample_fixed(unitary(16), 10, seed=8)
+    x0 = forward(g, derive_rng(9).standard_normal(3))
+    [res] = recover_batch([g], [a], [apply(a, x0)], [10], RecoveryConfig(max_iters=50), [x0])
+    assert type(res) is dict and list(res) == RESULT_KEYS
+    np.testing.assert_array_equal(res["x_hat"], forward(g, res["z_hat"]))
 
 
 def test_result_to_json_roundtrippable(tmp_path, monkeypatch, capsys):
     # gcs recover prints the result's fields, its arrays as lists, and "success".
-    res = RecoveryResult(
-        z_hat=np.array([1.0, 2.0]),
-        x_hat=np.array([0.5]),
-        rre=0.1,
-        iterations=12,
-        termination="grad_tol",
-        residual=1e-9,
-    )
+    res = {"z_hat": np.array([1.0, 2.0]), "x_hat": np.array([0.5]), "rre": 0.1,
+           "iterations": 12, "termination": "grad_tol", "residual": 1e-9, "failed_restarts": 0}
     path = str(tmp_path / "net.json")
     save_network(seeded_network([2, 4, 8], seed=0), path)
     monkeypatch.setattr(cli.recovery, "recover", lambda *args, **kwargs: res)
@@ -126,11 +134,11 @@ def test_bound_audit_in_range_noiseless():
     x0 = forward(g, derive_rng(13).standard_normal(3))
     b = apply(a, x0)
     res = recover(g, a, b, x0=x0, seed=14)
-    audit = recovery_bound_audit(res, x0, eta=np.zeros(16), a=a, eps_hat=res.residual)
+    audit = recovery_bound_audit(res, x0, eta=np.zeros(16), a=a, eps_hat=res["residual"])
     assert list(audit) == ["left", "right", "satisfied", "x_perp_norm", "a_x_perp_norm",
                            "eta_norm", "eps_hat"]
     assert audit["x_perp_norm"] == 0.0 and audit["eta_norm"] == 0.0
-    assert audit["right"] == pytest.approx(1.5 * res.residual)
+    assert audit["right"] == pytest.approx(1.5 * res["residual"])
     # With m = n the solver residual equals the ambient error, so the bound holds.
     assert audit["satisfied"]
 
@@ -146,26 +154,20 @@ def test_bound_audit_with_components():
     eta = 0.001 * rng.standard_normal(8)
     b = apply(a, x0) + eta
     res = recover(g, a, b, x0=x0, seed=18)
-    audit = recovery_bound_audit(res, x0, eta=eta, a=a, eps_hat=res.residual, x_perp=x_perp)
+    audit = recovery_bound_audit(res, x0, eta=eta, a=a, eps_hat=res["residual"], x_perp=x_perp)
     expected_right = (
         np.linalg.norm(x_perp)
         + 3 * np.linalg.norm(apply(a, x_perp))
         + 3 * np.linalg.norm(eta)
-        + 1.5 * res.residual
+        + 1.5 * res["residual"]
     )
     assert audit["right"] == pytest.approx(expected_right)
-    assert audit["left"] == pytest.approx(np.linalg.norm(res.x_hat - x0))
+    assert audit["left"] == pytest.approx(np.linalg.norm(res["x_hat"] - x0))
 
 
 def test_bound_audit_shape_checks():
-    res = RecoveryResult(
-        z_hat=np.zeros(2),
-        x_hat=np.zeros(4),
-        rre=None,
-        iterations=1,
-        termination="max_iters",
-        residual=0.0,
-    )
+    res = {"z_hat": np.zeros(2), "x_hat": np.zeros(4), "rre": None, "iterations": 1,
+           "termination": "max_iters", "residual": 0.0, "failed_restarts": 0}
     a = sample_fixed(dct2_operator(4), 2, seed=0)
     with pytest.raises(DimensionMismatch):
         recovery_bound_audit(res, np.zeros(5), np.zeros(2), a, 0.0)
@@ -228,23 +230,15 @@ def oracle_recover(g, a, b, config=RecoveryConfig(), x0=None, seed=0):
     err = None
     if x0 is not None and np.linalg.norm(x0) > 0:
         err = rre(x0, x)
-    return RecoveryResult(
-        z_hat=z,
-        x_hat=x,
-        rre=err,
-        iterations=iters,
-        termination=termination,
-        residual=residual,
-        failed_restarts=failed,
-    )
+    return {"z_hat": z, "x_hat": x, "rre": err, "iterations": iters, "termination": termination,
+            "residual": residual, "failed_restarts": failed}
 
 
 def assert_identical(got, want):
-    np.testing.assert_array_equal(got.z_hat, want.z_hat)
-    np.testing.assert_array_equal(got.x_hat, want.x_hat)
-    assert (got.rre, got.iterations, got.termination, got.residual, got.failed_restarts) == (
-        want.rre, want.iterations, want.termination, want.residual, want.failed_restarts
-    )
+    np.testing.assert_array_equal(got["z_hat"], want["z_hat"])
+    np.testing.assert_array_equal(got["x_hat"], want["x_hat"])
+    scalars = ("rre", "iterations", "termination", "residual", "failed_restarts")
+    assert [got[key] for key in scalars] == [want[key] for key in scalars]
 
 
 def small_network(widths, seed, biases=False):
@@ -359,8 +353,8 @@ def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
     config = RecoveryConfig(restarts=2, max_iters=400)
     got = assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
     # An empty J has a zero gradient: every restart stops at once.
-    assert got[0].iterations == 1 and got[0].termination == "grad_tol"
-    assert got[0].residual == 0.0
+    assert got[0]["iterations"] == 1 and got[0]["termination"] == "grad_tol"
+    assert got[0]["residual"] == 0.0
 
 
 def test_batch_matches_scalar_loop_max_iters_tail():
@@ -368,7 +362,7 @@ def test_batch_matches_scalar_loop_max_iters_tail():
     g = small_network([3, 8, 16], seed=46, biases=True)
     got = assert_batch_matches_oracle(g, *cell_problems(g, u, [6] * 4, seed=47,
                                                         config=RecoveryConfig(max_iters=25)))
-    assert any(r.termination == "max_iters" and r.iterations == 25 for r in got)
+    assert any(r["termination"] == "max_iters" and r["iterations"] == 25 for r in got)
 
 
 def test_batch_matches_scalar_loop_nonfinite_restart():
@@ -395,7 +389,7 @@ def test_batch_matches_scalar_loop_nonfinite_restart():
             res = recover(g, a, b, config, x0=x0, seed=seed)
             want = oracle_recover(g, a, b, config, x0=x0, seed=seed)
             assert_identical(res, want)
-            assert 0 < want.failed_restarts < config.restarts
+            assert 0 < want["failed_restarts"] < config.restarts
         # Every restart of this problem overflows.
         rng = derive_rng(11)
         g = GenerativeNetwork(weights=[np.abs(rng.standard_normal((6, 2))),
@@ -456,7 +450,7 @@ def test_overflowing_value_runs_on_where_the_gradient_is_finite(final_scale):
             return
         got = recover(g, a, b, config, seed=94)
         assert_identical(got, oracle_recover(g, a, b, config, seed=94))
-    assert (got.termination, got.iterations, got.failed_restarts) == ("max_iters", 30, 0)
+    assert (got["termination"], got["iterations"], got["failed_restarts"]) == ("max_iters", 30, 0)
 
 
 def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
@@ -556,7 +550,7 @@ def assert_mixed_batch_matches(gs, ops, bs, seeds, config, x0s):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
     # Columns left the loop at different iterations, so its rows were
     # compacted while other networks' columns stayed live.
-    assert len({r.iterations for r in got if r.termination == "grad_tol"}) >= 2
+    assert len({r["iterations"] for r in got if r["termination"] == "grad_tol"}) >= 2
     return got
 
 
@@ -792,7 +786,7 @@ def test_max_iters_groups_run_in_one_loop(monkeypatch, limited):
     got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
     groups = {a.num_rows: [] for a in ops}
     for a, res in zip(ops, got):
-        groups[a.num_rows].append(res.termination)
+        groups[a.num_rows].append(res["termination"])
     assert len(groups) == 3 and all("max_iters" in t for t in groups.values())
     delay = max(trace["entered_after"])
     assert (delay > 0) == limited
@@ -839,5 +833,5 @@ def test_finished_column_does_not_pin_block(config, termination):
     g = small_network([3, 8, 16], seed=79)
     problems = cell_problems(g, dct2_operator(16), [8] * 3, seed=80, config=config)
     for res in recover_batch([g] * 3, *problems):
-        assert res.termination == termination
-        assert res.z_hat.base is None
+        assert res["termination"] == termination
+        assert res["z_hat"].base is None
