@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from gcs import coherence, gnn, sampling, transforms
-from gcs.linops import save_matrix
+from gcs.linops import qr_thin, save_matrix
 
 K, K1, N = 4, 16, 64
 SEED = 11
@@ -32,7 +32,7 @@ def main() -> None:
 
     rng = sampling.derive_rng(SEED, 0)
     w1 = rng.standard_normal((K1, K)) / 2.0
-    w_low = np.linalg.qr(rng.standard_normal((N, K1)))[0]
+    w_low = qr_thin(rng.standard_normal((N, K1)))
     u = transforms.dct2_operator(N)
     w_high = u.rows(np.arange(K1)).T.real.copy()
 

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -126,6 +127,18 @@ def _block(obj, where: str, required=()) -> dict:
         if key not in obj:
             raise DomainError(f"{where} is missing required key {key!r}")
     return obj
+
+
+# The config flags whose names are not their fields' dashed names.
+_FLAG_NAMES = {"learning_rate": "--lr", "batch_size": "--batch", "lam": "--lambda"}
+
+
+def _config_flags(parser, cls) -> None:
+    """Add to parser one flag per field of the config dataclass cls: its dest
+    is the field's name, and its type and default are the field's."""
+    for f in dataclasses.fields(cls):
+        parser.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                            type=typing.get_type_hints(cls)[f.name], default=f.default)
 
 
 def _from_flags(cls, args):
@@ -299,11 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", default="synth", help="synth | idx:<images> (IDX images only)")
     t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
     t.add_argument("--regularized", action="store_true")
-    t.add_argument("--reg-weight", type=float, default=1e4)
-    t.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    t.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
-    t.add_argument("--batch", dest="batch_size", type=int, default=64)
-    t.add_argument("--epochs", type=int, default=10)
+    _config_flags(t, training.TrainConfig)
     t.add_argument("--unitary", default="dct")
     t.add_argument("--synth-count", dest="synth_count", type=int, default=2000)
     t.add_argument("--synth-k", dest="synth_k", type=int, default=4)
@@ -316,10 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--model", default="fixed", choices=list(sampling.MIN_M))
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--noise", type=float, default=0.0)
-    r.add_argument("--lr", dest="learning_rate", type=float, default=0.1)
-    r.add_argument("--max-iters", type=int, default=5000)
-    r.add_argument("--grad-tol", type=float, default=1e-7)
-    r.add_argument("--restarts", type=int, default=1)
+    _config_flags(r, recovery.RecoveryConfig)
     r.set_defaults(fn=cmd_recover)
 
     ph = sub.add_parser("phase", help="phase portrait over (coherence, m)")

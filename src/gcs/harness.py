@@ -24,6 +24,7 @@ import numpy as np
 from .coherence import ChordSampler, network_coherence_heuristic, subspace_coherence
 from .errors import DimensionMismatch, DomainError, check_array_size, check_counts, check_number
 from .gnn import GenerativeNetwork, forward
+from .linops import qr_thin
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
 from .recovery import SUCCESS_RRE, RecoveryConfig, recover, recover_batch  # noqa: F401
@@ -366,7 +367,7 @@ def run_subspace_rip(
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     _check_rip("bernoulli", m_list, n, trials, delta)
     check_array_size(f"n={n} rows of k={k}", n, k)
-    q = np.linalg.qr(derive_rng(seed, 0).standard_normal((n, k)), mode="reduced")[0]
+    q = qr_thin(derive_rng(seed, 0).standard_normal((n, k)))
     alpha = subspace_coherence(u, q)
     b_mat = u.apply(q)
 

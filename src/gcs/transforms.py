@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linops import check_finite
+from .linops import check_finite, orthonormality_defect
 
 # Smallest n at which apply() runs an FFT and rows() evaluates the closed
 # form. Measured on the DCT-II with BLAS at one thread: the dense product
@@ -67,12 +67,13 @@ class UnitaryOperator:
 
     def rows(self, j) -> np.ndarray:
         """Rows j of U, equal to `matrix[j]`: j is a row number in [0, n),
-        a 1-D row set, or a 2-D stack of row sets."""
+        a 1-D row set, or a 2-D stack of row sets. A row number outside
+        [0, n) raises IndexError on every path; none wraps."""
         j = np.asarray(j)
-        if self.n < FFT_MIN_N or self.kind == "explicit":
-            return self.matrix[j]
         if j.size and (j.min() < 0 or j.max() >= self.n):
             raise IndexError(f"row index out of range for n = {self.n}")
+        if self.n < FFT_MIN_N or self.kind == "explicit":
+            return self.matrix[j]
         return _ROWS[self.kind](self.n, j)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("explicit operator must be a square matrix")
     n = m.shape[0]
-    if np.linalg.norm(m.conj().T @ m - np.eye(n)) > 1e-8:
+    if orthonormality_defect(m) > 1e-8:
         raise DomainError("||U*U - I||_F exceeds 1e-8")
     return UnitaryOperator(kind="explicit", n=n, given=m)
 

@@ -11,6 +11,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import typing
 import warnings
 from types import SimpleNamespace
 
@@ -548,6 +549,31 @@ def test_recovery_config_fields_are_the_hyperparameter_flags_of_gcs_recover(tmp_
     assert cli.main(argv) == 2
     [config] = calls
     assert dataclasses.asdict(config) == {name: value for name, (_, value) in RECOVER_FLAGS.items()}
+
+
+def test_recover_without_hyperparameter_flags_uses_the_recovery_config_defaults(tmp_path,
+                                                                               monkeypatch):
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+    calls = []
+
+    def record(g, a, b, config, x0, seed):
+        calls.append(config)
+        raise DomainError("recorded")
+
+    monkeypatch.setattr(cli.recovery, "recover", record)
+    assert cli.main(["recover", "--weights", path, "--m", "8"]) == 2
+    assert calls == [RecoveryConfig()]
+
+
+@pytest.mark.parametrize("command, cls", [("train", TrainConfig), ("recover", RecoveryConfig)])
+def test_config_flags_take_type_and_default_from_their_fields(command, cls):
+    # No flag restates a hyperparameter: the dataclass field is the one place
+    # that declares its type and default.
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    actions = {a.dest: a for a in sub.choices[command]._actions}
+    types = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        assert (actions[f.name].type, actions[f.name].default) == (types[f.name], f.default)
 
 
 @pytest.mark.parametrize("command, flags", [("train", TRAIN_FLAGS), ("recover", RECOVER_FLAGS)])

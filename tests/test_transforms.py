@@ -178,10 +178,19 @@ def test_rows_equal_the_dense_build(n, make, dense):
 
 
 def test_rows_reject_an_index_out_of_range():
-    u = dct2_operator(FFT_MIN_N)
-    for j in ([FFT_MIN_N], [-1]):
-        with pytest.raises(IndexError):
-            u.rows(j)
+    # One bounds rule on every path: the matrix gather below FFT_MIN_N and
+    # for an explicit U, and the closed form from FFT_MIN_N on. A negative
+    # row number never wraps to a row counted from the end.
+    wrapped = []
+    for n in (64, FFT_MIN_N):
+        for u in (dct2_operator(n), dft_operator(n), explicit_operator(dense_dct(n))):
+            for j in (-1, n, [-1], [0, n]):
+                try:
+                    u.rows(j)
+                except IndexError:
+                    continue
+                wrapped.append((u.kind, n, j))
+    assert wrapped == []
 
 
 def test_operators_build_no_dense_matrix_at_n4096():
