@@ -179,31 +179,32 @@ def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
     return recovery.RecoveryConfig(**_fields(recovery.RecoveryConfig, block, "recovery"))
 
 
-def _load_config(path: str, cls, what: str, required, extra) -> tuple[dict, dict]:
-    """A JSON config object and its entries for fields of cls, the recovery
-    block built; every key, the recovery values and the unitary spec are
-    checked before any file the config names is read."""
-    cfg_json = _block(read_json(path), f"config {path}", required)
-    values = _fields(cls, cfg_json, f"{what} config", extra)
-    values["recovery"] = _recovery_from_json(cfg_json)
-    check_unitary_spec(cfg_json.get("unitary", "dct"))
-    return cfg_json, values
+def _load_config(path: str, cls, what: str, files):
+    """(JSON config object, the config dataclass cls built from it).
+
+    A config holds the fields of cls (m_list required), an optional unitary
+    spec (dct where it is left out) and the required keys files, which name
+    the files the command reads. Every key and value is checked before any
+    such file is read.
+    """
+    cfg_json = _block(read_json(path), f"config {path}", (*files, "m_list"))
+    values = {**_fields(cls, cfg_json, f"{what} config", ("unitary", *files)),
+              "recovery": _recovery_from_json(cfg_json)}
+    check_unitary_spec(cfg_json.setdefault("unitary", "dct"))
+    return cfg_json, cls(**values)
 
 
 def cmd_phase(args) -> int:
-    cfg_json, values = _load_config(args.config, harness.PhaseConfig, "phase",
-                                    ("inner_weights", "w_high", "w_low", "m_list"), ("unitary",))
+    cfg_json, cfg = _load_config(args.config, harness.PhaseConfig, "phase",
+                                 ("inner_weights", "w_high", "w_low"))
     inner = cfg_json["inner_weights"]
     if not isinstance(inner, list):
         raise DomainError(f"inner_weights must be a list of file paths, got {inner!r}")
-    inner = [_path(p, "each inner_weights entry") for p in inner]
-    w_high, w_low = (_path(cfg_json[key], key) for key in ("w_high", "w_low"))
-    values["inner_weights"] = [gnn.load_weight(p) for p in inner]
-    values["w_high"] = gnn.load_weight(w_high)
-    values["w_low"] = gnn.load_weight(w_low)
-    u = resolve_unitary(cfg_json.get("unitary", "dct"), values["w_high"].shape[0])
-    cfg = harness.PhaseConfig(**values)
-    records = harness.run_phase_portrait(cfg, u, args.seed)
+    paths = ([_path(p, "each inner_weights entry") for p in inner]
+             + [_path(cfg_json[key], key) for key in ("w_high", "w_low")])
+    *inner, w_high, w_low = [gnn.load_weight(p) for p in paths]
+    u = resolve_unitary(cfg_json["unitary"], w_high.shape[0])
+    records = harness.run_phase_portrait(inner, w_high, w_low, cfg, u, args.seed)
     csv_path = os.path.join(args.out_dir, "phase.csv")
     harness.emit_csv(records, csv_path)
     grid = harness.phase_success_grid(records, cfg.betas, cfg.m_list)
@@ -221,9 +222,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg_json, values = _load_config(args.config, harness.SweepConfig, "sweep",
-                                    ("models", "test_data", "m_list"),
-                                    ("unitary", "models", "test_data"))
+    cfg_json, cfg = _load_config(args.config, harness.SweepConfig, "sweep",
+                                 ("models", "test_data"))
     if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
         raise DomainError("a sweep config needs at least one entry in \"models\"")
     test_spec = _block(cfg_json["test_data"], "test_data", ("kind",))
@@ -241,7 +241,6 @@ def cmd_sweep(args) -> int:
         # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         check_number("test_data seed", test_spec["seed"], 0, integer=True)
-    cfg = harness.SweepConfig(**values)  # checks trials before any model load
     if kind == "idx":
         samples = training.load_idx(test_spec["images"])
     (name, path), *rest = cfg_json["models"].items()
@@ -250,7 +249,7 @@ def cmd_sweep(args) -> int:
     # The first model gives n; the grid, the unitary and the test data are
     # checked before the rest load.
     harness.check_grid(cfg.model, cfg.m_list, n)
-    u = resolve_unitary(cfg_json.get("unitary", "dct"), n)
+    u = resolve_unitary(cfg_json["unitary"], n)
     if kind == "synth":
         samples = training.synth_dataset(
             n, test_spec["k_true"], test_spec["count"], test_spec["seed"]

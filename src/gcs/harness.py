@@ -127,9 +127,6 @@ def _recover_grid(rows: int, m_list: list, trials: int, recovery: RecoveryConfig
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    inner_weights: list = field(repr=False)  # shared W^(1..d-1)
-    w_high: np.ndarray = field(repr=False)  # high-coherence final layer
-    w_low: np.ndarray = field(repr=False)  # low-coherence final layer
     betas: list = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
     m_list: list = field(default_factory=lambda: [8, 16, 24, 32, 48, 64])
     trials: int = 20
@@ -137,9 +134,8 @@ class PhaseConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        if self.w_high.shape != self.w_low.shape:
-            raise DimensionMismatch("the two final layers must share a shape")
         check_counts(trials=self.trials)
+        sampler_for(self.model)  # rejects an unknown sampling model
         if not (isinstance(self.betas, list) and self.betas):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
         for beta in self.betas:
@@ -148,31 +144,36 @@ class PhaseConfig:
             raise DomainError(f"betas must not repeat, got {self.betas!r}")
 
 
-def final_layer(cfg: PhaseConfig, beta) -> np.ndarray:
+def final_layer(w_high: np.ndarray, w_low: np.ndarray, beta) -> np.ndarray:
     """W_beta := beta * w_high + (1 - beta) * w_low, the final layer at beta.
 
     Raises DomainError, naming beta, where W_beta or its squared Frobenius
     norm overflows: the coherence heuristic's QR of W_beta would then fail.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w_beta = beta * cfg.w_high + (1.0 - beta) * cfg.w_low
+        w_beta = beta * w_high + (1.0 - beta) * w_low
         norm = np.linalg.norm(w_beta)
     if not math.isfinite(norm):
         raise DomainError(f"betas entry {beta!r} overflows W_beta = beta*w_high + (1 - beta)*w_low")
     return w_beta
 
 
-def run_phase_portrait(cfg: PhaseConfig, u: UnitaryOperator, seed: int) -> list[dict]:
-    """Per (beta, m) cell: interpolate final layers, measure by rows of u,
-    recover, record; every trial's stream derives from seed.
+def run_phase_portrait(inner_weights: list, w_high: np.ndarray, w_low: np.ndarray,
+                       cfg: PhaseConfig, u: UnitaryOperator, seed: int) -> list[dict]:
+    """Per (beta, m) cell: interpolate the final layers w_high (high
+    coherence) and w_low (low coherence) after the shared inner_weights,
+    measure by rows of u, recover, record; every trial's stream derives
+    from seed.
 
-    W_beta is `final_layer(cfg, beta)`, every one checked before any
-    coherence is taken; success is rre < 1e-5. The betas are the rows of the
-    trial grid (`_recover_grid`). Records are ordered by (beta, m, trial)
+    W_beta is `final_layer(w_high, w_low, beta)`, every one checked before
+    any coherence is taken; success is rre < 1e-5. The betas are the rows of
+    the trial grid (`_recover_grid`). Records are ordered by (beta, m, trial)
     with columns beta, coherence_heuristic, m, trial, rre, success, seed.
     """
+    if w_high.shape != w_low.shape:
+        raise DimensionMismatch("the two final layers must share a shape")
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
-    nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
+    nets = [GenerativeNetwork(weights=list(inner_weights) + [final_layer(w_high, w_low, beta)])
             for beta in cfg.betas]
     nets = [(net, network_coherence_heuristic(net, u)) for net in nets]
 
@@ -219,6 +220,7 @@ class SweepConfig:
 
     def __post_init__(self):
         check_counts(trials=self.trials)
+        sampler_for(self.model)  # rejects an unknown sampling model
 
 
 def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) -> None:

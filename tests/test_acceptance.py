@@ -232,22 +232,17 @@ def test_criterion_06_exact_recovery():
 # ---------------------------------------------------------------------------
 
 
-def desk_phase_config():
+def desk_phase_weights():
+    """(inner weights, w_high, w_low) of the criterion's phase portrait."""
     rng = derive_rng(11, 0)
     w1 = rng.standard_normal((16, 4)) / 2.0
     w_low = np.linalg.qr(rng.standard_normal((64, 16)))[0]
-    w_high = dct2_operator(64).matrix[:16].T.copy()
-    return PhaseConfig(
-        inner_weights=[w1],
-        w_high=w_high,
-        w_low=w_low,
-        recovery=RecoveryConfig(restarts=3),
-    )
+    return [w1], dct2_operator(64).matrix[:16].T.copy(), w_low
 
 
 def test_criterion_07_phase_monotonicity():
-    cfg = desk_phase_config()
-    records = run_phase_portrait(cfg, dct2_operator(64), 11)
+    cfg = PhaseConfig(recovery=RecoveryConfig(restarts=3))
+    records = run_phase_portrait(*desk_phase_weights(), cfg, dct2_operator(64), 11)
     grid = phase_success_grid(records, cfg.betas, cfg.m_list)
     ok = True
     # Nondecreasing in m within two (pooled) binomial standard errors.

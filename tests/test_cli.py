@@ -255,16 +255,28 @@ def sweep_config(tmp_path, **edits) -> str:
     return write_config(tmp_path / "sweep.json", base, edits)
 
 
-def test_unknown_sampling_model_is_an_error(tmp_path, capsys):
-    config = phase_config(tmp_path, model="fxied")
-    rc = cli.main(["--out-dir", str(tmp_path), "phase", "--config", config])
-    assert rc == 2
-    assert capsys.readouterr().err == ("gcs: error: unknown sampling model 'fxied' "
-                                       "(expected fixed or bernoulli)\n")
-
-
 def no_compute(*args, **kwargs):
     raise AssertionError("the command computed before rejecting its input")
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("phase", {"betas": []}, "betas must be a nonempty list of numbers, got []"),
+    ("phase", {"betas": [0.5, 0.5]}, "betas must not repeat, got [0.5, 0.5]"),
+    ("phase", {"trials": 0}, "trials must be >= 1, got 0"),
+    ("phase", {"model": "fxied"}, "unknown sampling model 'fxied' (expected fixed or bernoulli)"),
+    ("sweep", {"model": "fxied"}, "unknown sampling model 'fxied' (expected fixed or bernoulli)"),
+], ids=["phase-empty-betas", "phase-repeated-beta", "phase-zero-trials", "phase-model",
+        "sweep-model"])
+def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                          command, edits, message):
+    # Every value of an experiment config is checked when the config is
+    # built, before the command reads a weight or model file it names.
+    config = (phase_config if command == "phase" else sweep_config)(tmp_path, **edits)
+    monkeypatch.setattr(cli.gnn, "load_weight", no_compute)
+    monkeypatch.setattr(cli.training, "load_vae", no_compute)
+    rc = cli.main(["--out-dir", str(tmp_path), command, "--config", config])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: {message}\n"
 
 
 def test_unknown_unitary_exits_2(tmp_path, monkeypatch, capsys):
@@ -721,8 +733,8 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
     (["sweep", "--config", "sweep.json"], {"models": {"a": "rows.json"}},
      "rows.json: missing key 'encoder'"),
     (["phase", "--config", "phase.json"], {"trails": 1, "w_high": "absent.json"},
-     "unknown phase config key 'trails' (expected one of inner_weights, w_high, w_low, betas, "
-     "m_list, trials, model, recovery, unitary)"),
+     "unknown phase config key 'trails' (expected one of betas, m_list, trials, model, "
+     "recovery, unitary, inner_weights, w_high, w_low)"),
     (["sweep", "--config", "sweep.json"], {"seed": 3},
      "unknown sweep config key 'seed' (expected one of m_list, trials, model, recovery, "
      "unitary, models, test_data)"),
@@ -1180,7 +1192,8 @@ def test_desk_plots_reproduce_from_the_committed_records(tmp_path, monkeypatch, 
     [(argv, out_dir)] = desk_lines(command)
     names = sorted(os.listdir(out_dir))
     tables = [read_records(os.path.join(out_dir, name)) for name in names if name.endswith(".csv")]
-    monkeypatch.setattr(cli.harness, "run_phase_portrait", lambda cfg, u, seed: tables[0])
+    monkeypatch.setattr(cli.harness, "run_phase_portrait",
+                        lambda inner, w_high, w_low, cfg, u, seed: tables[0])
     monkeypatch.setattr(cli.harness, "run_measurement_sweep",
                         lambda models, data, cfg, u, seed: tables)
     i = argv.index("--out-dir") + 1

@@ -96,15 +96,19 @@ def test_emit_csv_deterministic_bytes(tmp_path):
 PHASE_U, PHASE_SEED = dct2_operator(8), 1
 
 
-def tiny_phase_config(trials=3):
+def tiny_phase_weights():
+    """(inner weights, w_high, w_low) of every tiny phase portrait."""
     rng = derive_rng(0)
     w1 = rng.standard_normal((4, 2))
     w_low = np.linalg.qr(rng.standard_normal((8, 4)))[0]
-    w_high = dct2_operator(8).matrix[:4].T.copy()
+    return [w1], dct2_operator(8).matrix[:4].T.copy(), w_low
+
+
+INNER, W_HIGH, W_LOW = tiny_phase_weights()
+
+
+def tiny_phase_config(trials=3):
     return PhaseConfig(
-        inner_weights=[w1],
-        w_high=w_high,
-        w_low=w_low,
         betas=[0.0, 1.0],
         m_list=[4, 8],
         trials=trials,
@@ -113,9 +117,10 @@ def tiny_phase_config(trials=3):
 
 
 def test_phase_portrait_records_and_trial_prefix_invariance():
-    r1 = run_phase_portrait(tiny_phase_config(), PHASE_U, PHASE_SEED)
+    r1 = run_phase_portrait(INNER, W_HIGH, W_LOW, tiny_phase_config(), PHASE_U, PHASE_SEED)
     # Per-trial streams: two trials per cell repeat the first two of three.
-    r2 = run_phase_portrait(tiny_phase_config(trials=2), PHASE_U, PHASE_SEED)
+    r2 = run_phase_portrait(INNER, W_HIGH, W_LOW, tiny_phase_config(trials=2), PHASE_U,
+                            PHASE_SEED)
     assert r2 == [r for r in r1 if r["trial"] < 2]
     assert len(r1) == 2 * 2 * 3
     assert [r["beta"] for r in r1[:6]] == [0.0] * 6  # stable (beta, m, trial) order
@@ -130,10 +135,10 @@ def test_phase_portrait_cells_equal_per_trial_recovery():
     # All trials are recovered in one batch; every record must be what
     # recovering that trial alone from its own seed streams gives.
     cfg = tiny_phase_config()
-    records = run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
+    records = run_phase_portrait(INNER, W_HIGH, W_LOW, cfg, PHASE_U, PHASE_SEED)
     for rec in records:
         bi, mi, t = cfg.betas.index(rec["beta"]), cfg.m_list.index(rec["m"]), rec["trial"]
-        net = GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, rec["beta"])])
+        net = GenerativeNetwork(weights=INNER + [final_layer(W_HIGH, W_LOW, rec["beta"])])
         a = sample_fixed(PHASE_U, rec["m"], spawn_seed(PHASE_SEED, bi, mi, t))
         x0 = forward(net, derive_rng(PHASE_SEED, bi, mi, t, 1).standard_normal(net.code_dim))
         res = recover(net, a, apply(a, x0), cfg.recovery, x0=x0,
@@ -150,11 +155,11 @@ def test_phase_portrait_checks_every_beta_before_any_coherence(monkeypatch):
     monkeypatch.setattr(gcs.harness, "network_coherence_heuristic", no_coherence)
     cfg = replace(tiny_phase_config(), betas=[0.0, 1e155, 1.7e308])
     # W_beta at 1e155 is finite, but its squared norm overflows.
-    assert np.isfinite(1e155 * cfg.w_high + (1.0 - 1e155) * cfg.w_low).all()
+    assert np.isfinite(1e155 * W_HIGH + (1.0 - 1e155) * W_LOW).all()
     with pytest.raises(DomainError, match=r"^betas entry 1e\+155 overflows W_beta = "):
-        run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
-    np.testing.assert_array_equal(final_layer(cfg, 0.25),
-                                  0.25 * cfg.w_high + 0.75 * cfg.w_low)
+        run_phase_portrait(INNER, W_HIGH, W_LOW, cfg, PHASE_U, PHASE_SEED)
+    np.testing.assert_array_equal(final_layer(W_HIGH, W_LOW, 0.25),
+                                  0.25 * W_HIGH + 0.75 * W_LOW)
 
 
 def test_check_grid():
@@ -197,7 +202,8 @@ def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
     with pytest.raises(DomainError, match="m = 16 appears twice in the m grid"):
         run_subspace_rip(dct2_operator(32), 3, [16, 16], 0.4, trials=2, seed=0)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
-        run_phase_portrait(replace(tiny_phase_config(), m_list=[8, 8], trials=2), PHASE_U,
+        run_phase_portrait(INNER, W_HIGH, W_LOW,
+                           replace(tiny_phase_config(), m_list=[8, 8], trials=2), PHASE_U,
                            PHASE_SEED)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
         run_measurement_sweep([], np.zeros((1, 16)), SweepConfig(m_list=[8, 8], trials=1),
@@ -207,18 +213,13 @@ def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
 def test_phase_config_validation():
     cfg = tiny_phase_config()
     with pytest.raises(DimensionMismatch):
-        PhaseConfig(
-            inner_weights=cfg.inner_weights,
-            w_high=cfg.w_high,
-            w_low=cfg.w_low[:, :2],
-        )
+        run_phase_portrait(INNER, W_HIGH, W_LOW[:, :2], cfg, PHASE_U, PHASE_SEED)
     with pytest.raises(DomainError):
-        PhaseConfig(
-            inner_weights=cfg.inner_weights,
-            w_high=cfg.w_high,
-            w_low=cfg.w_low,
-            trials=0,
-        )
+        PhaseConfig(trials=0)
+    for cls in (PhaseConfig, SweepConfig):
+        with pytest.raises(DomainError, match="^unknown sampling model 'walsh' "
+                                              r"\(expected fixed or bernoulli\)$"):
+            cls(model="walsh")
     for betas in ([], 0.5):
         with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
             replace(cfg, betas=betas)
@@ -257,7 +258,7 @@ def test_cell_summaries_equal_the_cells_found_by_key():
     # Both summaries read each cell from the grid order; each must be what
     # collecting the cell's records by their (row, m) keys gives.
     cfg = replace(tiny_phase_config(), m_list=[2, 4, 8])
-    records = run_phase_portrait(cfg, PHASE_U, PHASE_SEED)
+    records = run_phase_portrait(INNER, W_HIGH, W_LOW, cfg, PHASE_U, PHASE_SEED)
     want = np.zeros((len(cfg.betas), len(cfg.m_list)))
     for i, beta in enumerate(cfg.betas):
         for j, m in enumerate(cfg.m_list):
@@ -508,7 +509,7 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
     # in (row, m, trial) order: each problem's solver seed names its place.
     if experiment == "phase":
         cfg, u, seed = tiny_phase_config(), PHASE_U, PHASE_SEED
-        nets = [GenerativeNetwork(weights=list(cfg.inner_weights) + [final_layer(cfg, beta)])
+        nets = [GenerativeNetwork(weights=INNER + [final_layer(W_HIGH, W_LOW, beta)])
                 for beta in cfg.betas]
     else:
         u = dct2_operator(16)
@@ -520,7 +521,7 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
         nets = [model.decoder for _, model in models]
     jobs, batches = spy(monkeypatch, "run_indexed"), spy(monkeypatch, "recover_batch")
     if experiment == "phase":
-        run_phase_portrait(cfg, u, seed)
+        run_phase_portrait(INNER, W_HIGH, W_LOW, cfg, u, seed)
     else:
         run_measurement_sweep(models, data, cfg, u, seed)
     grid = [(i, mi, t) for i in range(len(nets)) for mi in range(len(cfg.m_list))
