@@ -71,6 +71,7 @@ def _print_json(obj) -> None:
 
 
 def cmd_coherence(args) -> int:
+    check_counts(samples=args.mc_samples)
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     _print_json(coh.coherence_report(g, u, args.mc_samples, args.seed))
@@ -135,10 +136,14 @@ _FLAG_NAMES = {"learning_rate": "--lr", "batch_size": "--batch", "lam": "--lambd
 
 def _config_flags(parser, cls) -> None:
     """Add to parser one flag per field of the config dataclass cls: its dest
-    is the field's name, and its type and default are the field's."""
+    is the field's name, and its type and default are the field's. A list
+    field takes comma-separated integers, and a field without a default is
+    a required flag."""
     for f in dataclasses.fields(cls):
+        kind = typing.get_type_hints(cls)[f.name]
         parser.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
-                            type=typing.get_type_hints(cls)[f.name], default=f.default)
+                            type=_ints if kind is list else kind, default=f.default,
+                            required=f.default is dataclasses.MISSING)
 
 
 def _from_flags(cls, args):
@@ -236,13 +241,11 @@ def cmd_sweep(args) -> int:
     for name, path in cfg_json["models"].items():
         _path(path, f"model {name!r}")
     if kind == "idx":
-        _path(test_spec["images"], "test_data images")
+        samples = training.load_idx(_path(test_spec["images"], "test_data images"))
     else:
         # synth_dataset checks k_true <= n once the first model gives n.
         check_counts(k_true=test_spec["k_true"], count=test_spec["count"])
         check_number("test_data seed", test_spec["seed"], 0, integer=True)
-    if kind == "idx":
-        samples = training.load_idx(test_spec["images"])
     (name, path), *rest = cfg_json["models"].items()
     models = [(name, training.load_vae(path))]
     n = models[0][1].decoder.ambient_dim
@@ -270,12 +273,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rip(args) -> int:
+    cfg = _from_flags(harness.RipConfig, args)
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
-    records, summaries = harness.run_rip_check(
-        g, u, _ints(args.m_list), args.delta, args.chord_samples, args.trials,
-        args.seed, model=args.model,
-    )
+    records, summaries = harness.run_rip_check(g, cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "rip_summary.csv"))
     print(f"wrote {os.path.join(args.out_dir, 'rip.csv')}")
@@ -283,10 +284,9 @@ def cmd_rip(args) -> int:
 
 
 def cmd_subspace_rip(args) -> int:
+    cfg = _from_flags(harness.SubspaceRipConfig, args)
     u = resolve_unitary(args.unitary, args.n)
-    records, summaries, fit = harness.run_subspace_rip(
-        u, args.k, _ints(args.m_list), args.delta, args.trials, args.seed,
-    )
+    records, summaries, fit = harness.run_subspace_rip(cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
     _print_json(fit)
@@ -338,28 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     ri = sub.add_parser("rip", help="Monte-Carlo RIP check over sampled chords")
     ri.add_argument("--weights", required=True)
     ri.add_argument("--unitary", default="dft")
-    ri.add_argument("--m-list", required=True)
-    ri.add_argument("--delta", type=float, default=0.5)
-    ri.add_argument("--chord-samples", type=int, default=200)
-    ri.add_argument("--trials", type=int, default=100)
-    ri.add_argument("--model", default="bernoulli", choices=list(sampling.MIN_M))
+    _config_flags(ri, harness.RipConfig)
     ri.set_defaults(fn=cmd_rip)
 
     sr = sub.add_parser("subspace-rip", help="exact subspace RIP concentration")
     sr.add_argument("--unitary", default="dft")
     sr.add_argument("--n", type=int, required=True)
-    sr.add_argument("--k", type=int, required=True)
-    sr.add_argument("--m-list", required=True)
-    sr.add_argument("--delta", type=float, default=0.4)
-    sr.add_argument("--trials", type=int, default=300)
+    _config_flags(sr, harness.SubspaceRipConfig)
     sr.set_defaults(fn=cmd_subspace_rip)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: a list flag's entries are checked as it is parsed.
+        args = build_parser().parse_args(argv)
         check_number("--seed", args.seed, 0, integer=True)  # numpy takes no negative seed
         # An output directory that cannot be made, or a train output file
         # that names a directory, fails here, before any input is read; the

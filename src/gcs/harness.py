@@ -43,20 +43,29 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
     return [fn(i) for i in range(count)]
 
 
-def check_grid(model: str, m_list, n: int):
-    """The sampler for a sampling model, after checking every grid m against n.
-
-    Checking the whole grid up front fails a run before any cell computes;
-    records and summaries are keyed by m, so an m may appear only once.
+def check_trial_grid(m_list, trials) -> None:
+    """Raise DomainError unless m_list is a nonempty list of distinct integers
+    and trials an integer >= 1: the half of the trial grid's check that needs
+    no n, which every config runs when it is built, before any file is read.
+    Records and summaries are keyed by m, so an m may appear only once.
     """
     if not isinstance(m_list, list):
         raise DomainError(f"m_list must be a list of integers, got {m_list!r}")
     if not m_list:
         raise DomainError("the m grid is empty")
     for i, m in enumerate(m_list):
-        check_m(model, m, n)
+        check_number("m", m, integer=True)
         if m in m_list[:i]:
             raise DomainError(f"m = {m} appears twice in the m grid")
+    check_counts(trials=trials)
+
+
+def check_grid(model: str, m_list: list, n: int):
+    """The sampler for a sampling model, after checking every grid m against
+    n: the half of the trial grid's check that needs n, which each driver
+    runs before any cell computes."""
+    for m in m_list:
+        check_m(model, m, n)
     return sampler_for(model)
 
 
@@ -134,7 +143,7 @@ class PhaseConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_counts(trials=self.trials)
+        check_trial_grid(self.m_list, self.trials)
         sampler_for(self.model)  # rejects an unknown sampling model
         if not (isinstance(self.betas, list) and self.betas):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
@@ -219,7 +228,7 @@ class SweepConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_counts(trials=self.trials)
+        check_trial_grid(self.m_list, self.trials)
         sampler_for(self.model)  # rejects an unknown sampling model
 
 
@@ -279,18 +288,15 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _check_rip(model: str, m_list: list[int], n: int, trials: int, delta: float):
-    """The sampler for a RIP check, after checking trials, 0 < delta < 1 and
-    the grid; each driver calls this before it builds anything."""
-    check_counts(trials=trials)
-    check_number("delta", delta, positive=True)
-    if not delta < 1:  # the RIP is stated for 0 < delta < 1
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    return check_grid(model, m_list, n)
+def _check_rip(cfg) -> None:
+    """Check the m grid, trials and 0 < delta < 1 of a RIP config."""
+    check_trial_grid(cfg.m_list, cfg.trials)
+    check_number("delta", cfg.delta, positive=True)
+    if not cfg.delta < 1:  # the RIP is stated for 0 < delta < 1
+        raise DomainError(f"delta must be in (0, 1), got {cfg.delta}")
 
 
-def _rip_trials(m_list: list[int], trials: int, delta: float,
-                trial) -> tuple[list[dict], list[dict]]:
+def _rip_trials(cfg, trial) -> tuple[list[dict], list[dict]]:
     """The trial loop of both RIP checks: (records, per-m exceed summaries).
 
     trial maps (m index, trial, m) to (deviation, seed); it runs on the
@@ -298,76 +304,91 @@ def _rip_trials(m_list: list[int], trials: int, delta: float,
     """
 
     def one(_, mi, t):
-        m = m_list[mi]
+        m = cfg.m_list[mi]
         dev, seed = trial(mi, t, m)
-        return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= delta, "seed": seed}
+        return {"m": m, "trial": t, "deviation": dev, "exceed": dev >= cfg.delta, "seed": seed}
 
-    records = _grid(1, m_list, trials, one)
-    exceed = np.reshape([r["exceed"] for r in records], (len(m_list), trials))
-    return records, [{"m": m, "exceed_freq": float(np.mean(e)), "trials": trials}
-                     for m, e in zip(m_list, exceed)]
+    records = _grid(1, cfg.m_list, cfg.trials, one)
+    exceed = np.reshape([r["exceed"] for r in records], (len(cfg.m_list), cfg.trials))
+    return records, [{"m": m, "exceed_freq": float(np.mean(e)), "trials": cfg.trials}
+                     for m, e in zip(cfg.m_list, exceed)]
 
 
-def run_rip_check(
-    g: GenerativeNetwork,
-    u: UnitaryOperator,
-    m_list: list[int],
-    delta: float,
-    chord_samples: int,
-    trials: int,
-    seed: int,
-    model: str = "bernoulli",
-) -> tuple[list[dict], list[dict]]:
+@dataclass(frozen=True)
+class RipConfig:
+    m_list: list
+    delta: float = 0.5
+    chord_samples: int = 200
+    trials: int = 100
+    model: str = "bernoulli"
+
+    def __post_init__(self):
+        check_counts(chord_samples=self.chord_samples)
+        _check_rip(self)
+        sampler_for(self.model)  # rejects an unknown sampling model
+
+
+def run_rip_check(g: GenerativeNetwork, cfg: RipConfig, u: UnitaryOperator,
+                  seed: int) -> tuple[list[dict], list[dict]]:
     """Empirical restricted isometry over sampled chords of range(G).
 
     Per (m, trial): sample A, record max over normalized chords of
-    | ||Ax||_2 - 1 | and whether it exceeds delta.
+    | ||Ax||_2 - 1 | and whether it exceeds delta. The config holds the
+    checked values; here the network and every m are checked against u.
     """
     if g.biases is not None:
         raise DomainError("RIP check needs a bias-free network")
-    check_counts(chord_samples=chord_samples)
-    check_array_size(f"chord_samples={chord_samples} chords of up to {max(g.widths)}",
-                     chord_samples, max(g.widths))
-    sampler = _check_rip(model, m_list, u.n, trials, delta)
+    check_array_size(f"chord_samples={cfg.chord_samples} chords of up to {max(g.widths)}",
+                     cfg.chord_samples, max(g.widths))
+    sampler = check_grid(cfg.model, cfg.m_list, u.n)
     chords = ChordSampler(g, u)
 
     def trial(mi, t, m):
         trial_seed = spawn_seed(seed, mi, t)
         a = sampler(u, m, trial_seed)
         rng = derive_rng(seed, mi, t, 1)
-        z1 = rng.standard_normal((g.code_dim, chord_samples))
-        z2 = rng.standard_normal((g.code_dim, chord_samples))
+        z1 = rng.standard_normal((g.code_dim, cfg.chord_samples))
+        z2 = rng.standard_normal((g.code_dim, cfg.chord_samples))
         # Rows J of U W^(d): |A chord| = scale * |U_J W^(d) dh| entrywise;
         # with every chord dropped the deviation is 0.
         ax = a.scale * chords.moduli(z1, z2, a.indices)
         dev = np.max(np.abs(np.linalg.norm(ax, axis=0) - 1.0), initial=0.0)
         return float(dev), trial_seed
 
-    return _rip_trials(m_list, trials, delta, trial)
+    return _rip_trials(cfg, trial)
 
 
-def run_subspace_rip(
-    u: UnitaryOperator,
-    k: int,
-    m_list: list[int],
-    delta: float,
-    trials: int,
-    seed: int,
-) -> tuple[list[dict], list[dict], dict]:
+@dataclass(frozen=True)
+class SubspaceRipConfig:
+    k: int
+    m_list: list
+    delta: float = 0.4
+    trials: int = 300
+
+    def __post_init__(self):
+        check_number("k", self.k, integer=True)
+        if self.k < 1:
+            raise DomainError(f"need 1 <= k <= n, got k={self.k}")
+        _check_rip(self)
+
+
+def run_subspace_rip(cfg: SubspaceRipConfig, u: UnitaryOperator,
+                     seed: int) -> tuple[list[dict], list[dict], dict]:
     """Exact subspace RIP simulation against the incoherent-subspace tail.
 
     Fixes one seeded random k-dim subspace, computes its exact coherence, then
     per (m, trial) draws a Bernoulli subsample and evaluates the deviation
     ||(n/m) * B_J^* B_J - I_k|| exactly (B = U Q in subspace coordinates).
+    The config holds the checked values; here k and every m are checked
+    against n.
 
     Returns (records, per-m summaries, fit) where fit carries the fitted
     constant of 2k*exp(-c*delta^2*m/(alpha^2*n)) and the log-linear R^2.
     """
-    n = u.n
-    check_number("k", k, integer=True)
-    if k < 1 or k > n:
+    n, k, delta = u.n, cfg.k, cfg.delta
+    if k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
-    _check_rip("bernoulli", m_list, n, trials, delta)
+    check_grid("bernoulli", cfg.m_list, n)
     check_array_size(f"n={n} rows of k={k}", n, k)
     q = qr_thin(derive_rng(seed, 0).standard_normal((n, k)))
     alpha = subspace_coherence(u, q)
@@ -380,7 +401,7 @@ def run_subspace_rip(
         gram = (n / m) * np.real(bj.conj().T @ bj)
         return float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(k))))), seed
 
-    records, summaries = _rip_trials(m_list, trials, delta, trial)
+    records, summaries = _rip_trials(cfg, trial)
     fit = fit_subspace_tail(summaries, k, n, alpha, delta)
     fit["alpha"] = alpha
     for s in summaries:

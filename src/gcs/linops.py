@@ -1,7 +1,12 @@
-"""Dense linear-algebra kernels: the Q of a thin QR, the 2->inf norm,
-orthonormality checks.
+"""Dense linear-algebra kernels and the toolkit's JSON files.
 
-Matrices are plain numpy arrays (float64 or complex128). Everything here is
+The kernels: the Q of a thin QR, the 2->inf norm, orthonormality checks.
+The files: the matrix JSON schema (`matrix_to_json`, `matrix_from_json`),
+the one streamed writer every weight and model file goes through
+(`write_json`), and the reader that names the file in every error
+(`read_json`, `load_json`), with `save_matrix` and `load_matrix` on top.
+
+Matrices are plain numpy arrays (float64 or complex128). The kernels are
 pure and reentrant.
 """
 

@@ -17,7 +17,7 @@ from gcs import coherence
 from gcs.coherence import ChordSampler, chord_coherence_mc
 from gcs.errors import DimensionMismatch
 from gcs.gnn import GenerativeNetwork, forward, hidden, relu
-from gcs.harness import run_rip_check, run_subspace_rip
+from gcs.harness import RipConfig, SubspaceRipConfig, run_rip_check, run_subspace_rip
 from gcs.sampling import derive_rng, sampler_for, spawn_seed
 from gcs.transforms import dct2_operator, dft_operator, explicit_operator
 
@@ -185,9 +185,9 @@ def test_chord_coherence_mc_peak_memory_at_n784():
 @pytest.mark.parametrize("model", ["bernoulli", "fixed"])
 def test_rip_check_matches_explicit_chords(kind, depth, model):
     g, u = network(depth, seed=30 + depth), operator(kind)
-    args = (g, u, [8, 16, 24], 0.3, 40, 6, 9)
-    records, _ = run_rip_check(*args, model=model)
-    want = oracle_rip_check(*args, model=model)
+    args = ([8, 16, 24], 0.3, 40, 6)
+    records, _ = run_rip_check(g, RipConfig(*args, model=model), u, 9)
+    want = oracle_rip_check(g, u, *args, 9, model=model)
     got_dev = [r["deviation"] for r in records]
     np.testing.assert_allclose(got_dev, [d for d, _ in want], rtol=1e-12, atol=0)
     assert [r["exceed"] for r in records] == [e for _, e in want]
@@ -197,16 +197,16 @@ def test_rip_check_matches_explicit_chords(kind, depth, model):
 def test_subspace_rip_matches_oracle(kind):
     # The DFT makes B = U Q complex, so only the real part of B_J^* B_J enters.
     u = operator(kind)
-    args = (u, 3, [4, 8, 16, 32], 0.4, 12, 2)
-    records, summaries, _ = run_subspace_rip(*args)
-    want = oracle_subspace_rip(*args)
+    args = (3, [4, 8, 16, 32], 0.4, 12)
+    records, summaries, _ = run_subspace_rip(SubspaceRipConfig(*args), u, 2)
+    want = oracle_subspace_rip(u, *args, 2)
     assert [(r["m"], r["trial"], r["seed"]) for r in records] == [
-        (m, t, 2) for m in args[2] for t in range(12)
+        (m, t, 2) for m in args[1] for t in range(12)
     ]
     np.testing.assert_allclose([r["deviation"] for r in records], [d for d, _ in want],
                                rtol=1e-12, atol=0)
     assert [r["exceed"] for r in records] == [e for _, e in want]
-    assert [(s["m"], s["trials"]) for s in summaries] == [(m, 12) for m in args[2]]
+    assert [(s["m"], s["trials"]) for s in summaries] == [(m, 12) for m in args[1]]
     assert [s["exceed_freq"] for s in summaries] == [
         float(np.mean([e for _, e in want[i * 12:(i + 1) * 12]])) for i in range(4)
     ]

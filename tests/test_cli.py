@@ -21,6 +21,7 @@ import pytest
 from gcs import cli
 from gcs.errors import DomainError
 from gcs.gnn import GenerativeNetwork, forward, save_network
+from gcs.harness import RipConfig, SubspaceRipConfig
 from gcs.linops import save_matrix, write_json
 from gcs.recovery import RecoveryConfig
 from gcs.sampling import derive_rng
@@ -279,6 +280,48 @@ def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch,
     assert capsys.readouterr().err == f"gcs: error: {message}\n"
 
 
+# Each of these commands names a weight or unitary file that does not exist.
+MISSING_RIP = ["rip", "--weights", "missing.json", "--m-list", "8"]
+MISSING_SUBSPACE = ["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "2",
+                    "--m-list", "8"]
+
+
+@pytest.mark.parametrize("argv, edits, message", [
+    (["phase"], {"m_list": []}, "the m grid is empty"),
+    (["phase"], {"m_list": [8, 8]}, "m = 8 appears twice in the m grid"),
+    (["phase"], {"m_list": [8, "x"]}, "m must be an integer, got 'x'"),
+    (["sweep"], {"m_list": [10, 10]}, "m = 10 appears twice in the m grid"),
+    (MISSING_RIP + ["--delta", "2"], {}, "delta must be in (0, 1), got 2.0"),
+    (MISSING_RIP + ["--trials", "0"], {}, "trials must be >= 1, got 0"),
+    (MISSING_RIP + ["--chord-samples", "0"], {}, "chord_samples must be >= 1, got 0"),
+    (MISSING_RIP + ["--model", "walsh"], {},
+     "unknown sampling model 'walsh' (expected fixed or bernoulli)"),
+    (MISSING_RIP + ["--m-list", "8,8"], {}, "m = 8 appears twice in the m grid"),
+    (MISSING_SUBSPACE + ["--trials", "0"], {}, "trials must be >= 1, got 0"),
+    (MISSING_SUBSPACE + ["--m-list", "8,8"], {}, "m = 8 appears twice in the m grid"),
+    (["coherence", "--weights", "missing.json", "--mc-samples", "0"], {},
+     "samples must be >= 1, got 0"),
+], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
+        "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
+        "subspace-trials0", "subspace-repeated-m", "coherence-mc-samples0"])
+def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                               argv, edits, message):
+    # Every config, the RIP configs built from their flags included, checks
+    # its values and its m grid's shape when it is built. Only m <= n waits
+    # for the file that gives n.
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("phase", "sweep"):
+        argv = [argv[0], "--config", (phase_config if argv[0] == "phase" else sweep_config)(
+            tmp_path, **edits)]
+    for module, name in [(cli.gnn, "load_weight"), (cli.gnn, "load_network"),
+                         (cli.training, "load_vae"), (cli.training, "load_idx"),
+                         (cli, "load_matrix")]:
+        monkeypatch.setattr(module, name, no_compute)
+    rc = cli.main(["--out-dir", "out"] + argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: {message}\n"
+
+
 def test_unknown_unitary_exits_2(tmp_path, monkeypatch, capsys):
     _, path = save_net(tmp_path, [2, 8, 16], seed=1)
     monkeypatch.setattr(cli.recovery, "recover", no_compute)
@@ -351,7 +394,9 @@ def test_sweep_bad_grid_exits_2_after_one_model_load(tmp_path, monkeypatch, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
-    assert loads == [str(tmp_path / "a.json")]
+    # The grid's shape is checked when the config is built; only m <= n
+    # waits for the n that the first model gives.
+    assert loads == ([str(tmp_path / "a.json")] if m_list == [16, 80] else [])
 
 
 @pytest.mark.parametrize("unitary, loads_before_exit, message", [
@@ -577,15 +622,47 @@ def test_recover_without_hyperparameter_flags_uses_the_recovery_config_defaults(
     assert calls == [RecoveryConfig()]
 
 
-@pytest.mark.parametrize("command, cls", [("train", TrainConfig), ("recover", RecoveryConfig)])
+@pytest.mark.parametrize("command, cls", [("train", TrainConfig), ("recover", RecoveryConfig),
+                                          ("rip", RipConfig), ("subspace-rip", SubspaceRipConfig)])
 def test_config_flags_take_type_and_default_from_their_fields(command, cls):
-    # No flag restates a hyperparameter: the dataclass field is the one place
-    # that declares its type and default.
+    # No flag restates a config value: the dataclass field is the one place
+    # that declares its type and default. A list field takes comma-separated
+    # integers, and a field without a default makes a required flag.
     [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
     actions = {a.dest: a for a in sub.choices[command]._actions}
     types = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        assert (actions[f.name].type, actions[f.name].default) == (types[f.name], f.default)
+        kind = cli._ints if types[f.name] is list else types[f.name]
+        assert (actions[f.name].type, actions[f.name].default) == (kind, f.default)
+        assert actions[f.name].required == (f.default is dataclasses.MISSING)
+
+
+# The flags of gcs rip and gcs subspace-rip in their order, each with its
+# dest and its default (REQUIRED for a required flag), and the usage line.
+REQUIRED = object()
+RIP_FLAGS = [("--weights", "weights", REQUIRED), ("--unitary", "unitary", "dft"),
+             ("--m-list", "m_list", REQUIRED), ("--delta", "delta", 0.5),
+             ("--chord-samples", "chord_samples", 200), ("--trials", "trials", 100),
+             ("--model", "model", "bernoulli")]
+RIP_USAGE = ("usage: gcs rip [-h] --weights WEIGHTS [--unitary UNITARY] --m-list M_LIST "
+             "[--delta DELTA] [--chord-samples CHORD_SAMPLES] [--trials TRIALS] [--model MODEL]")
+SUBSPACE_FLAGS = [("--unitary", "unitary", "dft"), ("--n", "n", REQUIRED), ("--k", "k", REQUIRED),
+                  ("--m-list", "m_list", REQUIRED), ("--delta", "delta", 0.4),
+                  ("--trials", "trials", 300)]
+SUBSPACE_USAGE = ("usage: gcs subspace-rip [-h] [--unitary UNITARY] --n N --k K --m-list M_LIST "
+                  "[--delta DELTA] [--trials TRIALS]")
+
+
+@pytest.mark.parametrize("command, flags, usage", [
+    ("rip", RIP_FLAGS, RIP_USAGE), ("subspace-rip", SUBSPACE_FLAGS, SUBSPACE_USAGE),
+], ids=["rip", "subspace-rip"])
+def test_rip_flags_keep_their_order_dests_and_defaults(command, flags, usage):
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    parser = sub.choices[command]
+    assert [(a.option_strings[0], a.dest, REQUIRED if a.required else a.default)
+            for a in parser._actions[1:]] == flags
+    # The usage line wraps at the terminal's width.
+    assert " ".join(parser.format_usage().split()) == usage
 
 
 @pytest.mark.parametrize("command, flags", [("train", TRAIN_FLAGS), ("recover", RECOVER_FLAGS)])

@@ -11,8 +11,11 @@ from gcs.gnn import GenerativeNetwork, forward
 from gcs.harness import (
     PhaseConfig,
     RRE_FLOOR,
+    RipConfig,
+    SubspaceRipConfig,
     SweepConfig,
     check_grid,
+    check_trial_grid,
     emit_csv,
     emit_svg_heatmap,
     emit_svg_scatter,
@@ -172,11 +175,16 @@ def test_check_grid():
     with pytest.raises(DomainError, match="need 2 <= m <= n for bernoulli sampling, got m=1"):
         check_grid("bernoulli", [1, 4], 8)
     with pytest.raises(DomainError, match="the m grid is empty"):
-        check_grid("fixed", [], 8)
+        check_trial_grid([], 1)
     check_grid("fixed", [np.int64(4)], 8)
+    check_trial_grid([np.int64(4)], 1)
     for m in (4.0, "4", True, None):
         with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
             check_grid("fixed", [2, m], 8)
+        with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
+            check_trial_grid([2, m], 1)
+    with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
+        check_trial_grid([2], 0)
     check_counts(trials=np.int64(2), chord_samples=1)
     for value in (1.5, "2", True, 2.0):
         with pytest.raises(DomainError, match=f"trials must be an integer, got {value!r}"):
@@ -189,7 +197,7 @@ def test_check_grid():
 def test_check_grid_rejects_a_repeated_m(m_list, m):
     # Records and summaries are keyed by m: a repeated m would pool its trials.
     with pytest.raises(DomainError, match=f"m = {m} appears twice in the m grid"):
-        check_grid("bernoulli", m_list, 8)
+        check_trial_grid(m_list, 1)
 
 
 def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
@@ -198,9 +206,9 @@ def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
     for name in ("run_indexed", "derive_rng", "ChordSampler", "recover_batch"):
         monkeypatch.setattr(f"gcs.harness.{name}", no_compute)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
-        run_rip_check(g, dct2_operator(8), [8, 8], 0.5, 10, 2, 0)
+        run_rip_check(g, RipConfig([8, 8], 0.5, 10, 2), dct2_operator(8), 0)
     with pytest.raises(DomainError, match="m = 16 appears twice in the m grid"):
-        run_subspace_rip(dct2_operator(32), 3, [16, 16], 0.4, trials=2, seed=0)
+        run_subspace_rip(SubspaceRipConfig(3, [16, 16], 0.4, trials=2), dct2_operator(32), 0)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
         run_phase_portrait(INNER, W_HIGH, W_LOW,
                            replace(tiny_phase_config(), m_list=[8, 8], trials=2), PHASE_U,
@@ -291,7 +299,7 @@ def test_rip_check_full_sampling_zero_deviation():
     )
     u = dct2_operator(16)
     records, summaries = run_rip_check(
-        g, u, [16], delta=0.5, chord_samples=50, trials=5, seed=0, model="fixed"
+        g, RipConfig([16], delta=0.5, chord_samples=50, trials=5, model="fixed"), u, seed=0
     )
     assert all(r["deviation"] < 1e-10 for r in records)
     assert summaries[0]["exceed_freq"] == 0.0
@@ -304,7 +312,7 @@ def test_rip_check_monotone_exceedance():
     )
     u = dft_operator(128)
     _, summaries = run_rip_check(
-        g, u, [16, 64, 128], delta=0.5, chord_samples=100, trials=60, seed=0
+        g, RipConfig([16, 64, 128], delta=0.5, chord_samples=100, trials=60), u, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     se = 2 * math.sqrt(0.25 / 60)
@@ -318,7 +326,7 @@ def test_rip_check_rejections():
     with pytest.raises(DomainError, match="RIP check needs a bias-free network"):
         run_rip_check(
             GenerativeNetwork(weights=w, biases=[np.zeros(4), np.zeros(8)]),
-            u, [8], 0.5, 10, 2, 0,
+            RipConfig([8], 0.5, 10, 2), u, 0,
         )
 
 
@@ -335,7 +343,7 @@ def test_rip_check_rejects_empty_counts(monkeypatch, chord_samples, trials, mess
     g = GenerativeNetwork(weights=[rng.standard_normal((4, 2)), rng.standard_normal((8, 4))])
     monkeypatch.setattr("gcs.harness.ChordSampler", no_compute)
     with pytest.raises(DomainError, match=message):
-        run_rip_check(g, dct2_operator(8), [8], 0.5, chord_samples, trials, 0)
+        run_rip_check(g, RipConfig([8], 0.5, chord_samples, trials), dct2_operator(8), 0)
 
 
 @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0, 1.5, float("nan"), float("inf")])
@@ -351,9 +359,9 @@ def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
             else "finite")
     message = f"^delta must be {rule}, got {delta}$"
     with pytest.raises(DomainError, match=message):
-        run_rip_check(g, dct2_operator(8), [8], delta, 10, 2, 0)
+        run_rip_check(g, RipConfig([8], delta, 10, 2), dct2_operator(8), 0)
     with pytest.raises(DomainError, match=message):
-        run_subspace_rip(dct2_operator(32), 3, [16], delta, trials=4, seed=0)
+        run_subspace_rip(SubspaceRipConfig(3, [16], delta, trials=4), dct2_operator(32), 0)
 
 
 @pytest.mark.parametrize("m_list, trials, error, message", [
@@ -365,7 +373,7 @@ def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
 def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, error, message):
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
     with pytest.raises(error, match=message):
-        run_subspace_rip(dct2_operator(32), 3, m_list, 0.4, trials=trials, seed=0)
+        run_subspace_rip(SubspaceRipConfig(3, m_list, 0.4, trials=trials), dct2_operator(32), 0)
 
 
 @pytest.mark.parametrize("k, message", [
@@ -375,12 +383,12 @@ def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, er
 def test_subspace_rip_checks_k_before_drawing(monkeypatch, k, message):
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
     with pytest.raises(DomainError, match=message):
-        run_subspace_rip(dct2_operator(32), k, [16], 0.4, trials=4, seed=0)
+        run_subspace_rip(SubspaceRipConfig(k, [16], 0.4, trials=4), dct2_operator(32), 0)
 
 
 def test_subspace_rip_full_sampling_tiny_deviation():
     u = dct2_operator(32)
-    records, summaries, fit = run_subspace_rip(u, 3, [32], 0.4, trials=4, seed=0)
+    records, summaries, fit = run_subspace_rip(SubspaceRipConfig(3, [32], 0.4, trials=4), u, 0)
     assert all(r["deviation"] < 1e-10 for r in records)
     assert summaries[0]["exceed_freq"] == 0.0
 
@@ -388,7 +396,7 @@ def test_subspace_rip_full_sampling_tiny_deviation():
 def test_subspace_rip_decreasing_and_bound(tmp_path):
     u = dct2_operator(128)
     records, summaries, fit = run_subspace_rip(
-        u, 4, [16, 32, 64], 0.4, trials=150, seed=0
+        SubspaceRipConfig(4, [16, 32, 64], 0.4, trials=150), u, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     assert freqs[0] > freqs[-1]
