@@ -23,20 +23,22 @@ from .errors import DomainError, GcsError, check_counts, check_number
 from .linops import load_matrix, read_json
 
 
-def check_unitary_spec(spec) -> None:
-    """Raise DomainError unless spec names a unitary: dft, dct or file:<path>."""
+def check_unitary_spec(spec):
+    """spec, after checking that it names a unitary: dft, dct or file:<path>.
+    It is the type of every --unitary flag, so a bad name fails as it is
+    parsed."""
     if spec not in ("dft", "dct") and not (isinstance(spec, str) and spec.startswith("file:")):
         raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
+    return spec
 
 
 def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
     """The n x n unitary spec names; a file: unitary of another size is an error."""
-    check_unitary_spec(spec)
     if spec == "dft":
         return transforms.dft_operator(n)
     if spec == "dct":
         return transforms.dct2_operator(n)
-    path = spec[len("file:"):]
+    path = check_unitary_spec(spec)[len("file:"):]
     m = load_matrix(path)
     if m.shape != (n, n):
         raise DomainError(f"unitary {path} is {m.shape[0]}x{m.shape[1]}, expected {n}x{n}")
@@ -81,19 +83,19 @@ def cmd_coherence(args) -> int:
 def cmd_train(args) -> int:
     if args.data != "synth" and not args.data.startswith("idx:"):
         raise DomainError(f"unknown data source {args.data!r} (expected synth or idx:<images>)")
-    check_unitary_spec(args.unitary)
-    widths = _ints(args.arch)
-    gnn.check_widths(widths)
+    gnn.check_widths(args.arch)
     check_number("--epochs", args.epochs, 1, integer=True)
     config = _from_flags(training.TrainConfig, args)
-    u = resolve_unitary(args.unitary, widths[-1]) if args.regularized else None
+    # A bad synth size, like a bad --unitary name, fails before a file: unitary is read.
     if args.data == "synth":
-        data = training.synth_dataset(
-            widths[-1], args.synth_k, args.synth_count, sampling.spawn_seed(args.seed, 999)
-        )
+        training.check_synth_dataset(args.arch[-1], args.synth_k, args.synth_count)
+    u = resolve_unitary(args.unitary, args.arch[-1]) if args.regularized else None
+    if args.data == "synth":
+        data = training.synth_dataset(args.arch[-1], args.synth_k, args.synth_count,
+                                      sampling.spawn_seed(args.seed, 999))
     else:
         data = training.load_idx(args.data[len("idx:"):])
-    model = training.train_vae(data, widths, config, u, args.seed)
+    model = training.train_vae(data, args.arch, config, u, args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
@@ -101,6 +103,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    check_number("--m", args.m, sampling.MIN_M[args.model], integer=True)
     check_number("--noise", args.noise, 0)
     cfg = _from_flags(recovery.RecoveryConfig, args)
     g = gnn.load_network(args.weights)
@@ -285,7 +288,7 @@ def cmd_rip(args) -> int:
 
 def cmd_subspace_rip(args) -> int:
     cfg = _from_flags(harness.SubspaceRipConfig, args)
-    u = resolve_unitary(args.unitary, args.n)
+    u = resolve_unitary(args.unitary, cfg.n)
     records, summaries, fit = harness.run_subspace_rip(cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
@@ -303,16 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coherence", help="coherence report for a weight file")
     c.add_argument("--weights", required=True)
-    c.add_argument("--unitary", default="dct")
+    c.add_argument("--unitary", type=check_unitary_spec, default="dct")
     c.add_argument("--mc-samples", type=int, default=10000)
     c.set_defaults(fn=cmd_coherence)
 
     t = sub.add_parser("train", help="train a small VAE")
     t.add_argument("--data", default="synth", help="synth | idx:<images> (IDX images only)")
-    t.add_argument("--arch", required=True, help="comma widths, e.g. 8,32,64")
+    t.add_argument("--arch", type=_ints, required=True, help="comma widths, e.g. 8,32,64")
     t.add_argument("--regularized", action="store_true")
     _config_flags(t, training.TrainConfig)
-    t.add_argument("--unitary", default="dct")
+    t.add_argument("--unitary", type=check_unitary_spec, default="dct")
     t.add_argument("--synth-count", dest="synth_count", type=int, default=2000)
     t.add_argument("--synth-k", dest="synth_k", type=int, default=4)
     t.add_argument("--out", required=True)
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="recover a random in-range signal")
     r.add_argument("--weights", required=True)
-    r.add_argument("--unitary", default="dct")
+    r.add_argument("--unitary", type=check_unitary_spec, default="dct")
     r.add_argument("--model", default="fixed", choices=list(sampling.MIN_M))
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--noise", type=float, default=0.0)
@@ -337,13 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ri = sub.add_parser("rip", help="Monte-Carlo RIP check over sampled chords")
     ri.add_argument("--weights", required=True)
-    ri.add_argument("--unitary", default="dft")
+    ri.add_argument("--unitary", type=check_unitary_spec, default="dft")
     _config_flags(ri, harness.RipConfig)
     ri.set_defaults(fn=cmd_rip)
 
     sr = sub.add_parser("subspace-rip", help="exact subspace RIP concentration")
-    sr.add_argument("--unitary", default="dft")
-    sr.add_argument("--n", type=int, required=True)
+    sr.add_argument("--unitary", type=check_unitary_spec, default="dft")
     _config_flags(sr, harness.SubspaceRipConfig)
     sr.set_defaults(fn=cmd_subspace_rip)
 
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # Inside the try: a list flag's entries are checked as it is parsed.
+        # Inside the try: a list flag's entries and a --unitary name are
+        # checked as they are parsed.
         args = build_parser().parse_args(argv)
         check_number("--seed", args.seed, 0, integer=True)  # numpy takes no negative seed
         # An output directory that cannot be made, or a train output file

@@ -43,11 +43,12 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
     return [fn(i) for i in range(count)]
 
 
-def check_trial_grid(m_list, trials) -> None:
-    """Raise DomainError unless m_list is a nonempty list of distinct integers
-    and trials an integer >= 1: the half of the trial grid's check that needs
-    no n, which every config runs when it is built, before any file is read.
-    Records and summaries are keyed by m, so an m may appear only once.
+def check_trial_grid(m_list, trials, model: str) -> None:
+    """Raise DomainError unless m_list is a nonempty list of distinct integers,
+    trials an integer >= 1 and model a sampling model: the half of the trial
+    grid's check that needs no n, which every config runs when it is built,
+    before any file is read. Records and summaries are keyed by m, so an m
+    may appear only once.
     """
     if not isinstance(m_list, list):
         raise DomainError(f"m_list must be a list of integers, got {m_list!r}")
@@ -58,6 +59,7 @@ def check_trial_grid(m_list, trials) -> None:
         if m in m_list[:i]:
             raise DomainError(f"m = {m} appears twice in the m grid")
     check_counts(trials=trials)
+    sampler_for(model)  # rejects an unknown sampling model
 
 
 def check_grid(model: str, m_list: list, n: int):
@@ -143,8 +145,7 @@ class PhaseConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_trial_grid(self.m_list, self.trials)
-        sampler_for(self.model)  # rejects an unknown sampling model
+        check_trial_grid(self.m_list, self.trials, self.model)
         if not (isinstance(self.betas, list) and self.betas):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
         for beta in self.betas:
@@ -228,8 +229,7 @@ class SweepConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_trial_grid(self.m_list, self.trials)
-        sampler_for(self.model)  # rejects an unknown sampling model
+        check_trial_grid(self.m_list, self.trials, self.model)
 
 
 def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) -> None:
@@ -288,9 +288,10 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _check_rip(cfg) -> None:
-    """Check the m grid, trials and 0 < delta < 1 of a RIP config."""
-    check_trial_grid(cfg.m_list, cfg.trials)
+def _check_rip(cfg, model: str) -> None:
+    """Check the m grid, trials, sampling model and 0 < delta < 1 of a RIP
+    config."""
+    check_trial_grid(cfg.m_list, cfg.trials, model)
     check_number("delta", cfg.delta, positive=True)
     if not cfg.delta < 1:  # the RIP is stated for 0 < delta < 1
         raise DomainError(f"delta must be in (0, 1), got {cfg.delta}")
@@ -324,8 +325,7 @@ class RipConfig:
 
     def __post_init__(self):
         check_counts(chord_samples=self.chord_samples)
-        _check_rip(self)
-        sampler_for(self.model)  # rejects an unknown sampling model
+        _check_rip(self, self.model)
 
 
 def run_rip_check(g: GenerativeNetwork, cfg: RipConfig, u: UnitaryOperator,
@@ -360,36 +360,37 @@ def run_rip_check(g: GenerativeNetwork, cfg: RipConfig, u: UnitaryOperator,
 
 @dataclass(frozen=True)
 class SubspaceRipConfig:
+    n: int
     k: int
     m_list: list
     delta: float = 0.4
     trials: int = 300
 
     def __post_init__(self):
+        check_counts(n=self.n)
         check_number("k", self.k, integer=True)
-        if self.k < 1:
+        if not 1 <= self.k <= self.n:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}")
-        _check_rip(self)
+        _check_rip(self, "bernoulli")
+        check_grid("bernoulli", self.m_list, self.n)
+        check_array_size(f"n={self.n} rows of k={self.k}", self.n, self.k)
 
 
 def run_subspace_rip(cfg: SubspaceRipConfig, u: UnitaryOperator,
                      seed: int) -> tuple[list[dict], list[dict], dict]:
     """Exact subspace RIP simulation against the incoherent-subspace tail.
 
-    Fixes one seeded random k-dim subspace, computes its exact coherence, then
-    per (m, trial) draws a Bernoulli subsample and evaluates the deviation
-    ||(n/m) * B_J^* B_J - I_k|| exactly (B = U Q in subspace coordinates).
-    The config holds the checked values; here k and every m are checked
-    against n.
+    Fixes one seeded random k-dim subspace of R^n, computes its exact
+    coherence, then per (m, trial) draws a Bernoulli subsample and evaluates
+    the deviation ||(n/m) * B_J^* B_J - I_k|| exactly (B = U Q in subspace
+    coordinates). The config holds every checked value, k <= n and each
+    m <= n included; a u that is not cfg.n x cfg.n raises DimensionMismatch
+    (`subspace_coherence`) before any trial.
 
     Returns (records, per-m summaries, fit) where fit carries the fitted
     constant of 2k*exp(-c*delta^2*m/(alpha^2*n)) and the log-linear R^2.
     """
-    n, k, delta = u.n, cfg.k, cfg.delta
-    if k > n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}")
-    check_grid("bernoulli", cfg.m_list, n)
-    check_array_size(f"n={n} rows of k={k}", n, k)
+    n, k, delta = cfg.n, cfg.k, cfg.delta
     q = qr_thin(derive_rng(seed, 0).standard_normal((n, k)))
     alpha = subspace_coherence(u, q)
     b_mat = u.apply(q)

@@ -41,6 +41,17 @@ def load_idx(images_path: str) -> np.ndarray:
     return pixels.reshape(count, rows * cols).astype(float) / 255.0
 
 
+def check_synth_dataset(n: int, k_true: int, count: int) -> None:
+    """Raise DomainError unless synth_dataset can draw count samples of n
+    from k_true <= n latent dimensions; `gcs train` runs it before it reads
+    a unitary file."""
+    check_number("k_true", k_true, integer=True)
+    if not 1 <= k_true <= n:
+        raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
+    check_counts(count=count)
+    check_array_size(f"count={count} samples of n={n}", count, n)
+
+
 def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.01) -> np.ndarray:
     """Hermetic MNIST stand-in, (count, n): sigmoid of random k_true-dim
     linear images plus Gaussian noise, clamped to [0, 1].
@@ -50,11 +61,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
     in cache. Consecutive row blocks of noise are the numbers one (count, n)
     draw gives, so the data do not depend on the block.
     """
-    check_number("k_true", k_true, integer=True)
-    if not 1 <= k_true <= n:
-        raise DomainError(f"need 1 <= k_true <= n, got k_true={k_true}, n={n}")
-    check_counts(count=count)
-    check_array_size(f"count={count} samples of n={n}", count, n)
+    check_synth_dataset(n, k_true, count)
     rng = derive_rng(seed)
     w = rng.standard_normal((n, k_true))
     z = rng.standard_normal((count, k_true))
@@ -169,7 +176,8 @@ class VaeModel:
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and log-variance of the latent posterior. x is (n,) or (B, n)."""
         enc, heads, _ = self.views
-        mu, lv, _, _ = _encode(enc, heads, np.atleast_2d(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        mu, lv, _, _ = _encode(enc, heads, np.atleast_2d(x))
         if x.ndim == 1:
             return mu[0], lv[0]
         return mu, lv

@@ -269,7 +269,7 @@ def test_criterion_07_phase_monotonicity():
 def test_criterion_08_subspace_rip():
     u = dct2_operator(256)
     records, summaries, fit = run_subspace_rip(
-        SubspaceRipConfig(4, [32, 64, 128], delta=0.4, trials=300), u, seed=0
+        SubspaceRipConfig(256, 4, [32, 64, 128], delta=0.4, trials=300), u, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     ok = all(a > b for a, b in zip(freqs, freqs[1:]))

@@ -198,7 +198,7 @@ def test_subspace_rip_matches_oracle(kind):
     # The DFT makes B = U Q complex, so only the real part of B_J^* B_J enters.
     u = operator(kind)
     args = (3, [4, 8, 16, 32], 0.4, 12)
-    records, summaries, _ = run_subspace_rip(SubspaceRipConfig(*args), u, 2)
+    records, summaries, _ = run_subspace_rip(SubspaceRipConfig(u.n, *args), u, 2)
     want = oracle_subspace_rip(u, *args, 2)
     assert [(r["m"], r["trial"], r["seed"]) for r in records] == [
         (m, t, 2) for m in args[1] for t in range(12)

@@ -284,6 +284,9 @@ def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch,
 MISSING_RIP = ["rip", "--weights", "missing.json", "--m-list", "8"]
 MISSING_SUBSPACE = ["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "2",
                     "--m-list", "8"]
+MISSING_TRAIN = ["train", "--arch", "2,8,16", "--regularized", "--unitary", "file:missing.json",
+                 "--out", "m.json"]
+WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
 
 
 @pytest.mark.parametrize("argv, edits, message", [
@@ -301,14 +304,29 @@ MISSING_SUBSPACE = ["subspace-rip", "--unitary", "file:missing.json", "--n", "16
     (MISSING_SUBSPACE + ["--m-list", "8,8"], {}, "m = 8 appears twice in the m grid"),
     (["coherence", "--weights", "missing.json", "--mc-samples", "0"], {},
      "samples must be >= 1, got 0"),
+    (["recover", "--weights", "missing.json", "--m", "0"], {}, "--m must be >= 1, got 0"),
+    (["recover", "--weights", "missing.json", "--unitary", "walsh", "--m", "4"], {}, WALSH),
+    (["coherence", "--weights", "missing.json", "--unitary", "walsh"], {}, WALSH),
+    (["rip", "--weights", "missing.json", "--unitary", "walsh", "--m-list", "8"], {}, WALSH),
+    (["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "20",
+      "--m-list", "8"], {}, "need 1 <= k <= n, got k=20"),
+    (["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "2",
+      "--m-list", "8,40"], {}, "need 2 <= m <= n for bernoulli sampling, got m=40, n=16"),
+    (["subspace-rip", "--unitary", "file:missing.json", "--n", "0", "--k", "2",
+      "--m-list", "8"], {}, "n must be >= 1, got 0"),
+    (MISSING_TRAIN + ["--synth-count", "0"], {}, "count must be >= 1, got 0"),
+    (MISSING_TRAIN + ["--synth-k", "40"], {}, "need 1 <= k_true <= n, got k_true=40, n=16"),
 ], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
         "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
-        "subspace-trials0", "subspace-repeated-m", "coherence-mc-samples0"])
+        "subspace-trials0", "subspace-repeated-m", "coherence-mc-samples0", "recover-m0",
+        "recover-unitary", "coherence-unitary", "rip-unitary", "subspace-k-above-n",
+        "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n"])
 def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                argv, edits, message):
     # Every config, the RIP configs built from their flags included, checks
-    # its values and its m grid's shape when it is built. Only m <= n waits
-    # for the file that gives n.
+    # its values and its m grid's shape when it is built, and every
+    # --unitary name is checked as it is parsed. Only m <= n waits for the
+    # file that gives n, the weights or the sweep's first model.
     monkeypatch.chdir(tmp_path)
     if argv[0] in ("phase", "sweep"):
         argv = [argv[0], "--config", (phase_config if argv[0] == "phase" else sweep_config)(

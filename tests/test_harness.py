@@ -175,16 +175,18 @@ def test_check_grid():
     with pytest.raises(DomainError, match="need 2 <= m <= n for bernoulli sampling, got m=1"):
         check_grid("bernoulli", [1, 4], 8)
     with pytest.raises(DomainError, match="the m grid is empty"):
-        check_trial_grid([], 1)
+        check_trial_grid([], 1, "fixed")
+    with pytest.raises(DomainError, match="unknown sampling model 'fxied'"):
+        check_trial_grid([4], 1, "fxied")
     check_grid("fixed", [np.int64(4)], 8)
-    check_trial_grid([np.int64(4)], 1)
+    check_trial_grid([np.int64(4)], 1, "fixed")
     for m in (4.0, "4", True, None):
         with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
             check_grid("fixed", [2, m], 8)
         with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
-            check_trial_grid([2, m], 1)
+            check_trial_grid([2, m], 1, "fixed")
     with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
-        check_trial_grid([2], 0)
+        check_trial_grid([2], 0, "fixed")
     check_counts(trials=np.int64(2), chord_samples=1)
     for value in (1.5, "2", True, 2.0):
         with pytest.raises(DomainError, match=f"trials must be an integer, got {value!r}"):
@@ -197,7 +199,7 @@ def test_check_grid():
 def test_check_grid_rejects_a_repeated_m(m_list, m):
     # Records and summaries are keyed by m: a repeated m would pool its trials.
     with pytest.raises(DomainError, match=f"m = {m} appears twice in the m grid"):
-        check_trial_grid(m_list, 1)
+        check_trial_grid(m_list, 1, "fixed")
 
 
 def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
@@ -208,7 +210,7 @@ def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
         run_rip_check(g, RipConfig([8, 8], 0.5, 10, 2), dct2_operator(8), 0)
     with pytest.raises(DomainError, match="m = 16 appears twice in the m grid"):
-        run_subspace_rip(SubspaceRipConfig(3, [16, 16], 0.4, trials=2), dct2_operator(32), 0)
+        SubspaceRipConfig(32, 3, [16, 16], 0.4, trials=2)
     with pytest.raises(DomainError, match="m = 8 appears twice in the m grid"):
         run_phase_portrait(INNER, W_HIGH, W_LOW,
                            replace(tiny_phase_config(), m_list=[8, 8], trials=2), PHASE_U,
@@ -361,7 +363,7 @@ def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
     with pytest.raises(DomainError, match=message):
         run_rip_check(g, RipConfig([8], delta, 10, 2), dct2_operator(8), 0)
     with pytest.raises(DomainError, match=message):
-        run_subspace_rip(SubspaceRipConfig(3, [16], delta, trials=4), dct2_operator(32), 0)
+        SubspaceRipConfig(32, 3, [16], delta, trials=4)
 
 
 @pytest.mark.parametrize("m_list, trials, error, message", [
@@ -371,9 +373,10 @@ def test_rip_checks_reject_delta_outside_unit_interval(monkeypatch, delta):
     ([16], 0, DomainError, "trials must be >= 1, got 0"),
 ])
 def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, error, message):
+    # The config holds n, so it checks every m against n when it is built.
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
     with pytest.raises(error, match=message):
-        run_subspace_rip(SubspaceRipConfig(3, m_list, 0.4, trials=trials), dct2_operator(32), 0)
+        SubspaceRipConfig(32, 3, m_list, 0.4, trials=trials)
 
 
 @pytest.mark.parametrize("k, message", [
@@ -383,12 +386,20 @@ def test_subspace_rip_checks_its_grid_and_trials(monkeypatch, m_list, trials, er
 def test_subspace_rip_checks_k_before_drawing(monkeypatch, k, message):
     monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
     with pytest.raises(DomainError, match=message):
-        run_subspace_rip(SubspaceRipConfig(k, [16], 0.4, trials=4), dct2_operator(32), 0)
+        SubspaceRipConfig(32, k, [16], 0.4, trials=4)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_subspace_rip_rejects_a_unitary_of_another_n(monkeypatch, n):
+    # The subspace lives in R^cfg.n; a u of another size fails before any trial.
+    monkeypatch.setattr("gcs.harness.run_indexed", no_compute)
+    with pytest.raises(DimensionMismatch, match="^Q must be 32 x k$"):
+        run_subspace_rip(SubspaceRipConfig(n, 3, [8], 0.4, trials=2), dct2_operator(32), 0)
 
 
 def test_subspace_rip_full_sampling_tiny_deviation():
     u = dct2_operator(32)
-    records, summaries, fit = run_subspace_rip(SubspaceRipConfig(3, [32], 0.4, trials=4), u, 0)
+    records, summaries, fit = run_subspace_rip(SubspaceRipConfig(32, 3, [32], 0.4, trials=4), u, 0)
     assert all(r["deviation"] < 1e-10 for r in records)
     assert summaries[0]["exceed_freq"] == 0.0
 
@@ -396,7 +407,7 @@ def test_subspace_rip_full_sampling_tiny_deviation():
 def test_subspace_rip_decreasing_and_bound(tmp_path):
     u = dct2_operator(128)
     records, summaries, fit = run_subspace_rip(
-        SubspaceRipConfig(4, [16, 32, 64], 0.4, trials=150), u, seed=0
+        SubspaceRipConfig(128, 4, [16, 32, 64], 0.4, trials=150), u, seed=0
     )
     freqs = [s["exceed_freq"] for s in summaries]
     assert freqs[0] > freqs[-1]

@@ -32,7 +32,8 @@ _U = dct2_operator(16)
 SEEDED = {
     "chord_coherence_mc": lambda seed: chord_coherence_mc(_NET, _U, 4, seed),
     "run_rip_check": lambda seed: run_rip_check(_NET, RipConfig([8], 0.5, 4, 1), _U, seed),
-    "run_subspace_rip": lambda seed: run_subspace_rip(SubspaceRipConfig(2, [8], 0.5, 1), _U, seed),
+    "run_subspace_rip": lambda seed: run_subspace_rip(SubspaceRipConfig(16, 2, [8], 0.5, 1),
+                                                      _U, seed),
     "synth_dataset": lambda seed: synth_dataset(16, 2, 4, seed),
     "sample_fixed": lambda seed: sample_fixed(_U, 8, seed),
     "sample_bernoulli": lambda seed: sample_bernoulli(_U, 8, seed),

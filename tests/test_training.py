@@ -298,6 +298,10 @@ def test_encoder_shapes():
     assert mu.shape == lv.shape == (2,)
     mu_b, lv_b = m.encode(np.zeros((7, 16)))
     assert mu_b.shape == lv_b.shape == (7, 2)
+    # The docstring's (n,) and (B, n) inputs are array-likes, lists included.
+    mu_l, lv_l = m.encode([0.0] * 16)
+    assert mu_l.shape == lv_l.shape == (2,)
+    np.testing.assert_array_equal(mu_l, mu)
 
 
 def test_regularized_training_lowers_coherence():
