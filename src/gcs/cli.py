@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--unitary", type=check_unitary_spec, default="dct")
     r.add_argument("--model", default="fixed", choices=list(sampling.MIN_M))
     r.add_argument("--m", type=int, required=True)
-    r.add_argument("--noise", type=float, default=0.0)
+    r.add_argument("--noise", type=float, default=0.0,
+                   help="sigma of the Gaussian noise on each real measurement: "
+                        "||eta|| ~ sigma*sqrt(2|J|) under a complex U")
     _config_flags(r, recovery.RecoveryConfig)
     r.set_defaults(fn=cmd_recover)
 

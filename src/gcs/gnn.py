@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
-from .sampling import SubsampledIsometry, apply, apply_adjoint
+from .sampling import SubsampledIsometry, apply, apply_adjoint, check_measurement
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -177,8 +177,8 @@ def objective_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of 0.5*||A G(z) - b||_2^2 over the latent z.
 
-    The gradient is the real part of the adjoint pullback A^*(A G(z) - b)
-    backpropagated through the network.
+    A is real (see `sampling.rows`), so the gradient is the pullback
+    A^T (A G(z) - b) backpropagated through the network.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.code_dim,):
@@ -186,9 +186,9 @@ def objective_value_grad(
     pre = [_layer(g, 0, z)]  # preactivations of inner layers, plus final layer output
     for i in range(1, g.depth):
         pre.append(_layer(g, i, relu(pre[-1])))
-    r = apply(a, pre[-1]) - np.asarray(b)
-    value = 0.5 * float(np.real(np.vdot(r, r)))
-    s = np.real(apply_adjoint(a, r))
+    r = apply(a, pre[-1]) - check_measurement(a, b)
+    value = 0.5 * float(r @ r)
+    s = apply_adjoint(a, r)
     for i in range(g.depth - 1, -1, -1):
         s = g.weights[i].T @ s
         if i > 0:

@@ -62,6 +62,13 @@ def check_trial_grid(m_list, trials, model: str) -> None:
     sampler_for(model)  # rejects an unknown sampling model
 
 
+def check_unitary_n(u: UnitaryOperator, n: int) -> None:
+    """Raise DimensionMismatch unless u is n x n, for a problem in R^n. The
+    sweep and the subspace RIP check run it before any draw."""
+    if u.n != n:
+        raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
+
+
 def check_grid(model: str, m_list: list, n: int):
     """The sampler for a sampling model, after checking every grid m against
     n: the half of the trial grid's check that needs n, which each driver
@@ -250,13 +257,14 @@ def run_measurement_sweep(
     """Per (model, m, trial): fresh A from rows of u, target G(E(x_sharp)),
     recover, record rre; every trial's stream derives from seed.
 
-    The grid and the test samples' count and dimension are checked before
-    any trial is built. The models are the rows of the trial grid
-    (`_recover_grid`), whatever the decoders' shapes. Returns (trial
+    The test samples' count and dimension, the size of u and the grid are
+    checked before any trial is built. The models are the rows of the trial
+    grid (`_recover_grid`), whatever the decoders' shapes. Returns (trial
     records, per-(model, m) geometric summaries).
     """
-    sampler = check_grid(cfg.model, cfg.m_list, u.n)
     check_test_data(*test_samples.shape, models)
+    check_unitary_n(u, test_samples.shape[1])
+    sampler = check_grid(cfg.model, cfg.m_list, u.n)
 
     def trial(gi, mi, t):
         name, model = models[gi]
@@ -336,8 +344,6 @@ def run_rip_check(g: GenerativeNetwork, cfg: RipConfig, u: UnitaryOperator,
     | ||Ax||_2 - 1 | and whether it exceeds delta. The config holds the
     checked values; here the network and every m are checked against u.
     """
-    if g.biases is not None:
-        raise DomainError("RIP check needs a bias-free network")
     check_array_size(f"chord_samples={cfg.chord_samples} chords of up to {max(g.widths)}",
                      cfg.chord_samples, max(g.widths))
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
@@ -385,12 +391,13 @@ def run_subspace_rip(cfg: SubspaceRipConfig, u: UnitaryOperator,
     the deviation ||(n/m) * B_J^* B_J - I_k|| exactly (B = U Q in subspace
     coordinates). The config holds every checked value, k <= n and each
     m <= n included; a u that is not cfg.n x cfg.n raises DimensionMismatch
-    (`subspace_coherence`) before any trial.
+    (`check_unitary_n`) before any draw.
 
     Returns (records, per-m summaries, fit) where fit carries the fitted
     constant of 2k*exp(-c*delta^2*m/(alpha^2*n)) and the log-linear R^2.
     """
     n, k, delta = cfg.n, cfg.k, cfg.delta
+    check_unitary_n(u, n)
     q = qr_thin(derive_rng(seed, 0).standard_normal((n, k)))
     alpha = subspace_coherence(u, q)
     b_mat = u.apply(q)

@@ -10,13 +10,14 @@ latent block Z that stacks one latent vector, a column, per (problem,
 restart) pair; `recover` is a one-problem call of it. Each problem has its
 own network, so a whole phase portrait or sweep runs as one batch.
 
-Columns whose networks share widths, and whose unitaries share a dtype,
-run in one loop (`_lockstep`). A column's measurement and residual take its
-unitary's dtype, so a complex measurement under a real unitary is rejected.
-Within a loop, the columns with equal |J| form a group, whatever their
-unitaries, and columns are sorted by network, then group. Each column keeps
-its own rows U[J], measurement b, Adam step count, early stop and
-nonfinite-restart accounting.
+Columns whose networks share widths run in one loop (`_lockstep`), in
+float64 only: a column's rows U[J] are `sampling.rows`, which gives a
+complex U's rows as [Re U_J; Im U_J], so measurements and residuals are
+real and a complex measurement is rejected. Within a loop, the columns with
+equal |J|, counted in real rows, form a group, whatever their unitaries,
+and columns are sorted by network, then group. Each column keeps its own
+rows U[J], measurement b, Adam step count, early stop and nonfinite-restart
+accounting.
 
 Each time the set of columns in flight changes, the loop builds a plan
 (`_Plan`). It gathers the columns' rows and measurements and preallocates
@@ -70,7 +71,7 @@ from .errors import DimensionMismatch, DomainError, GcsError, check_number
 # column without calling it; the binding stays because perfbench/instrument.py
 # wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
-from .sampling import SubsampledIsometry, apply, derive_rng
+from .sampling import SubsampledIsometry, apply, check_measurement, derive_rng, rows as sampled_rows
 from .training import adam_step
 
 SUCCESS_RRE = 1e-5
@@ -126,11 +127,11 @@ class _Plan:
     network's output x. gathers: per stretch of adjacent columns with equal
     |J| (one group's columns, or some of them), the (U_J, x, r) views, for
     r = U_J x, which then becomes the residual in place; scatters: the
-    (U_J^T, conj(r), s) views, for s = U_J^T conj(r).
+    (U_J^T, r, s) views, for s = U_J^T r.
     Each stretch's U_J is one array the plan fills column by column. b, r
-    and the row scales hold one entry per row in flight (r_conj is r for
-    real residuals). The rows, b and the scales are the plan's inputs: an
-    iteration reads them and nothing writes to them once the plan is built.
+    and the row scales hold one entry per row in flight. The rows, b and
+    the scales are the plan's inputs: an iteration reads them and nothing
+    writes to them once the plan is built.
     pullbacks: per layer from the last, the (w^T, input, output) views of
     each run, the output, which is the gradient over the layer's input, and
     the ReLU mask it is multiplied by; the last layer's pullback reads s.
@@ -140,12 +141,7 @@ class _Plan:
         net_of, ops, bs, _, _ = zip(*entries)
         mine = [nets[j] for j in net_of]  # each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
-        dtype = ops[0].base.dtype
-        self.s = np.empty((columns, n, 1), dtype=dtype)
-        # For complex residuals this is a strided view. The pullback must see
-        # it so: numpy's matmul rounds differently on strided operands, so a
-        # contiguous copy would not step as the column alone does.
-        self.s_real = np.real(self.s)
+        self.s = np.empty((columns, n, 1))
         self.layers, self.pullbacks, codes = [], [], {}
         h, dh, mask = z, np.empty_like(z), None
         self.grad, self.grad_t = dh, dh.transpose(0, 2, 1)
@@ -155,7 +151,7 @@ class _Plan:
             runs = [(a, b, *pairs[a]) for a, b in _stretches(code)]
             out = np.empty((columns, runs[0][2].shape[0], 1))
             last = i == depth - 1
-            dout = self.s_real if last else np.empty_like(out)
+            dout = self.s if last else np.empty_like(out)
             self.layers.append(([(w, h[a:b], out[a:b]) for a, b, w, _ in runs],
                                 [(c[:, None], out[a:b]) for a, b, _, c in runs if c is not None],
                                 out, None if last else np.empty(out.shape, dtype=bool)))
@@ -163,23 +159,21 @@ class _Plan:
             h, dh, mask = out, dout, self.layers[-1][3]
         jrows = np.array([op.num_rows for op in ops], dtype=np.intp)
         self.scale = np.array([op.scale for op in ops])[:, None, None]
-        self.b = np.concatenate(bs, dtype=dtype)
+        self.b = np.concatenate(bs, dtype=float)
         self.scale_rows = np.repeat(self.scale[:, 0, 0], jrows)
-        self.r = np.empty(self.b.size, dtype=dtype)
-        self.r_conj = np.empty_like(self.r) if self.r.dtype.kind == "c" else self.r
+        self.r = np.empty(self.b.size)
         self.gathers, self.scatters, at = [], [], 0
         for start, stop in _stretches(jrows):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
-            rows = np.empty(shape[:2] + (n,), dtype=dtype)
+            rows = np.empty(shape[:2] + (n,))
             # One column at a time, so that a closed-form `rows` call's
             # temporaries stay one column's size. A problem's restarts are
             # adjacent and share one op, so they copy the rows gathered last.
             for i, op in enumerate(ops[start:stop]):
-                rows[i] = rows[i - 1] if i and op is ops[start + i - 1] else op.base.rows(op.indices)
+                rows[i] = rows[i - 1] if i and op is ops[start + i - 1] else sampled_rows(op)
             self.gathers.append((rows, h[start:stop], self.r[at:at + size].reshape(shape)))
-            self.scatters.append((rows.transpose(0, 2, 1), self.r_conj[at:at + size].reshape(shape),
-                                  self.s[start:stop]))
+            self.scatters.append((rows.transpose(0, 2, 1), self.gathers[-1][2], self.s[start:stop]))
             at += size
         self.norm = np.empty((columns, 1, 1))
         self.keep, self.finite = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
@@ -204,12 +198,8 @@ def _block_grad(plan, z):
     # r = scale*(U_J x) - b, one entry per row in flight.
     plan.r *= plan.scale_rows
     plan.r -= plan.b
-    if plan.r_conj is not plan.r:
-        np.conjugate(plan.r, out=plan.r_conj)
-    # Re(U_J^* r) = Re(U_J^T conj(r)): the same products up to exact sign
-    # flips, without a conjugated copy of the rows.
-    for rows_t, r_conj, s in plan.scatters:
-        np.matmul(rows_t, r_conj, out=s)
+    for rows_t, r, s in plan.scatters:
+        np.matmul(rows_t, r, out=s)
     plan.s *= plan.scale
     for runs, out, mask in plan.pullbacks:
         for w_t, s, part in runs:
@@ -225,31 +215,30 @@ def _lockstep(nets, queue, config):
 
     queue: per column (net, op, b, seed, restart): the column runs nets[net]
     from derive_rng(seed, restart) and measures x by op against b. Every
-    column's network has the widths, and its unitary the dtype, of the
-    first column's; the columns with equal |J| form a group.
+    column's network has the widths of the first column's; the columns with
+    equal |J| form a group.
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite.
     """
-    widths, dtype = nets[queue[0][0]].widths, queue[0][1].base.dtype
+    widths = nets[queue[0][0]].widths
     k, n = widths[0], widths[-1]
     # What a queued column costs in flight, transients included. Each row costs
-    # its entries of U, its measurement, its residual (first the product U_J x)
-    # and its conjugate, one entry to spare and its scale; each column one
-    # entry to spare, its gradient through U_J, 512 bytes of Python objects and
-    # six floats per layer width, which cover the plan's activations, ReLU
-    # masks and gradients, the latent vector, both moments and the Adam
-    # scratch. With eight rows per column this counts 5.4 kB per column besides
-    # U at the desk widths and 19.4 kB for 8-32-256 with the DFT. Tracemalloc
-    # puts what a column holds, its state, its share of the plan and of one
-    # iteration's transients, at 1.9-2.9 and 11.7-11.8 kB besides U (64 to
-    # 1,024 columns). The counted figures are kept, so that the columns in
-    # flight stay comparable with earlier measurements. One column's `rows`
+    # its entries of U, its measurement, its residual (first the product U_J x),
+    # two entries to spare and its scale; each column one entry to spare, its
+    # gradient through U_J, 512 bytes of Python objects and six floats per
+    # layer width, which cover the plan's activations, ReLU masks and
+    # gradients, the latent vector, both moments and the Adam scratch. With
+    # eight rows per column this counts 5.4 kB per column besides U at the
+    # desk widths. Tracemalloc puts what a column holds, its state, its share
+    # of the plan and of one iteration's transients, at 1.9-2.9 kB besides U
+    # (64 to 1,024 columns). The counted figures are kept, so that the columns
+    # in flight stay comparable with earlier measurements. One column's `rows`
     # call, at most three arrays of that column's rows, is set aside.
-    row_bytes = (n + 4) * dtype.itemsize + 8
-    column_bytes = (n + 1) * dtype.itemsize + 512 + 6 * 8 * sum(widths)
+    row_bytes = (n + 4) * 8 + 8
+    column_bytes = (n + 1) * 8 + 512 + 6 * 8 * sum(widths)
     jrows = np.array([op.num_rows for _, op, *_ in queue])
     cost = jrows * row_bytes + column_bytes
-    room = BLOCK_BYTES - 3 * int(jrows.max()) * n * dtype.itemsize
+    room = BLOCK_BYTES - 3 * int(jrows.max()) * n * 8
     out = [None] * len(queue)
     pos = held = 0
     # Per column in flight, in order: its queue position, its Adam step
@@ -330,19 +319,16 @@ def recover_batch(
     for g, a, b in zip(gs, ops, bs):
         if a.base.n != g.ambient_dim:
             raise DimensionMismatch(f"operator dim {a.base.n}, network output dim {g.ambient_dim}")
-        if b.shape[0] != a.num_rows:
-            raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
-        if not np.can_cast(b.dtype, a.base.dtype):
-            raise DomainError(f"a {b.dtype} measurement does not fit a {a.base.dtype} unitary")
+        check_measurement(a, b)
     # Distinct networks by first appearance.
     nets = list({id(g): g for g in gs}.values())
     index = {id(g): j for j, g in enumerate(nets)}
     net_of = [index[id(g)] for g in gs]
     restarts = config.restarts
     loops, finals = {}, {}
-    for i, (g, a) in enumerate(zip(gs, ops)):
+    for i, g in enumerate(gs):
         # Biases are per run, so biased and unbiased networks mix.
-        loops.setdefault((tuple(g.widths), a.base.dtype), []).append(i)
+        loops.setdefault(tuple(g.widths), []).append(i)
     for problems in loops.values():
         # Sorted by network, then |J| in order of first appearance: each
         # layer then costs one product per network per iteration, however

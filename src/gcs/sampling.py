@@ -46,7 +46,8 @@ class SubsampledIsometry:
 
     @property
     def num_rows(self) -> int:
-        return int(self.indices.size)
+        """Real measurements: |J|, or 2|J| for a complex U (see `rows`)."""
+        return int(self.indices.size) * (2 if self.base.dtype.kind == "c" else 1)
 
 
 # The sampling models by name, and the smallest m each accepts; both need m <= n.
@@ -102,19 +103,41 @@ def sampler_for(model: str):
     return {"fixed": sample_fixed, "bernoulli": sample_bernoulli}[model]
 
 
+def rows(a: SubsampledIsometry) -> np.ndarray:
+    """The real rows of A before its scale: U_J for a real U, and
+    [Re U_J; Im U_J] (2|J| x n) for a complex one, whose every row then
+    gives two real measurements of a real signal."""
+    u_j = a.base.rows(a.indices)
+    return np.concatenate([u_j.real, u_j.imag]) if np.iscomplexobj(u_j) else u_j
+
+
 def apply(a: SubsampledIsometry, x: np.ndarray) -> np.ndarray:
-    """(sqrt(n/m) * <U_j, x>)_{j in J}; length-|J| output."""
+    """sqrt(n/m) * rows(a) @ x for a real x: a.num_rows real measurements."""
     x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise DomainError("a measured signal is real")
     if x.shape[0] != a.base.n:
         raise DimensionMismatch(f"operator dim {a.base.n}, vector dim {x.shape[0]}")
-    return a.scale * (a.base.rows(a.indices) @ x)
+    return a.scale * (rows(a) @ x)
+
+
+def check_measurement(a: SubsampledIsometry, b) -> np.ndarray:
+    """b as an array, after checking that it is a measurement by a: real,
+    with one entry per real row."""
+    b = np.asarray(b)
+    if np.iscomplexobj(b):
+        raise DomainError(f"measurements are real, got a {b.dtype} measurement")
+    if b.shape[0] != a.num_rows:
+        raise DimensionMismatch(f"measurement length {b.shape[0]} != |J| = {a.num_rows}")
+    return b
 
 
 def apply_adjoint(a: SubsampledIsometry, y: np.ndarray) -> np.ndarray:
+    """sqrt(n/m) * rows(a)^T @ y, the transpose of `apply`."""
     y = np.asarray(y)
     if y.shape[0] != a.num_rows:
         raise DimensionMismatch(f"expected length {a.num_rows}, got {y.shape[0]}")
-    return a.scale * (a.base.rows(a.indices).conj().T @ y)
+    return a.scale * (rows(a).T @ y)
 
 
 def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:

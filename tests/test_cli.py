@@ -25,7 +25,15 @@ from gcs.harness import RipConfig, SubspaceRipConfig
 from gcs.linops import save_matrix, write_json
 from gcs.recovery import RecoveryConfig
 from gcs.sampling import derive_rng
-from gcs.training import TrainConfig, VaeModel, load_vae, vae_to_json
+from gcs.training import (
+    TrainConfig,
+    VaeModel,
+    load_vae,
+    save_vae,
+    synth_dataset,
+    train_vae,
+    vae_to_json,
+)
 
 
 def test_resolve_unitary(tmp_path):
@@ -128,6 +136,43 @@ def test_recover_noise_flag(tmp_path, capsys):
     assert run("--noise", "0.1") == noisy != plain
     values = [*noisy["z_hat"], *noisy["x_hat"], noisy["rre"], noisy["residual"]]
     assert all(np.isfinite(values)) and noisy["residual"] > 0
+
+
+def test_recover_noise_perturbs_every_real_measurement_of_a_complex_unitary(tmp_path,
+                                                                            monkeypatch):
+    # Under the DFT each sampled row is two real measurements, Re and Im, and
+    # sigma applies to each: the imaginary-part measurements are perturbed too.
+    _, path = save_net(tmp_path, [2, 8, 16], seed=1)
+    seen = []
+    monkeypatch.setattr(cli.recovery, "recover", lambda g, a, b, *args, **kwargs:
+                        seen.append((a, b)) or {"rre": None})
+    for noise in ("0", "0.01"):
+        assert cli.main(["--seed", "2", "recover", "--weights", path, "--unitary", "dft",
+                         "--m", "6", "--noise", noise]) == 0
+    (a, plain), (_, noisy) = seen
+    assert plain.dtype == noisy.dtype == np.float64 and plain.shape == (2 * 6,) == (a.num_rows,)
+    rng = derive_rng(2, 1)
+    rng.standard_normal(2)  # the latent code of the signal
+    np.testing.assert_allclose(noisy - plain, 0.01 * rng.standard_normal(12), rtol=1e-9,
+                               atol=1e-15)
+    assert np.all(noisy[6:] != plain[6:])
+
+
+def test_dft_phase_and_sweep_rerun_byte_identically(tmp_path):
+    # Criterion 13's rerun check under a complex unitary: every file a
+    # two-trial DFT phase portrait or sweep writes is the same on a rerun.
+    data = synth_dataset(16, 2, 100, seed=1)
+    save_vae(train_vae(data, [2, 8, 16], TrainConfig(epochs=1, batch_size=32), None, 0),
+             str(tmp_path / "model.json"))
+    edits = {"unitary": "dft", "m_list": [4, 8], "trials": 2, "recovery": {"max_iters": 200}}
+    for name, config in [("phase", phase_config(tmp_path, **edits)),
+                         ("sweep", sweep_config(tmp_path, **edits))]:
+        runs = []
+        for run in range(2):
+            out = tmp_path / f"{name}-{run}"
+            assert cli.main(["--seed", "7", "--out-dir", str(out), name, "--config", config]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0] == runs[1] and f"{name}.csv" in runs[0]
 
 
 def test_train_decoder_path_keeps_json_directories(tmp_path, capsys):

@@ -22,8 +22,8 @@ from gcs.gnn import (
     save_network,
     sigmoid,
 )
-from gcs.sampling import derive_rng, sample_fixed, apply
-from gcs.transforms import dct2_operator
+from gcs.sampling import derive_rng, sample_bernoulli, sample_fixed, apply
+from gcs.transforms import dct2_operator, dft_operator, explicit_operator
 
 
 def random_network(widths, seed, biases=False):
@@ -222,6 +222,58 @@ def test_gradient_zero_at_global_minimum():
     val, grad = objective_value_grad(g, a, b, z)
     assert val == pytest.approx(0.0, abs=1e-20)
     np.testing.assert_allclose(grad, np.zeros(2), atol=1e-12)
+
+
+def complex_objective_value_grad(g, a, b, z):
+    """The objective as computed while a complex U measured in complex
+    numbers: r = sqrt(n/m) U_J G(z) - b for a complex b, the value
+    0.5*Re(r^* r) and the gradient Re(A^* r), backpropagated."""
+    def layer(i, h):
+        h = g.weights[i] @ h
+        return h if g.biases is None else h + g.biases[i]
+
+    pre = [layer(0, z)]
+    for i in range(1, g.depth):
+        pre.append(layer(i, relu(pre[-1])))
+    u_j = a.base.rows(a.indices)
+    r = a.scale * (u_j @ pre[-1]) - b
+    value = 0.5 * float(np.real(np.vdot(r, r)))
+    s = np.real(a.scale * (u_j.conj().T @ r))
+    for i in range(g.depth - 1, -1, -1):
+        s = g.weights[i].T @ s
+        if i > 0:
+            s = s * (pre[i - 1] > 0)
+    return value, s
+
+
+@pytest.mark.parametrize("unitary", ["dft-16", "dft-256", "explicit-12"])
+def test_real_objective_matches_the_complex_one(unitary):
+    # A complex U's rows enter as [Re U_J; Im U_J] and b as [Re b; Im b]:
+    # the same objective, value and gradient, as the complex residual's.
+    kind, n = unitary.split("-")
+    n = int(n)
+    rng = derive_rng(41)
+    if kind == "dft":
+        u = dft_operator(n)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u = explicit_operator(q)
+    g = random_network([3, 8, n], seed=42, biases=True)
+    checked = 0
+    for m, sampler in ((n // 2, sample_fixed), (n // 3, sample_bernoulli)):
+        a = sampler(u, m, seed=43)
+        u_j = a.base.rows(a.indices)
+        # Noise in both parts, so that Im b enters the objective.
+        noise = rng.standard_normal(u_j.shape[0]) + 1j * rng.standard_normal(u_j.shape[0])
+        b = a.scale * (u_j @ forward(g, rng.standard_normal(3))) + 0.1 * noise
+        for _ in range(3):
+            z = rng.standard_normal(3)
+            want_value, want_grad = complex_objective_value_grad(g, a, b, z)
+            value, grad = objective_value_grad(g, a, np.concatenate([b.real, b.imag]), z)
+            assert abs(value - want_value) <= 1e-12 * want_value
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+            checked += want_value > 0 and np.linalg.norm(want_grad) > 0
+    assert checked == 6
 
 
 def test_relu_and_sigmoid_basics():

@@ -321,15 +321,29 @@ def test_rip_check_monotone_exceedance():
     assert all(a >= b - se for a, b in zip(freqs, freqs[1:]))
 
 
-def test_rip_check_rejections():
+def test_rip_check_on_a_biased_network():
+    # Chords of a linear-final network are W_d (h(z1) - h(z2)) with the inner
+    # biases inside h and the final bias cancelled, so a biased network runs
+    # as a bias-free one does: against chords formed from full forward
+    # differences, under a real and a complex unitary.
     rng = derive_rng(5)
-    w = [rng.standard_normal((4, 2)), rng.standard_normal((8, 4))]
-    u = dct2_operator(8)
-    with pytest.raises(DomainError, match="RIP check needs a bias-free network"):
-        run_rip_check(
-            GenerativeNetwork(weights=w, biases=[np.zeros(4), np.zeros(8)]),
-            RipConfig([8], 0.5, 10, 2), u, 0,
-        )
+    g = GenerativeNetwork(weights=[rng.standard_normal((6, 2)), rng.standard_normal((16, 6))],
+                          biases=[rng.standard_normal(6), rng.standard_normal(16)])
+    cfg = RipConfig([4, 8, 16], 0.5, chord_samples=30, trials=3, model="fixed")
+    for u in (dct2_operator(16), dft_operator(16)):
+        records, _ = run_rip_check(g, cfg, u, seed=6)
+        want = []
+        for mi, m in enumerate(cfg.m_list):
+            for t in range(cfg.trials):
+                a = sample_fixed(u, m, spawn_seed(6, mi, t))
+                draw = derive_rng(6, mi, t, 1)
+                z1, z2 = (draw.standard_normal((2, cfg.chord_samples)) for _ in range(2))
+                chords = forward(g, z1) - forward(g, z2)
+                unit = chords / np.linalg.norm(chords, axis=0)
+                want.append(np.max(np.abs(np.linalg.norm(apply(a, unit), axis=0) - 1.0)))
+        got = [r["deviation"] for r in records]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert max(got) > 0.1
 
 
 def no_compute(*args, **kwargs):
@@ -391,10 +405,23 @@ def test_subspace_rip_checks_k_before_drawing(monkeypatch, k, message):
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_subspace_rip_rejects_a_unitary_of_another_n(monkeypatch, n):
-    # The subspace lives in R^cfg.n; a u of another size fails before any trial.
+    # The subspace lives in R^cfg.n; a u of another size fails before any draw.
     monkeypatch.setattr("gcs.harness.run_indexed", no_compute)
-    with pytest.raises(DimensionMismatch, match="^Q must be 32 x k$"):
+    monkeypatch.setattr("gcs.harness.derive_rng", no_compute)
+    with pytest.raises(DimensionMismatch, match=f"^the unitary is 32 x 32, the problem's n is {n}$"):
         run_subspace_rip(SubspaceRipConfig(n, 3, [8], 0.4, trials=2), dct2_operator(32), 0)
+
+
+def test_sweep_rejects_a_unitary_of_another_n(monkeypatch):
+    # The test data and the decoders live in R^16; a u of another size fails
+    # before any trial is built.
+    data = synth_dataset(16, 2, 100, seed=1)
+    model = train_vae(data, [2, 8, 16], TrainConfig(epochs=1, batch_size=32), None, 0)
+    for name in ("run_indexed", "derive_rng", "recover_batch"):
+        monkeypatch.setattr(f"gcs.harness.{name}", no_compute)
+    with pytest.raises(DimensionMismatch, match="^the unitary is 32 x 32, the problem's n is 16$"):
+        run_measurement_sweep([("a", model)], data, SweepConfig(m_list=[8], trials=2),
+                              dct2_operator(32), 0)
 
 
 def test_subspace_rip_full_sampling_tiny_deviation():

@@ -283,20 +283,61 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
     if unitary != "dct-complex-b":
         assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
         return
-    # A complex measurement under a real unitary is rejected, by both the
-    # batch and the scalar path, before any lockstep loop is built.
+    # Measurements are real: a complex one is rejected under every unitary,
+    # by the batch and the scalar path before any lockstep loop is built, and
+    # by the objective.
     import gcs.recovery
 
     def no_loop(*args):
         raise AssertionError("a lockstep loop was built")
 
     monkeypatch.setattr(gcs.recovery, "_lockstep", no_loop)
-    bs[1] = bs[1] + 1e-3j
-    with pytest.raises(DomainError, match="^a complex128 measurement does not fit a float64 "
-                                          "unitary$"):
-        recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-    with pytest.raises(DomainError, match="complex128 measurement"):
-        recover(g, ops[1], bs[1], config, seed=seeds[1])
+    for u in (dct2_operator(24), dft_operator(24)):
+        ops, bs, seeds, config, x0s = cell_problems(g, u, [10] * 5, seed=41,
+                                                    config=RecoveryConfig(max_iters=600))
+        bs[1] = bs[1] + 1e-3j
+        with pytest.raises(DomainError, match="^measurements are real, got a complex128 "
+                                              "measurement$"):
+            recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
+        for solve in (lambda a, b: recover(g, a, b, config, seed=seeds[1]),
+                      lambda a, b: objective_value_grad(g, a, b, np.zeros(3))):
+            with pytest.raises(DomainError, match="^measurements are real"):
+                solve(ops[1], bs[1])
+
+
+def test_dft_plan_allocates_only_real_buffers(monkeypatch):
+    # A complex U's rows enter a plan as [Re U_J; Im U_J]: its rows,
+    # measurements, residuals and gradients are float64 (masks and flags
+    # bool), and each gathered row block holds 2|J| real rows.
+    import gcs.recovery
+
+    plans = []
+
+    class Recorded(gcs.recovery._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
+    g = small_network([3, 10, 24], seed=40, biases=True)
+    ops, bs, seeds, config, x0s = cell_problems(g, dft_operator(24), [6, 10] * 2, seed=41,
+                                                config=RecoveryConfig(max_iters=200))
+    assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+
+    assert plans
+    for plan in plans:
+        dtypes = {a.dtype for value in vars(plan).values() for a in arrays(value)}
+        assert dtypes == {np.dtype(np.float64), np.dtype(bool)}
+        assert {rows.shape[1] for rows, _, _ in plan.gathers} <= {12, 20}
+        assert plan.r.size == plan.b.size == sum(rows.shape[0] * rows.shape[1]
+                                                 for rows, _, _ in plan.gathers)
 
 
 def test_capacity_of_the_desk_queues(monkeypatch):

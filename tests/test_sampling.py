@@ -83,11 +83,17 @@ def test_fixed_full_m_preserves_norm():
 
 
 def test_apply_matches_manual_row_selection():
+    # A complex row gives two real measurements: A x is sqrt(n/m) times the
+    # real parts of the row products, then their imaginary parts.
     u = dft_operator(12)
     a = sample_bernoulli(u, 6, seed=9)
     x = np.random.default_rng(1).standard_normal(12)
-    manual = math.sqrt(12 / 6) * np.array([u.matrix[j] @ x for j in a.indices])
+    products = np.array([u.matrix[j] @ x for j in a.indices])
+    manual = math.sqrt(12 / 6) * np.concatenate([products.real, products.imag])
+    assert a.num_rows == 2 * a.indices.size
     np.testing.assert_allclose(apply(a, x), manual, atol=1e-12)
+    with pytest.raises(DomainError, match="^a measured signal is real$"):
+        apply(a, x + 0j)
 
 
 def test_adjoint_is_conjugate_transpose():
@@ -95,10 +101,10 @@ def test_adjoint_is_conjugate_transpose():
     a = sample_fixed(u, 5, seed=2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10)
-    y = rng.standard_normal(5)
-    # <Ax, y> == <x, A*y>
-    lhs = np.vdot(apply(a, x), y)
-    rhs = np.vdot(x, apply_adjoint(a, y))
+    y = rng.standard_normal(a.num_rows)
+    # A is real, so its adjoint is its transpose: <Ax, y> == <x, A^T y>.
+    lhs = apply(a, x) @ y
+    rhs = x @ apply_adjoint(a, y)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -124,13 +124,20 @@ def test_fft_dct_of_complex_input():
 def test_apply_adjoint_matches_dense_product(n, make, shape):
     # sampling.apply_adjoint reads U_J through rows(): a gather below
     # FFT_MIN_N, the closed form from it on. Either way it is the dense
-    # product sqrt(n/m) * U_J^* y.
+    # product sqrt(n/m) * U_J^T y for a real U. A complex U's rows enter as
+    # [Re U_J; Im U_J], so for y = [y1; y2] it is
+    # sqrt(n/m) * Re(U_J^* (y1 + i y2)).
     u = make(n)
     a = sample_fixed(u, 32, seed=n)
+    u_j = u.matrix[a.indices]
     rng = np.random.default_rng(n)
     y = rng.standard_normal((32, *shape)) + 1j * rng.standard_normal((32, *shape))
-    for y in (y, y.real):
-        want = a.scale * (u.matrix[a.indices].conj().T @ y)
+    if np.iscomplexobj(u_j):
+        pairs = [(np.concatenate([y.real, y.imag]), np.real(u_j.conj().T @ y))]
+    else:
+        pairs = [(y, u_j.T @ y), (y.real, u_j.T @ y.real)]
+    for y, want in pairs:
+        want = a.scale * want
         np.testing.assert_allclose(apply_adjoint(a, y), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -141,7 +148,7 @@ def test_apply_adjoint_builds_no_dense_matrix_at_n1024(make):
     # operator evaluates only its 8 rows.
     u = make(1024)
     a = sample_fixed(u, 8, seed=8)
-    y = np.random.default_rng(8).standard_normal(8) + 0j
+    y = np.random.default_rng(8).standard_normal(a.num_rows)
     tracemalloc.start()
     try:
         apply_adjoint(a, y)
