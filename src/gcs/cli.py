@@ -72,15 +72,14 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, default=np.ndarray.tolist))
 
 
-def cmd_coherence(args) -> int:
+def cmd_coherence(args) -> None:
     check_counts(samples=args.mc_samples)
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     _print_json(coh.coherence_report(g, u, args.mc_samples, args.seed))
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if args.data != "synth" and not args.data.startswith("idx:"):
         raise DomainError(f"unknown data source {args.data!r} (expected synth or idx:<images>)")
     gnn.check_widths(args.arch)
@@ -99,10 +98,9 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     training.save_vae(model, args.out, _decoder_path(args.out))
     print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
-    return 0
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> None:
     check_number("--m", args.m, sampling.MIN_M[args.model], integer=True)
     check_number("--noise", args.noise, 0)
     cfg = _from_flags(recovery.RecoveryConfig, args)
@@ -120,7 +118,6 @@ def cmd_recover(args) -> int:
             raise DomainError(f"--noise {args.noise} overflows the measurement b")
     res = recovery.recover(g, a, b, cfg, x0=x0, seed=sampling.spawn_seed(args.seed, 2))
     _print_json({**res, "success": res["rre"] is not None and res["rre"] < recovery.SUCCESS_RRE})
-    return 0
 
 
 def _block(obj, where: str, required=()) -> dict:
@@ -202,7 +199,7 @@ def _load_config(path: str, cls, what: str, files):
     return cfg_json, cls(**values)
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> None:
     cfg_json, cfg = _load_config(args.config, harness.PhaseConfig, "phase",
                                  ("inner_weights", "w_high", "w_low"))
     inner = cfg_json["inner_weights"]
@@ -226,10 +223,9 @@ def cmd_phase(args) -> int:
         title="success fraction (white = all trials recovered)",
     )
     print(f"wrote {csv_path}")
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     cfg_json, cfg = _load_config(args.config, harness.SweepConfig, "sweep",
                                  ("models", "test_data"))
     if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
@@ -272,10 +268,9 @@ def cmd_sweep(args) -> int:
     harness.emit_svg_scatter(series, os.path.join(args.out_dir, "sweep.svg"),
                              title="geometric mean rre vs m (log-y)")
     print(f"wrote {os.path.join(args.out_dir, 'sweep.csv')}")
-    return 0
 
 
-def cmd_rip(args) -> int:
+def cmd_rip(args) -> None:
     cfg = _from_flags(harness.RipConfig, args)
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
@@ -283,17 +278,15 @@ def cmd_rip(args) -> int:
     harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "rip_summary.csv"))
     print(f"wrote {os.path.join(args.out_dir, 'rip.csv')}")
-    return 0
 
 
-def cmd_subspace_rip(args) -> int:
+def cmd_subspace_rip(args) -> None:
     cfg = _from_flags(harness.SubspaceRipConfig, args)
     u = resolve_unitary(args.unitary, cfg.n)
     records, summaries, fit = harness.run_subspace_rip(cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
     harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
     _print_json(fit)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +363,14 @@ def main(argv=None) -> int:
                     raise IsADirectoryError(f"cannot write to {path}: it is a directory")
         elif args.command in ("phase", "sweep", "rip", "subspace-rip"):
             check_out_dir(args.out_dir)
-        return args.fn(args)
+        args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails inside the try
+        return 0
+    except BrokenPipeError:
+        # The reader closed stdout (`gcs ... | head`): leave quietly, with
+        # stdout on devnull so that the interpreter's last flush raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GcsError, OSError) as e:
         print(f"gcs: error: {e}", file=sys.stderr)
         return 2

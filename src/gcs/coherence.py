@@ -20,14 +20,15 @@ from .errors import DimensionMismatch, DomainError, GcsError, check_counts, chec
 from .gnn import GenerativeNetwork, forward, hidden, log_region_bound  # noqa: F401
 from .linops import orthonormality_defect, qr_thin, two_to_inf_norm
 from .sampling import derive_rng
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, check_unitary_n
 
 
 def subspace_coherence(u: UnitaryOperator, q: np.ndarray) -> float:
     """Exact coherence of range(Q): ||U Q||_{2->inf} for orthonormal Q."""
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != u.n:
-        raise DimensionMismatch(f"Q must be {u.n} x k")
+    if q.ndim != 2:
+        raise DimensionMismatch(f"Q is {q.ndim}-d, not a matrix")
+    check_unitary_n(u, q.shape[0])
     if orthonormality_defect(q) > 1e-8:
         raise DomainError("columns of Q are not orthonormal to 1e-8")
     return two_to_inf_norm(u.apply(q))
@@ -38,10 +39,8 @@ def network_coherence_heuristic(g: GenerativeNetwork, u: UnitaryOperator) -> flo
     Q1 = qr_thin(W^(d)); it upper-bounds the coherence of the expanded chord
     set.
     """
-    w = g.weights[-1]
-    if w.shape[0] != u.n:
-        raise DimensionMismatch(f"final layer rows {w.shape[0]} != operator dim {u.n}")
-    return subspace_coherence(u, qr_thin(w))
+    check_unitary_n(u, g.ambient_dim)
+    return subspace_coherence(u, qr_thin(g.weights[-1]))
 
 
 class ChordSampler:
@@ -58,8 +57,7 @@ class ChordSampler:
     """
 
     def __init__(self, g: GenerativeNetwork, u: UnitaryOperator):
-        if g.ambient_dim != u.n:
-            raise DimensionMismatch(f"network output dim {g.ambient_dim} != operator dim {u.n}")
+        check_unitary_n(u, g.ambient_dim)
         self.g = g
         w = g.weights[-1]
         proj, self._gram = u.apply(w), w.T @ w
@@ -168,8 +166,9 @@ def regularizer(w: np.ndarray, u: UnitaryOperator, lam: float) -> tuple[float, n
     """
     w = np.asarray(w, dtype=float)
     check_number("lambda", lam, 0)
-    if w.ndim != 2 or w.shape[0] != u.n:
-        raise DimensionMismatch(f"W must have {u.n} rows")
+    if w.ndim != 2:
+        raise DimensionMismatch(f"W is {w.ndim}-d, not a matrix")
+    check_unitary_n(u, w.shape[0])
     n, k = w.shape
     # Each product is formed in the order of the formula, REG_ROWS rows at a
     # time, so the results are bit for bit those of whole-array products.

@@ -9,7 +9,9 @@ in the calling thread. The phase portrait's rows are its betas and the
 sweep's its models; both then recover every trial in one lockstep batch
 (`_recover_grid`). The two RIP checks run the same grid with one row.
 Experiments default to the fixed-permutation sampling model; RIP checks
-default to Bernoulli.
+default to Bernoulli. The sweep and the subspace RIP check size their
+unitary against the problem's n by `transforms.check_unitary_n`, the one
+size rule of the toolkit, before any draw.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .sampling import apply, bernoulli_rows, check_m, derive_rng, sampler_for, s
 # Not called here; bound because perfbench/instrument.py wraps these names.
 from .sampling import sample_bernoulli, sample_fixed  # noqa: F401
 from .training import VaeModel
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, check_unitary_n
 
 RRE_FLOOR = 1e-16
 
@@ -60,13 +62,6 @@ def check_trial_grid(m_list, trials, model: str) -> None:
             raise DomainError(f"m = {m} appears twice in the m grid")
     check_counts(trials=trials)
     sampler_for(model)  # rejects an unknown sampling model
-
-
-def check_unitary_n(u: UnitaryOperator, n: int) -> None:
-    """Raise DimensionMismatch unless u is n x n, for a problem in R^n. The
-    sweep and the subspace RIP check run it before any draw."""
-    if u.n != n:
-        raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
 
 
 def check_grid(model: str, m_list: list, n: int):

@@ -73,6 +73,7 @@ from .errors import DimensionMismatch, DomainError, GcsError, check_number
 from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
 from .sampling import SubsampledIsometry, apply, check_measurement, derive_rng, rows as sampled_rows
 from .training import adam_step
+from .transforms import check_unitary_n
 
 SUCCESS_RRE = 1e-5
 
@@ -317,8 +318,7 @@ def recover_batch(
         check_number("recovery seed", seed, 0, integer=True)
     bs = [np.asarray(b) for b in bs]
     for g, a, b in zip(gs, ops, bs):
-        if a.base.n != g.ambient_dim:
-            raise DimensionMismatch(f"operator dim {a.base.n}, network output dim {g.ambient_dim}")
+        check_unitary_n(a.base, g.ambient_dim)
         check_measurement(a, b)
     # Distinct networks by first appearance.
     nets = list({id(g): g for g in gs}.values())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, check_counts, check_number
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, check_unitary_n
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -116,8 +116,7 @@ def apply(a: SubsampledIsometry, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise DomainError("a measured signal is real")
-    if x.shape[0] != a.base.n:
-        raise DimensionMismatch(f"operator dim {a.base.n}, vector dim {x.shape[0]}")
+    check_unitary_n(a.base, x.shape[0])
     return a.scale * (rows(a) @ x)
 
 

@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, DomainError, GcsError, check_array_size,
 from .gnn import GenerativeNetwork, check_widths, network_to_json, relu, sigmoid, stored_widths
 from .linops import check_finite, load_json, matrix_from_json, matrix_to_json, write_json
 from .sampling import derive_rng
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, check_unitary_n
 
 IMAGE_MAGIC = 0x00000803
 
@@ -331,8 +331,8 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
         raise DomainError("cannot train on an empty dataset")
     if dim != widths[-1]:
         raise DimensionMismatch(f"data dim {dim} != decoder output {widths[-1]}")
-    if u is not None and u.n != widths[-1]:
-        raise DimensionMismatch(f"unitary dim {u.n} != decoder output {widths[-1]}")
+    if u is not None:
+        check_unitary_n(u, widths[-1])
     rng = derive_rng(seed)
     params = _init_params(widths, rng)
     grads, m, v = (np.zeros_like(params) for _ in range(3))

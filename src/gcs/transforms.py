@@ -8,6 +8,10 @@ form for the rows asked for and `apply` runs an O(n log n) FFT, so no n x n
 array is built. `matrix` is built on first use, and only those dense paths
 use it: past FFT_MIN_N no code of the toolkit builds it for the DFT or the
 DCT-II.
+
+`check_unitary_n` is the one size check wherever a unitary meets its
+problem: U acts on R^n, so every product of U with a vector, a weight
+matrix, a network or a data set first checks that U is n x n.
 """
 
 from __future__ import annotations
@@ -78,8 +82,7 @@ class UnitaryOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise DimensionMismatch(f"operator dim {self.n}, vector dim {x.shape[0]}")
+        check_unitary_n(self, x.shape[0])
         if self.n < FFT_MIN_N or self.kind == "explicit":
             return self.matrix @ x
         if self.kind == "dft":
@@ -87,6 +90,12 @@ class UnitaryOperator:
         if np.iscomplexobj(x):
             return _dct2(x.real) + 1j * _dct2(x.imag)
         return _dct2(x)
+
+
+def check_unitary_n(u: UnitaryOperator, n: int) -> None:
+    """Raise DimensionMismatch unless u is n x n, for a problem in R^n."""
+    if u.n != n:
+        raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
 
 
 # Columns per real FFT in _dct2. At n = 784, k = 200 its temporaries, the

@@ -1062,6 +1062,23 @@ def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
     assert not (tmp_path / "out" / "phase.csv").exists()
 
 
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    # `gcs ... | head` can close the pipe before gcs writes its report; gcs
+    # then exits 1 without a traceback or an error line.
+    path = str(tmp_path / "net.json")
+    save_network(GenerativeNetwork([np.ones((16, 4)), np.eye(64, 16)]), path)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gcs.cli", "coherence", "--weights", path,
+                               "--mc-samples", "10"], stdout=write_end, stderr=subprocess.PIPE,
+                              cwd=ROOT, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_subspace_rip_prints_strict_json_where_the_fit_is_undefined(tmp_path, capsys):
     # m = n keeps every row, so no trial exceeds delta and the tail fit has
     # no R^2 or slope: it prints null for them, never NaN, which is not JSON.

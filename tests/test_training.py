@@ -342,7 +342,7 @@ def test_train_config_takes_zero_regularizer_weights():
 
 
 @pytest.mark.parametrize("u, seed, error, message", [
-    (dct2_operator(8), 0, DimensionMismatch, "^unitary dim 8 != decoder output 16$"),
+    (dct2_operator(8), 0, DimensionMismatch, "^the unitary is 8 x 8, the problem's n is 16$"),
     (None, -1, DomainError, "^seed must be >= 0, got -1$"),
     (None, 1.5, DomainError, "^seed must be an integer, got 1.5$"),
 ])

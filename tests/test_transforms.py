@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcs.coherence import ChordSampler, chord_coherence_mc, regularizer
+from gcs.coherence import (
+    ChordSampler,
+    chord_coherence_mc,
+    network_coherence_heuristic,
+    regularizer,
+    subspace_coherence,
+)
 from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import GenerativeNetwork
+from gcs.harness import SubspaceRipConfig, SweepConfig, run_measurement_sweep, run_subspace_rip
+from gcs.recovery import RecoveryConfig, recover_batch
 from gcs.sampling import apply, apply_adjoint, derive_rng, sample_fixed
+from gcs.training import TrainConfig, synth_dataset, train_vae
 from gcs.transforms import (
     FFT_MIN_N,
     dct2_operator,
@@ -228,3 +237,55 @@ def test_chords_and_regularizer_stay_matrix_free_at_n4096():
     assert peak < 64 * 2**20
     assert chords.parts[0].shape == (4096, 200)
     assert 0 < alpha <= 1 and value > 0 and grad.shape == (4096, 200)
+
+
+def no_compute(*args, **kwargs):
+    raise AssertionError("computed before the unitary's size was checked")
+
+
+NET_16 = GenerativeNetwork([np.ones((8, 2)), np.ones((16, 8))])
+DATA_16 = synth_dataset(16, 2, 20, seed=1)
+APPLY = "gcs.transforms.UnitaryOperator.apply"
+
+
+def _sweep(u):
+    model = train_vae(DATA_16, [2, 8, 16], TrainConfig(epochs=1, batch_size=8), None, 0)
+    return run_measurement_sweep([("a", model)], DATA_16, SweepConfig(m_list=[8], trials=2), u, 0)
+
+
+# Each entry point where a unitary meets a problem in R^n, with the QR, FFT,
+# draw or loop step that it must not reach before its size check (at n = 32
+# `apply` itself has only its dense product to reach).
+SIZE_CHECKED = {
+    "UnitaryOperator.apply": (lambda u: u.apply(np.zeros(16)), []),
+    "sampling.apply": (lambda u: apply(sample_fixed(u, 8, 0), np.zeros(16)),
+                       ["gcs.sampling.rows"]),
+    "subspace_coherence": (lambda u: subspace_coherence(u, np.eye(16, 3)),
+                           ["gcs.coherence.orthonormality_defect", APPLY]),
+    "network_coherence_heuristic": (lambda u: network_coherence_heuristic(NET_16, u),
+                                    ["gcs.coherence.qr_thin", APPLY]),
+    "ChordSampler": (lambda u: ChordSampler(NET_16, u), [APPLY]),
+    "regularizer": (lambda u: regularizer(np.eye(16, 3), u, 0.1), [APPLY]),
+    "train_vae": (lambda u: train_vae(DATA_16, [2, 8, 16], TrainConfig(epochs=1), u, 0),
+                  ["gcs.training.derive_rng", "gcs.training._init_params"]),
+    "recover_batch": (lambda u: recover_batch([NET_16], [sample_fixed(u, 8, 0)], [np.zeros(8)],
+                                              [0], RecoveryConfig(), [None]),
+                      ["gcs.recovery.derive_rng", "gcs.recovery.sampled_rows"]),
+    "run_measurement_sweep": (_sweep, ["gcs.harness.derive_rng", "gcs.harness.run_indexed",
+                                       "gcs.harness.recover_batch"]),
+    "run_subspace_rip": (lambda u: run_subspace_rip(SubspaceRipConfig(16, 3, [8], 0.4, trials=2),
+                                                    u, 0),
+                         ["gcs.harness.derive_rng", "gcs.harness.run_indexed"]),
+}
+
+
+@pytest.mark.parametrize("site", SIZE_CHECKED)
+def test_every_site_checks_the_unitary_size_by_one_rule(monkeypatch, site):
+    # A 32 x 32 DCT against a problem in R^16: every entry point raises the
+    # one message of check_unitary_n before it computes anything.
+    call, steps = SIZE_CHECKED[site]
+    u = dct2_operator(32)
+    for step in steps:
+        monkeypatch.setattr(step, no_compute)
+    with pytest.raises(DimensionMismatch, match="^the unitary is 32 x 32, the problem's n is 16$"):
+        call(u)
