@@ -24,25 +24,24 @@ from .linops import load_matrix, read_json
 
 
 def check_unitary_spec(spec):
-    """spec, after checking that it names a unitary: dft, dct or file:<path>.
-    It is the type of every --unitary flag, so a bad name fails as it is
-    parsed."""
-    if spec not in ("dft", "dct") and not (isinstance(spec, str) and spec.startswith("file:")):
-        raise DomainError(f"unknown unitary {spec!r} (expected dft, dct, or file:<path>)")
+    """spec, after checking that it names a unitary: a name in
+    `transforms.KINDS` or file:<path>. It is the type of every --unitary
+    flag, so a bad name fails as it is parsed."""
+    if not (isinstance(spec, str)
+            and (spec in transforms.KINDS or spec.startswith("file:") and spec != "file:")):
+        raise DomainError(f"unknown unitary {spec!r} "
+                          f"(expected {', '.join(transforms.KINDS)}, or file:<path>)")
     return spec
 
 
 def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
-    """The n x n unitary spec names; a file: unitary of another size is an error."""
-    if spec == "dft":
-        return transforms.dft_operator(n)
-    if spec == "dct":
-        return transforms.dct2_operator(n)
-    path = check_unitary_spec(spec)[len("file:"):]
-    m = load_matrix(path)
-    if m.shape != (n, n):
-        raise DomainError(f"unitary {path} is {m.shape[0]}x{m.shape[1]}, expected {n}x{n}")
-    return transforms.explicit_operator(m)
+    """The unitary spec names, for a problem in R^n: the table kind of size
+    n, or the file: matrix, which `transforms.check_unitary_n` checks is n x n."""
+    if check_unitary_spec(spec) in transforms.KINDS:
+        return transforms.UnitaryOperator(spec, n)
+    u = load_matrix(spec[len("file:"):], transforms.explicit_operator)
+    transforms.check_unitary_n(u, n)
+    return u
 
 
 def check_out_dir(path: str) -> None:

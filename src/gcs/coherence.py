@@ -57,7 +57,6 @@ class ChordSampler:
     """
 
     def __init__(self, g: GenerativeNetwork, u: UnitaryOperator):
-        check_unitary_n(u, g.ambient_dim)
         self.g = g
         w = g.weights[-1]
         proj, self._gram = u.apply(w), w.T @ w
@@ -168,7 +167,6 @@ def regularizer(w: np.ndarray, u: UnitaryOperator, lam: float) -> tuple[float, n
     check_number("lambda", lam, 0)
     if w.ndim != 2:
         raise DimensionMismatch(f"W is {w.ndim}-d, not a matrix")
-    check_unitary_n(u, w.shape[0])
     n, k = w.shape
     # Each product is formed in the order of the formula, REG_ROWS rows at a
     # time, so the results are bit for bit those of whole-array products.

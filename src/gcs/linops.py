@@ -193,5 +193,7 @@ def save_matrix(m: np.ndarray, path: str) -> None:
     write_json(matrix_to_json(m), path)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    return load_json(path, matrix_from_json)
+def load_matrix(path: str, build=np.asarray):
+    """build(the matrix in a file); an error that build raises names the
+    file, as load_json names it for every bad file."""
+    return load_json(path, lambda obj: build(matrix_from_json(obj)))

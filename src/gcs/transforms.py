@@ -1,13 +1,19 @@
-"""Unitary reference operators (DFT, orthonormal DCT-II, explicit).
+"""Unitary reference operators: the built-in kinds of `KINDS`, and explicit.
 
-An explicit operator holds the matrix it is given. The DFT and the DCT-II
-hold no matrix: their entries have closed forms, one function per kind.
-Below FFT_MIN_N, `rows` gathers from the dense `matrix` and `apply` is the
-dense product `matrix @ x`; from FFT_MIN_N on, `rows` evaluates the closed
-form for the rows asked for and `apply` runs an O(n log n) FFT, so no n x n
-array is built. `matrix` is built on first use, and only those dense paths
-use it: past FFT_MIN_N no code of the toolkit builds it for the DFT or the
-DCT-II.
+`KINDS` is the one table of built-in unitaries, keyed by the names that
+`--unitary` and a config's `unitary` take (`dft`, the DFT, and `dct`, the
+orthonormal DCT-II). Each entry says what its unitary is: `rows(n, j)`, the
+closed form of rows j; `apply(x)`, the O(n log n) product with x along axis
+0; and `dtype`, the type of its entries. `UnitaryOperator` reads the table
+for every kind in it, and the CLI's name check and resolver read its names.
+
+An explicit operator holds the matrix it is given. A table kind holds no
+matrix: below FFT_MIN_N, `rows` gathers from the dense `matrix` and `apply`
+is the dense product `matrix @ x`; from FFT_MIN_N on, `rows` evaluates the
+closed form for the rows asked for and `apply` runs the table's FFT, so no
+n x n array is built. `matrix` is built on first use, and only those dense
+paths use it: past FFT_MIN_N no code of the toolkit builds it for a table
+kind.
 
 `check_unitary_n` is the one size check wherever a unitary meets its
 problem: U acts on R^n, so every product of U with a vector, a weight
@@ -16,12 +22,13 @@ matrix, a network or a data set first checks that U is n x n.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, check_counts
 from .linops import check_finite, orthonormality_defect
 
 # Smallest n at which apply() runs an FFT and rows() evaluates the closed
@@ -46,58 +53,6 @@ def _dct_rows(n: int, j: np.ndarray) -> np.ndarray:
     return d
 
 
-_ROWS = {"dft": _dft_rows, "dct": _dct_rows}
-
-
-@dataclass(frozen=True)
-class UnitaryOperator:
-    kind: str  # "dft" | "dct" | "explicit"
-    n: int
-    given: np.ndarray | None = field(default=None, repr=False)  # an explicit U's matrix
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n matrix; built on first use for the DFT and DCT-II."""
-        if self.kind == "explicit":
-            return self.given
-        return _ROWS[self.kind](self.n, np.arange(self.n))
-
-    @property
-    def dtype(self) -> np.dtype:
-        """complex for the DFT, real for the DCT-II, the given matrix's otherwise."""
-        if self.kind == "explicit":
-            return self.given.dtype
-        return np.dtype(complex if self.kind == "dft" else float)
-
-    def rows(self, j) -> np.ndarray:
-        """Rows j of U, equal to `matrix[j]`: j is a row number in [0, n),
-        a 1-D row set, or a 2-D stack of row sets. A row number outside
-        [0, n) raises IndexError on every path; none wraps."""
-        j = np.asarray(j)
-        if j.size and (j.min() < 0 or j.max() >= self.n):
-            raise IndexError(f"row index out of range for n = {self.n}")
-        if self.n < FFT_MIN_N or self.kind == "explicit":
-            return self.matrix[j]
-        return _ROWS[self.kind](self.n, j)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        check_unitary_n(self, x.shape[0])
-        if self.n < FFT_MIN_N or self.kind == "explicit":
-            return self.matrix @ x
-        if self.kind == "dft":
-            return np.fft.ifft(x, axis=0, norm="ortho")
-        if np.iscomplexobj(x):
-            return _dct2(x.real) + 1j * _dct2(x.imag)
-        return _dct2(x)
-
-
-def check_unitary_n(u: UnitaryOperator, n: int) -> None:
-    """Raise DimensionMismatch unless u is n x n, for a problem in R^n."""
-    if u.n != n:
-        raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
-
-
 # Columns per real FFT in _dct2. At n = 784, k = 200 its temporaries, the
 # reordered copy and the spectrum of one block, then take half the output's
 # 1.25 MB, where whole-array ones took twice it. Timed there with BLAS at one
@@ -108,10 +63,13 @@ DCT_BLOCK = 50
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of real x along axis 0 by one real FFT per column
-    (Makhoul 1980): y_k = Re(exp(-i*pi*k/(2n)) * V_k), V = FFT of x's even
-    entries followed by its odd entries reversed, then the orthonormal scale.
-    The FFTs run DCT_BLOCK columns at a time into one preallocated output."""
+    """Orthonormal DCT-II of x along axis 0, a complex x by its real and
+    imaginary parts, by one real FFT per column (Makhoul 1980):
+    y_k = Re(exp(-i*pi*k/(2n)) * V_k), V = FFT of x's even entries followed
+    by its odd entries reversed, then the orthonormal scale. The FFTs run
+    DCT_BLOCK columns at a time into one preallocated output."""
+    if np.iscomplexobj(x):
+        return _dct2(x.real) + 1j * _dct2(x.imag)
     n = x.shape[0]
     y = np.empty(x.shape)
     x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
@@ -129,29 +87,88 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     return y
 
 
+# What a built-in unitary is: rows(n, j) gives its rows j in closed form,
+# apply(x) its product with x along axis 0 in O(n log n), and dtype the type
+# of its entries. The DFT's apply reads np.fft when called, so that importing
+# this module does not load numpy's lazily imported FFT module.
+Kind = namedtuple("Kind", "rows apply dtype")
+KINDS = {
+    "dft": Kind(_dft_rows, lambda x: np.fft.ifft(x, axis=0, norm="ortho"), np.dtype(complex)),
+    "dct": Kind(_dct_rows, _dct2, np.dtype(float)),
+}
+
+
+@dataclass(frozen=True)
+class UnitaryOperator:
+    kind: str  # a name in KINDS, or "explicit"
+    n: int
+    given: np.ndarray | None = field(default=None, repr=False)  # an explicit U's matrix
+
+    def __post_init__(self):
+        """n is an integer >= 1, and kind a name in KINDS with no matrix given
+        or "explicit" with an n x n one."""
+        check_counts(n=self.n)
+        if self.given is None and not (isinstance(self.kind, str) and self.kind in KINDS):
+            raise DomainError(f"unknown unitary kind {self.kind!r} (expected {', '.join(KINDS)})")
+        shape = np.shape(self.given)
+        if self.given is not None and (self.kind, shape) != ("explicit", (self.n, self.n)):
+            raise DimensionMismatch(f"kind {self.kind!r} of n = {self.n} takes no {shape} matrix")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix; built on first use for a table kind."""
+        if self.given is None:
+            return KINDS[self.kind].rows(self.n, np.arange(self.n))
+        return self.given
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The table's dtype for a table kind, the given matrix's otherwise."""
+        return KINDS[self.kind].dtype if self.given is None else self.given.dtype
+
+    def rows(self, j) -> np.ndarray:
+        """Rows j of U, equal to `matrix[j]`: j is a row number in [0, n),
+        a 1-D row set, or a 2-D stack of row sets. A row number outside
+        [0, n) raises IndexError on every path; none wraps."""
+        j = np.asarray(j)
+        if j.size and (j.min() < 0 or j.max() >= self.n):
+            raise IndexError(f"row index out of range for n = {self.n}")
+        if self.n < FFT_MIN_N or self.given is not None:
+            return self.matrix[j]
+        return KINDS[self.kind].rows(self.n, j)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        check_unitary_n(self, x.shape[0])
+        if self.n < FFT_MIN_N or self.given is not None:
+            return self.matrix @ x
+        return KINDS[self.kind].apply(x)
+
+
+def check_unitary_n(u: UnitaryOperator, n: int) -> None:
+    """Raise DimensionMismatch unless u is n x n, for a problem in R^n."""
+    if u.n != n:
+        raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
+
+
 def dft_operator(n: int) -> UnitaryOperator:
     """The unitary DFT of size n (entries in `_dft_rows`)."""
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
     return UnitaryOperator(kind="dft", n=n)
 
 
 def dct2_operator(n: int) -> UnitaryOperator:
     """The orthonormal DCT-II of size n (entries in `_dct_rows`)."""
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
     return UnitaryOperator(kind="dct", n=n)
 
 
 def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
-    """Wrap an explicit matrix; rejects non-unitary input (tol 1e-8)."""
+    """Wrap an explicit square matrix; rejects non-unitary input (tol 1e-8)."""
     m = check_finite(np.asarray(matrix), "U")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("explicit operator must be a square matrix")
-    n = m.shape[0]
+    # A 0-d m has no rows to count; it fails UnitaryOperator's n x n check.
+    u = UnitaryOperator(kind="explicit", n=m.shape[0] if m.ndim else 1, given=m)
     if orthonormality_defect(m) > 1e-8:
         raise DomainError("||U*U - I||_F exceeds 1e-8")
-    return UnitaryOperator(kind="explicit", n=n, given=m)
+    return u
 
 
 def identity_operator(n: int) -> UnitaryOperator:

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from gcs import cli
-from gcs.errors import DomainError
+from gcs import transforms
+from gcs.errors import DimensionMismatch, DomainError
 from gcs.gnn import GenerativeNetwork, forward, save_network
 from gcs.harness import RipConfig, SubspaceRipConfig
 from gcs.linops import save_matrix, write_json
@@ -42,10 +43,37 @@ def test_resolve_unitary(tmp_path):
     path = tmp_path / "u.json"
     save_matrix(np.eye(4), str(path))
     assert np.array_equal(cli.resolve_unitary(f"file:{path}", 4).matrix, np.eye(4))
-    with pytest.raises(DomainError, match="is 4x4, expected 8x8"):
+    with pytest.raises(DimensionMismatch, match="^the unitary is 4 x 4, the problem's n is 8$"):
         cli.resolve_unitary(f"file:{path}", 8)
     with pytest.raises(DomainError, match="unknown unitary 'walsh'"):
         cli.resolve_unitary("walsh", 8)
+
+
+def test_unitary_names_are_the_table_names_and_file_paths():
+    # check_unitary_spec accepts exactly the names in transforms.KINDS and
+    # file:<path>, and its error lists them, from the table.
+    for spec in [*transforms.KINDS, "file:u.json", "file:file:"]:
+        assert cli.check_unitary_spec(spec) == spec
+    listed = ", ".join(transforms.KINDS)
+    for spec in ["walsh", "file:", "DFT", "dct ", "explicit", "", [], 3, None, ["dct"]]:
+        with pytest.raises(DomainError) as info:
+            cli.check_unitary_spec(spec)
+        assert str(info.value) == f"unknown unitary {spec!r} (expected {listed}, or file:<path>)"
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.eye(4)[:, :3], "kind 'explicit' of n = 4 takes no (4, 3) matrix"),
+    (2 * np.eye(4), "||U*U - I||_F exceeds 1e-8"),
+], ids=["non-square", "non-unitary"])
+def test_file_unitary_that_is_no_unitary_exits_2_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                                 matrix, message):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(matrix, "u.json")
+    _, net = save_net(tmp_path, [2, 8, 4], seed=1)
+    monkeypatch.setattr(cli.coh, "coherence_report", no_compute)
+    rc = cli.main(["coherence", "--weights", net, "--unitary", "file:u.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: u.json: bad contents: {message}\n"
 
 
 def test_coherence_of_a_final_layer_whose_norm_overflows_exits_2(tmp_path, capsys):
@@ -353,6 +381,8 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
     (["recover", "--weights", "missing.json", "--unitary", "walsh", "--m", "4"], {}, WALSH),
     (["coherence", "--weights", "missing.json", "--unitary", "walsh"], {}, WALSH),
     (["rip", "--weights", "missing.json", "--unitary", "walsh", "--m-list", "8"], {}, WALSH),
+    (["rip", "--weights", "missing.json", "--unitary", "file:", "--m-list", "8"], {},
+     "unknown unitary 'file:' (expected dft, dct, or file:<path>)"),
     (["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "20",
       "--m-list", "8"], {}, "need 1 <= k <= n, got k=20"),
     (["subspace-rip", "--unitary", "file:missing.json", "--n", "16", "--k", "2",
@@ -364,7 +394,8 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
 ], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
         "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
         "subspace-trials0", "subspace-repeated-m", "coherence-mc-samples0", "recover-m0",
-        "recover-unitary", "coherence-unitary", "rip-unitary", "subspace-k-above-n",
+        "recover-unitary", "coherence-unitary", "rip-unitary", "rip-empty-file-unitary",
+        "subspace-k-above-n",
         "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n"])
 def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                argv, edits, message):
@@ -464,7 +495,7 @@ def test_sweep_bad_grid_exits_2_after_one_model_load(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("unitary, loads_before_exit, message", [
     ("walsh", 0, "unknown unitary 'walsh'"),
-    ("file:u4.json", 1, "unitary u4.json is 4x4, expected 64x64"),
+    ("file:u4.json", 1, "the unitary is 4 x 4, the problem's n is 64"),
 ])
 def test_sweep_bad_unitary_exits_2_before_the_other_models_load(tmp_path, monkeypatch, capsys,
                                                                 unitary, loads_before_exit,
@@ -516,7 +547,7 @@ def test_file_unitary_of_wrong_size_exits_2_before_any_compute(tmp_path, monkeyp
     monkeypatch.setattr(cli.recovery, "recover", no_compute)
     rc = cli.main(["--out-dir", "out"] + argv + ["--unitary", "file:u4.json"])
     assert rc == 2
-    assert capsys.readouterr().err == f"gcs: error: unitary u4.json is 4x4, expected {n}x{n}\n"
+    assert capsys.readouterr().err == f"gcs: error: the unitary is 4 x 4, the problem's n is {n}\n"
     assert synth_calls == []
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 

@@ -13,7 +13,7 @@ from gcs.coherence import (
     regularizer,
     subspace_coherence,
 )
-from gcs.errors import DimensionMismatch, DomainError
+from gcs.errors import DimensionMismatch, DomainError, GcsError
 from gcs.gnn import GenerativeNetwork
 from gcs.harness import SubspaceRipConfig, SweepConfig, run_measurement_sweep, run_subspace_rip
 from gcs.recovery import RecoveryConfig, recover_batch
@@ -21,6 +21,8 @@ from gcs.sampling import apply, apply_adjoint, derive_rng, sample_fixed
 from gcs.training import TrainConfig, synth_dataset, train_vae
 from gcs.transforms import (
     FFT_MIN_N,
+    KINDS,
+    UnitaryOperator,
     dct2_operator,
     dft_operator,
     explicit_operator,
@@ -42,8 +44,39 @@ def dense_dct(n):
     return d
 
 
+# Each table kind's constructor, whose name its tests run under, and its
+# independent dense build, by the kind's name in transforms.KINDS.
+ORACLES = {"dft": (dft_operator, dense_dft), "dct": (dct2_operator, dense_dct)}
+# The per-kind tests run over every kind in the table.
+MAKERS = [ORACLES[name][0] for name in KINDS]
+
+
+def test_every_kind_has_an_oracle():
+    # A kind added to the table without an oracle here fails this test, so
+    # none lands untested.
+    assert list(ORACLES) == list(KINDS)
+    assert [make(4).kind for make, _ in ORACLES.values()] == list(KINDS)
+
+
+@pytest.mark.parametrize("kind, n, given", [
+    ("walsh", 256, None),
+    (["dct"], 4, None),
+    ("explicit", 4, None),
+    ("explicit", 4, np.eye(3)),
+    ("dct", 4, np.eye(4)),
+    ("dct", 0, None),
+    ("dft", 2.0, None),
+    ("explicit", 0, np.eye(0)),
+])
+def test_an_operator_checks_its_fields_when_built(kind, n, given):
+    # n is an integer >= 1; kind is a table name with no matrix, or
+    # "explicit" with an n x n one.
+    with pytest.raises(GcsError):
+        UnitaryOperator(kind, n, given)
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 64])
-@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("make", MAKERS)
 def test_unitarity(n, make):
     u = make(n)
     defect = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n))
@@ -80,7 +113,8 @@ def test_dct_first_row_constant():
 @settings(max_examples=40, deadline=None)
 def test_parseval(n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
-    for u in (dft_operator(n), dct2_operator(n)):
+    for kind in KINDS:
+        u = UnitaryOperator(kind, n)
         assert np.linalg.norm(u.apply(x)) == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
 
@@ -109,7 +143,7 @@ def test_dimension_checks():
 
 
 @pytest.mark.parametrize("n", [63, 64, FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 1, 784])
-@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("make", MAKERS)
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_apply_matches_dense_product(n, make, shape):
     # At and above FFT_MIN_N apply() runs an FFT; it must agree with the matrix.
@@ -128,7 +162,7 @@ def test_fft_dct_of_complex_input():
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 784])
-@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("make", MAKERS)
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_apply_adjoint_matches_dense_product(n, make, shape):
     # sampling.apply_adjoint reads U_J through rows(): a gather below
@@ -151,7 +185,7 @@ def test_apply_adjoint_matches_dense_product(n, make, shape):
                                    atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("make", MAKERS)
 def test_apply_adjoint_builds_no_dense_matrix_at_n1024(make):
     # The dense DFT at n = 1024 is 16 MiB; the adjoint of a subsampled
     # operator evaluates only its 8 rows.
@@ -167,7 +201,7 @@ def test_apply_adjoint_builds_no_dense_matrix_at_n1024(make):
     assert peak < 2**20 and "matrix" not in vars(u)
 
 
-@pytest.mark.parametrize("make", [dft_operator, dct2_operator])
+@pytest.mark.parametrize("make", MAKERS)
 @pytest.mark.parametrize("shape", [(), (7,)])
 def test_apply_below_crossover_is_the_dense_product(make, shape):
     u = make(64)
@@ -176,7 +210,7 @@ def test_apply_below_crossover_is_the_dense_product(make, shape):
 
 
 @pytest.mark.parametrize("n", [64, FFT_MIN_N, 784, 1024])
-@pytest.mark.parametrize("make, dense", [(dft_operator, dense_dft), (dct2_operator, dense_dct)])
+@pytest.mark.parametrize("make, dense", [ORACLES[name] for name in KINDS])
 def test_rows_equal_the_dense_build(n, make, dense):
     # Below FFT_MIN_N rows() gathers from the matrix; from it on, it evaluates
     # the closed form. Either way every entry is the dense build's, bit for bit.
@@ -199,7 +233,7 @@ def test_rows_reject_an_index_out_of_range():
     # row number never wraps to a row counted from the end.
     wrapped = []
     for n in (64, FFT_MIN_N):
-        for u in (dct2_operator(n), dft_operator(n), explicit_operator(dense_dct(n))):
+        for u in [*(UnitaryOperator(kind, n) for kind in KINDS), explicit_operator(dense_dct(n))]:
             for j in (-1, n, [-1], [0, n]):
                 try:
                     u.rows(j)
@@ -213,12 +247,12 @@ def test_operators_build_no_dense_matrix_at_n4096():
     # The dense DFT at n = 4096 is 256 MiB and the DCT-II 128 MiB.
     tracemalloc.start()
     try:
-        ops = [dct2_operator(4096), dft_operator(4096)]
+        ops = [UnitaryOperator(kind, 4096) for kind in KINDS]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert [u.rows([5]).shape for u in ops] == [(1, 4096), (1, 4096)]
+    assert [u.rows([5]).shape for u in ops] == [(1, 4096)] * len(KINDS)
 
 
 def test_chords_and_regularizer_stay_matrix_free_at_n4096():
@@ -246,6 +280,8 @@ def no_compute(*args, **kwargs):
 NET_16 = GenerativeNetwork([np.ones((8, 2)), np.ones((16, 8))])
 DATA_16 = synth_dataset(16, 2, 20, seed=1)
 APPLY = "gcs.transforms.UnitaryOperator.apply"
+# The dense product that `apply` runs after its size check at n = 32.
+MATRIX = "gcs.transforms.UnitaryOperator.matrix"
 
 
 def _sweep(u):
@@ -254,18 +290,19 @@ def _sweep(u):
 
 
 # Each entry point where a unitary meets a problem in R^n, with the QR, FFT,
-# draw or loop step that it must not reach before its size check (at n = 32
-# `apply` itself has only its dense product to reach).
+# draw, loop or dense-product step that it must not reach before its size
+# check. `ChordSampler` and `regularizer` are checked by the `apply` they
+# call first, so for them, as for `apply`, that step is the dense product.
 SIZE_CHECKED = {
-    "UnitaryOperator.apply": (lambda u: u.apply(np.zeros(16)), []),
+    "UnitaryOperator.apply": (lambda u: u.apply(np.zeros(16)), [MATRIX]),
     "sampling.apply": (lambda u: apply(sample_fixed(u, 8, 0), np.zeros(16)),
                        ["gcs.sampling.rows"]),
     "subspace_coherence": (lambda u: subspace_coherence(u, np.eye(16, 3)),
                            ["gcs.coherence.orthonormality_defect", APPLY]),
     "network_coherence_heuristic": (lambda u: network_coherence_heuristic(NET_16, u),
                                     ["gcs.coherence.qr_thin", APPLY]),
-    "ChordSampler": (lambda u: ChordSampler(NET_16, u), [APPLY]),
-    "regularizer": (lambda u: regularizer(np.eye(16, 3), u, 0.1), [APPLY]),
+    "ChordSampler": (lambda u: ChordSampler(NET_16, u), [MATRIX]),
+    "regularizer": (lambda u: regularizer(np.eye(16, 3), u, 0.1), [MATRIX]),
     "train_vae": (lambda u: train_vae(DATA_16, [2, 8, 16], TrainConfig(epochs=1), u, 0),
                   ["gcs.training.derive_rng", "gcs.training._init_params"]),
     "recover_batch": (lambda u: recover_batch([NET_16], [sample_fixed(u, 8, 0)], [np.zeros(8)],
@@ -286,6 +323,6 @@ def test_every_site_checks_the_unitary_size_by_one_rule(monkeypatch, site):
     call, steps = SIZE_CHECKED[site]
     u = dct2_operator(32)
     for step in steps:
-        monkeypatch.setattr(step, no_compute)
+        monkeypatch.setattr(step, property(no_compute) if step == MATRIX else no_compute)
     with pytest.raises(DimensionMismatch, match="^the unitary is 32 x 32, the problem's n is 16$"):
         call(u)
