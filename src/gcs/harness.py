@@ -117,19 +117,27 @@ def _grid(rows: int, m_list: list, trials: int, fn) -> list:
     return run_indexed(job, rows * len(m_list) * trials)
 
 
-def _recover_grid(rows: int, m_list: list, trials: int, recovery: RecoveryConfig,
-                  trial) -> list[tuple]:
-    """Build every trial of the grid, recover all of them in one batch under
-    the one solver config recovery.
+def _recover_grid(nets: list, cfg, u: UnitaryOperator, sampler, seed: int, draw) -> list[tuple]:
+    """Build every trial of the grid whose rows are nets, m cfg.m_list and
+    trials cfg.trials, and recover all of them in one batch under
+    cfg.recovery.
 
-    trial(row, m index, trial) returns (key, network, operator, x0, solver
-    seed). Returns (key, rre) in grid order; rre is inf where it is
+    draw(row, m index, trial) returns the trial's target x0 and the indices
+    under seed of A's stream; A is sampler's draw of m rows of u from that
+    stream, and the solver's stream is (row, m index, trial, 2). Returns
+    (row, m, trial, A's seed, rre) in grid order; rre is inf where it is
     undefined (x0 = 0).
     """
-    keys, gs, ops, x0s, seeds = (list(col) for col in zip(*_grid(rows, m_list, trials, trial)))
-    results = recover_batch(gs, ops, [apply(a, x0) for a, x0 in zip(ops, x0s)], seeds,
-                            recovery, x0s)
-    return [(key, float("inf") if res["rre"] is None else res["rre"])
+
+    def trial(i, mi, t):
+        x0, stream = draw(i, mi, t)
+        a = sampler(u, cfg.m_list[mi], spawn_seed(seed, *stream))
+        return ((i, cfg.m_list[mi], t, a.seed),
+                (nets[i], a, apply(a, x0), x0, spawn_seed(seed, i, mi, t, 2)))
+
+    keys, problems = zip(*_grid(len(nets), cfg.m_list, cfg.trials, trial))
+    results = recover_batch(list(problems), cfg.recovery)
+    return [(*key, float("inf") if res["rre"] is None else res["rre"])
             for key, res in zip(keys, results)]
 
 
@@ -187,27 +195,23 @@ def run_phase_portrait(inner_weights: list, w_high: np.ndarray, w_low: np.ndarra
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
     nets = [GenerativeNetwork(weights=list(inner_weights) + [final_layer(w_high, w_low, beta)])
             for beta in cfg.betas]
-    nets = [(net, network_coherence_heuristic(net, u)) for net in nets]
+    cohs = [network_coherence_heuristic(net, u) for net in nets]
 
-    def trial(bi, mi, t):
-        net, coh = nets[bi]
-        m = cfg.m_list[mi]
-        a = sampler(u, m, spawn_seed(seed, bi, mi, t))
-        x0 = forward(net, derive_rng(seed, bi, mi, t, 1).standard_normal(net.code_dim))
-        return (cfg.betas[bi], coh, m, t, a.seed), net, a, x0, spawn_seed(seed, bi, mi, t, 2)
+    def draw(bi, mi, t):
+        z = derive_rng(seed, bi, mi, t, 1).standard_normal(nets[bi].code_dim)
+        return forward(nets[bi], z), (bi, mi, t)
 
-    grid = _recover_grid(len(cfg.betas), cfg.m_list, cfg.trials, cfg.recovery, trial)
     return [
         {
-            "beta": beta,
-            "coherence_heuristic": coh,
+            "beta": cfg.betas[bi],
+            "coherence_heuristic": cohs[bi],
             "m": m,
             "trial": t,
             "rre": err,
             "success": err < SUCCESS_RRE,
             "seed": a_seed,
         }
-        for (beta, coh, m, t, a_seed), err in grid
+        for bi, m, t, a_seed, err in _recover_grid(nets, cfg, u, sampler, seed, draw)
     ]
 
 
@@ -225,7 +229,7 @@ def phase_success_grid(records: list[dict], betas, m_list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    m_list: list = field(default_factory=lambda: [10, 15, 20, 25, 50, 100, 200, 250])
+    m_list: list
     trials: int = 10
     model: str = "fixed"
     recovery: RecoveryConfig = RecoveryConfig()
@@ -261,21 +265,18 @@ def run_measurement_sweep(
     check_unitary_n(u, test_samples.shape[1])
     sampler = check_grid(cfg.model, cfg.m_list, u.n)
 
-    def trial(gi, mi, t):
-        name, model = models[gi]
-        m = cfg.m_list[mi]
+    def draw(gi, mi, t):
+        model = models[gi][1]
         # Target choice is shared across models: same x_sharp per (m, trial).
         rng = derive_rng(seed, mi, t)
         mu, _ = model.encode(test_samples[int(rng.integers(test_samples.shape[0]))])
-        a = sampler(u, m, spawn_seed(seed, mi, t, 1))
-        return ((name, m, t, a.seed), model.decoder, a, forward(model.decoder, mu),
-                spawn_seed(seed, gi, mi, t, 2))
+        return forward(model.decoder, mu), (mi, t, 1)
 
-    grid = _recover_grid(len(models), cfg.m_list, cfg.trials, cfg.recovery, trial)
-    records = [{"model": name, "m": m, "trial": t, "rre": err, "seed": a_seed}
-               for (name, m, t, a_seed), err in grid]
+    grid = _recover_grid([model.decoder for _, model in models], cfg, u, sampler, seed, draw)
+    records = [{"model": models[gi][0], "m": m, "trial": t, "rre": err, "seed": a_seed}
+               for gi, m, t, a_seed, err in grid]
     # Each cell's rre values, in trial order.
-    cells = np.reshape([err for _, err in grid], (len(models), len(cfg.m_list), cfg.trials))
+    cells = np.reshape([r["rre"] for r in records], (len(models), len(cfg.m_list), cfg.trials))
     summaries = []
     for (name, _), row in zip(models, cells):
         for m, vals in zip(cfg.m_list, row):

@@ -165,11 +165,12 @@ def _write_value(value, write, routes=None) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; malformed JSON raises DomainError naming the file."""
-    with open(path) as f:
+    """Parse a UTF-8 JSON file; malformed JSON, or bytes that are not UTF-8,
+    raise DomainError naming the file."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DomainError(f"{path}: malformed JSON: {e}") from None
 
 

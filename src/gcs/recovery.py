@@ -5,10 +5,14 @@ The solver follows the experimental protocol: Adam with learning rate 0.1 for
 up to 5000 iterations, stopping early when the gradient norm drops below 1e-7.
 Recovery is declared successful when rre < 1e-5.
 
-One engine solves every problem. `recover_batch` runs Adam in lockstep on a
-latent block Z that stacks one latent vector, a column, per (problem,
-restart) pair; `recover` is a one-problem call of it. Each problem has its
-own network, so a whole phase portrait or sweep runs as one batch.
+One engine solves every problem. A problem is one record (g, a, b, x0,
+seed): its network, its operator, its measurement, its target (or None) and
+its solver seed. `recover_batch` takes a list of records and checks each
+whole before any loop step; `recover` is a one-record call of it. It runs
+Adam in lockstep on a latent block Z that stacks one latent vector, a
+column, per (problem, restart) pair. A column's queue entry is its record's
+(g, a, b, seed) and its restart, so each column carries its own network,
+and a whole phase portrait or sweep runs as one batch.
 
 Columns whose networks share widths run in one loop (`_lockstep`), in
 float64 only: a column's rows U[J] are `sampling.rows`, which gives a
@@ -138,9 +142,8 @@ class _Plan:
     the ReLU mask it is multiplied by; the last layer's pullback reads s.
     """
 
-    def __init__(self, nets, entries, z):
-        net_of, ops, bs, _, _ = zip(*entries)
-        mine = [nets[j] for j in net_of]  # each column's network
+    def __init__(self, entries, z):
+        mine, ops, bs, _, _ = zip(*entries)  # mine: each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
         self.s = np.empty((columns, n, 1))
         self.layers, self.pullbacks, codes = [], [], {}
@@ -210,18 +213,18 @@ def _block_grad(plan, z):
     return plan.grad
 
 
-def _lockstep(nets, queue, config):
+def _lockstep(queue, config):
     """Adam in lockstep on the columns of queue, which enter in order, at the
     start and at each compaction, as far as room allows.
 
-    queue: per column (net, op, b, seed, restart): the column runs nets[net]
-    from derive_rng(seed, restart) and measures x by op against b. Every
+    queue: per column (net, op, b, seed, restart): the column runs net from
+    derive_rng(seed, restart) and measures x by op against b. Every
     column's network has the widths of the first column's; the columns with
     equal |J| form a group.
     Returns per column (z, iterations, termination), or None where the
     objective went nonfinite.
     """
-    widths = nets[queue[0][0]].widths
+    widths = queue[0][0].widths
     k, n = widths[0], widths[-1]
     # What a queued column costs in flight, transients included. Each row costs
     # its entries of U, its measurement, its residual (first the product U_J x),
@@ -261,7 +264,7 @@ def _lockstep(nets, queue, config):
             state = np.concatenate([state, fresh], axis=1)
         if not ids.size:
             return out
-        plan = _Plan(nets, [queue[i] for i in ids], state[0])
+        plan = _Plan([queue[i] for i in ids], state[0])
         z, m, v = state
         norm, keep, finite = plan.norm.reshape(-1), plan.keep, plan.finite
         # live: the columns still running; the first of them has the most
@@ -299,51 +302,44 @@ def _lockstep(nets, queue, config):
         held = int(cost[ids].sum())
 
 
-def recover_batch(
-    gs: list[GenerativeNetwork],
-    ops: list[SubsampledIsometry],
-    bs: list[np.ndarray],
-    seeds: list[int],
-    config: RecoveryConfig,
-    x0s: list[np.ndarray | None],
-) -> list[dict]:
-    """recover(gs[i], ops[i], bs[i], config, x0s[i], seeds[i]) for every i, in lockstep.
+def recover_batch(problems: list[tuple], config: RecoveryConfig) -> list[dict]:
+    """recover(g, a, b, config, x0, seed) for every record (g, a, b, x0, seed)
+    of problems, in lockstep.
 
-    Each restart is one column of the engine the module docstring describes,
-    so every result is bit for bit the one-problem result.
+    Every record is checked whole before any loop step. Each restart is one
+    column of the engine the module docstring describes, so every result is
+    bit for bit the one-problem result.
     """
-    if not len(gs) == len(ops) == len(bs) == len(seeds) == len(x0s):
-        raise DimensionMismatch("need one network, measurement, seed and x0 per operator")
-    for seed in seeds:
+    problems = [(g, a, np.asarray(b), x0, seed) for g, a, b, x0, seed in problems]
+    for g, a, b, x0, seed in problems:
         check_number("recovery seed", seed, 0, integer=True)
-    bs = [np.asarray(b) for b in bs]
-    for g, a, b in zip(gs, ops, bs):
         check_unitary_n(a.base, g.ambient_dim)
         check_measurement(a, b)
-    # Distinct networks by first appearance.
-    nets = list({id(g): g for g in gs}.values())
-    index = {id(g): j for j, g in enumerate(nets)}
-    net_of = [index[id(g)] for g in gs]
+        if x0 is not None and np.shape(x0) != (g.ambient_dim,):
+            raise DimensionMismatch(f"x0 has shape {np.shape(x0)}, the network's output "
+                                    f"({g.ambient_dim},)")
     restarts = config.restarts
-    loops, finals = {}, {}
-    for i, g in enumerate(gs):
+    loops, finals, first = {}, {}, {}
+    for i, (g, *_) in enumerate(problems):
+        first.setdefault(id(g), len(first))  # distinct networks by first appearance
         # Biases are per run, so biased and unbiased networks mix.
         loops.setdefault(tuple(g.widths), []).append(i)
-    for problems in loops.values():
+    for loop in loops.values():
         # Sorted by network, then |J| in order of first appearance: each
         # layer then costs one product per network per iteration, however
         # many groups the networks span. Ties keep the problems' order, and a
         # problem's restarts are adjacent.
-        sizes = list(dict.fromkeys(ops[i].num_rows for i in problems))
-        problems.sort(key=lambda i: (net_of[i], sizes.index(ops[i].num_rows)))
-        queue = [(net_of[i], ops[i], bs[i], seeds[i], r) for i in problems for r in range(restarts)]
+        sizes = list(dict.fromkeys(problems[i][1].num_rows for i in loop))
+        loop.sort(key=lambda i: (first[id(problems[i][0])], sizes.index(problems[i][1].num_rows)))
+        queue = [(g, a, b, seed, r) for g, a, b, _, seed in (problems[i] for i in loop)
+                 for r in range(restarts)]
         with np.errstate(over="ignore", invalid="ignore"):
-            block = iter(_lockstep(nets, queue, config))
-        for i in problems:
+            block = iter(_lockstep(queue, config))
+        for i in loop:
             finals[i] = [next(block) for _ in range(restarts)]
 
     results = []
-    for i, (g, a, b, x0) in enumerate(zip(gs, ops, bs, x0s)):
+    for i, (g, a, b, x0, _) in enumerate(problems):
         finished = [final for final in finals[i] if final is not None]
         if not finished:
             raise GcsError(f"all {restarts} restarts hit a nonfinite objective")
@@ -376,7 +372,7 @@ def recover(
     or "max_iters"; "residual", ||A x_hat - b||; and "failed_restarts", the
     restarts that hit a nonfinite objective.
     """
-    return recover_batch([g], [a], [b], [seed], config, [x0])[0]
+    return recover_batch([(g, a, b, x0, seed)], config)[0]
 
 
 def recovery_bound_audit(

@@ -128,11 +128,12 @@ class UnitaryOperator:
 
     def rows(self, j) -> np.ndarray:
         """Rows j of U, equal to `matrix[j]`: j is a row number in [0, n),
-        a 1-D row set, or a 2-D stack of row sets. A row number outside
-        [0, n) raises IndexError on every path; none wraps."""
+        a 1-D row set, or a 2-D stack of row sets. Any other index, a number
+        outside [0, n), one that is not an integer or a boolean mask, raises
+        IndexError on every path; none wraps."""
         j = np.asarray(j)
-        if j.size and (j.min() < 0 or j.max() >= self.n):
-            raise IndexError(f"row index out of range for n = {self.n}")
+        if j.dtype.kind not in "iu" or j.size and (j.min() < 0 or j.max() >= self.n):
+            raise IndexError(f"row indices must be integers in [0, {self.n})")
         if self.n < FFT_MIN_N or self.given is not None:
             return self.matrix[j]
         return KINDS[self.kind].rows(self.n, j)

@@ -36,6 +36,8 @@ from gcs.training import (
     vae_to_json,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_resolve_unitary(tmp_path):
     assert cli.resolve_unitary("dft", 8).matrix.dtype == np.complex128
@@ -861,6 +863,9 @@ def write_unfit_models(tmp_path):
 
 WIDTHS_EDITED = "widths.json: bad contents: widths [9, 99], where the layers give [4, 16, 64]"
 SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer is linear"
+# binary.json holds bytes that are not UTF-8.
+NOT_UTF8 = ("binary.json: malformed JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte")
 
 
 @pytest.mark.parametrize("argv, edits, message", [
@@ -986,6 +991,11 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
      "complex.json: bad contents: weight contains complex entries; a network is real"),
     (["phase", "--config", "phase.json"], {"w_high": "complex_w.json"},
      "complex_w.json: bad contents: weight contains complex entries; a network is real"),
+    (["coherence", "--weights", "binary.json"], {}, NOT_UTF8),
+    (["phase", "--config", "binary.json"], {}, NOT_UTF8),
+    (["rip", "--weights", "binary.json", "--m-list", "8"], {}, NOT_UTF8),
+    (["rip", "--weights", os.path.join(ROOT, "out", "desk", "weights", "g_w_low.json"),
+      "--unitary", "file:binary.json", "--m-list", "8"], {}, NOT_UTF8),
 ], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
@@ -1003,11 +1013,13 @@ SIGMOID = "bad contents: final activation 'sigmoid': every network's final layer
         "rip-widths-edited", "recover-widths-edited", "phase-widths-edited",
         "sweep-model-widths-edited", "coherence-sigmoid", "rip-sigmoid", "recover-sigmoid",
         "phase-sigmoid", "sweep-model-sigmoid", "coherence-complex-layer",
-        "phase-complex-w_high"])
+        "phase-complex-w_high", "coherence-not-utf8", "phase-config-not-utf8",
+        "rip-weights-not-utf8", "rip-unitary-not-utf8"])
 def test_bad_file_or_config_key_exits_2_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           argv, edits, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text('{"rows": 2,')
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00bad")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "rows.json").write_text('{"rows": 2}')
     (tmp_path / "nodata.json").write_text('{"layers": [{"rows": 2, "cols": 2}]}')
@@ -1070,9 +1082,6 @@ def test_bad_recover_flag_or_test_data_kind_exits_2_before_any_load(tmp_path, mo
     rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err == f"gcs: error: {message}\n"
-
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_overflowing_beta_exits_2_with_one_error_line(tmp_path):
@@ -1230,8 +1239,8 @@ def test_shipped_configs_pass_the_key_check(monkeypatch, name):
         cfg_json = json.load(f)
     seen = []
 
-    def reached(gs, ops, bs, seeds, config, x0s):
-        seen.append((len(seeds), config))
+    def reached(problems, config):
+        seen.append((len(problems), config))
         raise Reached
 
     monkeypatch.setattr(cli.harness, "recover_batch", reached)

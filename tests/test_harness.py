@@ -229,7 +229,7 @@ def test_phase_config_validation():
     for cls in (PhaseConfig, SweepConfig):
         with pytest.raises(DomainError, match="^unknown sampling model 'walsh' "
                                               r"\(expected fixed or bernoulli\)$"):
-            cls(model="walsh")
+            cls(m_list=[8], model="walsh")
     for betas in ([], 0.5):
         with pytest.raises(DomainError, match="betas must be a nonempty list of numbers"):
             replace(cfg, betas=betas)
@@ -574,9 +574,10 @@ def test_recovery_experiments_build_and_recover_one_trial_grid(monkeypatch, expe
             for t in range(cfg.trials)]
     assert [count for _, count in jobs] == [len(grid)]
     assert len(batches) == 1
-    gs, ops, bs, seeds, config, x0s = batches[0]
-    assert len(gs) == len(ops) == len(bs) == len(seeds) == len(x0s) == len(grid)
-    assert seeds == [spawn_seed(seed, *ix, 2) for ix in grid]
+    problems, config = batches[0]
+    assert len(problems) == len(grid)
+    gs, ops, bs, x0s, seeds = zip(*problems)
+    assert list(seeds) == [spawn_seed(seed, *ix, 2) for ix in grid]
     assert config is cfg.recovery
     assert [op.num_rows for op in ops] == [cfg.m_list[mi] for _, mi, _ in grid]
     for g, (i, _, _) in zip(gs, grid):

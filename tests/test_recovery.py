@@ -106,7 +106,7 @@ def test_recover_batch_returns_one_plain_dict_per_problem(unitary):
     g = seeded_network([3, 6, 16], seed=7)
     a = sample_fixed(unitary(16), 10, seed=8)
     x0 = forward(g, derive_rng(9).standard_normal(3))
-    [res] = recover_batch([g], [a], [apply(a, x0)], [10], RecoveryConfig(max_iters=50), [x0])
+    [res] = recover_batch([(g, a, apply(a, x0), x0, 10)], RecoveryConfig(max_iters=50))
     assert type(res) is dict and list(res) == RESULT_KEYS
     np.testing.assert_array_equal(res["x_hat"], forward(g, res["z_hat"]))
 
@@ -249,23 +249,20 @@ def small_network(widths, seed, biases=False):
 
 
 def cell_problems(g, u, m_list, seed, sampler=sample_fixed, config=RecoveryConfig()):
-    """One in-range problem per m: (ops, bs, seeds, config, x0s), the
-    arguments of recover_batch after the networks, with two restarts each."""
-    ops, bs, seeds, x0s = [], [], [], []
+    """One in-range problem per m: (records (g, a, b, x0, seed), config), the
+    arguments of recover_batch, with two restarts each."""
+    problems = []
     for t, m in enumerate(m_list):
         a = sampler(u, m, spawn_seed(seed, t))
         x0 = forward(g, derive_rng(seed, t, 1).standard_normal(g.code_dim))
-        ops.append(a)
-        bs.append(apply(a, x0))
-        seeds.append(spawn_seed(seed, t, 2))
-        x0s.append(x0)
-    return ops, bs, seeds, replace(config, restarts=2), x0s
+        problems.append((g, a, apply(a, x0), x0, spawn_seed(seed, t, 2)))
+    return problems, replace(config, restarts=2)
 
 
-def assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s):
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-    assert len(got) == len(ops)
-    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+def assert_batch_matches_oracle(problems, config):
+    got = recover_batch(problems, config)
+    assert len(got) == len(problems)
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         want = oracle_recover(g, a, b, config, x0=x0, seed=seed)
         assert_identical(res, want)
         assert_identical(recover(g, a, b, config, x0=x0, seed=seed), want)
@@ -278,10 +275,9 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
     u = (dft_operator if unitary == "dft" else dct2_operator)(24)
     g = small_network([3, 10, 24], seed=40, biases=biases)
     # Equal |J| throughout, so every column is in one group.
-    ops, bs, seeds, config, x0s = cell_problems(g, u, [10] * 5, seed=41,
-                                                config=RecoveryConfig(max_iters=600))
+    problems, config = cell_problems(g, u, [10] * 5, seed=41, config=RecoveryConfig(max_iters=600))
     if unitary != "dct-complex-b":
-        assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
+        assert_batch_matches_oracle(problems, config)
         return
     # Measurements are real: a complex one is rejected under every unitary,
     # by the batch and the scalar path before any lockstep loop is built, and
@@ -293,16 +289,17 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
 
     monkeypatch.setattr(gcs.recovery, "_lockstep", no_loop)
     for u in (dct2_operator(24), dft_operator(24)):
-        ops, bs, seeds, config, x0s = cell_problems(g, u, [10] * 5, seed=41,
-                                                    config=RecoveryConfig(max_iters=600))
-        bs[1] = bs[1] + 1e-3j
+        problems, config = cell_problems(g, u, [10] * 5, seed=41,
+                                         config=RecoveryConfig(max_iters=600))
+        _, a, b, x0, seed = problems[1]
+        problems[1] = (g, a, b + 1e-3j, x0, seed)
         with pytest.raises(DomainError, match="^measurements are real, got a complex128 "
                                               "measurement$"):
-            recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-        for solve in (lambda a, b: recover(g, a, b, config, seed=seeds[1]),
+            recover_batch(problems, config)
+        for solve in (lambda a, b: recover(g, a, b, config, seed=seed),
                       lambda a, b: objective_value_grad(g, a, b, np.zeros(3))):
             with pytest.raises(DomainError, match="^measurements are real"):
-                solve(ops[1], bs[1])
+                solve(*problems[1][1:3])
 
 
 def test_dft_plan_allocates_only_real_buffers(monkeypatch):
@@ -320,9 +317,8 @@ def test_dft_plan_allocates_only_real_buffers(monkeypatch):
 
     monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
     g = small_network([3, 10, 24], seed=40, biases=True)
-    ops, bs, seeds, config, x0s = cell_problems(g, dft_operator(24), [6, 10] * 2, seed=41,
-                                                config=RecoveryConfig(max_iters=200))
-    assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
+    assert_batch_matches_oracle(*cell_problems(g, dft_operator(24), [6, 10] * 2, seed=41,
+                                               config=RecoveryConfig(max_iters=200)))
 
     def arrays(obj):
         if isinstance(obj, np.ndarray):
@@ -364,13 +360,12 @@ def test_capacity_of_the_desk_queues(monkeypatch):
             nets = len(cfg["models"])
         u = dct2_operator(widths[-1])
         gs = [small_network(widths, seed=95 + i) for i in range(nets)]
-        problems = [(g, sample_fixed(u, m, spawn_seed(96, m, t)))
-                    for g in gs for m in cfg["m_list"] for t in range(cfg["trials"])]
+        problems = [(g, a, np.zeros(a.num_rows), None, 0)
+                    for g in gs for a in (sample_fixed(u, m, spawn_seed(96, m, t))
+                                          for m in cfg["m_list"] for t in range(cfg["trials"]))]
         config = RecoveryConfig(max_iters=1, restarts=cfg["recovery"]["restarts"])
         trace = trace_loop(monkeypatch)
-        recover_batch([g for g, _ in problems], [a for _, a in problems],
-                      [np.zeros(a.num_rows) for _, a in problems], [0] * len(problems), config,
-                      [None] * len(problems))
+        recover_batch(problems, config)
         got[name] = trace["in_flight"][0]
     assert got == {"phase": 152, "sweep": 208}
 
@@ -383,16 +378,13 @@ def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
     empty = next(s for s in seeds if sizes[s] == 0)
     chosen = [empty] + [s for s in seeds if sizes[s] > 0][:7]
     assert len({sizes[s] for s in chosen}) >= 3
-    ops, bs, x0s = [], [], []
+    problems = []
     for t, s in enumerate(chosen):
         a = sample_bernoulli(u, 2 + t % 3, s)
         x0 = forward(g, derive_rng(44, t).standard_normal(2))
-        ops.append(a)
-        bs.append(apply(a, x0))
-        x0s.append(x0)
-    seeds = [spawn_seed(45, t) for t in range(len(chosen))]
+        problems.append((g, a, apply(a, x0), x0, spawn_seed(45, t)))
     config = RecoveryConfig(restarts=2, max_iters=400)
-    got = assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
+    got = assert_batch_matches_oracle(problems, config)
     # An empty J has a zero gradient: every restart stops at once.
     assert got[0]["iterations"] == 1 and got[0]["termination"] == "grad_tol"
     assert got[0]["residual"] == 0.0
@@ -401,8 +393,8 @@ def test_batch_matches_scalar_loop_bernoulli_unequal_rows():
 def test_batch_matches_scalar_loop_max_iters_tail():
     u = dct2_operator(16)
     g = small_network([3, 8, 16], seed=46, biases=True)
-    got = assert_batch_matches_oracle(g, *cell_problems(g, u, [6] * 4, seed=47,
-                                                        config=RecoveryConfig(max_iters=25)))
+    got = assert_batch_matches_oracle(*cell_problems(g, u, [6] * 4, seed=47,
+                                                     config=RecoveryConfig(max_iters=25)))
     assert any(r["termination"] == "max_iters" and r["iterations"] == 25 for r in got)
 
 
@@ -498,18 +490,18 @@ def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
     import gcs.recovery
 
     g = small_network([3, 8, 16], seed=50)
-    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [6] * 4, seed=51,
-                                                config=RecoveryConfig(max_iters=300))
-    # Same |J|, other dtype: DFT problems get a loop of their own.
-    more = cell_problems(g, dft_operator(16), [6] * 2, seed=52,
-                         config=RecoveryConfig(max_iters=300))
-    ops, bs, seeds, x0s = (a + b for a, b in zip((ops, bs, seeds, x0s), more[:3] + more[4:]))
+    problems, config = cell_problems(g, dct2_operator(16), [6] * 4, seed=51,
+                                     config=RecoveryConfig(max_iters=300))
+    # Same |J|, complex U: the DFT problems' 2|J| real rows form a group of
+    # their own in the same loop.
+    problems += cell_problems(g, dft_operator(16), [6] * 2, seed=52,
+                              config=RecoveryConfig(max_iters=300))[0]
     # Room for two DCT columns in flight (each counts about 3 kB), so a
     # problem's restarts enter apart.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 10000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    assert_batch_matches_oracle(g, ops, bs, seeds, config, x0s)
+    assert_batch_matches_oracle(problems, config)
     assert max(trace["in_flight"]) == 2
 
 
@@ -519,22 +511,33 @@ def test_batch_validation():
     b = np.zeros(4)
     config = RecoveryConfig()
     with pytest.raises(DimensionMismatch):
-        recover_batch([g, g], [a, a], [b], [0, 0], config, [None, None])
+        recover_batch([(g, a, np.zeros(5), None, 0)], config)
     with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a, a], [b, b], [0, 0], config, [None, None])
-    with pytest.raises(DimensionMismatch):
-        recover_batch([g, g], [a, a], [b, b], [0], config, [None, None])
-    with pytest.raises(DimensionMismatch, match="^need one network, measurement, seed and x0"):
-        recover_batch([g, g], [a, a], [b, b], [0, 0], config, [None])
-    with pytest.raises(DimensionMismatch):
-        recover_batch([g], [a], [np.zeros(5)], [0], config, [None])
-    with pytest.raises(DimensionMismatch):
-        recover_batch([g], [sample_fixed(dct2_operator(9), 4, seed=49)], [b], [0], config, [None])
+        recover_batch([(g, sample_fixed(dct2_operator(9), 4, seed=49), b, None, 0)], config)
     with pytest.raises(DomainError, match=r"^recovery seed must be >= 0, got -1$"):
-        recover_batch([g, g], [a, a], [b, b], [0, -1], config, [None, None])
+        recover_batch([(g, a, b, None, 0), (g, a, b, None, -1)], config)
     with pytest.raises(DomainError, match=r"^recovery seed must be an integer, got 0.5$"):
         recover(g, a, b, seed=0.5)
-    assert recover_batch([], [], [], [], config, []) == []
+    assert recover_batch([], config) == []
+
+
+@pytest.mark.parametrize("x0", [np.ones(5), np.zeros(5)], ids=["ones", "zeros"])
+def test_batch_checks_x0_before_any_loop_step(monkeypatch, x0):
+    # x0 is None or of the network's output shape, checked with the rest of
+    # its record before any column runs: a zero x0 of another shape, whose
+    # rre is undefined, is rejected all the same.
+    import gcs.recovery
+
+    def no_loop(*args):
+        raise AssertionError("a lockstep loop was built")
+
+    monkeypatch.setattr(gcs.recovery, "_lockstep", no_loop)
+    g = small_network([4, 16, 64], seed=53)
+    a = sample_fixed(dct2_operator(64), 16, seed=54)
+    b = apply(a, forward(g, derive_rng(55).standard_normal(4)))
+    with pytest.raises(DimensionMismatch, match=r"^x0 has shape \(5,\), the network's output "
+                                                r"\(64,\)$"):
+        recover_batch([(g, a, b, x0, 0)], RecoveryConfig(restarts=3))
 
 
 @settings(max_examples=20, deadline=None)
@@ -553,8 +556,8 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, s
     g = small_network([k, width, n], seed=seed, biases=biases)
     m_list = [max(2, (n * (t + 1)) // 4) for t in range(3)]
     sampler = sample_bernoulli if bernoulli else sample_fixed
-    assert_batch_matches_oracle(g, *cell_problems(g, u, m_list, seed, sampler,
-                                                  RecoveryConfig(max_iters=120)))
+    assert_batch_matches_oracle(*cell_problems(g, u, m_list, seed, sampler,
+                                               RecoveryConfig(max_iters=120)))
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +566,27 @@ def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, s
 
 
 def mixed_problems(nets, u, m_list, seed, config):
-    """Problem t runs nets[t % len(nets)]: (gs, ops, bs, seeds, config, x0s),
-    the arguments of recover_batch, with two restarts each."""
-    gs = [nets[t % len(nets)] for t in range(len(m_list))]
-    ops, bs, seeds, x0s = [], [], [], []
-    for t, (g, m) in enumerate(zip(gs, m_list)):
+    """Problem t runs nets[t % len(nets)]: (records (g, a, b, x0, seed),
+    config), the arguments of recover_batch, with two restarts each."""
+    problems = []
+    for t, m in enumerate(m_list):
+        g = nets[t % len(nets)]
         a = sample_fixed(u, m, spawn_seed(seed, t))
         x0 = forward(g, derive_rng(seed, t, 1).standard_normal(g.code_dim))
-        ops.append(a)
-        bs.append(apply(a, x0))
-        seeds.append(spawn_seed(seed, t, 2))
-        x0s.append(x0)
-    return gs, ops, bs, seeds, replace(config, restarts=2), x0s
+        problems.append((g, a, apply(a, x0), x0, spawn_seed(seed, t, 2)))
+    return problems, replace(config, restarts=2)
 
 
-def assert_mixed_batch_matches(gs, ops, bs, seeds, config, x0s):
+def assert_mixed_batch_matches(problems, config):
     """The mixed batch equals one batch per network and the scalar oracle."""
-    got = recover_batch(gs, ops, bs, seeds, config, x0s)
-    assert len(got) == len(ops)
-    for g in {id(g): g for g in gs}.values():
-        idx = [i for i, h in enumerate(gs) if h is g]
-        ops_g, bs_g, seeds_g, x0s_g = ([seq[i] for i in idx] for seq in (ops, bs, seeds, x0s))
-        alone = recover_batch([g] * len(idx), ops_g, bs_g, seeds_g, config, x0s_g)
+    got = recover_batch(problems, config)
+    assert len(got) == len(problems)
+    for g in {id(p[0]): p[0] for p in problems}.values():
+        idx = [i for i, p in enumerate(problems) if p[0] is g]
+        alone = recover_batch([problems[i] for i in idx], config)
         for i, res in zip(idx, alone):
             assert_identical(got[i], res)
-    for res, g, a, b, seed, x0 in zip(got, gs, ops, bs, seeds, x0s):
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
     # Columns left the loop at different iterations, so its rows were
     # compacted while other networks' columns stayed live.
@@ -660,15 +659,13 @@ def test_mixed_batch_of_different_depths_and_output_dims():
     # networks, not from the batch's first network.
     nets = [small_network([3, 8, 16], seed=75), small_network([3, 8, 8, 16], seed=76),
             small_network([3, 8, 32], seed=77)]
-    gs, ops, bs, seeds, x0s = [], [], [], [], []
+    problems = []
     for g in nets:
-        *problems, config, more_x0s = mixed_problems(
-            [g], dct2_operator(g.ambient_dim), [8, 10], seed=74,
-            config=RecoveryConfig(max_iters=200, grad_tol=1e-4))
-        for seq, more in zip((gs, ops, bs, seeds, x0s), (*problems, more_x0s)):
-            seq += more
-    got = recover_batch(gs, ops, bs, seeds, config, x0s)
-    for res, g, a, b, seed, x0 in zip(got, gs, ops, bs, seeds, x0s):
+        more, config = mixed_problems([g], dct2_operator(g.ambient_dim), [8, 10], seed=74,
+                                      config=RecoveryConfig(max_iters=200, grad_tol=1e-4))
+        problems += more
+    got = recover_batch(problems, config)
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
@@ -698,8 +695,8 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
 
     # 36 columns that finish at many different iterations, up to 23 in flight.
     g = small_network([3, 8, 16], seed=90)
-    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [8] * 18, seed=91,
-                                                config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
+    problems, config = cell_problems(g, dct2_operator(16), [8] * 18, seed=91,
+                                     config=RecoveryConfig(max_iters=400, grad_tol=1e-4))
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 80000)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
@@ -710,11 +707,11 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
         return plan(*args)
 
     monkeypatch.setattr(gcs.recovery, "_Plan", built)
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
+    got = recover_batch(problems, config)
     # The first plan is built at the start; each later one at a compaction.
     assert builds[0] == 0
     compactions = set(builds[1:])
-    columns = len(ops) * config.restarts
+    columns = len(problems) * config.restarts
     assert max(trace["in_flight"]) > 16
     # Finished columns wait for an eighth of those in flight: at most one
     # compaction per two leaving columns, where one per leave would take
@@ -723,7 +720,7 @@ def test_compaction_waits_for_an_eighth_of_the_columns(monkeypatch):
     # Only a compaction frees room, so waiting columns enter only there.
     entered = {e for e in trace["entered_after"] if e > 0}
     assert entered and entered <= compactions
-    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
@@ -731,14 +728,14 @@ def test_block_column_floor(monkeypatch):
     import gcs.recovery
 
     g = small_network([3, 8, 16], seed=80)
-    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
-                                                config=RecoveryConfig(max_iters=300))
+    problems, config = cell_problems(g, dct2_operator(16), [8] * 4, seed=81,
+                                     config=RecoveryConfig(max_iters=300))
     # A cap below one column's rows still keeps BLOCK_COLUMNS columns in
     # flight: exactly that many while columns wait, and one enters as one leaves.
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-    columns, floor = len(ops) * config.restarts, gcs.recovery.BLOCK_COLUMNS
+    got = recover_batch(problems, config)
+    columns, floor = len(problems) * config.restarts, gcs.recovery.BLOCK_COLUMNS
     assert columns > floor > 1
     entered = trace["entered_after"]
     assert len(entered) == columns and entered[:floor] == [0] * floor
@@ -746,7 +743,7 @@ def test_block_column_floor(monkeypatch):
         waiting = sum(e > it for e in entered)
         assert live == floor if waiting else live <= floor
     assert max(entered) > 0
-    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
@@ -757,10 +754,10 @@ def test_mixed_unitaries_of_equal_rows_share_one_gather_product(monkeypatch):
     # gathers its own rows, so all eight columns form one group and every
     # plan stacks their rows into one gather product, not one per unitary.
     g = small_network([3, 8, 16], seed=88)
-    dct, eye = (cell_problems(g, u, [6, 6], seed, config=RecoveryConfig(max_iters=300))
-                for u, seed in ((dct2_operator(16), 89), (identity_operator(16), 90)))
-    ops, bs, seeds, x0s = ([x for pair in zip(dct[j], eye[j]) for x in pair] for j in (0, 1, 2, 4))
-    config = dct[3]  # two restarts each
+    (dct, config), (eye, _) = (
+        cell_problems(g, u, [6, 6], seed, config=RecoveryConfig(max_iters=300))
+        for u, seed in ((dct2_operator(16), 89), (identity_operator(16), 90)))
+    problems = [p for pair in zip(dct, eye) for p in pair]  # two restarts each
     stretches = []
 
     class Recorded(gcs.recovery._Plan):
@@ -769,10 +766,10 @@ def test_mixed_unitaries_of_equal_rows_share_one_gather_product(monkeypatch):
             stretches.append(len(self.gathers))
 
     monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-    assert [a.base.kind for a in ops] == ["dct", "explicit"] * 2
+    got = recover_batch(problems, config)
+    assert [a.base.kind for _, a, *_ in problems] == ["dct", "explicit"] * 2
     assert stretches and set(stretches) == {1}
-    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
@@ -782,7 +779,8 @@ def three_group_problems(g, u, sampler, seed, config):
         return cell_problems(g, u, [4, 6, 8] * 2, seed, sampler, config)
     for attempt in range(20):
         problems = cell_problems(g, u, [3, 5, 7, 9] * 2, spawn_seed(seed, attempt), sampler, config)
-        if len({a.num_rows for a in problems[0]}) >= 3 and all(a.num_rows for a in problems[0]):
+        rows = [a.num_rows for _, a, *_ in problems[0]]
+        if len(set(rows)) >= 3 and all(rows):
             return problems
     raise AssertionError("no Bernoulli draw gave three row counts")
 
@@ -797,17 +795,17 @@ def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases
     # than a contiguous one, so the DFT pullback must go through the view.
     u = (dct2_operator if unitary == "dct" else dft_operator)(14)
     g = small_network([3, 8, 14], seed=82, biases=biases)
-    ops, bs, seeds, config, x0s = three_group_problems(g, u, sampler, 83,
-                                                       RecoveryConfig(max_iters=300, grad_tol=1e-4))
+    problems, config = three_group_problems(g, u, sampler, 83,
+                                            RecoveryConfig(max_iters=300, grad_tol=1e-4))
     # BLOCK_BYTES at a third of the rows: later columns wait, then enter
     # beside columns that have taken many steps.
-    rows = sum(a.num_rows for a in ops) * config.restarts * 14 * u.dtype.itemsize
+    rows = sum(a.num_rows for _, a, *_ in problems) * config.restarts * 14 * u.dtype.itemsize
     monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", rows // 3)
     monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
+    got = recover_batch(problems, config)
     assert max(trace["entered_after"]) > 1
-    for res, a, b, seed, x0 in zip(got, ops, bs, seeds, x0s):
+    for res, (g, a, b, x0, seed) in zip(got, problems):
         assert_identical(res, oracle_recover(g, a, b, config, x0=x0, seed=seed))
 
 
@@ -817,16 +815,15 @@ def test_max_iters_groups_run_in_one_loop(monkeypatch, limited):
 
     g = small_network([3, 8, 16], seed=84, biases=True)
     config = RecoveryConfig(max_iters=40, grad_tol=1e-30)
-    ops, bs, seeds, config, x0s = cell_problems(g, dct2_operator(16), [4, 6, 8] * 2, seed=85,
-                                                config=config)
+    problems, config = cell_problems(g, dct2_operator(16), [4, 6, 8] * 2, seed=85, config=config)
     if limited:
         # Room for eight of the twelve columns.
         monkeypatch.setattr(gcs.recovery, "BLOCK_BYTES", 28000)
         monkeypatch.setattr(gcs.recovery, "BLOCK_COLUMNS", 1)
     trace = trace_loop(monkeypatch)
-    got = recover_batch([g] * len(ops), ops, bs, seeds, config, x0s)
-    groups = {a.num_rows: [] for a in ops}
-    for a, res in zip(ops, got):
+    got = recover_batch(problems, config)
+    groups = {a.num_rows: [] for _, a, *_ in problems}
+    for (_, a, *_), res in zip(problems, got):
         groups[a.num_rows].append(res["termination"])
     assert len(groups) == 3 and all("max_iters" in t for t in groups.values())
     delay = max(trace["entered_after"])
@@ -855,7 +852,7 @@ def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, m_l
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        recover_batch([g] * len(problems[0]), *problems)
+        recover_batch(*problems)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -873,6 +870,6 @@ def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, m_l
 def test_finished_column_does_not_pin_block(config, termination):
     g = small_network([3, 8, 16], seed=79)
     problems = cell_problems(g, dct2_operator(16), [8] * 3, seed=80, config=config)
-    for res in recover_batch([g] * 3, *problems):
+    for res in recover_batch(*problems):
         assert res["termination"] == termination
         assert res["z_hat"].base is None

@@ -228,13 +228,14 @@ def test_rows_equal_the_dense_build(n, make, dense):
 
 
 def test_rows_reject_an_index_out_of_range():
-    # One bounds rule on every path: the matrix gather below FFT_MIN_N and
+    # One index rule on every path: the matrix gather below FFT_MIN_N and
     # for an explicit U, and the closed form from FFT_MIN_N on. A negative
-    # row number never wraps to a row counted from the end.
+    # row number never wraps to a row counted from the end, the closed form
+    # evaluates no fractional row, and a boolean index is no mask.
     wrapped = []
     for n in (64, FFT_MIN_N):
         for u in [*(UnitaryOperator(kind, n) for kind in KINDS), explicit_operator(dense_dct(n))]:
-            for j in (-1, n, [-1], [0, n]):
+            for j in (-1, n, [-1], [0, n], 0.5, [0.5], [True, False], np.ones(n, bool)):
                 try:
                     u.rows(j)
                 except IndexError:
@@ -305,8 +306,8 @@ SIZE_CHECKED = {
     "regularizer": (lambda u: regularizer(np.eye(16, 3), u, 0.1), [MATRIX]),
     "train_vae": (lambda u: train_vae(DATA_16, [2, 8, 16], TrainConfig(epochs=1), u, 0),
                   ["gcs.training.derive_rng", "gcs.training._init_params"]),
-    "recover_batch": (lambda u: recover_batch([NET_16], [sample_fixed(u, 8, 0)], [np.zeros(8)],
-                                              [0], RecoveryConfig(), [None]),
+    "recover_batch": (lambda u: recover_batch([(NET_16, sample_fixed(u, 8, 0), np.zeros(8), None,
+                                                0)], RecoveryConfig()),
                       ["gcs.recovery.derive_rng", "gcs.recovery.sampled_rows"]),
     "run_measurement_sweep": (_sweep, ["gcs.harness.derive_rng", "gcs.harness.run_indexed",
                                        "gcs.harness.recover_batch"]),
