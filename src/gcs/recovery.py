@@ -26,13 +26,16 @@ accounting.
 Each time the set of columns in flight changes, the loop builds a plan
 (`_Plan`). It gathers the columns' rows and measurements and preallocates
 every buffer an iteration needs: activations, ReLU masks, residual,
-gradients and Adam scratch. It lists the (matrix, input view, output view)
-of each product: one per layer per run of adjacent columns whose networks
-hold the same weight and bias arrays for it, so no weight is ever copied,
-and two per stretch of one group's columns for the measurement side. An
-iteration runs those products with out= and then the gradient norm, the
-termination test and one Adam step over every column in flight; it
-allocates, slices and transposes nothing.
+gradients and Adam scratch. It lists every numpy call of one gradient, in
+order, as (ufunc, a, b, out). There is one product per layer per run of
+adjacent columns whose networks hold the same weight and bias arrays for
+it, so no weight is ever copied, and two per stretch of one group's columns
+for the measurement side; the bias adds, ReLUs, masks and scales are calls
+too. An iteration makes those calls, each into its out, and then the
+gradient norm, the termination test and one Adam step over every column in
+flight. It slices and transposes nothing, and no block it allocates
+outlives it: what numpy allocates within a call (the buffers of its
+iterator, for a broadcast operand) it frees there.
 
 No value is computed: a column fails its restart where the norm of its
 gradient is not finite, as in the one-vector loop. Each iteration that one
@@ -76,7 +79,7 @@ from .errors import DimensionMismatch, DomainError, GcsError, check_number
 # wraps it.
 from .gnn import GenerativeNetwork, forward, objective_value_grad  # noqa: F401
 from .sampling import SubsampledIsometry, apply, check_measurement, derive_rng, rows as sampled_rows
-from .training import adam_step
+from .training import adam_step, adam_table
 from .transforms import check_unitary_n
 
 SUCCESS_RRE = 1e-5
@@ -122,51 +125,55 @@ def _stretches(keys) -> list[tuple[int, int]]:
 
 
 class _Plan:
-    """The buffers and products of one iteration over the columns in flight
-    (see the module docstring).
+    """The buffers and the call list of one iteration over the columns in
+    flight (see the module docstring).
 
     entries: the queue entries of the columns in flight, in order (see
-    `_lockstep`). layers: per layer, the (w, input, output) views of each
-    run, the (bias, output) views of each biased run, the layer's output
-    and, for an inner layer, its ReLU mask; the last layer's output is the
-    network's output x. gathers: per stretch of adjacent columns with equal
-    |J| (one group's columns, or some of them), the (U_J, x, r) views, for
-    r = U_J x, which then becomes the residual in place; scatters: the
-    (U_J^T, r, s) views, for s = U_J^T r.
-    Each stretch's U_J is one array the plan fills column by column. b, r
-    and the row scales hold one entry per row in flight. The rows, b and
-    the scales are the plan's inputs: an iteration reads them and nothing
-    writes to them once the plan is built.
-    pullbacks: per layer from the last, the (w^T, input, output) views of
-    each run, the output, which is the gradient over the layer's input, and
-    the ReLU mask it is multiplied by; the last layer's pullback reads s.
+    `_lockstep`). calls: each (ufunc, a, b, out) call of one gradient, in
+    order. Per layer, each run's product and its bias add, then, for an
+    inner layer, the ReLU mask and the ReLU; the last layer's output is the
+    network's output x. Per stretch of adjacent columns with equal |J| (one
+    group's columns, or some of them), the gather product r = U_J x into a
+    view of the residual r. The scale of r, which holds one entry per row in
+    flight, by its rows' scales, and its `- b`. Per stretch, the scatter
+    product s = U_J^T r; then the scale of s. Per layer from the last, the
+    mask multiply of its output's gradient, for an inner layer, and each
+    run's pullback product into the gradient over its input; the first
+    layer's is grad, the gradient over z.
+    Each stretch's U_J is one array the plan fills column by column. The
+    rows, b and the scales are the plan's inputs: an iteration reads them
+    and nothing writes to them once the plan is built.
     """
 
     def __init__(self, entries, z):
         mine, ops, bs, _, _ = zip(*entries)  # mine: each column's network
         columns, n, depth = len(mine), mine[0].ambient_dim, mine[0].depth
-        self.s = np.empty((columns, n, 1))
-        self.layers, self.pullbacks, codes = [], [], {}
-        h, dh, mask = z, np.empty_like(z), None
+        s = np.empty((columns, n, 1))
+        forward, back, codes = [], [], {}
+        h, dh = z, np.empty_like(z)
         self.grad, self.grad_t = dh, dh.transpose(0, 2, 1)
         for i in range(depth):
             pairs = [(g.weights[i], None if g.biases is None else g.biases[i]) for g in mine]
             code = np.array([codes.setdefault((id(w), id(c)), len(codes)) for w, c in pairs])
             runs = [(a, b, *pairs[a]) for a, b in _stretches(code)]
             out = np.empty((columns, runs[0][2].shape[0], 1))
-            last = i == depth - 1
-            dout = self.s if last else np.empty_like(out)
-            self.layers.append(([(w, h[a:b], out[a:b]) for a, b, w, _ in runs],
-                                [(c[:, None], out[a:b]) for a, b, _, c in runs if c is not None],
-                                out, None if last else np.empty(out.shape, dtype=bool)))
-            self.pullbacks.insert(0, ([(w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs], dh, mask))
-            h, dh, mask = out, dout, self.layers[-1][3]
+            dout = s if i == depth - 1 else np.empty_like(out)
+            pullback = [(np.matmul, w.T, dout[a:b], dh[a:b]) for a, b, w, _ in runs]
+            for a, b, w, c in runs:
+                forward.append((np.matmul, w, h[a:b], out[a:b]))
+                if c is not None:
+                    forward.append((np.add, out[a:b], c[:, None], out[a:b]))
+            if i < depth - 1:
+                mask = np.empty(out.shape, dtype=bool)
+                forward += [(np.greater, out, 0, mask), (np.maximum, out, 0.0, out)]
+                pullback.insert(0, (np.multiply, dout, mask, dout))
+            back[:0] = pullback
+            h, dh = out, dout
         jrows = np.array([op.num_rows for op in ops], dtype=np.intp)
-        self.scale = np.array([op.scale for op in ops])[:, None, None]
-        self.b = np.concatenate(bs, dtype=float)
-        self.scale_rows = np.repeat(self.scale[:, 0, 0], jrows)
-        self.r = np.empty(self.b.size)
-        self.gathers, self.scatters, at = [], [], 0
+        scale = np.array([op.scale for op in ops])[:, None, None]
+        b = np.concatenate(bs, dtype=float)
+        r = np.empty(b.size)
+        gathers, scatters, at = [], [], 0
         for start, stop in _stretches(jrows):
             shape = (stop - start, int(jrows[start]), 1)
             size = shape[0] * shape[1]
@@ -176,9 +183,13 @@ class _Plan:
             # adjacent and share one op, so they copy the rows gathered last.
             for i, op in enumerate(ops[start:stop]):
                 rows[i] = rows[i - 1] if i and op is ops[start + i - 1] else sampled_rows(op)
-            self.gathers.append((rows, h[start:stop], self.r[at:at + size].reshape(shape)))
-            self.scatters.append((rows.transpose(0, 2, 1), self.gathers[-1][2], self.s[start:stop]))
+            part = r[at:at + size].reshape(shape)
+            gathers.append((np.matmul, rows, h[start:stop], part))
+            scatters.append((np.matmul, rows.transpose(0, 2, 1), part, s[start:stop]))
             at += size
+        # r = scale*(U_J x) - b.
+        self.calls = [*forward, *gathers, (np.multiply, r, np.repeat(scale[:, 0, 0], jrows), r),
+                      (np.subtract, r, b, r), *scatters, (np.multiply, s, scale, s), *back]
         self.norm = np.empty((columns, 1, 1))
         self.keep, self.finite = np.empty(columns, dtype=bool), np.empty(columns, dtype=bool)
         self.adam = (np.empty_like(z), np.empty_like(z))
@@ -186,30 +197,11 @@ class _Plan:
 
 def _block_grad(plan, z):
     """The gradient (B, k, 1) of 0.5*||r||^2 over z, where
-    r = scale*U_J G(z) - b, computed in the buffers of plan, which reads z
-    through the views it was built with.
+    r = scale*U_J G(z) - b, computed by the calls of plan, which read z
+    through the views the plan was built with.
     """
-    for runs, adds, out, mask in plan.layers:
-        for w, h, part in runs:
-            np.matmul(w, h, out=part)
-        for bias, part in adds:
-            part += bias
-        if mask is not None:
-            np.greater(out, 0, out=mask)
-            np.maximum(out, 0.0, out=out)
-    for rows, x, r in plan.gathers:
-        np.matmul(rows, x, out=r)
-    # r = scale*(U_J x) - b, one entry per row in flight.
-    plan.r *= plan.scale_rows
-    plan.r -= plan.b
-    for rows_t, r, s in plan.scatters:
-        np.matmul(rows_t, r, out=s)
-    plan.s *= plan.scale
-    for runs, out, mask in plan.pullbacks:
-        for w_t, s, part in runs:
-            np.matmul(w_t, s, out=part)
-        if mask is not None:
-            out *= mask
+    for f, a, b, out in plan.calls:
+        f(a, b, out=out)
     return plan.grad
 
 
@@ -248,7 +240,7 @@ def _lockstep(queue, config):
     # Per column in flight, in order: its queue position, its Adam step
     # count, and its latent vector with both moments.
     ids = t = np.zeros(0, dtype=np.intp)
-    state = np.zeros((3, 0, k, 1))
+    state, table = np.zeros((3, 0, k, 1)), adam_table(config.max_iters)
     while True:
         starts = []
         while pos < len(queue) and (held + cost[pos] <= room
@@ -284,7 +276,7 @@ def _lockstep(queue, config):
             if left := np.count_nonzero(keep) != running:
                 for j in np.flatnonzero(live & finite & ~keep):
                     out[ids[j]] = (z[j, :, 0].copy(), int(t[j]), "grad_tol")
-            adam_step(z, grad, m, v, t, config.learning_rate, plan.adam)
+            adam_step(z, grad, m, v, t, config.learning_rate, table, plan.adam)
             if t[first] == config.max_iters:
                 for j in np.flatnonzero(keep & (t == config.max_iters)):
                     out[ids[j]] = (z[j, :, 0].copy(), config.max_iters, "max_iters")

@@ -81,7 +81,7 @@ def synth_dataset(n: int, k_true: int, count: int, seed: int, noise: float = 0.0
 ADAM_CHUNK = 16384
 
 
-def adam_step(p, g, m, v, t, lr: float, scratch=None) -> None:
+def adam_step(p, g, m, v, t, lr: float, table, scratch=None) -> None:
     """Bias-corrected Adam step t (counted from 1) on p with gradient g.
 
     Updates p and its moments m and v in place; p, g, m and v share one
@@ -89,23 +89,20 @@ def adam_step(p, g, m, v, t, lr: float, scratch=None) -> None:
     t is an int, or an integer array with one step count per entry of p's
     first axis, so that recovery's columns, which start at different
     iterations, step together; either way every bias correction is the
-    Python float 1 - b**t, looked up once per call in one table, so each
-    column steps bit for bit as it would alone. A 1-D p longer than
-    ADAM_CHUNK (training's flat parameters, with an int t) is stepped
-    ADAM_CHUNK elements at a time; every update is elementwise, so the
-    result is bit for bit the same. scratch, two arrays shaped like p, holds
-    the step's temporaries, so that a caller stepping often allocates none;
-    without it, or for a chunked p, they are allocated per step or chunk.
+    Python float 1 - b**t, looked up in table, which the caller builds once
+    per run by `adam_table`, so each column steps bit for bit as it would
+    alone. A t past the table's last column reads that column, which holds
+    every later step's corrections once the table is full length; recovery's
+    finished columns also step on, unread, past max_iters until they leave.
+    A 1-D p longer than ADAM_CHUNK (training's flat parameters, with an int
+    t) is stepped ADAM_CHUNK elements at a time; every update is
+    elementwise, so the result is bit for bit the same. scratch, two arrays
+    shaped like p, holds the step's temporaries, so that a caller stepping
+    often allocates none; without it, or for a chunked p, they are
+    allocated per step or chunk.
     """
-    global _bias_table
     t = np.asarray(t)
-    try:
-        c = _bias_table.take(t, axis=1)
-    except IndexError:
-        size = 1 << int(t.max()).bit_length()
-        _bias_table = np.array([np.fromiter((1 - b**s for s in range(size)), float, size)
-                                for b in (_B1, _B2)])
-        c = _bias_table.take(t, axis=1)
+    c = table.take(t, axis=1, mode="clip")
     c1, c2 = c.reshape((2,) + t.shape + (1,) * (p.ndim - t.ndim))
     if p.ndim == 1 and p.size > ADAM_CHUNK:
         for i in range(0, p.size, ADAM_CHUNK):
@@ -116,9 +113,14 @@ def adam_step(p, g, m, v, t, lr: float, scratch=None) -> None:
 
 
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
-# Rows 1 - _B1**t and 1 - _B2**t for t below its width, each the Python float
-# a step t divides by; grown to the next power of two when outgrown.
-_bias_table = np.empty((2, 0))
+
+
+def adam_table(steps: int) -> np.ndarray:
+    """Column t holds 1 - _B1**t and 1 - _B2**t, the Python floats Adam
+    step t divides by, for t up to steps. From t = 37,412 on both are 1.0,
+    so the table stops there (full length) and `adam_step` reads its last
+    column for any later t: a long max_iters costs no longer table."""
+    return np.array([[1 - b**t for t in range(min(steps, 37_412) + 1)] for b in (_B1, _B2)])
 
 
 def _adam(p, g, m, v, c1, c2, lr: float, scratch=None) -> None:
@@ -341,7 +343,7 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
     k = widths[0]
     reg = (config.reg_weight, config.lam, u) if u is not None and config.reg_weight > 0 else None
     trace = []
-    t = 0
+    t, table = 0, adam_table(config.epochs * -(-count // config.batch_size))
     # The nonfinite-loss check reports an overflow; numpy's warnings are off.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
@@ -355,7 +357,7 @@ def train_vae(data: np.ndarray, widths: list[int], config: TrainConfig,
                 if not np.isfinite(loss):
                     raise GcsError(f"loss became {loss} at epoch {len(trace)}")
                 t += 1
-                adam_step(params, grads, m, v, t, config.learning_rate)
+                adam_step(params, grads, m, v, t, config.learning_rate, table)
                 epoch_losses.append(loss)
             trace.append(float(np.mean(epoch_losses)))
     # Each loss is checked before its step, so this checks the last step.

@@ -302,6 +302,20 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
                 solve(*problems[1][1:3])
 
 
+def plan_residual(plan):
+    """The residual r and the measurement b of plan: the operands of its
+    r - b call."""
+    return next((r, b) for f, r, b, _ in plan.calls if f is np.subtract)
+
+
+def gather_products(plan):
+    """The (U_J, x, r) operands of each gather product of plan: each product
+    whose output is a view of the residual."""
+    r, _ = plan_residual(plan)
+    return [(rows, x, part) for f, rows, x, part in plan.calls
+            if f is np.matmul and np.shares_memory(part, r)]
+
+
 def test_dft_plan_allocates_only_real_buffers(monkeypatch):
     # A complex U's rows enter a plan as [Re U_J; Im U_J]: its rows,
     # measurements, residuals and gradients are float64 (masks and flags
@@ -331,9 +345,54 @@ def test_dft_plan_allocates_only_real_buffers(monkeypatch):
     for plan in plans:
         dtypes = {a.dtype for value in vars(plan).values() for a in arrays(value)}
         assert dtypes == {np.dtype(np.float64), np.dtype(bool)}
-        assert {rows.shape[1] for rows, _, _ in plan.gathers} <= {12, 20}
-        assert plan.r.size == plan.b.size == sum(rows.shape[0] * rows.shape[1]
-                                                 for rows, _, _ in plan.gathers)
+        r, b = plan_residual(plan)
+        gathers = gather_products(plan)
+        assert {rows.shape[1] for rows, _, _ in gathers} <= {12, 20}
+        assert r.size == b.size == sum(rows.shape[0] * rows.shape[1] for rows, _, _ in gathers)
+
+
+def test_an_iteration_allocates_nothing(monkeypatch):
+    # An iteration runs its plan's calls into the plan's buffers. Under
+    # tracemalloc no block it allocates outlives it, and what it allocates
+    # in passing stays below the smallest buffer a call writes, which a call
+    # formed without out= would allocate at once. numpy's buffered iterator
+    # takes a buffer of up to its buffer size per broadcast operand; at 16
+    # elements a call's transients stay under 1.5 kB, where the smallest
+    # buffer here, a ReLU mask, is 2.5 kB.
+    import tracemalloc
+    import gcs.recovery
+
+    plans = []
+
+    class Recorded(gcs.recovery._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append((self, args[1]))
+
+    monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
+    # Biased and unbiased networks, DCT and DFT rows: every kind of call.
+    nets = [small_network([3, 10, 24], seed=42, biases=biases) for biases in (True, False)]
+    problems = [p for g, u in zip(nets, (dct2_operator(24), dft_operator(24)))
+                for p in cell_problems(g, u, [8, 12] * 32, seed=43)[0]]
+    recover_batch(problems, RecoveryConfig(max_iters=3, restarts=2))
+    plan, z = plans[0]
+    assert {f for f, *_ in plan.calls} == {np.matmul, np.add, np.greater, np.maximum,
+                                          np.multiply, np.subtract}
+    smallest = min(out.nbytes for *_, out in plan.calls)
+    size = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grad = gcs.recovery._block_grad(plan, z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        kept = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, gcs.recovery.__file__)])
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(size)
+    assert not kept.traces
+    assert peak < smallest
+    assert grad is plan.grad
 
 
 def test_capacity_of_the_desk_queues(monkeypatch):
@@ -763,7 +822,7 @@ def test_mixed_unitaries_of_equal_rows_share_one_gather_product(monkeypatch):
     class Recorded(gcs.recovery._Plan):
         def __init__(self, *args):
             super().__init__(*args)
-            stretches.append(len(self.gathers))
+            stretches.append(len(gather_products(self)))
 
     monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
     got = recover_batch(problems, config)

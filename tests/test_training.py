@@ -19,6 +19,7 @@ from gcs.training import (
     TrainConfig,
     VaeModel,
     adam_step,
+    adam_table,
     load_idx,
     load_vae,
     save_vae,
@@ -173,17 +174,29 @@ def test_adam_two_step_hand_trace():
     # trace gives steps of exactly lr/(1 + eps') each time.
     p, g, m, v = np.array([0.0]), np.array([1.0]), np.zeros(1), np.zeros(1)
     lr, eps = 0.1, 1e-8
-    adam_step(p, g, m, v, 1, lr)
+    adam_step(p, g, m, v, 1, lr, adam_table(1))
     # t=1: m_hat = v_hat = 1 -> step lr/(1 + eps)
     p1 = p[0]
     assert p1 == pytest.approx(-lr / (1 + eps), abs=1e-15)
-    adam_step(p, g, m, v, 2, lr)
+    adam_step(p, g, m, v, 2, lr, adam_table(2))
     # t=2: m = 0.19, v = 0.001999; m_hat = 1, v_hat = 1 -> same step again
     m2 = 0.9 * 0.1 + 0.1 * 1.0
     v2 = 0.999 * 0.001 + 0.001 * 1.0
     step2 = lr * (m2 / (1 - 0.9**2)) / (np.sqrt(v2 / (1 - 0.999**2)) + eps)
     assert p[0] == pytest.approx(p1 - step2, abs=1e-15)
     assert (m[0], v[0]) == pytest.approx((m2, v2), abs=1e-15)
+
+
+def test_adam_table_holds_every_step_its_run_takes():
+    # Each column is the Python float a step divides by; past the table's
+    # last column both corrections are 1.0, which adam_step then reads.
+    table = adam_table(10**6)
+    assert table.shape == (2, 37_413)
+    for t in [1, 2, 350, 37_411, 37_412]:
+        assert list(table[:, t]) == [1 - 0.9**t, 1 - 0.999**t]
+    assert 1 - 0.999**37_411 < 1.0
+    assert all(1 - b**t == 1.0 for b in (0.9, 0.999) for t in range(37_412, 10**6, 997))
+    assert adam_table(5).shape == (2, 6)
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -199,7 +212,7 @@ def test_chunked_adam_equals_single_pass_bitwise(monkeypatch, chunk):
     for t in range(1, 4):
         grads[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
         params, state = oracle_adam_step(params, [grads], state, lr=0.05)
-        adam_step(flat, grads, m, v, t, 0.05)
+        adam_step(flat, grads, m, v, t, 0.05, adam_table(t))
         for want, got in [(params, flat), (state[0], m), (state[1], v)]:
             assert want[0].tobytes() == got.tobytes()
 
@@ -212,10 +225,11 @@ def test_adam_per_column_steps_equal_scalar_steps_bitwise(shape):
     p, g = rng.standard_normal(shape), rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
     m, v = 0.1 * rng.standard_normal(shape), rng.random(shape)
     t = 1 + np.arange(shape[0])
-    want = [a.copy() for a in (p, m, v)]
+    want, table = [a.copy() for a in (p, m, v)], adam_table(shape[0])
     for j in range(shape[0]):
-        adam_step(want[0][j:j + 1], g[j:j + 1], want[1][j:j + 1], want[2][j:j + 1], int(t[j]), 0.1)
-    adam_step(p, g, m, v, t, 0.1)
+        adam_step(want[0][j:j + 1], g[j:j + 1], want[1][j:j + 1], want[2][j:j + 1], int(t[j]), 0.1,
+                  table)
+    adam_step(p, g, m, v, t, 0.1, table)
     for w, got in zip(want, (p, m, v)):
         assert w.tobytes() == got.tobytes()
 
@@ -236,7 +250,7 @@ def test_flat_adam_equals_list_oracle_bitwise():
             grads[::3] = 0.0
         g_list = [a.reshape(s) for a, s in zip(np.split(grads, cuts), shapes)]
         params, state = oracle_adam_step(params, g_list, state, lr=0.05)
-        adam_step(flat, grads, m, v, t, 0.05)
+        adam_step(flat, grads, m, v, t, 0.05, adam_table(t))
         for want, got in [(params, flat), (state[0], m), (state[1], v)]:
             assert np.concatenate([a.ravel() for a in want]).tobytes() == got.tobytes()
 

@@ -140,7 +140,7 @@ def oracle_train_vae(data, widths, config, u, seed):
             loss += config.reg_weight * rho
             g_last += config.reg_weight * rho_grad
             t += 1
-            training.adam_step(params, grads, m, v, t, config.learning_rate)
+            training.adam_step(params, grads, m, v, t, config.learning_rate, training.adam_table(t))
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return params, trace
