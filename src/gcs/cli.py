@@ -79,11 +79,11 @@ def cmd_coherence(args) -> None:
 
 
 def cmd_train(args) -> None:
-    if args.data != "synth" and not args.data.startswith("idx:"):
+    if not (args.data == "synth" or args.data.startswith("idx:") and args.data != "idx:"):
         raise DomainError(f"unknown data source {args.data!r} (expected synth or idx:<images>)")
     gnn.check_widths(args.arch)
     check_number("--epochs", args.epochs, 1, integer=True)
-    config = _from_flags(training.TrainConfig, args)
+    config = _build(training.TrainConfig, vars(args))
     # A bad synth size, like a bad --unitary name, fails before a file: unitary is read.
     if args.data == "synth":
         training.check_synth_dataset(args.arch[-1], args.synth_k, args.synth_count)
@@ -102,7 +102,7 @@ def cmd_train(args) -> None:
 def cmd_recover(args) -> None:
     check_number("--m", args.m, sampling.MIN_M[args.model], integer=True)
     check_number("--noise", args.noise, 0)
-    cfg = _from_flags(recovery.RecoveryConfig, args)
+    cfg = _build(recovery.RecoveryConfig, vars(args))
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     a = sampling.sampler_for(args.model)(u, args.m, sampling.spawn_seed(args.seed, 0))
@@ -119,13 +119,17 @@ def cmd_recover(args) -> None:
     _print_json({**res, "success": res["rre"] is not None and res["rre"] < recovery.SUCCESS_RRE})
 
 
-def _block(obj, where: str, required=()) -> dict:
-    """obj, after checking that it is a JSON object with every required key."""
+def _block(obj, where: str, keys=None, required=()) -> dict:
+    """obj, after checking that it is a JSON object that holds every required
+    key and, unless keys is None, no key outside keys."""
     if not isinstance(obj, dict):
         raise DomainError(f"{where} must hold a JSON object")
     for key in required:
         if key not in obj:
             raise DomainError(f"{where} is missing required key {key!r}")
+    for key in obj:
+        if keys is not None and key not in keys:
+            raise DomainError(f"unknown {where} key {key!r} (expected one of {', '.join(keys)})")
     return obj
 
 
@@ -145,42 +149,19 @@ def _config_flags(parser, cls) -> None:
                             required=f.default is dataclasses.MISSING)
 
 
-def _from_flags(cls, args):
-    """The config dataclass cls built from the flags whose dests are its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-
-
-def _fields(cls, obj: dict, what: str, extra=()) -> dict:
-    """The entries of obj for fields of the config dataclass cls.
-
-    extra names the keys only the CLI reads. Any other key raises
-    DomainError. A field obj leaves out takes its default from cls, which
-    also checks the values.
-    """
-    allowed = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(obj, what, [*allowed, *extra])
-    return {key: value for key, value in obj.items() if key not in extra}
-
-
-def _check_keys(obj: dict, what: str, allowed) -> None:
-    """Raise DomainError naming the first key of obj that allowed lacks."""
-    for key in obj:
-        if key not in allowed:
-            raise DomainError(f"unknown {what} key {key!r} (expected one of {', '.join(allowed)})")
+def _build(cls, values):
+    """The config dataclass cls built from the entries of values, a JSON block
+    or the parsed flags' vars, that its fields name. A field values leaves
+    out takes its default from cls, which also checks the values."""
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
 def _path(value, what: str) -> str:
-    """value, after checking that it is a string: a config value that names
-    a file is a path, never a file descriptor or a list of characters."""
-    if not isinstance(value, str):
+    """value, after checking that it is a nonempty string: a config value
+    that names a file is a path, never a file descriptor or a list of characters."""
+    if not isinstance(value, str) or value == "":
         raise DomainError(f"{what} must be a file path string, got {value!r}")
     return value
-
-
-def _recovery_from_json(cfg_json: dict) -> recovery.RecoveryConfig:
-    """The config's "recovery" block as a RecoveryConfig."""
-    block = _block(cfg_json.get("recovery", {}), "recovery")
-    return recovery.RecoveryConfig(**_fields(recovery.RecoveryConfig, block, "recovery"))
 
 
 def _load_config(path: str, cls, what: str, files):
@@ -191,11 +172,14 @@ def _load_config(path: str, cls, what: str, files):
     the files the command reads. Every key and value is checked before any
     such file is read.
     """
-    cfg_json = _block(read_json(path), f"config {path}", (*files, "m_list"))
-    values = {**_fields(cls, cfg_json, f"{what} config", ("unitary", *files)),
-              "recovery": _recovery_from_json(cfg_json)}
+    fields = [f.name for f in dataclasses.fields(cls)]
+    cfg_json = _block(read_json(path), f"{what} config {path}", [*fields, "unitary", *files],
+                      (*files, "m_list"))
+    block = _block(cfg_json.get("recovery", {}), "recovery",
+                   [f.name for f in dataclasses.fields(recovery.RecoveryConfig)])
+    rec = _build(recovery.RecoveryConfig, block)
     check_unitary_spec(cfg_json.setdefault("unitary", "dct"))
-    return cfg_json, cls(**values)
+    return cfg_json, _build(cls, {**cfg_json, "recovery": rec})
 
 
 def cmd_phase(args) -> None:
@@ -229,13 +213,12 @@ def cmd_sweep(args) -> None:
                                  ("models", "test_data"))
     if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
         raise DomainError("a sweep config needs at least one entry in \"models\"")
-    test_spec = _block(cfg_json["test_data"], "test_data", ("kind",))
+    test_spec = _block(cfg_json["test_data"], "test_data", required=("kind",))
     kind = test_spec["kind"]
     if kind not in ("synth", "idx"):
         raise DomainError(f"unknown test_data kind {kind!r} (expected synth or idx)")
     keys = ("kind", "k_true", "count", "seed") if kind == "synth" else ("kind", "images")
-    _block(test_spec, "test_data", keys)
-    _check_keys(test_spec, "test_data", keys)
+    _block(test_spec, "test_data", keys, keys)
     for name, path in cfg_json["models"].items():
         _path(path, f"model {name!r}")
     if kind == "idx":
@@ -270,7 +253,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_rip(args) -> None:
-    cfg = _from_flags(harness.RipConfig, args)
+    cfg = _build(harness.RipConfig, vars(args))
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     records, summaries = harness.run_rip_check(g, cfg, u, args.seed)
@@ -280,7 +263,7 @@ def cmd_rip(args) -> None:
 
 
 def cmd_subspace_rip(args) -> None:
-    cfg = _from_flags(harness.SubspaceRipConfig, args)
+    cfg = _build(harness.SubspaceRipConfig, vars(args))
     u = resolve_unitary(args.unitary, cfg.n)
     records, summaries, fit = harness.run_subspace_rip(cfg, u, args.seed)
     harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))

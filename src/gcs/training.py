@@ -286,8 +286,7 @@ def _elbo_and_grads(params, grads, x, eps_noise) -> float:
     """The negative ELBO of one mini-batch, its gradient written into the
     views grads."""
     enc, heads, dec = params
-    w_mu, _, w_lv, _ = heads
-    g_enc, (g_wmu, g_bmu, g_wlv, g_blv), g_dec = grads
+    g_enc, g_heads, g_dec = grads
     batch = x.shape[0]
 
     mu, lv, enc_pre, enc_act = _encode(enc, heads, x)
@@ -301,14 +300,12 @@ def _elbo_and_grads(params, grads, x, eps_noise) -> float:
     dz = _backward(dec, g_dec, dec_pre, dec_act, (x_hat - x) / batch, False, True)
     dmu = dz + mu / batch
     dlv = dz * eps_noise * 0.5 * np.exp(0.5 * lv) + 0.5 * (np.exp(lv) - 1.0) / batch
-    # Heads.
-    h_top = enc_act[-1]
-    np.matmul(dmu.T, h_top, out=g_wmu)
-    dmu.sum(axis=0, out=g_bmu)
-    np.matmul(dlv.T, h_top, out=g_wlv)
-    dlv.sum(axis=0, out=g_blv)
+    # Each head is one linear layer on the encoder's output.
+    top = enc_act[-1:]
+    d_top = (_backward([heads[:2]], [g_heads[:2]], None, top, dmu, False, True)
+             + _backward([heads[2:]], [g_heads[2:]], None, top, dlv, False, True))
     # Nothing reads the gradient of the input batch.
-    _backward(enc, g_enc, enc_pre, enc_act, dmu @ w_mu + dlv @ w_lv, True, False)
+    _backward(enc, g_enc, enc_pre, enc_act, d_top, True, False)
     return loss
 
 

@@ -282,6 +282,16 @@ def test_train_reads_an_idx_image_file_and_no_label_file(tmp_path, data):
     assert (tmp_path / "m.decoder.json").exists()
 
 
+def test_train_idx_file_shorter_than_its_header_exits_2(tmp_path, monkeypatch, capsys):
+    images = tmp_path / "short.idx"
+    images.write_bytes(struct.pack(">II", 0x00000803, 1))
+    monkeypatch.setattr(cli.training, "train_vae", no_compute)
+    rc = cli.main(["train", "--data", f"idx:{images}", "--arch", "2,8,16",
+                   "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gcs: error: {images}: header truncated\n"
+
+
 # An edit to NULL writes the key with the value null.
 NULL = object()
 # A 400-digit integer: valid JSON, and a Python int, that no float can hold.
@@ -369,6 +379,9 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
     (["phase"], {"m_list": [8, 8]}, "m = 8 appears twice in the m grid"),
     (["phase"], {"m_list": [8, "x"]}, "m must be an integer, got 'x'"),
     (["sweep"], {"m_list": [10, 10]}, "m = 10 appears twice in the m grid"),
+    (["phase"], {"w_low": ""}, "w_low must be a file path string, got ''"),
+    (["sweep"], {"models": {"a": "model.json", "b": ""}},
+     "model 'b' must be a file path string, got ''"),
     (MISSING_RIP + ["--delta", "2"], {}, "delta must be in (0, 1), got 2.0"),
     (MISSING_RIP + ["--trials", "0"], {}, "trials must be >= 1, got 0"),
     (MISSING_RIP + ["--chord-samples", "0"], {}, "chord_samples must be >= 1, got 0"),
@@ -393,12 +406,16 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
       "--m-list", "8"], {}, "n must be >= 1, got 0"),
     (MISSING_TRAIN + ["--synth-count", "0"], {}, "count must be >= 1, got 0"),
     (MISSING_TRAIN + ["--synth-k", "40"], {}, "need 1 <= k_true <= n, got k_true=40, n=16"),
+    (MISSING_TRAIN + ["--data", "idx:"], {},
+     "unknown data source 'idx:' (expected synth or idx:<images>)"),
 ], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
+        "phase-empty-w_low", "sweep-empty-model",
         "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
         "subspace-trials0", "subspace-repeated-m", "coherence-mc-samples0", "recover-m0",
         "recover-unitary", "coherence-unitary", "rip-unitary", "rip-empty-file-unitary",
         "subspace-k-above-n",
-        "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n"])
+        "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n",
+        "train-empty-idx"])
 def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                argv, edits, message):
     # Every config, the RIP configs built from their flags included, checks
@@ -554,13 +571,20 @@ def test_file_unitary_of_wrong_size_exits_2_before_any_compute(tmp_path, monkeyp
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
 
-def test_recovery_block_keys():
-    assert cli._recovery_from_json({}) == RecoveryConfig()
-    assert cli._recovery_from_json({"recovery": {"restarts": 3}}) == RecoveryConfig(restarts=3)
+def load_recovery(tmp_path, **edits) -> RecoveryConfig:
+    """The RecoveryConfig that a phase config with edits loads to."""
+    _, cfg = cli._load_config(phase_config(tmp_path, **edits), cli.harness.PhaseConfig, "phase",
+                              ("inner_weights", "w_high", "w_low"))
+    return cfg.recovery
+
+
+def test_recovery_block_keys(tmp_path):
+    assert load_recovery(tmp_path) == RecoveryConfig()
+    assert load_recovery(tmp_path, recovery={"restarts": 3}) == RecoveryConfig(restarts=3)
     with pytest.raises(DomainError, match="unknown recovery key 'restart'"):
-        cli._recovery_from_json({"recovery": {"restart": 3}})
+        load_recovery(tmp_path, recovery={"restart": 3})
     with pytest.raises(DomainError, match="'seed'"):
-        cli._recovery_from_json({"recovery": {"seed": 1}})
+        load_recovery(tmp_path, recovery={"seed": 1})
 
 
 def test_unknown_recovery_key_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
@@ -571,7 +595,7 @@ def test_unknown_recovery_key_exits_2_before_any_cell(tmp_path, monkeypatch, cap
     assert "unknown recovery key 'restart'" in capsys.readouterr().err
 
 
-def test_recovery_block_values():
+def test_recovery_block_values(tmp_path):
     for block, key in [({"restarts": 0}, "restarts"), ({"max_iters": "5"}, "max_iters"),
                        ({"max_iters": 2.5}, "max_iters"), ({"restarts": True}, "restarts"),
                        ({"learning_rate": "0.1"}, "learning_rate"),
@@ -579,8 +603,8 @@ def test_recovery_block_values():
                        ({"learning_rate": 10**400}, "learning_rate"),
                        ({"grad_tol": float("nan")}, "grad_tol")]:
         with pytest.raises(DomainError, match=f"^recovery {key} must be"):
-            cli._recovery_from_json({"recovery": block})
-    assert cli._recovery_from_json({"recovery": {"learning_rate": 1}}).learning_rate == 1
+            load_recovery(tmp_path, recovery=block)
+    assert load_recovery(tmp_path, recovery={"learning_rate": 1}).learning_rate == 1
 
 
 @pytest.mark.parametrize("block, message", [
@@ -872,7 +896,11 @@ NOT_UTF8 = ("binary.json: malformed JSON: 'utf-8' codec can't decode byte 0xff i
     (["phase", "--config", "absent.json"], {},
      "No such file or directory: 'absent.json'"),
     (["sweep", "--config", "bad.json"], {}, "bad.json: malformed JSON: "),
-    (["phase", "--config", "list.json"], {}, "config list.json must hold a JSON object"),
+    (["phase", "--config", "list.json"], {}, "phase config list.json must hold a JSON object"),
+    (["sweep", "--config", "list.json"], {}, "sweep config list.json must hold a JSON object"),
+    (["phase", "--config", "phase.json"], {"recovery": [1]}, "recovery must hold a JSON object"),
+    (["sweep", "--config", "sweep.json"], {"test_data": "x.idx"},
+     "test_data must hold a JSON object"),
     (["rip", "--weights", "absent.json", "--m-list", "8"], {},
      "No such file or directory: 'absent.json'"),
     (["coherence", "--weights", "bad.json"], {}, "bad.json: malformed JSON: "),
@@ -882,19 +910,19 @@ NOT_UTF8 = ("binary.json: malformed JSON: 'utf-8' codec can't decode byte 0xff i
     (["sweep", "--config", "sweep.json"], {"models": {"a": "bad.json"}},
      "bad.json: malformed JSON: "),
     (["phase", "--config", "phase.json"], {"m_list": None},
-     "config phase.json is missing required key 'm_list'"),
+     "phase config phase.json is missing required key 'm_list'"),
     (["phase", "--config", "phase.json"], {"inner_weights": None},
-     "config phase.json is missing required key 'inner_weights'"),
+     "phase config phase.json is missing required key 'inner_weights'"),
     (["phase", "--config", "phase.json"], {"w_high": None},
-     "config phase.json is missing required key 'w_high'"),
+     "phase config phase.json is missing required key 'w_high'"),
     (["phase", "--config", "phase.json"], {"w_low": None},
-     "config phase.json is missing required key 'w_low'"),
+     "phase config phase.json is missing required key 'w_low'"),
     (["sweep", "--config", "sweep.json"], {"models": None},
-     "config sweep.json is missing required key 'models'"),
+     "sweep config sweep.json is missing required key 'models'"),
     (["sweep", "--config", "sweep.json"], {"test_data": None},
-     "config sweep.json is missing required key 'test_data'"),
+     "sweep config sweep.json is missing required key 'test_data'"),
     (["sweep", "--config", "sweep.json"], {"m_list": None},
-     "config sweep.json is missing required key 'm_list'"),
+     "sweep config sweep.json is missing required key 'm_list'"),
     (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "synth"}},
      "test_data is missing required key 'k_true'"),
     (["sweep", "--config", "sweep.json"], {"test_data": {"kind": "idx"}},
@@ -909,10 +937,10 @@ NOT_UTF8 = ("binary.json: malformed JSON: 'utf-8' codec can't decode byte 0xff i
     (["sweep", "--config", "sweep.json"], {"models": {"a": "rows.json"}},
      "rows.json: missing key 'encoder'"),
     (["phase", "--config", "phase.json"], {"trails": 1, "w_high": "absent.json"},
-     "unknown phase config key 'trails' (expected one of betas, m_list, trials, model, "
+     "unknown phase config phase.json key 'trails' (expected one of betas, m_list, trials, model, "
      "recovery, unitary, inner_weights, w_high, w_low)"),
     (["sweep", "--config", "sweep.json"], {"seed": 3},
-     "unknown sweep config key 'seed' (expected one of m_list, trials, model, recovery, "
+     "unknown sweep config sweep.json key 'seed' (expected one of m_list, trials, model, recovery, "
      "unitary, models, test_data)"),
     (["phase", "--config", "phase.json"], {"recovery": {"seed": 3}},
      "unknown recovery key 'seed' (expected one of learning_rate, max_iters, grad_tol, restarts)"),
@@ -996,7 +1024,8 @@ NOT_UTF8 = ("binary.json: malformed JSON: 'utf-8' codec can't decode byte 0xff i
     (["rip", "--weights", "binary.json", "--m-list", "8"], {}, NOT_UTF8),
     (["rip", "--weights", os.path.join(ROOT, "out", "desk", "weights", "g_w_low.json"),
       "--unitary", "file:binary.json", "--m-list", "8"], {}, NOT_UTF8),
-], ids=["no-config", "bad-config", "list-config", "no-weights", "bad-weights", "no-phase-weights",
+], ids=["no-config", "bad-config", "list-config", "sweep-list-config", "phase-list-recovery",
+        "sweep-string-test_data", "no-weights", "bad-weights", "no-phase-weights",
         "bad-phase-weights", "bad-sweep-model", "phase-m_list", "phase-inner_weights",
         "phase-w_high", "phase-w_low", "sweep-models", "sweep-test_data", "sweep-m_list",
         "synth-k_true", "idx-images", "weights-no-layers", "weights-no-data", "weights-nan", "weights-no-chain",

@@ -60,6 +60,8 @@ def test_subspace_coherence_validation():
         subspace_coherence(u, np.ones((8, 2)))
     with pytest.raises(DimensionMismatch):
         subspace_coherence(u, random_orthonormal(9, 2, 0))
+    with pytest.raises(DimensionMismatch, match="^Q is 1-d, not a matrix$"):
+        subspace_coherence(u, np.eye(8)[0])
 
 
 def test_heuristic_equals_subspace_coherence_of_final_range():
@@ -141,6 +143,11 @@ def test_typical_bound_formula():
     assert typical_coherence_bound(widths, gamma=2.0) == pytest.approx(expected)
     with pytest.raises(DomainError, match="^gamma must be >= 0, got -1.0$"):
         typical_coherence_bound(widths, gamma=-1.0)
+
+
+def test_regularizer_rejects_a_w_that_is_not_a_matrix():
+    with pytest.raises(DimensionMismatch, match="^W is 1-d, not a matrix$"):
+        regularizer(np.ones(8), dct2_operator(8), lam=1.0)
 
 
 def test_regularizer_value():

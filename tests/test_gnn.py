@@ -12,6 +12,7 @@ from gcs.gnn import (
     augment_biases,
     difference_network,
     forward,
+    hidden,
     load_network,
     log_region_bound,
     network_from_json,
@@ -80,6 +81,20 @@ def test_network_validation():
         GenerativeNetwork(weights=[np.ones((2, 3)), np.ones((5, 2))])
     with pytest.raises(DimensionMismatch):
         GenerativeNetwork(weights=[np.ones((4, 2)), np.ones((5, 3))])  # chain broken
+    ws = [np.ones((4, 2)), np.ones((8, 4))]
+    with pytest.raises(DimensionMismatch, match="^need one bias per layer$"):
+        GenerativeNetwork(weights=ws, biases=[np.zeros(4)])
+    with pytest.raises(DimensionMismatch, match="^bias length must match layer width$"):
+        GenerativeNetwork(weights=ws, biases=[np.zeros(4), np.zeros(7)])
+
+
+def test_a_code_of_the_wrong_length_is_refused():
+    g = random_network([4, 16, 64], seed=0)
+    a = sample_fixed(dct2_operator(64), 16, seed=1)
+    with pytest.raises(DimensionMismatch, match="^code dim 4, got 3$"):
+        hidden(g, np.ones(3))
+    with pytest.raises(DimensionMismatch, match=re.escape("latent must have shape (4,)")):
+        objective_value_grad(g, a, np.zeros(16), np.ones((4, 1)))
 
 
 def test_width_properties():

@@ -156,6 +156,14 @@ def test_matrix_json_roundtrip(complex_):
 def test_matrix_json_bad_length():
     with pytest.raises(DimensionMismatch):
         matrix_from_json({"rows": 2, "cols": 2, "complex": False, "data": [1.0, 2.0]})
+    # A complex matrix stores two entries, re and im, per element.
+    with pytest.raises(DimensionMismatch, match=r"^data length does not match 2\*rows\*cols$"):
+        matrix_from_json({"rows": 2, "cols": 2, "complex": True, "data": [1.0, 2.0, 3.0, 4.0]})
+
+
+def test_matrix_to_json_rejects_an_array_that_is_not_2d():
+    with pytest.raises(DimensionMismatch, match="^expected a 2-d array$"):
+        matrix_to_json(np.ones(3))
 
 
 def test_matrix_file_roundtrip(tmp_path):

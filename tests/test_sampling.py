@@ -106,6 +106,8 @@ def test_adjoint_is_conjugate_transpose():
     lhs = apply(a, x) @ y
     rhs = x @ apply_adjoint(a, y)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+    with pytest.raises(DimensionMismatch, match=f"^expected length {a.num_rows}, got 11$"):
+        apply_adjoint(a, np.ones(11))
 
 
 def test_bernoulli_cardinality_moments():

@@ -209,7 +209,7 @@ def test_apply_below_crossover_is_the_dense_product(make, shape):
     assert np.array_equal(u.apply(x), u.matrix @ x)
 
 
-@pytest.mark.parametrize("n", [64, FFT_MIN_N, 784, 1024])
+@pytest.mark.parametrize("n", [64, FFT_MIN_N, 300, 784, 1024])
 @pytest.mark.parametrize("make, dense", [ORACLES[name] for name in KINDS])
 def test_rows_equal_the_dense_build(n, make, dense):
     # Below FFT_MIN_N rows() gathers from the matrix; from it on, it evaluates
