@@ -44,9 +44,13 @@ def resolve_unitary(spec: str, n: int) -> transforms.UnitaryOperator:
     return u
 
 
-def check_out_dir(path: str) -> None:
-    """Raise OSError unless path is, or os.makedirs can make, a writable directory."""
-    head = os.path.abspath(path)
+def check_out_file(path: str) -> None:
+    """Raise OSError unless path names a file a command can write: its last
+    component is a file name (not empty, . or ..), it is no directory, and
+    its directory is, or os.makedirs can make, a writable directory."""
+    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write to {path}: it is a directory")
+    head = os.path.dirname(os.path.abspath(path))
     while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head) or not os.access(head, os.W_OK | os.X_OK):
@@ -58,9 +62,17 @@ def _decoder_path(out: str) -> str:
     return out.removesuffix(".json") + ".decoder.json"
 
 
+def _under_out_dir(*names):
+    """The outs of a command that writes one file per name under --out-dir.
+
+    Each subparser's outs maps the parsed args to the paths its command
+    writes; main checks each with check_out_file before the command runs."""
+    return lambda args: [os.path.join(args.out_dir, name) for name in names]
+
+
 def _ints(s: str) -> list[int]:
     try:
-        return [int(x) for x in s.split(",") if x]
+        return [int(x) for x in s.split(",")]
     except ValueError:
         raise DomainError(f"expected comma-separated integers, got {s!r}") from None
 
@@ -78,7 +90,7 @@ def cmd_coherence(args) -> None:
     _print_json(coh.coherence_report(g, u, args.mc_samples, args.seed))
 
 
-def cmd_train(args) -> None:
+def cmd_train(args, out: str, decoder_out: str) -> None:
     if not (args.data == "synth" or args.data.startswith("idx:") and args.data != "idx:"):
         raise DomainError(f"unknown data source {args.data!r} (expected synth or idx:<images>)")
     gnn.check_widths(args.arch)
@@ -94,9 +106,9 @@ def cmd_train(args) -> None:
     else:
         data = training.load_idx(args.data[len("idx:"):])
     model = training.train_vae(data, args.arch, config, u, args.seed)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    training.save_vae(model, args.out, _decoder_path(args.out))
-    print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {args.out}")
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    training.save_vae(model, out, decoder_out)
+    print(f"trained; final epoch loss {model.loss_trace[-1]:.6g}; saved to {out}")
 
 
 def cmd_recover(args) -> None:
@@ -182,7 +194,7 @@ def _load_config(path: str, cls, what: str, files):
     return cfg_json, _build(cls, {**cfg_json, "recovery": rec})
 
 
-def cmd_phase(args) -> None:
+def cmd_phase(args, csv_path: str, svg_path: str) -> None:
     cfg_json, cfg = _load_config(args.config, harness.PhaseConfig, "phase",
                                  ("inner_weights", "w_high", "w_low"))
     inner = cfg_json["inner_weights"]
@@ -193,22 +205,18 @@ def cmd_phase(args) -> None:
     *inner, w_high, w_low = [gnn.load_weight(p) for p in paths]
     u = resolve_unitary(cfg_json["unitary"], w_high.shape[0])
     records = harness.run_phase_portrait(inner, w_high, w_low, cfg, u, args.seed)
-    csv_path = os.path.join(args.out_dir, "phase.csv")
     harness.emit_csv(records, csv_path)
     grid = harness.phase_success_grid(records, cfg.betas, cfg.m_list)
     # The grid's rows follow cfg.betas, and so do their labels.
     cohs = {r["beta"]: r["coherence_heuristic"] for r in records}
-    harness.emit_svg_heatmap(
-        grid,
-        os.path.join(args.out_dir, "phase.svg"),
-        row_labels=[f"a={cohs[beta]:.3f}" for beta in cfg.betas],
-        col_labels=[str(m) for m in cfg.m_list],
-        title="success fraction (white = all trials recovered)",
-    )
+    harness.emit_svg_heatmap(grid, svg_path,
+                             row_labels=[f"a={cohs[beta]:.3f}" for beta in cfg.betas],
+                             col_labels=[str(m) for m in cfg.m_list],
+                             title="success fraction (white = all trials recovered)")
     print(f"wrote {csv_path}")
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args, csv_path: str, summary_path: str, svg_path: str) -> None:
     cfg_json, cfg = _load_config(args.config, harness.SweepConfig, "sweep",
                                  ("models", "test_data"))
     if not isinstance(cfg_json["models"], dict) or not cfg_json["models"]:
@@ -241,33 +249,32 @@ def cmd_sweep(args) -> None:
     harness.check_test_data(*samples.shape, models)
     models += [(name, training.load_vae(path)) for name, path in rest]
     records, summaries = harness.run_measurement_sweep(models, samples, cfg, u, args.seed)
-    harness.emit_csv(records, os.path.join(args.out_dir, "sweep.csv"))
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "sweep_summary.csv"))
-    series = []
-    for name, _ in models:
-        pts = [(s["m"], s["geo_mean_rre"]) for s in summaries if s["model"] == name]
-        series.append({"label": name, "x": [p[0] for p in pts], "y": [p[1] for p in pts]})
-    harness.emit_svg_scatter(series, os.path.join(args.out_dir, "sweep.svg"),
-                             title="geometric mean rre vs m (log-y)")
-    print(f"wrote {os.path.join(args.out_dir, 'sweep.csv')}")
+    harness.emit_csv(records, csv_path)
+    harness.emit_csv(summaries, summary_path)
+    # The summaries come in (model, m) order, m in the order of cfg.m_list.
+    series = [{"label": name, "x": cfg.m_list,
+               "y": [s["geo_mean_rre"] for s in summaries if s["model"] == name]}
+              for name, _ in models]
+    harness.emit_svg_scatter(series, svg_path, title="geometric mean rre vs m (log-y)")
+    print(f"wrote {csv_path}")
 
 
-def cmd_rip(args) -> None:
+def cmd_rip(args, csv_path: str, summary_path: str) -> None:
     cfg = _build(harness.RipConfig, vars(args))
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
     records, summaries = harness.run_rip_check(g, cfg, u, args.seed)
-    harness.emit_csv(records, os.path.join(args.out_dir, "rip.csv"))
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "rip_summary.csv"))
-    print(f"wrote {os.path.join(args.out_dir, 'rip.csv')}")
+    harness.emit_csv(records, csv_path)
+    harness.emit_csv(summaries, summary_path)
+    print(f"wrote {csv_path}")
 
 
-def cmd_subspace_rip(args) -> None:
+def cmd_subspace_rip(args, csv_path: str, summary_path: str) -> None:
     cfg = _build(harness.SubspaceRipConfig, vars(args))
     u = resolve_unitary(args.unitary, cfg.n)
     records, summaries, fit = harness.run_subspace_rip(cfg, u, args.seed)
-    harness.emit_csv(records, os.path.join(args.out_dir, "subspace_rip.csv"))
-    harness.emit_csv(summaries, os.path.join(args.out_dir, "subspace_rip_summary.csv"))
+    harness.emit_csv(records, csv_path)
+    harness.emit_csv(summaries, summary_path)
     _print_json(fit)
 
 
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--weights", required=True)
     c.add_argument("--unitary", type=check_unitary_spec, default="dct")
     c.add_argument("--mc-samples", type=int, default=10000)
-    c.set_defaults(fn=cmd_coherence)
+    c.set_defaults(fn=cmd_coherence, outs=_under_out_dir())
 
     t = sub.add_parser("train", help="train a small VAE")
     t.add_argument("--data", default="synth", help="synth | idx:<images> (IDX images only)")
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--synth-count", dest="synth_count", type=int, default=2000)
     t.add_argument("--synth-k", dest="synth_k", type=int, default=4)
     t.add_argument("--out", required=True)
-    t.set_defaults(fn=cmd_train)
+    t.set_defaults(fn=cmd_train, outs=lambda args: [args.out, _decoder_path(args.out)])
 
     r = sub.add_parser("recover", help="recover a random in-range signal")
     r.add_argument("--weights", required=True)
@@ -305,26 +312,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sigma of the Gaussian noise on each real measurement: "
                         "||eta|| ~ sigma*sqrt(2|J|) under a complex U")
     _config_flags(r, recovery.RecoveryConfig)
-    r.set_defaults(fn=cmd_recover)
+    r.set_defaults(fn=cmd_recover, outs=_under_out_dir())
 
     ph = sub.add_parser("phase", help="phase portrait over (coherence, m)")
     ph.add_argument("--config", required=True)
-    ph.set_defaults(fn=cmd_phase)
+    ph.set_defaults(fn=cmd_phase, outs=_under_out_dir("phase.csv", "phase.svg"))
 
     sw = sub.add_parser("sweep", help="measurement sweep over trained models")
     sw.add_argument("--config", required=True)
-    sw.set_defaults(fn=cmd_sweep)
+    sw.set_defaults(fn=cmd_sweep,
+                    outs=_under_out_dir("sweep.csv", "sweep_summary.csv", "sweep.svg"))
 
     ri = sub.add_parser("rip", help="Monte-Carlo RIP check over sampled chords")
     ri.add_argument("--weights", required=True)
     ri.add_argument("--unitary", type=check_unitary_spec, default="dft")
     _config_flags(ri, harness.RipConfig)
-    ri.set_defaults(fn=cmd_rip)
+    ri.set_defaults(fn=cmd_rip, outs=_under_out_dir("rip.csv", "rip_summary.csv"))
 
     sr = sub.add_parser("subspace-rip", help="exact subspace RIP concentration")
     sr.add_argument("--unitary", type=check_unitary_spec, default="dft")
     _config_flags(sr, harness.SubspaceRipConfig)
-    sr.set_defaults(fn=cmd_subspace_rip)
+    sr.set_defaults(fn=cmd_subspace_rip,
+                    outs=_under_out_dir("subspace_rip.csv", "subspace_rip_summary.csv"))
 
     return p
 
@@ -335,17 +344,12 @@ def main(argv=None) -> int:
         # checked as they are parsed.
         args = build_parser().parse_args(argv)
         check_number("--seed", args.seed, 0, integer=True)  # numpy takes no negative seed
-        # An output directory that cannot be made, or a train output file
-        # that names a directory, fails here, before any input is read; the
-        # directory is made at the first write.
-        if args.command == "train":
-            check_out_dir(os.path.dirname(os.path.abspath(args.out)))
-            for path in (args.out, _decoder_path(args.out)):
-                if os.path.isdir(path):
-                    raise IsADirectoryError(f"cannot write to {path}: it is a directory")
-        elif args.command in ("phase", "sweep", "rip", "subspace-rip"):
-            check_out_dir(args.out_dir)
-        args.fn(args)
+        # Every file the command writes is checked here, before any input is
+        # read; its directory is made at the first write.
+        outs = args.outs(args)
+        for path in outs:
+            check_out_file(path)
+        args.fn(args, *outs)
         sys.stdout.flush()  # so that a closed stdout fails inside the try
         return 0
     except BrokenPipeError:

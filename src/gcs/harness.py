@@ -261,6 +261,8 @@ def run_measurement_sweep(
     grid (`_recover_grid`), whatever the decoders' shapes. Returns (trial
     records, per-(model, m) geometric summaries).
     """
+    if np.ndim(test_samples) != 2:
+        raise DimensionMismatch(f"test data must be (count, n), got shape {np.shape(test_samples)}")
     check_test_data(*test_samples.shape, models)
     check_unitary_n(u, test_samples.shape[1])
     sampler = check_grid(cfg.model, cfg.m_list, u.n)

@@ -91,8 +91,10 @@ def test_coherence_of_a_final_layer_whose_norm_overflows_exits_2(tmp_path, capsy
 
 def test_arg_list_parsers():
     assert cli._ints("8,16, 32") == [8, 16, 32]
-    with pytest.raises(DomainError, match="comma-separated integers"):
-        cli._ints("2,x,16")
+    # An empty entry, a trailing comma's included, is no integer either.
+    for bad in ("2,x,16", "8,,64", "16,", ",16", ""):
+        with pytest.raises(DomainError, match=f"^expected comma-separated integers, got '{bad}'$"):
+            cli._ints(bad)
 
 
 def save_net(tmp_path, widths, seed):
@@ -256,16 +258,53 @@ def test_unwritable_out_location_exits_2_before_any_compute(tmp_path, monkeypatc
     assert "is not a writable directory" in err
 
 
-@pytest.mark.parametrize("taken", ["m.json", "m.decoder.json"])
+TRAIN_M = ["train", "--arch", "2,8,16", "--out", "{tmp}/m.json"]
+PHASE = ["--out-dir", "{tmp}", "phase", "--config", "{tmp}/phase.json"]
+SWEEP = ["--out-dir", "{tmp}", "sweep", "--config", "{tmp}/sweep.json"]
+RIP_NET = ["--out-dir", "{tmp}", "rip", "--weights", "{tmp}/net.json", "--m-list", "8"]
+SUBSPACE_16 = ["--out-dir", "{tmp}", "subspace-rip", "--n", "16", "--k", "2", "--m-list", "8"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (TRAIN_M, "{tmp}/m.json"),
+    (TRAIN_M, "{tmp}/m.decoder.json"),
+    (["train", "--arch", "2,8,16", "--out", ""], ""),
+    (["train", "--arch", "2,8,16", "--out", "{tmp}/new/"], "{tmp}/new/"),
+    (["train", "--arch", "2,8,16", "--out", "{tmp}/new/."], "{tmp}/new/."),
+    (PHASE, "{tmp}/phase.csv"),
+    (PHASE, "{tmp}/phase.svg"),
+    (SWEEP, "{tmp}/sweep.csv"),
+    (SWEEP, "{tmp}/sweep_summary.csv"),
+    (SWEEP, "{tmp}/sweep.svg"),
+    (RIP_NET, "{tmp}/rip.csv"),
+    (RIP_NET, "{tmp}/rip_summary.csv"),
+    (SUBSPACE_16, "{tmp}/subspace_rip.csv"),
+    (SUBSPACE_16, "{tmp}/subspace_rip_summary.csv"),
+], ids=["m.json", "m.decoder.json", "empty", "new-dir", "new-dir-dot", "phase.csv", "phase.svg",
+        "sweep.csv", "sweep_summary.csv", "sweep.svg", "rip.csv", "rip_summary.csv",
+        "subspace_rip.csv", "subspace_rip_summary.csv"])
 def test_train_out_file_that_is_a_directory_exits_2_before_any_compute(tmp_path, monkeypatch,
-                                                                       capsys, taken):
-    (tmp_path / taken).mkdir()
-    monkeypatch.setattr(cli.training, "train_vae", no_compute)
-    monkeypatch.setattr(cli.training, "synth_dataset", no_compute)
-    rc = cli.main(["train", "--arch", "2,8,16", "--out", str(tmp_path / "m.json")])
+                                                                       capsys, argv, path):
+    # Every file a command writes is checked before any input is read. One
+    # that is a directory, or a path whose last component is no file name,
+    # stops the run with one line that names it, and no other file is written.
+    monkeypatch.chdir(tmp_path)
+    path = path.format(tmp=tmp_path)
+    if os.path.basename(path) not in ("", "."):
+        os.mkdir(path)
+    before = sorted(os.listdir(tmp_path))
+    for module, name in [(cli, "read_json"), (cli, "load_matrix"), (cli.gnn, "load_weight"),
+                         (cli.gnn, "load_network"), (cli.training, "load_vae"),
+                         (cli.training, "load_idx"), (cli.training, "synth_dataset"),
+                         (cli.training, "train_vae"), (cli.harness, "run_phase_portrait"),
+                         (cli.harness, "run_measurement_sweep"), (cli.harness, "run_rip_check"),
+                         (cli.harness, "run_subspace_rip")]:
+        monkeypatch.setattr(module, name, no_compute)
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err == f"gcs: error: cannot write to {tmp_path / taken}: it is a directory\n"
+    assert capsys.readouterr().err == f"gcs: error: cannot write to {path}: it is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.path.isdir(path) or os.listdir(path) == []
 
 
 @pytest.mark.parametrize("data", ["idx:{images}"])
@@ -408,6 +447,9 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
     (MISSING_TRAIN + ["--synth-k", "40"], {}, "need 1 <= k_true <= n, got k_true=40, n=16"),
     (MISSING_TRAIN + ["--data", "idx:"], {},
      "unknown data source 'idx:' (expected synth or idx:<images>)"),
+    (MISSING_TRAIN + ["--arch", "8,,64"], {}, "expected comma-separated integers, got '8,,64'"),
+    (MISSING_RIP + ["--m-list", "16,,32"], {},
+     "expected comma-separated integers, got '16,,32'"),
 ], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
         "phase-empty-w_low", "sweep-empty-model",
         "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
@@ -415,7 +457,7 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
         "recover-unitary", "coherence-unitary", "rip-unitary", "rip-empty-file-unitary",
         "subspace-k-above-n",
         "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n",
-        "train-empty-idx"])
+        "train-empty-idx", "train-empty-arch-entry", "rip-empty-m-entry"])
 def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                argv, edits, message):
     # Every config, the RIP configs built from their flags included, checks

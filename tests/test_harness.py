@@ -424,6 +424,16 @@ def test_sweep_rejects_a_unitary_of_another_n(monkeypatch):
                               dct2_operator(32), 0)
 
 
+@pytest.mark.parametrize("shape", [(16,), (2, 16, 1), ()], ids=["1-D", "3-D", "0-D"])
+def test_sweep_rejects_test_data_that_is_not_2d(shape):
+    # Test samples of any other rank fail with one DimensionMismatch naming
+    # their shape, before their count or dimension is read.
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"test data must be (count, n), got shape {shape}")):
+        run_measurement_sweep([], np.zeros(shape), SweepConfig(m_list=[8], trials=2),
+                              dct2_operator(16), 0)
+
+
 def test_subspace_rip_full_sampling_tiny_deviation():
     u = dct2_operator(32)
     records, summaries, fit = run_subspace_rip(SubspaceRipConfig(32, 3, [32], 0.4, trials=4), u, 0)
