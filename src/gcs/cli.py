@@ -49,12 +49,12 @@ def check_out_file(path: str) -> None:
     component is a file name (not empty, . or ..), it is no directory, and
     its directory is, or os.makedirs can make, a writable directory."""
     if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
-        raise IsADirectoryError(f"cannot write to {path}: it is a directory")
+        raise IsADirectoryError(f"cannot write to {path!r}: it is a directory")
     head = os.path.dirname(os.path.abspath(path))
     while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head) or not os.access(head, os.W_OK | os.X_OK):
-        raise NotADirectoryError(f"cannot write to {path}: {head} is not a writable directory")
+        raise NotADirectoryError(f"cannot write to {path!r}: {head} is not a writable directory")
 
 
 def _decoder_path(out: str) -> str:
@@ -112,12 +112,12 @@ def cmd_train(args, out: str, decoder_out: str) -> None:
 
 
 def cmd_recover(args) -> None:
-    check_number("--m", args.m, sampling.MIN_M[args.model], integer=True)
+    sampler = sampling.check_grid(args.model, [args.m])
     check_number("--noise", args.noise, 0)
     cfg = _build(recovery.RecoveryConfig, vars(args))
     g = gnn.load_network(args.weights)
     u = resolve_unitary(args.unitary, g.ambient_dim)
-    a = sampling.sampler_for(args.model)(u, args.m, sampling.spawn_seed(args.seed, 0))
+    a = sampler(u, args.m, sampling.spawn_seed(args.seed, 0))
     rng = sampling.derive_rng(args.seed, 1)
     z0 = rng.standard_normal(g.code_dim)
     x0 = gnn.forward(g, z0)
@@ -240,7 +240,7 @@ def cmd_sweep(args, csv_path: str, summary_path: str, svg_path: str) -> None:
     n = models[0][1].decoder.ambient_dim
     # The first model gives n; the grid, the unitary and the test data are
     # checked before the rest load.
-    harness.check_grid(cfg.model, cfg.m_list, n)
+    sampling.check_grid(cfg.model, cfg.m_list, n)
     u = resolve_unitary(cfg_json["unitary"], n)
     if kind == "synth":
         samples = training.synth_dataset(

@@ -30,7 +30,7 @@ from .linops import qr_thin
 # The experiments call recover_batch; harness.recover stays bound because
 # perfbench/instrument.py wraps it.
 from .recovery import SUCCESS_RRE, RecoveryConfig, recover, recover_batch  # noqa: F401
-from .sampling import apply, bernoulli_rows, check_m, derive_rng, sampler_for, spawn_seed
+from .sampling import apply, bernoulli_rows, check_grid, derive_rng, spawn_seed
 # Not called here; bound because perfbench/instrument.py wraps these names.
 from .sampling import sample_bernoulli, sample_fixed  # noqa: F401
 from .training import VaeModel
@@ -43,34 +43,6 @@ RRE_FLOOR = 1e-16
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Apply fn to 0..count-1 in index order, in one thread."""
     return [fn(i) for i in range(count)]
-
-
-def check_trial_grid(m_list, trials, model: str) -> None:
-    """Raise DomainError unless m_list is a nonempty list of distinct integers,
-    trials an integer >= 1 and model a sampling model: the half of the trial
-    grid's check that needs no n, which every config runs when it is built,
-    before any file is read. Records and summaries are keyed by m, so an m
-    may appear only once.
-    """
-    if not isinstance(m_list, list):
-        raise DomainError(f"m_list must be a list of integers, got {m_list!r}")
-    if not m_list:
-        raise DomainError("the m grid is empty")
-    for i, m in enumerate(m_list):
-        check_number("m", m, integer=True)
-        if m in m_list[:i]:
-            raise DomainError(f"m = {m} appears twice in the m grid")
-    check_counts(trials=trials)
-    sampler_for(model)  # rejects an unknown sampling model
-
-
-def check_grid(model: str, m_list: list, n: int):
-    """The sampler for a sampling model, after checking every grid m against
-    n: the half of the trial grid's check that needs n, which each driver
-    runs before any cell computes."""
-    for m in m_list:
-        check_m(model, m, n)
-    return sampler_for(model)
 
 
 def geometric_stats(values) -> tuple[float, float, int]:
@@ -155,7 +127,8 @@ class PhaseConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_trial_grid(self.m_list, self.trials, self.model)
+        check_grid(self.model, self.m_list)
+        check_counts(trials=self.trials)
         if not (isinstance(self.betas, list) and self.betas):
             raise DomainError(f"betas must be a nonempty list of numbers, got {self.betas!r}")
         for beta in self.betas:
@@ -235,7 +208,8 @@ class SweepConfig:
     recovery: RecoveryConfig = RecoveryConfig()
 
     def __post_init__(self):
-        check_trial_grid(self.m_list, self.trials, self.model)
+        check_grid(self.model, self.m_list)
+        check_counts(trials=self.trials)
 
 
 def check_test_data(count: int, dim: int, models: list[tuple[str, VaeModel]]) -> None:
@@ -294,10 +268,11 @@ def run_measurement_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _check_rip(cfg, model: str) -> None:
-    """Check the m grid, trials, sampling model and 0 < delta < 1 of a RIP
-    config."""
-    check_trial_grid(cfg.m_list, cfg.trials, model)
+def _check_rip(cfg, model: str, n: int | None = None) -> None:
+    """Check the sampling model, the m grid (against n where it is given),
+    trials and 0 < delta < 1 of a RIP config."""
+    check_grid(model, cfg.m_list, n)
+    check_counts(trials=cfg.trials)
     check_number("delta", cfg.delta, positive=True)
     if not cfg.delta < 1:  # the RIP is stated for 0 < delta < 1
         raise DomainError(f"delta must be in (0, 1), got {cfg.delta}")
@@ -375,8 +350,7 @@ class SubspaceRipConfig:
         check_number("k", self.k, integer=True)
         if not 1 <= self.k <= self.n:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}")
-        _check_rip(self, "bernoulli")
-        check_grid("bernoulli", self.m_list, self.n)
+        _check_rip(self, "bernoulli", self.n)
         check_array_size(f"n={self.n} rows of k={self.k}", self.n, self.k)
 
 

@@ -54,18 +54,32 @@ class SubsampledIsometry:
 MIN_M = {"fixed": 1, "bernoulli": 2}
 
 
-def _check_model(model: str) -> None:
+def check_grid(model: str, m_list, n: int | None = None):
+    """The sampler of a sampling model, sample_fixed or sample_bernoulli,
+    after checking that model names one, that m_list is a nonempty list of
+    distinct integers, and that each m is at least the model's least m and,
+    where n is given, at most n. It is the one check of an m grid and of a
+    single m ([m]); records and summaries are keyed by m, so an m may
+    appear only once.
+
+    The module attributes are read at call time, so a rebound sampler (a
+    tracing wrapper, say) is the one returned.
+    """
     if not isinstance(model, str) or model not in MIN_M:
         raise DomainError(f"unknown sampling model {model!r} (expected {' or '.join(MIN_M)})")
-
-
-def check_m(model: str, m: int, n: int) -> None:
-    """Raise DomainError unless `model` names a sampling model that takes m
-    of n rows."""
-    _check_model(model)
-    check_number("m", m, integer=True)
-    if not MIN_M[model] <= m <= n:
-        raise DomainError(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}, n={n}")
+    if not isinstance(m_list, list):
+        raise DomainError(f"m_list must be a list of integers, got {m_list!r}")
+    if not m_list:
+        raise DomainError("the m grid is empty")
+    for i, m in enumerate(m_list):
+        check_number("m", m, integer=True)
+        if m in m_list[:i]:
+            raise DomainError(f"m = {m} appears twice in the m grid")
+    for m in m_list:
+        if not MIN_M[model] <= m <= (math.inf if n is None else n):
+            of_n = "" if n is None else f", n={n}"
+            raise DomainError(f"need {MIN_M[model]} <= m <= n for {model} sampling, got m={m}{of_n}")
+    return {"fixed": sample_fixed, "bernoulli": sample_bernoulli}[model]
 
 
 def bernoulli_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -79,7 +93,7 @@ def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometr
     Empty realizations are retained (not resampled).
     """
     n = u.n
-    check_m("bernoulli", m, n)
+    check_grid("bernoulli", [m], n)
     indices = bernoulli_rows(derive_rng(seed), m, n)
     return SubsampledIsometry(base=u, m=m, indices=indices, seed=seed)
 
@@ -87,20 +101,10 @@ def sample_bernoulli(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometr
 def sample_fixed(u: UnitaryOperator, m: int, seed: int) -> SubsampledIsometry:
     """First m elements of a uniform random permutation of [n]; |J| = m always."""
     n = u.n
-    check_m("fixed", m, n)
+    check_grid("fixed", [m], n)
     rng = derive_rng(seed)
     indices = np.sort(rng.permutation(n)[:m])
     return SubsampledIsometry(base=u, m=m, indices=indices, seed=seed)
-
-
-def sampler_for(model: str):
-    """The sampler of a sampling model name: sample_fixed or sample_bernoulli.
-
-    The module attributes are read at call time, so a rebound sampler (a
-    tracing wrapper, say) is the one returned.
-    """
-    _check_model(model)
-    return {"fixed": sample_fixed, "bernoulli": sample_bernoulli}[model]
 
 
 def rows(a: SubsampledIsometry) -> np.ndarray:
@@ -149,7 +153,7 @@ def isotropy_error(u: UnitaryOperator, m: int, trials: int, seed: int) -> float:
     """
     check_counts(trials=trials)
     n = u.n
-    check_m("bernoulli", m, n)
+    check_grid("bernoulli", [m], n)
     counts = np.zeros(n)
     for t in range(trials):
         counts[bernoulli_rows(derive_rng(seed, t), m, n)] += 1.0

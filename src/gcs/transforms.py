@@ -152,11 +152,6 @@ def check_unitary_n(u: UnitaryOperator, n: int) -> None:
         raise DimensionMismatch(f"the unitary is {u.n} x {u.n}, the problem's n is {n}")
 
 
-def dft_operator(n: int) -> UnitaryOperator:
-    """The unitary DFT of size n (entries in `_dft_rows`)."""
-    return UnitaryOperator(kind="dft", n=n)
-
-
 def dct2_operator(n: int) -> UnitaryOperator:
     """The orthonormal DCT-II of size n (entries in `_dct_rows`)."""
     return UnitaryOperator(kind="dct", n=n)
@@ -170,7 +165,3 @@ def explicit_operator(matrix: np.ndarray) -> UnitaryOperator:
     if orthonormality_defect(m) > 1e-8:
         raise DomainError("||U*U - I||_F exceeds 1e-8")
     return u
-
-
-def identity_operator(n: int) -> UnitaryOperator:
-    return UnitaryOperator(kind="explicit", n=n, given=np.eye(n))

@@ -51,7 +51,7 @@ from gcs.sampling import (
     spawn_seed,
 )
 from gcs.training import TrainConfig, save_vae, synth_dataset, train_vae
-from gcs.transforms import dct2_operator, dft_operator, identity_operator
+from gcs.transforms import UnitaryOperator, dct2_operator, explicit_operator
 
 _CAPSYS = None
 
@@ -93,7 +93,7 @@ def seeded_network(widths, seed, biases=False):
 
 def test_criterion_01_coherence_floor():
     n = 64
-    ops = [dft_operator(n), dct2_operator(n), identity_operator(n)]
+    ops = [UnitaryOperator("dft", n), dct2_operator(n), explicit_operator(np.eye(n))]
     ok = True
     for k in (1, 4, 16):
         floor = coherence_lower_bound(k, n)
@@ -103,7 +103,7 @@ def test_criterion_01_coherence_floor():
                 ok &= subspace_coherence(u, q) >= floor - 1e-12
         # Tightness: the coordinate subspace maps to the first k DFT columns,
         # every row of which has norm exactly sqrt(k/n).
-        tight = subspace_coherence(dft_operator(n), np.eye(n)[:, :k])
+        tight = subspace_coherence(UnitaryOperator("dft", n), np.eye(n)[:, :k])
         ok &= abs(tight - math.sqrt(k / n)) <= 1e-10
     report(1, "coherence floor sqrt(k/n) holds and is tight", ok)
     assert ok
@@ -131,7 +131,7 @@ def test_criterion_02_isotropy():
 def test_criterion_03_unitarity():
     ok = True
     for n in (1, 2, 8, 16, 64):
-        for u in (dft_operator(n), dct2_operator(n)):
+        for u in (UnitaryOperator("dft", n), dct2_operator(n)):
             defect = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n))
             ok &= defect <= 1e-10
     report(3, "DFT/DCT unitarity defect <= 1e-10 for n in {1,2,8,16,64}", ok)
@@ -361,7 +361,7 @@ def test_criterion_10_regularizer_effect():
 
 def test_criterion_11_flattish_tail():
     n, m, draws = 256, 32, 100_000
-    u = dft_operator(n)
+    u = UnitaryOperator("dft", n)
     # Flat in measurement coordinates: xi = e_0 = U*(1/sqrt(n) * ones) for the
     # unitary DFT, so that ||xi||_U = 1/sqrt(n) and R = n*||xi||_U^2 = 1, the
     # informative regime.

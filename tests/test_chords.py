@@ -18,8 +18,8 @@ from gcs.coherence import ChordSampler, chord_coherence_mc
 from gcs.errors import DimensionMismatch
 from gcs.gnn import GenerativeNetwork, forward, hidden, relu
 from gcs.harness import RipConfig, SubspaceRipConfig, run_rip_check, run_subspace_rip
-from gcs.sampling import derive_rng, sampler_for, spawn_seed
-from gcs.transforms import dct2_operator, dft_operator, explicit_operator
+from gcs.sampling import derive_rng, sample_bernoulli, sample_fixed, spawn_seed
+from gcs.transforms import UnitaryOperator, dct2_operator, explicit_operator
 
 N = 32
 WIDTHS = {1: [3, N], 2: [3, 8, N], 3: [3, 6, 10, N]}
@@ -57,7 +57,7 @@ def oracle_chord_coherence_mc(g, u, samples, seed, chunk=8192):
 
 
 def oracle_rip_check(g, u, m_list, delta, chord_samples, trials, seed, model="bernoulli"):
-    sampler = sampler_for(model)
+    sampler = {"fixed": sample_fixed, "bernoulli": sample_bernoulli}[model]
     k = g.code_dim
     out = []
     for mi, m in enumerate(m_list):
@@ -98,7 +98,7 @@ def operator(kind):
     if kind == "dct":
         return dct2_operator(N)
     if kind == "dft":
-        return dft_operator(N)
+        return UnitaryOperator("dft", N)
     # A random orthogonal matrix scaled by 1 + 1e-10: explicit_operator accepts
     # it (||U^T U - I||_F is about 1e-9), but ||U x|| is not ||x|| to 1e-12,
     # so only exact chord norms agree with the oracle.

@@ -302,7 +302,7 @@ def test_train_out_file_that_is_a_directory_exits_2_before_any_compute(tmp_path,
         monkeypatch.setattr(module, name, no_compute)
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     assert rc == 2
-    assert capsys.readouterr().err == f"gcs: error: cannot write to {path}: it is a directory\n"
+    assert capsys.readouterr().err == f"gcs: error: cannot write to {path!r}: it is a directory\n"
     assert sorted(os.listdir(tmp_path)) == before
     assert not os.path.isdir(path) or os.listdir(path) == []
 
@@ -431,7 +431,8 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
     (MISSING_SUBSPACE + ["--m-list", "8,8"], {}, "m = 8 appears twice in the m grid"),
     (["coherence", "--weights", "missing.json", "--mc-samples", "0"], {},
      "samples must be >= 1, got 0"),
-    (["recover", "--weights", "missing.json", "--m", "0"], {}, "--m must be >= 1, got 0"),
+    (["recover", "--weights", "missing.json", "--m", "0"], {},
+     "need 1 <= m <= n for fixed sampling, got m=0"),
     (["recover", "--weights", "missing.json", "--unitary", "walsh", "--m", "4"], {}, WALSH),
     (["coherence", "--weights", "missing.json", "--unitary", "walsh"], {}, WALSH),
     (["rip", "--weights", "missing.json", "--unitary", "walsh", "--m-list", "8"], {}, WALSH),
@@ -450,6 +451,11 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
     (MISSING_TRAIN + ["--arch", "8,,64"], {}, "expected comma-separated integers, got '8,,64'"),
     (MISSING_RIP + ["--m-list", "16,,32"], {},
      "expected comma-separated integers, got '16,,32'"),
+    (["phase"], {"m_list": [0, 8]}, "need 1 <= m <= n for fixed sampling, got m=0"),
+    (["sweep"], {"m_list": [0, 8]}, "need 1 <= m <= n for fixed sampling, got m=0"),
+    (MISSING_RIP + ["--m-list", "1,8"], {}, "need 2 <= m <= n for bernoulli sampling, got m=1"),
+    (MISSING_RIP + ["--model", "fixed", "--m-list", "0,8"], {},
+     "need 1 <= m <= n for fixed sampling, got m=0"),
 ], ids=["phase-empty-m_list", "phase-repeated-m", "phase-string-m", "sweep-repeated-m",
         "phase-empty-w_low", "sweep-empty-model",
         "rip-delta2", "rip-trials0", "rip-chords0", "rip-model", "rip-repeated-m",
@@ -457,13 +463,15 @@ WALSH = "unknown unitary 'walsh' (expected dft, dct, or file:<path>)"
         "recover-unitary", "coherence-unitary", "rip-unitary", "rip-empty-file-unitary",
         "subspace-k-above-n",
         "subspace-m-above-n", "subspace-n0", "train-synth-count0", "train-synth-k-above-n",
-        "train-empty-idx", "train-empty-arch-entry", "rip-empty-m-entry"])
+        "train-empty-idx", "train-empty-arch-entry", "rip-empty-m-entry", "phase-m0", "sweep-m0",
+        "rip-bernoulli-m1", "rip-fixed-m0"])
 def test_bad_grid_or_rip_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                argv, edits, message):
     # Every config, the RIP configs built from their flags included, checks
-    # its values and its m grid's shape when it is built, and every
-    # --unitary name is checked as it is parsed. Only m <= n waits for the
-    # file that gives n, the weights or the sweep's first model.
+    # its values and its m grid, each m at least its sampling model's least
+    # m, when it is built, and every --unitary name is checked as it is
+    # parsed. Only m <= n waits for the file that gives n, the weights or the
+    # sweep's first model.
     monkeypatch.chdir(tmp_path)
     if argv[0] in ("phase", "sweep"):
         argv = [argv[0], "--config", (phase_config if argv[0] == "phase" else sweep_config)(

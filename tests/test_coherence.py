@@ -16,7 +16,7 @@ from gcs.coherence import (
 from gcs.errors import DimensionMismatch, DomainError, GcsError
 from gcs.gnn import GenerativeNetwork
 from gcs.sampling import derive_rng
-from gcs.transforms import dct2_operator, dft_operator, identity_operator
+from gcs.transforms import UnitaryOperator, dct2_operator, explicit_operator
 
 
 def random_orthonormal(n, k, seed):
@@ -29,7 +29,7 @@ def test_subspace_coherence_floor():
         floor = coherence_lower_bound(k, n)
         for seed in range(25):
             q = random_orthonormal(n, k, seed)
-            for u in (dft_operator(n), dct2_operator(n), identity_operator(n)):
+            for u in (UnitaryOperator("dft", n), dct2_operator(n), explicit_operator(np.eye(n))):
                 assert subspace_coherence(u, q) >= floor - 1e-12
 
 
@@ -37,7 +37,7 @@ def test_coordinate_subspace_achieves_floor_under_dft():
     # The first k coordinates map to the first k DFT columns, whose rows all
     # have norm exactly sqrt(k/n): the lower bound is tight.
     n = 64
-    u = dft_operator(n)
+    u = UnitaryOperator("dft", n)
     for k in (1, 4, 16):
         q = np.eye(n)[:, :k]
         assert subspace_coherence(u, q) == pytest.approx(math.sqrt(k / n), abs=1e-10)
@@ -48,7 +48,7 @@ def test_subspace_coherence_identity_spike():
     n = 16
     q = np.zeros((n, 1))
     q[3, 0] = 1.0
-    u = identity_operator(n)
+    u = explicit_operator(np.eye(n))
     # subspace_coherence requires k >= 1 orthonormal columns; a single spike
     # is as coherent as it gets.
     assert subspace_coherence(u, q) == pytest.approx(1.0)

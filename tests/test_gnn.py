@@ -24,7 +24,7 @@ from gcs.gnn import (
     sigmoid,
 )
 from gcs.sampling import derive_rng, sample_bernoulli, sample_fixed, apply
-from gcs.transforms import dct2_operator, dft_operator, explicit_operator
+from gcs.transforms import UnitaryOperator, dct2_operator, explicit_operator
 
 
 def random_network(widths, seed, biases=False):
@@ -269,7 +269,7 @@ def test_real_objective_matches_the_complex_one(unitary):
     n = int(n)
     rng = derive_rng(41)
     if kind == "dft":
-        u = dft_operator(n)
+        u = UnitaryOperator("dft", n)
     else:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         u = explicit_operator(q)

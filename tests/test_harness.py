@@ -14,8 +14,6 @@ from gcs.harness import (
     RipConfig,
     SubspaceRipConfig,
     SweepConfig,
-    check_grid,
-    check_trial_grid,
     emit_csv,
     emit_svg_heatmap,
     emit_svg_scatter,
@@ -30,9 +28,17 @@ from gcs.harness import (
     run_subspace_rip,
 )
 from gcs.recovery import RecoveryConfig, recover
-from gcs.sampling import apply, derive_rng, sample_bernoulli, sample_fixed, spawn_seed
+from gcs.sampling import (
+    MIN_M,
+    apply,
+    check_grid,
+    derive_rng,
+    sample_bernoulli,
+    sample_fixed,
+    spawn_seed,
+)
 from gcs.training import TrainConfig, synth_dataset, train_vae
-from gcs.transforms import dct2_operator, dft_operator
+from gcs.transforms import UnitaryOperator, dct2_operator
 
 
 def parse_csv(path: str) -> list[dict]:
@@ -166,27 +172,30 @@ def test_phase_portrait_checks_every_beta_before_any_coherence(monkeypatch):
 
 
 def test_check_grid():
+    # The one check of an m grid; n is optional. Its single-m ([m]) and
+    # sampler-choice cases are in test_sampling.py::test_check_m_and_sampler_for.
     assert check_grid("fixed", [1, 8], 8) is sample_fixed
     assert check_grid("bernoulli", [2, 8], 8) is sample_bernoulli
-    with pytest.raises(DomainError):
-        check_grid("fxied", [4], 8)
+    assert check_grid("fixed", [1, 9]) is sample_fixed
+    for model, m in [("fixed", 0), ("bernoulli", 1)]:
+        with pytest.raises(DomainError, match=f"^need {MIN_M[model]} <= m <= n for {model} "
+                                              f"sampling, got m={m}$"):
+            check_grid(model, [4, m])
     with pytest.raises(DomainError, match="need 1 <= m <= n for fixed sampling, got m=9, n=8"):
         check_grid("fixed", [4, 9], 8)
     with pytest.raises(DomainError, match="need 2 <= m <= n for bernoulli sampling, got m=1"):
         check_grid("bernoulli", [1, 4], 8)
-    with pytest.raises(DomainError, match="the m grid is empty"):
-        check_trial_grid([], 1, "fixed")
-    with pytest.raises(DomainError, match="unknown sampling model 'fxied'"):
-        check_trial_grid([4], 1, "fxied")
-    check_grid("fixed", [np.int64(4)], 8)
-    check_trial_grid([np.int64(4)], 1, "fixed")
-    for m in (4.0, "4", True, None):
-        with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
-            check_grid("fixed", [2, m], 8)
-        with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
-            check_trial_grid([2, m], 1, "fixed")
+    for n in (8, None):
+        with pytest.raises(DomainError, match="the m grid is empty"):
+            check_grid("fixed", [], n)
+        with pytest.raises(DomainError, match="m_list must be a list of integers, got 4"):
+            check_grid("fixed", 4, n)
+        check_grid("fixed", [np.int64(4)], n)
+        for m in (4.0, "4", True, None):
+            with pytest.raises(DomainError, match=f"m must be an integer, got {m!r}"):
+                check_grid("fixed", [2, m], n)
     with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
-        check_trial_grid([2], 0, "fixed")
+        check_counts(trials=0)
     check_counts(trials=np.int64(2), chord_samples=1)
     for value in (1.5, "2", True, 2.0):
         with pytest.raises(DomainError, match=f"trials must be an integer, got {value!r}"):
@@ -199,7 +208,7 @@ def test_check_grid():
 def test_check_grid_rejects_a_repeated_m(m_list, m):
     # Records and summaries are keyed by m: a repeated m would pool its trials.
     with pytest.raises(DomainError, match=f"m = {m} appears twice in the m grid"):
-        check_trial_grid(m_list, 1, "fixed")
+        check_grid("fixed", m_list)
 
 
 def test_repeated_grid_entries_fail_before_any_trial(monkeypatch):
@@ -312,7 +321,7 @@ def test_rip_check_monotone_exceedance():
     g = GenerativeNetwork(
         weights=[rng.standard_normal((6, 3)), rng.standard_normal((128, 6))]
     )
-    u = dft_operator(128)
+    u = UnitaryOperator("dft", 128)
     _, summaries = run_rip_check(
         g, RipConfig([16, 64, 128], delta=0.5, chord_samples=100, trials=60), u, seed=0
     )
@@ -330,7 +339,7 @@ def test_rip_check_on_a_biased_network():
     g = GenerativeNetwork(weights=[rng.standard_normal((6, 2)), rng.standard_normal((16, 6))],
                           biases=[rng.standard_normal(6), rng.standard_normal(16)])
     cfg = RipConfig([4, 8, 16], 0.5, chord_samples=30, trials=3, model="fixed")
-    for u in (dct2_operator(16), dft_operator(16)):
+    for u in (dct2_operator(16), UnitaryOperator("dft", 16)):
         records, _ = run_rip_check(g, cfg, u, seed=6)
         want = []
         for mi, m in enumerate(cfg.m_list):

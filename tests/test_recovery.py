@@ -26,7 +26,7 @@ from gcs.sampling import (
     sample_fixed,
     spawn_seed,
 )
-from gcs.transforms import dct2_operator, dft_operator, identity_operator
+from gcs.transforms import UnitaryOperator, dct2_operator, explicit_operator
 
 
 def seeded_network(widths, seed):
@@ -99,12 +99,12 @@ def test_restarts_keep_best_residual():
 RESULT_KEYS = ["z_hat", "x_hat", "rre", "iterations", "termination", "residual", "failed_restarts"]
 
 
-@pytest.mark.parametrize("unitary", [dct2_operator, dft_operator])
-def test_recover_batch_returns_one_plain_dict_per_problem(unitary):
+@pytest.mark.parametrize("kind", ["dct", "dft"], ids=["dct2_operator", "dft_operator"])
+def test_recover_batch_returns_one_plain_dict_per_problem(kind):
     # A result is a dict of exactly these keys, in this order, which is the
     # order gcs recover prints them in.
     g = seeded_network([3, 6, 16], seed=7)
-    a = sample_fixed(unitary(16), 10, seed=8)
+    a = sample_fixed(UnitaryOperator(kind, 16), 10, seed=8)
     x0 = forward(g, derive_rng(9).standard_normal(3))
     [res] = recover_batch([(g, a, apply(a, x0), x0, 10)], RecoveryConfig(max_iters=50))
     assert type(res) is dict and list(res) == RESULT_KEYS
@@ -272,7 +272,7 @@ def assert_batch_matches_oracle(problems, config):
 @pytest.mark.parametrize("unitary", ["dct", "dft", "dct-complex-b"])
 @pytest.mark.parametrize("biases", [False, True])
 def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
-    u = (dft_operator if unitary == "dft" else dct2_operator)(24)
+    u = UnitaryOperator("dft" if unitary == "dft" else "dct", 24)
     g = small_network([3, 10, 24], seed=40, biases=biases)
     # Equal |J| throughout, so every column is in one group.
     problems, config = cell_problems(g, u, [10] * 5, seed=41, config=RecoveryConfig(max_iters=600))
@@ -288,7 +288,7 @@ def test_batch_matches_scalar_loop_fixed(unitary, biases, monkeypatch):
         raise AssertionError("a lockstep loop was built")
 
     monkeypatch.setattr(gcs.recovery, "_lockstep", no_loop)
-    for u in (dct2_operator(24), dft_operator(24)):
+    for u in (dct2_operator(24), UnitaryOperator("dft", 24)):
         problems, config = cell_problems(g, u, [10] * 5, seed=41,
                                          config=RecoveryConfig(max_iters=600))
         _, a, b, x0, seed = problems[1]
@@ -331,7 +331,7 @@ def test_dft_plan_allocates_only_real_buffers(monkeypatch):
 
     monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
     g = small_network([3, 10, 24], seed=40, biases=True)
-    assert_batch_matches_oracle(*cell_problems(g, dft_operator(24), [6, 10] * 2, seed=41,
+    assert_batch_matches_oracle(*cell_problems(g, UnitaryOperator("dft", 24), [6, 10] * 2, seed=41,
                                                config=RecoveryConfig(max_iters=200)))
 
     def arrays(obj):
@@ -372,7 +372,7 @@ def test_an_iteration_allocates_nothing(monkeypatch):
     monkeypatch.setattr(gcs.recovery, "_Plan", Recorded)
     # Biased and unbiased networks, DCT and DFT rows: every kind of call.
     nets = [small_network([3, 10, 24], seed=42, biases=biases) for biases in (True, False)]
-    problems = [p for g, u in zip(nets, (dct2_operator(24), dft_operator(24)))
+    problems = [p for g, u in zip(nets, (dct2_operator(24), UnitaryOperator("dft", 24)))
                 for p in cell_problems(g, u, [8, 12] * 32, seed=43)[0]]
     recover_batch(problems, RecoveryConfig(max_iters=3, restarts=2))
     plan, z = plans[0]
@@ -553,7 +553,7 @@ def test_batch_split_over_capped_blocks_matches_scalar_loop(monkeypatch):
                                      config=RecoveryConfig(max_iters=300))
     # Same |J|, complex U: the DFT problems' 2|J| real rows form a group of
     # their own in the same loop.
-    problems += cell_problems(g, dft_operator(16), [6] * 2, seed=52,
+    problems += cell_problems(g, UnitaryOperator("dft", 16), [6] * 2, seed=52,
                               config=RecoveryConfig(max_iters=300))[0]
     # Room for two DCT columns in flight (each counts about 3 kB), so a
     # problem's restarts enter apart.
@@ -611,7 +611,7 @@ def test_batch_checks_x0_before_any_loop_step(monkeypatch, x0):
 )
 def test_batch_equals_scalar_property(k, width, n, unitary, biases, bernoulli, seed):
     width = max(width, k)
-    u = (dct2_operator if unitary == "dct" else dft_operator)(n)
+    u = UnitaryOperator("dct" if unitary == "dct" else "dft", n)
     g = small_network([k, width, n], seed=seed, biases=biases)
     m_list = [max(2, (n * (t + 1)) // 4) for t in range(3)]
     sampler = sample_bernoulli if bernoulli else sample_fixed
@@ -656,7 +656,7 @@ def assert_mixed_batch_matches(problems, config):
 @pytest.mark.parametrize("unitary", ["dct", "dft"])
 def test_mixed_batch_differs_in_final_layer(unitary):
     # The phase portrait's case: shared inner layers, one final layer per net.
-    u = (dct2_operator if unitary == "dct" else dft_operator)(24)
+    u = UnitaryOperator("dct" if unitary == "dct" else "dft", 24)
     base = small_network([3, 10, 24], seed=60)
     rng = derive_rng(61)
     nets = [GenerativeNetwork(weights=[base.weights[0], rng.standard_normal((24, 10)) / 4])
@@ -671,7 +671,7 @@ def test_mixed_batch_differs_in_final_layer(unitary):
 
 @pytest.mark.parametrize("unitary", ["dct", "dft"])
 def test_mixed_batch_biased_nets_differ_everywhere(unitary):
-    u = (dct2_operator if unitary == "dct" else dft_operator)(16)
+    u = UnitaryOperator("dct" if unitary == "dct" else "dft", 16)
     nets = [small_network([3, 8, 16], seed=63 + i, biases=True) for i in range(3)]
     # Same weight arrays as nets[0], other biases: the layers are not shared.
     rng = derive_rng(66)
@@ -815,7 +815,7 @@ def test_mixed_unitaries_of_equal_rows_share_one_gather_product(monkeypatch):
     g = small_network([3, 8, 16], seed=88)
     (dct, config), (eye, _) = (
         cell_problems(g, u, [6, 6], seed, config=RecoveryConfig(max_iters=300))
-        for u, seed in ((dct2_operator(16), 89), (identity_operator(16), 90)))
+        for u, seed in ((dct2_operator(16), 89), (explicit_operator(np.eye(16)), 90)))
     problems = [p for pair in zip(dct, eye) for p in pair]  # two restarts each
     stretches = []
 
@@ -852,7 +852,7 @@ def test_waiting_columns_match_scalar_loop(monkeypatch, unitary, sampler, biases
 
     # n = 14: numpy's matmul rounds a strided operand of that length otherwise
     # than a contiguous one, so the DFT pullback must go through the view.
-    u = (dct2_operator if unitary == "dct" else dft_operator)(14)
+    u = UnitaryOperator("dct" if unitary == "dct" else "dft", 14)
     g = small_network([3, 8, 14], seed=82, biases=biases)
     problems, config = three_group_problems(g, u, sampler, 83,
                                             RecoveryConfig(max_iters=300, grad_tol=1e-4))
@@ -902,7 +902,7 @@ def test_batch_memory_stays_within_block_bytes(monkeypatch, unitary, widths, m_l
     import gcs.recovery
 
     # n = 256 builds rows by formula (FFT_MIN_N), whose temporaries count too.
-    u = (dct2_operator if unitary == "dct" else dft_operator)(widths[-1])
+    u = UnitaryOperator("dct" if unitary == "dct" else "dft", widths[-1])
     g = small_network(widths, seed=86, biases=True)
     problems = cell_problems(g, u, m_list * 12, seed=87,
                              config=RecoveryConfig(max_iters=30, grad_tol=1e-30))

@@ -12,17 +12,16 @@ from gcs.harness import RipConfig, SubspaceRipConfig, run_rip_check, run_subspac
 from gcs.sampling import (
     apply,
     apply_adjoint,
-    check_m,
+    check_grid,
     cramer_chernoff_tail,
     derive_rng,
     isotropy_error,
     sample_bernoulli,
     sample_fixed,
-    sampler_for,
     spawn_seed,
 )
 from gcs.training import TrainConfig, synth_dataset, train_vae
-from gcs.transforms import dct2_operator, dft_operator
+from gcs.transforms import UnitaryOperator, dct2_operator
 
 
 _NET = GenerativeNetwork(weights=[np.ones((8, 2)), np.ones((16, 8))])
@@ -85,7 +84,7 @@ def test_fixed_full_m_preserves_norm():
 def test_apply_matches_manual_row_selection():
     # A complex row gives two real measurements: A x is sqrt(n/m) times the
     # real parts of the row products, then their imaginary parts.
-    u = dft_operator(12)
+    u = UnitaryOperator("dft", 12)
     a = sample_bernoulli(u, 6, seed=9)
     x = np.random.default_rng(1).standard_normal(12)
     products = np.array([u.matrix[j] @ x for j in a.indices])
@@ -97,7 +96,7 @@ def test_apply_matches_manual_row_selection():
 
 
 def test_adjoint_is_conjugate_transpose():
-    u = dft_operator(10)
+    u = UnitaryOperator("dft", 10)
     a = sample_fixed(u, 5, seed=2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10)
@@ -145,21 +144,20 @@ def test_m_validation():
 
 
 def test_check_m_and_sampler_for():
-    check_m("fixed", 1, 8)
-    check_m("bernoulli", 2, 8)
-    check_m("bernoulli", 8, 8)
+    # check_grid on a single m ([m]) is the samplers' m check, and it returns
+    # the model's sampler.
+    assert check_grid("fixed", [1], 8) is sample_fixed
+    assert check_grid("bernoulli", [2], 8) is sample_bernoulli
+    assert check_grid("bernoulli", [8], 8) is sample_bernoulli
     for model, m in [("fixed", 0), ("fixed", 9), ("bernoulli", 1), ("bernoulli", 9)]:
-        with pytest.raises(DomainError, match=f"for {model} sampling, got m={m}, n=8"):
-            check_m(model, m, 8)
-    assert sampler_for("fixed") is sample_fixed
-    assert sampler_for("bernoulli") is sample_bernoulli
+        with pytest.raises(DomainError, match=f"for {model} sampling, got m={m}, n=8$"):
+            check_grid(model, [m], 8)
     # A typo must not select the other sampler.
-    with pytest.raises(DomainError):
-        sampler_for("fxied")
-    with pytest.raises(DomainError):
-        check_m("fxied", 4, 8)
+    for n in (8, None):
+        with pytest.raises(DomainError, match="unknown sampling model 'fxied'"):
+            check_grid("fxied", [4], n)
     with pytest.raises(DomainError, match="unknown sampling model"):
-        check_m(["fixed"], 4, 8)
+        check_grid(["fixed"], [4], 8)
 
 
 def test_isotropy_full_sampling_exact_zero():
@@ -173,19 +171,19 @@ def test_isotropy_converges():
 
 
 def test_isotropy_single_trial_nonzero():
-    assert isotropy_error(dft_operator(8), 4, trials=1, seed=1) > 0.0
+    assert isotropy_error(UnitaryOperator("dft", 8), 4, trials=1, seed=1) > 0.0
     with pytest.raises(DomainError):
-        isotropy_error(dft_operator(8), 4, trials=0, seed=0)
+        isotropy_error(UnitaryOperator("dft", 8), 4, trials=0, seed=0)
     with pytest.raises(DomainError, match="trials must be an integer, got 2.5"):
-        isotropy_error(dft_operator(8), 4, trials=2.5, seed=0)
+        isotropy_error(UnitaryOperator("dft", 8), 4, trials=2.5, seed=0)
     for m in (0, 1, 9):
         with pytest.raises(DomainError, match=f"got m={m}, n=8"):
-            isotropy_error(dft_operator(8), m, trials=2, seed=0)
+            isotropy_error(UnitaryOperator("dft", 8), m, trials=2, seed=0)
 
 
 def test_isotropy_error_matches_dense_oracle():
     # Recompute the mean Gram by materializing each A explicitly.
-    u = dft_operator(6)
+    u = UnitaryOperator("dft", 6)
     m, trials, seed = 3, 50, 4
     acc = np.zeros((6, 6), dtype=complex)
     for t in range(trials):
@@ -199,7 +197,7 @@ def test_isotropy_error_matches_dense_oracle():
 
 def test_isotropy_error_builds_no_dense_matrix():
     # Past FFT_MIN_N the DFT holds no matrix, and isotropy_error reads none.
-    u = dft_operator(4096)
+    u = UnitaryOperator("dft", 4096)
     assert isotropy_error(u, 4096, trials=2, seed=0) == 0.0
     assert isotropy_error(u, 1024, trials=3, seed=5) > 0.0
     assert "matrix" not in u.__dict__

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from gcs.transforms import (
     KINDS,
     UnitaryOperator,
     dct2_operator,
-    dft_operator,
     explicit_operator,
 )
 
@@ -44,11 +44,12 @@ def dense_dct(n):
     return d
 
 
-# Each table kind's constructor, whose name its tests run under, and its
-# independent dense build, by the kind's name in transforms.KINDS.
-ORACLES = {"dft": (dft_operator, dense_dft), "dct": (dct2_operator, dense_dct)}
+# Each table kind's constructor and its independent dense build, by the
+# kind's name in transforms.KINDS, and the id its tests run under.
+ORACLES = {"dft": (partial(UnitaryOperator, "dft"), dense_dft), "dct": (dct2_operator, dense_dct)}
+IDS = {"dft": "dft_operator", "dct": "dct2_operator"}
 # The per-kind tests run over every kind in the table.
-MAKERS = [ORACLES[name][0] for name in KINDS]
+MAKERS = [pytest.param(ORACLES[name][0], id=IDS[name]) for name in KINDS]
 
 
 def test_every_kind_has_an_oracle():
@@ -85,7 +86,7 @@ def test_unitarity(n, make):
 
 def test_dft_n4_hand_values():
     # Positive-exponent convention: F_jk = exp(2*pi*i*j*k/4)/2.
-    f = dft_operator(4).matrix
+    f = UnitaryOperator("dft", 4).matrix
     w = 1j  # exp(2*pi*i/4)
     expected = 0.5 * np.array(
         [
@@ -120,7 +121,7 @@ def test_parseval(n, seed):
 
 def test_adjoint_inverts():
     # With every row sampled, A = U, and the subsampled adjoint inverts it.
-    a = sample_fixed(dft_operator(12), 12, seed=0)
+    a = sample_fixed(UnitaryOperator("dft", 12), 12, seed=0)
     x = np.random.default_rng(1).standard_normal(12)
     np.testing.assert_allclose(apply_adjoint(a, apply(a, x)), x, atol=1e-12)
 
@@ -137,7 +138,7 @@ def test_explicit_operator_validates():
 
 
 def test_dimension_checks():
-    u = dft_operator(8)
+    u = UnitaryOperator("dft", 8)
     with pytest.raises(DimensionMismatch):
         u.apply(np.zeros(7))
 
@@ -210,7 +211,8 @@ def test_apply_below_crossover_is_the_dense_product(make, shape):
 
 
 @pytest.mark.parametrize("n", [64, FFT_MIN_N, 300, 784, 1024])
-@pytest.mark.parametrize("make, dense", [ORACLES[name] for name in KINDS])
+@pytest.mark.parametrize("make, dense", [pytest.param(*ORACLES[name], id=f"{IDS[name]}-dense_{name}")
+                                         for name in KINDS])
 def test_rows_equal_the_dense_build(n, make, dense):
     # Below FFT_MIN_N rows() gathers from the matrix; from it on, it evaluates
     # the closed form. Either way every entry is the dense build's, bit for bit.
